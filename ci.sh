@@ -257,8 +257,8 @@ UU_BENCH_SAMPLES=3 UU_BENCH_WARMUP_MS=20 UU_BENCH_DIR="$PWD/target/ci/uu-bench" 
 # The same bench loop under the verify-uniform oracle (reference engine
 # cross-checking every scalarization decision) on a two-app slice — the
 # full suite under the oracle is too slow for a smoke rung. Filtered
-# runs skip the suite-total/fast-sweep aggregates (see sim.rs), so this
-# JSON can never be mistaken for a trajectory row.
+# runs skip the suite-total aggregate (see sim.rs), so this JSON can
+# never be mistaken for a trajectory row.
 UU_SIMT_ENGINE=verify-uniform UU_BENCH_APPS=bezier-surface,quicksort \
   UU_BENCH_SAMPLES=3 UU_BENCH_WARMUP_MS=20 \
   UU_BENCH_DIR="$PWD/target/ci/uu-bench-vu" \
@@ -278,5 +278,11 @@ UU_BENCH_APPS=bezier-surface UU_BENCH_SAMPLES=3 UU_BENCH_WARMUP_MS=20 \
   cargo bench -q --offline -p uu-bench --bench compile > /dev/null
 ./target/release/uu-jsonck target/ci/uu-bench/BENCH_compile.json
 ./target/release/uu-jsonck BENCH_compile.json
+
+echo "== e2ebench smoke: the benchmark package must build and run against this tree =="
+# e2ebench/ is a workspace of its own, so nothing above compiles it: a
+# harness or serve API change could break the benchmark (BENCHMARK.json)
+# unnoticed. Its smoke test runs every workload once at a tiny scale.
+cargo test -q --release --offline --manifest-path e2ebench/Cargo.toml
 
 echo "ci.sh: all green"

@@ -3,8 +3,9 @@
 //! Each `compile/<app>` entry times every pipeline configuration the fast
 //! sweep compiles for one application (the baseline and heuristic compiles
 //! plus the per-loop configuration product, with cold loops capped at three
-//! exactly as in `uu_harness::run_sweep(_, fast = true)`), without running
-//! the simulator — the pure compile side of a cold cacheless fast sweep.
+//! exactly as in `uu_harness::run_sweep_backed(_, fast = true, ..)`),
+//! without running the simulator — the pure compile side of a cold
+//! cacheless fast sweep.
 //! Work units are the deterministic compile clock (`CompileOutcome::work`),
 //! so `units_per_sec / 1000` is the *measured* work-units-per-millisecond
 //! calibration to compare against the frozen `uu_core::WORK_PER_MS`.

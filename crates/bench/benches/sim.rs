@@ -5,17 +5,16 @@
 //! as its work units, so the JSON report carries warp-insts/sec — the
 //! repo's interpreter-throughput trajectory. A synthetic
 //! `sim/suite-total` entry aggregates the suite (total warp instructions
-//! over summed median runtimes), and `sweep/fast/bezier-surface` times one
-//! end-to-end fast-sweep slice (compile pipelines + measurement + noise
-//! model) as the wall-clock proxy for `uu-harness all --fast`.
+//! over summed median runtimes). End-to-end sweep wall time is not
+//! measured here: that is `e2ebench/`'s `regen-fast` workload.
 //!
 //! The engine under test follows `UU_SIMT_ENGINE` (see
 //! `uu_simt::ExecEngine`), so a reference-interpreter baseline is
 //! `UU_SIMT_ENGINE=reference cargo bench -p uu-bench --bench sim`.
 //! `UU_BENCH_APPS=a,b` restricts the run to the named applications
 //! (ci.sh's verify-uniform smoke uses a two-app slice to stay fast), and
-//! the suite-total/fast-sweep aggregates are skipped for partial runs so
-//! a filtered report is never mistaken for a suite trajectory row.
+//! the suite-total aggregate is skipped for partial runs so a filtered
+//! report is never mistaken for a suite trajectory row.
 
 use uu_check::bench::{BenchResult, Harness};
 use uu_kernels::all_benchmarks;
@@ -55,17 +54,6 @@ fn main() {
             iters_per_sample: 1,
             samples_ns: vec![total_median_ns],
             units_per_iter: total_units,
-        });
-
-        // End-to-end fast-sweep wall time, one-application slice (the full
-        // 16-application `uu-harness all --fast` is minutes, not a bench
-        // iteration).
-        let bezier: Vec<uu_kernels::Benchmark> = all_benchmarks()
-            .into_iter()
-            .filter(|b| b.info.name == "bezier-surface")
-            .collect();
-        h.bench("sweep/fast/bezier-surface", || {
-            uu_harness::run_sweep(&bezier, true)
         });
     }
 

@@ -27,17 +27,6 @@ use uu_check::rng::Rng;
 use uu_check::{case_seeds, check_result, Config, DiffOracle, Gen, KernelSpec};
 use uu_core::FaultPlan;
 
-/// FNV-1a over the spec's canonical text — a cheap, dependency-free digest
-/// that makes each stdout line witness the exact case generated.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 fn main() {
     let cfg = Config::from_env(200);
     let oracle = DiffOracle::default();
@@ -87,7 +76,7 @@ fn main() {
         let spec = KernelSpec::generate(&mut Rng::seed_from_u64(seed));
         println!(
             "case {i:>4} seed {seed:#018x} digest {:#018x}",
-            fnv1a(spec.to_string().as_bytes())
+            uu_ir::fnv1a(spec.to_string().as_bytes())
         );
     }
     let fuzz_started = std::time::Instant::now();

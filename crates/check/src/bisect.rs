@@ -168,15 +168,6 @@ pub fn crash_dir() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("crash-reports"))
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Persist a crash report atomically (temp file + rename) under
 /// [`crash_dir`], named by a stable content hash so identical failures
 /// dedupe. Returns the final path.
@@ -188,10 +179,8 @@ pub fn write_crash_report(report: &BisectReport) -> Result<PathBuf, String> {
     let dir = crash_dir();
     std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
     let body = report.to_string();
-    let name = format!(
-        "crash-{:016x}.txt",
-        fnv1a(format!("{}\n{:?}\n{:?}", report.spec, report.transform, report.fault).as_bytes())
-    );
+    let identity = format!("{}\n{:?}\n{:?}", report.spec, report.transform, report.fault);
+    let name = format!("crash-{:016x}.txt", uu_ir::fnv1a(identity.as_bytes()));
     let path = dir.join(&name);
     let tmp = dir.join(format!(".{name}.tmp"));
     std::fs::write(&tmp, &body).map_err(|e| format!("write {}: {e}", tmp.display()))?;

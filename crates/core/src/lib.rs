@@ -83,7 +83,7 @@ pub use pipeline::{
     PipelineOptions, Transform, PASS_VERSIONS, PIPELINE_SCHEMA_VERSION, WORK_PER_MS,
 };
 pub use recover::{
-    parse_at_seed, FailureReason, FaultKind, FaultPlan, PassFailure, PassInvocation, Rung,
+    split_fault_spec, FailureReason, FaultKind, FaultPlan, PassFailure, PassInvocation, Rung,
 };
 pub use unmerge::{UnmergeMode, UnmergeOptions};
 pub use uu::{uu_loop, UuOptions};

@@ -98,10 +98,7 @@ impl FaultPlan {
     ///
     /// Returns a description of the malformed component.
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
-        let s = spec.trim();
-        let (kind_s, rest) = s
-            .split_once('@')
-            .ok_or_else(|| format!("fault spec `{s}` is missing `@<index>`"))?;
+        let (kind_s, at, seed) = split_fault_spec(spec)?;
         let kind = match kind_s {
             "panic" => FaultKind::Panic,
             "corrupt" => FaultKind::Corrupt,
@@ -114,7 +111,6 @@ impl FaultPlan {
                 ))
             }
         };
-        let (at, seed) = parse_at_seed(rest)?;
         Ok(FaultPlan { kind, at, seed })
     }
 
@@ -142,16 +138,20 @@ impl FaultPlan {
     }
 }
 
-/// Parse the `<index>[:<seed>]` tail of a fault spec: a decimal u64
-/// index, optionally followed by `:` and a u64 seed (decimal or 0x-hex,
-/// defaulting to 0). Shared by [`FaultPlan::parse`] and the service-level
-/// fault grammar in `uu-serve` (`UU_SERVE_FAULT`), so the two spec
-/// languages cannot drift apart.
+/// Split one `<kind>@<index>[:<seed>]` fault spec into its kind keyword,
+/// decimal u64 index and u64 seed (decimal or 0x-hex, defaulting to 0).
+/// The one grammar behind [`FaultPlan::parse`] and the service-level
+/// `UU_SERVE_FAULT` plan in `uu-serve`: each parser only maps the keyword
+/// onto its own kind enum, so the two spec languages cannot drift apart.
 ///
 /// # Errors
 ///
 /// Returns a description of the malformed component.
-pub fn parse_at_seed(rest: &str) -> Result<(u64, u64), String> {
+pub fn split_fault_spec(spec: &str) -> Result<(&str, u64, u64), String> {
+    let s = spec.trim();
+    let (kind, rest) = s
+        .split_once('@')
+        .ok_or_else(|| format!("fault spec `{s}` is missing `@<index>`"))?;
     let (at_s, seed_s) = match rest.split_once(':') {
         Some((a, b)) => (a, Some(b)),
         None => (rest, None),
@@ -162,14 +162,12 @@ pub fn parse_at_seed(rest: &str) -> Result<(u64, u64), String> {
     let seed = match seed_s {
         None => 0,
         Some(t) => match t.strip_prefix("0x").or_else(|| t.strip_prefix("0X")) {
-            Some(hex) => u64::from_str_radix(hex, 16)
-                .map_err(|_| format!("fault seed `{t}` is not a u64"))?,
-            None => t
-                .parse::<u64>()
-                .map_err(|_| format!("fault seed `{t}` is not a u64"))?,
-        },
+            Some(hex) => u64::from_str_radix(hex, 16),
+            None => t.parse::<u64>(),
+        }
+        .map_err(|_| format!("fault seed `{t}` is not a u64"))?,
     };
-    Ok((at, seed))
+    Ok((kind, at, seed))
 }
 
 impl std::fmt::Display for FaultPlan {
@@ -426,11 +424,11 @@ mod tests {
 
     #[test]
     fn at_seed_tail_parses_decimal_and_hex() {
-        assert_eq!(parse_at_seed("3").unwrap(), (3, 0));
-        assert_eq!(parse_at_seed("3:17").unwrap(), (3, 17));
-        assert_eq!(parse_at_seed("0:0x5eed").unwrap(), (0, 0x5eed));
-        for bad in ["", "x", "3:", "3:zz", "-1"] {
-            assert!(parse_at_seed(bad).is_err(), "{bad:?} should be rejected");
+        assert_eq!(split_fault_spec("k@3").unwrap(), ("k", 3, 0));
+        assert_eq!(split_fault_spec(" k@3:17 ").unwrap(), ("k", 3, 17));
+        assert_eq!(split_fault_spec("disk-full@0:0x5eed").unwrap(), ("disk-full", 0, 0x5eed));
+        for bad in ["k", "k@", "k@x", "k@3:", "k@3:zz", "k@-1"] {
+            assert!(split_fault_spec(bad).is_err(), "{bad:?} should be rejected");
         }
     }
 

@@ -5,6 +5,7 @@
 use std::time::Duration;
 use uu_core::{compile, FaultKind, FaultPlan, LoopFilter, PipelineOptions, Rung, Transform};
 use uu_kernels::Benchmark;
+use uu_serve::{CompileCache, CompileMeta, RunRecord};
 use uu_simt::{ExecError, Gpu, Metrics};
 
 /// One compiled-and-executed measurement.
@@ -108,8 +109,8 @@ impl std::fmt::Display for MeasureError {
 /// `skip_run` is set (used for cold loops, whose kernel time provably equals
 /// the baseline's because the workload never launches them).
 ///
-/// Reads `UU_FAULT` for a deterministic fault-injection plan; use
-/// [`measure_with`] to pass one explicitly (tests do).
+/// The cacheless, daemonless convenience over [`measure_backed`], with the
+/// fault plan read from `UU_FAULT`.
 ///
 /// # Errors
 ///
@@ -122,36 +123,25 @@ pub fn measure(
     filter: LoopFilter,
     skip_run: Option<&Measurement>,
 ) -> Result<Measurement, MeasureError> {
-    measure_with(bench, transform, filter, skip_run, FaultPlan::from_env())
+    measure_backed(bench, transform, filter, skip_run, FaultPlan::from_env(), Backend::default())
 }
 
-/// [`measure`] with an explicit fault plan. Pass/verifier/budget faults go
-/// to the pipeline; [`FaultKind::Mem`] arms the simulated GPU's one-shot
-/// memory-fault countdown (`fault.at` counts accesses) instead.
+/// Measure the baseline configuration of a benchmark (see [`measure`]).
 ///
 /// # Errors
 ///
 /// See [`measure`].
-pub fn measure_with(
-    bench: &Benchmark,
-    transform: Transform,
-    filter: LoopFilter,
-    skip_run: Option<&Measurement>,
-    fault: Option<FaultPlan>,
-) -> Result<Measurement, MeasureError> {
-    measure_cached(bench, transform, filter, skip_run, fault, None)
+pub fn measure_baseline(bench: &Benchmark) -> Result<Measurement, MeasureError> {
+    measure(bench, Transform::Baseline, LoopFilter::All, None)
 }
 
 /// The *run*-side cache-key tag: everything outside the module + pipeline
 /// config that can change simulator output — benchmark identity, workload
 /// version, launch repeats, the simulator engine selection, and any
 /// memory-fault plan (which is armed on the GPU, not the pipeline).
-fn workload_tag(bench: &Benchmark, fault: Option<&FaultPlan>) -> String {
+fn workload_tag(bench: &Benchmark, mem_fault: Option<&FaultPlan>) -> String {
     let engine = std::env::var("UU_SIMT_ENGINE").unwrap_or_default();
-    let mem_fault = fault
-        .filter(|p| p.kind == FaultKind::Mem)
-        .map(|p| p.spec())
-        .unwrap_or_default();
+    let mem_fault = mem_fault.map(FaultPlan::spec).unwrap_or_default();
     format!(
         "{}|wl{}|x{}|{engine}|{mem_fault}",
         bench.info.name,
@@ -188,35 +178,23 @@ impl<'a> Backend<'a> {
     }
 }
 
-/// [`measure_with`] through an optional content-addressed cache.
+/// The one measurement path: compile `bench` under `transform`/`filter`
+/// through `backend`, execute the workload unless `skip_run` lends the
+/// baseline's run, and assemble the [`Measurement`].
 ///
-/// With `cache: None` this *is* the uncached path. With a cache, the
-/// compile half is served from compile artifacts and — for executed
-/// (hot) points — the whole measurement is served from run artifacts, so
-/// a warm sweep skips both the pipeline and the simulator. Every cached
-/// field round-trips exactly (f64s as bit patterns), so cached and
-/// cacheless measurements are identical, not merely close. Faulted
-/// simulator runs ([`MeasureError`]) are never cached.
+/// Pass/verifier/budget faults go to the pipeline; a [`FaultKind::Mem`]
+/// plan arms the simulated GPU's one-shot memory-fault countdown
+/// (`fault.at` counts accesses) instead.
 ///
-/// # Errors
-///
-/// See [`measure`].
-pub fn measure_cached(
-    bench: &Benchmark,
-    transform: Transform,
-    filter: LoopFilter,
-    skip_run: Option<&Measurement>,
-    fault: Option<FaultPlan>,
-    cache: Option<&uu_serve::CompileCache>,
-) -> Result<Measurement, MeasureError> {
-    measure_backed(bench, transform, filter, skip_run, fault, Backend::local(cache))
-}
-
-/// [`measure_cached`] through a [`Backend`]: local cache, compile daemon,
-/// or both. Daemon compiles that fail for any reason — no nameable
-/// config, daemon unreachable, retry budget exhausted, quarantined
-/// module — fall back to the local path, so a flaky or saturated daemon
-/// degrades batch throughput, never batch output.
+/// Lookup order: for an executed point with a cache, the run artifact
+/// (a warm regeneration skips pipeline, daemon and simulator alike);
+/// otherwise the compile comes from the first of daemon, cache and local
+/// pipeline that can serve it and the run from the simulator, and the
+/// pair is stored as a run artifact when there is a cache. Every cached
+/// field round-trips exactly (f64s as bit patterns) and the daemon's
+/// metadata equals a local compile's, so the backend changes wall time
+/// and nothing else. Faulted simulator runs ([`MeasureError`]) are never
+/// cached.
 ///
 /// # Errors
 ///
@@ -230,280 +208,142 @@ pub fn measure_backed(
     backend: Backend<'_>,
 ) -> Result<Measurement, MeasureError> {
     let mut m = (bench.build)();
+    let mem_fault = fault.filter(|p| p.kind == FaultKind::Mem);
     let opts = PipelineOptions {
         transform,
         filter,
         timeout: Some(COMPILE_TIMEOUT),
-        fault: fault.clone().filter(|p| p.kind != FaultKind::Mem),
+        fault: fault.filter(|p| p.kind != FaultKind::Mem),
         ..Default::default()
     };
 
-    if let Some(remote) = backend.remote {
-        if let Some(res) =
-            measure_through_remote(bench, &m, &opts, skip_run, fault.clone(), backend, remote)
-        {
-            return res;
+    // Only executed points have a run artifact; cold ones borrow the
+    // baseline's run and consume compile metadata alone.
+    let executed = skip_run.is_none();
+    let run_store = backend.cache.filter(|_| executed).map(|cache| {
+        let tag = workload_tag(bench, mem_fault.as_ref());
+        (cache, CompileCache::run_key(CompileCache::compile_key(&m, &opts), &tag))
+    });
+    let (meta, run) = match run_store.and_then(|(cache, key)| cache.lookup_run(key)) {
+        Some(served) => served,
+        None => {
+            let meta = compile_point(&mut m, &opts, executed, backend);
+            let run = match skip_run {
+                Some(base) => RunRecord {
+                    time_ms: base.time_ms,
+                    checksum: base.checksum,
+                    transfer_ms: base.transfer_ms,
+                    metrics: base.metrics,
+                },
+                None => {
+                    let run = simulate(bench, &m, mem_fault).map_err(|exec| MeasureError {
+                        exec,
+                        rung: meta.rung,
+                        failures: meta.diag.clone(),
+                        compile_ms: meta.work as f64 / uu_core::WORK_PER_MS,
+                        code_size: meta.code_size,
+                        timed_out: meta.timed_out,
+                    })?;
+                    if let Some((cache, key)) = run_store {
+                        cache.store_run(key, &meta, &run);
+                    }
+                    run
+                }
+            };
+            (meta, run)
         }
-    }
+    };
+    Ok(Measurement {
+        time_ms: run.time_ms,
+        code_size: meta.code_size,
+        compile_ms: meta.work as f64 / uu_core::WORK_PER_MS,
+        checksum: run.checksum,
+        timed_out: meta.timed_out,
+        metrics: run.metrics,
+        transfer_ms: run.transfer_ms,
+        rung: meta.rung,
+        diag: meta.diag,
+    })
+}
 
-    if let Some(cache) = backend.cache {
-        return measure_through_cache(bench, &mut m, &opts, skip_run, fault, cache);
-    }
-
-    let outcome = compile(&mut m, &opts);
-    debug_assert!(outcome.verify_error.is_none(), "guarded compile must emit valid IR");
-    let code_size = uu_analysis::cost::module_size(&m);
-    let compile_ms = outcome.work as f64 / uu_core::WORK_PER_MS;
-    let failures = outcome.failure_summary();
-    if let Some(base) = skip_run {
-        return Ok(Measurement {
-            time_ms: base.time_ms,
-            code_size,
-            compile_ms,
-            checksum: base.checksum,
-            timed_out: outcome.timed_out,
-            metrics: base.metrics,
-            transfer_ms: base.transfer_ms,
-            rung: outcome.rung,
-            diag: failures,
-        });
-    }
+/// The run half of an executed point: the workload of `bench` over the
+/// optimised module on a fresh simulated GPU, with `mem_fault` armed.
+fn simulate(
+    bench: &Benchmark,
+    optimized: &uu_ir::Module,
+    mem_fault: Option<FaultPlan>,
+) -> Result<RunRecord, ExecError> {
     let mut gpu = Gpu::new();
-    if let Some(p) = fault.filter(|p| p.kind == FaultKind::Mem) {
+    if let Some(p) = mem_fault {
         gpu.mem.inject_fault_after(p.at);
     }
-    let run = (bench.run)(&m, &mut gpu).map_err(|exec| MeasureError {
-        exec,
-        rung: outcome.rung,
-        failures: failures.clone(),
-        compile_ms,
-        code_size,
-        timed_out: outcome.timed_out,
-    })?;
+    let run = (bench.run)(optimized, &mut gpu)?;
     // The application launches its kernels `launch_repeats` times; the
     // workload simulates one representative launch (counters stay
     // per-launch; ratios are unaffected).
     let repeats = bench.info.launch_repeats.max(1) as f64;
-    Ok(Measurement {
+    Ok(RunRecord {
         time_ms: run.kernel_time_ms * repeats,
-        code_size,
-        compile_ms,
         checksum: run.checksum,
-        timed_out: outcome.timed_out,
-        metrics: run.metrics,
         transfer_ms: run.transfer_ms(),
-        rung: outcome.rung,
-        diag: failures,
+        metrics: run.metrics,
     })
 }
 
-/// The cache-aware measurement path: compile artifacts cover every point;
-/// run artifacts additionally cover executed points.
-fn measure_through_cache(
-    bench: &Benchmark,
+/// The compile seam: optimise `m` in place under `opts` and return the
+/// compile's metadata, from the first source that can serve it — daemon,
+/// then cache, then the local pipeline. With `want_module` unset (cold
+/// points only consume the metadata) a daemon or cache hit may leave `m`
+/// untouched.
+fn compile_point(
     m: &mut uu_ir::Module,
     opts: &PipelineOptions,
-    skip_run: Option<&Measurement>,
-    fault: Option<FaultPlan>,
-    cache: &uu_serve::CompileCache,
-) -> Result<Measurement, MeasureError> {
-    use uu_serve::CompileCache;
-
-    if let Some(base) = skip_run {
-        // Skip-run points only consume compile metadata — no need to
-        // materialize the optimized module on a hit.
-        let c = cache.compile(m, opts, false);
-        return Ok(Measurement {
-            time_ms: base.time_ms,
-            code_size: c.meta.code_size,
-            compile_ms: c.meta.work as f64 / uu_core::WORK_PER_MS,
-            checksum: base.checksum,
-            timed_out: c.meta.timed_out,
-            metrics: base.metrics,
-            transfer_ms: base.transfer_ms,
-            rung: c.meta.rung,
-            diag: c.meta.diag,
-        });
-    }
-
-    let run_key = CompileCache::run_key(
-        CompileCache::compile_key(m, opts),
-        &workload_tag(bench, fault.as_ref()),
-    );
-    if let Some((meta, run)) = cache.lookup_run(run_key) {
-        return Ok(Measurement {
-            time_ms: run.time_ms,
-            code_size: meta.code_size,
-            compile_ms: meta.work as f64 / uu_core::WORK_PER_MS,
-            checksum: run.checksum,
-            timed_out: meta.timed_out,
-            metrics: run.metrics,
-            transfer_ms: run.transfer_ms,
-            rung: meta.rung,
-            diag: meta.diag,
-        });
-    }
-
-    let c = cache.compile(m, opts, true);
-    let mut gpu = Gpu::new();
-    if let Some(p) = fault.filter(|p| p.kind == FaultKind::Mem) {
-        gpu.mem.inject_fault_after(p.at);
-    }
-    let compile_ms = c.meta.work as f64 / uu_core::WORK_PER_MS;
-    let run = (bench.run)(m, &mut gpu).map_err(|exec| MeasureError {
-        exec,
-        rung: c.meta.rung,
-        failures: c.meta.diag.clone(),
-        compile_ms,
-        code_size: c.meta.code_size,
-        timed_out: c.meta.timed_out,
-    })?;
-    let repeats = bench.info.launch_repeats.max(1) as f64;
-    let record = uu_serve::RunRecord {
-        time_ms: run.kernel_time_ms * repeats,
-        checksum: run.checksum,
-        transfer_ms: run.transfer_ms(),
-        metrics: run.metrics,
-    };
-    cache.store_run(run_key, &c.meta, &record);
-    Ok(Measurement {
-        time_ms: record.time_ms,
-        code_size: c.meta.code_size,
-        compile_ms,
-        checksum: record.checksum,
-        timed_out: c.meta.timed_out,
-        metrics: record.metrics,
-        transfer_ms: record.transfer_ms,
-        rung: c.meta.rung,
-        diag: c.meta.diag,
-    })
-}
-
-/// The daemon-backed measurement path. `None` means "this point cannot
-/// (or should not) go through the daemon — use the local path": the
-/// transform has no config name, the module text the daemon returned does
-/// not parse, or the request failed outright. `Some(res)` is a complete
-/// measurement built from the daemon's compile metadata — identical to a
-/// local compile's by the remote/local parity contract (the daemon builds
-/// the same [`PipelineOptions`] from the headers, and diag/rung/work
-/// round-trip losslessly through the response).
-fn measure_through_remote(
-    bench: &Benchmark,
-    m: &uu_ir::Module,
-    opts: &PipelineOptions,
-    skip_run: Option<&Measurement>,
-    fault: Option<FaultPlan>,
+    want_module: bool,
     backend: Backend<'_>,
-    remote: &uu_serve::Remote,
-) -> Option<Result<Measurement, MeasureError>> {
-    use uu_serve::CompileCache;
-
-    let config = uu_serve::config_name(&opts.transform)?;
-
-    // A local run artifact still beats a network round trip: warm
-    // regenerations skip the daemon entirely for executed points.
-    let run_key = backend.cache.map(|_| {
-        CompileCache::run_key(
-            CompileCache::compile_key(m, opts),
-            &workload_tag(bench, fault.as_ref()),
-        )
-    });
-    if skip_run.is_none() {
-        if let (Some(cache), Some(rk)) = (backend.cache, run_key) {
-            if let Some((meta, run)) = cache.lookup_run(rk) {
-                return Some(Ok(Measurement {
-                    time_ms: run.time_ms,
-                    code_size: meta.code_size,
-                    compile_ms: meta.work as f64 / uu_core::WORK_PER_MS,
-                    checksum: run.checksum,
-                    timed_out: meta.timed_out,
-                    metrics: run.metrics,
-                    transfer_ms: run.transfer_ms,
-                    rung: meta.rung,
-                    diag: meta.diag,
-                }));
-            }
+) -> CompileMeta {
+    if let Some(meta) = backend.remote.and_then(|r| compile_remote(r, m, opts, want_module)) {
+        return meta;
+    }
+    match backend.cache {
+        Some(cache) => cache.compile(m, opts, want_module).meta,
+        None => {
+            let outcome = compile(m, opts);
+            debug_assert!(outcome.verify_error.is_none(), "guarded compile must emit valid IR");
+            CompileMeta::of(&outcome, m)
         }
     }
+}
 
+/// The daemon arm of [`compile_point`]. `None` means the daemon could not
+/// serve this compile — the transform has no config name, the request
+/// failed outright (unreachable, retry budget exhausted, quarantined
+/// module), or the module text it returned does not parse — and the next
+/// source takes over, so a flaky or saturated daemon degrades batch
+/// throughput, never batch output. `Some` metadata is identical to a
+/// local compile's by the remote/local parity contract: the daemon builds
+/// the same [`PipelineOptions`] from the headers, diag/rung/work
+/// round-trip losslessly through the response, and printed IR
+/// round-trips exactly (`module_hash` is print-stable), so simulating the
+/// returned module is the simulation a local compile would have run.
+fn compile_remote(
+    remote: &uu_serve::Remote,
+    m: &mut uu_ir::Module,
+    opts: &PipelineOptions,
+    want_module: bool,
+) -> Option<CompileMeta> {
+    let config = uu_serve::config_name(&opts.transform)?;
     let filter = match &opts.filter {
         LoopFilter::All => None,
         LoopFilter::Only { func, loop_id } => Some((func.as_str(), *loop_id)),
     };
-    let fault_spec = opts.fault.as_ref().map(uu_core::FaultPlan::spec);
-    let want_module = skip_run.is_none();
+    let fault_spec = opts.fault.as_ref().map(FaultPlan::spec);
     let rc = remote
         .compile(&m.to_string(), &config, filter, fault_spec.as_deref(), want_module)
         .ok()?;
-    let compile_ms = rc.meta.work as f64 / uu_core::WORK_PER_MS;
-
-    if let Some(base) = skip_run {
-        // Cold points only consume compile metadata; the kernel provably
-        // never launches, so the run half is the baseline's.
-        return Some(Ok(Measurement {
-            time_ms: base.time_ms,
-            code_size: rc.meta.code_size,
-            compile_ms,
-            checksum: base.checksum,
-            timed_out: rc.meta.timed_out,
-            metrics: base.metrics,
-            transfer_ms: base.transfer_ms,
-            rung: rc.meta.rung,
-            diag: rc.meta.diag,
-        }));
+    if want_module {
+        *m = uu_ir::parse_module(rc.module_text.as_deref()?).ok()?;
     }
-
-    // Hot point: simulate the daemon-optimized module locally. Printed IR
-    // round-trips exactly (module_hash is print-stable), so this is the
-    // same simulation a local compile would have run.
-    let optimized = uu_ir::parse_module(rc.module_text.as_deref()?).ok()?;
-    let mut gpu = Gpu::new();
-    if let Some(p) = fault.filter(|p| p.kind == FaultKind::Mem) {
-        gpu.mem.inject_fault_after(p.at);
-    }
-    let run = match (bench.run)(&optimized, &mut gpu) {
-        Ok(run) => run,
-        Err(exec) => {
-            return Some(Err(MeasureError {
-                exec,
-                rung: rc.meta.rung,
-                failures: rc.meta.diag.clone(),
-                compile_ms,
-                code_size: rc.meta.code_size,
-                timed_out: rc.meta.timed_out,
-            }))
-        }
-    };
-    let repeats = bench.info.launch_repeats.max(1) as f64;
-    let record = uu_serve::RunRecord {
-        time_ms: run.kernel_time_ms * repeats,
-        checksum: run.checksum,
-        transfer_ms: run.transfer_ms(),
-        metrics: run.metrics,
-    };
-    if let (Some(cache), Some(rk)) = (backend.cache, run_key) {
-        cache.store_run(rk, &rc.meta, &record);
-    }
-    Some(Ok(Measurement {
-        time_ms: record.time_ms,
-        code_size: rc.meta.code_size,
-        compile_ms,
-        checksum: record.checksum,
-        timed_out: rc.meta.timed_out,
-        metrics: record.metrics,
-        transfer_ms: record.transfer_ms,
-        rung: rc.meta.rung,
-        diag: rc.meta.diag,
-    }))
-}
-
-/// Measure the baseline configuration of a benchmark.
-///
-/// # Errors
-///
-/// See [`measure`].
-pub fn measure_baseline(bench: &Benchmark) -> Result<Measurement, MeasureError> {
-    measure(bench, Transform::Baseline, LoopFilter::All, None)
+    Some(rc.meta)
 }
 
 /// One unit of per-loop sweep work: apply `transform` to exactly

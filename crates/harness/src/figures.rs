@@ -528,7 +528,7 @@ fn truncate(s: &str, n: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::run_sweep;
+    use crate::sweep::run_sweep_backed;
     use uu_kernels::all_benchmarks;
 
     #[test]
@@ -573,7 +573,8 @@ mod tests {
             .into_iter()
             .filter(|b| b.info.name == "bezier-surface")
             .collect();
-        let sweep = run_sweep(&benches, true);
+        let sweep =
+            run_sweep_backed(&benches, true, uu_par::num_jobs(), None, crate::Backend::default());
         let dir = std::env::temp_dir().join("uu_fig_test");
         let _ = std::fs::remove_dir_all(&dir);
         table1(&sweep, &dir, &benches).unwrap();

@@ -35,5 +35,5 @@ pub mod study;
 pub mod sweep;
 
 pub use experiment::{measure, measure_backed, measure_baseline, Backend, Measurement};
-pub use study::{run_study, run_study_backed, Study};
-pub use sweep::{run_sweep, run_sweep_backed, Sweep};
+pub use study::{run_study_backed, Study};
+pub use sweep::{run_sweep_backed, Sweep};

@@ -21,10 +21,9 @@
 //! Rendered as `fig9` (per-point data + per-app summary) and `table2`
 //! (per-loop verdicts) by [`crate::figures`].
 
-use crate::experiment::{loop_list, measure_backed, Backend, LoopRef, PointTask};
-use crate::stats::median_of_20;
-use crate::sweep::{seed_for, sentinel_baseline, LoopPoint, FRONTEND_MS};
-use uu_core::{FaultPlan, LoopFilter, Transform, UnmergeOptions};
+use crate::experiment::{loop_list, Backend, LoopRef, PointTask};
+use crate::sweep::{baseline_or_sentinel, loop_point, LoopPoint};
+use uu_core::{FaultPlan, Transform, UnmergeOptions};
 use uu_kernels::Benchmark;
 
 /// The study's measurement configurations, in report order.
@@ -65,60 +64,24 @@ pub struct Study {
     pub points: Vec<LoopPoint>,
 }
 
-/// Run the three-way study across `UU_JOBS` workers, reading `UU_FAULT`
-/// for a fault-injection plan.
-pub fn run_study(benches: &[Benchmark]) -> Study {
-    run_study_jobs(benches, uu_par::num_jobs())
-}
-
-/// [`run_study`] with an explicit worker count.
-pub fn run_study_jobs(benches: &[Benchmark], jobs: usize) -> Study {
-    run_study_faulted(benches, jobs, FaultPlan::from_env())
-}
-
-/// [`run_study_jobs`] with an explicit fault plan (tests inject directly
-/// instead of mutating the process environment).
-pub fn run_study_faulted(
-    benches: &[Benchmark],
-    jobs: usize,
-    fault: Option<FaultPlan>,
-) -> Study {
-    run_study_cached(benches, jobs, fault, None)
-}
-
-/// [`run_study_faulted`] through an optional content-addressed artifact
-/// cache shared with the sweep: the study's `uu2`/`uu4`/`uu8` legs hit
-/// the very artifacts the sweep produced for the same loops, and warm
-/// reruns skip compile and simulation alike — with byte-identical output.
-pub fn run_study_cached(
-    benches: &[Benchmark],
-    jobs: usize,
-    fault: Option<FaultPlan>,
-    cache: Option<&uu_serve::CompileCache>,
-) -> Study {
-    run_study_backed(benches, jobs, fault, Backend::local(cache))
-}
-
-/// [`run_study_cached`] through a full [`Backend`] — cache, compile
-/// daemon, or both; see [`crate::sweep::run_sweep_backed`] for the
-/// contract (the backend changes wall time, never report bytes).
+/// Run the three-way study on `jobs` workers with an explicit fault plan,
+/// through `backend`; see [`crate::sweep::run_sweep_backed`] for the
+/// contract (the backend changes wall time, never report bytes). The
+/// artifact cache is shared with the sweep: the study's `uu2`/`uu4`/`uu8`
+/// legs hit the very artifacts the sweep produced for the same loops, and
+/// warm reruns skip compile and simulation alike.
 pub fn run_study_backed(
     benches: &[Benchmark],
     jobs: usize,
     fault: Option<FaultPlan>,
     backend: Backend<'_>,
 ) -> Study {
-    let cache = backend.cache;
     // Phase 1: per-application baselines (the denominator of every
-    // speedup). Seeds match the sweep's, so a configuration shared by both
-    // reports (e.g. `uu2`) produces the same numbers in both.
-    let bases: Vec<crate::experiment::Measurement> =
-        uu_par::par_map_jobs(jobs, benches, |_, bench| {
-            let app = bench.info.name;
-            eprintln!("  study baseline {app}...");
-            measure_backed(bench, Transform::Baseline, LoopFilter::All, None, fault, backend)
-                .unwrap_or_else(|e| sentinel_baseline(format!("{app}/baseline: {e}")))
-        });
+    // speedup).
+    let bases = uu_par::par_map_jobs(jobs, benches, |_, bench| {
+        eprintln!("  study baseline {}...", bench.info.name);
+        baseline_or_sentinel(bench, fault, backend)
+    });
 
     // Phase 2: flat (bench, hot loop, config) task list, fanned out.
     let mut tasks: Vec<PointTask<'_>> = Vec::new();
@@ -136,45 +99,13 @@ pub fn run_study_backed(
                     config: cname,
                     transform,
                     fault,
-                    cache,
+                    cache: backend.cache,
                     remote: backend.remote,
                 });
             }
         }
     }
-    let measurements = uu_par::par_map_jobs(jobs, &tasks, |_, t| t.measure());
-
-    let points = tasks
-        .iter()
-        .zip(measurements)
-        .map(|(t, m)| {
-            let info = &t.bench.info;
-            let app = info.name.to_string();
-            let baseline_med = median_of_20(
-                t.base.time_ms,
-                info.paper_rsd_pct,
-                seed_for(&app, &LoopRef { func: "baseline".into(), loop_id: 0 }, "base"),
-            );
-            let med = median_of_20(
-                m.time_ms,
-                info.paper_rsd_pct,
-                seed_for(&app, &t.loop_ref, t.config),
-            );
-            let rest = info.binary_rest_size as f64;
-            LoopPoint {
-                app,
-                loop_ref: t.loop_ref.clone(),
-                hot: t.hot,
-                config: t.config.to_string(),
-                speedup: baseline_med / med,
-                size_ratio: (rest + m.code_size as f64) / (rest + t.base.code_size as f64),
-                compile_ratio: (FRONTEND_MS + m.compile_ms) / (FRONTEND_MS + t.base.compile_ms),
-                timed_out: m.timed_out,
-                rung: m.rung,
-                diag: m.diag,
-            }
-        })
-        .collect();
+    let points = uu_par::par_map_jobs(jobs, &tasks, |_, t| loop_point(t));
     Study { points }
 }
 
@@ -256,7 +187,7 @@ mod tests {
             .into_iter()
             .filter(|b| b.info.name == "mandelbrot")
             .collect();
-        let s = run_study_jobs(&benches, 2);
+        let s = run_study_backed(&benches, 2, None, Backend::default());
         assert!(!s.points.is_empty());
         assert!(s.points.len().is_multiple_of(study_configs().len()));
         for p in &s.points {

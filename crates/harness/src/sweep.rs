@@ -105,19 +105,78 @@ pub(crate) fn seed_for(app: &str, l: &LoopRef, config: &str) -> u64 {
     h.finish()
 }
 
-/// Run the sweep for the given benchmarks across `UU_JOBS` workers (see
-/// [`run_sweep_jobs`]).
-///
-/// `fast` restricts cold loops to three per application (hot loops are
-/// always measured) — used by tests and the benches; the real figures use
-/// the full population.
-pub fn run_sweep(benches: &[Benchmark], fast: bool) -> Sweep {
-    run_sweep_jobs(benches, fast, uu_par::num_jobs())
+/// The application's baseline, which every other number is ratioed
+/// against and so must exist even when the baseline run itself faults
+/// (e.g. an injected memory fault): a sentinel with unit time keeps every
+/// downstream ratio finite and the report renderable, with the fault
+/// recorded in `diag`.
+pub(crate) fn baseline_or_sentinel(
+    bench: &Benchmark,
+    fault: Option<FaultPlan>,
+    backend: Backend<'_>,
+) -> Measurement {
+    measure_backed(bench, Transform::Baseline, LoopFilter::All, None, fault, backend)
+        .unwrap_or_else(|e| Measurement {
+            time_ms: 1.0,
+            code_size: 1,
+            compile_ms: 0.0,
+            checksum: 0.0,
+            timed_out: false,
+            metrics: Default::default(),
+            transfer_ms: 0.0,
+            rung: Rung::Unoptimized,
+            diag: format!("{}/baseline: {e}", bench.info.name),
+        })
 }
 
-/// [`run_sweep`] with an explicit worker count. Reads `UU_FAULT` for a
-/// deterministic fault-injection plan; [`run_sweep_faulted`] takes one
-/// explicitly.
+/// Median-of-20 noisy baseline time: the numerator of every speedup of
+/// `bench`, in the sweep and the study alike.
+fn baseline_median(bench: &Benchmark, base: &Measurement) -> f64 {
+    let baseline = LoopRef { func: "baseline".into(), loop_id: 0 };
+    median_of_20(
+        base.time_ms,
+        bench.info.paper_rsd_pct,
+        seed_for(bench.info.name, &baseline, "base"),
+    )
+}
+
+/// Measure one per-loop task and ratio it against its baseline. The
+/// noise seed keys on the point, so a configuration the sweep and the
+/// study share (e.g. `uu2`) gets the same numbers in both reports.
+pub(crate) fn loop_point(t: &PointTask<'_>) -> LoopPoint {
+    let m = t.measure();
+    let info = &t.bench.info;
+    let med = median_of_20(
+        m.time_ms,
+        info.paper_rsd_pct,
+        seed_for(info.name, &t.loop_ref, t.config),
+    );
+    let rest = info.binary_rest_size as f64;
+    LoopPoint {
+        app: info.name.to_string(),
+        loop_ref: t.loop_ref.clone(),
+        hot: t.hot,
+        config: t.config.to_string(),
+        speedup: baseline_median(t.bench, t.base) / med,
+        size_ratio: (rest + m.code_size as f64) / (rest + t.base.code_size as f64),
+        compile_ratio: (FRONTEND_MS + m.compile_ms) / (FRONTEND_MS + t.base.compile_ms),
+        timed_out: m.timed_out,
+        rung: m.rung,
+        diag: m.diag,
+    }
+}
+
+/// Run the per-loop sweep for `benches` on `jobs` workers, with an
+/// explicit fault-injection plan, through `backend` — cache, compile
+/// daemon, both or neither. With a daemon, every nameable compile is
+/// shipped to it (sharing its cross-process artifact cache); anything the
+/// daemon cannot serve — and every simulation — runs locally. The backend
+/// is a pure wall-time lever: sweep bytes are identical across cacheless,
+/// cached, and daemon-backed runs.
+///
+/// `fast` restricts cold loops to three per application (hot loops are
+/// always measured) — used by tests and `--fast`; the real figures use
+/// the full population.
 ///
 /// The product space is embarrassingly parallel and is walked in two
 /// fan-out phases: per-application baselines + heuristic runs first, then
@@ -126,63 +185,9 @@ pub fn run_sweep(benches: &[Benchmark], fast: bool) -> Sweep {
 /// ([`seed_for`] keys on the point, not on execution order), and `uu-par`
 /// merges results in input order, so the returned [`Sweep`] — and every
 /// report derived from it — is byte-identical at any worker count;
-/// `jobs = 1` runs the exact serial loop of old. Fault containment keeps
-/// this property: every degradation decision is a pure function of the
-/// point, never of scheduling.
-pub fn run_sweep_jobs(benches: &[Benchmark], fast: bool, jobs: usize) -> Sweep {
-    run_sweep_faulted(benches, fast, jobs, FaultPlan::from_env())
-}
-
-/// The baseline every other number is ratioed against must exist even when
-/// the baseline run itself faults (e.g. an injected memory fault): a
-/// sentinel with unit time keeps every downstream ratio finite and the
-/// report renderable, with the fault recorded in `diag`.
-pub(crate) fn sentinel_baseline(diag: String) -> Measurement {
-    Measurement {
-        time_ms: 1.0,
-        code_size: 1,
-        compile_ms: 0.0,
-        checksum: 0.0,
-        timed_out: false,
-        metrics: Default::default(),
-        transfer_ms: 0.0,
-        rung: Rung::Unoptimized,
-        diag,
-    }
-}
-
-/// [`run_sweep_jobs`] with an explicit fault-injection plan (tests inject
-/// directly instead of mutating the process environment).
-pub fn run_sweep_faulted(
-    benches: &[Benchmark],
-    fast: bool,
-    jobs: usize,
-    fault: Option<FaultPlan>,
-) -> Sweep {
-    run_sweep_cached(benches, fast, jobs, fault, None)
-}
-
-/// [`run_sweep_faulted`] through an optional content-addressed artifact
-/// cache (see [`uu_serve::CompileCache`]). Points share compiles across
-/// (kernel, loop, config) triples and a warm cache serves previously
-/// measured executions outright; cached and cacheless sweeps are
-/// byte-identical at any worker count — the cache only changes wall time.
-pub fn run_sweep_cached(
-    benches: &[Benchmark],
-    fast: bool,
-    jobs: usize,
-    fault: Option<FaultPlan>,
-    cache: Option<&uu_serve::CompileCache>,
-) -> Sweep {
-    run_sweep_backed(benches, fast, jobs, fault, Backend::local(cache))
-}
-
-/// [`run_sweep_cached`] through a full [`Backend`] — cache, compile
-/// daemon, or both. With a daemon, every nameable compile is shipped to
-/// it (sharing its cross-process artifact cache); anything the daemon
-/// cannot serve — and every simulation — runs locally. The backend is a
-/// pure wall-time lever: sweep bytes are identical across cacheless,
-/// cached, and daemon-backed runs at any worker count.
+/// `jobs = 1` runs the exact serial loop. Fault containment keeps this
+/// property: every degradation decision is a pure function of the point,
+/// never of scheduling.
 pub fn run_sweep_backed(
     benches: &[Benchmark],
     fast: bool,
@@ -190,7 +195,6 @@ pub fn run_sweep_backed(
     fault: Option<FaultPlan>,
     backend: Backend<'_>,
 ) -> Sweep {
-    let cache = backend.cache;
     // Phase 1: per-application baseline + whole-app heuristic. A faulted
     // baseline or heuristic degrades to a diagnosed sentinel instead of
     // aborting the sweep.
@@ -198,14 +202,7 @@ pub fn run_sweep_backed(
         uu_par::par_map_jobs(jobs, benches, |_, bench| {
             let app = bench.info.name.to_string();
             eprintln!("  sweeping {app} ({} loops)...", bench.info.table_loops);
-            let base =
-                measure_backed(bench, Transform::Baseline, LoopFilter::All, None, fault, backend)
-                    .unwrap_or_else(|e| sentinel_baseline(format!("{app}/baseline: {e}")));
-            let baseline_med = median_of_20(
-                base.time_ms,
-                bench.info.paper_rsd_pct,
-                seed_for(&app, &LoopRef { func: "baseline".into(), loop_id: 0 }, "base"),
-            );
+            let base = baseline_or_sentinel(bench, fault, backend);
             let mut heur = measure_backed(
                 bench,
                 Transform::UuHeuristic(HeuristicOptions::default()),
@@ -242,7 +239,7 @@ pub fn run_sweep_backed(
                 app,
                 baseline: base.clone(),
                 heuristic: heur,
-                baseline_med,
+                baseline_med: baseline_median(bench, &base),
                 heuristic_med,
                 rsd: bench.info.paper_rsd_pct,
                 rest_size: bench.info.binary_rest_size,
@@ -277,43 +274,13 @@ pub fn run_sweep_backed(
                     config: cname,
                     transform,
                     fault,
-                    cache,
+                    cache: backend.cache,
                     remote: backend.remote,
                 });
             }
         }
     }
-    let measurements = uu_par::par_map_jobs(jobs, &tasks, |_, t| t.measure());
-
-    let points = tasks
-        .iter()
-        .zip(measurements)
-        .map(|(t, m)| {
-            let info = &t.bench.info;
-            let summary = apps
-                .iter()
-                .find(|a| a.app == info.name)
-                .expect("phase 1 covered every benchmark");
-            let med = median_of_20(
-                m.time_ms,
-                info.paper_rsd_pct,
-                seed_for(&summary.app, &t.loop_ref, t.config),
-            );
-            let rest = info.binary_rest_size as f64;
-            LoopPoint {
-                app: summary.app.clone(),
-                loop_ref: t.loop_ref.clone(),
-                hot: t.hot,
-                config: t.config.to_string(),
-                speedup: summary.baseline_med / med,
-                size_ratio: (rest + m.code_size as f64) / (rest + t.base.code_size as f64),
-                compile_ratio: (FRONTEND_MS + m.compile_ms) / (FRONTEND_MS + t.base.compile_ms),
-                timed_out: m.timed_out,
-                rung: m.rung,
-                diag: m.diag,
-            }
-        })
-        .collect();
+    let points = uu_par::par_map_jobs(jobs, &tasks, |_, t| loop_point(t));
     Sweep { points, apps }
 }
 
@@ -328,7 +295,7 @@ mod tests {
             .into_iter()
             .filter(|b| b.info.name == "bezier-surface" || b.info.name == "mandelbrot")
             .collect();
-        let sweep = run_sweep(&benches, true);
+        let sweep = run_sweep_backed(&benches, true, uu_par::num_jobs(), None, Backend::default());
         assert_eq!(sweep.apps.len(), 2);
         // 7 configs per measured loop.
         assert!(sweep.points.len().is_multiple_of(7));

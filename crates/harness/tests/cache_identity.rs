@@ -4,8 +4,8 @@
 //! struct, so Debug-comparing the structs (which renders f64s at full
 //! round-trip precision) is equivalent to diffing the report bytes.
 
-use uu_harness::study::{run_study_cached, run_study_faulted};
-use uu_harness::sweep::{run_sweep_cached, run_sweep_faulted, Sweep};
+use uu_harness::sweep::Sweep;
+use uu_harness::{run_study_backed, run_sweep_backed, Backend};
 use uu_kernels::{all_benchmarks, Benchmark};
 use uu_serve::CompileCache;
 
@@ -23,11 +23,11 @@ fn repr(s: &Sweep) -> String {
 #[test]
 fn cached_sweep_is_identical_to_cacheless_at_any_jobs() {
     let benches = benches();
-    let plain = run_sweep_faulted(&benches, true, 1, None);
+    let plain = run_sweep_backed(&benches, true, 1, None, Backend::default());
 
     // Cold cache, serial.
     let cold_cache = CompileCache::new_mem();
-    let cold = run_sweep_cached(&benches, true, 1, None, Some(&cold_cache));
+    let cold = run_sweep_backed(&benches, true, 1, None, Backend::local(Some(&cold_cache)));
     assert_eq!(repr(&plain), repr(&cold), "cold cached != cacheless");
     // The sweep shares compiles across configs even within one cold run
     // (e.g. each loop's `unmerge` module is compiled once per filter).
@@ -36,13 +36,13 @@ fn cached_sweep_is_identical_to_cacheless_at_any_jobs() {
 
     // Cold cache, 4 workers: the cache is shared across threads.
     let j4_cache = CompileCache::new_mem();
-    let j4 = run_sweep_cached(&benches, true, 4, None, Some(&j4_cache));
+    let j4 = run_sweep_backed(&benches, true, 4, None, Backend::local(Some(&j4_cache)));
     assert_eq!(repr(&plain), repr(&j4), "jobs=4 cached != cacheless");
 
     // Warm rerun over the jobs=4 cache: every executed point must come
     // from a run artifact, every skip-run point from a compile artifact —
     // and the output must still be identical.
-    let warm = run_sweep_cached(&benches, true, 1, None, Some(&j4_cache));
+    let warm = run_sweep_backed(&benches, true, 1, None, Backend::local(Some(&j4_cache)));
     assert_eq!(repr(&plain), repr(&warm), "warm cached != cacheless");
     let st = j4_cache.stats();
     assert!(st.run_mem_hits > 0, "warm rerun must hit run artifacts: {st:?}");
@@ -56,10 +56,10 @@ fn cached_sweep_is_identical_to_cacheless_at_any_jobs() {
 #[test]
 fn cached_study_is_identical_and_warm_hits() {
     let benches = benches();
-    let plain = run_study_faulted(&benches, 1, None);
+    let plain = run_study_backed(&benches, 1, None, Backend::default());
     let cache = CompileCache::new_mem();
-    let cold = run_study_cached(&benches, 2, None, Some(&cache));
-    let warm = run_study_cached(&benches, 1, None, Some(&cache));
+    let cold = run_study_backed(&benches, 2, None, Backend::local(Some(&cache)));
+    let warm = run_study_backed(&benches, 1, None, Backend::local(Some(&cache)));
     let r = |s: &uu_harness::study::Study| format!("{:?}", s.points);
     assert_eq!(r(&plain), r(&cold));
     assert_eq!(r(&plain), r(&warm));
@@ -81,16 +81,16 @@ fn disk_cache_round_trips_a_sweep_across_cache_instances() {
         .collect();
     let dir = std::env::temp_dir().join(format!("uu-sweep-disk-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let plain = run_sweep_faulted(&benches, true, 1, None);
+    let plain = run_sweep_backed(&benches, true, 1, None, Backend::default());
     {
         let cache = CompileCache::at_dir(&dir).unwrap();
-        let cold = run_sweep_cached(&benches, true, 1, None, Some(&cache));
+        let cold = run_sweep_backed(&benches, true, 1, None, Backend::local(Some(&cache)));
         assert_eq!(repr(&plain), repr(&cold));
     }
     // A fresh cache instance (empty memory, as after a process restart)
     // must serve the whole sweep from disk artifacts, byte-identically.
     let cache = CompileCache::at_dir(&dir).unwrap();
-    let warm = run_sweep_cached(&benches, true, 1, None, Some(&cache));
+    let warm = run_sweep_backed(&benches, true, 1, None, Backend::local(Some(&cache)));
     assert_eq!(repr(&plain), repr(&warm), "disk-warm sweep != cacheless");
     let st = cache.stats();
     assert!(st.run_disk_hits > 0, "{st:?}");

@@ -8,9 +8,11 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use uu_harness::study::{run_study_backed, run_study_faulted, Study};
-use uu_harness::sweep::{run_sweep_backed, run_sweep_faulted, Sweep};
-use uu_harness::Backend;
+use uu_core::{FaultPlan, LoopFilter};
+use uu_harness::experiment::{loop_list, measure_backed, sweep_configs, PointTask};
+use uu_harness::study::{run_study_backed, Study};
+use uu_harness::sweep::{run_sweep_backed, Sweep};
+use uu_harness::{measure_baseline, Backend};
 use uu_kernels::{all_benchmarks, Benchmark};
 use uu_serve::{
     serve_unix_with, CacheStats, CompileCache, Message, Remote, ServeFaultPlan, ServeOptions,
@@ -98,7 +100,7 @@ bb3:
 #[test]
 fn faulted_daemon_sweep_is_byte_identical_at_jobs_1_and_4() {
     let benches = benches();
-    let plain = run_sweep_faulted(&benches, true, 1, None);
+    let plain = run_sweep_backed(&benches, true, 1, None, Backend::default());
 
     // Two workers, tight admission, and a fault plan that tears one
     // response, drops one connection, and panics one handler — spread
@@ -150,7 +152,7 @@ fn faulted_daemon_sweep_is_byte_identical_at_jobs_1_and_4() {
 #[test]
 fn faulted_daemon_study_is_byte_identical_at_jobs_1_and_4() {
     let benches = benches();
-    let plain = run_study_faulted(&benches, 1, None);
+    let plain = run_study_backed(&benches, 1, None, Backend::default());
     let opts = ServeOptions {
         workers: 2,
         inflight: 2,
@@ -187,7 +189,7 @@ fn quarantined_module_falls_back_to_local_compiles_byte_identically() {
     // non-transient `quarantined` error — and the harness backend must
     // absorb that by compiling locally, with zero effect on the report.
     let benches = benches();
-    let plain = run_sweep_faulted(&benches, true, 1, None);
+    let plain = run_sweep_backed(&benches, true, 1, None, Backend::default());
     let opts = ServeOptions {
         workers: 2,
         breaker_k: 1,
@@ -195,21 +197,27 @@ fn quarantined_module_falls_back_to_local_compiles_byte_identically() {
         ..ServeOptions::default()
     };
     let daemon_cache = CompileCache::new_mem();
-    let (swept, stats) = with_daemon(opts, &daemon_cache, |remote| {
+    let ((swept, client_stats), stats) = with_daemon(opts, &daemon_cache, |remote| {
         let cache = CompileCache::new_mem();
-        run_sweep_backed(
+        let swept = run_sweep_backed(
             &benches,
             true,
             1,
             None,
             Backend { cache: Some(&cache), remote: Some(remote) },
-        )
+        );
+        (swept, cache.stats())
     });
     assert_eq!(
         sweep_repr(&plain),
         sweep_repr(&swept),
         "quarantine fallback changed sweep bytes"
     );
+    // A refused daemon compile falls through to the cache without looking
+    // the run artifact up a second time: on this cold cache every executed
+    // measurement (baseline, heuristic, each hot point) misses exactly once.
+    let executed = 2 * swept.apps.len() + swept.points.iter().filter(|p| p.hot).count();
+    assert_eq!(client_stats.run_misses, executed as u64, "{client_stats:?}");
     assert_eq!(stats.handler_panics, 1, "{stats:?}");
     assert_eq!(stats.quarantined_modules, 1, "{stats:?}");
     assert!(
@@ -217,6 +225,64 @@ fn quarantined_module_falls_back_to_local_compiles_byte_identically() {
         "the whole sweep shares one module, every request after the \
          quarantine must be refused: {stats:?}"
     );
+}
+
+#[test]
+fn mem_fault_traps_identically_through_every_backend_and_is_never_cached() {
+    let bench = benches().remove(0);
+    let base = measure_baseline(&bench).unwrap();
+    let hot = loop_list(&bench)
+        .into_iter()
+        .find(|l| bench.info.hot_kernels.contains(&l.func.as_str()))
+        .unwrap();
+    let (config, transform) = sweep_configs().swap_remove(0);
+    let fault = FaultPlan::parse("mem@25:9").ok();
+
+    // Two rounds per backend, each measuring the point raw and through
+    // `PointTask`: had the trapped run been stored, a later lookup would
+    // be served a run artifact instead of faulting again.
+    let drill = |backend: Backend<'_>| -> String {
+        let task = PointTask {
+            bench: &bench,
+            base: &base,
+            loop_ref: hot.clone(),
+            hot: true,
+            config,
+            transform: transform.clone(),
+            fault,
+            cache: backend.cache,
+            remote: backend.remote,
+        };
+        let filter = LoopFilter::Only { func: hot.func.clone(), loop_id: hot.loop_id };
+        (0..2)
+            .map(|_| {
+                let err =
+                    measure_backed(&bench, transform.clone(), filter.clone(), None, fault, backend)
+                        .expect_err("mem@25 must trap the hot kernel");
+                format!("{err:?}\n{:?}\n", task.measure())
+            })
+            .collect()
+    };
+
+    let local = drill(Backend::default());
+    let mem_cache = CompileCache::new_mem();
+    let cached = drill(Backend::local(Some(&mem_cache)));
+    let client_cache = CompileCache::new_mem();
+    let daemon_cache = CompileCache::new_mem();
+    let (served, daemon_stats) = with_daemon(ServeOptions::default(), &daemon_cache, |remote| {
+        drill(Backend { cache: Some(&client_cache), remote: Some(remote) })
+    });
+    assert!(daemon_stats.compile_misses >= 1, "daemon compiled nothing: {daemon_stats:?}");
+
+    for (name, got, cache) in [
+        ("mem-cache", &cached, &mem_cache),
+        ("daemon+cache", &served, &client_cache),
+    ] {
+        assert_eq!(&local, got, "{name} backend reported the mem fault differently");
+        let st = cache.stats();
+        assert_eq!(st.run_mem_hits + st.run_disk_hits, 0, "{name} cached a faulted run: {st:?}");
+        assert_eq!(st.run_misses, 4, "{name}: one lookup per measurement: {st:?}");
+    }
 }
 
 #[test]

@@ -32,6 +32,20 @@ pub struct CompileMeta {
     pub code_size: u64,
 }
 
+impl CompileMeta {
+    /// The metadata of a finished compile: `outcome` as returned by
+    /// [`uu_core::compile`], `optimized` the module it left behind.
+    pub fn of(outcome: &uu_core::CompileOutcome, optimized: &uu_ir::Module) -> CompileMeta {
+        CompileMeta {
+            work: outcome.work,
+            timed_out: outcome.timed_out,
+            rung: outcome.rung,
+            diag: outcome.failure_summary(),
+            code_size: uu_analysis::cost::module_size(optimized),
+        }
+    }
+}
+
 /// The run-side record of a measured execution (hot sweep points): the
 /// simulator outputs a warm cache can serve without re-simulating.
 #[derive(Debug, Clone, PartialEq)]

@@ -218,13 +218,7 @@ impl CompileCache {
         let lookup = t0.elapsed();
         let t1 = Instant::now();
         let outcome = uu_core::compile(m, opts);
-        let meta = CompileMeta {
-            work: outcome.work,
-            timed_out: outcome.timed_out,
-            rung: outcome.rung,
-            diag: outcome.failure_summary(),
-            code_size: uu_analysis::cost::module_size(m),
-        };
+        let meta = CompileMeta::of(&outcome, m);
         self.mem_compile
             .lock()
             .unwrap()

@@ -34,7 +34,7 @@
 //! * `disk-full` — every cache store during the request fails as if the
 //!   disk were full (best-effort store + `store_errors` accounting).
 
-use uu_core::parse_at_seed;
+use uu_core::split_fault_spec;
 
 /// Which service-level fault a spec injects. See the module docs for the
 /// recovery path each kind exercises.
@@ -108,9 +108,7 @@ impl ServeFaultPlan {
             if s.is_empty() {
                 continue;
             }
-            let (kind_s, rest) = s
-                .split_once('@')
-                .ok_or_else(|| format!("serve fault spec `{s}` is missing `@<index>`"))?;
+            let (kind_s, at, seed) = split_fault_spec(s)?;
             let kind = match kind_s {
                 "torn" => ServeFaultKind::Torn,
                 "disconnect" => ServeFaultKind::Disconnect,
@@ -124,7 +122,6 @@ impl ServeFaultPlan {
                     ))
                 }
             };
-            let (at, seed) = parse_at_seed(rest)?;
             faults.push(ServeFault { kind, at, seed });
         }
         Ok(ServeFaultPlan { faults })

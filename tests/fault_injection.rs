@@ -11,7 +11,7 @@
 
 use std::path::Path;
 use uu_core::{FaultPlan, Rung};
-use uu_harness::{figures, sweep};
+use uu_harness::{figures, sweep, Backend};
 use uu_kernels::all_benchmarks;
 
 /// The seeded fault matrix: every fault kind, spread over early/mid/late
@@ -75,7 +75,7 @@ fn every_injected_fault_is_contained_and_diagnosed() {
         // parses back to the same plan.
         assert_eq!(FaultPlan::parse(&fault.spec()), Ok(fault), "spec round-trip");
         // Containment: the sweep must not panic or abort.
-        let s = sweep::run_sweep_faulted(&benches, true, 2, Some(fault));
+        let s = sweep::run_sweep_backed(&benches, true, 2, Some(fault), Backend::default());
         assert_eq!(s.apps.len(), benches.len(), "{spec}: an app vanished");
         assert!(!s.points.is_empty(), "{spec}: sweep produced no points");
         // Diagnosis: the fault leaves a trace somewhere — a non-Full rung
@@ -118,12 +118,12 @@ fn faulted_sweeps_are_byte_identical_across_worker_counts() {
     for spec in ["panic@3:2", "miscompile@2:6", "mem@25:9"] {
         let fault = Some(FaultPlan::parse(spec).unwrap());
         let serial = render_all(
-            &sweep::run_sweep_faulted(&benches, true, 1, fault),
+            &sweep::run_sweep_backed(&benches, true, 1, fault, Backend::default()),
             &benches,
             &tmp.join("j1"),
         );
         let pooled = render_all(
-            &sweep::run_sweep_faulted(&benches, true, 4, fault),
+            &sweep::run_sweep_backed(&benches, true, 4, fault, Backend::default()),
             &benches,
             &tmp.join("j4"),
         );

@@ -10,7 +10,7 @@
 
 use std::path::Path;
 use uu_check::{check_result, Config, DiffOracle, KernelSpec};
-use uu_harness::{figures, study, sweep};
+use uu_harness::{figures, study, sweep, Backend};
 use uu_kernels::all_benchmarks;
 
 fn job_counts() -> Vec<usize> {
@@ -55,7 +55,7 @@ fn sweep_reports_are_byte_identical_at_any_worker_count() {
     let tmp = std::env::temp_dir().join(format!("uu-par-det-{}", std::process::id()));
     let mut reference: Option<(usize, Vec<(String, Vec<u8>)>)> = None;
     for jobs in job_counts() {
-        let s = sweep::run_sweep_jobs(&benches, true, jobs);
+        let s = sweep::run_sweep_backed(&benches, true, jobs, None, Backend::default());
         let files = render_all(&s, &benches, &tmp.join(format!("j{jobs}")));
         assert!(!files.is_empty(), "sweep produced no report files");
         match &reference {
@@ -111,7 +111,7 @@ fn study_reports_are_byte_identical_at_any_worker_count() {
     let tmp = std::env::temp_dir().join(format!("uu-study-det-{}", std::process::id()));
     let mut reference: Option<(usize, Vec<(String, Vec<u8>)>)> = None;
     for jobs in job_counts() {
-        let st = study::run_study_jobs(&benches, jobs);
+        let st = study::run_study_backed(&benches, jobs, None, Backend::default());
         let files = render_study(&st, &tmp.join(format!("j{jobs}")));
         assert!(
             files.iter().any(|(n, _)| n == "fig9.csv"),
