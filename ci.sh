@@ -95,10 +95,25 @@ echo "== engine identity: checked-in results-fast/ must reproduce byte-identical
 # cross-launch decode cache — the byte-identical diff is also the
 # cached-decode identity gate (a stale or mis-keyed cache entry would
 # surface here as a report diff).
-rm -rf target/ci/results-fast
-./target/release/uu-harness all --fast --out target/ci/results-fast > /dev/null
+# It is also the compile-memo identity gate: every per-loop point replays
+# its untouched functions from the function memo (DESIGN.md "Function
+# memo"). The memo is thread-local and uu-par's scoped workers start with
+# an empty one per par_map, so one worker exercises one large memo and
+# four exercise several small ones; both must reproduce the same bytes.
+# (The one-worker directory is the cacheless reference later rungs diff
+# against.)
+rm -rf target/ci/results-fast target/ci/results-fast-j4
+UU_JOBS=1 ./target/release/uu-harness all --fast --out target/ci/results-fast > /dev/null
 diff -r results-fast target/ci/results-fast
-echo "results-fast (cached-decode sweep) reproduces byte-identically"
+UU_JOBS=4 ./target/release/uu-harness all --fast --out target/ci/results-fast-j4 > /dev/null
+diff -r results-fast target/ci/results-fast-j4
+echo "results-fast (cached-decode, memoised-compile sweep) reproduces byte-identically at UU_JOBS=1 and 4"
+
+echo "== compile memo properties over the whole kernel matrix (release) =="
+# `cargo test` above ran memo_props on a trimmed matrix (an unoptimised
+# build needs minutes for the factor-4/8 points); this is the full one:
+# all 16 kernels x every sweep and study configuration, warm vs cleared.
+cargo test -q --offline --release -p uu-core --test memo_props
 
 echo "== serve smoke: daemon round-trip, cache hit, fault containment, cached-sweep identity =="
 # Start the compile-service daemon on a Unix socket with a disk cache,
@@ -272,7 +287,10 @@ echo "== compile throughput bench smoke + BENCH_compile.json well-formedness =="
 # BENCH_compile.json is validated alongside the freshly generated JSON.
 # Dense side-tables and delta snapshots must never reach report bytes:
 # the engine-identity rung above already diffed results-fast/, so this
-# rung only needs the bench artifacts to be well-formed.
+# rung only needs the bench artifacts to be well-formed. The bench clears
+# the compile memo before every compile it times, and aborts (failing this
+# rung) unless a memo-warm walk of the smoke app's matrix charges exactly
+# the work units of the memo-cleared walk.
 UU_BENCH_APPS=bezier-surface UU_BENCH_SAMPLES=3 UU_BENCH_WARMUP_MS=20 \
   UU_BENCH_DIR="$PWD/target/ci/uu-bench" \
   cargo bench -q --offline -p uu-bench --bench compile > /dev/null

@@ -14,20 +14,39 @@
 //! the whole matrix: wall nanoseconds and compile-clock work attributed to
 //! each pass, i.e. where a cold sweep's compile time actually goes.
 //!
+//! The function-level compile memo is cleared before every compile (the
+//! `Cold` walks), so all of the above keeps measuring the passes: a memo
+//! hit replays a function's charges at zero wall time. One extra `Warm`
+//! probe walk per app leaves the memo alone and must charge exactly the
+//! same work — the bench aborts otherwise (ci.sh's smoke rung relies on it).
+//!
 //! `UU_BENCH_APPS=a,b` restricts the matrix to the named applications
 //! (ci.sh smoke uses one app to keep the rung fast).
 
 use uu_check::bench::{BenchResult, Harness};
-use uu_core::{compile, CompileOutcome, HeuristicOptions, LoopFilter, PipelineOptions, Transform};
+use uu_core::{
+    compile, compile_memo_clear, CompileOutcome, HeuristicOptions, LoopFilter, PipelineOptions,
+    Transform,
+};
 use uu_harness::experiment::{loop_list, sweep_configs, COMPILE_TIMEOUT};
 use uu_kernels::{all_benchmarks, Benchmark};
 
+/// Whether a matrix walk clears the compile memo before every compile.
+#[derive(Clone, Copy, PartialEq)]
+enum Memo {
+    Cold,
+    Warm,
+}
+
 /// Compile every configuration the fast sweep compiles for `bench`,
 /// returning the outcomes for work and per-pass accounting.
-fn compile_matrix(bench: &Benchmark) -> Vec<CompileOutcome> {
+fn compile_matrix(bench: &Benchmark, memo: Memo) -> Vec<CompileOutcome> {
     let mut outcomes = Vec::new();
     let mut run = |transform: Transform, filter: LoopFilter| {
         let mut m = (bench.build)();
+        if memo == Memo::Cold {
+            compile_memo_clear();
+        }
         let opts = PipelineOptions {
             transform,
             filter,
@@ -76,8 +95,14 @@ fn main() {
     let mut app_units: Vec<u64> = Vec::new();
     let mut total_units = 0u64;
     for b in &benches {
-        let outcomes = compile_matrix(b);
+        let outcomes = compile_matrix(b, Memo::Cold);
         let units: u64 = outcomes.iter().map(|o| o.work).sum();
+        let warm_units: u64 = compile_matrix(b, Memo::Warm).iter().map(|o| o.work).sum();
+        assert_eq!(
+            warm_units, units,
+            "{}: a memo-warm matrix walk must charge the work of a memo-cleared one",
+            b.info.name
+        );
         for o in &outcomes {
             for t in &o.timings {
                 match pass_profile.iter_mut().find(|(n, _, _)| *n == t.name) {
@@ -101,7 +126,7 @@ fn main() {
             &format!("compile/{}", b.info.name),
             *units,
             || (),
-            |()| compile_matrix(b),
+            |()| compile_matrix(b, Memo::Cold),
         );
         total_median_ns += h.results().last().unwrap().median_ns();
     }

@@ -22,7 +22,7 @@ use uu_analysis::{convergence, cost, trip_count, DomTree, LoopForest, LoopId};
 use uu_ir::{Function, LoopPragma};
 
 /// Profitability thresholds, loosely modelled on LLVM defaults.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BaselineUnrollOptions {
     /// Fully unroll counted loops with `trip_count <= full_max_trip`.
     pub full_max_trip: u64,

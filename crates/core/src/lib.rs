@@ -68,6 +68,7 @@ pub mod baseline_unroll;
 pub mod clone;
 pub mod heuristic;
 pub mod loopsimplify;
+mod memo;
 pub mod opt;
 pub mod pipeline;
 pub mod recover;
@@ -77,6 +78,9 @@ pub mod unroll;
 pub mod uu;
 
 pub use heuristic::{Decision, HeuristicOptions};
+pub use memo::{
+    compile_memo_clear, compile_memo_footprint, compile_memo_stats, COMPILE_MEMO_SLOT_BUDGET,
+};
 pub use opt::meld::{meld_function, meld_loop, Meld};
 pub use pipeline::{
     compile, fingerprint_of, pipeline_fingerprint, CompileOutcome, LoopFilter, PassPosition,

@@ -27,9 +27,23 @@
 //! ([`PipelineOptions::bisect_limit`]) skips pass invocations past a
 //! given index, which is what lets `uu-check` binary-search a miscompile
 //! down to the first bad pass.
+//!
+//! ## Function memo
+//!
+//! The per-function stage (`optimize_function`) is a pure function of the
+//! function it is handed, `max_rounds` and the baseline-unroll thresholds,
+//! and a per-loop sweep point changes one function of its module. So
+//! `optimize_module` looks every function the transform left alone up in a
+//! thread-local, content-addressed memo (see `memo.rs`) and, on a hit,
+//! replays the stored run's per-invocation charges through the same
+//! counter, log and clock a real run drives — the [`CompileOutcome`] is the
+//! one a memo-less compile returns, wall time aside. Compiles whose
+//! invocation indices are addressed from outside (a pass-level fault plan,
+//! an opt-bisect limit) and unguarded compiles do not touch the memo.
 
 use crate::baseline_unroll::{baseline_unroll, BaselineUnrollOptions};
 use crate::heuristic::{run_heuristic, HeuristicOptions, LoopDecision};
+use crate::memo;
 use crate::opt::{
     condprop::CondProp, dce::Dce, gvn::Gvn, ifconvert::IfConvert, instsimplify::InstSimplify,
     sccp::Sccp, simplifycfg::SimplifyCfg, Pass,
@@ -42,9 +56,10 @@ use crate::unmerge::UnmergeOptions;
 use crate::unroll::unroll_loop;
 use crate::uu::{uu_loop, UuOptions};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use uu_analysis::{AnalysisCache, DomTree, LoopForest};
-use uu_ir::Module;
+use uu_ir::{FuncId, Function, Module};
 
 /// Which transform (if any) the pipeline applies on top of the baseline.
 #[derive(Debug, Clone)]
@@ -338,10 +353,26 @@ struct Ctx {
     counter: u64,
     pass_log: Vec<PassInvocation>,
     failures: Vec<PassFailure>,
+    /// Name of the function last logged, shared by its log entries.
+    fn_name: Arc<str>,
+    /// `(pass, work)` of the invocations since a memo miss armed it.
+    trace: Option<Vec<(&'static str, u64)>>,
+    /// Whether this compile may consult the function memo at all. Off
+    /// without guarding (there is no snapshot to move a hit's input into),
+    /// under an opt-bisect limit and under a pass-level fault plan: both
+    /// address invocations by index *inside* a function's run, which a
+    /// replay does not execute.
+    memo: bool,
+    /// Per function: the caller's input, kept from just before the
+    /// function's first mutation (guarded compiles only) — what the
+    /// `module-verify` last rung restores.
+    originals: Vec<Option<Function>>,
+    /// Per function: whether a transform invocation changed it.
+    transformed: Vec<bool>,
 }
 
 impl Ctx {
-    fn new(opts: &PipelineOptions) -> Self {
+    fn new(opts: &PipelineOptions, num_functions: usize) -> Self {
         Ctx {
             timings: Vec::new(),
             start: Instant::now(),
@@ -356,7 +387,33 @@ impl Ctx {
             counter: 0,
             pass_log: Vec::new(),
             failures: Vec::new(),
+            fn_name: Arc::from(""),
+            trace: None,
+            memo: opts.guard
+                && opts.bisect_limit.is_none()
+                && opts.fault.is_none_or(|p| p.kind == FaultKind::Mem),
+            originals: vec![None; if opts.guard { num_functions } else { 0 }],
+            transformed: vec![false; num_functions],
         }
+    }
+
+    /// Keep `f` as function `id`'s original unless one is kept already.
+    fn keep_original(&mut self, id: FuncId, f: &Function) {
+        if let Some(slot @ None) = self.originals.get_mut(id.index()) {
+            *slot = Some(f.clone());
+        }
+    }
+
+    /// Append one executed invocation to the opt-bisect log.
+    fn log(&mut self, index: u64, pass: &'static str, f: &Function) {
+        if *self.fn_name != *f.name() {
+            self.fn_name = Arc::from(f.name());
+        }
+        self.pass_log.push(PassInvocation {
+            index,
+            pass,
+            function: Arc::clone(&self.fn_name),
+        });
     }
 
     /// Record one pass invocation: wall time for the diagnostic breakdown,
@@ -376,6 +433,9 @@ impl Ctx {
                 self.timed_out = true;
             }
         }
+        if let Some(t) = &mut self.trace {
+            t.push((name, work));
+        }
     }
 
     /// Run one guarded pass invocation of `name` over `f`. Returns whether
@@ -383,9 +443,9 @@ impl Ctx {
     /// failure rolls `f` back and returns `false`.
     fn invoke(
         &mut self,
-        f: &mut uu_ir::Function,
+        f: &mut Function,
         name: &'static str,
-        body: &mut dyn FnMut(&mut uu_ir::Function) -> bool,
+        body: &mut dyn FnMut(&mut Function) -> bool,
     ) -> bool {
         let index = self.counter;
         self.counter += 1;
@@ -394,11 +454,7 @@ impl Ctx {
                 return false; // opt-bisect: pass skipped, no work charged
             }
         }
-        self.pass_log.push(PassInvocation {
-            index,
-            pass: name,
-            function: f.name().to_string(),
-        });
+        self.log(index, name, f);
         let fault = self.fault.filter(|p| p.at == index);
         let t0 = Instant::now();
 
@@ -492,9 +548,8 @@ impl Ctx {
 /// through [`CompileOutcome::failures`] / [`CompileOutcome::rung`], with
 /// the whole-module verdict in [`CompileOutcome::verify_error`].
 pub fn compile(m: &mut Module, opts: &PipelineOptions) -> CompileOutcome {
-    let mut ctx = Ctx::new(opts);
+    let mut ctx = Ctx::new(opts, m.num_functions());
     let mut decisions = Vec::new();
-    let snapshot = if opts.guard { Some(m.clone()) } else { None };
 
     if opts.position == PassPosition::Early {
         apply_transform(m, opts, &mut ctx, &mut decisions);
@@ -506,6 +561,7 @@ pub fn compile(m: &mut Module, opts: &PipelineOptions) -> CompileOutcome {
         // the pipeline does not restart.
         let funcs: Vec<_> = m.iter().map(|(id, _)| id).collect();
         for id in funcs {
+            // `optimize_module` ran to the end, so every original is kept.
             run_timed_cleanup(m.function_mut(id), 1, &mut ctx, &mut AnalysisCache::new());
         }
     }
@@ -520,10 +576,11 @@ pub fn compile(m: &mut Module, opts: &PipelineOptions) -> CompileOutcome {
         Rung::DroppedPass
     };
     let mut verify_error = uu_ir::verify_module(m).err().map(|e| e.to_string());
-    if let (Some(err), Some(snap)) = (&verify_error, snapshot) {
+    if let (Some(err), true) = (&verify_error, opts.guard) {
         // Last rung: the recovered module still does not verify (a pass
         // corrupted a function while reporting no change, slipping past
-        // the on-change check). Restore the caller's input verbatim.
+        // the on-change check). Restore the caller's input verbatim: every
+        // function that was handed to a pass has its original kept.
         ctx.failures.push(PassFailure {
             pass: "module-verify",
             index: ctx.counter,
@@ -531,7 +588,11 @@ pub fn compile(m: &mut Module, opts: &PipelineOptions) -> CompileOutcome {
             reason: FailureReason::Verifier(err.clone()),
             rolled_back: true,
         });
-        *m = snap;
+        for (ix, orig) in std::mem::take(&mut ctx.originals).into_iter().enumerate() {
+            if let Some(orig) = orig {
+                *m.function_mut(FuncId::from_index(ix)) = orig;
+            }
+        }
         rung = Rung::Unoptimized;
         verify_error = uu_ir::verify_module(m).err().map(|e| e.to_string());
     }
@@ -555,27 +616,61 @@ fn apply_transform(
     ctx: &mut Ctx,
     decisions: &mut Vec<(String, LoopDecision)>,
 ) {
+    if matches!(opts.transform, Transform::Baseline) {
+        return;
+    }
     let funcs: Vec<_> = m.iter().map(|(id, _)| id).collect();
     for id in funcs {
         if ctx.timed_out {
             return;
         }
-        let fname = m.function(id).name().to_string();
         let f = m.function_mut(id);
+        // The name test comes before the analyses: a per-loop point skips
+        // every function but one.
+        if matches!(&opts.filter, LoopFilter::Only { func, .. } if func != f.name()) {
+            continue;
+        }
         // Determine target loop headers under the filter.
         let dom = DomTree::compute(f);
         let forest = LoopForest::compute(f, &dom);
         let headers: Vec<uu_ir::BlockId> = match &opts.filter {
             LoopFilter::All => forest.loops().iter().map(|l| l.header).collect(),
-            LoopFilter::Only { func, loop_id } => {
-                if *func != fname || *loop_id >= forest.len() {
+            LoopFilter::Only { loop_id, .. } => {
+                if *loop_id >= forest.len() {
                     continue;
                 }
                 vec![forest.loops()[*loop_id].header]
             }
         };
-        match &opts.transform {
-            Transform::Baseline => {}
+        ctx.keep_original(id, f);
+        let uu = |factor: u32, unmerge: UnmergeOptions| {
+            let headers = &headers;
+            move |f: &mut Function| {
+                let mut changed = false;
+                for &h in headers {
+                    changed |= uu_loop(
+                        f,
+                        h,
+                        &UuOptions {
+                            factor,
+                            unmerge,
+                            ..Default::default()
+                        },
+                    )
+                    .applied;
+                }
+                changed
+            }
+        };
+        let mut meld = |f: &mut Function| {
+            let mut changed = false;
+            for &h in &headers {
+                changed |= crate::opt::meld::meld_loop(f, h);
+            }
+            changed
+        };
+        let changed = match &opts.transform {
+            Transform::Baseline => unreachable!("returned above"),
             Transform::Unroll { factor } => {
                 let factor = *factor;
                 ctx.invoke(f, "unroll", &mut |f| {
@@ -601,95 +696,32 @@ fn apply_transform(
                         }
                     }
                     changed
-                });
+                })
             }
-            Transform::Unmerge => {
-                ctx.invoke(f, "unmerge", &mut |f| {
-                    let mut changed = false;
-                    for &h in &headers {
-                        changed |= uu_loop(
-                            f,
-                            h,
-                            &UuOptions {
-                                factor: 1,
-                                ..Default::default()
-                            },
-                        )
-                        .applied;
-                    }
-                    changed
-                });
-            }
-            Transform::Uu { factor, unmerge } => {
-                let (factor, unmerge) = (*factor, *unmerge);
-                ctx.invoke(f, "uu", &mut |f| {
-                    let mut changed = false;
-                    for &h in &headers {
-                        changed |= uu_loop(
-                            f,
-                            h,
-                            &UuOptions {
-                                factor,
-                                unmerge,
-                                ..Default::default()
-                            },
-                        )
-                        .applied;
-                    }
-                    changed
-                });
-            }
+            Transform::Unmerge => ctx.invoke(f, "unmerge", &mut uu(1, UnmergeOptions::default())),
+            Transform::Uu { factor, unmerge } => ctx.invoke(f, "uu", &mut uu(*factor, *unmerge)),
             Transform::UuHeuristic(hopts) => {
                 let mut local = Vec::new();
-                ctx.invoke(f, "uu-heuristic", &mut |f| {
+                let changed = ctx.invoke(f, "uu-heuristic", &mut |f| {
                     local = run_heuristic(f, hopts);
                     !local.is_empty()
                 });
-                for d in std::mem::take(&mut local) {
-                    decisions.push((fname.clone(), d));
-                }
+                let fname = f.name().to_string();
+                decisions.extend(local.into_iter().map(|d| (fname.clone(), d)));
+                changed
             }
-            Transform::Meld => {
-                ctx.invoke(f, "meld", &mut |f| {
-                    let mut changed = false;
-                    for &h in &headers {
-                        changed |= crate::opt::meld::meld_loop(f, h);
-                    }
-                    changed
-                });
-            }
+            Transform::Meld => ctx.invoke(f, "meld", &mut meld),
             Transform::UuMeld { factor, unmerge } => {
                 // Two guarded invocations so each step degrades
                 // independently: a panicking meld rolls back to the u&u
                 // result, not all the way to baseline. The loop header
                 // block survives `uu_loop` (the unrolled loop keeps it),
                 // so the meld step can target the same headers.
-                let (factor, unmerge) = (*factor, *unmerge);
-                ctx.invoke(f, "uu", &mut |f| {
-                    let mut changed = false;
-                    for &h in &headers {
-                        changed |= uu_loop(
-                            f,
-                            h,
-                            &UuOptions {
-                                factor,
-                                unmerge,
-                                ..Default::default()
-                            },
-                        )
-                        .applied;
-                    }
-                    changed
-                });
-                ctx.invoke(f, "meld", &mut |f| {
-                    let mut changed = false;
-                    for &h in &headers {
-                        changed |= crate::opt::meld::meld_loop(f, h);
-                    }
-                    changed
-                });
+                let unmerged = ctx.invoke(f, "uu", &mut uu(*factor, *unmerge));
+                ctx.invoke(f, "meld", &mut meld) | unmerged
             }
-        }
+        };
+        ctx.transformed[id.index()] |= changed;
     }
 }
 
@@ -700,34 +732,77 @@ fn optimize_module(m: &mut Module, opts: &PipelineOptions, ctx: &mut Ctx) {
             return;
         }
         let f = m.function_mut(id);
-        // Dominators and loops survive across the cleanup fixpoint as long
-        // as only CFG-preserving passes report changes; the clobbering
-        // passes below invalidate explicitly.
-        let mut cache = AnalysisCache::new();
-        run_timed_cleanup(f, opts.max_rounds, ctx, &mut cache);
-        if ctx.timed_out {
-            return;
+        // The memo admits exactly the functions no transform invocation
+        // changed in this compile: those recur on every point of the
+        // application's sweep, a transformed variant at most once more (in
+        // the study), and holding both costs more peak RSS than the
+        // end-to-end benchmark allows.
+        if !ctx.memo || ctx.transformed[id.index()] {
+            memo::count_bypass();
+            ctx.keep_original(id, f);
+            optimize_function(f, opts, ctx);
+            continue;
         }
-        let bopts = opts.baseline_unroll;
-        if ctx.invoke(f, "baseline-unroll", &mut |f| {
-            let stats = baseline_unroll(f, &bopts);
-            stats.full + stats.runtime + stats.pragma > 0
-        }) {
-            cache.invalidate();
+        let room = ctx.work_budget.map(|b| b.saturating_sub(ctx.work));
+        if let Some(hit) = memo::lookup(f, opts.max_rounds, &opts.baseline_unroll, room) {
+            // Replay the run's charges — one counter step, log entry and
+            // clock charge per invocation, so the outcome is the one the
+            // real run produces — then swap the stored body in. The input
+            // moves into the snapshot instead of being cloned.
+            for &(pass, work) in &hit.trace {
+                ctx.log(ctx.counter, pass, f);
+                ctx.counter += 1;
+                ctx.record(pass, Duration::ZERO, work);
+            }
+            let input = std::mem::replace(f, hit.output.clone());
+            ctx.originals[id.index()].get_or_insert(input);
+            continue;
         }
-        run_timed_cleanup(f, opts.max_rounds, ctx, &mut cache);
-        if ctx.timed_out {
-            return;
+        ctx.keep_original(id, f);
+        let input = f.clone();
+        let failures = ctx.failures.len();
+        ctx.trace = Some(Vec::new());
+        optimize_function(f, opts, ctx);
+        let trace = ctx.trace.take().expect("armed above");
+        // Only a run that finished is a function of its input alone.
+        if !ctx.timed_out && ctx.failures.len() == failures {
+            memo::insert(input, opts.max_rounds, opts.baseline_unroll, f.clone(), trace);
         }
-        if ctx.invoke(f, "ifconvert", &mut |f| IfConvert.run(f)) {
-            cache.invalidate();
-        }
-        run_timed_cleanup(f, opts.max_rounds, ctx, &mut cache);
     }
 }
 
+/// The per-function stage of the pipeline: cleanup, baseline unrolling,
+/// cleanup, if-conversion, cleanup. Reads `f`, `opts.max_rounds` and
+/// `opts.baseline_unroll`, plus — only when a limit, budget or fault plan
+/// cuts it short — the invocation counter and compile clock in `ctx`.
+fn optimize_function(f: &mut Function, opts: &PipelineOptions, ctx: &mut Ctx) {
+    // Dominators and loops survive across the cleanup fixpoint as long
+    // as only CFG-preserving passes report changes; the clobbering
+    // passes below invalidate explicitly.
+    let mut cache = AnalysisCache::new();
+    run_timed_cleanup(f, opts.max_rounds, ctx, &mut cache);
+    if ctx.timed_out {
+        return;
+    }
+    let bopts = opts.baseline_unroll;
+    if ctx.invoke(f, "baseline-unroll", &mut |f| {
+        let stats = baseline_unroll(f, &bopts);
+        stats.full + stats.runtime + stats.pragma > 0
+    }) {
+        cache.invalidate();
+    }
+    run_timed_cleanup(f, opts.max_rounds, ctx, &mut cache);
+    if ctx.timed_out {
+        return;
+    }
+    if ctx.invoke(f, "ifconvert", &mut |f| IfConvert.run(f)) {
+        cache.invalidate();
+    }
+    run_timed_cleanup(f, opts.max_rounds, ctx, &mut cache);
+}
+
 fn run_timed_cleanup(
-    f: &mut uu_ir::Function,
+    f: &mut Function,
     max_rounds: usize,
     ctx: &mut Ctx,
     cache: &mut AnalysisCache,
@@ -1177,6 +1252,36 @@ mod tests {
             .failures
             .iter()
             .any(|f| matches!(f.reason, FailureReason::Budget(_))));
+    }
+
+    #[test]
+    fn unverifiable_module_is_restored_from_the_per_function_originals() {
+        // `bad` returns nothing from an i64 function: no pass changes it, so
+        // no per-invocation check sees it, and the whole-module verdict
+        // lands the compile on the last rung. The restore must undo the
+        // optimisation of `k` too — when its original was cloned (memo
+        // miss) and when it was moved out by a memo hit.
+        let build = || {
+            let mut m = branchy_module();
+            let mut bad = uu_ir::Function::new("bad", vec![], Type::I64);
+            let entry = bad.entry();
+            let mut b = FunctionBuilder::new(&mut bad);
+            b.switch_to(entry);
+            b.ret(None);
+            m.add_function(bad);
+            m
+        };
+        let input = build().to_string();
+        crate::compile_memo_clear();
+        for (round, hits) in [("miss", 0), ("hit", 2)] {
+            let mut m = build();
+            let out = compile(&mut m, &PipelineOptions::default());
+            assert_eq!(crate::compile_memo_stats().0, hits, "{round}");
+            assert_eq!(out.rung, Rung::Unoptimized, "{round}");
+            assert_eq!(out.failures.last().unwrap().pass, "module-verify", "{round}");
+            assert!(out.verify_error.is_some(), "{round}: the input itself is invalid");
+            assert_eq!(m.to_string(), input, "{round}: input not restored verbatim");
+        }
     }
 
     #[test]

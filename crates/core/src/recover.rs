@@ -239,8 +239,9 @@ pub struct PassInvocation {
     pub index: u64,
     /// Pass name.
     pub pass: &'static str,
-    /// Function processed.
-    pub function: String,
+    /// Function processed (one allocation shared by all of the function's
+    /// entries in a compile's log).
+    pub function: std::sync::Arc<str>,
 }
 
 impl std::fmt::Display for PassInvocation {

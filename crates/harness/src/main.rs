@@ -340,9 +340,20 @@ fn main() {
     }
 }
 
-/// After a cached batch run, surface the cache's versioned stats on
-/// stderr (reports on stdout/disk stay byte-identical to cacheless runs).
+/// After a batch run, surface the caches' stats on stderr (reports on
+/// stdout/disk stay byte-identical to cacheless runs): the function-level
+/// compile memo always, the artifact cache's versioned stats when one is
+/// configured. The memo and its counters are thread-local, so the line
+/// covers the compiles this thread ran — all of them at `UU_JOBS=1`.
 fn report_cache(cache: Option<&uu_serve::CompileCache>) {
+    let (hits, misses, bypassed) = uu_core::compile_memo_stats();
+    eprintln!(
+        "compile memo: {hits} function hits / {misses} misses / {bypassed} bypassed{}",
+        match uu_par::num_jobs() {
+            1 => String::new(),
+            n => format!(" on the main thread ({n} workers keep their own; UU_JOBS=1 for totals)"),
+        }
+    );
     if let Some(c) = cache {
         let st = c.stats();
         eprintln!(

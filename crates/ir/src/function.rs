@@ -6,7 +6,7 @@ use crate::types::Type;
 use std::collections::BTreeMap;
 
 /// A formal parameter of a function.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Param {
     /// Human-readable name, used by the printer.
     pub name: String,
@@ -50,7 +50,7 @@ pub struct Block {
 /// User pragma attached to a loop (identified by its header block),
 /// mirroring `#pragma unroll`. The u&u heuristic refrains from transforming
 /// pragma-annotated loops (paper §III-C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LoopPragma {
     /// `#pragma unroll N` — the user requested explicit unrolling.
     Unroll(u32),
@@ -134,6 +134,24 @@ impl Journal {
         if ix < self.blocks_len && Self::mark(&mut self.block_bits, ix) {
             self.saved_blocks.push((ix as u32, blocks[ix].clone()));
         }
+    }
+}
+
+/// Structural equality over everything a pass or the simulator can read:
+/// name, signature, both arenas (unlinked slots included), layout and
+/// pragmas. The undo journal is bookkeeping and is ignored. This is what
+/// makes a content-addressed cache keyed on a whole function complete by
+/// construction; [`crate::hash::function_fingerprint`] is the matching
+/// bucket hash.
+impl PartialEq for Function {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name
+            && self.params == other.params
+            && self.ret_ty == other.ret_ty
+            && self.layout == other.layout
+            && self.loop_pragmas == other.loop_pragmas
+            && self.blocks == other.blocks
+            && self.insts == other.insts
     }
 }
 

@@ -1,4 +1,5 @@
-//! Stable content hashing for modules.
+//! Stable content hashing for modules, and the in-process structural
+//! hash of a function.
 //!
 //! The compile-service cache (`uu-serve`) addresses artifacts by the hash
 //! of the *printed* module text, so the hash contract is exactly the
@@ -6,8 +7,15 @@
 //! identically, therefore hashes identically. The hash must be stable
 //! across processes and machines — `std::hash` makes no such promise, so
 //! this module pins FNV-1a 64 explicitly.
+//!
+//! [`function_fingerprint`] is the other kind of hash: it never leaves the
+//! process (it buckets the thread-local decode cache of `uu-simt` and the
+//! compile memo of `uu-core`), so it walks the IR directly instead of
+//! printing it.
 
+use crate::function::Function;
 use crate::module::Module;
+use std::hash::{Hash, Hasher};
 
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -44,10 +52,51 @@ pub fn module_hash(m: &Module) -> u64 {
     fnv1a(m.to_string().as_bytes())
 }
 
+/// FNV-1a 64 as a [`Hasher`], so the IR types' derived `Hash` impls feed
+/// the same function the rest of the workspace uses.
+struct Fnv(u64);
+
+impl Hasher for Fnv {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = fnv1a_continue(self.0, bytes);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Structural fingerprint of `f`: name, parameters (with `restrict`, which
+/// the optimizer's alias rules read), return type, the arena size, and in
+/// layout order every block id, its loop pragma and its instructions (id,
+/// type, opcode, operands). Everything the passes and the simulator's
+/// decoder read from a function's body is covered; unlinked arena slots
+/// contribute only their count.
+///
+/// In-process only — the derived `Hash` impls it drives are not a stable
+/// format. Callers that cannot afford to trust 64 bits compare the
+/// functions themselves on a match (`Function: PartialEq`).
+pub fn function_fingerprint(f: &Function) -> u64 {
+    let mut h = Fnv(FNV_OFFSET);
+    f.name().hash(&mut h);
+    f.params().hash(&mut h);
+    f.ret_ty().hash(&mut h);
+    f.num_inst_slots().hash(&mut h);
+    for &b in f.layout() {
+        b.hash(&mut h);
+        f.loop_pragma(b).hash(&mut h);
+        for &id in &f.block(b).insts {
+            id.hash(&mut h);
+            f.inst(id).hash(&mut h);
+        }
+    }
+    h.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FunctionBuilder, Module, Param, Type, Value};
+    use crate::{FunctionBuilder, LoopPragma, Module, Param, Type, Value};
 
     fn sample() -> Module {
         let mut f = crate::Function::new("k", vec![Param::new("n", Type::I64)], Type::I64);
@@ -72,6 +121,46 @@ mod tests {
     #[test]
     fn continue_composes() {
         assert_eq!(fnv1a_continue(fnv1a(b"foo"), b"bar"), fnv1a(b"foobar"));
+    }
+
+    #[test]
+    fn function_fingerprint_sees_body_signature_and_pragmas_but_not_the_journal() {
+        let id = crate::FuncId::from_index(0);
+        let f = sample().function(id).clone();
+        let base = function_fingerprint(&f);
+        assert_eq!(function_fingerprint(&sample().function(id).clone()), base);
+
+        // An armed-and-committed journal is bookkeeping, not content.
+        let mut journaled = f.clone();
+        journaled.snapshot_begin();
+        journaled.snapshot_commit();
+        assert_eq!(function_fingerprint(&journaled), base);
+        assert!(journaled == f);
+
+        let with = |params: Vec<Param>, ret: Type, k: i64| {
+            let mut g = crate::Function::new("k", params, ret);
+            let entry = g.entry();
+            let mut b = FunctionBuilder::new(&mut g);
+            b.switch_to(entry);
+            let s = b.add(Value::Arg(0), Value::imm(k));
+            b.ret(Some(s));
+            g
+        };
+        let same = with(vec![Param::new("n", Type::I64)], Type::I64, 1);
+        assert_eq!(function_fingerprint(&same), base);
+        assert!(same == f);
+        for other in [
+            with(vec![Param::new("n", Type::I64)], Type::I64, 2),
+            with(vec![Param::restrict("n", Type::I64)], Type::I64, 1),
+            with(vec![Param::new("n", Type::I64)], Type::Void, 1),
+        ] {
+            assert_ne!(function_fingerprint(&other), base);
+            assert!(other != f);
+        }
+        let mut pragma = f.clone();
+        pragma.set_loop_pragma(pragma.entry(), LoopPragma::NoUnroll);
+        assert_ne!(function_fingerprint(&pragma), base);
+        assert!(pragma != f);
     }
 
     #[test]

@@ -384,7 +384,7 @@ impl fmt::Display for Intrinsic {
 }
 
 /// The payload of an instruction.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum InstKind {
     /// Binary arithmetic: `op lhs, rhs`.
     Bin {
@@ -668,7 +668,7 @@ impl InstKind {
 }
 
 /// An instruction: its opcode payload plus its result type.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Inst {
     /// Opcode and operands.
     pub kind: InstKind,

@@ -70,7 +70,7 @@ pub use builder::FunctionBuilder;
 pub use constant::Constant;
 pub use entities::{BlockId, FuncId, InstId, Value};
 pub use function::{Block, Function, LoopPragma, Param};
-pub use hash::{fnv1a, fnv1a_continue, module_hash};
+pub use hash::{fnv1a, fnv1a_continue, function_fingerprint, module_hash};
 pub use inst::{BinOp, CastOp, FCmpPred, ICmpPred, Inst, InstKind, Intrinsic};
 pub use module::Module;
 pub use parser::{parse_function, parse_module, ParseError};

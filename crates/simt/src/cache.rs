@@ -5,12 +5,13 @@
 //! existed every launch re-ran the post-dominator tree, the uniformity
 //! analysis, and [`DecodedKernel::decode`] from scratch. Decoding is a
 //! pure function of the kernel body and the baked-in argument constants,
-//! so the cache is **content-addressed**: the key is a stable FNV-1a
-//! structural fingerprint of the function (blocks, instructions, operands
-//! — including `InstId` indices, which error identities reference) plus
-//! the encoded constants. That is the whole invalidation story — a
-//! mutated or newly built function hashes differently and simply misses;
-//! there is nothing to invalidate explicitly. Collisions are guarded by
+//! so the cache is **content-addressed**: the key is the FNV-1a
+//! structural fingerprint of the function ([`function_fingerprint`]:
+//! signature, blocks, instructions, operands — including `InstId` indices,
+//! which error identities reference) plus the encoded constants. That is
+//! the whole invalidation story — a mutated or newly built function
+//! hashes differently and simply misses; there is nothing to invalidate
+//! explicitly. Collisions are guarded by
 //! also keying on the instruction/block counts and the full constant
 //! vector, so a 64-bit hash collision additionally has to agree on all of
 //! those.
@@ -31,8 +32,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 use uu_analysis::{PostDomTree, Uniformity};
-use uu_ir::hash::{fnv1a, fnv1a_continue};
-use uu_ir::{Constant, Function, InstKind, Value};
+use uu_ir::{function_fingerprint, Constant, Function};
 
 /// Cached decodes before the cache is wholesale-cleared. Sized well above
 /// the evaluation suite's kernel-variant count; the clear is only a
@@ -68,139 +68,6 @@ thread_local! {
     static POOL: RefCell<Vec<LaunchScratch>> = const { RefCell::new(Vec::new()) };
 }
 
-#[inline]
-fn h64(h: u64, v: u64) -> u64 {
-    fnv1a_continue(h, &v.to_le_bytes())
-}
-
-fn hash_value(mut h: u64, v: Value) -> u64 {
-    match v {
-        Value::Inst(id) => {
-            h = h64(h, 1);
-            h64(h, id.index() as u64)
-        }
-        Value::Arg(i) => {
-            h = h64(h, 2);
-            h64(h, i as u64)
-        }
-        Value::Const(c) => {
-            h = h64(h, 3);
-            let (tag, bits) = encode(c);
-            h = h64(h, tag as u64);
-            h64(h, bits)
-        }
-    }
-}
-
-/// Structural fingerprint of `f`: everything [`DecodedKernel::decode`]
-/// reads. Returns the hash plus the linked-instruction count.
-fn fingerprint(f: &Function) -> (u64, u32) {
-    let mut h = fnv1a(f.name().as_bytes());
-    h = h64(h, f.entry().index() as u64);
-    h = h64(h, f.num_inst_slots() as u64);
-    let mut ninsts = 0u32;
-    for &b in f.layout() {
-        h = h64(h, b.index() as u64);
-        for &id in &f.block(b).insts {
-            ninsts += 1;
-            let inst = f.inst(id);
-            h = h64(h, id.index() as u64);
-            h = h64(h, inst.ty as u64);
-            match &inst.kind {
-                InstKind::Bin { op, lhs, rhs } => {
-                    h = h64(h, 10);
-                    h = h64(h, *op as u64);
-                    h = hash_value(h, *lhs);
-                    h = hash_value(h, *rhs);
-                }
-                InstKind::ICmp { pred, lhs, rhs } => {
-                    h = h64(h, 11);
-                    h = h64(h, *pred as u64);
-                    h = hash_value(h, *lhs);
-                    h = hash_value(h, *rhs);
-                }
-                InstKind::FCmp { pred, lhs, rhs } => {
-                    h = h64(h, 12);
-                    h = h64(h, *pred as u64);
-                    h = hash_value(h, *lhs);
-                    h = hash_value(h, *rhs);
-                }
-                InstKind::Select {
-                    cond,
-                    on_true,
-                    on_false,
-                } => {
-                    h = h64(h, 13);
-                    h = hash_value(h, *cond);
-                    h = hash_value(h, *on_true);
-                    h = hash_value(h, *on_false);
-                }
-                InstKind::Cast { op, value } => {
-                    h = h64(h, 14);
-                    h = h64(h, *op as u64);
-                    h = hash_value(h, *value);
-                }
-                InstKind::Load { ptr } => {
-                    h = h64(h, 15);
-                    h = hash_value(h, *ptr);
-                }
-                InstKind::Store { ptr, value } => {
-                    h = h64(h, 16);
-                    h = hash_value(h, *ptr);
-                    h = hash_value(h, *value);
-                }
-                InstKind::Gep { base, index, scale } => {
-                    h = h64(h, 17);
-                    h = hash_value(h, *base);
-                    h = hash_value(h, *index);
-                    h = h64(h, *scale);
-                }
-                InstKind::Phi { incomings } => {
-                    h = h64(h, 18);
-                    h = h64(h, incomings.len() as u64);
-                    for (pb, v) in incomings {
-                        h = h64(h, pb.index() as u64);
-                        h = hash_value(h, *v);
-                    }
-                }
-                InstKind::Intr { which, args } => {
-                    h = h64(h, 19);
-                    h = h64(h, *which as u64);
-                    h = h64(h, args.len() as u64);
-                    for a in args {
-                        h = hash_value(h, *a);
-                    }
-                }
-                InstKind::Br { target } => {
-                    h = h64(h, 20);
-                    h = h64(h, target.index() as u64);
-                }
-                InstKind::CondBr {
-                    cond,
-                    if_true,
-                    if_false,
-                } => {
-                    h = h64(h, 21);
-                    h = hash_value(h, *cond);
-                    h = h64(h, if_true.index() as u64);
-                    h = h64(h, if_false.index() as u64);
-                }
-                InstKind::Ret { value } => {
-                    h = h64(h, 22);
-                    match value {
-                        Some(v) => {
-                            h = h64(h, 1);
-                            h = hash_value(h, *v);
-                        }
-                        None => h = h64(h, 0),
-                    }
-                }
-            }
-        }
-    }
-    (h, ninsts)
-}
-
 /// Decode `f` with the launch constants `args`, reusing a cached decode
 /// when an identical (function, constants) pair was launched before on
 /// this thread. A hit returns the exact same lowering a fresh
@@ -208,11 +75,10 @@ fn fingerprint(f: &Function) -> (u64, u32) {
 /// the hashed inputs — so cached and fresh launches are observationally
 /// identical.
 pub fn decode_cached(f: &Function, args: &[Constant]) -> Rc<DecodedKernel> {
-    let (hash, ninsts) = fingerprint(f);
     let key = Key {
-        hash,
+        hash: function_fingerprint(f),
         blocks: f.layout().len() as u32,
-        insts: ninsts,
+        insts: f.num_insts() as u32,
         consts: args.iter().map(|c| encode(*c)).collect(),
     };
     CACHE.with(|c| {
@@ -273,7 +139,7 @@ pub(crate) fn put_launch_scratch(ls: LaunchScratch) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uu_ir::{FunctionBuilder, Param, Type};
+    use uu_ir::{FunctionBuilder, Param, Type, Value};
 
     fn sample(n: i64) -> Function {
         let mut f = Function::new(

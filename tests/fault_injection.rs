@@ -32,9 +32,13 @@ const FAULT_MATRIX: &[&str] = &[
 ];
 
 fn small_bench_set() -> Vec<uu_kernels::Benchmark> {
+    bench_set(&["mandelbrot", "ccs"])
+}
+
+fn bench_set(names: &[&str]) -> Vec<uu_kernels::Benchmark> {
     all_benchmarks()
         .into_iter()
-        .filter(|b| b.info.name == "mandelbrot" || b.info.name == "ccs")
+        .filter(|b| names.contains(&b.info.name))
         .collect()
 }
 
@@ -132,6 +136,41 @@ fn faulted_sweeps_are_byte_identical_across_worker_counts() {
             assert_eq!(an, bn, "{spec}: file names diverged");
             assert_eq!(ab, bb, "{spec}: {an} bytes differ between jobs=1 and jobs=4");
         }
+    }
+}
+
+/// A compile memo warmed by clean compiles must not leak into a faulted
+/// sweep: pass-level plans address invocations by index, so a faulted
+/// compile bypasses the memo (a `mem` plan targets the simulator and may
+/// use it). On one worker everything runs on this thread, whose memo the
+/// clean sweep fills. Quicksort has seven functions and sweeps fast; the
+/// memo only ever holds functions the swept loop is not in.
+#[test]
+fn a_memo_warmed_by_a_clean_sweep_does_not_change_a_faulted_sweep() {
+    let benches = bench_set(&["quicksort"]);
+    let tmp = std::env::temp_dir().join(format!("uu-fault-memo-{}", std::process::id()));
+    let specs = ["panic@3:2", "corrupt@6:5", "miscompile@8:7", "exhaust@4:8", "mem@25:9"];
+    let sweep_with = |fault| {
+        render_all(
+            &sweep::run_sweep_backed(&benches, true, 1, fault, Backend::default()),
+            &benches,
+            &tmp.join("render"),
+        )
+    };
+    let cold: Vec<_> = specs
+        .iter()
+        .map(|spec| {
+            uu_core::compile_memo_clear();
+            sweep_with(Some(FaultPlan::parse(spec).unwrap()))
+        })
+        .collect();
+    uu_core::compile_memo_clear();
+    sweep_with(None);
+    let (hits, _, _) = uu_core::compile_memo_stats();
+    assert!(hits > 0, "the clean sweep never hit the memo it was meant to warm");
+    for (spec, cold) in specs.iter().zip(&cold) {
+        let warm = sweep_with(Some(FaultPlan::parse(spec).unwrap()));
+        assert!(warm == *cold, "{spec}: reports differ between a warm and a cold memo");
     }
 }
 
