@@ -109,11 +109,14 @@ UU_JOBS=4 ./target/release/uu-harness all --fast --out target/ci/results-fast-j4
 diff -r results-fast target/ci/results-fast-j4
 echo "results-fast (cached-decode, memoised-compile sweep) reproduces byte-identically at UU_JOBS=1 and 4"
 
-echo "== compile memo properties over the whole kernel matrix (release) =="
-# `cargo test` above ran memo_props on a trimmed matrix (an unoptimised
-# build needs minutes for the factor-4/8 points); this is the full one:
-# all 16 kernels x every sweep and study configuration, warm vs cleared.
-cargo test -q --offline --release -p uu-core --test memo_props
+echo "== behavioural fingerprint over the whole compile matrix (release) =="
+# `cargo test` above checked the factor-2 hot-loop subset (an unoptimised
+# build needs minutes for the factor-8 points); this is the full one: all
+# 16 kernels x baseline, heuristic and every sweep and study configuration
+# on the hot loops and three cold loops, plus the uu-check corpus. A
+# printed module or a work charge that moves without a PASS_VERSIONS bump
+# fails here (crates/core/tests/golden/behaviour.fnv).
+cargo test -q --offline --release -p uu-core --test behaviour_fingerprint
 
 echo "== serve smoke: daemon round-trip, cache hit, fault containment, cached-sweep identity =="
 # Start the compile-service daemon on a Unix socket with a disk cache,

@@ -1,14 +1,18 @@
 //! Micro-benchmarks of the individual compiler passes, on a standard
-//! branchy loop at several unroll factors. Useful for tracking the
-//! compile-time behaviour the paper's Figure 6c aggregates.
+//! branchy loop at several unroll factors and on the sweep's largest body
+//! (`uu8` on `complex_pow`: the transform runs into the 2 048-block cap).
+//! Useful for tracking the compile-time behaviour the paper's Figure 6c
+//! aggregates, and for catching a structural pass whose cost grows with
+//! rewrites × function size — the small subject hides that, the large one
+//! does not.
 
 use uu_check::bench::Harness;
 use uu_core::opt::{
-    condprop::CondProp, dce::Dce, gvn::Gvn, instsimplify::InstSimplify, sccp::Sccp,
-    simplifycfg::SimplifyCfg, Pass,
+    condprop::CondProp, dce::Dce, gvn::Gvn, ifconvert::IfConvert, instsimplify::InstSimplify,
+    sccp::Sccp, simplifycfg::SimplifyCfg, Pass,
 };
 use uu_core::{uu_loop, UuOptions};
-use uu_ir::{Function, FunctionBuilder, ICmpPred, Param, Type, Value};
+use uu_ir::{BlockId, Function, FunctionBuilder, ICmpPred, Param, Type, Value};
 
 /// The standard subject: a loop with a two-condition body (4 paths).
 fn subject() -> Function {
@@ -71,12 +75,10 @@ fn subject() -> Function {
     f
 }
 
-fn transformed(factor: u32) -> Function {
-    let mut f = subject();
-    let h = f.layout()[1];
+fn uu(mut f: Function, header: BlockId, factor: u32) -> Function {
     uu_loop(
         &mut f,
-        h,
+        header,
         &UuOptions {
             factor,
             ..Default::default()
@@ -85,19 +87,54 @@ fn transformed(factor: u32) -> Function {
     f
 }
 
+fn transformed(factor: u32) -> Function {
+    let f = subject();
+    let h = f.layout()[1];
+    uu(f, h, factor)
+}
+
+/// The `complex` application's hot kernel and the header of its one loop.
+fn complex_pow() -> (Function, BlockId) {
+    let complex = uu_kernels::all_benchmarks()
+        .into_iter()
+        .find(|b| b.info.name == "complex")
+        .expect("complex is one of the paper's applications");
+    let m = (complex.build)();
+    let f = m
+        .iter()
+        .map(|(_, f)| f)
+        .find(|f| f.name() == "complex_pow")
+        .expect("complex has a complex_pow kernel")
+        .clone();
+    let dom = uu_analysis::DomTree::compute(&f);
+    let header = uu_analysis::LoopForest::compute(&f, &dom).loops()[0].header;
+    (f, header)
+}
+
 fn bench_transform(h: &mut Harness) {
     for factor in [2u32, 4, 8] {
         h.bench(&format!("transform/uu/{factor}"), || transformed(factor));
     }
+    let (pow, header) = complex_pow();
+    h.bench_batched(
+        "transform/uu/complex_pow8",
+        || pow.clone(),
+        |f| uu(f, header, 8),
+    );
 }
 
 fn bench_cleanup_passes(h: &mut Harness) {
-    for factor in [2u32, 8] {
-        let base = transformed(factor);
+    let (pow, header) = complex_pow();
+    let subjects = [
+        ("2", transformed(2)),
+        ("8", transformed(8)),
+        ("complex_pow8", uu(pow, header, 8)),
+    ];
+    for (label, base) in subjects {
         macro_rules! p {
             ($name:literal, $pass:expr) => {
                 h.bench_batched(
-                    &format!(concat!("pass/", $name, "/{}"), factor),
+                    &format!(concat!("pass/", $name, "/{}"), label),
                     || base.clone(),
                     |mut f| {
                         let mut pass = $pass;
@@ -113,6 +150,7 @@ fn bench_cleanup_passes(h: &mut Harness) {
         p!("gvn", Gvn);
         p!("condprop", CondProp);
         p!("dce", Dce);
+        p!("ifconvert", IfConvert);
     }
 }
 

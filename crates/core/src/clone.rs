@@ -9,13 +9,19 @@
 use uu_ir::{BlockId, Function, InstId, InstKind, SecondaryMap, Value};
 
 /// The result of cloning a region: mappings from original blocks and
-/// instructions to their copies (dense tables keyed on the arena ids).
+/// instructions to their copies. Lookups go through dense tables keyed on
+/// the arena ids; iteration goes over the copies in the order they were
+/// made, so walking a clone costs its size, not the arena's.
 #[derive(Debug, Clone, Default)]
 pub struct CloneMap {
     /// Original block → cloned block.
     blocks: SecondaryMap<BlockId, Option<BlockId>>,
     /// Original instruction → cloned instruction.
     insts: SecondaryMap<InstId, Option<InstId>>,
+    /// The cloned blocks, in cloning order.
+    block_copies: Vec<BlockId>,
+    /// The cloned instructions, in cloning order.
+    inst_copies: Vec<InstId>,
 }
 
 impl CloneMap {
@@ -42,14 +48,16 @@ impl CloneMap {
         *self.insts.get(i)
     }
 
-    /// The cloned blocks, in original-block index order.
+    /// The cloned blocks, in cloning order (the order of the `blocks`
+    /// argument of [`clone_region`]).
     pub fn cloned_blocks(&self) -> impl Iterator<Item = BlockId> + '_ {
-        self.blocks.iter().filter_map(|(_, v)| *v)
+        self.block_copies.iter().copied()
     }
 
-    /// The cloned instructions, in original-instruction index order.
+    /// The cloned instructions, in cloning order (block by block, program
+    /// order within a block).
     pub fn cloned_insts(&self) -> impl Iterator<Item = InstId> + '_ {
-        self.insts.iter().filter_map(|(_, v)| *v)
+        self.inst_copies.iter().copied()
     }
 }
 
@@ -70,6 +78,7 @@ pub fn clone_region(f: &mut Function, blocks: &[BlockId]) -> CloneMap {
     for &b in blocks {
         let nb = f.add_block();
         map.blocks.set(b, Some(nb));
+        map.block_copies.push(nb);
     }
     // Pass 2: clone instructions (operands still original).
     for &b in blocks {
@@ -79,11 +88,11 @@ pub fn clone_region(f: &mut Function, blocks: &[BlockId]) -> CloneMap {
             let inst = f.inst(i).clone();
             let ni = f.append_inst(nb, inst);
             map.insts.set(i, Some(ni));
+            map.inst_copies.push(ni);
         }
     }
     // Pass 3: remap operands, branch targets and phi labels inside clones.
-    let cloned: Vec<InstId> = map.cloned_insts().collect();
-    for ni in cloned {
+    for &ni in &map.inst_copies {
         let mut kind = f.inst(ni).kind.clone();
         kind.for_each_operand_mut(|v| *v = map.map_value(*v));
         match &mut kind {
@@ -149,22 +158,77 @@ pub fn remove_phi_incomings_from(f: &mut Function, succ: BlockId, pred: BlockId)
     }
 }
 
-/// Replace single-incoming phis in `block` by their value and unlink them.
-/// Returns the number of phis resolved.
-pub fn resolve_trivial_phis(f: &mut Function, block: BlockId) -> usize {
-    let mut resolved = 0;
-    for phi in f.phis(block) {
-        let repl = match &f.inst(phi).kind {
-            InstKind::Phi { incomings } if incomings.len() == 1 => Some(incomings[0].1),
-            _ => None,
-        };
-        if let Some(v) = repl {
-            f.replace_all_uses(Value::Inst(phi), v);
-            f.unlink_inst(block, phi);
-            resolved += 1;
+/// Replace the single-incoming phis of `blocks` (distinct) by their values
+/// and unlink them; returns the number of phis resolved. The function is
+/// what resolving them one at a time, in `blocks` order and program order
+/// within a block, would leave — every arena slot included — but all uses
+/// are rewritten in a single [`Function::replace_uses_with`] sweep instead
+/// of one per phi.
+///
+/// One at a time, a phi's replacement is read after the earlier
+/// replacements were applied to it, and later replacements are applied to
+/// everything it was substituted into. So chains resolve to their end in
+/// both directions (an earlier phi fed by a later one, a later phi fed by an
+/// earlier one), and a cycle of phis — possible in unreachable code only —
+/// collapses onto the member met last, which resolves to itself and is
+/// merely unlinked.
+pub fn resolve_trivial_phis_in(f: &mut Function, blocks: &[BlockId]) -> usize {
+    // image[p]: what the resolved phi `p` stands for once every replacement
+    // made so far has been applied.
+    let mut image: SecondaryMap<InstId, Option<Value>> = SecondaryMap::new();
+    let mut found: Vec<(BlockId, InstId)> = Vec::new();
+    for &b in blocks {
+        for &phi in &f.block(b).insts {
+            let InstKind::Phi { incomings } = &f.inst(phi).kind else {
+                break;
+            };
+            if let [(_, v)] = incomings[..] {
+                let v = chase(&mut image, v);
+                image.set(phi, Some(v));
+                found.push((b, phi));
+            }
         }
     }
-    resolved
+    if found.is_empty() {
+        return 0;
+    }
+    for &(_, phi) in &found {
+        chase(&mut image, Value::Inst(phi));
+    }
+    f.replace_uses_with(|v| match v {
+        Value::Inst(i) => image.get(i).filter(|to| *to != v),
+        _ => None,
+    });
+    let mut last = None;
+    for &(b, _) in &found {
+        if last != Some(b) {
+            f.block_mut(b).insts.retain(|i| image.get(*i).is_none());
+            last = Some(b);
+        }
+    }
+    found.len()
+}
+
+/// Follow `image` from `v` to the value it ends at — one that is not a
+/// resolved phi, or a phi that stands for itself — and point every phi on
+/// the way straight at it.
+fn chase(image: &mut SecondaryMap<InstId, Option<Value>>, v: Value) -> Value {
+    let step = |image: &SecondaryMap<InstId, Option<Value>>, v: Value| match v {
+        Value::Inst(p) => image.get(p).filter(|next| *next != v),
+        _ => None,
+    };
+    let mut end = v;
+    while let Some(next) = step(image, end) {
+        end = next;
+    }
+    let mut at = v;
+    while let Some(next) = step(image, at) {
+        if let Value::Inst(p) = at {
+            image.set(p, Some(end));
+        }
+        at = next;
+    }
+    end
 }
 
 #[cfg(test)]
@@ -259,7 +323,7 @@ mod tests {
             InstKind::Phi { incomings } => assert_eq!(incomings.len(), 1),
             _ => unreachable!(),
         }
-        let n = resolve_trivial_phis(&mut f, h);
+        let n = resolve_trivial_phis_in(&mut f, &[h]);
         assert_eq!(n, 1);
         assert!(f.phis(h).is_empty());
         // The add in body now uses the constant 0 directly.

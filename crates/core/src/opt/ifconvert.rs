@@ -24,21 +24,16 @@ impl Pass for IfConvert {
 
     fn run(&mut self, f: &mut Function) -> bool {
         let mut changed = false;
+        // A scan ends at its first conversion, so the predecessor map it
+        // starts with is current for every block it looks at.
         loop {
-            let mut round = false;
-            for b in f.layout().to_vec() {
-                if !f.is_linked(b) {
-                    continue;
-                }
-                if try_convert(f, b) {
-                    round = true;
-                    changed = true;
-                    break; // CFG changed; rescan
-                }
-            }
-            if !round {
+            let preds = f.predecessors();
+            let layout = f.layout().to_vec();
+            let converted = layout.into_iter().any(|b| try_convert(f, &preds, b));
+            if !converted {
                 break;
             }
+            changed = true;
         }
         changed
     }
@@ -77,7 +72,7 @@ fn single_pred(_f: &Function, preds: &[Vec<BlockId>], b: BlockId, p: BlockId) ->
     preds[b.index()] == vec![p]
 }
 
-fn try_convert(f: &mut Function, b: BlockId) -> bool {
+fn try_convert(f: &mut Function, preds: &[Vec<BlockId>], b: BlockId) -> bool {
     let Some(t) = f.terminator(b) else {
         return false;
     };
@@ -92,7 +87,6 @@ fn try_convert(f: &mut Function, b: BlockId) -> bool {
     if if_true == if_false {
         return false;
     }
-    let preds = f.predecessors();
     // Diamond: b → {T, F} → J, with J having exactly those two
     // predecessors. The two-entry restriction matches LLVM's
     // FoldTwoEntryPHINode — and is why unmerged loop bodies stay branches:
@@ -104,8 +98,8 @@ fn try_convert(f: &mut Function, b: BlockId) -> bool {
             && fs.len() == 1
             && ts[0] == fs[0]
             && ts[0] != b
-            && single_pred(f, &preds, if_true, b)
-            && single_pred(f, &preds, if_false, b)
+            && single_pred(f, preds, if_true, b)
+            && single_pred(f, preds, if_false, b)
             && preds[ts[0].index()].len() == 2
     };
     if diamond {
@@ -155,7 +149,7 @@ fn try_convert(f: &mut Function, b: BlockId) -> bool {
         f.inst_mut(t).kind = InstKind::Br { target: join };
         f.remove_block(if_true);
         f.remove_block(if_false);
-        crate::clone::resolve_trivial_phis(f, join);
+        crate::clone::resolve_trivial_phis_in(f, &[join]);
         return true;
     }
     // Triangle: b → {T, J}, T → J.
@@ -163,7 +157,7 @@ fn try_convert(f: &mut Function, b: BlockId) -> bool {
         [(if_true, if_false, true), (if_false, if_true, false)]
     {
         let ss = f.successors(side);
-        if ss.len() != 1 || ss[0] != join || !single_pred(f, &preds, side, b) {
+        if ss.len() != 1 || ss[0] != join || !single_pred(f, preds, side, b) {
             continue;
         }
         if join == b || preds[join.index()].len() != 2 {
@@ -216,7 +210,7 @@ fn try_convert(f: &mut Function, b: BlockId) -> bool {
         let t = f.terminator(b).unwrap();
         f.inst_mut(t).kind = InstKind::Br { target: join };
         f.remove_block(side);
-        crate::clone::resolve_trivial_phis(f, join);
+        crate::clone::resolve_trivial_phis_in(f, &[join]);
         return true;
     }
     false

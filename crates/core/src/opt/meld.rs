@@ -368,7 +368,7 @@ fn try_meld(f: &mut Function, b: BlockId, div: &Divergence) -> bool {
     f.inst_mut(t).kind = InstKind::Br { target: join };
     f.remove_block(if_true);
     f.remove_block(if_false);
-    crate::clone::resolve_trivial_phis(f, join);
+    crate::clone::resolve_trivial_phis_in(f, &[join]);
     true
 }
 

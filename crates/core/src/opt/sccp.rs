@@ -267,16 +267,28 @@ fn fold_pure(inst: &uu_ir::Inst) -> Option<Constant> {
 
 fn apply(f: &mut Function, sol: &Solution) -> bool {
     let mut changed = false;
-    // Replace constant values (in instruction-index order: the outcome is
-    // order-independent, the iteration is just deterministic and dense).
-    for (i, &lat) in sol.values.iter() {
-        if let Lattice::Const(c) = lat {
-            f.replace_all_uses(Value::Inst(i), Value::Const(c));
-            changed = true;
-            // Unlink the pure instruction from the one block holding it.
-            if !f.inst(i).kind.has_side_effects() {
-                f.unlink_inst(*sol.block_of.get(i), i);
-            }
+    // Replace constant values: the whole solution in one use-rewrite, then
+    // unlink the now-unused pure instructions.
+    let constant = |i: InstId| match *sol.values.get(i) {
+        Lattice::Const(c) => Some(Value::Const(c)),
+        _ => None,
+    };
+    let folded: Vec<InstId> = sol
+        .values
+        .iter()
+        .filter_map(|(i, lat)| matches!(lat, Lattice::Const(_)).then_some(i))
+        .collect();
+    if !folded.is_empty() {
+        changed = true;
+        f.replace_uses_with(|v| match v {
+            Value::Inst(i) => constant(i),
+            _ => None,
+        });
+    }
+    for i in folded {
+        // Unlink the pure instruction from the one block holding it.
+        if !f.inst(i).kind.has_side_effects() {
+            f.unlink_inst(*sol.block_of.get(i), i);
         }
     }
     // Rewrite branches whose conditions are now constant.

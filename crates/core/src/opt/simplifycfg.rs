@@ -1,8 +1,8 @@
 //! CFG simplification: branch folding, jump threading, block merging.
 
 use super::Pass;
-use crate::clone::{remove_phi_incomings_from, resolve_trivial_phis};
-use uu_ir::{Function, InstKind};
+use crate::clone::{remove_phi_incomings_from, resolve_trivial_phis_in};
+use uu_ir::{BlockId, EntitySet, Function, InstKind, SecondaryMap};
 
 /// Iteratively simplifies the CFG:
 ///
@@ -69,21 +69,24 @@ fn fold_constant_branches(f: &mut Function) -> bool {
 }
 
 fn resolve_all_trivial_phis(f: &mut Function) -> bool {
-    let mut changed = false;
-    for b in f.layout().to_vec() {
-        changed |= resolve_trivial_phis(f, b) > 0;
-    }
-    changed
+    let layout = f.layout().to_vec();
+    resolve_trivial_phis_in(f, &layout) > 0
 }
 
 /// Thread `P → E → T` to `P → T` when `E` contains only a `br` (no phis).
 fn thread_empty_blocks(f: &mut Function) -> bool {
     let mut changed = false;
-    // One predecessor map per scan, refreshed only after a successful
-    // thread (the map is stale from then on); candidates between
-    // mutations see exactly what a fresh recompute would produce.
+    // One predecessor map per scan, kept current by hand: threading `E`
+    // away moves `E`'s predecessors onto `T` and touches no other list.
+    // Each list stays in layout order of the predecessors, as a recompute
+    // would build it — the order `T`'s phis gain their incomings in.
     let mut preds = f.predecessors();
-    for e in f.layout().to_vec() {
+    let layout = f.layout().to_vec();
+    let mut position: SecondaryMap<BlockId, usize> = SecondaryMap::new();
+    for (at, &b) in layout.iter().enumerate() {
+        position.set(b, at);
+    }
+    for e in layout {
         if e == f.entry() {
             continue;
         }
@@ -136,7 +139,10 @@ fn thread_empty_blocks(f: &mut Function) -> bool {
         }
         f.remove_block(e);
         changed = true;
-        preds = f.predecessors();
+        let t_preds = &mut preds[target.index()];
+        t_preds.retain(|p| *p != e);
+        t_preds.extend(e_preds);
+        t_preds.sort_by_key(|p| *position.get(*p));
     }
     changed
 }
@@ -145,50 +151,55 @@ fn thread_empty_blocks(f: &mut Function) -> bool {
 /// predecessor.
 fn merge_straightline_pairs(f: &mut Function) -> bool {
     let mut changed = false;
-    loop {
-        let preds = f.predecessors();
-        let mut merged = false;
-        for b in f.layout().to_vec() {
-            if !f.is_linked(b) {
-                continue;
-            }
+    // One forward scan. Merging `S` into `B` changes no other block's
+    // successor count and no block's predecessor count (`S`'s successors
+    // trade `S` for `B`), so a block that could not merge before still
+    // cannot: only `B` itself is worth another look, which is the block a
+    // scan restarted from the top would stop at next.
+    let mut preds = f.predecessors();
+    let mut gone: EntitySet<BlockId> = EntitySet::new();
+    for b in f.layout().to_vec() {
+        if gone.contains(b) {
+            continue;
+        }
+        loop {
             let succs = f.successors(b);
             if succs.len() != 1 {
-                continue;
+                break;
             }
             let s = succs[0];
             if s == b || s == f.entry() {
-                continue;
+                break;
             }
             if preds[s.index()].len() != 1 {
-                continue;
+                break;
             }
             // Double edge (condbr with both targets == s) is already
             // excluded: successors() would report len 2.
             // Resolve S's phis (single incoming) first.
-            resolve_trivial_phis(f, s);
+            resolve_trivial_phis_in(f, &[s]);
             if !f.phis(s).is_empty() {
-                continue; // shouldn't happen; be safe
+                break; // shouldn't happen; be safe
             }
             // Drop B's terminator, splice S's instructions.
             let bt = f.terminator(b).expect("terminator");
             f.unlink_inst(b, bt);
-            let s_insts = f.block(s).insts.clone();
-            f.block_mut(s).insts.clear();
+            let s_insts = std::mem::take(&mut f.block_mut(s).insts);
             f.block_mut(b).insts.extend(s_insts);
             // S's successors' phis now come from B.
             for succ in f.successors(b) {
                 for phi in f.phis(succ) {
                     f.inst_mut(phi).kind.replace_block(s, b);
                 }
+                for p in &mut preds[succ.index()] {
+                    if *p == s {
+                        *p = b;
+                    }
+                }
             }
             f.remove_block(s);
-            merged = true;
+            gone.insert(s);
             changed = true;
-            break; // preds map is stale; restart scan
-        }
-        if !merged {
-            break;
         }
     }
     changed
@@ -282,9 +293,156 @@ mod tests {
         assert!(SimplifyCfg::default().run(&mut f));
         uu_ir::verify_function(&f).unwrap_or_else(|er| panic!("{er}\n{f}"));
         // fwd is gone; entry branches straight to j.
-        assert!(!f.is_linked(fwd));
+        assert!(!f.layout().contains(&fwd));
         let succs = f.successors(f.entry());
         assert!(succs.contains(&j));
+    }
+
+    /// The merge as it was before it stopped restarting: recompute the
+    /// predecessors and rescan from the top of the layout after every merge.
+    fn merge_restarting(f: &mut Function) {
+        loop {
+            let preds = f.predecessors();
+            let candidate = f.layout().iter().copied().find(|&b| {
+                let succs = f.successors(b);
+                succs.len() == 1
+                    && succs[0] != b
+                    && succs[0] != f.entry()
+                    && preds[succs[0].index()].len() == 1
+            });
+            let Some(b) = candidate else { return };
+            let s = f.successors(b)[0];
+            resolve_trivial_phis_in(f, &[s]);
+            let bt = f.terminator(b).unwrap();
+            f.unlink_inst(b, bt);
+            let s_insts = std::mem::take(&mut f.block_mut(s).insts);
+            f.block_mut(b).insts.extend(s_insts);
+            for succ in f.successors(b) {
+                for phi in f.phis(succ) {
+                    f.inst_mut(phi).kind.replace_block(s, b);
+                }
+            }
+            f.remove_block(s);
+        }
+    }
+
+    /// entry → (x → y → z | side) → join: a three-block chain, a trivial
+    /// phi in its middle and a real one after its tail, with the chain laid
+    /// out after everything else in the order `layout` gives.
+    fn three_chain(layout: [usize; 3]) -> Function {
+        let mut f = uu_ir::Function::new(
+            "t",
+            vec![Param::new("c", Type::I1), Param::new("p", Type::Ptr)],
+            Type::I64,
+        );
+        let e = f.entry();
+        let mut b = FunctionBuilder::new(&mut f);
+        let chain = [b.create_block(), b.create_block(), b.create_block()];
+        let [x, y, z] = chain;
+        let side = b.create_block();
+        let join = b.create_block();
+        b.switch_to(e);
+        b.cond_br(Value::Arg(0), x, side);
+        b.switch_to(x);
+        let v = b.load(Type::I64, Value::Arg(1));
+        b.br(y);
+        b.switch_to(y);
+        let from_x = b.phi(Type::I64);
+        b.add_phi_incoming(from_x, x, v);
+        let w = b.add(from_x, Value::imm(1i64));
+        b.br(z);
+        b.switch_to(z);
+        b.store(Value::Arg(1), w);
+        b.br(join);
+        b.switch_to(side);
+        b.br(join);
+        b.switch_to(join);
+        let out = b.phi(Type::I64);
+        b.add_phi_incoming(out, z, w);
+        b.add_phi_incoming(out, side, Value::imm(0i64));
+        b.ret(Some(out));
+        for ix in layout {
+            f.move_block_to_end(chain[ix]);
+        }
+        f
+    }
+
+    #[test]
+    fn merging_without_restarts_performs_the_restarting_merge_sequence() {
+        // Head first, head last (x merges blocks laid out before it), tail
+        // last with the middle first.
+        for layout in [[0, 1, 2], [1, 2, 0], [1, 0, 2], [2, 1, 0]] {
+            let f = three_chain(layout);
+            uu_ir::verify_function(&f).unwrap();
+            let (mut scanned, mut restarted) = (f.clone(), f.clone());
+            assert!(merge_straightline_pairs(&mut scanned));
+            merge_restarting(&mut restarted);
+            assert!(
+                scanned == restarted,
+                "layout {layout:?}:\n{scanned}\n---\n{restarted}"
+            );
+            uu_ir::verify_function(&scanned).unwrap_or_else(|er| panic!("{er}\n{scanned}"));
+            // x swallowed y and z and now feeds the join's phi itself.
+            let x = BlockId::from_index(1);
+            assert_eq!(scanned.num_blocks(), 4);
+            assert_eq!(scanned.block(x).insts.len(), 4);
+            assert!(scanned.predecessors()[5].contains(&x));
+        }
+    }
+
+    #[test]
+    fn threading_two_forwarders_keeps_phi_incomings_in_predecessor_layout_order() {
+        // a, b, c reach t through forwarders: b → e1 → e2 → t, a → e2,
+        // c → e2; d reaches t directly. Threading e1 moves b onto e2
+        // *between* a and c, and threading e2 then hands t's phi one
+        // incoming per predecessor in that order.
+        let mut f = uu_ir::Function::new(
+            "t",
+            vec![
+                Param::new("c0", Type::I1),
+                Param::new("c1", Type::I1),
+                Param::new("c2", Type::I1),
+            ],
+            Type::I64,
+        );
+        let entry = f.entry();
+        let mut bld = FunctionBuilder::new(&mut f);
+        let n1 = bld.create_block();
+        let n2 = bld.create_block();
+        let [a, b, c, d] = [(); 4].map(|()| bld.create_block());
+        let e1 = bld.create_block();
+        let e2 = bld.create_block();
+        let t = bld.create_block();
+        bld.switch_to(entry);
+        bld.cond_br(Value::Arg(0), a, n1);
+        bld.switch_to(n1);
+        bld.cond_br(Value::Arg(1), b, n2);
+        bld.switch_to(n2);
+        bld.cond_br(Value::Arg(2), c, d);
+        // Non-empty, so that only e1 and e2 are forwarders.
+        for (block, target) in [(a, e2), (b, e1), (c, e2), (d, t)] {
+            bld.switch_to(block);
+            bld.add(Value::Arg(0), Value::Arg(1));
+            bld.br(target);
+        }
+        bld.switch_to(e1);
+        bld.br(e2);
+        bld.switch_to(e2);
+        bld.br(t);
+        bld.switch_to(t);
+        let phi = bld.phi(Type::I64);
+        bld.add_phi_incoming(phi, e2, Value::imm(7i64));
+        bld.add_phi_incoming(phi, d, Value::imm(9i64));
+        bld.ret(Some(phi));
+        uu_ir::verify_function(&f).unwrap();
+        assert!(thread_empty_blocks(&mut f));
+        uu_ir::verify_function(&f).unwrap_or_else(|er| panic!("{er}\n{f}"));
+        let (seven, nine) = (Value::imm(7i64), Value::imm(9i64));
+        let InstKind::Phi { incomings } = &f.inst(f.phis(t)[0]).kind else {
+            unreachable!()
+        };
+        assert_eq!(*incomings, [(d, nine), (a, seven), (b, seven), (c, seven)]);
+        assert_eq!(f.predecessors()[t.index()], [a, b, c, d]);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! Inner loops are treated as *super-nodes*: they are never torn apart, but
 //! are duplicated wholesale when they sit on a duplicated path.
 
-use crate::clone::{add_phi_incomings_for_clone, clone_region, resolve_trivial_phis};
-use uu_analysis::{DomTree, LoopForest};
+use crate::clone::{add_phi_incomings_for_clone, clone_region, resolve_trivial_phis_in};
+use uu_analysis::LoopForest;
 use uu_ir::{BlockId, EntitySet, Function, InstKind, SecondaryMap};
 
 /// How far unmerging cascades.
@@ -69,12 +69,14 @@ pub struct UnmergeStats {
 
 /// Unmerge the control flow inside the loop headed at `header`.
 ///
-/// `blocks` is the loop's block set (from a fresh loop analysis; after
-/// unrolling, pass the unrolled loop's full set). The header itself is never
-/// duplicated. Returns statistics; a loop whose body has no merges is left
-/// untouched (`nodes_duplicated == 0`), matching the paper's early return.
+/// `forest` is a loop analysis of `f` as it stands and `blocks` the loop's
+/// block set from it (after unrolling, the unrolled loop's full set). The
+/// header itself is never duplicated. Returns statistics; a loop whose body
+/// has no merges is left untouched (`nodes_duplicated == 0`), matching the
+/// paper's early return.
 pub fn unmerge_loop(
     f: &mut Function,
+    forest: &LoopForest,
     header: BlockId,
     blocks: &[BlockId],
     options: UnmergeOptions,
@@ -84,14 +86,15 @@ pub fn unmerge_loop(
 
     // Super-node assignment: blocks of inner loops collapse onto the header
     // of the outermost inner loop (within this loop).
-    let dom = DomTree::compute(f);
-    let forest = LoopForest::compute(f, &dom);
     let this_loop = forest
         .loops()
         .iter()
         .position(|l| l.header == header)
         .map(uu_analysis::LoopId);
     let mut group_of: SecondaryMap<BlockId, Option<BlockId>> = SecondaryMap::new();
+    // The blocks of each super-node, keyed on its representative, in
+    // `blocks` order.
+    let mut groups: SecondaryMap<BlockId, Vec<BlockId>> = SecondaryMap::new();
     for &b in blocks {
         let mut rep = b;
         if let Some(this) = this_loop {
@@ -111,6 +114,7 @@ pub fn unmerge_loop(
             }
         }
         group_of.set(b, Some(rep));
+        groups.get_mut(rep).push(b);
     }
 
     // Topological order of super-nodes along the body DAG (back edges to the
@@ -129,9 +133,19 @@ pub fn unmerge_loop(
         original_pred_sets.set(n, Some(in_loop_preds(&preds_now, n, &group_of)));
     }
 
+    // Blocks that cannot hold a use of a value a later node defines: the
+    // groups the walk has reached and every clone made so far (see
+    // `repair_ssa_after_clone`).
+    let mut upstream: EntitySet<BlockId> = EntitySet::new();
     for &node in &topo {
         if node == header {
             continue;
+        }
+        // Blocks of this super-node. Its own repair scan leaves them out as
+        // one of the two copies, so they can join `upstream` right away.
+        let group = std::mem::take(groups.get_mut(node));
+        for &g in &group {
+            upstream.insert(g);
         }
         if options.mode == UnmergeMode::DirectSuccessor && !original_merges.contains(node) {
             continue;
@@ -154,15 +168,9 @@ pub fn unmerge_loop(
         if incoming.len() < 2 {
             continue;
         }
-        // Blocks of this super-node.
-        let group: Vec<BlockId> = blocks
-            .iter()
-            .copied()
-            .filter(|&b| *group_of.get(b) == Some(node))
-            .collect();
         stats.nodes_duplicated += 1;
         // Keep the first predecessor on the original; clone for the rest.
-        let mut clone_entries: Vec<BlockId> = Vec::new();
+        let mut entries: Vec<BlockId> = vec![node];
         for &p in &incoming[1..] {
             if f.num_blocks() + group.len() > options.max_blocks {
                 stats.hit_limit = true;
@@ -179,7 +187,7 @@ pub fn unmerge_loop(
             // now-trivial phis is deferred until the whole node is done:
             // successor-phi patching and SSA repair read the clone values.
             let centry = map.map_block(node);
-            clone_entries.push(centry);
+            entries.push(centry);
             let clone_blocks: EntitySet<BlockId> = map.cloned_blocks().collect();
             for phi in f.phis(centry) {
                 if let InstKind::Phi { incomings } = &mut f.inst_mut(phi).kind {
@@ -198,16 +206,17 @@ pub fn unmerge_loop(
                     add_phi_incomings_for_clone(f, s, g, &map);
                 }
             }
+            for c in map.cloned_blocks() {
+                upstream.insert(c);
+            }
             // Values defined in the group and used downstream (outside the
             // group and the clone, other than through successor phis) now
             // have two definitions; rewire those uses through fresh phis.
-            repair_ssa_after_clone(f, &group, &map);
+            repair_ssa_after_clone(f, &group, &map, &upstream);
         }
         // Blocks left with a single predecessor: their phis become trivial.
-        resolve_trivial_phis(f, node);
-        for c in clone_entries {
-            resolve_trivial_phis(f, c);
-        }
+        // One use-rewrite for the node and all its clones.
+        resolve_trivial_phis_in(f, &entries);
     }
     stats
 }
@@ -245,111 +254,139 @@ fn in_loop_preds(
 /// Uses that are phi incomings *from inside* either copy were already fixed
 /// by [`add_phi_incomings_for_clone`]; only uses whose site lies strictly
 /// outside both copies are repaired here.
+///
+/// The outside uses of all the group's values are found in one scan, which
+/// leaves out the `upstream` blocks: the two copies themselves, the groups
+/// earlier in the topological walk and the clones made before this one. A
+/// use site is dominated by its definition, hence reached from the header
+/// only through this group; an earlier group is reached without it, and so
+/// is an earlier clone, which hangs off a predecessor of an earlier group or
+/// of this one. Phi incomings labelled with such a block are no use sites
+/// either, for the same reason. The header, the later groups and everything
+/// outside the loop are scanned.
 fn repair_ssa_after_clone(
     f: &mut Function,
     group: &[BlockId],
     map: &crate::clone::CloneMap,
+    upstream: &EntitySet<BlockId>,
 ) {
-    use uu_ir::{Inst, Value};
+    use uu_ir::{Inst, InstId, Value};
     let clone_set: EntitySet<BlockId> = map.cloned_blocks().collect();
     let group_set: EntitySet<BlockId> = group.iter().copied().collect();
     let outside = |b: BlockId| !group_set.contains(b) && !clone_set.contains(b);
-
+    let mut group_values: EntitySet<InstId> = EntitySet::new();
     for &g in group {
-        for v in f.block(g).insts.clone() {
-            let ty = f.inst(v).ty;
-            if ty == uu_ir::Type::Void {
-                continue;
+        for &v in &f.block(g).insts {
+            if f.inst(v).ty != uu_ir::Type::Void {
+                group_values.insert(v);
             }
-            // Collect outside uses: (user, site, Some(pred) for phi uses).
-            let mut uses: Vec<(uu_ir::InstId, BlockId, Option<BlockId>)> = Vec::new();
-            for &ub in f.layout() {
-                if !outside(ub) {
-                    continue;
-                }
-                for &u in &f.block(ub).insts {
-                    match &f.inst(u).kind {
-                        InstKind::Phi { incomings } => {
-                            for (p, val) in incomings {
-                                if *val == Value::Inst(v) && outside(*p) {
-                                    uses.push((u, *p, Some(*p)));
-                                }
-                            }
-                        }
-                        k => {
-                            let mut used = false;
-                            k.for_each_operand(|x| {
-                                if *x == Value::Inst(v) {
-                                    used = true;
-                                }
-                            });
-                            if used {
-                                uses.push((u, ub, None));
+        }
+    }
+
+    // Outside uses as (value, user, site, Some(pred) for phi uses), in
+    // layout and program order; the stable sort keeps that order per value.
+    let mut uses: Vec<(InstId, InstId, BlockId, Option<BlockId>)> = Vec::new();
+    for &ub in f.layout() {
+        if upstream.contains(ub) {
+            continue;
+        }
+        for &u in &f.block(ub).insts {
+            match &f.inst(u).kind {
+                InstKind::Phi { incomings } => {
+                    for (p, val) in incomings {
+                        if let Value::Inst(v) = *val {
+                            if group_values.contains(v) && outside(*p) {
+                                uses.push((v, u, *p, Some(*p)));
                             }
                         }
                     }
                 }
+                k => {
+                    let first = uses.len();
+                    k.for_each_operand(|x| {
+                        if let Value::Inst(v) = *x {
+                            if group_values.contains(v)
+                                && !uses[first..].iter().any(|seen| seen.0 == v)
+                            {
+                                uses.push((v, u, ub, None));
+                            }
+                        }
+                    });
+                }
             }
-            if uses.is_empty() {
+        }
+    }
+    if uses.is_empty() {
+        return;
+    }
+    uses.sort_by_key(|u| u.0);
+    let preds = f.predecessors();
+
+    // Value available at the end of `b` (SSA-updater walk).
+    fn value_at_end(
+        f: &mut Function,
+        preds: &[Vec<BlockId>],
+        defs: &SecondaryMap<BlockId, Option<Value>>,
+        memo: &mut SecondaryMap<BlockId, Option<Value>>,
+        ty: uu_ir::Type,
+        b: BlockId,
+    ) -> Value {
+        if let Some(v) = *defs.get(b) {
+            return v;
+        }
+        if let Some(v) = *memo.get(b) {
+            return v;
+        }
+        let ps = &preds[b.index()];
+        if ps.is_empty() {
+            // Entry reached: only possible for IR that was already
+            // invalid (use not dominated by def). Keep the original.
+            debug_assert!(false, "SSA repair walked past the entry");
+            return defs
+                .iter()
+                .find_map(|(_, v)| *v)
+                .expect("at least one def");
+        }
+        if ps.len() == 1 {
+            let v = value_at_end(f, preds, defs, memo, ty, ps[0]);
+            memo.set(b, Some(v));
+            return v;
+        }
+        // Merge point (or entry, which valid IR never reaches):
+        // insert a phi, memoize it first to break cycles.
+        let phi = f.prepend_inst(b, Inst::new(InstKind::Phi { incomings: vec![] }, ty));
+        memo.set(b, Some(Value::Inst(phi)));
+        let mut incomings = Vec::new();
+        let mut seen = Vec::new();
+        for &p in ps {
+            if seen.contains(&p) {
                 continue;
             }
+            seen.push(p);
+            let pv = value_at_end(f, preds, defs, memo, ty, p);
+            incomings.push((p, pv));
+        }
+        if let InstKind::Phi { incomings: inc } = &mut f.inst_mut(phi).kind {
+            *inc = incomings;
+        }
+        Value::Inst(phi)
+    }
+
+    // Values in group and program order, so the phis are created in the
+    // order (and with the ids) a scan per value would create them in.
+    for &g in group {
+        for v in f.block(g).insts.clone() {
+            let from = uses.partition_point(|u| u.0 < v);
+            let to = uses.partition_point(|u| u.0 <= v);
+            if from == to {
+                continue;
+            }
+            let ty = f.inst(v).ty;
             let mut defs: SecondaryMap<BlockId, Option<Value>> = SecondaryMap::new();
             defs.set(g, Some(Value::Inst(v)));
             defs.set(map.map_block(g), Some(map.map_value(Value::Inst(v))));
             let mut memo: SecondaryMap<BlockId, Option<Value>> = SecondaryMap::new();
-            let preds = f.predecessors();
-
-            // Value available at the end of `b` (SSA-updater walk).
-            fn value_at_end(
-                f: &mut Function,
-                preds: &[Vec<BlockId>],
-                defs: &SecondaryMap<BlockId, Option<Value>>,
-                memo: &mut SecondaryMap<BlockId, Option<Value>>,
-                ty: uu_ir::Type,
-                b: BlockId,
-            ) -> Value {
-                if let Some(v) = *defs.get(b) {
-                    return v;
-                }
-                if let Some(v) = *memo.get(b) {
-                    return v;
-                }
-                let ps = &preds[b.index()];
-                if ps.is_empty() {
-                    // Entry reached: only possible for IR that was already
-                    // invalid (use not dominated by def). Keep the original.
-                    debug_assert!(false, "SSA repair walked past the entry");
-                    return defs
-                        .iter()
-                        .find_map(|(_, v)| *v)
-                        .expect("at least one def");
-                }
-                if ps.len() == 1 {
-                    let v = value_at_end(f, preds, defs, memo, ty, ps[0]);
-                    memo.set(b, Some(v));
-                    return v;
-                }
-                // Merge point (or entry, which valid IR never reaches):
-                // insert a phi, memoize it first to break cycles.
-                let phi = f.prepend_inst(b, Inst::new(InstKind::Phi { incomings: vec![] }, ty));
-                memo.set(b, Some(Value::Inst(phi)));
-                let mut incomings = Vec::new();
-                let mut seen = Vec::new();
-                for &p in ps {
-                    if seen.contains(&p) {
-                        continue;
-                    }
-                    seen.push(p);
-                    let pv = value_at_end(f, preds, defs, memo, ty, p);
-                    incomings.push((p, pv));
-                }
-                if let InstKind::Phi { incomings: inc } = &mut f.inst_mut(phi).kind {
-                    *inc = incomings;
-                }
-                Value::Inst(phi)
-            }
-
-            for (user, site, phi_pred) in uses {
+            for &(_, user, site, phi_pred) in &uses[from..to] {
                 let repl = value_at_end(f, &preds, &defs, &mut memo, ty, site);
                 if repl == Value::Inst(v) {
                     continue;
@@ -507,7 +544,13 @@ mod tests {
         let forest = LF::compute(&f, &dom);
         let l = forest.get(LoopId(0)).clone();
         let before = f.num_blocks();
-        let stats = unmerge_loop(&mut f, l.header, &l.blocks, UnmergeOptions::default());
+        let stats = unmerge_loop(
+            &mut f,
+            &forest,
+            l.header,
+            &l.blocks,
+            UnmergeOptions::default(),
+        );
         uu_ir::verify_function(&f).unwrap_or_else(|e| panic!("{e}\n{f}"));
         assert_eq!(stats.nodes_duplicated, 1);
         assert_eq!(stats.blocks_cloned, 1);
@@ -534,7 +577,13 @@ mod tests {
         let forest = LF::compute(&f, &dom);
         let l = forest.get(LoopId(0)).clone();
         let before = f.num_blocks();
-        let stats = unmerge_loop(&mut f, l.header, &l.blocks, UnmergeOptions::default());
+        let stats = unmerge_loop(
+            &mut f,
+            &forest,
+            l.header,
+            &l.blocks,
+            UnmergeOptions::default(),
+        );
         assert_eq!(stats.nodes_duplicated, 0);
         assert_eq!(f.num_blocks(), before);
     }
@@ -609,6 +658,7 @@ mod tests {
             let l = forest.get(LoopId(0)).clone();
             unmerge_loop(
                 f,
+                &forest,
                 l.header,
                 &l.blocks,
                 UnmergeOptions {
@@ -652,6 +702,7 @@ mod tests {
         let cap = f.num_blocks() + 2;
         let stats = unmerge_loop(
             &mut f,
+            &forest,
             l.header,
             &l.blocks,
             UnmergeOptions {

@@ -12,7 +12,7 @@
 //! obtained by unrolling `trip_count + 1` times and letting SCCP prove the
 //! remaining back edge dead; see `baseline_unroll`.
 
-use crate::clone::{add_phi_incomings_for_clone, clone_region, resolve_trivial_phis, CloneMap};
+use crate::clone::{add_phi_incomings_for_clone, clone_region, resolve_trivial_phis_in, CloneMap};
 use crate::loopsimplify::{canonicalize_loop, CanonicalLoop};
 use std::collections::HashSet;
 use uu_ir::{BlockId, Function, InstKind, Value};
@@ -171,9 +171,8 @@ pub fn unroll_canonical(f: &mut Function, cl: CanonicalLoop, factor: u32) -> Unr
 
     // Now resolve the copies' single-incoming header phis, in copy order so
     // that chains through other header phis substitute transitively.
-    for k in 1..u {
-        resolve_trivial_phis(f, map_block(&copies, k, header));
-    }
+    let copy_headers: Vec<BlockId> = (1..u).map(|k| map_block(&copies, k, header)).collect();
+    resolve_trivial_phis_in(f, &copy_headers);
 
     // Collect all blocks.
     let mut all_blocks: Vec<BlockId> = cl.blocks.clone();

@@ -105,7 +105,7 @@ pub fn uu_loop(f: &mut Function, header: BlockId, opts: &UuOptions) -> UuOutcome
         let forest = LoopForest::compute(f, &dom);
         if let Some(ilid) = find_loop(&forest, ih) {
             let il = forest.get(ilid).clone();
-            let st = unmerge_loop(f, il.header, &il.blocks, opts.unmerge);
+            let st = unmerge_loop(f, &forest, il.header, &il.blocks, opts.unmerge);
             merge_stats(&mut outcome.unmerge, st);
         }
     }
@@ -136,7 +136,7 @@ pub fn uu_loop(f: &mut Function, header: BlockId, opts: &UuOptions) -> UuOutcome
     let forest = LoopForest::compute(f, &dom);
     if let Some(lid) = find_loop(&forest, header) {
         let l = forest.get(lid).clone();
-        let st = unmerge_loop(f, l.header, &l.blocks, opts.unmerge);
+        let st = unmerge_loop(f, &forest, l.header, &l.blocks, opts.unmerge);
         merge_stats(&mut outcome.unmerge, st);
     }
 

@@ -141,6 +141,116 @@ fn golden_uu2() {
     assert_golden("uu2", &f.to_string());
 }
 
+/// An outer loop whose body diamond merges at an *inner loop*: the inner
+/// loop (header, two arms, a latch that merges them and exits do-while
+/// style) is one multi-block super-node, duplicated wholesale for the
+/// diamond's second arm. Values the inner header and latch define are used
+/// in the outer latch, so the SSA repair walks back through the group's own
+/// merge blocks to place its phis.
+fn supernode_subject() -> Function {
+    let mut f = Function::new(
+        "supernode",
+        vec![
+            Param::new("n", Type::I64),
+            Param::new("k", Type::I64),
+            Param::new("out", Type::Ptr),
+        ],
+        Type::Void,
+    );
+    let entry = f.entry();
+    let mut b = FunctionBuilder::new(&mut f);
+    let h = b.create_block();
+    let body = b.create_block();
+    let x = b.create_block();
+    let y = b.create_block();
+    let ih = b.create_block();
+    let ia = b.create_block();
+    let ib = b.create_block();
+    let il = b.create_block();
+    let latch = b.create_block();
+    let exit = b.create_block();
+    b.switch_to(entry);
+    b.br(h);
+    b.switch_to(h);
+    let i = b.phi(Type::I64);
+    let acc = b.phi(Type::I64);
+    b.add_phi_incoming(i, entry, Value::imm(0i64));
+    b.add_phi_incoming(acc, entry, Value::imm(0i64));
+    let more = b.icmp(ICmpPred::Slt, i, Value::Arg(0));
+    b.cond_br(more, body, exit);
+    b.switch_to(body);
+    let odd = b.and(i, Value::imm(1i64));
+    let c = b.icmp(ICmpPred::Ne, odd, Value::imm(0i64));
+    b.cond_br(c, x, y);
+    b.switch_to(x);
+    let sx = b.add(acc, Value::Arg(1));
+    b.br(ih);
+    b.switch_to(y);
+    let sy = b.sub(acc, Value::Arg(1));
+    b.br(ih);
+    b.switch_to(ih);
+    let j = b.phi(Type::I64);
+    let s = b.phi(Type::I64);
+    b.add_phi_incoming(j, x, Value::imm(0i64));
+    b.add_phi_incoming(j, y, Value::imm(1i64));
+    b.add_phi_incoming(s, x, sx);
+    b.add_phi_incoming(s, y, sy);
+    let twice = b.add(s, s);
+    let big = b.icmp(ICmpPred::Sgt, twice, Value::imm(100i64));
+    b.cond_br(big, ia, ib);
+    b.switch_to(ia);
+    let sa = b.sub(twice, Value::imm(100i64));
+    b.br(il);
+    b.switch_to(ib);
+    let sb = b.add(twice, j);
+    b.br(il);
+    b.switch_to(il);
+    let sm = b.phi(Type::I64);
+    b.add_phi_incoming(sm, ia, sa);
+    b.add_phi_incoming(sm, ib, sb);
+    let j1 = b.add(j, Value::imm(1i64));
+    b.add_phi_incoming(j, il, j1);
+    b.add_phi_incoming(s, il, sm);
+    let again = b.icmp(ICmpPred::Slt, j1, Value::imm(3i64));
+    b.cond_br(again, ih, latch);
+    b.switch_to(latch);
+    let mixed = b.add(sm, twice);
+    let acc1 = b.add(mixed, j1);
+    let i1 = b.add(i, Value::imm(1i64));
+    b.add_phi_incoming(i, latch, i1);
+    b.add_phi_incoming(acc, latch, acc1);
+    b.br(h);
+    b.switch_to(exit);
+    b.store(Value::Arg(2), acc);
+    b.ret(None);
+    f
+}
+
+/// Unmerge-only u&u over the outer loop of [`supernode_subject`]: the inner
+/// loop is unmerged first, then duplicated as one super-node.
+#[test]
+fn golden_unmerge_supernode() {
+    let mut f = supernode_subject();
+    uu_ir::verify_function(&f).unwrap();
+    let h = f.layout()[1];
+    let blocks = f.num_blocks();
+    let out = uu_loop(
+        &mut f,
+        h,
+        &UuOptions {
+            factor: 1,
+            ..Default::default()
+        },
+    );
+    uu_ir::verify_function(&f).unwrap_or_else(|e| panic!("{e}\n{f}"));
+    // The inner latch once inside the inner loop, then the whole inner loop
+    // (five blocks by then) once for the diamond's second arm, and the
+    // outer latch once per inner-loop exit per copy.
+    assert_eq!(out.unmerge.nodes_duplicated, 3);
+    assert_eq!(f.num_blocks(), blocks + out.unmerge.blocks_cloned);
+    assert_golden("unmerge-supernode", &f.to_string());
+}
+
 #[test]
 fn golden_sccp() {
     snapshot_pass("sccp", Sccp);

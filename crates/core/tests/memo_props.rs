@@ -65,21 +65,12 @@ fn point(transform: Transform, filter: LoopFilter) -> PipelineOptions {
 /// The compiles a sweep and a study make for `b`: baseline, heuristic,
 /// every hot loop under every sweep and study configuration, and the
 /// first two cold loops under the sweep configurations.
-///
-/// The factor-4 and factor-8 points spend their time in the one function
-/// the transform changed, which the memo never sees, and a second hot loop
-/// adds little the first does not show; an unoptimised test build leaves
-/// both out (thirteen minutes otherwise) and ci.sh walks the whole matrix
-/// in a release build.
 fn matrix(b: &Benchmark) -> Vec<(String, PipelineOptions)> {
     let sweep = sweep_configs();
     let mut configs = sweep.clone();
     configs.extend(study_configs());
     configs.sort_by_key(|c| c.0);
     configs.dedup_by_key(|c| c.0);
-    if cfg!(debug_assertions) {
-        configs.retain(|(name, _)| !name.contains(['4', '8']));
-    }
     let mut out = vec![
         ("baseline".to_string(), point(Transform::Baseline, LoopFilter::All)),
         (
@@ -87,12 +78,11 @@ fn matrix(b: &Benchmark) -> Vec<(String, PipelineOptions)> {
             point(Transform::UuHeuristic(HeuristicOptions::default()), LoopFilter::All),
         ),
     ];
-    let (mut hot_seen, mut cold_seen) = (0, 0);
+    let mut cold_seen = 0;
     for l in loop_list(b) {
         let hot = b.info.hot_kernels.contains(&l.func.as_str());
-        let seen = if hot { &mut hot_seen } else { &mut cold_seen };
-        *seen += 1;
-        if (hot && cfg!(debug_assertions) && *seen > 1) || (!hot && *seen > 2) {
+        cold_seen += !hot as usize;
+        if !hot && cold_seen > 2 {
             continue;
         }
         for (name, transform) in &configs {

@@ -9,6 +9,7 @@ use uu_core::opt::{
     condprop::CondProp, dce::Dce, gvn::Gvn, instsimplify::InstSimplify, sccp::Sccp,
     simplifycfg::SimplifyCfg, Pass,
 };
+use uu_ir::Value;
 
 /// Run every cleanup pass over a snapshot-armed copy of the kernel and roll
 /// each one back; the function must print identically to the pristine
@@ -83,6 +84,50 @@ fn snapshot_rollback_spans_multiple_passes() {
                 return Err(format!(
                     "compound rollback did not restore.\nexpected:\n{reference}\ngot:\n{f}"
                 ));
+            }
+            Ok(())
+        },
+    );
+}
+
+/// The batched use-rewrite journals every slot it touches: after a cleanup
+/// round has left unlinked slots behind, one `replace_uses_with` over a
+/// third of the values rolls back to the exact pre-image — compared as
+/// whole functions, so the unlinked slots count — and commits to what the
+/// same substitutions leave one `replace_all_uses` at a time.
+#[test]
+fn batched_use_rewrite_rolls_back_to_the_exact_pre_image() {
+    check(
+        "batched_use_rewrite_rolls_back_to_the_exact_pre_image",
+        &Config::from_env(48),
+        |spec: &KernelSpec| {
+            let mut pristine = build_kernel(spec);
+            let _ = SimplifyCfg::default().run(&mut pristine);
+            let _ = Sccp.run(&mut pristine);
+            let picked = |v: Value| match v {
+                Value::Inst(i) if i.index() % 3 == 0 => Some(Value::Arg(2)),
+                _ => None,
+            };
+            let mut f = pristine.clone();
+            f.snapshot_begin();
+            f.replace_uses_with(picked);
+            let rewritten = f.clone();
+            f.snapshot_rollback();
+            if f != pristine {
+                return Err(format!(
+                    "rollback did not restore the function.\nexpected:\n{pristine:?}\ngot:\n{f:?}"
+                ));
+            }
+            let mut one_by_one = pristine.clone();
+            for ix in (0..pristine.num_inst_slots()).step_by(3) {
+                let from = Value::Inst(uu_ir::InstId::from_index(ix));
+                one_by_one.replace_all_uses(from, Value::Arg(2));
+            }
+            if rewritten != one_by_one {
+                return Err("the batched rewrite and the one-by-one rewrite differ".into());
+            }
+            if rewritten == pristine {
+                return Err("the substitution touched nothing".into());
             }
             Ok(())
         },

@@ -67,6 +67,9 @@ fn main() {
     match cmd {
         "table1" | "fig6a" | "fig6b" | "fig6c" | "fig6" | "fig7" | "fig8a" | "fig8b"
         | "fig8" | "all" => {
+            if only.is_some() {
+                refuse_to_clobber(&out, benches.len());
+            }
             let cache = uu_serve::CompileCache::from_env();
             let remote = uu_serve::Remote::from_env();
             let backend = uu_harness::Backend {
@@ -127,6 +130,9 @@ fn main() {
         "study" | "fig9" | "table2" => {
             // The three-way unmerge/meld study (hot loops only; identical
             // in fast and full runs, byte-identical at any UU_JOBS).
+            if only.is_some() {
+                refuse_to_clobber(&out, benches.len());
+            }
             let cache = uu_serve::CompileCache::from_env();
             let remote = uu_serve::Remote::from_env();
             eprintln!(
@@ -338,6 +344,34 @@ fn main() {
             std::process::exit(2);
         }
     }
+}
+
+/// A `--bench`-filtered run renders its reports for the filtered
+/// applications only, and `--out` defaults to the committed `results/`: if
+/// `<out>/table1.csv` lists more applications than this run covers, say
+/// what is at stake and exit 2 before anything runs.
+fn refuse_to_clobber(out: &Path, benches: usize) {
+    let Ok(table1) = std::fs::read_to_string(out.join("table1.csv")) else {
+        return;
+    };
+    let rows = table1.lines().skip(1).filter(|l| !l.is_empty()).count();
+    if rows <= benches {
+        return;
+    }
+    let mut files: Vec<String> = std::fs::read_dir(out)
+        .into_iter()
+        .flatten()
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect();
+    files.sort();
+    eprintln!(
+        "refusing to run: {} holds reports for {rows} applications and this --bench run \
+         covers {benches}; it would overwrite them ({}). Pass --out DIR to keep them.",
+        out.display(),
+        files.join(", ")
+    );
+    std::process::exit(2);
 }
 
 /// After a batch run, surface the caches' stats on stderr (reports on

@@ -384,20 +384,37 @@ impl Function {
         }
     }
 
-    /// Replace every use of `from` with `to` across all linked instructions.
+    /// Replace every use of `from` with `to` in every arena slot, linked or
+    /// not (see [`Function::replace_uses_with`]).
     pub fn replace_all_uses(&mut self, from: Value, to: Value) {
+        self.replace_uses_with(|v| (v == from).then_some(to));
+    }
+
+    /// Apply a whole substitution in one sweep of the instruction arena:
+    /// every operand `v` with `subst(v) == Some(to)` becomes `to`.
+    ///
+    /// The sweep covers *every* arena slot, unlinked ones included —
+    /// `Function: PartialEq` and [`crate::hash::function_fingerprint`] read
+    /// the whole arena, so what an unlinked slot holds is observable. The
+    /// substitution is applied once, not to a fixpoint: callers with chains
+    /// (`a → b`, `b → c`) resolve them before calling. While a snapshot is
+    /// armed, each slot the sweep rewrites has its pre-image journaled
+    /// first, exactly as a mutation through [`Function::inst_mut`] would.
+    pub fn replace_uses_with(&mut self, subst: impl Fn(Value) -> Option<Value>) {
         for ix in 0..self.insts.len() {
             // Journal the pre-image before the first in-place rewrite.
             if self.journal.active {
                 let mut uses = false;
-                self.insts[ix].kind.for_each_operand(|v| uses |= *v == from);
+                self.insts[ix]
+                    .kind
+                    .for_each_operand(|v| uses |= subst(*v).is_some());
                 if !uses {
                     continue;
                 }
                 self.journal.save_inst(ix, &self.insts);
             }
             self.insts[ix].kind.for_each_operand_mut(|v| {
-                if *v == from {
+                if let Some(to) = subst(*v) {
                     *v = to;
                 }
             });
@@ -624,6 +641,33 @@ mod tests {
             }
             _ => unreachable!(),
         }
+    }
+
+    #[test]
+    fn replace_uses_with_sweeps_unlinked_slots_and_rolls_back() {
+        let mut f = branchy();
+        let join = BlockId::from_index(3);
+        let phi = f.phis(join)[0];
+        let ret = f.terminator(join).unwrap();
+        // An unlinked slot is still part of the function's identity.
+        f.unlink_inst(join, ret);
+        let before = f.clone();
+        f.snapshot_begin();
+        f.replace_uses_with(|v| match v {
+            Value::Inst(i) if i == phi => Some(Value::Arg(0)),
+            Value::Const(_) => Some(Value::imm(5i64)),
+            _ => None,
+        });
+        let InstKind::Ret { value } = f.inst(ret).kind else {
+            unreachable!()
+        };
+        assert_eq!(value, Some(Value::Arg(0)), "the unlinked ret was swept");
+        let InstKind::Phi { incomings } = &f.inst(phi).kind else {
+            unreachable!()
+        };
+        assert!(incomings.iter().all(|(_, v)| *v == Value::imm(5i64)));
+        f.snapshot_rollback();
+        assert!(f == before);
     }
 
     #[test]
