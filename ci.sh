@@ -282,12 +282,9 @@ UU_SIMT_ENGINE=verify-uniform UU_BENCH_APPS=bezier-surface,quicksort \
   UU_BENCH_DIR="$PWD/target/ci/uu-bench-vu" \
   cargo bench -q --offline -p uu-bench --bench sim > /dev/null
 ./target/release/uu-jsonck target/ci/uu-bench-vu/BENCH_sim.json
-# The committed trajectory artifact at the repo root must stay parseable.
-./target/release/uu-jsonck BENCH_sim.json
 
 echo "== compile throughput bench smoke + BENCH_compile.json well-formedness =="
-# One app keeps the smoke fast; the committed full-matrix trajectory in
-# BENCH_compile.json is validated alongside the freshly generated JSON.
+# One app keeps the smoke fast.
 # Dense side-tables and delta snapshots must never reach report bytes:
 # the engine-identity rung above already diffed results-fast/, so this
 # rung only needs the bench artifacts to be well-formed. The bench clears
@@ -298,7 +295,6 @@ UU_BENCH_APPS=bezier-surface UU_BENCH_SAMPLES=3 UU_BENCH_WARMUP_MS=20 \
   UU_BENCH_DIR="$PWD/target/ci/uu-bench" \
   cargo bench -q --offline -p uu-bench --bench compile > /dev/null
 ./target/release/uu-jsonck target/ci/uu-bench/BENCH_compile.json
-./target/release/uu-jsonck BENCH_compile.json
 
 echo "== e2ebench smoke: the benchmark package must build and run against this tree =="
 # e2ebench/ is a workspace of its own, so nothing above compiles it: a

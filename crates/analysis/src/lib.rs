@@ -50,6 +50,7 @@
 //! assert_eq!(loops.loops()[0].header, h);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cache;

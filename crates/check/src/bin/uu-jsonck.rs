@@ -2,7 +2,8 @@
 //!
 //! Usage: `uu-jsonck FILE...` — validates each file, printing a verdict per
 //! file; exits non-zero if any file is missing or malformed. CI uses it to
-//! gate generated reports (e.g. `BENCH_sim.json`) without external tooling.
+//! gate generated reports (e.g. `target/uu-bench/BENCH_sim.json`) without
+//! external tooling.
 
 use std::process::ExitCode;
 

@@ -1,6 +1,6 @@
 //! A zero-dependency JSON well-formedness checker (RFC 8259 grammar, no
 //! value tree built), used by CI to assert that generated reports such as
-//! `BENCH_sim.json` are parseable before anything downstream consumes them.
+//! `target/uu-bench/BENCH_sim.json` are parseable before anything downstream consumes them.
 
 /// Validate that `text` is exactly one well-formed JSON value (with
 /// optional surrounding whitespace).

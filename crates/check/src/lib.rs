@@ -27,6 +27,7 @@
 //!   pass and write a replayable crash-report artifact (the native
 //!   `-opt-bisect-limit` + `CrashRecoveryContext` workflow).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bench;

@@ -62,6 +62,7 @@
 //! uu_ir::verify_function(&f).unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod baseline_unroll;

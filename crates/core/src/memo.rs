@@ -140,7 +140,7 @@ pub fn compile_memo_clear() {
 
 /// This thread's compile-memo `(hits, misses, bypassed)` counters, one
 /// count per function per compile: found and replayed, looked up and run
-/// for real, or run without a lookup (unguarded, bisected or fault-armed
+/// for real, or run without a lookup (bisected or fault-armed
 /// compile, or a function the transform changed).
 pub fn compile_memo_stats() -> (u64, u64, u64) {
     MEMO.with(|m| {

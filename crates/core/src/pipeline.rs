@@ -39,7 +39,7 @@
 //! counter, log and clock a real run drives — the [`CompileOutcome`] is the
 //! one a memo-less compile returns, wall time aside. Compiles whose
 //! invocation indices are addressed from outside (a pass-level fault plan,
-//! an opt-bisect limit) and unguarded compiles do not touch the memo.
+//! an opt-bisect limit) do not touch the memo.
 
 use crate::baseline_unroll::{baseline_unroll, BaselineUnrollOptions};
 use crate::heuristic::{run_heuristic, HeuristicOptions, LoopDecision};
@@ -145,11 +145,6 @@ pub struct PipelineOptions {
     /// clock (see [`WORK_PER_MS`]), not wall time, so whether a
     /// configuration times out is a pure function of the input.
     pub timeout: Option<Duration>,
-    /// Guard every pass invocation with `catch_unwind` + snapshot +
-    /// post-pass verification, walking the degradation ladder on failure.
-    /// On (the default) for every production path; turning it off
-    /// reproduces the old abort-on-first-failure behaviour for debugging.
-    pub guard: bool,
     /// Deterministic fault-injection plan (see [`FaultPlan`]); `None` in
     /// production. [`FaultKind::Mem`] plans are ignored here — they target
     /// the simulator and are armed by the harness.
@@ -170,7 +165,6 @@ impl Default for PipelineOptions {
             max_rounds: 8,
             baseline_unroll: BaselineUnrollOptions::default(),
             timeout: None,
-            guard: true,
             fault: None,
             bisect_limit: None,
         }
@@ -221,9 +215,9 @@ pub struct PassTiming {
 /// **Frozen.** The constant feeds [`pipeline_fingerprint`] and every
 /// committed report, so it must NOT track later optimizer speedups (the
 /// dense side-tables and cached analyses roughly halved real wall time
-/// per work unit). The measured calibration lives in `BENCH_compile.json`
-/// as `units_per_ms`, re-measured by `cargo bench -p uu-bench --bench
-/// compile`; the report clock stays fixed so the corpus stays comparable.
+/// per work unit). `cargo bench -p uu-bench --bench compile` prints the
+/// measured calibration as `units_per_ms`; the report clock stays fixed so
+/// the corpus stays comparable.
 pub const WORK_PER_MS: f64 = 100.0;
 
 /// Every pass the pipeline can invoke, with a per-pass version counter.
@@ -347,7 +341,6 @@ struct Ctx {
     work_budget: Option<u64>,
     timed_out: bool,
     // Recovery state.
-    guard: bool,
     fault: Option<FaultPlan>,
     bisect_limit: Option<u64>,
     counter: u64,
@@ -358,14 +351,13 @@ struct Ctx {
     /// `(pass, work)` of the invocations since a memo miss armed it.
     trace: Option<Vec<(&'static str, u64)>>,
     /// Whether this compile may consult the function memo at all. Off
-    /// without guarding (there is no snapshot to move a hit's input into),
     /// under an opt-bisect limit and under a pass-level fault plan: both
     /// address invocations by index *inside* a function's run, which a
     /// replay does not execute.
     memo: bool,
     /// Per function: the caller's input, kept from just before the
-    /// function's first mutation (guarded compiles only) — what the
-    /// `module-verify` last rung restores.
+    /// function's first mutation — what the `module-verify` last rung
+    /// restores.
     originals: Vec<Option<Function>>,
     /// Per function: whether a transform invocation changed it.
     transformed: Vec<bool>,
@@ -381,7 +373,6 @@ impl Ctx {
                 .timeout
                 .map(|t| (t.as_secs_f64() * 1e3 * WORK_PER_MS) as u64),
             timed_out: false,
-            guard: opts.guard,
             fault: opts.fault,
             bisect_limit: opts.bisect_limit,
             counter: 0,
@@ -389,19 +380,16 @@ impl Ctx {
             failures: Vec::new(),
             fn_name: Arc::from(""),
             trace: None,
-            memo: opts.guard
-                && opts.bisect_limit.is_none()
+            memo: opts.bisect_limit.is_none()
                 && opts.fault.is_none_or(|p| p.kind == FaultKind::Mem),
-            originals: vec![None; if opts.guard { num_functions } else { 0 }],
+            originals: vec![None; num_functions],
             transformed: vec![false; num_functions],
         }
     }
 
     /// Keep `f` as function `id`'s original unless one is kept already.
     fn keep_original(&mut self, id: FuncId, f: &Function) {
-        if let Some(slot @ None) = self.originals.get_mut(id.index()) {
-            *slot = Some(f.clone());
-        }
+        self.originals[id.index()].get_or_insert_with(|| f.clone());
     }
 
     /// Append one executed invocation to the opt-bisect log.
@@ -457,12 +445,6 @@ impl Ctx {
         self.log(index, name, f);
         let fault = self.fault.filter(|p| p.at == index);
         let t0 = Instant::now();
-
-        if !self.guard {
-            let changed = body(f);
-            self.record(name, t0.elapsed(), uu_analysis::cost::function_size(f));
-            return changed;
-        }
 
         // Arm the in-place undo journal instead of cloning the whole
         // function: first writes record pre-images, and rollback restores
@@ -543,10 +525,10 @@ impl Ctx {
 
 /// Compile (optimize) a module under the given configuration.
 ///
-/// Never panics on pass misbehaviour when [`PipelineOptions::guard`] is
-/// set (the default): failures are contained, rolled back, and reported
-/// through [`CompileOutcome::failures`] / [`CompileOutcome::rung`], with
-/// the whole-module verdict in [`CompileOutcome::verify_error`].
+/// Never panics on pass misbehaviour: failures are contained, rolled back,
+/// and reported through [`CompileOutcome::failures`] /
+/// [`CompileOutcome::rung`], with the whole-module verdict in
+/// [`CompileOutcome::verify_error`].
 pub fn compile(m: &mut Module, opts: &PipelineOptions) -> CompileOutcome {
     let mut ctx = Ctx::new(opts, m.num_functions());
     let mut decisions = Vec::new();
@@ -576,7 +558,7 @@ pub fn compile(m: &mut Module, opts: &PipelineOptions) -> CompileOutcome {
         Rung::DroppedPass
     };
     let mut verify_error = uu_ir::verify_module(m).err().map(|e| e.to_string());
-    if let (Some(err), true) = (&verify_error, opts.guard) {
+    if let Some(err) = &verify_error {
         // Last rung: the recovered module still does not verify (a pass
         // corrupted a function while reporting no change, slipping past
         // the on-change check). Restore the caller's input verbatim: every
@@ -1042,28 +1024,6 @@ mod tests {
             assert_eq!(a, b);
             assert!(a.0 > 0, "compiling must cost work");
         }
-    }
-
-    #[test]
-    fn guarding_does_not_change_the_compile_clock() {
-        // The checked-in results were produced on the modeled clock; the
-        // guards must not perturb it on the happy path.
-        let run = |guard: bool| {
-            let mut m = branchy_module();
-            compile(
-                &mut m,
-                &PipelineOptions {
-                    transform: Transform::Uu {
-                        factor: 4,
-                        unmerge: UnmergeOptions::default(),
-                    },
-                    guard,
-                    ..Default::default()
-                },
-            )
-            .work
-        };
-        assert_eq!(run(true), run(false));
     }
 
     #[test]

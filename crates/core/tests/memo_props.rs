@@ -233,10 +233,6 @@ fn fault_plans_and_bisect_limits_bypass_the_memo() {
         bisect_limit: Some(0),
         ..clean.clone()
     });
-    plans.push(PipelineOptions {
-        guard: false,
-        ..clean.clone()
-    });
 
     // Cold: nothing to find, and a bypassed compile stores nothing either.
     compile_memo_clear();
@@ -256,10 +252,9 @@ fn fault_plans_and_bisect_limits_bypass_the_memo() {
         let warm = run(b.build, opts);
         assert!(
             warm == *cold,
-            "fault {:?} limit {:?} guard {}: warm != cold\n{warm}\n---\n{cold}",
+            "fault {:?} limit {:?}: warm != cold\n{warm}\n---\n{cold}",
             opts.fault,
-            opts.bisect_limit,
-            opts.guard
+            opts.bisect_limit
         );
     }
     let (hits, misses, bypassed) = compile_memo_stats();

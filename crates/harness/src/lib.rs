@@ -24,6 +24,7 @@
 //! module runs the three-way unmerge/meld comparison (u&u vs DARM-style
 //! melding vs both) rendered as `fig9` / `table2`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiment;

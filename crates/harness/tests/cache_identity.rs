@@ -4,10 +4,12 @@
 //! struct, so Debug-comparing the structs (which renders f64s at full
 //! round-trip precision) is equivalent to diffing the report bytes.
 
+use uu_harness::experiment::workload_tag;
 use uu_harness::sweep::Sweep;
 use uu_harness::{run_study_backed, run_sweep_backed, Backend};
 use uu_kernels::{all_benchmarks, Benchmark};
 use uu_serve::CompileCache;
+use uu_simt::ExecEngine;
 
 fn benches() -> Vec<Benchmark> {
     all_benchmarks()
@@ -51,6 +53,19 @@ fn cached_sweep_is_identical_to_cacheless_at_any_jobs() {
         st.run_misses,
         "warm pass must re-serve exactly the cold pass's run lookups: {st:?}"
     );
+}
+
+/// The run key names the engine the simulator actually runs — taken from
+/// `GpuParams`, not from a second read of the environment — and leaves the
+/// slot empty for the default engine, so existing run artifacts keep their
+/// keys.
+#[test]
+fn run_key_tag_names_the_engine_that_runs() {
+    let bench = &benches()[0];
+    let tag = |engine| workload_tag(bench, engine, None);
+    assert!(tag(ExecEngine::Decoded).ends_with("||"));
+    assert!(tag(ExecEngine::Reference).ends_with("|reference|"));
+    assert!(tag(ExecEngine::ReferenceVerifyUniform).ends_with("|verify-uniform|"));
 }
 
 #[test]

@@ -3,11 +3,15 @@
 //! This module is the single source of truth for the *evaluation semantics*
 //! of pure instructions: the optimizer's SCCP pass and the SIMT simulator
 //! both delegate here, so a folded program cannot diverge from an executed
-//! one.
+//! one. The arithmetic itself lives in [`crate::word`], on tagged machine
+//! words; the `fold_*` functions are its `Constant`-level entry points
+//! (`encode → core → decode`), and the simulator's decoded engine calls
+//! the same cores on its register words directly.
 
 use crate::constant::Constant;
 use crate::inst::{BinOp, CastOp, FCmpPred, ICmpPred, Inst, InstKind, Intrinsic};
 use crate::types::Type;
+use crate::word::{self, decode, encode};
 
 /// Evaluate a binary operation over two constants.
 ///
@@ -16,181 +20,25 @@ use crate::types::Type;
 /// leave it undefined).
 #[inline]
 pub fn fold_bin(op: BinOp, lhs: Constant, rhs: Constant) -> Option<Constant> {
-    if op.is_float() {
-        let a = lhs.as_f64()?;
-        let b = rhs.as_f64()?;
-        let r = match op {
-            BinOp::FAdd => a + b,
-            BinOp::FSub => a - b,
-            BinOp::FMul => a * b,
-            BinOp::FDiv => a / b,
-            _ => unreachable!(),
-        };
-        return Some(match lhs.ty() {
-            Type::F32 => Constant::f32(r as f32),
-            _ => Constant::f64(r),
-        });
-    }
-    let a = lhs.as_i64()?;
-    let b = rhs.as_i64()?;
-    let ty = lhs.ty();
-    let wrap = |v: i64| -> Constant {
-        match ty {
-            Type::I1 => Constant::I1(v & 1 != 0),
-            Type::I32 => Constant::I32(v as i32),
-            _ => Constant::I64(v),
-        }
-    };
-    let bits = ty.int_bits().unwrap_or(64);
-    let umask = if bits == 64 { u64::MAX } else { (1u64 << bits) - 1 };
-    let ua = (a as u64) & umask;
-    let ub = (b as u64) & umask;
-    let shamt = (ub % bits as u64) as u32;
-    let r = match op {
-        BinOp::Add => a.wrapping_add(b),
-        BinOp::Sub => a.wrapping_sub(b),
-        BinOp::Mul => a.wrapping_mul(b),
-        BinOp::SDiv => {
-            if b == 0 {
-                0
-            } else {
-                a.wrapping_div(b)
-            }
-        }
-        BinOp::UDiv => {
-            if ub == 0 {
-                0
-            } else {
-                (ua / ub) as i64
-            }
-        }
-        BinOp::SRem => {
-            if b == 0 {
-                0
-            } else {
-                a.wrapping_rem(b)
-            }
-        }
-        BinOp::URem => {
-            if ub == 0 {
-                0
-            } else {
-                (ua % ub) as i64
-            }
-        }
-        BinOp::Shl => ((ua << shamt) & umask) as i64,
-        BinOp::LShr => (ua >> shamt) as i64,
-        BinOp::AShr => match ty {
-            Type::I32 => ((a as i32) >> shamt) as i64,
-            _ => a >> shamt,
-        },
-        BinOp::And => a & b,
-        BinOp::Or => a | b,
-        BinOp::Xor => a ^ b,
-        _ => unreachable!(),
-    };
-    Some(wrap(r))
+    word::bin(op, encode(lhs), encode(rhs)).map(decode)
 }
 
 /// Evaluate an integer comparison over two constants.
 #[inline]
 pub fn fold_icmp(pred: ICmpPred, lhs: Constant, rhs: Constant) -> Option<Constant> {
-    let a = lhs.as_i64()?;
-    let b = rhs.as_i64()?;
-    let bits = lhs.ty().int_bits().unwrap_or(64);
-    let umask = if bits == 64 { u64::MAX } else { (1u64 << bits) - 1 };
-    let ua = (a as u64) & umask;
-    let ub = (b as u64) & umask;
-    let r = match pred {
-        ICmpPred::Eq => a == b,
-        ICmpPred::Ne => a != b,
-        ICmpPred::Slt => a < b,
-        ICmpPred::Sle => a <= b,
-        ICmpPred::Sgt => a > b,
-        ICmpPred::Sge => a >= b,
-        ICmpPred::Ult => ua < ub,
-        ICmpPred::Ule => ua <= ub,
-        ICmpPred::Ugt => ua > ub,
-        ICmpPred::Uge => ua >= ub,
-    };
-    Some(Constant::I1(r))
+    word::icmp(pred, encode(lhs), encode(rhs)).map(decode)
 }
 
 /// Evaluate a float comparison over two constants.
 #[inline]
 pub fn fold_fcmp(pred: FCmpPred, lhs: Constant, rhs: Constant) -> Option<Constant> {
-    let a = lhs.as_f64()?;
-    let b = rhs.as_f64()?;
-    let r = match pred {
-        FCmpPred::Oeq => a == b,
-        FCmpPred::Une => a != b || a.is_nan() || b.is_nan(),
-        FCmpPred::Olt => a < b,
-        FCmpPred::Ole => a <= b,
-        FCmpPred::Ogt => a > b,
-        FCmpPred::Oge => a >= b,
-    };
-    Some(Constant::I1(r))
+    word::fcmp(pred, encode(lhs), encode(rhs)).map(decode)
 }
 
 /// Evaluate a cast over a constant, producing a value of `to` type.
 #[inline]
 pub fn fold_cast(op: CastOp, value: Constant, to: Type) -> Option<Constant> {
-    match op {
-        CastOp::Sext => {
-            let v = value.as_i64()?;
-            // `as_i64` already sign-extends I32/I1 (I1 true == 1, which for
-            // sext semantics should become -1; LLVM sext i1 true == -1).
-            let v = if value.ty() == Type::I1 && v == 1 { -1 } else { v };
-            Some(match to {
-                Type::I32 => Constant::I32(v as i32),
-                _ => Constant::I64(v),
-            })
-        }
-        CastOp::Zext => {
-            let v = value.as_i64()?;
-            let bits = value.ty().int_bits()?;
-            let umask = if bits == 64 { u64::MAX } else { (1u64 << bits) - 1 };
-            let v = ((v as u64) & umask) as i64;
-            Some(match to {
-                Type::I32 => Constant::I32(v as i32),
-                _ => Constant::I64(v),
-            })
-        }
-        CastOp::Trunc => {
-            let v = value.as_i64()?;
-            Some(match to {
-                Type::I1 => Constant::I1(v & 1 != 0),
-                Type::I32 => Constant::I32(v as i32),
-                _ => Constant::I64(v),
-            })
-        }
-        CastOp::SiToFp => {
-            let v = value.as_i64()?;
-            Some(match to {
-                Type::F32 => Constant::f32(v as f32),
-                _ => Constant::f64(v as f64),
-            })
-        }
-        CastOp::FpToSi => {
-            let v = value.as_f64()?;
-            let v = if v.is_nan() { 0.0 } else { v };
-            Some(match to {
-                Type::I32 => Constant::I32(v as i32),
-                _ => Constant::I64(v as i64),
-            })
-        }
-        CastOp::FpCast => {
-            let v = value.as_f64()?;
-            Some(match to {
-                Type::F32 => Constant::f32(v as f32),
-                _ => Constant::f64(v),
-            })
-        }
-        CastOp::IntToPtr | CastOp::PtrToInt => {
-            let v = value.as_i64()?;
-            Some(Constant::I64(v))
-        }
-    }
+    word::cast(op, encode(value), to).map(decode)
 }
 
 /// Evaluate a pure math intrinsic over constant arguments.
@@ -199,39 +47,13 @@ pub fn fold_cast(op: CastOp, value: Constant, to: Type) -> Option<Constant> {
 /// depend on execution context.
 #[inline]
 pub fn fold_intrinsic(which: Intrinsic, args: &[Constant], ty: Type) -> Option<Constant> {
-    let f = |v: f64| -> Constant {
-        match ty {
-            Type::F32 => Constant::f32(v as f32),
-            _ => Constant::f64(v),
-        }
-    };
-    match which {
-        Intrinsic::Sqrt => Some(f(args.first()?.as_f64()?.sqrt())),
-        Intrinsic::Fabs => Some(f(args.first()?.as_f64()?.abs())),
-        Intrinsic::Exp => Some(f(args.first()?.as_f64()?.exp())),
-        Intrinsic::Log => Some(f(args.first()?.as_f64()?.ln())),
-        Intrinsic::Sin => Some(f(args.first()?.as_f64()?.sin())),
-        Intrinsic::Cos => Some(f(args.first()?.as_f64()?.cos())),
-        Intrinsic::FMin => Some(f(args.first()?.as_f64()?.min(args.get(1)?.as_f64()?))),
-        Intrinsic::FMax => Some(f(args.first()?.as_f64()?.max(args.get(1)?.as_f64()?))),
-        Intrinsic::SMin => {
-            let a = args.first()?.as_i64()?;
-            let b = args.get(1)?.as_i64()?;
-            Some(match ty {
-                Type::I32 => Constant::I32(a.min(b) as i32),
-                _ => Constant::I64(a.min(b)),
-            })
-        }
-        Intrinsic::SMax => {
-            let a = args.first()?.as_i64()?;
-            let b = args.get(1)?.as_i64()?;
-            Some(match ty {
-                Type::I32 => Constant::I32(a.max(b) as i32),
-                _ => Constant::I64(a.max(b)),
-            })
-        }
-        _ => None,
+    // No foldable intrinsic reads past its second argument.
+    let mut words = [(word::TAG_UNDEF, 0); 2];
+    let n = args.len().min(words.len());
+    for (w, &a) in words.iter_mut().zip(args) {
+        *w = encode(a);
     }
+    word::intrinsic(which, &words[..n], ty).map(decode)
 }
 
 /// Fold a whole instruction if every operand is constant.

@@ -45,11 +45,13 @@
 //!   invalidating references.
 //! * [`fold`] is the single source of truth for evaluation semantics; the
 //!   optimizer and the SIMT simulator both call into it, so constant folding
-//!   can never disagree with execution.
+//!   can never disagree with execution. Its arithmetic lives once, in
+//!   [`word`], on the tagged machine words the simulator's registers hold.
 //! * [`verify_function`] checks block structure, phi/predecessor agreement,
 //!   types and SSA dominance; every transform in `uu-core` is verified after
 //!   application in tests.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod builder;
@@ -65,6 +67,7 @@ pub mod printer;
 pub mod table;
 mod types;
 mod verify;
+pub mod word;
 
 pub use builder::FunctionBuilder;
 pub use constant::Constant;

@@ -19,6 +19,7 @@
 //! * a host↔device transfer volume, from which the harness derives the
 //!   Table I `%C` (time in compute kernels) via a PCIe model.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aux;

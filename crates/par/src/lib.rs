@@ -40,6 +40,7 @@
 //!   defaults to [`std::thread::available_parallelism`]. `UU_JOBS=1`
 //!   reproduces serial behaviour exactly.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod pool;

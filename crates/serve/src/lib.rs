@@ -17,7 +17,7 @@
 //! * the canonical config is the `Debug` rendering of
 //!   [`uu_core::PipelineOptions`] — every field that can change a
 //!   compile's output is part of the key (transform, filter, position,
-//!   rounds, thresholds, timeout, guard, fault plan, bisect limit);
+//!   rounds, thresholds, timeout, fault plan, bisect limit);
 //! * the pipeline-version fingerprint is
 //!   [`uu_core::pipeline_fingerprint`] — bumping any pass version in
 //!   [`uu_core::PASS_VERSIONS`] invalidates every cached artifact.
@@ -39,8 +39,9 @@
 //!
 //! Observability follows the typed-stats idiom: [`CacheStats`] is a
 //! versioned struct with hit/miss/latency/rung counters, rendered as
-//! stable JSON (`stats` protocol verb, `BENCH_serve.json`).
+//! stable JSON (`stats` protocol verb).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod artifact;

@@ -26,12 +26,13 @@
 //! The same module pools the per-launch [`Scratch`] and [`SectorSet`] so
 //! steady-state launches allocate nothing before the first warp runs.
 
-use crate::decode::{encode, DecodedKernel, Scratch};
+use crate::decode::{DecodedKernel, Scratch};
 use crate::memory::SectorSet;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 use uu_analysis::{PostDomTree, Uniformity};
+use uu_ir::word::encode;
 use uu_ir::{function_fingerprint, Constant, Function};
 
 /// Cached decodes before the cache is wholesale-cleared. Sized well above

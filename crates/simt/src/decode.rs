@@ -1,4 +1,5 @@
-//! Decode-once warp execution engine with warp-uniform scalarization.
+//! Decode-once warp execution engine with warp-uniform scalarization:
+//! lowering and superblock formation.
 //!
 //! The reference interpreter ([`crate::Warp`]) walks the `Function` arena
 //! for every dynamic instruction of every warp: it re-fetches and clones
@@ -9,15 +10,16 @@
 //! runs the *same* function over hundreds of warps, this module instead
 //! lowers the function once per launch into a dense [`DecodedKernel`]:
 //!
-//! * contiguous per-block instruction arrays ([`DInst`]) with the issue
+//! * contiguous per-block instruction arrays (`DInst`) with the issue
 //!   cost and metrics class precomputed;
-//! * operands pre-resolved to [`Operand`] — an encoded constant (kernel
+//! * operands pre-resolved to `Operand` — an encoded constant (kernel
 //!   arguments are baked in, since a decode is per launch) or a compact
 //!   register slot (no arena lookups at run time);
-//! * registers hold raw 64-bit payloads plus a one-byte runtime type tag
-//!   instead of `Option<Constant>`, and evaluation mirrors the
-//!   [`uu_ir::fold`] semantics directly on those words — no enum boxing
-//!   or unboxing per lane;
+//! * registers hold [`uu_ir::word`] tagged words — a raw 64-bit payload
+//!   plus a one-byte runtime type tag — instead of `Option<Constant>`, and
+//!   evaluation calls the `uu_ir::word` arithmetic cores (the ones
+//!   [`uu_ir::fold`] wraps) directly on them: no enum boxing or unboxing
+//!   per lane, and no second copy of the semantics;
 //! * phi incomings pre-indexed by predecessor position, so a phi read is
 //!   one table lookup instead of a list search;
 //! * **warp-uniform scalarization**: values `uu_analysis::Uniformity`
@@ -25,12 +27,13 @@
 //!   evaluated once per warp instead of once per lane.
 //!
 //! All warps of a launch share the decoded kernel immutably; the mutable
-//! per-warp state lives in a [`Scratch`] that is reused across warps
-//! without reallocation.
+//! per-warp state lives in a [`crate::Scratch`] that is reused across warps
+//! without reallocation. Execution (`DecodedKernel::run_warp`) lives in
+//! the sibling `run` module.
 //!
 //! On top of the per-instruction lowering, decode builds **superblocks**:
 //! an unconditional branch to a single-predecessor, phi-free block is
-//! rewritten into a fall-through ([`DOp::Fall`]), so a straight-line chain
+//! rewritten into a fall-through (`DOp::Fall`), so a straight-line chain
 //! of blocks becomes one contiguous `DInst` stream executed without
 //! bouncing through the dispatch loop. This is sound because such a
 //! target can never be a reconvergence point: a frame's reconvergence
@@ -40,447 +43,38 @@
 //! stream, so entering mid-chain (from a branch or reconvergence) stays
 //! well-defined. Within a stream, maximal runs of pure vector-register
 //! instructions are dispatched as a unit — step-budget and metrics
-//! bookkeeping amortize over the run — and every vector instruction is
+//! bookkeeping amortize over the run — and every pure instruction is
 //! evaluated warp-at-a-time by `eval_warp`, which hoists the opcode and
-//! operand dispatch out of the lane loop: one [`Operand`] resolution per
-//! operand per instruction (`Src`), then a tight ascending-lane loop of
-//! loads, arithmetic, and stores.
+//! operand dispatch out of the lane loop: one `Operand` resolution per
+//! operand per instruction, then a tight ascending-lane loop of loads,
+//! arithmetic, and stores.
 //!
 //! Decoding itself is cached across launches — see [`crate::cache`].
 //!
 //! The engine is observationally identical to the reference interpreter:
-//! same results, same [`Metrics`], same issue cycles, same memory access
-//! order (uniform loads/stores still perform one checked access per active
-//! lane, so fault injection counts match), same errors in the same order.
-//! The evaluation helpers below intentionally transliterate
-//! `uu_ir::fold::{fold_bin, fold_icmp, fold_fcmp, fold_cast,
-//! fold_intrinsic}` onto the tagged-word representation; the differential
-//! oracle (`tests/engine_differential.rs` and the uu-check corpus) pins
-//! the two engines together bit-for-bit. The only permitted difference is
-//! host speed.
+//! same results, same [`crate::Metrics`], same issue cycles, same memory
+//! access order (uniform loads/stores still perform one checked access per
+//! active lane, so fault injection counts match), same errors in the same
+//! order. Both engines evaluate through the one arithmetic core, so they
+//! cannot disagree on a value; the differential oracle
+//! (`tests/engine_differential.rs` and the uu-check corpus) pins
+//! everything around it — operand and error order, masks, metrics. The
+//! only permitted difference is host speed.
 
-use crate::exec::{classify, issue_cost, ExecError, WarpGeometry};
-use crate::memory::{GlobalMemory, SectorSet};
-use crate::metrics::{InstClass, Metrics};
-use crate::params::GpuParams;
+use crate::exec::{classify, issue_cost};
+use crate::metrics::InstClass;
 use uu_analysis::{PostDomTree, Uniformity};
+use uu_ir::word::{encode, TAG_I1};
 use uu_ir::{
-    BinOp, CastOp, Constant, FCmpPred, Function, ICmpPred, InstId, InstKind, Intrinsic, Type,
-    Value,
+    BinOp, CastOp, Constant, FCmpPred, Function, ICmpPred, InstId, InstKind, Intrinsic, Type, Value,
 };
+
+mod run;
+pub use run::Scratch;
 
 /// Reserved "no block" encoding for predecessor bookkeeping (the decoded
 /// replacement for the reference interpreter's old sentinel block id).
 const NO_BLOCK: u32 = u32::MAX;
-
-/// Runtime type tags of a register's current value. Tag 0 doubles as
-/// "undefined" — `Scratch::reset` zeroes the tag arrays and every write
-/// stores a real tag, so a zero tag is exactly a never-written register.
-const TAG_UNDEF: u8 = 0;
-const TAG_I1: u8 = 1;
-const TAG_I32: u8 = 2;
-const TAG_I64: u8 = 3;
-const TAG_F32: u8 = 4;
-const TAG_F64: u8 = 5;
-
-/// Encode a [`Constant`] as (tag, payload). Integers are stored
-/// sign-extended to `i64` (matching `Constant::as_i64`), floats as their
-/// raw bits, so the typed readers below are single moves. Also used by
-/// the decode cache to fingerprint constants.
-#[inline]
-pub(crate) fn encode(c: Constant) -> (u8, u64) {
-    match c {
-        Constant::I1(b) => (TAG_I1, b as u64),
-        Constant::I32(v) => (TAG_I32, v as i64 as u64),
-        Constant::I64(v) => (TAG_I64, v as u64),
-        Constant::F32Bits(b) => (TAG_F32, b as u64),
-        Constant::F64Bits(b) => (TAG_F64, b),
-    }
-}
-
-/// Decode (tag, payload) back into a [`Constant`]; the inverse of
-/// [`encode`], used on the slow edges (stores, load results).
-#[inline]
-fn decode_const(tag: u8, bits: u64) -> Constant {
-    match tag {
-        TAG_I1 => Constant::I1(bits != 0),
-        TAG_I32 => Constant::I32(bits as i64 as i32),
-        TAG_I64 => Constant::I64(bits as i64),
-        TAG_F32 => Constant::F32Bits(bits as u32),
-        TAG_F64 => Constant::F64Bits(bits),
-        _ => unreachable!("read of an undefined register is rejected earlier"),
-    }
-}
-
-/// Decode `width` raw little-endian bytes at `win[off..]` into the tagged
-/// word a load of type `ty` produces. Mirrors
-/// `GlobalMemory::read_scalar` + [`encode`] exactly.
-#[inline]
-fn decode_mem(ty: Type, win: &[u8], off: usize) -> (u8, u64) {
-    match ty {
-        Type::I1 => (TAG_I1, (win[off] != 0) as u64),
-        Type::I32 => (
-            TAG_I32,
-            i32::from_le_bytes(win[off..off + 4].try_into().unwrap()) as i64 as u64,
-        ),
-        Type::I64 | Type::Ptr => (
-            TAG_I64,
-            u64::from_le_bytes(win[off..off + 8].try_into().unwrap()),
-        ),
-        Type::F32 => (
-            TAG_F32,
-            u32::from_le_bytes(win[off..off + 4].try_into().unwrap()) as u64,
-        ),
-        Type::F64 => (
-            TAG_F64,
-            u64::from_le_bytes(win[off..off + 8].try_into().unwrap()),
-        ),
-        Type::Void => unreachable!("void loads are rejected by the verifier"),
-    }
-}
-
-/// `Constant::as_i64` on the tagged-word representation.
-#[inline]
-fn t_as_i64(tag: u8, bits: u64) -> Option<i64> {
-    if (TAG_I1..=TAG_I64).contains(&tag) {
-        Some(bits as i64)
-    } else {
-        None
-    }
-}
-
-/// `Constant::as_f64` on the tagged-word representation.
-#[inline]
-fn t_as_f64(tag: u8, bits: u64) -> Option<f64> {
-    match tag {
-        TAG_F32 => Some(f32::from_bits(bits as u32) as f64),
-        TAG_F64 => Some(f64::from_bits(bits)),
-        _ => None,
-    }
-}
-
-/// `Constant::as_bool` on the tagged-word representation.
-#[inline]
-fn t_as_bool(tag: u8, bits: u64) -> Option<bool> {
-    if tag == TAG_I1 {
-        Some(bits != 0)
-    } else {
-        None
-    }
-}
-
-/// `Type::int_bits` on a runtime tag.
-#[inline]
-fn t_int_bits(tag: u8) -> Option<u32> {
-    match tag {
-        TAG_I1 => Some(1),
-        TAG_I32 => Some(32),
-        TAG_I64 => Some(64),
-        _ => None,
-    }
-}
-
-// Scalar evaluation cores, shared by the once-per-warp scalar path
-// (`eval_pure`) and the warp-at-a-time vector path (`eval_warp`). Each
-// takes operands already read (so read-error order is the caller's
-// responsibility) and transliterates the corresponding `uu_ir::fold`
-// rule exactly; `bad` supplies the conversion-failure error.
-
-/// `fold_bin` on tagged words.
-#[inline(always)]
-fn bin_one(
-    op: BinOp,
-    ltag: u8,
-    lbits: u64,
-    rtag: u8,
-    rbits: u64,
-    bad: impl Fn() -> ExecError,
-) -> Result<(u8, u64), ExecError> {
-    if op.is_float() {
-        let x = t_as_f64(ltag, lbits).ok_or_else(&bad)?;
-        let y = t_as_f64(rtag, rbits).ok_or_else(&bad)?;
-        let r = match op {
-            BinOp::FAdd => x + y,
-            BinOp::FSub => x - y,
-            BinOp::FMul => x * y,
-            BinOp::FDiv => x / y,
-            _ => unreachable!(),
-        };
-        // fold_bin picks the result width from the lhs type.
-        return Ok(if ltag == TAG_F32 {
-            (TAG_F32, (r as f32).to_bits() as u64)
-        } else {
-            (TAG_F64, r.to_bits())
-        });
-    }
-    let x = t_as_i64(ltag, lbits).ok_or_else(&bad)?;
-    let y = t_as_i64(rtag, rbits).ok_or_else(&bad)?;
-    let bits = t_int_bits(ltag).unwrap_or(64);
-    let umask = if bits == 64 { u64::MAX } else { (1u64 << bits) - 1 };
-    let ua = (x as u64) & umask;
-    let ub = (y as u64) & umask;
-    let shamt = (ub % bits as u64) as u32;
-    let r = match op {
-        BinOp::Add => x.wrapping_add(y),
-        BinOp::Sub => x.wrapping_sub(y),
-        BinOp::Mul => x.wrapping_mul(y),
-        BinOp::SDiv => {
-            if y == 0 {
-                0
-            } else {
-                x.wrapping_div(y)
-            }
-        }
-        BinOp::UDiv => {
-            if ub == 0 {
-                0
-            } else {
-                (ua / ub) as i64
-            }
-        }
-        BinOp::SRem => {
-            if y == 0 {
-                0
-            } else {
-                x.wrapping_rem(y)
-            }
-        }
-        BinOp::URem => {
-            if ub == 0 {
-                0
-            } else {
-                (ua % ub) as i64
-            }
-        }
-        BinOp::Shl => ((ua << shamt) & umask) as i64,
-        BinOp::LShr => (ua >> shamt) as i64,
-        BinOp::AShr => match ltag {
-            TAG_I32 => ((x as i32) >> shamt) as i64,
-            _ => x >> shamt,
-        },
-        BinOp::And => x & y,
-        BinOp::Or => x | y,
-        BinOp::Xor => x ^ y,
-        _ => unreachable!(),
-    };
-    // fold_bin's `wrap`: truncate to the lhs width, stored sign-extended
-    // (the Constant encoding).
-    Ok(match ltag {
-        TAG_I1 => (TAG_I1, (r & 1 != 0) as u64),
-        TAG_I32 => (TAG_I32, r as i32 as i64 as u64),
-        _ => (TAG_I64, r as u64),
-    })
-}
-
-/// `fold_icmp` on tagged words.
-#[inline(always)]
-fn icmp_one(
-    pred: ICmpPred,
-    ltag: u8,
-    lbits: u64,
-    rtag: u8,
-    rbits: u64,
-    bad: impl Fn() -> ExecError,
-) -> Result<(u8, u64), ExecError> {
-    let x = t_as_i64(ltag, lbits).ok_or_else(&bad)?;
-    let y = t_as_i64(rtag, rbits).ok_or_else(&bad)?;
-    let bits = t_int_bits(ltag).unwrap_or(64);
-    let umask = if bits == 64 { u64::MAX } else { (1u64 << bits) - 1 };
-    let ua = (x as u64) & umask;
-    let ub = (y as u64) & umask;
-    let r = match pred {
-        ICmpPred::Eq => x == y,
-        ICmpPred::Ne => x != y,
-        ICmpPred::Slt => x < y,
-        ICmpPred::Sle => x <= y,
-        ICmpPred::Sgt => x > y,
-        ICmpPred::Sge => x >= y,
-        ICmpPred::Ult => ua < ub,
-        ICmpPred::Ule => ua <= ub,
-        ICmpPred::Ugt => ua > ub,
-        ICmpPred::Uge => ua >= ub,
-    };
-    Ok((TAG_I1, r as u64))
-}
-
-/// `fold_fcmp` on tagged words.
-#[inline(always)]
-fn fcmp_one(
-    pred: FCmpPred,
-    ltag: u8,
-    lbits: u64,
-    rtag: u8,
-    rbits: u64,
-    bad: impl Fn() -> ExecError,
-) -> Result<(u8, u64), ExecError> {
-    let x = t_as_f64(ltag, lbits).ok_or_else(&bad)?;
-    let y = t_as_f64(rtag, rbits).ok_or_else(&bad)?;
-    let r = match pred {
-        FCmpPred::Oeq => x == y,
-        FCmpPred::Une => x != y || x.is_nan() || y.is_nan(),
-        FCmpPred::Olt => x < y,
-        FCmpPred::Ole => x <= y,
-        FCmpPred::Ogt => x > y,
-        FCmpPred::Oge => x >= y,
-    };
-    Ok((TAG_I1, r as u64))
-}
-
-/// `fold_cast` on tagged words; `ty` is the cast target type.
-#[inline(always)]
-fn cast_one(
-    op: CastOp,
-    ty: Type,
-    vtag: u8,
-    vbits: u64,
-    bad: impl Fn() -> ExecError,
-) -> Result<(u8, u64), ExecError> {
-    match op {
-        CastOp::Sext => {
-            let x = t_as_i64(vtag, vbits).ok_or_else(&bad)?;
-            // LLVM sext i1 true == -1 (as_i64 gives +1).
-            let x = if vtag == TAG_I1 && x == 1 { -1 } else { x };
-            Ok(match ty {
-                Type::I32 => (TAG_I32, x as i32 as i64 as u64),
-                _ => (TAG_I64, x as u64),
-            })
-        }
-        CastOp::Zext => {
-            let x = t_as_i64(vtag, vbits).ok_or_else(&bad)?;
-            let bits = t_int_bits(vtag).ok_or_else(&bad)?;
-            let umask = if bits == 64 { u64::MAX } else { (1u64 << bits) - 1 };
-            let x = ((x as u64) & umask) as i64;
-            Ok(match ty {
-                Type::I32 => (TAG_I32, x as i32 as i64 as u64),
-                _ => (TAG_I64, x as u64),
-            })
-        }
-        CastOp::Trunc => {
-            let x = t_as_i64(vtag, vbits).ok_or_else(&bad)?;
-            Ok(match ty {
-                Type::I1 => (TAG_I1, (x & 1 != 0) as u64),
-                Type::I32 => (TAG_I32, x as i32 as i64 as u64),
-                _ => (TAG_I64, x as u64),
-            })
-        }
-        CastOp::SiToFp => {
-            let x = t_as_i64(vtag, vbits).ok_or_else(&bad)?;
-            Ok(match ty {
-                Type::F32 => (TAG_F32, (x as f32).to_bits() as u64),
-                _ => (TAG_F64, (x as f64).to_bits()),
-            })
-        }
-        CastOp::FpToSi => {
-            let x = t_as_f64(vtag, vbits).ok_or_else(&bad)?;
-            let x = if x.is_nan() { 0.0 } else { x };
-            Ok(match ty {
-                Type::I32 => (TAG_I32, x as i32 as i64 as u64),
-                _ => (TAG_I64, (x as i64) as u64),
-            })
-        }
-        CastOp::FpCast => {
-            let x = t_as_f64(vtag, vbits).ok_or_else(&bad)?;
-            Ok(match ty {
-                Type::F32 => (TAG_F32, (x as f32).to_bits() as u64),
-                _ => (TAG_F64, x.to_bits()),
-            })
-        }
-        CastOp::IntToPtr | CastOp::PtrToInt => {
-            let x = t_as_i64(vtag, vbits).ok_or_else(&bad)?;
-            Ok((TAG_I64, x as u64))
-        }
-    }
-}
-
-/// `fold_intrinsic` (the foldable math subset) on tagged words; `ty` is
-/// the result type, `vals[..n]` the already-read arguments.
-#[inline(always)]
-fn math_one(
-    which: Intrinsic,
-    vals: [(u8, u64); 2],
-    n: usize,
-    ty: Type,
-    bad: impl Fn() -> ExecError,
-) -> Result<(u8, u64), ExecError> {
-    // fold_intrinsic picks the result width from the instruction type.
-    let fout = |v: f64| -> (u8, u64) {
-        if ty == Type::F32 {
-            (TAG_F32, (v as f32).to_bits() as u64)
-        } else {
-            (TAG_F64, v.to_bits())
-        }
-    };
-    let farg = |k: usize| -> Option<f64> {
-        if k < n {
-            t_as_f64(vals[k].0, vals[k].1)
-        } else {
-            None
-        }
-    };
-    let iarg = |k: usize| -> Option<i64> {
-        if k < n {
-            t_as_i64(vals[k].0, vals[k].1)
-        } else {
-            None
-        }
-    };
-    match which {
-        Intrinsic::Sqrt => Ok(fout(farg(0).ok_or_else(&bad)?.sqrt())),
-        Intrinsic::Fabs => Ok(fout(farg(0).ok_or_else(&bad)?.abs())),
-        Intrinsic::Exp => Ok(fout(farg(0).ok_or_else(&bad)?.exp())),
-        Intrinsic::Log => Ok(fout(farg(0).ok_or_else(&bad)?.ln())),
-        Intrinsic::Sin => Ok(fout(farg(0).ok_or_else(&bad)?.sin())),
-        Intrinsic::Cos => Ok(fout(farg(0).ok_or_else(&bad)?.cos())),
-        Intrinsic::FMin => Ok(fout(farg(0).ok_or_else(&bad)?.min(farg(1).ok_or_else(&bad)?))),
-        Intrinsic::FMax => Ok(fout(farg(0).ok_or_else(&bad)?.max(farg(1).ok_or_else(&bad)?))),
-        Intrinsic::SMin | Intrinsic::SMax => {
-            let a = iarg(0).ok_or_else(&bad)?;
-            let b = iarg(1).ok_or_else(&bad)?;
-            let r = if which == Intrinsic::SMin { a.min(b) } else { a.max(b) };
-            Ok(match ty {
-                Type::I32 => (TAG_I32, r as i32 as i64 as u64),
-                _ => (TAG_I64, r as u64),
-            })
-        }
-        // Context-dependent intrinsics never fold.
-        _ => Err(bad()),
-    }
-}
-
-/// One operand of a vector instruction, resolved once per warp by
-/// [`DecodedKernel::eval_warp`] so the per-lane loop does no `Operand`
-/// dispatch: reading a lane is one (perfectly predicted) variant match
-/// and at most two loads.
-#[derive(Clone, Copy)]
-enum Src {
-    /// Lane-invariant value: a constant or an already-read (defined)
-    /// scalar register.
-    Splat(u8, u64),
-    /// Vector register row base pointers `(tags, bits)`, indexed by lane.
-    Row(*const u8, *const u64),
-    /// Reading this operand fails on every lane (undefined scalar
-    /// register, missing argument, unlinked value). Reported as
-    /// `TAG_UNDEF`; the caller reconstructs the exact error via
-    /// [`DecodedKernel::read`].
-    Bad,
-}
-
-impl Src {
-    /// Read the operand for `lane`. A `TAG_UNDEF` tag means the read
-    /// failed (undefined register lane or `Src::Bad`).
-    ///
-    /// # Safety
-    /// For `Row`, `lane` must be below the warp size the register rows
-    /// were sized for (mask bits never exceed it).
-    #[inline(always)]
-    unsafe fn get(self, lane: usize) -> (u8, u64) {
-        match self {
-            Src::Splat(t, b) => (t, b),
-            Src::Row(t, b) => (*t.add(lane), *b.add(lane)),
-            Src::Bad => (TAG_UNDEF, 0),
-        }
-    }
-}
 
 /// A pre-resolved operand: everything `Warp::eval` decides per dynamic
 /// instruction is decided once at decode time. Kernel arguments are baked
@@ -632,63 +226,6 @@ pub struct DecodedKernel {
     sreg_inst: Vec<InstId>,
     /// Vector slot → defining instruction.
     vreg_inst: Vec<InstId>,
-}
-
-/// SIMT stack frame of the decoded engine. `pending` is a single slot: the
-/// interpreter only ever parks one (block, mask) side per divergence.
-#[derive(Debug, Clone, Copy)]
-struct DFrame {
-    /// Reconvergence block arena index, `NO_BLOCK` if the branch has no
-    /// post-dominator.
-    reconv: u32,
-    /// The not-yet-run side of the divergence.
-    pending: Option<(u32, u32)>,
-    joined: u32,
-}
-
-/// Reusable per-warp mutable state. One `Scratch` serves every warp of a
-/// launch; [`DecodedKernel::run_warp`] resets it without reallocating.
-///
-/// Register payloads and their type tags live in parallel arrays; only the
-/// tag arrays are cleared between warps (tag 0 = undefined), so a stale
-/// payload is never observable.
-#[derive(Debug, Default)]
-pub struct Scratch {
-    sreg_bits: Vec<u64>,
-    sreg_tag: Vec<u8>,
-    vreg_bits: Vec<u64>,
-    vreg_tag: Vec<u8>,
-    /// Per-lane predecessor block arena index (`NO_BLOCK` before the first
-    /// branch) for phi resolution.
-    prev: Vec<u32>,
-    stack: Vec<DFrame>,
-    /// Distinct sectors of the current memory op (≤ warp_size entries, so a
-    /// linear scan beats a `HashSet`).
-    sectors: Vec<u64>,
-    /// Parallel-copy staging for scalar phis `(slot, tag, payload)`.
-    phi_s: Vec<(u32, u8, u64)>,
-    /// Parallel-copy staging for vector phis `(slot, lane, tag, payload)`.
-    phi_v: Vec<(u32, u32, u8, u64)>,
-}
-
-impl Scratch {
-    /// Create an empty scratch; it sizes itself to the kernel on first use.
-    pub fn new() -> Self {
-        Scratch::default()
-    }
-
-    fn reset(&mut self, k: &DecodedKernel, warp_size: u32) {
-        let ws = warp_size as usize;
-        self.sreg_bits.resize(k.num_sregs as usize, 0);
-        self.sreg_tag.clear();
-        self.sreg_tag.resize(k.num_sregs as usize, TAG_UNDEF);
-        self.vreg_bits.resize(k.num_vregs as usize * ws, 0);
-        self.vreg_tag.clear();
-        self.vreg_tag.resize(k.num_vregs as usize * ws, TAG_UNDEF);
-        self.prev.clear();
-        self.prev.resize(ws, NO_BLOCK);
-        self.stack.clear();
-    }
 }
 
 impl DecodedKernel {
@@ -1002,828 +539,5 @@ impl DecodedKernel {
     /// Number of vector (per-lane) register slots.
     pub fn num_vector_regs(&self) -> u32 {
         self.num_vregs
-    }
-
-    /// Read an operand as (tag, payload) for `lane`.
-    #[inline]
-    fn read(&self, s: &Scratch, ws: usize, lane: usize, op: Operand) -> Result<(u8, u64), ExecError> {
-        match op {
-            Operand::Const(tag, bits) => Ok((tag, bits)),
-            Operand::SReg(r) => {
-                let tag = s.sreg_tag[r as usize];
-                if tag == TAG_UNDEF {
-                    return Err(ExecError::UndefinedValue {
-                        inst: self.sreg_inst[r as usize],
-                    });
-                }
-                Ok((tag, s.sreg_bits[r as usize]))
-            }
-            Operand::VReg(r) => {
-                let at = r as usize * ws + lane;
-                let tag = s.vreg_tag[at];
-                if tag == TAG_UNDEF {
-                    return Err(ExecError::UndefinedValue {
-                        inst: self.vreg_inst[r as usize],
-                    });
-                }
-                Ok((tag, s.vreg_bits[at]))
-            }
-            Operand::BadArg(i) => Err(ExecError::BadArguments(format!("missing argument {i}"))),
-            Operand::Undef(id) => Err(ExecError::UndefinedValue { inst: id }),
-        }
-    }
-
-    /// Evaluate a pure instruction for `lane`, returning the encoded
-    /// result. Used for scalar (warp-uniform) destinations — evaluated
-    /// once per warp — and as the error-reconstruction oracle of the
-    /// vector path. The arithmetic cores transliterate `uu_ir::fold`
-    /// exactly (the differential oracle enforces it).
-    fn eval_pure(
-        &self,
-        s: &Scratch,
-        geom: &WarpGeometry,
-        ws: usize,
-        lane: usize,
-        inst: &DInst,
-    ) -> Result<(u8, u64), ExecError> {
-        let bad = || ExecError::UndefinedValue { inst: inst.id };
-        let rd = |op: Operand| self.read(s, ws, lane, op);
-        match &inst.op {
-            DOp::Bin(op, a, b) => {
-                let (ltag, lbits) = rd(*a)?;
-                let (rtag, rbits) = rd(*b)?;
-                bin_one(*op, ltag, lbits, rtag, rbits, bad)
-            }
-            DOp::ICmp(pred, a, b) => {
-                let (ltag, lbits) = rd(*a)?;
-                let (rtag, rbits) = rd(*b)?;
-                icmp_one(*pred, ltag, lbits, rtag, rbits, bad)
-            }
-            DOp::FCmp(pred, a, b) => {
-                let (ltag, lbits) = rd(*a)?;
-                let (rtag, rbits) = rd(*b)?;
-                fcmp_one(*pred, ltag, lbits, rtag, rbits, bad)
-            }
-            DOp::Select(c, t, e) => {
-                let (ctag, cbits) = rd(*c)?;
-                let cond = t_as_bool(ctag, cbits).ok_or_else(bad)?;
-                rd(if cond { *t } else { *e })
-            }
-            DOp::Cast(op, v) => {
-                let (vtag, vbits) = rd(*v)?;
-                cast_one(*op, inst.ty, vtag, vbits, bad)
-            }
-            DOp::Gep(base, index, scale) => {
-                // Base is read *and* converted before the index is touched
-                // (the reference interpreter's error order).
-                let (btag, bbits) = rd(*base)?;
-                let b = t_as_i64(btag, bbits).ok_or_else(bad)?;
-                let (itag, ibits) = rd(*index)?;
-                let i = t_as_i64(itag, ibits).ok_or_else(bad)?;
-                Ok((TAG_I64, b.wrapping_add(i.wrapping_mul(*scale)) as u64))
-            }
-            DOp::Geom(which) => Ok(match which {
-                Intrinsic::ThreadIdxX => (
-                    TAG_I32,
-                    (geom.first_thread + lane as u32) as i32 as i64 as u64,
-                ),
-                Intrinsic::BlockIdxX => (TAG_I32, geom.block_idx as i32 as i64 as u64),
-                Intrinsic::BlockDimX => (TAG_I32, geom.block_dim as i32 as i64 as u64),
-                Intrinsic::GridDimX => (TAG_I32, geom.grid_dim as i32 as i64 as u64),
-                Intrinsic::Syncthreads => (TAG_I1, 0), // void; never read
-                _ => unreachable!("decoded as Math"),
-            }),
-            DOp::Math(which, ops, n) => {
-                let mut vals = [(TAG_I1, 0u64); 2];
-                for k in 0..*n as usize {
-                    vals[k] = rd(ops[k])?;
-                }
-                math_one(*which, vals, *n as usize, inst.ty, bad)
-            }
-            DOp::Load(..) | DOp::Store(..) | DOp::Br(..) | DOp::Fall(_) | DOp::CondBr { .. }
-            | DOp::Ret => {
-                unreachable!("handled in run_warp()")
-            }
-        }
-    }
-
-    /// Evaluate one pure vector-destination instruction for every active
-    /// lane of `mask`, warp-at-a-time: the opcode and operand dispatch
-    /// happen once, then a tight ascending-lane loop reads, computes, and
-    /// writes. Observable behaviour is exactly per-lane [`Self::eval_pure`]
-    /// in ascending lane order — same results, same errors, same error
-    /// order (reads before conversions, operand order per instruction) —
-    /// only the host-side dispatch cost changes.
-    fn eval_warp(
-        &self,
-        scratch: &mut Scratch,
-        geom: &WarpGeometry,
-        ws: usize,
-        mask: u32,
-        inst: &DInst,
-    ) -> Result<(), ExecError> {
-        let Some(Dest::V(slot)) = inst.dest else {
-            unreachable!("eval_warp is for vector-destination instructions")
-        };
-        let bad = || ExecError::UndefinedValue { inst: inst.id };
-        // SAFETY: decode only emits register slots below num_{s,v}regs and
-        // `Scratch::reset` sizes the files to exactly that times the warp
-        // size; mask bits never reach past the warp size (launch masks are
-        // built that way and branching only narrows them). Every row
-        // pointer and `lane` offset below is therefore in bounds, and no
-        // safe reference into the vector files is held while the raw
-        // pointers are live (scalar reads below touch the *scalar* files
-        // only). SSA slot allocation makes operand rows distinct from the
-        // destination row.
-        let vt = scratch.vreg_tag.as_mut_ptr();
-        let vb = scratch.vreg_bits.as_mut_ptr();
-        let dt = unsafe { vt.add(slot as usize * ws) };
-        let db = unsafe { vb.add(slot as usize * ws) };
-        let src = |op: Operand| -> Src {
-            match op {
-                Operand::Const(t, b) => Src::Splat(t, b),
-                Operand::SReg(r) => {
-                    let tag = scratch.sreg_tag[r as usize];
-                    if tag == TAG_UNDEF {
-                        Src::Bad
-                    } else {
-                        Src::Splat(tag, scratch.sreg_bits[r as usize])
-                    }
-                }
-                Operand::VReg(r) => unsafe {
-                    Src::Row(vt.add(r as usize * ws), vb.add(r as usize * ws))
-                },
-                Operand::BadArg(_) | Operand::Undef(_) => Src::Bad,
-            }
-        };
-        // Reconstruct the exact reference error for an operand whose read
-        // failed (rare path; `read` re-derives the precise error payload).
-        let fail = |s: &Scratch, op: Operand, lane: usize| -> ExecError {
-            match self.read(s, ws, lane, op) {
-                Err(e) => e,
-                Ok(_) => bad(),
-            }
-        };
-        macro_rules! for_lanes {
-            ($lane:ident, $body:block) => {
-                let mut rem = mask;
-                while rem != 0 {
-                    let $lane = rem.trailing_zeros() as usize;
-                    rem &= rem - 1;
-                    $body
-                }
-            };
-        }
-        macro_rules! put {
-            ($lane:ident, $tag:expr, $bits:expr) => {
-                unsafe {
-                    *dt.add($lane) = $tag;
-                    *db.add($lane) = $bits;
-                }
-            };
-        }
-        match &inst.op {
-            DOp::Bin(op, a, b) => {
-                let sa = src(*a);
-                let sb = src(*b);
-                for_lanes!(lane, {
-                    let (lt, lb) = unsafe { sa.get(lane) };
-                    if lt == TAG_UNDEF {
-                        return Err(fail(scratch, *a, lane));
-                    }
-                    let (rt, rb) = unsafe { sb.get(lane) };
-                    if rt == TAG_UNDEF {
-                        return Err(fail(scratch, *b, lane));
-                    }
-                    let (tag, bits) = bin_one(*op, lt, lb, rt, rb, bad)?;
-                    put!(lane, tag, bits);
-                });
-            }
-            DOp::ICmp(pred, a, b) => {
-                let sa = src(*a);
-                let sb = src(*b);
-                for_lanes!(lane, {
-                    let (lt, lb) = unsafe { sa.get(lane) };
-                    if lt == TAG_UNDEF {
-                        return Err(fail(scratch, *a, lane));
-                    }
-                    let (rt, rb) = unsafe { sb.get(lane) };
-                    if rt == TAG_UNDEF {
-                        return Err(fail(scratch, *b, lane));
-                    }
-                    let (tag, bits) = icmp_one(*pred, lt, lb, rt, rb, bad)?;
-                    put!(lane, tag, bits);
-                });
-            }
-            DOp::FCmp(pred, a, b) => {
-                let sa = src(*a);
-                let sb = src(*b);
-                for_lanes!(lane, {
-                    let (lt, lb) = unsafe { sa.get(lane) };
-                    if lt == TAG_UNDEF {
-                        return Err(fail(scratch, *a, lane));
-                    }
-                    let (rt, rb) = unsafe { sb.get(lane) };
-                    if rt == TAG_UNDEF {
-                        return Err(fail(scratch, *b, lane));
-                    }
-                    let (tag, bits) = fcmp_one(*pred, lt, lb, rt, rb, bad)?;
-                    put!(lane, tag, bits);
-                });
-            }
-            DOp::Select(c, t, e) => {
-                let sc = src(*c);
-                let st = src(*t);
-                let se = src(*e);
-                for_lanes!(lane, {
-                    let (ct, cb) = unsafe { sc.get(lane) };
-                    if ct == TAG_UNDEF {
-                        return Err(fail(scratch, *c, lane));
-                    }
-                    let cond = t_as_bool(ct, cb).ok_or_else(bad)?;
-                    // Only the chosen side is read (the other may be
-                    // undefined without consequence, as in the reference).
-                    let (sv, ov) = if cond { (st, *t) } else { (se, *e) };
-                    let (vt2, vb2) = unsafe { sv.get(lane) };
-                    if vt2 == TAG_UNDEF {
-                        return Err(fail(scratch, ov, lane));
-                    }
-                    put!(lane, vt2, vb2);
-                });
-            }
-            DOp::Cast(op, v) => {
-                let sv = src(*v);
-                for_lanes!(lane, {
-                    let (t, b) = unsafe { sv.get(lane) };
-                    if t == TAG_UNDEF {
-                        return Err(fail(scratch, *v, lane));
-                    }
-                    let (tag, bits) = cast_one(*op, inst.ty, t, b, bad)?;
-                    put!(lane, tag, bits);
-                });
-            }
-            DOp::Gep(base, index, scale) => {
-                let sb_ = src(*base);
-                let si = src(*index);
-                for_lanes!(lane, {
-                    // Base is read *and* converted before the index is
-                    // touched (the reference interpreter's error order).
-                    let (bt, bb) = unsafe { sb_.get(lane) };
-                    if bt == TAG_UNDEF {
-                        return Err(fail(scratch, *base, lane));
-                    }
-                    let bv = t_as_i64(bt, bb).ok_or_else(bad)?;
-                    let (it, ib) = unsafe { si.get(lane) };
-                    if it == TAG_UNDEF {
-                        return Err(fail(scratch, *index, lane));
-                    }
-                    let iv = t_as_i64(it, ib).ok_or_else(bad)?;
-                    put!(lane, TAG_I64, bv.wrapping_add(iv.wrapping_mul(*scale)) as u64);
-                });
-            }
-            DOp::Geom(which) => match which {
-                Intrinsic::ThreadIdxX => {
-                    for_lanes!(lane, {
-                        put!(
-                            lane,
-                            TAG_I32,
-                            (geom.first_thread + lane as u32) as i32 as i64 as u64
-                        );
-                    });
-                }
-                _ => {
-                    let (tag, bits) = match which {
-                        Intrinsic::BlockIdxX => (TAG_I32, geom.block_idx as i32 as i64 as u64),
-                        Intrinsic::BlockDimX => (TAG_I32, geom.block_dim as i32 as i64 as u64),
-                        Intrinsic::GridDimX => (TAG_I32, geom.grid_dim as i32 as i64 as u64),
-                        Intrinsic::Syncthreads => (TAG_I1, 0), // void; never read
-                        _ => unreachable!("decoded as Math"),
-                    };
-                    for_lanes!(lane, {
-                        put!(lane, tag, bits);
-                    });
-                }
-            },
-            DOp::Math(which, ops, n) => {
-                let n = *n as usize;
-                let s0 = if n > 0 { src(ops[0]) } else { Src::Bad };
-                let s1 = if n > 1 { src(ops[1]) } else { Src::Bad };
-                for_lanes!(lane, {
-                    let mut vals = [(TAG_I1, 0u64); 2];
-                    for (k, sk) in [s0, s1].iter().enumerate().take(n) {
-                        let (t, b) = unsafe { sk.get(lane) };
-                        if t == TAG_UNDEF {
-                            return Err(fail(scratch, ops[k], lane));
-                        }
-                        vals[k] = (t, b);
-                    }
-                    let (tag, bits) = math_one(*which, vals, n, inst.ty, bad)?;
-                    put!(lane, tag, bits);
-                });
-            }
-            DOp::Load(..) | DOp::Store(..) | DOp::Br(..) | DOp::Fall(_) | DOp::CondBr { .. }
-            | DOp::Ret => {
-                unreachable!("handled in run_warp()")
-            }
-        }
-        Ok(())
-    }
-
-    /// Execute one warp to completion — the decoded counterpart of
-    /// [`crate::Warp::run`], with identical observable behaviour. Returns
-    /// the issue cycles consumed.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the reference interpreter's errors, in the same order.
-    pub fn run_warp(
-        &self,
-        scratch: &mut Scratch,
-        geom: WarpGeometry,
-        params: &GpuParams,
-        mem: &mut GlobalMemory,
-        m: &mut Metrics,
-        touched: &mut SectorSet,
-    ) -> Result<u64, ExecError> {
-        scratch.reset(self, params.warp_size);
-        let ws = params.warp_size as usize;
-        let mut cur = self.entry;
-        let full_mask: u32 = if params.warp_size == 32 {
-            u32::MAX
-        } else {
-            (1u32 << params.warp_size) - 1
-        };
-        let mut mask = full_mask;
-        for l in 0..params.warp_size {
-            if geom.first_thread + l >= geom.block_dim {
-                mask &= !(1 << l);
-            }
-        }
-        let mut issue: u64 = 0;
-        let mut executed: u64 = 0;
-        let budget = params.max_warp_insts;
-
-        macro_rules! lanes {
-            ($mask:expr) => {
-                (0..ws).filter(|l| $mask & (1u32 << l) != 0)
-            };
-        }
-
-        'run: loop {
-            // Drain reconvergence arrivals and dead masks before executing.
-            loop {
-                if mask == 0 {
-                    match scratch.stack.last_mut() {
-                        None => break 'run,
-                        Some(top) => {
-                            if let Some((b, m2)) = top.pending.take() {
-                                cur = b;
-                                mask = m2;
-                                continue;
-                            }
-                            let joined = top.joined;
-                            let reconv = top.reconv;
-                            scratch.stack.pop();
-                            if joined != 0 {
-                                mask = joined;
-                                assert!(
-                                    reconv != NO_BLOCK,
-                                    "joined lanes require a reconvergence block"
-                                );
-                                cur = reconv;
-                            }
-                            continue;
-                        }
-                    }
-                }
-                match scratch.stack.last_mut() {
-                    Some(top) if top.reconv == cur => {
-                        top.joined |= mask;
-                        if let Some((b, m2)) = top.pending.take() {
-                            cur = b;
-                            mask = m2;
-                        } else {
-                            mask = top.joined;
-                            scratch.stack.pop();
-                        }
-                        continue;
-                    }
-                    _ => break,
-                }
-            }
-
-            let blk = &self.blocks[cur as usize];
-
-            // Phase 1: phis as a parallel copy via the staging buffers.
-            if !blk.phis.is_empty() {
-                scratch.phi_s.clear();
-                scratch.phi_v.clear();
-                for (pix, phi) in blk.phis.iter().enumerate() {
-                    let row = pix * blk.npreds;
-                    let incoming = |prev: u32| -> Result<Operand, ExecError> {
-                        let pos = if prev == NO_BLOCK {
-                            NO_BLOCK
-                        } else {
-                            blk.pred_pos[prev as usize]
-                        };
-                        if pos == NO_BLOCK {
-                            return Err(ExecError::MissingPhiIncoming { phi: phi.id });
-                        }
-                        blk.phi_inc[row + pos as usize]
-                            .ok_or(ExecError::MissingPhiIncoming { phi: phi.id })
-                    };
-                    match phi.dest {
-                        Dest::S(slot) => {
-                            // Uniform phi: prev and the incoming value are
-                            // identical across active lanes — read once via
-                            // the first active lane.
-                            let lane = mask.trailing_zeros() as usize;
-                            let op = incoming(scratch.prev[lane])?;
-                            let (tag, bits) = self.read(scratch, ws, lane, op)?;
-                            scratch.phi_s.push((slot, tag, bits));
-                        }
-                        Dest::V(slot) => {
-                            // Hoist the incoming-table resolution when all
-                            // active lanes arrived from the same
-                            // predecessor (uniform branches and fused
-                            // fall-throughs — the common case). Error
-                            // identity and order are unchanged: a missing
-                            // incoming is the same error for every lane.
-                            let first = mask.trailing_zeros() as usize;
-                            let p0 = scratch.prev[first];
-                            let mut uniform = true;
-                            for lane in lanes!(mask) {
-                                if scratch.prev[lane] != p0 {
-                                    uniform = false;
-                                    break;
-                                }
-                            }
-                            if uniform {
-                                let op = incoming(p0)?;
-                                for lane in lanes!(mask) {
-                                    let (tag, bits) = self.read(scratch, ws, lane, op)?;
-                                    scratch.phi_v.push((slot, lane as u32, tag, bits));
-                                }
-                            } else {
-                                for lane in lanes!(mask) {
-                                    let op = incoming(scratch.prev[lane])?;
-                                    let (tag, bits) = self.read(scratch, ws, lane, op)?;
-                                    scratch.phi_v.push((slot, lane as u32, tag, bits));
-                                }
-                            }
-                        }
-                    }
-                    m.count(InstClass::Misc, mask.count_ones());
-                    issue += 1;
-                    executed += 1;
-                }
-                for &(slot, tag, bits) in &scratch.phi_s {
-                    scratch.sreg_bits[slot as usize] = bits;
-                    scratch.sreg_tag[slot as usize] = tag;
-                }
-                for &(slot, lane, tag, bits) in &scratch.phi_v {
-                    let at = slot as usize * ws + lane as usize;
-                    scratch.vreg_bits[at] = bits;
-                    scratch.vreg_tag[at] = tag;
-                }
-            }
-            if executed > budget {
-                return Err(ExecError::StepBudgetExceeded { budget });
-            }
-
-            // Phase 2: the block's superblock stream — its own non-phi
-            // instructions, any fused straight-line successors, and the
-            // real terminator.
-            let code = &self.code[blk.code as usize..(blk.code + blk.code_len) as usize];
-            let mut next: Option<(u32, u32)> = None;
-            let mut ip = 0usize;
-            while ip < code.len() {
-                let inst = &code[ip];
-                if inst.run >= 2 {
-                    // Fused run of pure vector instructions: dispatch each
-                    // instruction once for the whole warp (`eval_warp`
-                    // hoists opcode/operand dispatch out of the lane loop)
-                    // with step-budget and metrics bookkeeping amortized
-                    // over the run. Errors surface in instruction-major,
-                    // lane-ascending order — exactly the reference
-                    // interpreter's — and evaluation errors inside the
-                    // allowed budget beat the budget error, which fires
-                    // before the first over-budget instruction would
-                    // execute. Metrics and issue cycles commit only on
-                    // success (error-path metrics are discarded with the
-                    // warp). The defensive `min` keeps a malformed
-                    // (terminator-less) block from running past its
-                    // stream.
-                    let len = (inst.run as usize).min(code.len() - ip);
-                    let exec_n = (budget.saturating_sub(executed) as usize).min(len);
-                    for ri in &code[ip..ip + exec_n] {
-                        self.eval_warp(scratch, &geom, ws, mask, ri)?;
-                    }
-                    if exec_n < len {
-                        return Err(ExecError::StepBudgetExceeded { budget });
-                    }
-                    let active = mask.count_ones();
-                    for ri in &code[ip..ip + len] {
-                        m.count(ri.class, active);
-                        issue += ri.cost;
-                    }
-                    executed += len as u64;
-                    ip += len;
-                    continue;
-                }
-                let active = mask.count_ones();
-                m.count(inst.class, active);
-                issue += inst.cost;
-                executed += 1;
-                if executed > budget {
-                    return Err(ExecError::StepBudgetExceeded { budget });
-                }
-                match &inst.op {
-                    DOp::Load(ptr, width) => {
-                        scratch.sectors.clear();
-                        let mut done = false;
-                        match (inst.dest, ptr) {
-                            (Some(Dest::S(slot)), p) if !matches!(p, Operand::VReg(_)) => {
-                                // Uniform load: one address serves the
-                                // warp, so one windowed access replaces
-                                // the per-lane re-reads whenever no fault
-                                // injection is armed and the range is in
-                                // bounds.
-                                let lane = mask.trailing_zeros() as usize;
-                                let (ptag, pbits) = self.read(scratch, ws, lane, *p)?;
-                                let addr = t_as_i64(ptag, pbits).ok_or_else(|| {
-                                    ExecError::BadArguments("non-integer address".into())
-                                })? as u64;
-                                if let Some(win) = mem.read_window(addr, *width) {
-                                    let (tag, bits) = decode_mem(inst.ty, win, 0);
-                                    scratch.sreg_bits[slot as usize] = bits;
-                                    scratch.sreg_tag[slot as usize] = tag;
-                                    let sector = addr / params.sector_bytes;
-                                    scratch.sectors.push(sector);
-                                    touched.insert(sector);
-                                    m.gld_bytes += *width * active as u64;
-                                    done = true;
-                                }
-                            }
-                            (Some(Dest::V(slot)), Operand::VReg(r)) if mask == full_mask => {
-                                // Coalesced load: all lanes active with
-                                // unit-stride integer addresses is one
-                                // bounds check and one contiguous copy.
-                                // Any irregularity (bad tag, stride, OOB,
-                                // armed fault countdown) falls back to the
-                                // exact per-lane path.
-                                let mut base = 0u64;
-                                let mut stride = true;
-                                for lane in 0..ws {
-                                    let at = *r as usize * ws + lane;
-                                    let tag = scratch.vreg_tag[at];
-                                    if !(TAG_I1..=TAG_I64).contains(&tag) {
-                                        stride = false;
-                                        break;
-                                    }
-                                    let a = scratch.vreg_bits[at];
-                                    if lane == 0 {
-                                        base = a;
-                                    } else if a != base.wrapping_add(lane as u64 * *width) {
-                                        stride = false;
-                                        break;
-                                    }
-                                }
-                                if stride {
-                                    if let Some(win) = mem.read_window(base, ws as u64 * *width) {
-                                        let wid = *width as usize;
-                                        for lane in 0..ws {
-                                            let (tag, bits) = decode_mem(inst.ty, win, lane * wid);
-                                            let at = slot as usize * ws + lane;
-                                            scratch.vreg_bits[at] = bits;
-                                            scratch.vreg_tag[at] = tag;
-                                            let sector =
-                                                (base + lane as u64 * *width) / params.sector_bytes;
-                                            // Addresses ascend, so a
-                                            // last-entry check is an exact
-                                            // dedupe.
-                                            if scratch.sectors.last() != Some(&sector) {
-                                                scratch.sectors.push(sector);
-                                                touched.insert(sector);
-                                            }
-                                        }
-                                        m.gld_bytes += *width * ws as u64;
-                                        done = true;
-                                    }
-                                }
-                            }
-                            _ => {}
-                        }
-                        if !done {
-                            for lane in lanes!(mask) {
-                                let (ptag, pbits) = self.read(scratch, ws, lane, *ptr)?;
-                                let addr = t_as_i64(ptag, pbits).ok_or_else(|| {
-                                    ExecError::BadArguments("non-integer address".into())
-                                })? as u64;
-                                let c = mem.read_scalar(addr, inst.ty)?;
-                                let (tag, bits) = encode(c);
-                                match inst.dest {
-                                    Some(Dest::S(slot)) => {
-                                        scratch.sreg_bits[slot as usize] = bits;
-                                        scratch.sreg_tag[slot as usize] = tag;
-                                    }
-                                    Some(Dest::V(slot)) => {
-                                        let at = slot as usize * ws + lane;
-                                        scratch.vreg_bits[at] = bits;
-                                        scratch.vreg_tag[at] = tag;
-                                    }
-                                    None => {}
-                                }
-                                let sector = addr / params.sector_bytes;
-                                if !scratch.sectors.contains(&sector) {
-                                    scratch.sectors.push(sector);
-                                    // Only a new sector can change the
-                                    // launch-wide distinct-sector set.
-                                    touched.insert(sector);
-                                }
-                                m.gld_bytes += width;
-                            }
-                        }
-                        let tx = scratch.sectors.len() as u64;
-                        m.mem_transactions += tx;
-                        issue += tx * params.mem_tx_cycles;
-                        // Sublinear cache-hit latency charge; see the
-                        // reference interpreter for the model rationale.
-                        let frac = active as f64 / params.warp_size as f64;
-                        issue += (params.l1_latency as f64 * frac.powf(1.5)) as u64;
-                    }
-                    DOp::Store(ptr, value, width) => {
-                        scratch.sectors.clear();
-                        let mut done = false;
-                        if mask == full_mask {
-                            if let Operand::VReg(r) = ptr {
-                                // Coalesced store: same unit-stride probe
-                                // as the load fast path. Value reads are
-                                // side-effect-free and a bail-out only
-                                // leaves writes the per-lane path redoes
-                                // identically, so falling back mid-loop is
-                                // unobservable (gst_bytes commits at the
-                                // end).
-                                let mut base = 0u64;
-                                let mut stride = true;
-                                for lane in 0..ws {
-                                    let at = *r as usize * ws + lane;
-                                    let tag = scratch.vreg_tag[at];
-                                    if !(TAG_I1..=TAG_I64).contains(&tag) {
-                                        stride = false;
-                                        break;
-                                    }
-                                    let a = scratch.vreg_bits[at];
-                                    if lane == 0 {
-                                        base = a;
-                                    } else if a != base.wrapping_add(lane as u64 * *width) {
-                                        stride = false;
-                                        break;
-                                    }
-                                }
-                                if stride {
-                                    if let Some(win) = mem.write_window(base, ws as u64 * *width) {
-                                        let wid = *width as usize;
-                                        let mut ok = true;
-                                        for lane in 0..ws {
-                                            let (vtag, vbits) =
-                                                self.read(scratch, ws, lane, *value)?;
-                                            let off = lane * wid;
-                                            match (vtag, wid) {
-                                                (TAG_I1, 1) => win[off] = (vbits != 0) as u8,
-                                                (TAG_I32, 4) => win[off..off + 4].copy_from_slice(
-                                                    &(vbits as i64 as i32).to_le_bytes(),
-                                                ),
-                                                (TAG_F32, 4) => win[off..off + 4]
-                                                    .copy_from_slice(&(vbits as u32).to_le_bytes()),
-                                                (TAG_I64, 8) | (TAG_F64, 8) => win[off..off + 8]
-                                                    .copy_from_slice(&vbits.to_le_bytes()),
-                                                _ => ok = false,
-                                            }
-                                            if !ok {
-                                                break;
-                                            }
-                                            let sector =
-                                                (base + lane as u64 * *width) / params.sector_bytes;
-                                            if scratch.sectors.last() != Some(&sector) {
-                                                scratch.sectors.push(sector);
-                                                touched.insert(sector);
-                                            }
-                                        }
-                                        if ok {
-                                            m.gst_bytes += *width * ws as u64;
-                                            done = true;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        if !done {
-                            scratch.sectors.clear();
-                            for lane in lanes!(mask) {
-                                let (ptag, pbits) = self.read(scratch, ws, lane, *ptr)?;
-                                let addr = t_as_i64(ptag, pbits).ok_or_else(|| {
-                                    ExecError::BadArguments("non-integer address".into())
-                                })? as u64;
-                                let (vtag, vbits) = self.read(scratch, ws, lane, *value)?;
-                                mem.write_scalar(addr, decode_const(vtag, vbits))?;
-                                let sector = addr / params.sector_bytes;
-                                if !scratch.sectors.contains(&sector) {
-                                    scratch.sectors.push(sector);
-                                    touched.insert(sector);
-                                }
-                                m.gst_bytes += width;
-                            }
-                        }
-                        let tx = scratch.sectors.len() as u64;
-                        m.mem_transactions += tx;
-                        issue += tx * params.mem_tx_cycles;
-                    }
-                    DOp::Br(target, owner) => {
-                        for l in lanes!(mask) {
-                            scratch.prev[l] = *owner;
-                        }
-                        next = Some((*target, mask));
-                    }
-                    DOp::Fall(owner) => {
-                        // Fused `Br`: account for it like the branch it
-                        // replaces (done above), update phi provenance,
-                        // and fall through to the successor's
-                        // instructions, which follow immediately.
-                        for l in lanes!(mask) {
-                            scratch.prev[l] = *owner;
-                        }
-                    }
-                    DOp::Ret => {
-                        next = Some((cur, 0)); // mask 0 triggers stack drain
-                    }
-                    DOp::CondBr {
-                        cond,
-                        if_true,
-                        if_false,
-                        uniform,
-                        owner,
-                        reconv,
-                    } => {
-                        let mut tmask = 0u32;
-                        if *uniform {
-                            // One evaluation decides the whole warp.
-                            let lane = mask.trailing_zeros() as usize;
-                            let (ctag, cbits) = self.read(scratch, ws, lane, *cond)?;
-                            let c = t_as_bool(ctag, cbits).ok_or_else(|| {
-                                ExecError::BadArguments("non-boolean condition".into())
-                            })?;
-                            if c {
-                                tmask = mask;
-                            }
-                        } else {
-                            for lane in lanes!(mask) {
-                                let (ctag, cbits) = self.read(scratch, ws, lane, *cond)?;
-                                let c = t_as_bool(ctag, cbits).ok_or_else(|| {
-                                    ExecError::BadArguments("non-boolean condition".into())
-                                })?;
-                                if c {
-                                    tmask |= 1 << lane;
-                                }
-                            }
-                        }
-                        let fmask = mask & !tmask;
-                        for l in lanes!(mask) {
-                            scratch.prev[l] = *owner;
-                        }
-                        if if_true == if_false || fmask == 0 {
-                            next = Some((*if_true, mask));
-                        } else if tmask == 0 {
-                            next = Some((*if_false, mask));
-                        } else {
-                            scratch.stack.push(DFrame {
-                                reconv: *reconv,
-                                pending: Some((*if_false, fmask)),
-                                joined: 0,
-                            });
-                            next = Some((*if_true, tmask));
-                        }
-                    }
-                    _ => match inst.dest {
-                        Some(Dest::S(slot)) => {
-                            // Warp-uniform: evaluate once for the warp.
-                            let lane = mask.trailing_zeros() as usize;
-                            let (tag, bits) = self.eval_pure(scratch, &geom, ws, lane, inst)?;
-                            scratch.sreg_bits[slot as usize] = bits;
-                            scratch.sreg_tag[slot as usize] = tag;
-                        }
-                        Some(Dest::V(_)) => {
-                            self.eval_warp(scratch, &geom, ws, mask, inst)?;
-                        }
-                        None => unreachable!("pure instructions produce a value"),
-                    },
-                }
-                ip += 1;
-            }
-            let (nb, nm) = next.expect("block must end in a terminator");
-            cur = nb;
-            mask = nm;
-        }
-        Ok(issue)
     }
 }

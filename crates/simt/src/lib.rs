@@ -47,6 +47,7 @@
 //! are data-race-free and do not communicate across the barrier, which is
 //! also why the u&u pass may not touch convergent loops in the first place.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;

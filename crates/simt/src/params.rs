@@ -29,22 +29,39 @@ pub enum ExecEngine {
     ReferenceVerifyUniform,
 }
 
+impl ExecEngine {
+    /// The engine's stable short name: what `UU_SIMT_ENGINE` selects it by
+    /// and what run-artifact keys record. The default engine's name is
+    /// empty (`decoded` is accepted as an alias on input), so a key says
+    /// something only when a non-default engine produced the artifact.
+    pub fn tag(self) -> &'static str {
+        match self {
+            ExecEngine::Decoded => "",
+            ExecEngine::Reference => "reference",
+            ExecEngine::ReferenceVerifyUniform => "verify-uniform",
+        }
+    }
+}
+
 impl Default for ExecEngine {
     /// The process-wide default engine: `Decoded`, overridable once via the
     /// `UU_SIMT_ENGINE` environment variable (`decoded`, `reference`, or
     /// `verify-uniform`), read on first use.
     fn default() -> Self {
         static FROM_ENV: std::sync::OnceLock<ExecEngine> = std::sync::OnceLock::new();
-        *FROM_ENV.get_or_init(|| match std::env::var("UU_SIMT_ENGINE") {
-            Err(_) => ExecEngine::Decoded,
-            Ok(v) => match v.as_str() {
-                "" | "decoded" => ExecEngine::Decoded,
-                "reference" => ExecEngine::Reference,
-                "verify-uniform" => ExecEngine::ReferenceVerifyUniform,
-                other => panic!(
-                    "UU_SIMT_ENGINE={other:?}: expected decoded | reference | verify-uniform"
-                ),
-            },
+        *FROM_ENV.get_or_init(|| {
+            let v = std::env::var("UU_SIMT_ENGINE").unwrap_or_default();
+            let name = if v == "decoded" { "" } else { v.as_str() };
+            [
+                ExecEngine::Decoded,
+                ExecEngine::Reference,
+                ExecEngine::ReferenceVerifyUniform,
+            ]
+            .into_iter()
+            .find(|e| e.tag() == name)
+            .unwrap_or_else(|| {
+                panic!("UU_SIMT_ENGINE={v:?}: expected decoded | reference | verify-uniform")
+            })
         })
     }
 }

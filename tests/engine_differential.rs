@@ -366,6 +366,67 @@ fn decode_cache_reuses_across_corpus_relaunches() {
     uu_simt::decode_cache_clear();
 }
 
+/// A trap in a warp-uniform instruction — which the decoded engine
+/// evaluates for one lane through its staging row, not per lane — reports
+/// the reference interpreter's error: an operand whose (scalar) register was
+/// never written, and a select whose condition is not an `i1`.
+#[test]
+fn uniform_instruction_traps_match_the_reference() {
+    use uu_ir::{Function, FunctionBuilder, Param, Type, Value};
+    use uu_simt::{ExecError, KernelArg, LaunchConfig};
+    let params = || vec![Param::new("out", Type::Ptr), Param::new("n", Type::I64)];
+
+    // `%x` is linked (so it owns a scalar register) but never executed.
+    let mut undefined = Function::new("undefined_operand", params(), Type::Void);
+    let entry = undefined.entry();
+    let mut b = FunctionBuilder::new(&mut undefined);
+    let dead = b.create_block();
+    let tail = b.create_block();
+    b.switch_to(entry);
+    b.br(tail);
+    b.switch_to(dead);
+    let x = b.add(Value::Arg(1), Value::imm(1i64));
+    b.br(tail);
+    b.switch_to(tail);
+    let u = b.add(x, Value::imm(2i64));
+    b.store(Value::Arg(0), u);
+    b.ret(None);
+
+    let mut mistyped = Function::new("mistyped_select", params(), Type::Void);
+    let entry = mistyped.entry();
+    let mut b = FunctionBuilder::new(&mut mistyped);
+    b.switch_to(entry);
+    let s = b.select(Value::Arg(1), Value::imm(1i64), Value::imm(2i64));
+    b.store(Value::Arg(0), s);
+    b.ret(None);
+
+    for (f, culprit) in [(&undefined, x), (&mistyped, s)] {
+        let trap = |engine: ExecEngine| {
+            let mut params = GpuParams::default();
+            params.engine = engine;
+            let mut gpu = Gpu::with_params(params);
+            let out = gpu.mem.alloc_i64(&[0]).unwrap();
+            gpu.launch(
+                f,
+                LaunchConfig::new(1, 32),
+                &[KernelArg::Buffer(out), KernelArg::I64(5)],
+            )
+            .expect_err("the kernel traps")
+        };
+        let reference = trap(ExecEngine::Reference);
+        let Value::Inst(inst) = culprit else {
+            unreachable!("the builder returns instruction values")
+        };
+        assert_eq!(
+            reference,
+            ExecError::UndefinedValue { inst },
+            "{}",
+            f.name()
+        );
+        assert_eq!(trap(ExecEngine::Decoded), reference, "{}", f.name());
+    }
+}
+
 /// Execute `f` under a manually decoded kernel (fused or unfused
 /// superblocks), one warp of 32 lanes, with an optional injected memory
 /// fault; flatten everything observable for exact comparison.
