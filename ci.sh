@@ -12,6 +12,22 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# `wait` cannot be timed out, so poll for the exit first: a daemon that
+# never wakes from `accept` after `shutdown` fails the rung in 10 s instead
+# of hanging CI.
+wait_drained() {
+  if ! timeout 10 tail --pid="$1" -f /dev/null; then
+    echo "daemon (pid $1) did not exit within 10 s of shutdown" >&2
+    exit 1
+  fi
+  wait "$1"
+}
+
+# counter FILE NAME: one integer counter out of a `stats` JSON snapshot.
+counter() {
+  grep -o "\"$2\": [0-9]*" "$1" | grep -o '[0-9]*$'
+}
+
 echo "== build (release, offline, deny warnings) =="
 RUSTFLAGS="${RUSTFLAGS:-} -Dwarnings" cargo build --release --offline --all-targets
 
@@ -152,7 +168,7 @@ fi
 ./target/release/uu-jsonck target/ci/serve-stats.json
 grep -q '"stats_version": 2' target/ci/serve-stats.json
 ./target/release/uu-harness client --socket target/ci/serve.sock --verb shutdown > /dev/null
-wait "$serve_pid"
+wait_drained "$serve_pid"
 trap - EXIT
 echo "serve smoke: round-trip, hit, fault containment, shutdown all good"
 
@@ -232,7 +248,7 @@ grep -q '"handler_panics": [1-9]' target/ci/stress-stats.json
 ./target/release/uu-harness client --socket target/ci/stress.sock --verb shutdown \
   > target/ci/stress-shutdown.txt
 grep -q '^ok$' target/ci/stress-shutdown.txt
-wait "$stress_pid"
+wait_drained "$stress_pid"
 trap - EXIT
 echo "serve stress: shed, contained, drained with zero lost responses"
 
@@ -260,9 +276,32 @@ if grep -q '"compile_misses": 0,' target/ci/remote-stats.json; then
   echo "daemon-backed study compiled nothing remotely" >&2
   exit 1
 fi
+# The warm served path: the UU_JOBS=1 study again, against the same
+# daemon. Byte-identical once more, and every one of its requests a
+# forwarded hit — nothing recompiled, hits up by exactly the pass's
+# compile count (its requests, less the closing `stats` request itself).
+rm -rf target/ci/remote-study-warm
+UU_JOBS=1 UU_SERVE_SOCKET=target/ci/remote.sock \
+  ./target/release/uu-harness study --bench mandelbrot \
+  --out target/ci/remote-study-warm > /dev/null
+diff -r target/ci/study-j1 target/ci/remote-study-warm
+./target/release/uu-harness client --socket target/ci/remote.sock --verb stats \
+  | tail -n +2 > target/ci/remote-stats-warm.json
+cold=target/ci/remote-stats.json
+warm=target/ci/remote-stats-warm.json
+compiles=$(( $(counter $warm requests) - $(counter $cold requests) - 1 ))
+hits=$(( $(counter $warm compile_mem_hits) + $(counter $warm compile_disk_hits) \
+  - $(counter $cold compile_mem_hits) - $(counter $cold compile_disk_hits) ))
+if [ "$compiles" -le 0 ] || [ "$hits" -ne "$compiles" ] \
+  || [ "$(counter $warm compile_misses)" -ne "$(counter $cold compile_misses)" ]; then
+  echo "warm daemon-backed study: $compiles compiles, $hits hits, misses" \
+    "$(counter $cold compile_misses) -> $(counter $warm compile_misses)" >&2
+  exit 1
+fi
 ./target/release/uu-harness client --socket target/ci/remote.sock --verb shutdown > /dev/null
-wait "$remote_pid"
+wait_drained "$remote_pid"
 trap - EXIT
+echo "warm pass: $compiles compiles, all served as hits, byte-identical"
 echo "daemon-backed study byte-identical to the local reference at UU_JOBS=1 and 4"
 
 echo "== simulator throughput bench smoke + BENCH_sim.json well-formedness =="

@@ -4,7 +4,9 @@
 //! Useful for tracking the compile-time behaviour the paper's Figure 6c
 //! aggregates, and for catching a structural pass whose cost grows with
 //! rewrites × function size — the small subject hides that, the large one
-//! does not.
+//! does not. The `codec/*` rows time the IR text codec — the print, hash
+//! and parse every daemon round trip and disk artifact pays — on the
+//! largest module the sweep ships.
 
 use uu_check::bench::Harness;
 use uu_core::opt::{
@@ -166,10 +168,26 @@ fn bench_analyses(h: &mut Harness) {
     });
 }
 
+/// Print, hash and parse XSBench's module (106 functions, 55 530 bytes of
+/// text). A unit is a byte, so the throughput column reads MB/s.
+fn bench_codec(h: &mut Harness) {
+    let xsbench = uu_kernels::all_benchmarks()
+        .into_iter()
+        .find(|b| b.info.name == "XSBench")
+        .expect("XSBench is one of the paper's applications");
+    let m = (xsbench.build)();
+    let text = m.to_string();
+    let bytes = text.len() as u64;
+    h.bench_batched_units("codec/print", bytes, || (), |()| m.to_string());
+    h.bench_batched_units("codec/hash", bytes, || (), |()| uu_ir::module_hash(&m));
+    h.bench_batched_units("codec/parse", bytes, || (), |()| uu_ir::parse_module(&text));
+}
+
 fn main() {
     let mut h = Harness::new("passes");
     bench_transform(&mut h);
     bench_cleanup_passes(&mut h);
     bench_analyses(&mut h);
+    bench_codec(&mut h);
     h.finish();
 }

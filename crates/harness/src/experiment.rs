@@ -343,7 +343,7 @@ fn compile_remote(
     };
     let fault_spec = opts.fault.as_ref().map(FaultPlan::spec);
     let rc = remote
-        .compile(&m.to_string(), &config, filter, fault_spec.as_deref(), want_module)
+        .compile(m.to_string(), &config, filter, fault_spec.as_deref(), want_module)
         .ok()?;
     if want_module {
         *m = uu_ir::parse_module(rc.module_text.as_deref()?).ok()?;

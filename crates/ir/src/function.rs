@@ -228,6 +228,13 @@ impl Function {
         &self.layout
     }
 
+    /// Replace the layout wholesale (the parser's way of reproducing a
+    /// printed block order; blocks left out stay in the arena, unlinked).
+    pub(crate) fn set_layout(&mut self, layout: Vec<BlockId>) {
+        debug_assert!(layout.iter().all(|b| b.index() < self.blocks.len()));
+        self.layout = layout;
+    }
+
     /// Move `block` to the end of the layout (no-op if absent).
     pub fn move_block_to_end(&mut self, block: BlockId) {
         self.layout.retain(|b| *b != block);

@@ -15,6 +15,7 @@
 
 use crate::function::Function;
 use crate::module::Module;
+use std::fmt::{self, Write as _};
 use std::hash::{Hash, Hasher};
 
 /// FNV-1a 64-bit offset basis.
@@ -42,18 +43,24 @@ pub fn fnv1a_continue(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// Stable content hash of a module: FNV-1a 64 over its printed text.
+/// Stable content hash of a module: FNV-1a 64 over its printed text,
+/// i.e. `fnv1a(m.to_string().as_bytes())` — computed by streaming the
+/// printer into the hash, without building the text.
 ///
 /// Two modules that print identically hash identically, and a module
 /// survives a print → parse → print round trip with the same hash (the
 /// parser reconstructs the printed form byte-for-byte). This is the
-/// module component of the `uu-serve` cache key.
+/// module component of the `uu-serve` cache key; the daemon computes it
+/// as `fnv1a` of a request body without parsing it.
 pub fn module_hash(m: &Module) -> u64 {
-    fnv1a(m.to_string().as_bytes())
+    let mut h = Fnv(FNV_OFFSET);
+    write!(h, "{m}").expect("hashing cannot fail");
+    h.0
 }
 
-/// FNV-1a 64 as a [`Hasher`], so the IR types' derived `Hash` impls feed
-/// the same function the rest of the workspace uses.
+/// FNV-1a 64 as a byte sink: a [`Hasher`], so the IR types' derived
+/// `Hash` impls feed the same function the rest of the workspace uses,
+/// and a [`fmt::Write`], so printed text can be hashed as it is produced.
 struct Fnv(u64);
 
 impl Hasher for Fnv {
@@ -63,6 +70,13 @@ impl Hasher for Fnv {
 
     fn finish(&self) -> u64 {
         self.0
+    }
+}
+
+impl fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 = fnv1a_continue(self.0, s.as_bytes());
+        Ok(())
     }
 }
 
@@ -167,6 +181,7 @@ mod tests {
     fn module_hash_is_round_trip_stable() {
         let m = sample();
         let h = module_hash(&m);
+        assert_eq!(h, fnv1a(m.to_string().as_bytes()), "streamed hash ≡ hashed string");
         let reparsed = crate::parse_module(&m.to_string()).unwrap();
         assert_eq!(module_hash(&reparsed), h);
         // And the hash actually distinguishes different modules.

@@ -217,7 +217,8 @@ struct PendingInst {
     text_id: Option<u32>,
     line: usize,
     kind: PendingKind,
-    block: BlockId,
+    /// Index of the containing block's label, in textual order.
+    block: usize,
 }
 
 #[derive(Debug)]
@@ -317,29 +318,21 @@ pub fn parse_function(text: &str) -> Result<Function, ParseError> {
         .map(|(i, p)| (p.name.clone(), i as u32))
         .collect();
 
-    // Pass 1: collect blocks and pending instructions.
-    let mut block_ids: HashMap<String, BlockId> = HashMap::new();
-    let mut block_of = |f: &mut Function, label: &str| -> BlockId {
-        if let Some(&b) = block_ids.get(label) {
-            return b;
-        }
-        // Block 0 already exists from Function::new.
-        let b = if block_ids.is_empty() {
-            f.entry()
-        } else {
-            f.add_block()
-        };
-        block_ids.insert(label.to_string(), b);
-        b
-    };
+    // Pass 1: collect block labels (in textual order) and pending
+    // instructions.
+    let mut labels: Vec<&str> = Vec::new();
+    let mut label_ix: HashMap<&str, usize> = HashMap::new();
     let mut pendings: Vec<PendingInst> = Vec::new();
-    let mut current: Option<BlockId> = None;
+    let mut current: Option<usize> = None;
     for (lno, line) in lines {
         if line == "}" {
             break;
         }
         if let Some(label) = line.strip_suffix(':') {
-            current = Some(block_of(&mut f, label));
+            current = Some(*label_ix.entry(label).or_insert_with(|| {
+                labels.push(label);
+                labels.len() - 1
+            }));
             continue;
         }
         let block = current.ok_or(ParseError {
@@ -366,16 +359,51 @@ pub fn parse_function(text: &str) -> Result<Function, ParseError> {
         });
     }
 
+    // Blocks: honor the printed numbering. The printer labels a block
+    // `bb<BlockId>`, and an optimized function's layout has holes (removed
+    // blocks) and its own order, so when every label has that shape the
+    // block keeps its number — holes become unlinked arena blocks — and
+    // the layout is the textual order. Any other labelling (hand-written
+    // names, or numbers too sparse to be a printer's) numbers the blocks
+    // by first appearance.
+    let printed: Option<Vec<u32>> = labels
+        .iter()
+        .map(|l| {
+            let digits = l.strip_prefix("bb")?;
+            let canonical = digits == "0" || !digits.starts_with(['0', '+']);
+            digits.parse::<u32>().ok().filter(|_| canonical)
+        })
+        .collect();
+    let block_of: Vec<BlockId> = match printed {
+        Some(nums) if !nums.is_empty() && fits(&nums) => {
+            // Nothing is unlinked yet, so the layout counts the arena.
+            while f.num_blocks() <= *nums.iter().max().expect("non-empty") as usize {
+                f.add_block();
+            }
+            let ids: Vec<BlockId> = nums.iter().map(|&n| BlockId::from_index(n as usize)).collect();
+            f.set_layout(ids.clone());
+            ids
+        }
+        _ => (0..labels.len())
+            // Block 0 already exists from Function::new.
+            .map(|i| if i == 0 { f.entry() } else { f.add_block() })
+            .collect(),
+    };
+
     // Pre-create all instructions so forward references resolve — and
     // honor the printed ids while doing it. The printer emits raw
     // `InstId` indices, so the text carries the original numbering of
     // every *valued* instruction; void instructions print no id and are
-    // slotted into the unused numbers in textual order. Preserving the
-    // numbering (exactly when the printed ids are gap-free, by rank
-    // otherwise) matters beyond aesthetics: id order is observable by
-    // optimizer tie-breaks, so a module that round-trips through text —
-    // a disk artifact, a wire body — must re-optimize exactly like the
-    // original. The remote-compile backend depends on this.
+    // slotted into the unused numbers in textual order, and numbers that
+    // are still unused after that (an optimized function's deleted
+    // instructions) become unlinked arena slots. Preserving the numbering
+    // matters beyond aesthetics: it makes print → parse → print a fixpoint
+    // for *any* printed module, which is what lets `module_hash` be a hash
+    // of wire bytes, and id order is observable by optimizer tie-breaks,
+    // so a module that round-trips through text — a disk artifact, a wire
+    // body — must re-optimize exactly like the original. (Ids too sparse
+    // to be a printer's are kept by rank instead: a hostile `%4000000000`
+    // must not buy a four-billion-slot arena.)
     let mut taken: HashSet<u32> = HashSet::new();
     for p in &pendings {
         if let Some(t) = p.text_id {
@@ -389,15 +417,19 @@ pub fn parse_function(text: &str) -> Result<Function, ParseError> {
         .iter()
         .map(|p| p.text_id.unwrap_or_else(|| free.next().expect("u32 space")))
         .collect();
+    let exact = fits(&targets);
     // Dense `InstId`s are allocation-ordered, so creating placeholders
     // in ascending target order reproduces the numbering; blocks are
     // then filled in textual order, which is the original layout.
+    let placeholder = |ty| Inst::new(InstKind::Ret { value: None }, ty);
     let mut order: Vec<usize> = (0..pendings.len()).collect();
     order.sort_by_key(|&i| targets[i]);
     let mut ids_by_pending: Vec<Option<InstId>> = vec![None; pendings.len()];
     for &i in &order {
-        let ty = pending_type(&pendings[i].kind);
-        let id = f.create_inst(Inst::new(InstKind::Ret { value: None }, ty));
+        while exact && f.num_inst_slots() < targets[i] as usize {
+            f.create_inst(placeholder(Type::Void));
+        }
+        let id = f.create_inst(placeholder(pending_type(&pendings[i].kind)));
         ids_by_pending[i] = Some(id);
     }
     let ids: Vec<InstId> = ids_by_pending
@@ -406,7 +438,7 @@ pub fn parse_function(text: &str) -> Result<Function, ParseError> {
         .collect();
     let mut text_map: HashMap<u32, InstId> = HashMap::new();
     for (p, &id) in pendings.iter().zip(&ids) {
-        f.block_mut(p.block).insts.push(id);
+        f.block_mut(block_of[p.block]).insts.push(id);
         if let Some(t) = p.text_id {
             text_map.insert(t, id);
         }
@@ -433,7 +465,7 @@ pub fn parse_function(text: &str) -> Result<Function, ParseError> {
         }
     };
     let block_ref = |label: &str, line: usize| -> Result<BlockId, ParseError> {
-        block_ids.get(label).copied().ok_or(ParseError {
+        label_ix.get(label).map(|&i| block_of[i]).ok_or(ParseError {
             line,
             message: format!("unknown block `{label}`"),
         })
@@ -508,6 +540,18 @@ pub fn parse_function(text: &str) -> Result<Function, ParseError> {
         f.inst_mut(id).kind = kind;
     }
     Ok(f)
+}
+
+/// Whether the printed `numbers` of a function's live instructions (or
+/// blocks) are dense enough to honor exactly, the holes becoming dead arena
+/// slots. Optimized IR keeps a few dead slots per live one (43 at most over
+/// the benchmark sweep); the slack is generous for that and still bounds
+/// what a frame of hostile text can make the parser allocate.
+fn fits(numbers: &[u32]) -> bool {
+    numbers
+        .iter()
+        .max()
+        .is_none_or(|&m| (m as usize) < 64 * numbers.len() + 4096)
 }
 
 fn pending_type(k: &PendingKind) -> Type {
@@ -876,5 +920,43 @@ bb2:
         )
         .unwrap();
         verify_function(&f).unwrap();
+    }
+
+    #[test]
+    fn gapped_ids_and_removed_blocks_round_trip_exactly() {
+        // The shape optimized IR has: instruction ids with holes (deleted
+        // instructions), block numbers with holes, layout out of numeric
+        // order. Parsing keeps every printed number.
+        let text = "fn @g(i64 %n) -> i64 {\nbb0:\n  %7 = add i64 %n, 1\n  br bb9\nbb9:\n  %40 = phi i64 [%7, bb0], [%12, bb4]\n  %3 = icmp slt i64 %40, %n\n  br i1 %3, bb4, bb6\nbb4:\n  %12 = add i64 %40, 2\n  br bb9\nbb6:\n  ret i64 %40\n}\n";
+        let f = parse_function(text).unwrap();
+        verify_function(&f).unwrap();
+        assert_eq!(f.to_string(), text);
+        assert_eq!(f.num_blocks(), 4);
+        assert_eq!(f.num_insts(), 8);
+        assert_eq!(f.num_inst_slots(), 41, "holes are dead arena slots");
+        assert_eq!(f.layout()[1].index(), 9);
+        // Void instructions took the lowest unused numbers, in order.
+        assert_eq!(f.terminator(f.entry()).unwrap().index(), 0);
+    }
+
+    #[test]
+    fn ids_too_sparse_to_be_a_printers_are_kept_by_rank() {
+        let f = parse_function(
+            "fn @h(i64 %n) -> i64 {\nbb4000000000:\n  %4000000000 = add i64 %n, 1\n  ret i64 %4000000000\n}\n",
+        )
+        .unwrap();
+        verify_function(&f).unwrap();
+        assert_eq!(f.num_inst_slots(), 2);
+        assert_eq!(f.to_string(), "fn @h(i64 %n) -> i64 {\nbb0:\n  %1 = add i64 %n, 1\n  ret i64 %1\n}\n");
+    }
+
+    #[test]
+    fn named_labels_number_blocks_by_first_appearance() {
+        let f = parse_function(
+            "fn @l() -> void {\nentry:\n  br exit\nexit:\n  ret void\n}\n",
+        )
+        .unwrap();
+        verify_function(&f).unwrap();
+        assert_eq!(f.to_string(), "fn @l() -> void {\nbb0:\n  br bb1\nbb1:\n  ret void\n}\n");
     }
 }

@@ -1,137 +1,137 @@
 //! Textual rendering of IR, in an LLVM-flavoured syntax.
 //!
-//! The printed form is meant for humans and tests; it is stable enough to
-//! snapshot in unit tests but is not a serialization format.
+//! The printed form is what people read in dumps and tests *and* the
+//! serialization format of the compile service: it is the body of every
+//! `uu-serve` request and reply and the `ir` section of every on-disk
+//! compile artifact, and [`module_hash`](crate::module_hash) is a hash of
+//! exactly these bytes. The contract it carries is the round trip —
+//! `parse(print(m))` prints the same bytes — so a change that moves one
+//! byte of output invalidates every cache key and must be deliberate.
+//!
+//! Everything streams into the caller's [`fmt::Write`]: no intermediate
+//! `String` per operand, instruction or block.
 
-use crate::entities::{BlockId, InstId, Value};
+use crate::entities::{InstId, Value};
 use crate::function::Function;
 use crate::inst::InstKind;
 use crate::module::Module;
 use std::fmt;
 
-/// Render a value in the context of `func` (arguments print their names).
-pub fn value_to_string(func: &Function, v: Value) -> String {
-    match v {
-        Value::Inst(id) => format!("%{}", id.index()),
-        Value::Arg(i) => format!("%{}", func.params()[i as usize].name),
-        Value::Const(c) => c.to_string(),
+/// `Display` adaptor for a value in the context of its function
+/// (arguments print their names).
+struct Operand<'a>(&'a Function, Value);
+
+impl fmt::Display for Operand<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.1 {
+            Value::Inst(id) => write!(f, "%{}", id.index()),
+            Value::Arg(i) => write!(f, "%{}", self.0.params()[i as usize].name),
+            Value::Const(c) => c.fmt(f),
+        }
     }
 }
 
-/// Render one instruction (without trailing newline).
-pub fn inst_to_string(func: &Function, id: InstId) -> String {
+/// Write one instruction (without indentation or trailing newline) — the
+/// only place instruction syntax is produced.
+fn write_inst(f: &mut fmt::Formatter<'_>, func: &Function, id: InstId) -> fmt::Result {
     let inst = func.inst(id);
-    let v = |x: Value| value_to_string(func, x);
-    let lhs = if inst.ty == crate::Type::Void {
-        String::new()
-    } else {
-        format!("%{} = ", id.index())
-    };
-    let body = match &inst.kind {
+    let v = |x: Value| Operand(func, x);
+    if inst.ty != crate::Type::Void {
+        write!(f, "%{} = ", id.index())?;
+    }
+    match &inst.kind {
         InstKind::Bin { op, lhs, rhs } => {
-            format!("{op} {} {}, {}", inst.ty, v(*lhs), v(*rhs))
+            write!(f, "{op} {} {}, {}", inst.ty, v(*lhs), v(*rhs))
         }
-        InstKind::ICmp { pred, lhs, rhs } => {
-            format!(
-                "icmp {pred} {} {}, {}",
-                func.value_type(*lhs),
-                v(*lhs),
-                v(*rhs)
-            )
-        }
-        InstKind::FCmp { pred, lhs, rhs } => {
-            format!(
-                "fcmp {pred} {} {}, {}",
-                func.value_type(*lhs),
-                v(*lhs),
-                v(*rhs)
-            )
-        }
+        InstKind::ICmp { pred, lhs, rhs } => write!(
+            f,
+            "icmp {pred} {} {}, {}",
+            func.value_type(*lhs),
+            v(*lhs),
+            v(*rhs)
+        ),
+        InstKind::FCmp { pred, lhs, rhs } => write!(
+            f,
+            "fcmp {pred} {} {}, {}",
+            func.value_type(*lhs),
+            v(*lhs),
+            v(*rhs)
+        ),
         InstKind::Select {
             cond,
             on_true,
             on_false,
-        } => format!(
+        } => write!(
+            f,
             "select {} {}, {}, {}",
             inst.ty,
             v(*cond),
             v(*on_true),
             v(*on_false)
         ),
-        InstKind::Cast { op, value } => format!(
+        InstKind::Cast { op, value } => write!(
+            f,
             "{op} {} {} to {}",
             func.value_type(*value),
             v(*value),
             inst.ty
         ),
-        InstKind::Load { ptr } => format!("load {}, {}", inst.ty, v(*ptr)),
-        InstKind::Store { ptr, value } => format!(
+        InstKind::Load { ptr } => write!(f, "load {}, {}", inst.ty, v(*ptr)),
+        InstKind::Store { ptr, value } => write!(
+            f,
             "store {} {}, {}",
             func.value_type(*value),
             v(*value),
             v(*ptr)
         ),
         InstKind::Gep { base, index, scale } => {
-            format!("gep {}, {} x{}", v(*base), v(*index), scale)
+            write!(f, "gep {}, {} x{}", v(*base), v(*index), scale)
         }
         InstKind::Phi { incomings } => {
-            let parts: Vec<String> = incomings
-                .iter()
-                .map(|(b, val)| format!("[{}, {}]", v(*val), b))
-                .collect();
-            format!("phi {} {}", inst.ty, parts.join(", "))
+            write!(f, "phi {} ", inst.ty)?;
+            for (n, (b, val)) in incomings.iter().enumerate() {
+                let sep = if n == 0 { "" } else { ", " };
+                write!(f, "{sep}[{}, {b}]", v(*val))?;
+            }
+            Ok(())
         }
         InstKind::Intr { which, args } => {
-            let parts: Vec<String> = args.iter().map(|a| v(*a)).collect();
-            format!("call {} @{which}({})", inst.ty, parts.join(", "))
+            write!(f, "call {} @{which}(", inst.ty)?;
+            for (n, a) in args.iter().enumerate() {
+                let sep = if n == 0 { "" } else { ", " };
+                write!(f, "{sep}{}", v(*a))?;
+            }
+            f.write_str(")")
         }
-        InstKind::Br { target } => format!("br {target}"),
+        InstKind::Br { target } => write!(f, "br {target}"),
         InstKind::CondBr {
             cond,
             if_true,
             if_false,
-        } => format!("br i1 {}, {if_true}, {if_false}", v(*cond)),
+        } => write!(f, "br i1 {}, {if_true}, {if_false}", v(*cond)),
         InstKind::Ret { value } => match value {
-            Some(x) => format!("ret {} {}", func.value_type(*x), v(*x)),
-            None => "ret void".to_string(),
+            Some(x) => write!(f, "ret {} {}", func.value_type(*x), v(*x)),
+            None => f.write_str("ret void"),
         },
-    };
-    format!("{lhs}{body}")
-}
-
-/// Render one block, including its label line.
-pub fn block_to_string(func: &Function, b: BlockId) -> String {
-    let mut out = format!("{b}:\n");
-    for &i in &func.block(b).insts {
-        out.push_str("  ");
-        out.push_str(&inst_to_string(func, i));
-        out.push('\n');
     }
-    out
 }
 
 impl fmt::Display for Function {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let params: Vec<String> = self
-            .params()
-            .iter()
-            .map(|p| {
-                if p.restrict {
-                    format!("{} restrict %{}", p.ty, p.name)
-                } else {
-                    format!("{} %{}", p.ty, p.name)
-                }
-            })
-            .collect();
-        writeln!(
-            f,
-            "fn @{}({}) -> {} {{",
-            self.name(),
-            params.join(", "),
-            self.ret_ty()
-        )?;
+        write!(f, "fn @{}(", self.name())?;
+        for (n, p) in self.params().iter().enumerate() {
+            let sep = if n == 0 { "" } else { ", " };
+            let restrict = if p.restrict { " restrict" } else { "" };
+            write!(f, "{sep}{}{restrict} %{}", p.ty, p.name)?;
+        }
+        writeln!(f, ") -> {} {{", self.ret_ty())?;
         for &b in self.layout() {
-            f.write_str(&block_to_string(self, b))?;
+            writeln!(f, "{b}:")?;
+            for &i in &self.block(b).insts {
+                f.write_str("  ")?;
+                write_inst(f, self, i)?;
+                f.write_str("\n")?;
+            }
         }
         writeln!(f, "}}")
     }

@@ -3,19 +3,19 @@
 //! The key is the triple `(module hash, canonical config, pipeline
 //! fingerprint)` — see the crate docs. Two layers:
 //!
-//! * **memory**: modules kept as live [`Module`] values, so a hit is a
-//!   clone — bit-identical to the compile that produced it by
-//!   construction;
+//! * **memory**: what the disk holds — metadata plus the optimized
+//!   module's printed text, shared as an `Arc<str>` — so a hit is a
+//!   refcount, and a [`Module`] is materialised (parsed) only for a caller
+//!   that asked for one. The compile daemon never does: it forwards the
+//!   stored text as the reply body;
 //! * **disk** (optional): artifacts in the text format of
 //!   [`crate::artifact`], content-addressed under
 //!   `<dir>/<kk>/<32-hex-key>.uuart`, written atomically
 //!   (tmp + rename) and strictly validated on load. A corrupt, truncated
-//!   or version-skewed file is a miss, never a wrong answer. Loading
-//!   re-parses the stored IR, which renumbers SSA ids into compact form —
-//!   semantically identical, same structure, size and cost, but not the
-//!   same byte string as the original print (report byte-identity never
-//!   depends on optimized-IR text; the numbers all come from the cached
-//!   metadata and run records, which round-trip exactly).
+//!   or version-skewed file is a miss, never a wrong answer. The stored IR
+//!   is the printer's output and the parser reconstructs it exactly
+//!   (`parse(ir).to_string() == ir`, pinned by `wire_fidelity.rs`), so a
+//!   module loaded from disk is the module that was stored, ids included.
 //!
 //! Measured runs are cached too (`run` artifacts): simulation dominates
 //! wall time for hot sweep points, so a warm sweep skips both halves.
@@ -28,7 +28,7 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::artifact::{Artifact, CompileMeta, RunRecord};
@@ -84,7 +84,7 @@ pub struct CachedCompile {
 /// cache is shared across worker threads by reference.
 pub struct CompileCache {
     dir: Option<PathBuf>,
-    mem_compile: Mutex<HashMap<Key, (CompileMeta, Module)>>,
+    mem_compile: Mutex<HashMap<Key, (CompileMeta, Arc<str>)>>,
     mem_run: Mutex<HashMap<Key, (CompileMeta, RunRecord)>>,
     stats: Mutex<CacheStats>,
 }
@@ -145,12 +145,19 @@ impl CompileCache {
     /// a mem-fault plan share an artifact (the fault belongs in the *run*
     /// key's workload tag instead).
     pub fn compile_key(m: &Module, opts: &PipelineOptions) -> Key {
+        CompileCache::key_for_hash(uu_ir::module_hash(m), opts)
+    }
+
+    /// [`compile_key`](Self::compile_key) from the module's hash alone.
+    /// `module_hash(m)` is `fnv1a` of `m`'s printed text, so a holder of
+    /// that text (the daemon, reading a request body) keys it without
+    /// parsing or printing anything.
+    pub fn key_for_hash(module_h: u64, opts: &PipelineOptions) -> Key {
         let mut opts = opts.clone();
         if opts.fault.as_ref().is_some_and(|p| p.kind == FaultKind::Mem) {
             opts.fault = None;
         }
         let cfg = format!("{opts:?}");
-        let module_h = uu_ir::module_hash(m);
         let fp = uu_core::pipeline_fingerprint();
         let lane = |seed: &[u8]| {
             let mut h = uu_ir::fnv1a(seed);
@@ -182,34 +189,18 @@ impl CompileCache {
 
     /// Compile `m` under `opts` through the cache. On a hit, `m` is
     /// replaced with the cached optimized module when `want_module` is
-    /// set (skip-run callers that only consume the metadata pass `false`
-    /// and keep their input module untouched). On a miss, the pipeline
-    /// runs and the result is stored in every layer.
+    /// set (skip-run callers that only consume the metadata pass `false`,
+    /// keep their input module untouched and pay for no parse). On a
+    /// miss, the pipeline runs and the result is stored in every layer.
     pub fn compile(&self, m: &mut Module, opts: &PipelineOptions, want_module: bool) -> CachedCompile {
         let t0 = Instant::now();
         let key = CompileCache::compile_key(m, opts);
 
-        // Memory layer: a hit is a clone of the stored value.
-        if let Some((meta, module)) = self.mem_compile.lock().unwrap().get(&key) {
-            let meta = meta.clone();
-            if want_module {
-                *m = module.clone();
-            }
-            self.note_compile_hit(&meta, true, t0);
-            return CachedCompile { meta, hit: true };
-        }
-
-        // Disk layer: decode + validate; promote to memory on success.
-        if let Some(Artifact::Compile { meta, ir }) = self.load(key) {
-            if let Ok(module) = uu_ir::parse_module(&ir) {
-                if want_module {
-                    *m = module.clone();
-                }
-                self.mem_compile
-                    .lock()
-                    .unwrap()
-                    .insert(key, (meta.clone(), module));
-                self.note_compile_hit(&meta, false, t0);
+        // Stored text that does not parse (possible only for a disk
+        // artifact damaged with a matching `ir-fnv`) is a miss.
+        if let Some((meta, ir, mem)) = self.stored_compile(key) {
+            if !want_module || uu_ir::parse_module(&ir).map(|module| *m = module).is_ok() {
+                self.note_compile_hit(key, &meta, ir, mem, t0);
                 return CachedCompile { meta, hit: true };
             }
         }
@@ -219,15 +210,16 @@ impl CompileCache {
         let t1 = Instant::now();
         let outcome = uu_core::compile(m, opts);
         let meta = CompileMeta::of(&outcome, m);
+        let ir = m.to_string();
         self.mem_compile
             .lock()
             .unwrap()
-            .insert(key, (meta.clone(), m.clone()));
+            .insert(key, (meta.clone(), Arc::from(ir.as_str())));
         self.store(
             key,
             &Artifact::Compile {
                 meta: meta.clone(),
-                ir: m.to_string(),
+                ir,
             },
         );
         {
@@ -238,6 +230,43 @@ impl CompileCache {
             st.compile_micros += t1.elapsed().as_micros() as u64;
         }
         CachedCompile { meta, hit: false }
+    }
+
+    /// Probe with the module's printed text in hand instead of the
+    /// module: key it as `fnv1a(text)` ([`key_for_hash`](Self::key_for_hash))
+    /// and return that key with the stored metadata and optimized IR
+    /// text, counted as a hit (`compile_mem_hits`/`compile_disk_hits`,
+    /// `work_saved`, `lookup_micros` — keying included). `None` counts
+    /// nothing. This is the daemon's hit path: nothing is parsed or
+    /// printed, the stored text goes out as the reply body untouched. A
+    /// disk artifact is parsed once, when it is promoted to memory, so
+    /// text served from memory always parses.
+    pub fn lookup_compile(
+        &self,
+        module_text: &str,
+        opts: &PipelineOptions,
+    ) -> Option<(Key, CompileMeta, Arc<str>)> {
+        let t0 = Instant::now();
+        let key = CompileCache::key_for_hash(uu_ir::fnv1a(module_text.as_bytes()), opts);
+        let (meta, ir, mem) = self.stored_compile(key)?;
+        if !mem {
+            uu_ir::parse_module(&ir).ok()?;
+        }
+        self.note_compile_hit(key, &meta, Arc::clone(&ir), mem, t0);
+        Some((key, meta, ir))
+    }
+
+    /// The compile artifact stored under `key` and whether it came from
+    /// memory (else from disk, decoded and `ir-fnv`-checked). Counts and
+    /// promotes nothing: the caller decides whether it is a hit.
+    fn stored_compile(&self, key: Key) -> Option<(CompileMeta, Arc<str>, bool)> {
+        if let Some((meta, ir)) = self.mem_compile.lock().unwrap().get(&key) {
+            return Some((meta.clone(), Arc::clone(ir), true));
+        }
+        match self.load(key)? {
+            Artifact::Compile { meta, ir } => Some((meta, ir.into(), false)),
+            Artifact::Run { .. } => None,
+        }
     }
 
     /// Look up a cached measured run. `None` counts as a run miss — the
@@ -298,7 +327,14 @@ impl CompileCache {
         f(&mut self.stats.lock().unwrap())
     }
 
-    fn note_compile_hit(&self, meta: &CompileMeta, mem: bool, t0: Instant) {
+    /// Account a compile hit, promoting a disk artifact to memory.
+    fn note_compile_hit(&self, key: Key, meta: &CompileMeta, ir: Arc<str>, mem: bool, t0: Instant) {
+        if !mem {
+            self.mem_compile
+                .lock()
+                .unwrap()
+                .insert(key, (meta.clone(), ir));
+        }
         let mut st = self.stats.lock().unwrap();
         if mem {
             st.compile_mem_hits += 1;
@@ -310,7 +346,7 @@ impl CompileCache {
         st.lookup_micros += t0.elapsed().as_micros() as u64;
     }
 
-    fn path_of(&self, key: Key) -> Option<PathBuf> {
+    pub(crate) fn path_of(&self, key: Key) -> Option<PathBuf> {
         let dir = self.dir.as_ref()?;
         let hex = key.hex();
         Some(dir.join(&hex[..2]).join(format!("{hex}.uuart")))
@@ -426,26 +462,24 @@ bb6:
     fn disk_artifacts_survive_a_fresh_cache() {
         let dir = std::env::temp_dir().join(format!("uu-cache-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let first;
+        let (first, stored);
         {
             let cache = CompileCache::at_dir(&dir).unwrap();
             let mut m = module();
             first = cache.compile(&mut m, &opts(), true);
             assert!(!first.hit);
+            stored = m.to_string();
         }
         // New cache object, empty memory: must hit via disk, with the
-        // metadata of the original compile. The module text is the parse
-        // round trip of the stored IR (SSA ids renumber; structure and
-        // size are identical) and is itself a print↔parse fixed point.
+        // metadata of the original compile and the very module it stored
+        // (the parser reconstructs the printed text byte for byte).
         let cache = CompileCache::at_dir(&dir).unwrap();
         let mut warm = module();
         let r = cache.compile(&mut warm, &opts(), true);
         assert!(r.hit);
         assert_eq!(r.meta, first.meta);
         assert_eq!(cache.stats().compile_disk_hits, 1);
-        let printed = warm.to_string();
-        let reprinted = uu_ir::parse_module(&printed).unwrap().to_string();
-        assert_eq!(printed, reprinted);
+        assert_eq!(warm.to_string(), stored);
         assert_eq!(uu_analysis::cost::module_size(&warm), r.meta.code_size);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -469,6 +503,59 @@ bb6:
         let r = cache2.compile(&mut w, &opts(), true);
         assert!(!r.hit);
         assert_eq!(w.to_string(), m.to_string());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Computed on the commit before the key was split into
+    /// `key_for_hash` + wrapper and `module_hash` started streaming: cache
+    /// directories written before keep hitting. It moves only with the
+    /// printed text, `PipelineOptions`' `Debug` form or a `PASS_VERSIONS`
+    /// bump (`pipeline_fingerprint`) — re-pin it together with that.
+    #[test]
+    fn compile_key_of_a_fixed_pair_is_pinned() {
+        let key = CompileCache::compile_key(&module(), &opts());
+        assert_eq!(key.hex(), "079071b7fb7069ab57b40a838a2d390d");
+        let text = module().to_string();
+        assert_eq!(key, CompileCache::key_for_hash(uu_ir::fnv1a(text.as_bytes()), &opts()));
+    }
+
+    #[test]
+    fn metadata_only_hits_never_parse_and_text_probes_share_the_entry() {
+        let dir = std::env::temp_dir().join(format!("uu-cache-nomodule-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let first = CompileCache::at_dir(&dir).unwrap().compile(&mut module(), &opts(), true);
+        // Damage the stored IR *consistently* (matching `ir-fnv`), so only
+        // a parse can notice: a metadata-only caller is served, a caller
+        // that wants the module misses and recompiles over it.
+        let key = CompileCache::compile_key(&module(), &opts());
+        let cache = CompileCache::at_dir(&dir).unwrap();
+        let path = cache.path_of(key).unwrap();
+        let Some(Artifact::Compile { meta, ir }) =
+            Artifact::decode(&std::fs::read_to_string(&path).unwrap())
+        else {
+            panic!("a compile artifact was stored");
+        };
+        let damaged = Artifact::Compile { meta, ir: ir.replace("ret", "rot") };
+        std::fs::write(&path, damaged.encode()).unwrap();
+        let mut input = module();
+        let r = cache.compile(&mut input, &opts(), false);
+        assert!(r.hit);
+        assert_eq!(r.meta, first.meta);
+        assert_eq!(input.to_string(), module().to_string(), "the input module is left alone");
+        let text = module().to_string();
+        assert!(
+            CompileCache::at_dir(&dir).unwrap().lookup_compile(&text, &opts()).is_none(),
+            "a text probe validates what it promotes from disk"
+        );
+        let mut m = module();
+        let r = cache.compile(&mut m, &opts(), true);
+        assert!(!r.hit, "unparsable stored text is a miss for a module caller");
+        // ... and the recompile replaced it, in memory and on disk.
+        let (probe_key, meta, ir) = cache.lookup_compile(&text, &opts()).unwrap();
+        assert_eq!((probe_key, &meta), (key, &first.meta));
+        assert_eq!(&*ir, m.to_string());
+        let st = cache.stats();
+        assert_eq!((st.compile_disk_hits, st.compile_mem_hits, st.compile_misses), (1, 1, 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -14,6 +14,8 @@
 use std::io::{self, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::artifact::CompileMeta;
@@ -76,9 +78,14 @@ pub struct Remote {
     socket: PathBuf,
     /// Maximum request attempts (first try + retries).
     max_attempts: u32,
-    /// Patience for each connect (the daemon may still be binding, or
-    /// busy accepting).
+    /// Patience for the first connects: the daemon may still be binding.
     patience: Duration,
+    /// Set once a connect has succeeded or run out of patience — shared
+    /// by every clone, so the patience is spent once per daemon, not once
+    /// per attempt of every request. From then on a connect is a single
+    /// immediate try: a daemon that was reached and died, or a socket
+    /// nobody ever listened on, fails each later request in microseconds.
+    settled: Arc<AtomicBool>,
     /// Base seed for the per-request backoff jitter.
     seed: u64,
 }
@@ -98,6 +105,7 @@ impl Remote {
             socket,
             max_attempts: Self::DEFAULT_ATTEMPTS,
             patience: Duration::from_secs(5),
+            settled: Arc::new(AtomicBool::new(false)),
             seed,
         }
     }
@@ -121,38 +129,47 @@ impl Remote {
         &self.socket
     }
 
+    /// Connect, waiting for a daemon that is still binding only until the
+    /// first connect on this remote (or a clone of it) has settled.
+    fn connect(&self) -> io::Result<UnixStream> {
+        let patience = if self.settled.load(Ordering::Relaxed) {
+            Duration::ZERO
+        } else {
+            self.patience
+        };
+        let conn = connect_unix(&self.socket, patience);
+        self.settled.store(true, Ordering::Relaxed);
+        conn
+    }
+
     /// Send `req` on a fresh connection, retrying `busy` responses
     /// (honoring their `retry-after-ms` hint), `error` responses marked
-    /// `transient: 1`, and transport failures (torn frames, disconnects),
-    /// with capped exponential backoff jittered deterministically from
-    /// the request body. Non-transient `error` responses (bad request,
-    /// quarantined module) are returned as-is — retrying them is
-    /// pointless by construction.
+    /// `transient: 1`, and transport failures after the connect (torn
+    /// frames, disconnects), with capped exponential backoff jittered
+    /// deterministically from the request body. Non-transient `error`
+    /// responses (bad request, quarantined module) are returned as-is —
+    /// retrying them is pointless by construction — and so is a failed
+    /// connect: nobody is listening, and the connect patience (spent once
+    /// per remote) was the wait for that to change.
     pub fn request(&self, req: &Message) -> io::Result<Message> {
         let mut backoff = Backoff::new(self.seed ^ uu_ir::fnv1a(req.body.as_bytes()));
         let mut last_io: Option<io::Error> = None;
         let mut last_resp: Option<Message> = None;
         for _ in 0..self.max_attempts.max(1) {
-            match connect_unix(&self.socket, self.patience) {
-                Ok(mut conn) => match request_over(&mut conn, req) {
-                    Ok(resp) => {
-                        if resp.verb == "busy" {
-                            let hint =
-                                resp.get("retry-after-ms").and_then(|v| v.parse::<u64>().ok());
-                            last_resp = Some(resp);
-                            backoff.sleep(hint);
-                        } else if resp.verb == "error" && resp.get("transient") == Some("1") {
-                            last_resp = Some(resp);
-                            backoff.sleep(None);
-                        } else {
-                            return Ok(resp);
-                        }
-                    }
-                    Err(e) => {
-                        last_io = Some(e);
+            let mut conn = self.connect()?;
+            match request_over(&mut conn, req) {
+                Ok(resp) => {
+                    if resp.verb == "busy" {
+                        let hint = resp.get("retry-after-ms").and_then(|v| v.parse::<u64>().ok());
+                        last_resp = Some(resp);
+                        backoff.sleep(hint);
+                    } else if resp.verb == "error" && resp.get("transient") == Some("1") {
+                        last_resp = Some(resp);
                         backoff.sleep(None);
+                    } else {
+                        return Ok(resp);
                     }
-                },
+                }
                 Err(e) => {
                     last_io = Some(e);
                     backoff.sleep(None);
@@ -178,7 +195,7 @@ impl Remote {
     /// unavailable — compile locally".
     pub fn compile(
         &self,
-        module_text: &str,
+        module_text: impl Into<String>,
         config: &str,
         filter: Option<(&str, usize)>,
         fault: Option<&str>,
@@ -194,7 +211,7 @@ impl Remote {
             req = req.header("fault", spec);
         }
         req = req.with_body(module_text);
-        let resp = self.request(&req)?;
+        let mut resp = self.request(&req)?;
         if resp.verb != "ok" {
             let reason = resp.get("reason").unwrap_or("(no reason)").to_string();
             return Err(io::Error::new(
@@ -206,7 +223,7 @@ impl Remote {
         Ok(RemoteCompile {
             meta,
             hit: resp.get("cached") == Some("hit"),
-            module_text: want_module.then(|| resp.body.clone()),
+            module_text: want_module.then(|| std::mem::take(&mut resp.body)),
         })
     }
 }
@@ -379,5 +396,42 @@ bb3:
         });
         // One compile attempt only: a non-transient error is not retried.
         assert_eq!(stats.requests, 2, "1 compile + shutdown");
+    }
+
+    #[test]
+    fn connect_patience_is_spent_once_per_remote_then_requests_fail_fast() {
+        // Nobody ever listens here. The first request waits out the
+        // patience (a daemon may still be binding) — once, not once per
+        // attempt — and every later one, on this handle or a clone, is a
+        // single immediate connect.
+        let sock = std::env::temp_dir().join(format!("uu-no-daemon-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&sock);
+        let remote = Remote { patience: Duration::from_millis(300), ..Remote::new(&sock) };
+        let t0 = Instant::now();
+        let e = remote.request(&Message::new("ping")).unwrap_err();
+        let first = t0.elapsed();
+        assert_eq!(e.kind(), io::ErrorKind::NotFound);
+        assert!(first >= Duration::from_millis(300), "{first:?}");
+        assert!(first < Duration::from_millis(300 * 4), "one window, not 16: {first:?}");
+        let t1 = Instant::now();
+        for r in [remote.clone(), remote.clone().with_attempts(64), remote] {
+            assert!(r.compile(MODULE, "uu2", None, None, true).is_err());
+        }
+        let later = t1.elapsed();
+        assert!(later < Duration::from_millis(100), "a down remote fails fast: {later:?}");
+    }
+
+    #[test]
+    fn a_daemon_that_appears_later_is_reached_again() {
+        // The latch only removes the waiting: a settled remote still
+        // connects whenever somebody is listening.
+        with_daemon(ServeOptions::default(), |remote| {
+            assert_eq!(remote.request(&Message::new("ping")).unwrap().verb, "ok"); // bound
+            let gone = Remote::new(remote.socket().with_extension("gone"));
+            let gone = Remote { patience: Duration::ZERO, ..gone };
+            assert!(gone.request(&Message::new("ping")).is_err());
+            let back = Remote { socket: remote.socket().to_path_buf(), ..gone };
+            assert_eq!(back.request(&Message::new("ping")).unwrap().verb, "ok");
+        });
     }
 }

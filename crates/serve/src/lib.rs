@@ -22,13 +22,15 @@
 //!   [`uu_core::pipeline_fingerprint`] — bumping any pass version in
 //!   [`uu_core::PASS_VERSIONS`] invalidates every cached artifact.
 //!
-//! The cache has an in-memory layer (modules kept as values — a hit is a
-//! clone, bit-identical by construction) and an optional on-disk layer
-//! (artifacts stored as printed IR + metadata under a content-addressed
-//! path, surviving process restarts). Disk artifacts are validated on
-//! load (format version, field integrity, IR content hash); anything
-//! suspicious degrades to a cache miss and a fresh compile — the cache
-//! can make a request faster, never wronger.
+//! The cache has an in-memory layer and an optional on-disk layer
+//! holding the same thing: metadata plus the optimized module's printed
+//! IR (shared text in memory; a content-addressed file on disk, surviving
+//! process restarts). A warm daemon request is keyed from its wire bytes
+//! and answered with the stored text — nothing parsed, nothing printed.
+//! Disk artifacts are validated on load (format version, field
+//! integrity, IR content hash); anything suspicious degrades to a cache
+//! miss and a fresh compile — the cache can make a request faster, never
+//! wronger.
 //!
 //! Batch drivers reuse the same cache in process: `uu-harness` threads a
 //! [`CompileCache`] through the sweep and the three-way study, so

@@ -57,7 +57,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use crate::cache::CompileCache;
+use crate::artifact::CompileMeta;
+use crate::cache::{CompileCache, Key};
 use crate::config::{config_names, parse_config};
 use crate::fault::{ServeFaultKind, ServeFaultPlan};
 use crate::proto::{read_frame_lenient, write_frame, Message};
@@ -404,10 +405,6 @@ impl<'a> Service<'a> {
             },
         };
         let want_module = req.get("want-module") != Some("0");
-        let mut module = match uu_ir::parse_module(&req.body) {
-            Ok(m) => m,
-            Err(e) => return error(&format!("module does not parse: {e}")),
-        };
         let opts = PipelineOptions {
             transform,
             filter,
@@ -415,27 +412,45 @@ impl<'a> Service<'a> {
             fault,
             ..Default::default()
         };
+        // Hit path: key the request from the bytes on the wire and forward
+        // the stored text — no parse, no print. `module_hash` is `fnv1a` of
+        // the printed module and print → parse → print is a fixpoint, so
+        // for a printer-produced body this *is* the canonical key. Any
+        // other body (hand-written, reformatted) misses here and is keyed
+        // again below from its parse: slower, never wrong.
+        if let Some((key, meta, ir)) = self.cache.lookup_compile(&req.body, &opts) {
+            return compile_ok(key, &meta, true, want_module.then(|| ir.to_string()));
+        }
+        let mut module = match uu_ir::parse_module(&req.body) {
+            Ok(m) => m,
+            Err(e) => return error(&format!("module does not parse: {e}")),
+        };
         let key = CompileCache::compile_key(&module, &opts);
         let out = self.cache.compile(&mut module, &opts, want_module);
         if out.meta.timed_out && !out.hit {
             self.cache.stats_mut(|s| s.deadline_hits += 1);
         }
-        let mut resp = Message::new("ok")
-            .header("cached", if out.hit { "hit" } else { "miss" })
-            .header("key", key.hex())
-            .header("rung", out.meta.rung.as_str())
-            .header("work", out.meta.work)
-            .header("timed-out", u8::from(out.meta.timed_out))
-            .header("code-size", out.meta.code_size);
-        if !out.meta.diag.is_empty() {
-            // Lossless single-line escaping: remote clients reconstruct
-            // the diag byte-identically to a local compile's.
-            resp = resp.header("diag", crate::artifact::escape(&out.meta.diag));
-        }
-        if want_module {
-            resp = resp.with_body(module.to_string());
-        }
-        resp
+        compile_ok(key, &out.meta, out.hit, want_module.then(|| module.to_string()))
+    }
+}
+
+/// The `ok` reply to a compile request.
+fn compile_ok(key: Key, meta: &CompileMeta, hit: bool, body: Option<String>) -> Message {
+    let mut resp = Message::new("ok")
+        .header("cached", if hit { "hit" } else { "miss" })
+        .header("key", key.hex())
+        .header("rung", meta.rung.as_str())
+        .header("work", meta.work)
+        .header("timed-out", u8::from(meta.timed_out))
+        .header("code-size", meta.code_size);
+    if !meta.diag.is_empty() {
+        // Lossless single-line escaping: remote clients reconstruct
+        // the diag byte-identically to a local compile's.
+        resp = resp.header("diag", crate::artifact::escape(&meta.diag));
+    }
+    match body {
+        Some(text) => resp.with_body(text),
+        None => resp,
     }
 }
 
@@ -496,13 +511,18 @@ pub fn serve_unix(path: &Path, cache: &CompileCache) -> io::Result<()> {
 
 /// Serve on a Unix socket at `path` with explicit tunables: a crew of
 /// [`ServeOptions::workers`] threads handles connections concurrently
-/// off a shared queue while the calling thread accepts.
+/// off a shared queue while the calling thread blocks in `accept`.
 ///
 /// Shutdown is a graceful drain: the `shutdown` verb flips the drain
-/// flag, the accept loop stops admitting (it polls a nonblocking
-/// listener, so it notices within a few milliseconds), queued and
-/// in-flight connections finish, then the crew retires and the socket
-/// file is removed.
+/// flag, and the worker that finishes a connection on a draining service
+/// wakes the blocked `accept` with one connection to `path` of its own.
+/// The accept loop re-checks the flag after every `accept`, drops that
+/// connection (or a client that raced the drain) unqueued and closes the
+/// listener — later clients get a connection error, not a hang — while
+/// queued and in-flight connections finish; then the crew retires and
+/// the socket file is removed. A socket file unlinked under a live
+/// daemon cannot be woken this way (nor reached by any client): the
+/// failed wake is logged and counted in `accept_errors`.
 ///
 /// Accept errors are counted in [`CacheStats::accept_errors`] and
 /// retried with a short growing pause; [`ServeOptions::accept_retries`]
@@ -514,12 +534,12 @@ pub fn serve_unix(path: &Path, cache: &CompileCache) -> io::Result<()> {
 pub fn serve_unix_with(path: &Path, cache: &CompileCache, opts: ServeOptions) -> io::Result<()> {
     let _ = std::fs::remove_file(path);
     let listener = UnixListener::bind(path)?;
-    listener.set_nonblocking(true)?;
-    let service = Service::new(cache, opts);
-    let queue: TaskQueue<UnixStream> = TaskQueue::new();
+    let service = &Service::new(cache, opts);
+    let queue: &TaskQueue<UnixStream> = &TaskQueue::new();
+    let woken = AtomicBool::new(false);
     let result = run_crew(
         service.options().workers,
-        &queue,
+        queue,
         |mut conn: UnixStream| {
             let done = match conn.try_clone() {
                 Ok(mut rd) => service.serve_conn(&mut rd, &mut conn),
@@ -531,26 +551,30 @@ pub fn serve_unix_with(path: &Path, cache: &CompileCache, opts: ServeOptions) ->
                 service.cache.stats_mut(|s| s.conn_errors += 1);
                 eprintln!("uu-serve: connection error (continuing): {e}");
             }
+            // First connection to end on a draining service (the one that
+            // answered `shutdown`, even if the ack could not be written):
+            // wake the accept loop, once.
+            if service.is_draining() && !woken.swap(true, Ordering::SeqCst) {
+                if let Err(e) = UnixStream::connect(path) {
+                    service.cache.stats_mut(|s| s.accept_errors += 1);
+                    eprintln!("uu-serve: cannot wake the accept loop to drain: {e}");
+                }
+            }
         },
-        || {
+        // Owns the listener: it closes when the loop ends, so a client
+        // (or the wake) still in the backlog is refused, never stranded.
+        move || {
             let mut consecutive: u32 = 0;
             loop {
-                if service.is_draining() {
-                    return Ok(());
-                }
                 match listener.accept() {
                     Ok((conn, _)) => {
+                        if service.is_draining() {
+                            return Ok(());
+                        }
                         consecutive = 0;
-                        // Accepted sockets can inherit the listener's
-                        // nonblocking flag on some platforms; workers
-                        // want blocking reads.
-                        let _ = conn.set_nonblocking(false);
                         if queue.push(conn).is_err() {
                             return Ok(()); // queue closed: drain underway
                         }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(2));
                     }
                     Err(e) => {
                         consecutive += 1;
@@ -646,6 +670,194 @@ bb6:
         assert_eq!(a.get("key"), b.get("key"));
         assert_ne!(a.body, MODULE); // uu4 actually transformed the kernel
         assert_eq!(cache.stats().requests, 2);
+    }
+
+    /// `MODULE` as the printer writes it — what a harness client sends.
+    fn canonical() -> String {
+        uu_ir::parse_module(MODULE).unwrap().to_string()
+    }
+
+    fn compile_req(body: &str) -> Message {
+        Message::new("compile").header("config", "uu4").with_body(body)
+    }
+
+    /// The options `Service::compile` builds for [`compile_req`].
+    fn uu4_opts() -> PipelineOptions {
+        PipelineOptions {
+            transform: parse_config("uu4").unwrap(),
+            timeout: Some(SERVICE_COMPILE_TIMEOUT),
+            ..Default::default()
+        }
+    }
+
+    fn scratch_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("uu-serve-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn reformatted_body_is_the_same_hit_through_the_parse_path() {
+        let cache = CompileCache::new_mem();
+        let svc = service(&cache);
+        let canonical = canonical();
+        let first = roundtrip(&svc, &compile_req(&canonical));
+        assert_eq!(first.get("cached"), Some("miss"));
+        // Same module, not the printer's bytes: blank lines, a comment,
+        // trailing spaces. The wire-bytes probe misses, the parse finds
+        // the canonical key.
+        let reformatted = canonical
+            .replace("bb1:\n", "\n; the loop header\nbb1:   \n")
+            .replace("  br bb1\n", "  br bb1  \n\n");
+        assert_ne!(reformatted, canonical);
+        let forwarded = roundtrip(&svc, &compile_req(&canonical));
+        let reparsed = roundtrip(&svc, &compile_req(&reformatted));
+        for hit in [&forwarded, &reparsed] {
+            assert_eq!(hit.get("cached"), Some("hit"));
+            for h in ["work", "code-size", "rung", "key", "timed-out"] {
+                assert_eq!(hit.get(h), first.get(h), "{h}");
+            }
+            assert_eq!(hit.body, first.body);
+        }
+        let st = cache.stats();
+        assert_eq!((st.compile_misses, st.compile_mem_hits), (1, 2));
+    }
+
+    #[test]
+    fn unparsable_body_is_an_error_on_an_empty_and_on_a_primed_cache() {
+        let cache = CompileCache::new_mem();
+        let svc = service(&cache);
+        let broken = "fn @broken(i64 %n) -> i64 {\nbb0:\n  frobnicate\n}\n";
+        for primed in [false, true] {
+            if primed {
+                assert_eq!(roundtrip(&svc, &compile_req(&canonical())).verb, "ok");
+            }
+            let r = roundtrip(&svc, &compile_req(broken));
+            assert_eq!(r.verb, "error", "primed: {primed}");
+            assert!(r.get("reason").unwrap().starts_with("module does not parse"), "{r:?}");
+        }
+    }
+
+    #[test]
+    fn a_hit_forwards_the_stored_bytes_without_parsing_or_printing() {
+        let dir = scratch_dir("forward");
+        let cache = CompileCache::at_dir(&dir).unwrap();
+        let svc = service(&cache);
+        // Plant, under the key of a request, an artifact holding a
+        // *different* valid module, laid out as the printer never would
+        // (comment, indentation). The request body is not even IR: a hit
+        // must not parse it, and must not re-print what it forwards.
+        let body = "not IR at all";
+        let planted = "; module planted\n; by hand\nfn @other() -> void {\nbb0:\n      ret void\n}\n";
+        let key = CompileCache::key_for_hash(uu_ir::fnv1a(body.as_bytes()), &uu4_opts());
+        let meta = CompileMeta {
+            work: 77,
+            timed_out: false,
+            rung: uu_core::Rung::Full,
+            diag: String::new(),
+            code_size: 3,
+        };
+        let path = cache.path_of(key).unwrap();
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        let artifact = crate::artifact::Artifact::Compile { meta, ir: planted.to_string() };
+        std::fs::write(&path, artifact.encode()).unwrap();
+        for layer in ["disk", "memory"] {
+            let r = roundtrip(&svc, &compile_req(body));
+            assert_eq!(r.verb, "ok", "{layer}: {r:?}");
+            assert_eq!(r.get("cached"), Some("hit"));
+            assert_eq!(r.get("key"), Some(key.hex().as_str()));
+            assert_eq!(r.get("work"), Some("77"));
+            assert_eq!(r.body, planted, "{layer}: forwarded byte for byte");
+        }
+        let st = cache.stats();
+        assert_eq!((st.compile_disk_hits, st.compile_mem_hits, st.compile_misses), (1, 1, 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_stale_ir_fnv_is_a_miss_that_recompiles() {
+        let dir = scratch_dir("stale");
+        let canonical = canonical();
+        let (good, path) = {
+            let cache = CompileCache::at_dir(&dir).unwrap();
+            let r = roundtrip(&service(&cache), &compile_req(&canonical));
+            let key = CompileCache::key_for_hash(uu_ir::fnv1a(canonical.as_bytes()), &uu4_opts());
+            (r.body, cache.path_of(key).unwrap())
+        };
+        // Flip one IR byte and leave the recorded `ir-fnv` alone.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let flipped = text.replacen("  ret i64", "  ret i32", 1);
+        assert_ne!(flipped, text);
+        std::fs::write(&path, flipped).unwrap();
+        let cache = CompileCache::at_dir(&dir).unwrap();
+        let r = roundtrip(&service(&cache), &compile_req(&canonical));
+        assert_eq!(r.get("cached"), Some("miss"));
+        assert_eq!(r.body, good);
+        assert_eq!(cache.stats().compile_misses, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn service_faults_and_quarantine_fire_on_requests_that_would_be_hits() {
+        let cache = CompileCache::new_mem();
+        let req = compile_req(&canonical());
+        assert_eq!(roundtrip(&service(&cache), &req).get("cached"), Some("miss"));
+        let opts = ServeOptions {
+            breaker_k: 2,
+            fault: Some(
+                ServeFaultPlan::parse("torn@0,disconnect@1,panic@2,slow@3:60,panic@4").unwrap(),
+            ),
+            ..ServeOptions::default()
+        };
+        let svc = Service::new(&cache, opts);
+        // The fault plan, the breaker and admission all sit before the
+        // probe: a primed cache does not let a request slip past them.
+        assert!(matches!(svc.respond(&req), Reply::Torn(m) if m.get("cached") == Some("hit")));
+        assert!(matches!(svc.respond(&req), Reply::Hangup));
+        let panicked = roundtrip(&svc, &req);
+        assert_eq!((panicked.verb.as_str(), panicked.get("transient")), ("error", Some("1")));
+        let t0 = std::time::Instant::now();
+        let slow = roundtrip(&svc, &req);
+        assert_eq!(slow.get("cached"), Some("hit"));
+        assert!(t0.elapsed() >= Duration::from_millis(60), "slow fault must stall a hit");
+        assert_eq!(roundtrip(&svc, &req).get("transient"), Some("1"));
+        let refused = roundtrip(&svc, &req);
+        assert_eq!(refused.get("quarantined"), Some("1"), "{refused:?}");
+        let st = cache.stats();
+        assert_eq!((st.handler_panics, st.quarantined_rejects), (2, 1));
+        assert_eq!(st.compile_misses, 1, "nothing recompiled");
+    }
+
+    #[test]
+    fn forwarded_hits_feed_the_hit_counters_and_lookup_time() {
+        // A body big enough that keying it cannot round to 0 µs.
+        let mut big = String::from("; module big\n");
+        let func = canonical().replacen("; module t\n", "", 1);
+        for i in 0..400 {
+            big.push_str(&func.replace("@k(", &format!("@k{i}(")));
+        }
+        let big = uu_ir::parse_module(&big).unwrap().to_string();
+        let cache = CompileCache::new_mem();
+        let svc = service(&cache);
+        let req = Message::new("compile")
+            .header("config", "baseline")
+            .header("want-module", 0)
+            .with_body(big);
+        let miss = roundtrip(&svc, &req);
+        assert_eq!(miss.get("cached"), Some("miss"));
+        let before = cache.stats();
+        for _ in 0..3 {
+            let hit = roundtrip(&svc, &req);
+            assert_eq!(hit.get("cached"), Some("hit"));
+            assert_eq!(hit.body, "", "want-module: 0 forwards the metadata only");
+        }
+        let after = cache.stats();
+        let work: u64 = miss.get("work").unwrap().parse().unwrap();
+        assert_eq!(after.compile_mem_hits, before.compile_mem_hits + 3);
+        assert_eq!(after.work_saved, before.work_saved + 3 * work);
+        assert_eq!(after.requests, before.requests + 3);
+        assert!(after.lookup_micros > before.lookup_micros, "{before:?} -> {after:?}");
+        assert_eq!(after.compile_micros, before.compile_micros);
     }
 
     #[test]
@@ -1030,5 +1242,58 @@ bb6:
         assert!(!sock.exists(), "socket file must be removed after drain");
         assert_eq!(cache.stats().requests, 7); // 6 compiles + 1 shutdown
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Start a daemon with `workers` threads, let `clients` talk to it,
+    /// send `shutdown` as the very last client action and return how long
+    /// the daemon thread took to exit after the ack.
+    fn drain_after(workers: usize, tag: &str, clients: impl FnOnce(&Path)) -> Duration {
+        let dir = scratch_dir(tag);
+        std::fs::create_dir_all(&dir).unwrap();
+        let sock = dir.join("d.sock");
+        let cache = CompileCache::new_mem();
+        let opts = ServeOptions { workers, inflight: workers, ..ServeOptions::default() };
+        let patience = Duration::from_secs(10);
+        let took = std::thread::scope(|s| {
+            let (sock_ref, cache_ref) = (&sock, &cache);
+            let daemon = s.spawn(move || serve_unix_with(sock_ref, cache_ref, opts));
+            // Let the daemon bind, then hand the clients the socket.
+            drop(crate::client::connect_unix(&sock, patience).unwrap());
+            clients(&sock);
+            let mut conn = crate::client::connect_unix(&sock, patience).unwrap();
+            let bye = crate::client::request_over(&mut conn, &Message::new("shutdown")).unwrap();
+            assert_eq!(bye.verb, "ok");
+            let t0 = std::time::Instant::now();
+            // Nothing else connects: only the daemon's own wake can end
+            // the blocked `accept`.
+            daemon.join().unwrap().unwrap();
+            t0.elapsed()
+        });
+        assert!(!sock.exists(), "socket file must be removed after drain");
+        // After the drain a client gets a connection error, not a hang.
+        assert!(UnixStream::connect(&sock).is_err());
+        assert_eq!(cache.stats().accept_errors, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+        took
+    }
+
+    #[test]
+    fn shutdown_wakes_a_blocked_accept_with_one_worker() {
+        let took = drain_after(1, "wake1", |_| {});
+        assert!(took < Duration::from_secs(1), "drain took {took:?}");
+    }
+
+    #[test]
+    fn shutdown_wakes_a_blocked_accept_with_four_workers() {
+        let took = drain_after(4, "wake4", |sock| {
+            // Idle keep-alive connections parked on other workers must
+            // neither block the wake nor be cut short: they close first.
+            let idle: Vec<_> = (0..3).map(|_| UnixStream::connect(sock).unwrap()).collect();
+            let mut conn = UnixStream::connect(sock).unwrap();
+            let pong = crate::client::request_over(&mut conn, &Message::new("ping")).unwrap();
+            assert_eq!(pong.verb, "ok");
+            drop(idle);
+        });
+        assert!(took < Duration::from_secs(1), "drain took {took:?}");
     }
 }
