@@ -13,7 +13,7 @@ use uu_core::opt::{
     condprop::CondProp, dce::Dce, gvn::Gvn, ifconvert::IfConvert, instsimplify::InstSimplify,
     sccp::Sccp, simplifycfg::SimplifyCfg, Pass,
 };
-use uu_core::{uu_loop, UuOptions};
+use uu_core::{compile, uu_loop, LoopFilter, PipelineOptions, Transform, UuOptions};
 use uu_ir::{BlockId, Function, FunctionBuilder, ICmpPred, Param, Type, Value};
 
 /// The standard subject: a loop with a two-condition body (4 paths).
@@ -170,6 +170,9 @@ fn bench_analyses(h: &mut Harness) {
 
 /// Print, hash and parse XSBench's module (106 functions, 55 530 bytes of
 /// text). A unit is a byte, so the throughput column reads MB/s.
+/// `codec/parse-optimized` parses the same module after `uu8` on its hot
+/// loop — gapped ids and removed blocks, the text daemon replies and disk
+/// artifacts hold.
 fn bench_codec(h: &mut Harness) {
     let xsbench = uu_kernels::all_benchmarks()
         .into_iter()
@@ -181,6 +184,26 @@ fn bench_codec(h: &mut Harness) {
     h.bench_batched_units("codec/print", bytes, || (), |()| m.to_string());
     h.bench_batched_units("codec/hash", bytes, || (), |()| uu_ir::module_hash(&m));
     h.bench_batched_units("codec/parse", bytes, || (), |()| uu_ir::parse_module(&text));
+    let mut optimized = (xsbench.build)();
+    let uu8 = PipelineOptions {
+        transform: Transform::Uu {
+            factor: 8,
+            unmerge: Default::default(),
+        },
+        filter: LoopFilter::Only {
+            func: "xs_lookup".into(),
+            loop_id: 0,
+        },
+        ..Default::default()
+    };
+    compile(&mut optimized, &uu8);
+    let text = optimized.to_string();
+    h.bench_batched_units(
+        "codec/parse-optimized",
+        text.len() as u64,
+        || (),
+        |()| uu_ir::parse_module(&text),
+    );
 }
 
 fn main() {

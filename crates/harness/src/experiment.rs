@@ -109,8 +109,9 @@ impl std::fmt::Display for MeasureError {
 /// `skip_run` is set (used for cold loops, whose kernel time provably equals
 /// the baseline's because the workload never launches them).
 ///
-/// The cacheless, daemonless convenience over [`measure_backed`], with the
-/// fault plan read from `UU_FAULT`.
+/// The cacheless, daemonless, fault-free convenience over
+/// [`measure_backed`], for tests and examples; the harness binary passes
+/// its own fault plan and backend to [`measure_backed`].
 ///
 /// # Errors
 ///
@@ -123,7 +124,7 @@ pub fn measure(
     filter: LoopFilter,
     skip_run: Option<&Measurement>,
 ) -> Result<Measurement, MeasureError> {
-    measure_backed(bench, transform, filter, skip_run, FaultPlan::from_env(), Backend::default())
+    measure_backed(bench, transform, filter, skip_run, None, Backend::default())
 }
 
 /// Measure the baseline configuration of a benchmark (see [`measure`]).

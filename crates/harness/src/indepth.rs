@@ -1,10 +1,10 @@
 //! §V in-depth analysis: hardware-counter deltas for XSBench, rainflow and
 //! complex — the paper's explanation of *why* u&u wins or loses.
 
-use crate::experiment::{equivalence_diag, measure, measure_baseline, Measurement};
+use crate::experiment::{equivalence_diag, measure_backed, Backend, Measurement};
 use crate::report::{ascii_table, write_text};
 use std::path::Path;
-use uu_core::{LoopFilter, Transform, UnmergeOptions};
+use uu_core::{FaultPlan, LoopFilter, Transform, UnmergeOptions};
 use uu_kernels::{all_benchmarks, Benchmark};
 
 /// One counter-comparison case.
@@ -30,26 +30,34 @@ fn bench(name: &str) -> Benchmark {
 /// Collect the three §V cases: XSBench @8, rainflow @4, complex @8.
 ///
 /// The cases are independent (each builds its own module and GPU), so
-/// they fan out across the `UU_JOBS` pool; `uu-par`'s ordered merge keeps
-/// the report order fixed. A case whose measurement faults (or whose
+/// they fan out across `jobs` workers; `uu-par`'s ordered merge keeps the
+/// report order fixed. Every point is measured under `fault` through
+/// `backend`, like the sweep's. A case whose measurement faults (or whose
 /// checksums diverge — a miscompile) is dropped with a diagnostic on
 /// stderr rather than aborting the run; the report renders the survivors.
-pub fn collect() -> Vec<CounterCase> {
+pub fn collect(jobs: usize, fault: Option<FaultPlan>, backend: Backend<'_>) -> Vec<CounterCase> {
     let cases = [
         ("XSBench", "xs_lookup", 8u32),
         ("rainflow", "rainflow_scan", 4),
         ("complex", "complex_pow", 8),
     ];
-    uu_par::par_map(&cases, |_, (app, func, factor)| {
+    uu_par::par_map_jobs(jobs, &cases, |_, (app, func, factor)| {
         let b = bench(app);
-        let base = match measure_baseline(&b) {
+        let base = match measure_backed(
+            &b,
+            Transform::Baseline,
+            LoopFilter::All,
+            None,
+            fault,
+            backend,
+        ) {
             Ok(m) => m,
             Err(e) => {
                 eprintln!("indepth: {app} baseline failed: {e}");
                 return None;
             }
         };
-        let uu = match measure(
+        let uu = match measure_backed(
             &b,
             Transform::Uu {
                 factor: *factor,
@@ -60,6 +68,8 @@ pub fn collect() -> Vec<CounterCase> {
                 loop_id: 0,
             },
             None,
+            fault,
+            backend,
         ) {
             Ok(m) => m,
             Err(e) => {
@@ -142,6 +152,7 @@ fn row(name: &str, base: f64, uu: f64) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::{measure, measure_baseline};
 
     #[test]
     fn xsbench_case_shows_misc_reduction_and_divergence() {

@@ -97,7 +97,7 @@ fn main() {
                         figures::fig6(&s, &out)?;
                         figures::fig7(&s, &out)?;
                         figures::fig8(&s, &out)?;
-                        let cases = indepth::collect();
+                        let cases = indepth::collect(jobs, fault, backend);
                         indepth::report(&cases, &out)?;
                         eprintln!("running three-way unmerge/meld study...");
                         let st = study::run_study_backed(&benches, jobs, fault, backend);
@@ -163,7 +163,11 @@ fn main() {
             }
         }
         "indepth" => {
-            let cases = indepth::collect();
+            let cases = indepth::collect(
+                uu_par::num_jobs(),
+                uu_core::FaultPlan::from_env(),
+                uu_harness::Backend::default(),
+            );
             if let Err(e) = indepth::report(&cases, &out) {
                 eprintln!("could not write results to {}: {e}", out.display());
                 std::process::exit(1);

@@ -228,11 +228,29 @@ impl Function {
         &self.layout
     }
 
-    /// Replace the layout wholesale (the parser's way of reproducing a
-    /// printed block order; blocks left out stay in the arena, unlinked).
-    pub(crate) fn set_layout(&mut self, layout: Vec<BlockId>) {
-        debug_assert!(layout.iter().all(|b| b.index() < self.blocks.len()));
-        self.layout = layout;
+    /// Assemble a function from finished arenas and a layout — the
+    /// parser's way of reproducing printed numbering and block order.
+    /// Blocks and instructions the layout does not reach stay in the
+    /// arenas, unlinked.
+    pub(crate) fn from_parts(
+        name: &str,
+        params: Vec<Param>,
+        ret_ty: Type,
+        insts: Vec<Inst>,
+        blocks: Vec<Block>,
+        layout: Vec<BlockId>,
+    ) -> Self {
+        debug_assert!(!layout.is_empty() && layout.iter().all(|b| b.index() < blocks.len()));
+        Function {
+            name: name.into(),
+            params,
+            ret_ty,
+            insts,
+            blocks,
+            layout,
+            loop_pragmas: BTreeMap::new(),
+            journal: Journal::default(),
+        }
     }
 
     /// Move `block` to the end of the layout (no-op if absent).

@@ -5,44 +5,82 @@ use crate::entities::{BlockId, Value};
 use crate::types::Type;
 use std::fmt;
 
-/// Binary arithmetic / bitwise opcodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BinOp {
-    /// Integer addition (wrapping).
-    Add,
-    /// Integer subtraction (wrapping).
-    Sub,
-    /// Integer multiplication (wrapping).
-    Mul,
-    /// Signed integer division. Division by zero yields zero in the
-    /// simulator (GPU semantics are undefined; we pick a total behaviour).
-    SDiv,
-    /// Unsigned integer division.
-    UDiv,
-    /// Signed remainder.
-    SRem,
-    /// Unsigned remainder.
-    URem,
-    /// Shift left.
-    Shl,
-    /// Logical shift right.
-    LShr,
-    /// Arithmetic shift right.
-    AShr,
-    /// Bitwise and.
-    And,
-    /// Bitwise or.
-    Or,
-    /// Bitwise xor.
-    Xor,
-    /// Float addition.
-    FAdd,
-    /// Float subtraction.
-    FSub,
-    /// Float multiplication.
-    FMul,
-    /// Float division.
-    FDiv,
+/// Declare an opcode enum together with its one mnemonic table: the
+/// variants, `ALL` (every variant, in declaration order), `mnemonic()` and
+/// `Display`. The printer writes `mnemonic()` and the parser searches `ALL`
+/// for it, so a variant added here is printable and parseable at once.
+macro_rules! opcodes {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $($(#[$vmeta:meta])* $variant:ident => $mnemonic:literal,)*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum $name {
+            $($(#[$vmeta])* $variant,)*
+        }
+
+        impl $name {
+            /// Every variant, in declaration order.
+            pub const ALL: &'static [$name] = &[$($name::$variant),*];
+
+            /// Mnemonic used by the printer and the parser.
+            pub fn mnemonic(self) -> &'static str {
+                match self {
+                    $($name::$variant => $mnemonic,)*
+                }
+            }
+        }
+
+        impl fmt::Display for $name {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.write_str(self.mnemonic())
+            }
+        }
+    };
+}
+
+opcodes! {
+    /// Binary arithmetic / bitwise opcodes.
+    pub enum BinOp {
+        /// Integer addition (wrapping).
+        Add => "add",
+        /// Integer subtraction (wrapping).
+        Sub => "sub",
+        /// Integer multiplication (wrapping).
+        Mul => "mul",
+        /// Signed integer division. Division by zero yields zero in the
+        /// simulator (GPU semantics are undefined; we pick a total behaviour).
+        SDiv => "sdiv",
+        /// Unsigned integer division.
+        UDiv => "udiv",
+        /// Signed remainder.
+        SRem => "srem",
+        /// Unsigned remainder.
+        URem => "urem",
+        /// Shift left.
+        Shl => "shl",
+        /// Logical shift right.
+        LShr => "lshr",
+        /// Arithmetic shift right.
+        AShr => "ashr",
+        /// Bitwise and.
+        And => "and",
+        /// Bitwise or.
+        Or => "or",
+        /// Bitwise xor.
+        Xor => "xor",
+        /// Float addition.
+        FAdd => "fadd",
+        /// Float subtraction.
+        FSub => "fsub",
+        /// Float multiplication.
+        FMul => "fmul",
+        /// Float division.
+        FDiv => "fdiv",
+    }
 }
 
 impl BinOp {
@@ -65,60 +103,32 @@ impl BinOp {
     pub fn is_float(self) -> bool {
         matches!(self, BinOp::FAdd | BinOp::FSub | BinOp::FMul | BinOp::FDiv)
     }
-
-    /// Mnemonic used by the printer.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            BinOp::Add => "add",
-            BinOp::Sub => "sub",
-            BinOp::Mul => "mul",
-            BinOp::SDiv => "sdiv",
-            BinOp::UDiv => "udiv",
-            BinOp::SRem => "srem",
-            BinOp::URem => "urem",
-            BinOp::Shl => "shl",
-            BinOp::LShr => "lshr",
-            BinOp::AShr => "ashr",
-            BinOp::And => "and",
-            BinOp::Or => "or",
-            BinOp::Xor => "xor",
-            BinOp::FAdd => "fadd",
-            BinOp::FSub => "fsub",
-            BinOp::FMul => "fmul",
-            BinOp::FDiv => "fdiv",
-        }
-    }
 }
 
-impl fmt::Display for BinOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.mnemonic())
+opcodes! {
+    /// Integer comparison predicates (LLVM `icmp` subset).
+    pub enum ICmpPred {
+        /// Equal.
+        Eq => "eq",
+        /// Not equal.
+        Ne => "ne",
+        /// Signed less than.
+        Slt => "slt",
+        /// Signed less or equal.
+        Sle => "sle",
+        /// Signed greater than.
+        Sgt => "sgt",
+        /// Signed greater or equal.
+        Sge => "sge",
+        /// Unsigned less than.
+        Ult => "ult",
+        /// Unsigned less or equal.
+        Ule => "ule",
+        /// Unsigned greater than.
+        Ugt => "ugt",
+        /// Unsigned greater or equal.
+        Uge => "uge",
     }
-}
-
-/// Integer comparison predicates (LLVM `icmp` subset).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ICmpPred {
-    /// Equal.
-    Eq,
-    /// Not equal.
-    Ne,
-    /// Signed less than.
-    Slt,
-    /// Signed less or equal.
-    Sle,
-    /// Signed greater than.
-    Sgt,
-    /// Signed greater or equal.
-    Sge,
-    /// Unsigned less than.
-    Ult,
-    /// Unsigned less or equal.
-    Ule,
-    /// Unsigned greater than.
-    Ugt,
-    /// Unsigned greater or equal.
-    Uge,
 }
 
 impl ICmpPred {
@@ -153,46 +163,25 @@ impl ICmpPred {
             ICmpPred::Uge => ICmpPred::Ult,
         }
     }
-
-    /// Mnemonic used by the printer.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            ICmpPred::Eq => "eq",
-            ICmpPred::Ne => "ne",
-            ICmpPred::Slt => "slt",
-            ICmpPred::Sle => "sle",
-            ICmpPred::Sgt => "sgt",
-            ICmpPred::Sge => "sge",
-            ICmpPred::Ult => "ult",
-            ICmpPred::Ule => "ule",
-            ICmpPred::Ugt => "ugt",
-            ICmpPred::Uge => "uge",
-        }
-    }
 }
 
-impl fmt::Display for ICmpPred {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.mnemonic())
+opcodes! {
+    /// Float comparison predicates. All are "ordered" (false on NaN) except
+    /// [`FCmpPred::Une`], matching how C comparisons lower.
+    pub enum FCmpPred {
+        /// Ordered equal.
+        Oeq => "oeq",
+        /// Unordered not-equal (true if either operand is NaN).
+        Une => "une",
+        /// Ordered less than.
+        Olt => "olt",
+        /// Ordered less or equal.
+        Ole => "ole",
+        /// Ordered greater than.
+        Ogt => "ogt",
+        /// Ordered greater or equal.
+        Oge => "oge",
     }
-}
-
-/// Float comparison predicates. All are "ordered" (false on NaN) except
-/// [`FCmpPred::Une`], matching how C comparisons lower.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FCmpPred {
-    /// Ordered equal.
-    Oeq,
-    /// Unordered not-equal (true if either operand is NaN).
-    Une,
-    /// Ordered less than.
-    Olt,
-    /// Ordered less or equal.
-    Ole,
-    /// Ordered greater than.
-    Ogt,
-    /// Ordered greater or equal.
-    Oge,
 }
 
 impl FCmpPred {
@@ -207,107 +196,69 @@ impl FCmpPred {
             FCmpPred::Oge => FCmpPred::Ole,
         }
     }
+}
 
-    /// Mnemonic used by the printer.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            FCmpPred::Oeq => "oeq",
-            FCmpPred::Une => "une",
-            FCmpPred::Olt => "olt",
-            FCmpPred::Ole => "ole",
-            FCmpPred::Ogt => "ogt",
-            FCmpPred::Oge => "oge",
-        }
+opcodes! {
+    /// Conversion opcodes.
+    pub enum CastOp {
+        /// Sign-extend a narrower integer.
+        Sext => "sext",
+        /// Zero-extend a narrower integer.
+        Zext => "zext",
+        /// Truncate a wider integer.
+        Trunc => "trunc",
+        /// Signed integer to float.
+        SiToFp => "sitofp",
+        /// Float to signed integer (round toward zero).
+        FpToSi => "fptosi",
+        /// `f32` ↔ `f64` conversion.
+        FpCast => "fpcast",
+        /// Reinterpret an integer as a pointer (no-op in the simulator).
+        IntToPtr => "inttoptr",
+        /// Reinterpret a pointer as an integer (no-op in the simulator).
+        PtrToInt => "ptrtoint",
     }
 }
 
-impl fmt::Display for FCmpPred {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.mnemonic())
+opcodes! {
+    /// GPU and math intrinsics.
+    ///
+    /// Thread geometry intrinsics mirror CUDA special registers.
+    /// [`Intrinsic::Syncthreads`] is *convergent*: it must not be made
+    /// control-dependent on additional conditions, which is exactly why the u&u
+    /// pass refuses to transform loops containing it (paper §III-C).
+    pub enum Intrinsic {
+        /// `threadIdx.x`.
+        ThreadIdxX => "thread.idx.x",
+        /// `blockIdx.x`.
+        BlockIdxX => "block.idx.x",
+        /// `blockDim.x`.
+        BlockDimX => "block.dim.x",
+        /// `gridDim.x`.
+        GridDimX => "grid.dim.x",
+        /// `__syncthreads()` barrier — convergent.
+        Syncthreads => "syncthreads",
+        /// Square root.
+        Sqrt => "sqrt",
+        /// Absolute value (float).
+        Fabs => "fabs",
+        /// Natural exponential.
+        Exp => "exp",
+        /// Natural logarithm.
+        Log => "log",
+        /// Sine.
+        Sin => "sin",
+        /// Cosine.
+        Cos => "cos",
+        /// Float minimum.
+        FMin => "fmin",
+        /// Float maximum.
+        FMax => "fmax",
+        /// Signed integer minimum.
+        SMin => "smin",
+        /// Signed integer maximum.
+        SMax => "smax",
     }
-}
-
-/// Conversion opcodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CastOp {
-    /// Sign-extend a narrower integer.
-    Sext,
-    /// Zero-extend a narrower integer.
-    Zext,
-    /// Truncate a wider integer.
-    Trunc,
-    /// Signed integer to float.
-    SiToFp,
-    /// Float to signed integer (round toward zero).
-    FpToSi,
-    /// `f32` ↔ `f64` conversion.
-    FpCast,
-    /// Reinterpret an integer as a pointer (no-op in the simulator).
-    IntToPtr,
-    /// Reinterpret a pointer as an integer (no-op in the simulator).
-    PtrToInt,
-}
-
-impl CastOp {
-    /// Mnemonic used by the printer.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            CastOp::Sext => "sext",
-            CastOp::Zext => "zext",
-            CastOp::Trunc => "trunc",
-            CastOp::SiToFp => "sitofp",
-            CastOp::FpToSi => "fptosi",
-            CastOp::FpCast => "fpcast",
-            CastOp::IntToPtr => "inttoptr",
-            CastOp::PtrToInt => "ptrtoint",
-        }
-    }
-}
-
-impl fmt::Display for CastOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.mnemonic())
-    }
-}
-
-/// GPU and math intrinsics.
-///
-/// Thread geometry intrinsics mirror CUDA special registers.
-/// [`Intrinsic::Syncthreads`] is *convergent*: it must not be made
-/// control-dependent on additional conditions, which is exactly why the u&u
-/// pass refuses to transform loops containing it (paper §III-C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Intrinsic {
-    /// `threadIdx.x`.
-    ThreadIdxX,
-    /// `blockIdx.x`.
-    BlockIdxX,
-    /// `blockDim.x`.
-    BlockDimX,
-    /// `gridDim.x`.
-    GridDimX,
-    /// `__syncthreads()` barrier — convergent.
-    Syncthreads,
-    /// Square root.
-    Sqrt,
-    /// Absolute value (float).
-    Fabs,
-    /// Natural exponential.
-    Exp,
-    /// Natural logarithm.
-    Log,
-    /// Sine.
-    Sin,
-    /// Cosine.
-    Cos,
-    /// Float minimum.
-    FMin,
-    /// Float maximum.
-    FMax,
-    /// Signed integer minimum.
-    SMin,
-    /// Signed integer maximum.
-    SMax,
 }
 
 impl Intrinsic {
@@ -353,33 +304,6 @@ impl Intrinsic {
             Intrinsic::SMin | Intrinsic::SMax => fw,
             _ => fw,
         }
-    }
-
-    /// Mnemonic used by the printer.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            Intrinsic::ThreadIdxX => "thread.idx.x",
-            Intrinsic::BlockIdxX => "block.idx.x",
-            Intrinsic::BlockDimX => "block.dim.x",
-            Intrinsic::GridDimX => "grid.dim.x",
-            Intrinsic::Syncthreads => "syncthreads",
-            Intrinsic::Sqrt => "sqrt",
-            Intrinsic::Fabs => "fabs",
-            Intrinsic::Exp => "exp",
-            Intrinsic::Log => "log",
-            Intrinsic::Sin => "sin",
-            Intrinsic::Cos => "cos",
-            Intrinsic::FMin => "fmin",
-            Intrinsic::FMax => "fmax",
-            Intrinsic::SMin => "smin",
-            Intrinsic::SMax => "smax",
-        }
-    }
-}
-
-impl fmt::Display for Intrinsic {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.mnemonic())
     }
 }
 

@@ -22,12 +22,18 @@
 //! "#).unwrap();
 //! uu_ir::verify_function(&f).unwrap();
 //! ```
+//!
+//! One pass over the lines builds each instruction as a real [`Inst`],
+//! resolving what its own line can: a literal with the type the line
+//! states, `%name` to its parameter. `%N` and block labels, which may point
+//! forward, stay temporary — the printed number, the label's index — until
+//! one fix-up numbers instructions and blocks and rewrites them.
 
 use crate::{
-    BinOp, BlockId, CastOp, Constant, FCmpPred, Function, ICmpPred, Inst, InstId, InstKind,
+    BinOp, Block, BlockId, CastOp, Constant, FCmpPred, Function, ICmpPred, Inst, InstId, InstKind,
     Intrinsic, Param, Type, Value,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -48,34 +54,15 @@ impl fmt::Display for ParseError {
 
 impl Error for ParseError {}
 
-fn err<T>(line: usize, message: impl Into<String>) -> Result<T, ParseError> {
-    Err(ParseError {
+fn bad(line: usize, message: impl Into<String>) -> ParseError {
+    ParseError {
         line,
         message: message.into(),
-    })
-}
-
-/// Symbolic operand before resolution.
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    /// `%3` — an instruction result by textual id.
-    InstRef(u32),
-    /// `%name` — a parameter reference.
-    ParamRef(String),
-    /// A literal constant of the annotated type.
-    Lit(String),
-}
-
-fn parse_tok(s: &str) -> Tok {
-    if let Some(rest) = s.strip_prefix('%') {
-        if let Ok(n) = rest.parse::<u32>() {
-            Tok::InstRef(n)
-        } else {
-            Tok::ParamRef(rest.to_string())
-        }
-    } else {
-        Tok::Lit(s.to_string())
     }
+}
+
+fn err<T>(line: usize, message: impl Into<String>) -> Result<T, ParseError> {
+    Err(bad(line, message))
 }
 
 fn parse_type(s: &str, line: usize) -> Result<Type, ParseError> {
@@ -91,152 +78,92 @@ fn parse_type(s: &str, line: usize) -> Result<Type, ParseError> {
     }
 }
 
+/// A literal of type `ty` (pointer literals are `i64` addresses).
 fn parse_const(s: &str, ty: Type, line: usize) -> Result<Constant, ParseError> {
     let c = match ty {
         Type::I1 => match s {
-            "true" => Constant::I1(true),
-            "false" => Constant::I1(false),
-            _ => return err(line, format!("bad i1 literal `{s}`")),
+            "true" => Some(Constant::I1(true)),
+            "false" => Some(Constant::I1(false)),
+            _ => None,
         },
-        Type::I32 => Constant::I32(
-            s.parse()
-                .map_err(|_| ParseError {
-                    line,
-                    message: format!("bad i32 literal `{s}`"),
-                })?,
-        ),
-        Type::I64 | Type::Ptr => Constant::I64(
-            s.parse()
-                .map_err(|_| ParseError {
-                    line,
-                    message: format!("bad i64 literal `{s}`"),
-                })?,
-        ),
-        Type::F32 => Constant::f32(s.parse().map_err(|_| ParseError {
-            line,
-            message: format!("bad f32 literal `{s}`"),
-        })?),
-        Type::F64 => Constant::f64(s.parse().map_err(|_| ParseError {
-            line,
-            message: format!("bad f64 literal `{s}`"),
-        })?),
+        Type::I32 => s.parse().ok().map(Constant::I32),
+        Type::I64 | Type::Ptr => s.parse().ok().map(Constant::I64),
+        Type::F32 => s.parse().ok().map(Constant::f32),
+        Type::F64 => s.parse().ok().map(Constant::f64),
         Type::Void => return err(line, "void literal"),
     };
-    Ok(c)
+    let ty = if ty == Type::Ptr { Type::I64 } else { ty };
+    c.ok_or_else(|| bad(line, format!("bad {ty} literal `{s}`")))
 }
 
-fn binop_of(s: &str) -> Option<BinOp> {
-    Some(match s {
-        "add" => BinOp::Add,
-        "sub" => BinOp::Sub,
-        "mul" => BinOp::Mul,
-        "sdiv" => BinOp::SDiv,
-        "udiv" => BinOp::UDiv,
-        "srem" => BinOp::SRem,
-        "urem" => BinOp::URem,
-        "shl" => BinOp::Shl,
-        "lshr" => BinOp::LShr,
-        "ashr" => BinOp::AShr,
-        "and" => BinOp::And,
-        "or" => BinOp::Or,
-        "xor" => BinOp::Xor,
-        "fadd" => BinOp::FAdd,
-        "fsub" => BinOp::FSub,
-        "fmul" => BinOp::FMul,
-        "fdiv" => BinOp::FDiv,
-        _ => return None,
-    })
+/// The variant of an opcode enum whose mnemonic is `s`.
+fn by_mnemonic<T: Copy>(all: &[T], mnemonic: fn(T) -> &'static str, s: &str) -> Option<T> {
+    all.iter().copied().find(|&op| mnemonic(op) == s)
 }
 
-fn icmp_of(s: &str) -> Option<ICmpPred> {
-    Some(match s {
-        "eq" => ICmpPred::Eq,
-        "ne" => ICmpPred::Ne,
-        "slt" => ICmpPred::Slt,
-        "sle" => ICmpPred::Sle,
-        "sgt" => ICmpPred::Sgt,
-        "sge" => ICmpPred::Sge,
-        "ult" => ICmpPred::Ult,
-        "ule" => ICmpPred::Ule,
-        "ugt" => ICmpPred::Ugt,
-        "uge" => ICmpPred::Uge,
-        _ => return None,
-    })
+/// `s` split at its first space: the first word and the rest.
+fn word(s: &str) -> (&str, &str) {
+    s.split_once(' ').unwrap_or((s, ""))
 }
 
-fn fcmp_of(s: &str) -> Option<FCmpPred> {
-    Some(match s {
-        "oeq" => FCmpPred::Oeq,
-        "une" => FCmpPred::Une,
-        "olt" => FCmpPred::Olt,
-        "ole" => FCmpPred::Ole,
-        "ogt" => FCmpPred::Ogt,
-        "oge" => FCmpPred::Oge,
-        _ => return None,
-    })
+/// `s` split at commas into exactly `N` trimmed parts.
+fn parts<const N: usize>(s: &str) -> Option<[&str; N]> {
+    let mut it = s.split(',');
+    let mut out = [""; N];
+    for part in &mut out {
+        *part = it.next()?.trim();
+    }
+    it.next().is_none().then_some(out)
 }
 
-fn cast_of(s: &str) -> Option<CastOp> {
-    Some(match s {
-        "sext" => CastOp::Sext,
-        "zext" => CastOp::Zext,
-        "trunc" => CastOp::Trunc,
-        "sitofp" => CastOp::SiToFp,
-        "fptosi" => CastOp::FpToSi,
-        "fpcast" => CastOp::FpCast,
-        "inttoptr" => CastOp::IntToPtr,
-        "ptrtoint" => CastOp::PtrToInt,
-        _ => return None,
-    })
-}
-
-fn intrinsic_of(s: &str) -> Option<Intrinsic> {
-    Some(match s {
-        "thread.idx.x" => Intrinsic::ThreadIdxX,
-        "block.idx.x" => Intrinsic::BlockIdxX,
-        "block.dim.x" => Intrinsic::BlockDimX,
-        "grid.dim.x" => Intrinsic::GridDimX,
-        "syncthreads" => Intrinsic::Syncthreads,
-        "sqrt" => Intrinsic::Sqrt,
-        "fabs" => Intrinsic::Fabs,
-        "exp" => Intrinsic::Exp,
-        "log" => Intrinsic::Log,
-        "sin" => Intrinsic::Sin,
-        "cos" => Intrinsic::Cos,
-        "fmin" => Intrinsic::FMin,
-        "fmax" => Intrinsic::FMax,
-        "smin" => Intrinsic::SMin,
-        "smax" => Intrinsic::SMax,
-        _ => None?,
-    })
-}
-
-/// One parsed-but-unresolved instruction.
-#[derive(Debug)]
-struct PendingInst {
-    text_id: Option<u32>,
+/// One instruction line, read: the instruction with temporary ids, its
+/// printed result number if it has one, and where it stands.
+struct Written {
+    inst: Inst,
+    id: Option<u32>,
     line: usize,
-    kind: PendingKind,
-    /// Index of the containing block's label, in textual order.
+    /// The containing block's label index.
     block: usize,
 }
 
-#[derive(Debug)]
-enum PendingKind {
-    Bin(BinOp, Type, Tok, Tok),
-    ICmp(ICmpPred, Type, Tok, Tok),
-    FCmp(FCmpPred, Type, Tok, Tok),
-    Select(Type, Tok, Tok, Tok),
-    Cast(CastOp, Type, Tok, Type),
-    Load(Type, Tok),
-    Store(Type, Tok, Tok),
-    Gep(Tok, Tok, u64),
-    Phi(Type, Vec<(String, Tok)>),
-    Intr(Type, Intrinsic, Vec<Tok>),
-    Br(String),
-    CondBr(Tok, String, String),
-    RetVoid,
-    Ret(Type, Tok),
+/// What operands resolve against while a body is read.
+struct Scope<'p, 'a> {
+    params: &'p [Param],
+    /// The line being read, for errors.
+    line: usize,
+    /// Every label mentioned so far, in order of first mention, and whether
+    /// its `label:` line has been read. A block reference holds its label's
+    /// index here until the blocks are numbered.
+    labels: Vec<(&'a str, bool)>,
+    label_ix: HashMap<&'a str, u32>,
+}
+
+impl<'a> Scope<'_, 'a> {
+    /// The temporary id of the block labelled `label`.
+    fn label(&mut self, label: &'a str) -> BlockId {
+        let labels = &mut self.labels;
+        let ix = *self.label_ix.entry(label).or_insert_with(|| {
+            labels.push((label, false));
+            labels.len() as u32 - 1
+        });
+        BlockId::from_index(ix as usize)
+    }
+
+    /// One operand: `%N` (an instruction, by its printed number for now),
+    /// `%name` (a parameter; a repeated name means the last one) or a
+    /// literal of type `ty`.
+    fn value(&self, s: &str, ty: Type) -> Result<Value, ParseError> {
+        let Some(name) = s.strip_prefix('%') else {
+            return parse_const(s, ty, self.line).map(Value::Const);
+        };
+        if let Ok(n) = name.parse::<u32>() {
+            return Ok(Value::Inst(InstId::from_index(n as usize)));
+        }
+        match self.params.iter().rposition(|p| p.name == name) {
+            Some(i) => Ok(Value::Arg(i as u32)),
+            None => err(self.line, format!("unknown parameter %{name}")),
+        }
+    }
 }
 
 /// Parse one function from the printer's textual form.
@@ -255,26 +182,15 @@ pub fn parse_function(text: &str) -> Result<Function, ParseError> {
         .filter(|(_, l)| !l.is_empty() && !l.starts_with(';'));
 
     // Header: fn @name(params) -> ty {
-    let (hline, header) = lines
-        .next()
-        .ok_or(ParseError {
-            line: 0,
-            message: "empty input".into(),
-        })?;
+    let (hline, header) = lines.next().ok_or_else(|| bad(0, "empty input"))?;
     let header = header
         .strip_prefix("fn @")
-        .ok_or(ParseError {
-            line: hline,
-            message: "expected `fn @name(...)`".into(),
-        })?;
-    let open = header.find('(').ok_or(ParseError {
-        line: hline,
-        message: "missing `(`".into(),
-    })?;
-    let close = header.rfind(')').ok_or(ParseError {
-        line: hline,
-        message: "missing `)`".into(),
-    })?;
+        .ok_or_else(|| bad(hline, "expected `fn @name(...)`"))?;
+    let open = header.find('(').ok_or_else(|| bad(hline, "missing `(`"))?;
+    let close = header
+        .rfind(')')
+        .filter(|&close| close > open)
+        .ok_or_else(|| bad(hline, "missing `)`"))?;
     let name = &header[..open];
     let mut params = Vec::new();
     let plist = &header[open + 1..close];
@@ -290,10 +206,9 @@ pub fn parse_function(text: &str) -> Result<Function, ParseError> {
             if restrict {
                 tok = it.next();
             }
-            let pname = tok.and_then(|s| s.strip_prefix('%')).ok_or(ParseError {
-                line: hline,
-                message: format!("bad parameter `{p}`"),
-            })?;
+            let pname = tok
+                .and_then(|s| s.strip_prefix('%'))
+                .ok_or_else(|| bad(hline, format!("bad parameter `{p}`")))?;
             params.push(if restrict {
                 Param::restrict(pname, ty)
             } else {
@@ -305,59 +220,49 @@ pub fn parse_function(text: &str) -> Result<Function, ParseError> {
         .trim()
         .strip_prefix("->")
         .map(|s| s.trim().trim_end_matches('{').trim())
-        .ok_or(ParseError {
-            line: hline,
-            message: "missing `-> ty {`".into(),
-        })?;
+        .ok_or_else(|| bad(hline, "missing `-> ty {`"))?;
     let ret_ty = parse_type(ret, hline)?;
 
-    let mut f = Function::new(name, params.clone(), ret_ty);
-    let param_ix: HashMap<String, u32> = params
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (p.name.clone(), i as u32))
-        .collect();
-
-    // Pass 1: collect block labels (in textual order) and pending
-    // instructions.
-    let mut labels: Vec<&str> = Vec::new();
-    let mut label_ix: HashMap<&str, usize> = HashMap::new();
-    let mut pendings: Vec<PendingInst> = Vec::new();
-    let mut current: Option<usize> = None;
+    // The body, in one pass: labels in the order they are defined (the
+    // layout) and every instruction, built with temporary ids.
+    let mut scope = Scope {
+        params: &params,
+        line: hline,
+        labels: Vec::new(),
+        label_ix: HashMap::new(),
+    };
+    let mut layout: Vec<usize> = Vec::new();
+    let mut body: Vec<Written> = Vec::new();
+    let mut current = None;
     for (lno, line) in lines {
         if line == "}" {
             break;
         }
+        scope.line = lno;
         if let Some(label) = line.strip_suffix(':') {
-            current = Some(*label_ix.entry(label).or_insert_with(|| {
-                labels.push(label);
-                labels.len() - 1
-            }));
+            let b = scope.label(label).index();
+            if !std::mem::replace(&mut scope.labels[b].1, true) {
+                layout.push(b);
+            }
+            current = Some(b);
             continue;
         }
-        let block = current.ok_or(ParseError {
-            line: lno,
-            message: "instruction before first block label".into(),
-        })?;
-        let (text_id, body) = match line.strip_prefix('%') {
-            Some(rest) if rest.contains('=') => {
-                let eq = rest.find('=').unwrap();
-                let id: u32 = rest[..eq].trim().parse().map_err(|_| ParseError {
-                    line: lno,
-                    message: "bad result id".into(),
-                })?;
-                (Some(id), rest[eq + 1..].trim())
+        let block = current.ok_or_else(|| bad(lno, "instruction before first block label"))?;
+        let (id, text) = match line.strip_prefix('%').and_then(|l| l.split_once('=')) {
+            Some((id, text)) => {
+                let id = id.trim().parse().map_err(|_| bad(lno, "bad result id"))?;
+                (Some(id), text.trim())
             }
-            _ => (None, line),
+            None => (None, line),
         };
-        let kind = parse_body(body, lno)?;
-        pendings.push(PendingInst {
-            text_id,
+        body.push(Written {
+            inst: parse_body(text, &mut scope)?,
+            id,
             line: lno,
-            kind,
             block,
         });
     }
+    let labels = scope.labels;
 
     // Blocks: honor the printed numbering. The printer labels a block
     // `bb<BlockId>`, and an optimized function's layout has holes (removed
@@ -365,181 +270,123 @@ pub fn parse_function(text: &str) -> Result<Function, ParseError> {
     // block keeps its number — holes become unlinked arena blocks — and
     // the layout is the textual order. Any other labelling (hand-written
     // names, or numbers too sparse to be a printer's) numbers the blocks
-    // by first appearance.
-    let printed: Option<Vec<u32>> = labels
+    // by definition order.
+    let printed: Option<Vec<u32>> = layout
         .iter()
-        .map(|l| {
-            let digits = l.strip_prefix("bb")?;
+        .map(|&b| {
+            let digits = labels[b].0.strip_prefix("bb")?;
             let canonical = digits == "0" || !digits.starts_with(['0', '+']);
             digits.parse::<u32>().ok().filter(|_| canonical)
         })
         .collect();
-    let block_of: Vec<BlockId> = match printed {
-        Some(nums) if !nums.is_empty() && fits(&nums) => {
-            // Nothing is unlinked yet, so the layout counts the arena.
-            while f.num_blocks() <= *nums.iter().max().expect("non-empty") as usize {
-                f.add_block();
-            }
-            let ids: Vec<BlockId> = nums.iter().map(|&n| BlockId::from_index(n as usize)).collect();
-            f.set_layout(ids.clone());
-            ids
-        }
-        _ => (0..labels.len())
-            // Block 0 already exists from Function::new.
-            .map(|i| if i == 0 { f.entry() } else { f.add_block() })
-            .collect(),
+    let numbers = match printed {
+        Some(nums) if fits(&nums) => nums,
+        _ => (0..layout.len() as u32).collect(),
     };
+    let mut block_of: Vec<Option<BlockId>> = vec![None; labels.len()];
+    for (&b, &n) in layout.iter().zip(&numbers) {
+        block_of[b] = Some(BlockId::from_index(n as usize));
+    }
+    // A function always has an entry block, if only an empty `bb0`.
+    let numbers = if numbers.is_empty() { vec![0] } else { numbers };
+    let mut blocks = vec![Block::default(); *numbers.iter().max().expect("non-empty") as usize + 1];
 
-    // Pre-create all instructions so forward references resolve — and
-    // honor the printed ids while doing it. The printer emits raw
+    // Instructions: honor the printed ids too. The printer emits raw
     // `InstId` indices, so the text carries the original numbering of
-    // every *valued* instruction; void instructions print no id and are
-    // slotted into the unused numbers in textual order, and numbers that
-    // are still unused after that (an optimized function's deleted
-    // instructions) become unlinked arena slots. Preserving the numbering
-    // matters beyond aesthetics: it makes print → parse → print a fixpoint
-    // for *any* printed module, which is what lets `module_hash` be a hash
-    // of wire bytes, and id order is observable by optimizer tie-breaks,
-    // so a module that round-trips through text — a disk artifact, a wire
-    // body — must re-optimize exactly like the original. (Ids too sparse
-    // to be a printer's are kept by rank instead: a hostile `%4000000000`
-    // must not buy a four-billion-slot arena.)
-    let mut taken: HashSet<u32> = HashSet::new();
-    for p in &pendings {
-        if let Some(t) = p.text_id {
-            if !taken.insert(t) {
-                return err(p.line, format!("duplicate result id %{t}"));
-            }
-        }
-    }
-    let mut free = (0u32..).filter(|n| !taken.contains(n));
-    let targets: Vec<u32> = pendings
+    // every *valued* instruction; void instructions print no id and take
+    // the unused numbers in textual order, and numbers that are still
+    // unused after that (an optimized function's deleted instructions)
+    // become unlinked arena slots. Preserving the numbering matters beyond
+    // aesthetics: it makes print → parse → print a fixpoint for *any*
+    // printed module, which is what lets `module_hash` be a hash of wire
+    // bytes, and id order is observable by optimizer tie-breaks, so a
+    // module that round-trips through text — a disk artifact, a wire body
+    // — must re-optimize exactly like the original. (Ids too sparse to be
+    // a printer's are kept by rank instead: a hostile `%4000000000` must
+    // not buy a four-billion-slot arena.)
+    let mut valued: Vec<(u32, usize)> = body
         .iter()
-        .map(|p| p.text_id.unwrap_or_else(|| free.next().expect("u32 space")))
+        .enumerate()
+        .filter_map(|(i, w)| Some((w.id?, i)))
         .collect();
-    let exact = fits(&targets);
-    // Dense `InstId`s are allocation-ordered, so creating placeholders
-    // in ascending target order reproduces the numbering; blocks are
-    // then filled in textual order, which is the original layout.
-    let placeholder = |ty| Inst::new(InstKind::Ret { value: None }, ty);
-    let mut order: Vec<usize> = (0..pendings.len()).collect();
-    order.sort_by_key(|&i| targets[i]);
-    let mut ids_by_pending: Vec<Option<InstId>> = vec![None; pendings.len()];
-    for &i in &order {
-        while exact && f.num_inst_slots() < targets[i] as usize {
-            f.create_inst(placeholder(Type::Void));
-        }
-        let id = f.create_inst(placeholder(pending_type(&pendings[i].kind)));
-        ids_by_pending[i] = Some(id);
+    valued.sort_unstable();
+    let repeat = valued.windows(2).filter(|p| p[0].0 == p[1].0);
+    if let Some((t, i)) = repeat.map(|p| p[1]).min_by_key(|&(_, i)| i) {
+        return err(body[i].line, format!("duplicate result id %{t}"));
     }
-    let ids: Vec<InstId> = ids_by_pending
-        .into_iter()
-        .map(|id| id.expect("every pending instruction was created"))
-        .collect();
-    let mut text_map: HashMap<u32, InstId> = HashMap::new();
-    for (p, &id) in pendings.iter().zip(&ids) {
-        f.block_mut(block_of[p.block]).insts.push(id);
-        if let Some(t) = p.text_id {
-            text_map.insert(t, id);
-        }
-    }
-
-    // Pass 2: resolve operands.
-    let resolve = |tok: &Tok, ty: Type, line: usize| -> Result<Value, ParseError> {
-        match tok {
-            Tok::InstRef(n) => text_map
-                .get(n)
-                .map(|i| Value::Inst(*i))
-                .ok_or(ParseError {
-                    line,
-                    message: format!("undefined value %{n}"),
-                }),
-            Tok::ParamRef(name) => param_ix
-                .get(name)
-                .map(|i| Value::Arg(*i))
-                .ok_or(ParseError {
-                    line,
-                    message: format!("unknown parameter %{name}"),
-                }),
-            Tok::Lit(s) => Ok(Value::Const(parse_const(s, ty, line)?)),
-        }
-    };
-    let block_ref = |label: &str, line: usize| -> Result<BlockId, ParseError> {
-        label_ix.get(label).map(|&i| block_of[i]).ok_or(ParseError {
-            line,
-            message: format!("unknown block `{label}`"),
+    let mut taken = valued.iter().map(|&(t, _)| t).peekable();
+    let mut free = 0u32;
+    let targets: Vec<u32> = body
+        .iter()
+        .map(|w| {
+            w.id.unwrap_or_else(|| {
+                while let Some(t) = taken.next_if(|&t| t <= free) {
+                    if t == free {
+                        free += 1;
+                    }
+                }
+                free += 1;
+                free - 1
+            })
         })
+        .collect();
+    let ids = if fits(&targets) {
+        targets
+    } else {
+        let mut order: Vec<usize> = (0..targets.len()).collect();
+        order.sort_unstable_by_key(|&i| targets[i]);
+        let mut rank = vec![0; targets.len()];
+        for (r, i) in order.into_iter().enumerate() {
+            rank[i] = r as u32;
+        }
+        rank
+    };
+    let id_of = |printed: InstId| {
+        let k = valued
+            .binary_search_by_key(&(printed.index() as u32), |&(t, _)| t)
+            .ok()?;
+        Some(InstId::from_index(ids[valued[k].1] as usize))
     };
 
-    for (p, &id) in pendings.iter().zip(&ids) {
-        let l = p.line;
-        let kind = match &p.kind {
-            PendingKind::Bin(op, ty, a, b) => InstKind::Bin {
-                op: *op,
-                lhs: resolve(a, *ty, l)?,
-                rhs: resolve(b, *ty, l)?,
-            },
-            PendingKind::ICmp(pr, ty, a, b) => InstKind::ICmp {
-                pred: *pr,
-                lhs: resolve(a, *ty, l)?,
-                rhs: resolve(b, *ty, l)?,
-            },
-            PendingKind::FCmp(pr, ty, a, b) => InstKind::FCmp {
-                pred: *pr,
-                lhs: resolve(a, *ty, l)?,
-                rhs: resolve(b, *ty, l)?,
-            },
-            PendingKind::Select(ty, c, a, b) => InstKind::Select {
-                cond: resolve(c, Type::I1, l)?,
-                on_true: resolve(a, *ty, l)?,
-                on_false: resolve(b, *ty, l)?,
-            },
-            PendingKind::Cast(op, from, v, _to) => InstKind::Cast {
-                op: *op,
-                value: resolve(v, *from, l)?,
-            },
-            PendingKind::Load(_ty, ptr) => InstKind::Load {
-                ptr: resolve(ptr, Type::Ptr, l)?,
-            },
-            PendingKind::Store(vty, v, ptr) => InstKind::Store {
-                ptr: resolve(ptr, Type::Ptr, l)?,
-                value: resolve(v, *vty, l)?,
-            },
-            PendingKind::Gep(base, ix, scale) => InstKind::Gep {
-                base: resolve(base, Type::Ptr, l)?,
-                index: resolve(ix, Type::I64, l)?,
-                scale: *scale,
-            },
-            PendingKind::Phi(ty, incomings) => {
-                let mut inc = Vec::new();
-                for (label, v) in incomings {
-                    inc.push((block_ref(label, l)?, resolve(v, *ty, l)?));
+    // Fix-up: rewrite the temporaries and place every instruction in its
+    // arena slot and its block (holes stay dead `ret void` slots).
+    let dead = Inst::new(InstKind::Ret { value: None }, Type::Void);
+    let mut insts = vec![dead; ids.iter().max().map_or(0, |&m| m as usize + 1)];
+    for (w, &id) in body.into_iter().zip(&ids) {
+        let mut inst = w.inst;
+        let mut unknown = None;
+        for_each_block_mut(&mut inst.kind, |b| match block_of[b.index()] {
+            Some(id) => *b = id,
+            None => unknown = unknown.or(Some(b.index())),
+        });
+        if let Some(b) = unknown {
+            return err(w.line, format!("unknown block `{}`", labels[b].0));
+        }
+        let mut undefined = None;
+        inst.kind.for_each_operand_mut(|v| {
+            if let Value::Inst(n) = *v {
+                match id_of(n) {
+                    Some(id) => *v = Value::Inst(id),
+                    None => undefined = undefined.or(Some(n)),
                 }
-                InstKind::Phi { incomings: inc }
             }
-            PendingKind::Intr(fw, which, args) => {
-                let mut a = Vec::new();
-                for t in args {
-                    a.push(resolve(t, *fw, l)?);
-                }
-                InstKind::Intr { which: *which, args: a }
-            }
-            PendingKind::Br(label) => InstKind::Br {
-                target: block_ref(label, l)?,
-            },
-            PendingKind::CondBr(c, t, e) => InstKind::CondBr {
-                cond: resolve(c, Type::I1, l)?,
-                if_true: block_ref(t, l)?,
-                if_false: block_ref(e, l)?,
-            },
-            PendingKind::RetVoid => InstKind::Ret { value: None },
-            PendingKind::Ret(ty, v) => InstKind::Ret {
-                value: Some(resolve(v, *ty, l)?),
-            },
-        };
-        f.inst_mut(id).kind = kind;
+        });
+        if let Some(n) = undefined {
+            return err(w.line, format!("undefined value %{}", n.index()));
+        }
+        let block = block_of[w.block].expect("an instruction's block is defined");
+        blocks[block.index()]
+            .insts
+            .push(InstId::from_index(id as usize));
+        insts[id as usize] = inst;
     }
-    Ok(f)
+    let layout = numbers
+        .iter()
+        .map(|&n| BlockId::from_index(n as usize))
+        .collect();
+    Ok(Function::from_parts(
+        name, params, ret_ty, insts, blocks, layout,
+    ))
 }
 
 /// Whether the printed `numbers` of a function's live instructions (or
@@ -554,199 +401,199 @@ fn fits(numbers: &[u32]) -> bool {
         .is_none_or(|&m| (m as usize) < 64 * numbers.len() + 4096)
 }
 
-fn pending_type(k: &PendingKind) -> Type {
-    match k {
-        PendingKind::Bin(_, ty, _, _) => *ty,
-        PendingKind::ICmp(..) | PendingKind::FCmp(..) => Type::I1,
-        PendingKind::Select(ty, ..) => *ty,
-        PendingKind::Cast(_, _, _, to) => *to,
-        PendingKind::Load(ty, _) => *ty,
-        PendingKind::Phi(ty, _) => *ty,
-        PendingKind::Intr(ty, which, _) => which.result_type(*ty),
-        PendingKind::Gep(..) => Type::Ptr,
-        _ => Type::Void,
-    }
-}
-
-fn split_args(s: &str) -> Vec<String> {
-    s.split(',').map(|x| x.trim().to_string()).collect()
-}
-
-fn parse_body(body: &str, line: usize) -> Result<PendingKind, ParseError> {
-    let mut words = body.split_whitespace();
-    let head = words.next().ok_or(ParseError {
-        line,
-        message: "empty instruction".into(),
-    })?;
-    let rest = body[head.len()..].trim();
-    if let Some(op) = binop_of(head) {
-        // add i64 a, b
-        let mut it = rest.splitn(2, ' ');
-        let ty = parse_type(it.next().unwrap_or(""), line)?;
-        let args = split_args(it.next().unwrap_or(""));
-        if args.len() != 2 {
-            return err(line, "binop expects two operands");
+/// Visit every block reference of `kind`: branch targets and phi labels.
+fn for_each_block_mut(kind: &mut InstKind, mut f: impl FnMut(&mut BlockId)) {
+    match kind {
+        InstKind::Br { target } => f(target),
+        InstKind::CondBr {
+            if_true, if_false, ..
+        } => {
+            f(if_true);
+            f(if_false);
         }
-        return Ok(PendingKind::Bin(op, ty, parse_tok(&args[0]), parse_tok(&args[1])));
+        InstKind::Phi { incomings } => incomings.iter_mut().for_each(|(b, _)| f(b)),
+        _ => {}
     }
-    match head {
+}
+
+/// Parse one instruction (the text after any `%N =`).
+fn parse_body<'a>(body: &'a str, scope: &mut Scope<'_, 'a>) -> Result<Inst, ParseError> {
+    let line = scope.line;
+    if body.is_empty() {
+        return err(line, "empty instruction");
+    }
+    let (head, rest) = match body.split_once(char::is_whitespace) {
+        Some((head, rest)) => (head, rest.trim()),
+        None => (body, ""),
+    };
+    let (kind, ty) = match head {
         "icmp" | "fcmp" => {
             // icmp slt i64 a, b
-            let mut it = rest.splitn(3, ' ');
-            let pred = it.next().unwrap_or("");
-            let ty = parse_type(it.next().unwrap_or(""), line)?;
-            let args = split_args(it.next().unwrap_or(""));
-            if args.len() != 2 {
-                return err(line, "cmp expects two operands");
-            }
-            if head == "icmp" {
-                let p = icmp_of(pred).ok_or(ParseError {
-                    line,
-                    message: format!("bad icmp predicate `{pred}`"),
-                })?;
-                Ok(PendingKind::ICmp(p, ty, parse_tok(&args[0]), parse_tok(&args[1])))
+            let (pred, rest) = word(rest);
+            let (ty, args) = word(rest);
+            let ty = parse_type(ty, line)?;
+            let [a, b] = parts(args).ok_or_else(|| bad(line, "cmp expects two operands"))?;
+            let kind = if head == "icmp" {
+                let pred = by_mnemonic(ICmpPred::ALL, ICmpPred::mnemonic, pred)
+                    .ok_or_else(|| bad(line, format!("bad icmp predicate `{pred}`")))?;
+                let (lhs, rhs) = (scope.value(a, ty)?, scope.value(b, ty)?);
+                InstKind::ICmp { pred, lhs, rhs }
             } else {
-                let p = fcmp_of(pred).ok_or(ParseError {
-                    line,
-                    message: format!("bad fcmp predicate `{pred}`"),
-                })?;
-                Ok(PendingKind::FCmp(p, ty, parse_tok(&args[0]), parse_tok(&args[1])))
-            }
+                let pred = by_mnemonic(FCmpPred::ALL, FCmpPred::mnemonic, pred)
+                    .ok_or_else(|| bad(line, format!("bad fcmp predicate `{pred}`")))?;
+                let (lhs, rhs) = (scope.value(a, ty)?, scope.value(b, ty)?);
+                InstKind::FCmp { pred, lhs, rhs }
+            };
+            (kind, Type::I1)
         }
         "select" => {
             // select ty c, a, b
-            let mut it = rest.splitn(2, ' ');
-            let ty = parse_type(it.next().unwrap_or(""), line)?;
-            let args = split_args(it.next().unwrap_or(""));
-            if args.len() != 3 {
-                return err(line, "select expects three operands");
-            }
-            Ok(PendingKind::Select(
+            let (ty, args) = word(rest);
+            let ty = parse_type(ty, line)?;
+            let [c, a, b] =
+                parts(args).ok_or_else(|| bad(line, "select expects three operands"))?;
+            let cond = scope.value(c, Type::I1)?;
+            let (on_true, on_false) = (scope.value(a, ty)?, scope.value(b, ty)?);
+            (
+                InstKind::Select {
+                    cond,
+                    on_true,
+                    on_false,
+                },
                 ty,
-                parse_tok(&args[0]),
-                parse_tok(&args[1]),
-                parse_tok(&args[2]),
-            ))
+            )
         }
         "load" => {
             // load ty, ptr
-            let args = split_args(rest);
-            if args.len() != 2 {
-                return err(line, "load expects `ty, ptr`");
-            }
-            Ok(PendingKind::Load(parse_type(&args[0], line)?, parse_tok(&args[1])))
+            let [ty, ptr] = parts(rest).ok_or_else(|| bad(line, "load expects `ty, ptr`"))?;
+            let ty = parse_type(ty, line)?;
+            let ptr = scope.value(ptr, Type::Ptr)?;
+            (InstKind::Load { ptr }, ty)
         }
         "store" => {
             // store ty v, ptr
-            let mut it = rest.splitn(2, ' ');
-            let ty = parse_type(it.next().unwrap_or(""), line)?;
-            let args = split_args(it.next().unwrap_or(""));
-            if args.len() != 2 {
-                return err(line, "store expects `ty v, ptr`");
-            }
-            Ok(PendingKind::Store(ty, parse_tok(&args[0]), parse_tok(&args[1])))
+            let (ty, args) = word(rest);
+            let ty = parse_type(ty, line)?;
+            let [v, ptr] = parts(args).ok_or_else(|| bad(line, "store expects `ty v, ptr`"))?;
+            let ptr = scope.value(ptr, Type::Ptr)?;
+            let value = scope.value(v, ty)?;
+            (InstKind::Store { ptr, value }, Type::Void)
         }
         "gep" => {
             // gep base, index xSCALE
-            let args = split_args(rest);
-            if args.len() != 2 {
-                return err(line, "gep expects `base, index xN`");
-            }
-            let mut it = args[1].split_whitespace();
-            let ix = parse_tok(it.next().unwrap_or(""));
+            let [base, index] =
+                parts(rest).ok_or_else(|| bad(line, "gep expects `base, index xN`"))?;
+            let mut it = index.split_whitespace();
+            let index = it.next().unwrap_or("");
             let scale = it
                 .next()
                 .and_then(|s| s.strip_prefix('x'))
                 .and_then(|s| s.parse().ok())
-                .ok_or(ParseError {
-                    line,
-                    message: "gep scale must be `xN`".into(),
-                })?;
-            Ok(PendingKind::Gep(parse_tok(&args[0]), ix, scale))
+                .ok_or_else(|| bad(line, "gep scale must be `xN`"))?;
+            let base = scope.value(base, Type::Ptr)?;
+            let index = scope.value(index, Type::I64)?;
+            (InstKind::Gep { base, index, scale }, Type::Ptr)
         }
         "phi" => {
             // phi ty [v, bbN], [v, bbM]
-            let mut it = rest.splitn(2, ' ');
-            let ty = parse_type(it.next().unwrap_or(""), line)?;
+            let (ty, list) = word(rest);
+            let ty = parse_type(ty, line)?;
             let mut incomings = Vec::new();
-            for part in it.next().unwrap_or("").split("],") {
+            for part in list.split("],") {
                 let part = part.trim().trim_start_matches('[').trim_end_matches(']');
                 if part.is_empty() {
                     continue;
                 }
-                let mut kv = part.splitn(2, ',');
-                let v = parse_tok(kv.next().unwrap_or("").trim());
-                let label = kv.next().unwrap_or("").trim().to_string();
+                let (v, label) = part.split_once(',').unwrap_or((part, ""));
+                let label = label.trim();
                 if label.is_empty() {
                     return err(line, "phi incoming missing block label");
                 }
-                incomings.push((label, v));
+                incomings.push((scope.label(label), scope.value(v.trim(), ty)?));
             }
-            Ok(PendingKind::Phi(ty, incomings))
+            (InstKind::Phi { incomings }, ty)
         }
         "call" => {
             // call ty @name(args)
-            let mut it = rest.splitn(2, ' ');
-            let ty = parse_type(it.next().unwrap_or(""), line)?;
-            let callee = it.next().unwrap_or("").trim();
-            let open = callee.find('(').ok_or(ParseError {
-                line,
-                message: "call missing `(`".into(),
-            })?;
-            let name = callee[..open].trim().strip_prefix('@').ok_or(ParseError {
-                line,
-                message: "call missing `@`".into(),
-            })?;
-            let which = intrinsic_of(name).ok_or(ParseError {
-                line,
-                message: format!("unknown intrinsic `@{name}`"),
-            })?;
-            let inner = callee[open + 1..].trim_end_matches(')');
-            let args = if inner.trim().is_empty() {
+            let (ty, callee) = word(rest);
+            let ty = parse_type(ty, line)?;
+            let (name, args) = callee
+                .trim()
+                .split_once('(')
+                .ok_or_else(|| bad(line, "call missing `(`"))?;
+            let name = name
+                .trim()
+                .strip_prefix('@')
+                .ok_or_else(|| bad(line, "call missing `@`"))?;
+            let which = by_mnemonic(Intrinsic::ALL, Intrinsic::mnemonic, name)
+                .ok_or_else(|| bad(line, format!("unknown intrinsic `@{name}`")))?;
+            let args = args.trim_end_matches(')');
+            let args = if args.trim().is_empty() {
                 Vec::new()
             } else {
-                split_args(inner).iter().map(|a| parse_tok(a)).collect()
+                let args = args.split(',').map(|a| scope.value(a.trim(), ty));
+                args.collect::<Result<_, _>>()?
             };
-            Ok(PendingKind::Intr(ty, which, args))
+            (InstKind::Intr { which, args }, which.result_type(ty))
         }
-        "br" => {
-            if let Some(rest) = rest.strip_prefix("i1 ") {
-                let args = split_args(rest);
-                if args.len() != 3 {
-                    return err(line, "conditional br expects `i1 c, bbT, bbF`");
-                }
-                Ok(PendingKind::CondBr(
-                    parse_tok(&args[0]),
-                    args[1].clone(),
-                    args[2].clone(),
-                ))
-            } else {
-                Ok(PendingKind::Br(rest.to_string()))
+        "br" => match rest.strip_prefix("i1 ") {
+            Some(args) => {
+                let [c, t, e] = parts(args)
+                    .ok_or_else(|| bad(line, "conditional br expects `i1 c, bbT, bbF`"))?;
+                let cond = scope.value(c, Type::I1)?;
+                let (if_true, if_false) = (scope.label(t), scope.label(e));
+                (
+                    InstKind::CondBr {
+                        cond,
+                        if_true,
+                        if_false,
+                    },
+                    Type::Void,
+                )
             }
-        }
+            None => (
+                InstKind::Br {
+                    target: scope.label(rest),
+                },
+                Type::Void,
+            ),
+        },
         "ret" => {
-            if rest == "void" {
-                Ok(PendingKind::RetVoid)
+            let value = if rest == "void" {
+                None
             } else {
-                let mut it = rest.splitn(2, ' ');
-                let ty = parse_type(it.next().unwrap_or(""), line)?;
-                Ok(PendingKind::Ret(ty, parse_tok(it.next().unwrap_or("").trim())))
+                let (ty, v) = word(rest);
+                Some(scope.value(v.trim(), parse_type(ty, line)?)?)
+            };
+            (InstKind::Ret { value }, Type::Void)
+        }
+        _ => {
+            if let Some(op) = by_mnemonic(BinOp::ALL, BinOp::mnemonic, head) {
+                // add i64 a, b
+                let (ty, args) = word(rest);
+                let ty = parse_type(ty, line)?;
+                let [a, b] = parts(args).ok_or_else(|| bad(line, "binop expects two operands"))?;
+                let (lhs, rhs) = (scope.value(a, ty)?, scope.value(b, ty)?);
+                (InstKind::Bin { op, lhs, rhs }, ty)
+            } else if let Some(op) = by_mnemonic(CastOp::ALL, CastOp::mnemonic, head) {
+                // sext i32 %v to i64
+                let (from, tail) = word(rest);
+                let from = parse_type(from, line)?;
+                let (v, to) = tail.split_once(" to ").unwrap_or((tail, ""));
+                let to = parse_type(to.trim(), line)?;
+                (
+                    InstKind::Cast {
+                        op,
+                        value: scope.value(v.trim(), from)?,
+                    },
+                    to,
+                )
+            } else {
+                return err(line, format!("unknown instruction `{head}`"));
             }
         }
-        other => {
-            // Casts: `sext i32 %v to i64`
-            if let Some(op) = cast_of(other) {
-                let mut it = rest.splitn(2, ' ');
-                let from = parse_type(it.next().unwrap_or(""), line)?;
-                let tail = it.next().unwrap_or("");
-                let mut kv = tail.splitn(2, " to ");
-                let v = parse_tok(kv.next().unwrap_or("").trim());
-                let to = parse_type(kv.next().unwrap_or("").trim(), line)?;
-                return Ok(PendingKind::Cast(op, from, v, to));
-            }
-            err(line, format!("unknown instruction `{other}`"))
-        }
-    }
+    };
+    Ok(Inst::new(kind, ty))
 }
 
 /// Parse a whole module: a sequence of functions, with optional
@@ -948,6 +795,130 @@ bb2:
         verify_function(&f).unwrap();
         assert_eq!(f.num_inst_slots(), 2);
         assert_eq!(f.to_string(), "fn @h(i64 %n) -> i64 {\nbb0:\n  %1 = add i64 %n, 1\n  ret i64 %1\n}\n");
+    }
+
+    /// The error for `body` as the instructions of a one-block function
+    /// with parameters `i64 %n` and `ptr %p` (the body starts on line 3).
+    fn body_err(body: &str) -> ParseError {
+        parse_function(&format!(
+            "fn @e(i64 %n, ptr %p) -> void {{\nbb0:\n{body}}}\n"
+        ))
+        .unwrap_err()
+    }
+
+    fn error(line: usize, message: &str) -> ParseError {
+        ParseError {
+            line,
+            message: message.into(),
+        }
+    }
+
+    #[test]
+    fn duplicate_result_id_is_reported_at_its_second_definition() {
+        // Comments and blank lines still count toward line numbers.
+        let e = body_err("; c\n\n  %1 = add i64 %n, 1\n  %1 = add i64 %n, 2\n  ret void\n");
+        assert_eq!(e, error(6, "duplicate result id %1"));
+    }
+
+    #[test]
+    fn undefined_values_are_reported_at_their_use() {
+        let e = body_err("  %1 = add i64 %9, 1\n  ret void\n");
+        assert_eq!(e, error(3, "undefined value %9"));
+        // The store takes number 0, but a void instruction defines no
+        // value: `%0` names nothing.
+        let e = body_err("  store i64 1, %p\n  %1 = add i64 %0, 1\n  ret void\n");
+        assert_eq!(e, error(4, "undefined value %0"));
+    }
+
+    #[test]
+    fn unknown_parameter_is_reported_at_its_use() {
+        let e = body_err("  %1 = add i64 %m, 1\n  ret void\n");
+        assert_eq!(e, error(3, "unknown parameter %m"));
+    }
+
+    #[test]
+    fn unknown_block_named_only_by_a_phi_incoming() {
+        let e = parse_function(
+            "fn @b() -> void {\nbb0:\n  br bb1\nbb1:\n  %1 = phi i64 [0, bb0], [1, bb7]\n  ret void\n}\n",
+        )
+        .unwrap_err();
+        assert_eq!(e, error(5, "unknown block `bb7`"));
+    }
+
+    #[test]
+    fn bad_literals_name_the_type_they_were_read_as() {
+        for (body, message) in [
+            ("  %1 = select i64 maybe, 1, 2\n", "bad i1 literal `maybe`"),
+            ("  %1 = add i32 1, x\n", "bad i32 literal `x`"),
+            ("  %1 = add i64 1, 2x\n", "bad i64 literal `2x`"),
+            ("  %1 = load i64, 12z\n", "bad i64 literal `12z`"),
+            ("  %1 = fadd f32 1.0, 1.0.0\n", "bad f32 literal `1.0.0`"),
+            ("  %1 = fadd f64 x, 1.0\n", "bad f64 literal `x`"),
+            ("  %1 = add void 1, 2\n", "void literal"),
+        ] {
+            assert_eq!(
+                body_err(&format!("{body}  ret void\n")),
+                error(3, message),
+                "{body}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_mnemonic_parses_to_its_variant() {
+        let first = |line: String| {
+            let text = format!("fn @m() -> void {{\nbb0:\n  {line}\n  ret void\n}}\n");
+            let f = parse_function(&text).unwrap_or_else(|e| panic!("{line}: {e}"));
+            f.inst(f.block(f.entry()).insts[0]).kind.clone()
+        };
+        for &op in BinOp::ALL {
+            let kind = first(format!("%0 = {} i64 1, 2", op.mnemonic()));
+            assert!(
+                matches!(kind, InstKind::Bin { op: got, .. } if got == op),
+                "{op:?}"
+            );
+        }
+        for &pred in ICmpPred::ALL {
+            let kind = first(format!("%0 = icmp {} i64 1, 2", pred.mnemonic()));
+            assert!(
+                matches!(kind, InstKind::ICmp { pred: got, .. } if got == pred),
+                "{pred:?}"
+            );
+        }
+        for &pred in FCmpPred::ALL {
+            let kind = first(format!("%0 = fcmp {} f64 1.0, 2.0", pred.mnemonic()));
+            assert!(
+                matches!(kind, InstKind::FCmp { pred: got, .. } if got == pred),
+                "{pred:?}"
+            );
+        }
+        for &op in CastOp::ALL {
+            let kind = first(format!("%0 = {} i64 1 to i32", op.mnemonic()));
+            assert!(
+                matches!(kind, InstKind::Cast { op: got, .. } if got == op),
+                "{op:?}"
+            );
+        }
+        for &which in Intrinsic::ALL {
+            let args = vec!["1.0"; which.arity()].join(", ");
+            let kind = first(format!("%0 = call f64 @{}({args})", which.mnemonic()));
+            assert!(
+                matches!(kind, InstKind::Intr { which: got, .. } if got == which),
+                "{which:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn header_with_parentheses_out_of_order_is_an_error() {
+        let e = parse_function("fn @x)( -> void {\nbb0:\n  ret void\n}\n").unwrap_err();
+        assert_eq!(e, error(1, "missing `)`"));
+    }
+
+    #[test]
+    fn instruction_before_first_block_label() {
+        let e = parse_function("fn @x() -> void {\n  ret void\n}\n").unwrap_err();
+        assert_eq!(e, error(2, "instruction before first block label"));
     }
 
     #[test]

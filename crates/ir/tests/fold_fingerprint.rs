@@ -16,79 +16,6 @@ use std::path::PathBuf;
 use uu_ir::word::{self, decode, encode, Word};
 use uu_ir::{fnv1a, fold, BinOp, CastOp, Constant, FCmpPred, ICmpPred, Intrinsic, Type};
 
-const BIN_OPS: [BinOp; 17] = [
-    BinOp::Add,
-    BinOp::Sub,
-    BinOp::Mul,
-    BinOp::SDiv,
-    BinOp::UDiv,
-    BinOp::SRem,
-    BinOp::URem,
-    BinOp::Shl,
-    BinOp::LShr,
-    BinOp::AShr,
-    BinOp::And,
-    BinOp::Or,
-    BinOp::Xor,
-    BinOp::FAdd,
-    BinOp::FSub,
-    BinOp::FMul,
-    BinOp::FDiv,
-];
-
-const ICMP_PREDS: [ICmpPred; 10] = [
-    ICmpPred::Eq,
-    ICmpPred::Ne,
-    ICmpPred::Slt,
-    ICmpPred::Sle,
-    ICmpPred::Sgt,
-    ICmpPred::Sge,
-    ICmpPred::Ult,
-    ICmpPred::Ule,
-    ICmpPred::Ugt,
-    ICmpPred::Uge,
-];
-
-const FCMP_PREDS: [FCmpPred; 6] = [
-    FCmpPred::Oeq,
-    FCmpPred::Une,
-    FCmpPred::Olt,
-    FCmpPred::Ole,
-    FCmpPred::Ogt,
-    FCmpPred::Oge,
-];
-
-const CAST_OPS: [CastOp; 8] = [
-    CastOp::Sext,
-    CastOp::Zext,
-    CastOp::Trunc,
-    CastOp::SiToFp,
-    CastOp::FpToSi,
-    CastOp::FpCast,
-    CastOp::IntToPtr,
-    CastOp::PtrToInt,
-];
-
-/// Every intrinsic, the context-dependent ones included: those must print
-/// `None` for every input.
-const INTRINSICS: [Intrinsic; 15] = [
-    Intrinsic::ThreadIdxX,
-    Intrinsic::BlockIdxX,
-    Intrinsic::BlockDimX,
-    Intrinsic::GridDimX,
-    Intrinsic::Syncthreads,
-    Intrinsic::Sqrt,
-    Intrinsic::Fabs,
-    Intrinsic::Exp,
-    Intrinsic::Log,
-    Intrinsic::Sin,
-    Intrinsic::Cos,
-    Intrinsic::FMin,
-    Intrinsic::FMax,
-    Intrinsic::SMin,
-    Intrinsic::SMax,
-];
-
 const TYPES: [Type; 7] = [
     Type::I1,
     Type::I32,
@@ -206,16 +133,16 @@ fn walk(sem: &Sem) -> Vec<(String, String)> {
         }
         groups.push((label, text));
     };
-    for op in BIN_OPS {
+    for &op in BinOp::ALL {
         pairs(format!("bin {op:?}"), &|a, b| (sem.bin)(op, a, b));
     }
-    for pred in ICMP_PREDS {
+    for &pred in ICmpPred::ALL {
         pairs(format!("icmp {pred:?}"), &|a, b| (sem.icmp)(pred, a, b));
     }
-    for pred in FCMP_PREDS {
+    for &pred in FCmpPred::ALL {
         pairs(format!("fcmp {pred:?}"), &|a, b| (sem.fcmp)(pred, a, b));
     }
-    for op in CAST_OPS {
+    for &op in CastOp::ALL {
         let mut text = String::new();
         for to in TYPES {
             for &v in &ops {
@@ -224,7 +151,9 @@ fn walk(sem: &Sem) -> Vec<(String, String)> {
         }
         groups.push((format!("cast {op:?}"), text));
     }
-    for which in INTRINSICS {
+    // Every intrinsic, the context-dependent ones included: those must
+    // print `None` for every input.
+    for &which in Intrinsic::ALL {
         let mut text = String::new();
         for ty in TYPES {
             // Arity 0, 1 and 2: a missing argument must give `None`.

@@ -70,6 +70,10 @@ use uu_par::{run_crew, TaskQueue};
 /// `(module, config)`.
 pub const SERVICE_COMPILE_TIMEOUT: Duration = Duration::from_secs(20);
 
+/// Consecutive accept failures tolerated before the daemon gives up with a
+/// clean nonzero exit.
+const ACCEPT_RETRIES: u32 = 8;
+
 /// Tunables for the concurrent service. Every knob has a `UU_SERVE_*`
 /// environment variable (see [`ServeOptions::from_env`]).
 #[derive(Debug, Clone)]
@@ -83,13 +87,6 @@ pub struct ServeOptions {
     /// Handler panics per module hash before the circuit breaker
     /// quarantines it (`UU_SERVE_BREAKER`).
     pub breaker_k: u32,
-    /// Consecutive accept failures tolerated before the daemon gives up
-    /// with a clean nonzero exit (`UU_SERVE_ACCEPT_RETRIES`).
-    pub accept_retries: u32,
-    /// Per-request deadline cap in milliseconds on the deterministic
-    /// work clock (`UU_SERVE_TIMEOUT_MS`); a request's own `timeout-ms`
-    /// header may lower but never raise it.
-    pub timeout_ms: u64,
     /// Deterministic service fault plan (`UU_SERVE_FAULT`).
     pub fault: Option<ServeFaultPlan>,
 }
@@ -100,8 +97,6 @@ impl Default for ServeOptions {
             workers: 4,
             inflight: 4,
             breaker_k: 3,
-            accept_retries: 8,
-            timeout_ms: SERVICE_COMPILE_TIMEOUT.as_millis() as u64,
             fault: None,
         }
     }
@@ -134,8 +129,6 @@ impl ServeOptions {
             workers,
             inflight: env_knob("UU_SERVE_INFLIGHT", workers as u64) as usize,
             breaker_k: env_knob("UU_SERVE_BREAKER", d.breaker_k as u64) as u32,
-            accept_retries: env_knob("UU_SERVE_ACCEPT_RETRIES", d.accept_retries as u64) as u32,
-            timeout_ms: env_knob("UU_SERVE_TIMEOUT_MS", d.timeout_ms),
             fault: ServeFaultPlan::from_env(),
         }
     }
@@ -397,10 +390,10 @@ impl<'a> Service<'a> {
         };
         // Per-request deadline on the deterministic work clock: a request
         // may tighten the service deadline, never widen it.
-        let timeout_ms = match req.get("timeout-ms") {
-            None => self.opts.timeout_ms,
+        let timeout = match req.get("timeout-ms") {
+            None => SERVICE_COMPILE_TIMEOUT,
             Some(t) => match t.parse::<u64>() {
-                Ok(n) if n >= 1 => n.min(self.opts.timeout_ms),
+                Ok(n) if n >= 1 => Duration::from_millis(n).min(SERVICE_COMPILE_TIMEOUT),
                 _ => return error(&format!("`timeout-ms` is not a positive u64: {t:?}")),
             },
         };
@@ -408,7 +401,7 @@ impl<'a> Service<'a> {
         let opts = PipelineOptions {
             transform,
             filter,
-            timeout: Some(Duration::from_millis(timeout_ms)),
+            timeout: Some(timeout),
             fault,
             ..Default::default()
         };
@@ -525,7 +518,7 @@ pub fn serve_unix(path: &Path, cache: &CompileCache) -> io::Result<()> {
 /// failed wake is logged and counted in `accept_errors`.
 ///
 /// Accept errors are counted in [`CacheStats::accept_errors`] and
-/// retried with a short growing pause; [`ServeOptions::accept_retries`]
+/// retried with a short growing pause; eight (`ACCEPT_RETRIES`)
 /// *consecutive* failures mean the listener is wedged, and the daemon
 /// exits with the error (a clean nonzero exit) instead of spinning on a
 /// dead socket forever.
@@ -582,7 +575,7 @@ pub fn serve_unix_with(path: &Path, cache: &CompileCache, opts: ServeOptions) ->
                         eprintln!(
                             "uu-serve: accept error ({consecutive} consecutive): {e}"
                         );
-                        if consecutive >= service.options().accept_retries.max(1) {
+                        if consecutive >= ACCEPT_RETRIES {
                             return Err(io::Error::new(
                                 e.kind(),
                                 format!(

@@ -262,3 +262,49 @@ fn printer_parser_roundtrip() {
         },
     );
 }
+
+/// The text round trip holds for *optimized* IR too — the gapped ids and
+/// removed blocks every pipeline configuration leaves behind: printed
+/// output is a print → parse → print fixpoint, and compiling the re-parsed
+/// kernel prints the same bytes, for the same work, as compiling the
+/// original (the function memo is cleared first, so both really compile).
+#[test]
+fn optimized_ir_round_trips_and_reparsed_kernels_compile_identically() {
+    let compiled = |f: &uu_ir::Function, transform: &uu_core::Transform| {
+        uu_core::compile_memo_clear();
+        let mut m = uu_ir::Module::new("round_trip");
+        m.add_function(f.clone());
+        let options = uu_core::PipelineOptions {
+            transform: transform.clone(),
+            ..Default::default()
+        };
+        let work = uu_core::compile(&mut m, &options).work;
+        (m.to_string(), work)
+    };
+    check(
+        "optimized_ir_round_trips_and_reparsed_kernels_compile_identically",
+        &Config::from_env(48),
+        |spec: &KernelSpec| {
+            let kernel = build_kernel(spec);
+            let printed = kernel.to_string();
+            let reparsed =
+                uu_ir::parse_function(&printed).map_err(|e| format!("{e}\n{printed}"))?;
+            for t in uu_check::oracle::default_transforms() {
+                let (text, work) = compiled(&kernel, &t);
+                let again = uu_ir::parse_module(&text)
+                    .map_err(|e| format!("{t:?}: optimized IR does not parse: {e}\n{text}"))?
+                    .to_string();
+                if again != text {
+                    return Err(format!(
+                        "{t:?}: optimized IR is not a print/parse fixpoint\n\
+                         {text}\nreprinted:\n{again}"
+                    ));
+                }
+                if compiled(&reparsed, &t) != (text, work) {
+                    return Err(format!("{t:?}: the re-parsed kernel compiles differently"));
+                }
+            }
+            Ok(())
+        },
+    );
+}
