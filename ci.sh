@@ -125,6 +125,15 @@ UU_JOBS=4 ./target/release/uu-harness all --fast --out target/ci/results-fast-j4
 diff -r results-fast target/ci/results-fast-j4
 echo "results-fast (cached-decode, memoised-compile sweep) reproduces byte-identically at UU_JOBS=1 and 4"
 
+echo "== full report identity: checked-in results/ must reproduce byte-identically =="
+# The same gate over the full sweep (every loop of every application, the
+# in-depth counters and the study) — the committed paper artifacts
+# themselves, not a sample of them.
+rm -rf target/ci/results
+UU_JOBS=1 ./target/release/uu-harness all --out target/ci/results > /dev/null
+diff -r results target/ci/results
+echo "results/ reproduces byte-identically at UU_JOBS=1"
+
 echo "== behavioural fingerprint over the whole compile matrix (release) =="
 # `cargo test` above checked the factor-2 hot-loop subset (an unoptimised
 # build needs minutes for the factor-8 points); this is the full one: all

@@ -12,8 +12,12 @@
 //! hand to a pass that is about to mutate the function) and the pipeline
 //! invalidates with one rule, declared per pass:
 //!
-//! > invalidate iff the invocation reported a change **and** the pass does
-//! > not preserve the CFG.
+//! > invalidate iff the invocation changed the function **and** the pass
+//! > does not preserve the CFG.
+//!
+//! "Changed" is the exact bit of `Function::snapshot_changed`, not what
+//! the pass reports: a pass that grows the CFG while reporting no change
+//! must still invalidate.
 //!
 //! A guarded invocation that rolls back (verifier rejection, injected
 //! panic) restores the function exactly, so the cache stays valid without

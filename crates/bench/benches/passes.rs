@@ -6,7 +6,8 @@
 //! rewrites × function size — the small subject hides that, the large one
 //! does not. The `codec/*` rows time the IR text codec — the print, hash
 //! and parse every daemon round trip and disk artifact pays — on the
-//! largest module the sweep ships.
+//! largest module the sweep ships. The `pipeline/*` rows time whole
+//! compiles, where what the pass manager itself does (or skips) shows.
 
 use uu_check::bench::Harness;
 use uu_core::opt::{
@@ -14,7 +15,7 @@ use uu_core::opt::{
     sccp::Sccp, simplifycfg::SimplifyCfg, Pass,
 };
 use uu_core::{compile, uu_loop, LoopFilter, PipelineOptions, Transform, UuOptions};
-use uu_ir::{BlockId, Function, FunctionBuilder, ICmpPred, Param, Type, Value};
+use uu_ir::{BlockId, Function, FunctionBuilder, ICmpPred, Module, Param, Type, Value};
 
 /// The standard subject: a loop with a two-condition body (4 paths).
 fn subject() -> Function {
@@ -95,13 +96,34 @@ fn transformed(factor: u32) -> Function {
     uu(f, h, factor)
 }
 
+/// The module of one of the paper's applications.
+fn app(name: &str) -> Module {
+    let bench = uu_kernels::all_benchmarks()
+        .into_iter()
+        .find(|b| b.info.name == name)
+        .unwrap_or_else(|| panic!("{name} is not one of the paper's applications"));
+    (bench.build)()
+}
+
+/// `uu8` on XSBench's hot loop — the sweep's largest module, one function
+/// transformed.
+fn xsbench_uu8() -> PipelineOptions {
+    PipelineOptions {
+        transform: Transform::Uu {
+            factor: 8,
+            unmerge: Default::default(),
+        },
+        filter: LoopFilter::Only {
+            func: "xs_lookup".into(),
+            loop_id: 0,
+        },
+        ..Default::default()
+    }
+}
+
 /// The `complex` application's hot kernel and the header of its one loop.
 fn complex_pow() -> (Function, BlockId) {
-    let complex = uu_kernels::all_benchmarks()
-        .into_iter()
-        .find(|b| b.info.name == "complex")
-        .expect("complex is one of the paper's applications");
-    let m = (complex.build)();
+    let m = app("complex");
     let f = m
         .iter()
         .map(|(_, f)| f)
@@ -174,29 +196,14 @@ fn bench_analyses(h: &mut Harness) {
 /// loop — gapped ids and removed blocks, the text daemon replies and disk
 /// artifacts hold.
 fn bench_codec(h: &mut Harness) {
-    let xsbench = uu_kernels::all_benchmarks()
-        .into_iter()
-        .find(|b| b.info.name == "XSBench")
-        .expect("XSBench is one of the paper's applications");
-    let m = (xsbench.build)();
+    let m = app("XSBench");
     let text = m.to_string();
     let bytes = text.len() as u64;
     h.bench_batched_units("codec/print", bytes, || (), |()| m.to_string());
     h.bench_batched_units("codec/hash", bytes, || (), |()| uu_ir::module_hash(&m));
     h.bench_batched_units("codec/parse", bytes, || (), |()| uu_ir::parse_module(&text));
-    let mut optimized = (xsbench.build)();
-    let uu8 = PipelineOptions {
-        transform: Transform::Uu {
-            factor: 8,
-            unmerge: Default::default(),
-        },
-        filter: LoopFilter::Only {
-            func: "xs_lookup".into(),
-            loop_id: 0,
-        },
-        ..Default::default()
-    };
-    compile(&mut optimized, &uu8);
+    let mut optimized = m.clone();
+    compile(&mut optimized, &xsbench_uu8());
     let text = optimized.to_string();
     h.bench_batched_units(
         "codec/parse-optimized",
@@ -206,11 +213,34 @@ fn bench_codec(h: &mut Harness) {
     );
 }
 
+/// Whole compiles with the function memo cleared before each, so every
+/// function runs through the guarded pass manager: XSBench under `uu8` on
+/// `xs_lookup` (106 functions) and quicksort's baseline (7).
+fn bench_pipeline(h: &mut Harness) {
+    for (name, m, opts) in [
+        ("pipeline/xsbench-uu8", app("XSBench"), xsbench_uu8()),
+        ("pipeline/quicksort-baseline", app("quicksort"), PipelineOptions::default()),
+    ] {
+        h.bench_batched(
+            name,
+            || {
+                uu_core::compile_memo_clear();
+                m.clone()
+            },
+            |mut m| {
+                compile(&mut m, &opts);
+                m
+            },
+        );
+    }
+}
+
 fn main() {
     let mut h = Harness::new("passes");
     bench_transform(&mut h);
     bench_cleanup_passes(&mut h);
     bench_analyses(&mut h);
     bench_codec(&mut h);
+    bench_pipeline(&mut h);
     h.finish();
 }

@@ -84,8 +84,8 @@ pub use memo::{
 };
 pub use opt::meld::{meld_function, meld_loop, Meld};
 pub use pipeline::{
-    compile, fingerprint_of, pipeline_fingerprint, CompileOutcome, LoopFilter, PassPosition,
-    PipelineOptions, Transform, PASS_VERSIONS, PIPELINE_SCHEMA_VERSION, WORK_PER_MS,
+    compile, fingerprint_of, pass_elision_stats, pipeline_fingerprint, CompileOutcome, LoopFilter,
+    PassPosition, PipelineOptions, Transform, PASS_VERSIONS, PIPELINE_SCHEMA_VERSION, WORK_PER_MS,
 };
 pub use recover::{
     split_fault_spec, FailureReason, FaultKind, FaultPlan, PassFailure, PassInvocation, Rung,

@@ -46,7 +46,8 @@ pub trait Pass {
     /// Whether every change this pass can make leaves the CFG (block set,
     /// layout and edges) intact. The pass manager keeps cached dominators
     /// and loops alive across invocations of CFG-preserving passes and
-    /// invalidates them after any other pass that reports a change.
+    /// invalidates them after any other pass that changes the function
+    /// (see [`PassScope`]).
     fn preserves_cfg(&self) -> bool {
         false
     }
@@ -59,33 +60,90 @@ pub trait Pass {
     }
 }
 
+/// What a pass manager keeps about one function between pass invocations:
+/// the analyses the passes share, and the passes *settled* on the
+/// function's current state — those that last ran on exactly this state,
+/// reported no change and left it equal. A pass is a deterministic
+/// function of the function it is handed, so re-running a settled pass
+/// would report no change again and leave the function as it is: the
+/// invocation can be elided.
+///
+/// Both halves follow one rule, applied after every invocation on the
+/// *exact* change bit ([`Function::snapshot_changed`]), not on what the
+/// pass reports: a real change clears the settled set and, unless the
+/// pass preserves the CFG, invalidates the analyses. A pass that edits
+/// the CFG while reporting no change therefore cannot leave stale
+/// dominators behind. Owned per function, so nothing settled on one
+/// function can elide a pass on the next.
+#[derive(Default)]
+pub struct PassScope {
+    cache: AnalysisCache,
+    settled: Vec<&'static str>,
+    /// `cost::function_size` of the state the settled passes ran on.
+    size: u64,
+}
+
+impl PassScope {
+    /// The analyses shared by the passes run in this scope.
+    pub fn cache(&mut self) -> &mut AnalysisCache {
+        &mut self.cache
+    }
+
+    /// The current state's size if `pass` is settled on it — the
+    /// invocation may be elided — or `None` if it must run.
+    pub fn settled(&self, pass: &str) -> Option<u64> {
+        self.settled.contains(&pass).then_some(self.size)
+    }
+
+    /// Account for one completed invocation of `pass` that `reported`
+    /// a change and — by the exact bit — `changed` the function, leaving
+    /// it at `size`.
+    pub(crate) fn after(&mut self, pass: &dyn Pass, reported: bool, changed: bool, size: u64) {
+        if changed {
+            self.settled.clear();
+            if !pass.preserves_cfg() {
+                self.cache.invalidate();
+            }
+        } else if !reported && !self.settled.contains(&pass.name()) {
+            self.settled.push(pass.name());
+            self.size = size;
+        }
+    }
+
+    /// Run `pass` over `f` in this scope (unguarded) and return what it
+    /// reported; a settled pass is elided and reports no change.
+    pub fn run(&mut self, f: &mut Function, pass: &mut dyn Pass) -> bool {
+        if self.settled(pass.name()).is_some() {
+            return false;
+        }
+        f.snapshot_begin();
+        let reported = pass.run_with(f, &mut self.cache);
+        let changed = f.snapshot_changed();
+        f.snapshot_commit();
+        self.after(pass, reported, changed, uu_analysis::cost::function_size(f));
+        reported
+    }
+}
+
+/// One round of the standard cleanup sequence, each pass run through
+/// `step`; returns whether any step reported a change.
+pub(crate) fn cleanup_round(mut step: impl FnMut(&mut dyn Pass) -> bool) -> bool {
+    // `|` rather than `||`: every pass runs every round.
+    step(&mut simplifycfg::SimplifyCfg::default())
+        | step(&mut instsimplify::InstSimplify)
+        | step(&mut sccp::Sccp)
+        | step(&mut simplifycfg::SimplifyCfg::default())
+        | step(&mut gvn::Gvn)
+        | step(&mut condprop::CondProp)
+        | step(&mut dce::Dce)
+}
+
 /// Run the standard cleanup sequence to a fixed point (bounded by
 /// `max_rounds`). Returns the number of rounds that made progress.
 pub fn run_cleanup(f: &mut Function, max_rounds: usize) -> usize {
-    let mut cache = AnalysisCache::new();
+    let mut scope = PassScope::default();
     let mut rounds = 0;
-    for _ in 0..max_rounds {
-        let mut changed = false;
-        macro_rules! step {
-            ($pass:expr) => {{
-                let mut p = $pass;
-                let c = p.run_with(f, &mut cache);
-                if c && !p.preserves_cfg() {
-                    cache.invalidate();
-                }
-                changed |= c;
-            }};
-        }
-        step!(simplifycfg::SimplifyCfg::default());
-        step!(instsimplify::InstSimplify);
-        step!(sccp::Sccp);
-        step!(simplifycfg::SimplifyCfg::default());
-        step!(gvn::Gvn);
-        step!(condprop::CondProp);
-        step!(dce::Dce);
-        if !changed {
-            break;
-        }
+    while rounds < max_rounds && cleanup_round(|p| scope.run(f, p)) {
         rounds += 1;
     }
     rounds

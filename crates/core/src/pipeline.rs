@@ -40,14 +40,19 @@
 //! one a memo-less compile returns, wall time aside. Compiles whose
 //! invocation indices are addressed from outside (a pass-level fault plan,
 //! an opt-bisect limit) do not touch the memo.
+//!
+//! ## Settled passes
+//!
+//! Each function is run in its own [`PassScope`]: its cached analyses and
+//! the passes settled on its current state. Re-running a settled pass
+//! would change nothing, so the invocation is elided — it keeps its index,
+//! log entry and clock charge and returns `false` — unless a pass-level
+//! fault plan targets it. The outcome is the one an un-elided run returns.
 
 use crate::baseline_unroll::{baseline_unroll, BaselineUnrollOptions};
 use crate::heuristic::{run_heuristic, HeuristicOptions, LoopDecision};
 use crate::memo;
-use crate::opt::{
-    condprop::CondProp, dce::Dce, gvn::Gvn, ifconvert::IfConvert, instsimplify::InstSimplify,
-    sccp::Sccp, simplifycfg::SimplifyCfg, Pass,
-};
+use crate::opt::{cleanup_round, ifconvert::IfConvert, Pass, PassScope};
 use crate::recover::{
     corrupt_function, miscompile_function, panic_message, FailureReason, FaultKind, FaultPlan,
     PassFailure, PassInvocation, Rung,
@@ -55,10 +60,11 @@ use crate::recover::{
 use crate::unmerge::UnmergeOptions;
 use crate::unroll::unroll_loop;
 use crate::uu::{uu_loop, UuOptions};
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use uu_analysis::{AnalysisCache, DomTree, LoopForest};
+use uu_analysis::{DomTree, LoopForest};
 use uu_ir::{FuncId, Function, Module};
 
 /// Which transform (if any) the pipeline applies on top of the baseline.
@@ -426,15 +432,15 @@ impl Ctx {
         }
     }
 
-    /// Run one guarded pass invocation of `name` over `f`. Returns whether
-    /// the pass reported a change that survived verification; a contained
-    /// failure rolls `f` back and returns `false`.
-    fn invoke(
-        &mut self,
-        f: &mut Function,
-        name: &'static str,
-        body: &mut dyn FnMut(&mut Function) -> bool,
-    ) -> bool {
+    /// Run one guarded invocation of `pass` over `f` in the function's
+    /// `scope`. Returns whether the pass reported a change that survived
+    /// verification; a contained failure rolls `f` back and returns
+    /// `false`. A pass settled on `f` (see [`PassScope`]) is elided: it
+    /// takes its counter step, log entry and clock charge and returns
+    /// `false` without running — unless a pass-level fault plan targets
+    /// this invocation.
+    fn invoke(&mut self, f: &mut Function, scope: &mut PassScope, pass: &mut dyn Pass) -> bool {
+        let name = pass.name();
         let index = self.counter;
         self.counter += 1;
         if let Some(limit) = self.bisect_limit {
@@ -443,8 +449,14 @@ impl Ctx {
             }
         }
         self.log(index, name, f);
-        let fault = self.fault.filter(|p| p.at == index);
+        let fault = self.fault.filter(|p| p.at == index && p.kind != FaultKind::Mem);
         let t0 = Instant::now();
+        let settled = scope.settled(name).filter(|_| fault.is_none());
+        count_invocation(settled.is_some());
+        if let Some(size) = settled {
+            self.record(name, t0.elapsed(), size);
+            return false;
+        }
 
         // Arm the in-place undo journal instead of cloning the whole
         // function: first writes record pre-images, and rollback restores
@@ -456,7 +468,7 @@ impl Ctx {
             if matches!(fault, Some(p) if p.kind == FaultKind::Panic) {
                 panic!("injected fault: {}", fault.unwrap().spec());
             }
-            body(f)
+            pass.run_with(f, scope.cache())
         }));
         let mut changed = match outcome {
             Ok(c) => c,
@@ -517,10 +529,49 @@ impl Ctx {
                 return false;
             }
         }
+        let exact = f.snapshot_changed();
         f.snapshot_commit();
-        self.record(name, t0.elapsed(), uu_analysis::cost::function_size(f));
+        let size = uu_analysis::cost::function_size(f);
+        scope.after(pass, changed, exact, size);
+        self.record(name, t0.elapsed(), size);
         changed
     }
+}
+
+/// A closure as a [`Pass`]: how the transforms and the baseline unroller
+/// run under the same guard as the cleanup passes.
+struct Step<F>(&'static str, F);
+
+impl<F: FnMut(&mut Function) -> bool> Pass for Step<F> {
+    fn name(&self) -> &'static str {
+        self.0
+    }
+
+    fn run(&mut self, f: &mut Function) -> bool {
+        (self.1)(f)
+    }
+}
+
+thread_local! {
+    /// `(elided, invoked)` pass invocations on this thread.
+    static ELISION: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+fn count_invocation(elided: bool) {
+    ELISION.with(|c| {
+        let (e, n) = c.get();
+        c.set((e + elided as u64, n + 1));
+    });
+}
+
+/// This thread's `(elided, invoked)` counters over guarded pass
+/// invocations: how many invocations the pass manager elided because the
+/// pass was settled on the function (see [`PassScope`]), out of all it
+/// handled. Invocations skipped by an opt-bisect limit or replayed from
+/// the function memo count in neither. Diagnostics only: kept off
+/// [`CompileOutcome`], whose contents do not depend on elision.
+pub fn pass_elision_stats() -> (u64, u64) {
+    ELISION.with(Cell::get)
 }
 
 /// Compile (optimize) a module under the given configuration.
@@ -544,7 +595,7 @@ pub fn compile(m: &mut Module, opts: &PipelineOptions) -> CompileOutcome {
         let funcs: Vec<_> = m.iter().map(|(id, _)| id).collect();
         for id in funcs {
             // `optimize_module` ran to the end, so every original is kept.
-            run_timed_cleanup(m.function_mut(id), 1, &mut ctx, &mut AnalysisCache::new());
+            run_timed_cleanup(m.function_mut(id), 1, &mut ctx, &mut PassScope::default());
         }
     }
 
@@ -644,18 +695,19 @@ fn apply_transform(
                 changed
             }
         };
-        let mut meld = |f: &mut Function| {
+        let meld = |f: &mut Function| {
             let mut changed = false;
             for &h in &headers {
                 changed |= crate::opt::meld::meld_loop(f, h);
             }
             changed
         };
+        let scope = &mut PassScope::default();
         let changed = match &opts.transform {
             Transform::Baseline => unreachable!("returned above"),
             Transform::Unroll { factor } => {
                 let factor = *factor;
-                ctx.invoke(f, "unroll", &mut |f| {
+                ctx.invoke(f, scope, &mut Step("unroll", |f: &mut Function| {
                     let mut changed = false;
                     for &h in &headers {
                         let dom = DomTree::compute(f);
@@ -678,29 +730,37 @@ fn apply_transform(
                         }
                     }
                     changed
-                })
+                }))
             }
-            Transform::Unmerge => ctx.invoke(f, "unmerge", &mut uu(1, UnmergeOptions::default())),
-            Transform::Uu { factor, unmerge } => ctx.invoke(f, "uu", &mut uu(*factor, *unmerge)),
+            Transform::Unmerge => {
+                ctx.invoke(f, scope, &mut Step("unmerge", uu(1, UnmergeOptions::default())))
+            }
+            Transform::Uu { factor, unmerge } => {
+                ctx.invoke(f, scope, &mut Step("uu", uu(*factor, *unmerge)))
+            }
             Transform::UuHeuristic(hopts) => {
                 let mut local = Vec::new();
-                let changed = ctx.invoke(f, "uu-heuristic", &mut |f| {
-                    local = run_heuristic(f, hopts);
-                    !local.is_empty()
-                });
+                let changed = ctx.invoke(
+                    f,
+                    scope,
+                    &mut Step("uu-heuristic", |f: &mut Function| {
+                        local = run_heuristic(f, hopts);
+                        !local.is_empty()
+                    }),
+                );
                 let fname = f.name().to_string();
                 decisions.extend(local.into_iter().map(|d| (fname.clone(), d)));
                 changed
             }
-            Transform::Meld => ctx.invoke(f, "meld", &mut meld),
+            Transform::Meld => ctx.invoke(f, scope, &mut Step("meld", meld)),
             Transform::UuMeld { factor, unmerge } => {
                 // Two guarded invocations so each step degrades
                 // independently: a panicking meld rolls back to the u&u
                 // result, not all the way to baseline. The loop header
                 // block survives `uu_loop` (the unrolled loop keeps it),
                 // so the meld step can target the same headers.
-                let unmerged = ctx.invoke(f, "uu", &mut uu(*factor, *unmerge));
-                ctx.invoke(f, "meld", &mut meld) | unmerged
+                let unmerged = ctx.invoke(f, scope, &mut Step("uu", uu(*factor, *unmerge)));
+                ctx.invoke(f, scope, &mut Step("meld", meld)) | unmerged
             }
         };
         ctx.transformed[id.index()] |= changed;
@@ -758,65 +818,34 @@ fn optimize_module(m: &mut Module, opts: &PipelineOptions, ctx: &mut Ctx) {
 /// `opts.baseline_unroll`, plus — only when a limit, budget or fault plan
 /// cuts it short — the invocation counter and compile clock in `ctx`.
 fn optimize_function(f: &mut Function, opts: &PipelineOptions, ctx: &mut Ctx) {
-    // Dominators and loops survive across the cleanup fixpoint as long
-    // as only CFG-preserving passes report changes; the clobbering
-    // passes below invalidate explicitly.
-    let mut cache = AnalysisCache::new();
-    run_timed_cleanup(f, opts.max_rounds, ctx, &mut cache);
+    // Dominators, loops and settled passes survive across the stages as
+    // long as the function does not change under them (see `PassScope`).
+    let scope = &mut PassScope::default();
+    run_timed_cleanup(f, opts.max_rounds, ctx, scope);
     if ctx.timed_out {
         return;
     }
     let bopts = opts.baseline_unroll;
-    if ctx.invoke(f, "baseline-unroll", &mut |f| {
-        let stats = baseline_unroll(f, &bopts);
-        stats.full + stats.runtime + stats.pragma > 0
-    }) {
-        cache.invalidate();
-    }
-    run_timed_cleanup(f, opts.max_rounds, ctx, &mut cache);
+    ctx.invoke(
+        f,
+        scope,
+        &mut Step("baseline-unroll", |f: &mut Function| {
+            let stats = baseline_unroll(f, &bopts);
+            stats.full + stats.runtime + stats.pragma > 0
+        }),
+    );
+    run_timed_cleanup(f, opts.max_rounds, ctx, scope);
     if ctx.timed_out {
         return;
     }
-    if ctx.invoke(f, "ifconvert", &mut |f| IfConvert.run(f)) {
-        cache.invalidate();
-    }
-    run_timed_cleanup(f, opts.max_rounds, ctx, &mut cache);
+    ctx.invoke(f, scope, &mut IfConvert);
+    run_timed_cleanup(f, opts.max_rounds, ctx, scope);
 }
 
-fn run_timed_cleanup(
-    f: &mut Function,
-    max_rounds: usize,
-    ctx: &mut Ctx,
-    cache: &mut AnalysisCache,
-) {
+fn run_timed_cleanup(f: &mut Function, max_rounds: usize, ctx: &mut Ctx, scope: &mut PassScope) {
     for _ in 0..max_rounds {
-        if ctx.timed_out {
+        if ctx.timed_out || !cleanup_round(|p| ctx.invoke(f, scope, p)) {
             return;
-        }
-        let mut changed = false;
-        macro_rules! guarded {
-            ($pass:expr) => {{
-                let mut p = $pass;
-                let name = p.name();
-                let changed_now = ctx.invoke(f, name, &mut |f| p.run_with(f, cache));
-                // Rolled-back invocations return false and leave the CFG
-                // exactly as the cache last saw it, so no invalidation is
-                // needed on the failure paths.
-                if changed_now && !p.preserves_cfg() {
-                    cache.invalidate();
-                }
-                changed |= changed_now;
-            }};
-        }
-        guarded!(SimplifyCfg::default());
-        guarded!(InstSimplify);
-        guarded!(Sccp);
-        guarded!(SimplifyCfg::default());
-        guarded!(Gvn);
-        guarded!(CondProp);
-        guarded!(Dce);
-        if !changed {
-            break;
         }
     }
 }
@@ -1241,6 +1270,32 @@ mod tests {
             assert_eq!(out.failures.last().unwrap().pass, "module-verify", "{round}");
             assert!(out.verify_error.is_some(), "{round}: the input itself is invalid");
             assert_eq!(m.to_string(), input, "{round}: input not restored verbatim");
+        }
+    }
+
+    #[test]
+    fn settled_passes_do_not_carry_over_to_the_next_function() {
+        // Two equal functions under `LoopFilter::All`: what settled on the
+        // first must not elide anything on the second, so both compile to
+        // what each compiles to alone.
+        let uu2 = PipelineOptions {
+            transform: Transform::Uu {
+                factor: 2,
+                unmerge: UnmergeOptions::default(),
+            },
+            ..Default::default()
+        };
+        let mut alone = branchy_module();
+        compile(&mut alone, &uu2);
+        let alone = alone.function(FuncId::from_index(0)).to_string();
+        let mut twice = branchy_module();
+        twice.add_function(branchy_module().function(FuncId::from_index(0)).clone());
+        let (elided, _) = pass_elision_stats();
+        let out = compile(&mut twice, &uu2);
+        assert!(pass_elision_stats().0 > elided, "nothing settled, nothing tested");
+        assert_eq!(out.pass_log.iter().filter(|p| p.pass == "uu").count(), 2);
+        for (_, f) in twice.iter() {
+            assert_eq!(f.to_string(), alone);
         }
     }
 

@@ -5,7 +5,7 @@
 //! so these tests pin the protocol down directly.
 
 use uu_analysis::{AnalysisCache, DomTree};
-use uu_core::opt::{condprop::CondProp, gvn::Gvn, simplifycfg::SimplifyCfg, Pass};
+use uu_core::opt::{condprop::CondProp, gvn::Gvn, simplifycfg::SimplifyCfg, Pass, PassScope};
 use uu_ir::{FunctionBuilder, ICmpPred, Param, Type, Value};
 
 /// entry -> chooser -(c)-> {t | f} -> merge -> tail chain, with a
@@ -144,4 +144,71 @@ fn loop_forest_invalidates_with_the_tree() {
     cache.dominators(&f);
     cache.loop_forest(&f);
     assert_eq!(cache.misses(), m_primed + 2, "both analyses must recompute");
+}
+
+/// A pass that splits the entry's first edge with a fresh forwarding block
+/// — a CFG edit — and reports no change, the way `baseline-unroll` does
+/// when its loop canonicalisation runs and the unroll then declines.
+struct SilentSplit;
+
+impl Pass for SilentSplit {
+    fn name(&self) -> &'static str {
+        "silent-split"
+    }
+
+    fn run(&mut self, f: &mut uu_ir::Function) -> bool {
+        let entry = f.entry();
+        let term = f.terminator(entry).unwrap();
+        let uu_ir::InstKind::CondBr { if_true, .. } = f.inst(term).kind else {
+            return false;
+        };
+        let mid = f.add_block();
+        f.append_inst(mid, uu_ir::Inst::new(uu_ir::InstKind::Br { target: if_true }, Type::Void));
+        if let uu_ir::InstKind::CondBr { if_true, .. } = &mut f.inst_mut(term).kind {
+            *if_true = mid;
+        }
+        false
+    }
+}
+
+#[test]
+fn a_cfg_edit_reported_as_no_change_still_invalidates() {
+    // The scope's rule reads the exact change bit, not the report: the
+    // split must drop the cached tree even though the pass returned false.
+    let mut f = build();
+    let mut scope = PassScope::default();
+    let before = scope.cache().dominators(&f);
+    assert!(!scope.run(&mut f, &mut SilentSplit), "the pass reports no change");
+    uu_ir::verify_function(&f).unwrap();
+    assert_cache_fresh(&f, scope.cache());
+    assert!(before.rpo().len() < scope.cache().dominators(&f).rpo().len());
+    // Nor is a pass that changed the function settled: it runs again.
+    assert_eq!(scope.settled("silent-split"), None);
+}
+
+#[test]
+fn a_settled_pass_is_elided_until_the_function_changes() {
+    /// Counts its runs and changes nothing.
+    struct Idle(usize);
+    impl Pass for Idle {
+        fn name(&self) -> &'static str {
+            "idle"
+        }
+        fn run(&mut self, _: &mut uu_ir::Function) -> bool {
+            self.0 += 1;
+            false
+        }
+    }
+    let mut f = build();
+    let mut scope = PassScope::default();
+    let mut idle = Idle(0);
+    scope.run(&mut f, &mut idle);
+    scope.run(&mut f, &mut idle);
+    assert_eq!(idle.0, 1, "the second run is elided");
+    assert_eq!(scope.settled("idle"), Some(uu_analysis::cost::function_size(&f)));
+    // A real change anywhere unsettles every pass.
+    assert!(scope.run(&mut f, &mut SimplifyCfg::default()));
+    assert_eq!(scope.settled("idle"), None);
+    scope.run(&mut f, &mut idle);
+    assert_eq!(idle.0, 2);
 }

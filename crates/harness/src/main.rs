@@ -380,13 +380,16 @@ fn refuse_to_clobber(out: &Path, benches: usize) {
 
 /// After a batch run, surface the caches' stats on stderr (reports on
 /// stdout/disk stay byte-identical to cacheless runs): the function-level
-/// compile memo always, the artifact cache's versioned stats when one is
-/// configured. The memo and its counters are thread-local, so the line
-/// covers the compiles this thread ran — all of them at `UU_JOBS=1`.
+/// compile memo and the pass manager's elisions always, the artifact
+/// cache's versioned stats when one is configured. The memo and both sets
+/// of counters are thread-local, so the line covers the compiles this
+/// thread ran — all of them at `UU_JOBS=1`.
 fn report_cache(cache: Option<&uu_serve::CompileCache>) {
     let (hits, misses, bypassed) = uu_core::compile_memo_stats();
+    let (elided, invoked) = uu_core::pass_elision_stats();
     eprintln!(
-        "compile memo: {hits} function hits / {misses} misses / {bypassed} bypassed{}",
+        "compile memo: {hits} function hits / {misses} misses / {bypassed} bypassed; \
+         {elided} of {invoked} pass invocations elided{}",
         match uu_par::num_jobs() {
             1 => String::new(),
             n => format!(" on the main thread ({n} workers keep their own; UU_JOBS=1 for totals)"),

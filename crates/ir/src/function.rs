@@ -535,6 +535,27 @@ impl Function {
         j.block_bits.resize(self.blocks.len().div_ceil(64), 0);
     }
 
+    /// Whether the function now differs from its state at
+    /// [`Function::snapshot_begin`] — exactly `*self != clone_at_arm`, in
+    /// time proportional to the slots touched since. The journal records
+    /// *touches*, so a slot rewritten to its own value, or a layout
+    /// permuted and restored, is not a change; a slot appended (even one
+    /// unlinked again) is, because unlinked slots are observable.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no snapshot is armed.
+    pub fn snapshot_changed(&self) -> bool {
+        let j = &self.journal;
+        assert!(j.active, "no Function snapshot armed");
+        self.insts.len() != j.insts_len
+            || self.blocks.len() != j.blocks_len
+            || self.layout != j.layout
+            || self.loop_pragmas != j.pragmas
+            || j.saved_insts.iter().any(|(ix, pre)| self.insts[*ix as usize] != *pre)
+            || j.saved_blocks.iter().any(|(ix, pre)| self.blocks[*ix as usize] != *pre)
+    }
+
     /// Accept all mutations since [`Function::snapshot_begin`] and disarm
     /// the snapshot, dropping the recorded undo information.
     ///

@@ -182,3 +182,61 @@ fn malformed_fault_specs_are_rejected() {
         assert!(FaultPlan::parse(bad).is_err(), "{bad:?} should not parse");
     }
 }
+
+/// Every invocation index of a clean compile stays addressable, the ones
+/// the pass manager elides as settled included: for each index `i` of the
+/// clean `pass_log`, an opt-bisect limit of `i + 1` reproduces the log's
+/// prefix, `panic@i` fails exactly invocation `i` under the logged pass
+/// name, and `miscompile@i` mutates exactly the state invocation `i` left
+/// behind. (Each faulted compile is cut at `i + 1`: invocation `i` behaves
+/// the same under every larger limit.)
+#[test]
+fn every_invocation_index_stays_addressable() {
+    use uu_core::recover::miscompile_function;
+    use uu_core::{compile, FaultKind, PipelineOptions, Transform};
+    let (_, spec) = uu_check::corpus::load_corpus().swap_remove(0);
+    let mut corpus = uu_ir::Module::new("corpus");
+    corpus.add_function(uu_check::build_kernel(&spec));
+    let uu2 = Transform::Uu { factor: 2, unmerge: Default::default() };
+    let quicksort = (bench_set(&["quicksort"])[0].build)();
+    for (label, module, transform) in
+        [("corpus", corpus, uu2), ("quicksort", quicksort, Transform::Baseline)]
+    {
+        let run = |fault: Option<(FaultKind, u64)>, limit: Option<u64>| {
+            let mut m = module.clone();
+            let opts = PipelineOptions {
+                transform: transform.clone(),
+                fault: fault.map(|(kind, at)| FaultPlan { kind, at, seed: at }),
+                bisect_limit: limit,
+                ..Default::default()
+            };
+            let out = compile(&mut m, &opts);
+            (m, out)
+        };
+        uu_core::compile_memo_clear();
+        let (elided, _) = uu_core::pass_elision_stats();
+        let log = run(None, None).1.pass_log;
+        assert!(
+            uu_core::pass_elision_stats().0 > elided,
+            "{label}: the clean compile elided nothing, so no elided index is tested"
+        );
+        let mut mutated = 0;
+        for (i, inv) in (0u64..).zip(&log) {
+            let cut = Some(i + 1);
+            let (prefix, out) = run(None, cut);
+            assert_eq!(out.pass_log, log[..=i as usize], "{label}: limit {}", i + 1);
+
+            let (_, out) = run(Some((FaultKind::Panic, i)), cut);
+            let failed: Vec<_> = out.failures.iter().map(|f| (f.index, f.pass)).collect();
+            assert_eq!(failed, [(i, inv.pass)], "{label}: panic@{i}");
+
+            let (got, out) = run(Some((FaultKind::Miscompile, i)), cut);
+            assert_eq!(out.pass_log, log[..=i as usize], "{label}: miscompile@{i}");
+            let mut want = prefix;
+            let (victim, _) = want.iter().find(|(_, f)| *f.name() == *inv.function).unwrap();
+            mutated += miscompile_function(want.function_mut(victim), i) as usize;
+            assert_eq!(got.to_string(), want.to_string(), "{label}: miscompile@{i}");
+        }
+        assert!(mutated > 0, "{label}: no miscompile found a site to mutate");
+    }
+}
