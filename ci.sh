@@ -313,36 +313,10 @@ trap - EXIT
 echo "warm pass: $compiles compiles, all served as hits, byte-identical"
 echo "daemon-backed study byte-identical to the local reference at UU_JOBS=1 and 4"
 
-echo "== simulator throughput bench smoke + BENCH_sim.json well-formedness =="
-# Smoke only — no thresholds; the JSON is the perf trajectory artifact.
-# Bench binaries run with CWD = the package dir, so the artifact dir
-# must be absolute to land under the workspace target/.
-UU_BENCH_SAMPLES=3 UU_BENCH_WARMUP_MS=20 UU_BENCH_DIR="$PWD/target/ci/uu-bench" \
-  cargo bench -q --offline -p uu-bench --bench sim > /dev/null
-./target/release/uu-jsonck target/ci/uu-bench/BENCH_sim.json
-# The same bench loop under the verify-uniform oracle (reference engine
-# cross-checking every scalarization decision) on a two-app slice — the
-# full suite under the oracle is too slow for a smoke rung. Filtered
-# runs skip the suite-total aggregate (see sim.rs), so this JSON can
-# never be mistaken for a trajectory row.
-UU_SIMT_ENGINE=verify-uniform UU_BENCH_APPS=bezier-surface,quicksort \
-  UU_BENCH_SAMPLES=3 UU_BENCH_WARMUP_MS=20 \
-  UU_BENCH_DIR="$PWD/target/ci/uu-bench-vu" \
-  cargo bench -q --offline -p uu-bench --bench sim > /dev/null
-./target/release/uu-jsonck target/ci/uu-bench-vu/BENCH_sim.json
-
-echo "== compile throughput bench smoke + BENCH_compile.json well-formedness =="
-# One app keeps the smoke fast.
-# Dense side-tables and delta snapshots must never reach report bytes:
-# the engine-identity rung above already diffed results-fast/, so this
-# rung only needs the bench artifacts to be well-formed. The bench clears
-# the compile memo before every compile it times, and aborts (failing this
-# rung) unless a memo-warm walk of the smoke app's matrix charges exactly
-# the work units of the memo-cleared walk.
-UU_BENCH_APPS=bezier-surface UU_BENCH_SAMPLES=3 UU_BENCH_WARMUP_MS=20 \
-  UU_BENCH_DIR="$PWD/target/ci/uu-bench" \
-  cargo bench -q --offline -p uu-bench --bench compile > /dev/null
-./target/release/uu-jsonck target/ci/uu-bench/BENCH_compile.json
+echo "== bench smoke: every uu-bench row runs once =="
+# `--all-targets` above only compiles the benches; this runs them, so a
+# row that panics fails CI. Smoke only — no thresholds, nothing written.
+UU_BENCH_SAMPLES=3 UU_BENCH_WARMUP_MS=1 cargo bench -q --offline -p uu-bench
 
 echo "== e2ebench smoke: the benchmark package must build and run against this tree =="
 # e2ebench/ is a workspace of its own, so nothing above compiles it: a

@@ -9,7 +9,6 @@ use uu_core::{
     HeuristicOptions, LoopFilter, PassPosition, PipelineOptions, Transform, UnmergeMode,
     UnmergeOptions,
 };
-use uu_harness::Measurement;
 use uu_kernels::all_benchmarks;
 
 fn bench_by_name(name: &str) -> uu_kernels::Benchmark {
@@ -19,22 +18,14 @@ fn bench_by_name(name: &str) -> uu_kernels::Benchmark {
         .unwrap()
 }
 
-fn run(b: &uu_kernels::Benchmark, opts: PipelineOptions) -> Measurement {
+/// Compile `b` under `opts` and run it once: the simulated kernel time
+/// (ms) and the compiled module's code size.
+fn run(b: &uu_kernels::Benchmark, opts: PipelineOptions) -> (f64, u64) {
     let mut m = (b.build)();
-    let outcome = uu_core::compile(&mut m, &opts);
+    uu_core::compile(&mut m, &opts);
     let mut gpu = uu_simt::Gpu::new();
     let run = (b.run)(&m, &mut gpu).unwrap();
-    Measurement {
-        time_ms: run.kernel_time_ms,
-        code_size: uu_analysis::cost::module_size(&m),
-        compile_ms: outcome.total.as_secs_f64() * 1e3,
-        checksum: run.checksum,
-        timed_out: outcome.timed_out,
-        metrics: run.metrics,
-        transfer_ms: run.transfer_ms(),
-        rung: outcome.rung,
-        diag: outcome.failure_summary(),
-    }
+    (run.kernel_time_ms, uu_analysis::cost::module_size(&m))
 }
 
 /// Whole-path (the paper's design) vs DBDS-style direct-successor
@@ -59,13 +50,10 @@ fn ablation_unmerge_depth(h: &mut Harness) {
             },
             ..Default::default()
         };
-        let m = run(&b, opts());
-        eprintln!(
-            "ablation/unmerge_depth/{name}: kernel {:.6} ms, size {}",
-            m.time_ms, m.code_size
-        );
+        let (time_ms, size) = run(&b, opts());
+        eprintln!("ablation/unmerge_depth/{name}: kernel {time_ms:.6} ms, size {size}");
         h.bench(&format!("ablation/unmerge_depth/{name}"), || {
-            run(&b, opts()).time_ms
+            run(&b, opts()).0
         });
     }
 }
@@ -86,11 +74,9 @@ fn ablation_pass_position(h: &mut Harness) {
             position: pos,
             ..Default::default()
         };
-        let m = run(&b, opts());
-        eprintln!("ablation/position/{name}: kernel {:.6} ms", m.time_ms);
-        h.bench(&format!("ablation/position/{name}"), || {
-            run(&b, opts()).time_ms
-        });
+        let (time_ms, _) = run(&b, opts());
+        eprintln!("ablation/position/{name}: kernel {time_ms:.6} ms");
+        h.bench(&format!("ablation/position/{name}"), || run(&b, opts()).0);
     }
 }
 
@@ -106,13 +92,10 @@ fn ablation_heuristic_budget(h: &mut Harness) {
             }),
             ..Default::default()
         };
-        let m = run(&b, opts());
-        eprintln!(
-            "ablation/heuristic_c/{budget}: kernel {:.6} ms, size {}",
-            m.time_ms, m.code_size
-        );
+        let (time_ms, size) = run(&b, opts());
+        eprintln!("ablation/heuristic_c/{budget}: kernel {time_ms:.6} ms, size {size}");
         h.bench(&format!("ablation/heuristic_c/{budget}"), || {
-            run(&b, opts()).time_ms
+            run(&b, opts()).0
         });
     }
 }
@@ -128,10 +111,10 @@ fn ablation_divergence_guard(h: &mut Harness) {
             }),
             ..Default::default()
         };
-        let m = run(&b, opts());
-        eprintln!("ablation/divergence_guard/{name}: kernel {:.6} ms", m.time_ms);
+        let (time_ms, _) = run(&b, opts());
+        eprintln!("ablation/divergence_guard/{name}: kernel {time_ms:.6} ms");
         h.bench(&format!("ablation/divergence_guard/{name}"), || {
-            run(&b, opts()).time_ms
+            run(&b, opts()).0
         });
     }
 }

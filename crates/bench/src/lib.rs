@@ -1,14 +1,13 @@
-//! uu-check-driven layer micro-benches for uu (see `benches/`); the library
-//! target is empty. Run with `cargo bench`; JSON reports land in
-//! `target/uu-bench/`.
+//! uu-check-driven micro-benches for uu (see `benches/`); the library
+//! target is empty. Run with `cargo bench -p uu-bench`; each row prints to
+//! stderr as it completes.
 //!
-//! Each bench times one layer in isolation: `sim` (simulator throughput),
-//! `compile` (pipeline throughput and per-pass profile), `passes`
-//! (individual passes on a synthetic loop), `ablations` (DESIGN.md's design
-//! decisions) and `tables_and_figures` (one compile+execute measurement per
-//! paper artifact). None of them is
-//! an end-to-end number: sweep, study, cache and daemon wall time, with
-//! per-layer attribution, come from the `e2ebench/` package declared in
-//! the root `BENCHMARK.json`.
+//! `passes` times individual passes on a synthetic loop and on the sweep's
+//! largest body, the IR text codec, and whole compiles; `ablations` times
+//! DESIGN.md's design decisions and prints the simulated kernel time each
+//! produces. Neither is an end-to-end number: sweep, study, cache and
+//! daemon wall time, compile throughput (`core.units_per_ms`) and simulator
+//! throughput (`simt.mwarp_insts_per_s`), with per-layer attribution, come
+//! from the `e2ebench/` package declared in the root `BENCHMARK.json`.
 
 #![forbid(unsafe_code)]

@@ -1,6 +1,5 @@
 //! A wall-clock micro-benchmark harness (the workspace's `criterion`
-//! replacement): warmup-based calibration, median-of-N sampling and JSON
-//! output for regression tracking.
+//! replacement): warmup-based calibration and median-of-N sampling.
 //!
 //! Bench targets are plain binaries (`harness = false` in the manifest)
 //! whose `main` drives a [`Harness`]:
@@ -16,17 +15,16 @@
 //! h.finish();
 //! ```
 //!
-//! Results print to stderr as they complete and are written as JSON to
-//! `target/uu-bench/<suite>.json` (override the directory with
-//! `UU_BENCH_DIR`). The JSON is stable, diff-friendly, and contains the raw
-//! samples so downstream tooling can recompute any statistic.
+//! Each benchmark prints one row to stderr as it completes: median, range,
+//! sample shape and, for throughput benchmarks, units per second. Nothing
+//! is written to disk.
 //!
 //! ## Environment
 //!
 //! * `UU_BENCH_SAMPLES` — number of timed samples per benchmark;
-//! * `UU_BENCH_WARMUP_MS` — calibration/warmup duration per benchmark;
-//! * `UU_BENCH_DIR` — output directory for the JSON report.
+//! * `UU_BENCH_WARMUP_MS` — calibration/warmup duration per benchmark.
 
+use std::fmt;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -74,7 +72,8 @@ fn env_u64(key: &str) -> Option<u64> {
     }
 }
 
-/// Timing results of one benchmark.
+/// Timing results of one benchmark. `Display` renders the row the harness
+/// prints.
 #[derive(Debug, Clone)]
 pub struct BenchResult {
     /// Benchmark id (e.g. `"pass/sccp/8"`).
@@ -83,16 +82,15 @@ pub struct BenchResult {
     pub iters_per_sample: u64,
     /// Per-iteration wall time of each sample, in nanoseconds.
     pub samples_ns: Vec<f64>,
-    /// Work units performed per iteration (e.g. simulated warp
-    /// instructions), for throughput reporting; `0` means "not a
-    /// throughput benchmark".
+    /// Work units performed per iteration (e.g. bytes parsed), for
+    /// throughput reporting; `0` means "not a throughput benchmark".
     pub units_per_iter: u64,
 }
 
 impl BenchResult {
     /// Median per-iteration time in nanoseconds; `0.0` when no samples
-    /// were collected (an aborted or zero-sample run must serialize as a
-    /// defined value, not panic on an out-of-bounds index).
+    /// were collected (an aborted or zero-sample run must report a defined
+    /// value, not panic on an out-of-bounds index).
     pub fn median_ns(&self) -> f64 {
         if self.samples_ns.is_empty() {
             return 0.0;
@@ -121,8 +119,7 @@ impl BenchResult {
     }
 
     /// Mean per-iteration time in nanoseconds; `0.0` when empty (the
-    /// `sum / len` form used to return NaN, which poisons every JSON
-    /// consumer downstream).
+    /// `sum / len` form would return NaN).
     pub fn mean_ns(&self) -> f64 {
         if self.samples_ns.is_empty() {
             return 0.0;
@@ -141,24 +138,39 @@ impl BenchResult {
     }
 }
 
-/// A bench suite in progress. Create with [`Harness::new`], register
+impl fmt::Display for BenchResult {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{:<44} {:>12}  ({} .. {}, {} samples x {} iters)",
+            self.name,
+            fmt_ns(self.median_ns()),
+            fmt_ns(self.min_ns()),
+            fmt_ns(self.max_ns()),
+            self.samples_ns.len(),
+            self.iters_per_sample,
+        )?;
+        if self.units_per_iter > 0 {
+            write!(f, "  {:.2} Munits/s", self.units_per_sec() / 1e6)?;
+        }
+        Ok(())
+    }
+}
+
+/// A bench suite in progress. Create with [`Harness::new`], run
 /// benchmarks with [`Harness::bench`] / [`Harness::bench_batched`], then
-/// call [`Harness::finish`] to write the JSON report.
+/// call [`Harness::finish`].
 pub struct Harness {
     suite: String,
     opts: BenchOptions,
-    results: Vec<BenchResult>,
+    rows: usize,
 }
 
 impl Harness {
     /// Start a suite named `suite` with environment-derived options.
     pub fn new(suite: &str) -> Self {
         eprintln!("uu-bench suite '{suite}'");
-        Harness {
-            suite: suite.to_string(),
-            opts: BenchOptions::from_env(),
-            results: Vec::new(),
-        }
+        Harness::with_options(suite, BenchOptions::from_env())
     }
 
     /// Start a suite with explicit options (ignores the environment).
@@ -166,14 +178,14 @@ impl Harness {
         Harness {
             suite: suite.to_string(),
             opts,
-            results: Vec::new(),
+            rows: 0,
         }
     }
 
     /// Benchmark a routine. The closure runs repeatedly; its return value
     /// is passed through [`black_box`] so the work is not optimized away.
-    pub fn bench<R>(&mut self, name: &str, mut routine: impl FnMut() -> R) {
-        self.bench_batched(name, || (), move |()| routine());
+    pub fn bench<R>(&mut self, name: &str, mut routine: impl FnMut() -> R) -> BenchResult {
+        self.bench_batched(name, || (), move |()| routine())
     }
 
     /// Benchmark a routine that consumes fresh per-iteration state.
@@ -184,20 +196,20 @@ impl Harness {
         name: &str,
         setup: impl FnMut() -> S,
         routine: impl FnMut(S) -> R,
-    ) {
-        self.bench_batched_units(name, 0, setup, routine);
+    ) -> BenchResult {
+        self.bench_batched_units(name, 0, setup, routine)
     }
 
     /// Like [`Harness::bench_batched`], but records that each iteration
-    /// performs `units_per_iter` work units (e.g. simulated warp
-    /// instructions), so the report carries a units-per-second throughput.
+    /// performs `units_per_iter` work units (e.g. bytes parsed), so the
+    /// row carries a units-per-second throughput.
     pub fn bench_batched_units<S, R>(
         &mut self,
         name: &str,
         units_per_iter: u64,
         mut setup: impl FnMut() -> S,
         mut routine: impl FnMut(S) -> R,
-    ) {
+    ) -> BenchResult {
         // Warmup + calibration: run until the warmup budget elapses,
         // measuring per-iteration cost.
         let warmup = Duration::from_millis(self.opts.warmup_ms);
@@ -230,90 +242,21 @@ impl Harness {
             samples_ns.push(total_ns / iters_per_sample as f64);
         }
 
-        self.push_result(BenchResult {
+        let r = BenchResult {
             name: name.to_string(),
             iters_per_sample,
             samples_ns,
             units_per_iter,
-        });
-    }
-
-    /// Record an externally measured result (e.g. a synthetic aggregate
-    /// over other results), printing it like a measured benchmark.
-    pub fn push_result(&mut self, r: BenchResult) {
-        let units = if r.units_per_iter > 0 {
-            format!("  {:.2} Munits/s", r.units_per_sec() / 1e6)
-        } else {
-            String::new()
         };
-        eprintln!(
-            "  {:<44} {:>12}  ({} .. {}, {} samples x {} iters){units}",
-            r.name,
-            fmt_ns(r.median_ns()),
-            fmt_ns(r.min_ns()),
-            fmt_ns(r.max_ns()),
-            r.samples_ns.len(),
-            r.iters_per_sample,
-        );
-        self.results.push(r);
+        eprintln!("  {r}");
+        self.rows += 1;
+        r
     }
 
-    /// Results collected so far.
-    pub fn results(&self) -> &[BenchResult] {
-        &self.results
-    }
-
-    /// Serialize the suite's results as a JSON document.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"suite\": \"{}\",\n", escape(&self.suite)));
-        s.push_str("  \"results\": [\n");
-        for (i, r) in self.results.iter().enumerate() {
-            s.push_str("    {");
-            s.push_str(&format!("\"name\": \"{}\", ", escape(&r.name)));
-            s.push_str(&format!("\"iters_per_sample\": {}, ", r.iters_per_sample));
-            s.push_str(&format!("\"median_ns\": {:.1}, ", r.median_ns()));
-            s.push_str(&format!("\"min_ns\": {:.1}, ", r.min_ns()));
-            s.push_str(&format!("\"mean_ns\": {:.1}, ", r.mean_ns()));
-            s.push_str(&format!("\"units_per_iter\": {}, ", r.units_per_iter));
-            s.push_str(&format!("\"units_per_sec\": {:.1}, ", r.units_per_sec()));
-            s.push_str("\"samples_ns\": [");
-            for (j, x) in r.samples_ns.iter().enumerate() {
-                if j > 0 {
-                    s.push_str(", ");
-                }
-                s.push_str(&format!("{x:.1}"));
-            }
-            s.push_str("]}");
-            s.push_str(if i + 1 < self.results.len() { ",\n" } else { "\n" });
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
-
-    /// Print the summary and write `target/uu-bench/<suite>.json` (or
-    /// `$UU_BENCH_DIR/<suite>.json`).
+    /// Close the suite: one line naming it and how many rows it printed.
     pub fn finish(self) {
-        let dir = std::env::var("UU_BENCH_DIR").unwrap_or_else(|_| "target/uu-bench".to_string());
-        let json = self.to_json();
-        let path = std::path::Path::new(&dir).join(format!("{}.json", self.suite));
-        // Atomic: write a sibling temp file, then rename — a killed run
-        // never leaves truncated JSON behind.
-        let tmp = std::path::Path::new(&dir).join(format!(".{}.json.tmp", self.suite));
-        if let Err(e) = std::fs::create_dir_all(&dir)
-            .and_then(|_| std::fs::write(&tmp, &json))
-            .and_then(|_| std::fs::rename(&tmp, &path))
-        {
-            eprintln!("uu-bench: could not write {}: {e}", path.display());
-        } else {
-            eprintln!("uu-bench: wrote {}", path.display());
-        }
+        eprintln!("uu-bench suite '{}': {} rows", self.suite, self.rows);
     }
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn fmt_ns(ns: f64) -> String {
@@ -343,8 +286,8 @@ mod tests {
     #[test]
     fn collects_samples_and_serializes() {
         let mut h = Harness::with_options("selftest", tiny_opts());
-        h.bench("sum", || (0..100u64).sum::<u64>());
-        h.bench_batched(
+        let sum = h.bench("sum", || (0..100u64).sum::<u64>());
+        let sort = h.bench_batched(
             "sort",
             || vec![5u32, 3, 1, 4, 2],
             |mut v| {
@@ -352,17 +295,17 @@ mod tests {
                 v
             },
         );
-        assert_eq!(h.results().len(), 2);
-        for r in h.results() {
+        assert_eq!(h.rows, 2);
+        for r in [&sum, &sort] {
             assert_eq!(r.samples_ns.len(), 3);
             assert!(r.median_ns() > 0.0);
             assert!(r.min_ns() <= r.median_ns());
             assert!(r.median_ns() <= r.max_ns());
         }
-        let json = h.to_json();
-        assert!(json.contains("\"suite\": \"selftest\""));
-        assert!(json.contains("\"name\": \"sum\""));
-        assert!(json.contains("\"samples_ns\": ["));
+        let row = sum.to_string();
+        assert!(row.starts_with("sum "), "{row}");
+        assert!(row.contains("3 samples x "), "{row}");
+        assert!(!row.contains("Munits/s"), "{row}");
     }
 
     #[test]
@@ -390,31 +333,27 @@ mod tests {
         };
         // 500 units per microsecond = 5e8 units/s.
         assert!((r.units_per_sec() - 5e8).abs() < 1.0);
+        assert!(r.to_string().ends_with("  500.00 Munits/s"), "{r}");
         let mut h = Harness::with_options("units", tiny_opts());
-        h.bench_batched_units("work", 100, || (), |()| (0..100u64).sum::<u64>());
-        let json = h.to_json();
-        assert!(json.contains("\"units_per_iter\": 100"));
-        assert!(json.contains("\"units_per_sec\": "));
+        let work = h.bench_batched_units("work", 100, || (), |()| (0..100u64).sum::<u64>());
+        assert_eq!(work.units_per_iter, 100);
+        assert!(work.units_per_sec() > 0.0);
     }
 
     #[test]
     fn empty_result_serializes_without_nan() {
-        let mut h = Harness::with_options("empty", tiny_opts());
-        h.results.push(BenchResult {
+        let row = BenchResult {
             name: "none".into(),
             iters_per_sample: 1,
             samples_ns: Vec::new(),
-            units_per_iter: 0,
-        });
-        let json = h.to_json();
-        assert!(!json.contains("NaN"), "JSON must stay numeric: {json}");
-        assert!(json.contains("\"median_ns\": 0.0"));
-    }
-
-    #[test]
-    fn json_escapes_quotes() {
-        let mut h = Harness::with_options("q", tiny_opts());
-        h.bench("odd\"name", || 1u32);
-        assert!(h.to_json().contains("odd\\\"name"));
+            units_per_iter: 3,
+        }
+        .to_string();
+        assert!(!row.contains("NaN") && !row.contains("inf"), "{row}");
+        assert!(
+            row.contains("0 ns  (0 ns .. 0 ns, 0 samples x 1 iters)"),
+            "{row}"
+        );
+        assert!(row.ends_with("0.00 Munits/s"), "{row}");
     }
 }

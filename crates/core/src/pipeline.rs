@@ -221,9 +221,9 @@ pub struct PassTiming {
 /// **Frozen.** The constant feeds [`pipeline_fingerprint`] and every
 /// committed report, so it must NOT track later optimizer speedups (the
 /// dense side-tables and cached analyses roughly halved real wall time
-/// per work unit). `cargo bench -p uu-bench --bench compile` prints the
-/// measured calibration as `units_per_ms`; the report clock stays fixed so
-/// the corpus stays comparable.
+/// per work unit). The end-to-end benchmark (`e2ebench/`, `BENCHMARK.json`)
+/// reports the measured calibration as `core.units_per_ms`; the report
+/// clock stays fixed so the corpus stays comparable.
 pub const WORK_PER_MS: f64 = 100.0;
 
 /// Every pass the pipeline can invoke, with a per-pass version counter.

@@ -14,17 +14,16 @@
 //!   service-health set (`ping`, `health`, `ready`, `stats`,
 //!   `shutdown`).
 //!
-//! Batch commands honour the artifact-cache environment knobs:
+//! The report commands honour the artifact-cache environment knobs:
 //! `UU_CACHE_DIR=<dir>` enables the persistent content-addressed cache,
-//! `UU_CACHE=mem` an in-process one — and `UU_SERVE_SOCKET=<path>` ships
-//! every nameable compile to a running daemon (sharing its cross-process
-//! cache), falling back to local compiles whenever the daemon can't
-//! serve a point. All three leave every report byte-identical to a
-//! cacheless run.
+//! and `UU_SERVE_SOCKET=<path>` ships every nameable compile to a running
+//! daemon (sharing its cross-process cache), falling back to local
+//! compiles whenever the daemon can't serve a point. Both leave every
+//! report byte-identical to a cacheless run.
 
 use std::path::{Path, PathBuf};
 use uu_harness::{figures, indepth, study, sweep};
-use uu_kernels::all_benchmarks;
+use uu_kernels::{all_benchmarks, Benchmark};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -66,115 +65,12 @@ fn main() {
 
     match cmd {
         "table1" | "fig6a" | "fig6b" | "fig6c" | "fig6" | "fig7" | "fig8a" | "fig8b"
-        | "fig8" | "all" => {
-            if only.is_some() {
+        | "fig8" | "all" | "study" | "fig9" | "table2" | "indepth" => {
+            // The in-depth cases are fixed, so `--bench` cannot narrow them.
+            if only.is_some() && cmd != "indepth" {
                 refuse_to_clobber(&out, benches.len());
             }
-            let cache = uu_serve::CompileCache::from_env();
-            let remote = uu_serve::Remote::from_env();
-            let backend = uu_harness::Backend {
-                cache: cache.as_ref(),
-                remote: remote.as_ref(),
-            };
-            eprintln!(
-                "running sweep over {} benchmark(s){}{}{} ...",
-                benches.len(),
-                if fast { " (fast)" } else { "" },
-                if cache.is_some() { " [cached]" } else { "" },
-                if remote.is_some() { " [daemon]" } else { "" }
-            );
-            let fault = uu_core::FaultPlan::from_env();
-            let jobs = uu_par::num_jobs();
-            let s = sweep::run_sweep_backed(&benches, fast, jobs, fault, backend);
-            let emitted = (|| -> std::io::Result<()> {
-                match cmd {
-                    "table1" => figures::table1(&s, &out, &benches)?,
-                    "fig6" | "fig6a" | "fig6b" | "fig6c" => figures::fig6(&s, &out)?,
-                    "fig7" => figures::fig7(&s, &out)?,
-                    "fig8" | "fig8a" | "fig8b" => figures::fig8(&s, &out)?,
-                    _ => {
-                        figures::table1(&s, &out, &benches)?;
-                        figures::fig6(&s, &out)?;
-                        figures::fig7(&s, &out)?;
-                        figures::fig8(&s, &out)?;
-                        let cases = indepth::collect(jobs, fault, backend);
-                        indepth::report(&cases, &out)?;
-                        eprintln!("running three-way unmerge/meld study...");
-                        let st = study::run_study_backed(&benches, jobs, fault, backend);
-                        figures::fig9(&st, &out)?;
-                        figures::table2(&st, &out)?;
-                    }
-                }
-                // Every sweep-based command also emits the fault report,
-                // so a faulted run is diagnosable from the results dir.
-                figures::faults(&s, &out)
-            })();
-            if let Err(e) = emitted {
-                eprintln!("could not write results to {}: {e}", out.display());
-                std::process::exit(1);
-            }
-            eprintln!("wrote results to {}", out.display());
-            report_cache(cache.as_ref());
-            // Print the headline table to stdout for quick inspection.
-            if matches!(cmd, "table1" | "all") {
-                if let Ok(t) = std::fs::read_to_string(out.join("table1.txt")) {
-                    println!("{t}");
-                }
-            }
-            if matches!(cmd, "fig7" | "all") {
-                if let Ok(t) = std::fs::read_to_string(out.join("fig7.txt")) {
-                    println!("{t}");
-                }
-            }
-        }
-        "study" | "fig9" | "table2" => {
-            // The three-way unmerge/meld study (hot loops only; identical
-            // in fast and full runs, byte-identical at any UU_JOBS).
-            if only.is_some() {
-                refuse_to_clobber(&out, benches.len());
-            }
-            let cache = uu_serve::CompileCache::from_env();
-            let remote = uu_serve::Remote::from_env();
-            eprintln!(
-                "running three-way unmerge/meld study over {} benchmark(s)...",
-                benches.len()
-            );
-            let st = study::run_study_backed(
-                &benches,
-                uu_par::num_jobs(),
-                uu_core::FaultPlan::from_env(),
-                uu_harness::Backend {
-                    cache: cache.as_ref(),
-                    remote: remote.as_ref(),
-                },
-            );
-            let emitted = (|| -> std::io::Result<()> {
-                figures::fig9(&st, &out)?;
-                figures::table2(&st, &out)
-            })();
-            if let Err(e) = emitted {
-                eprintln!("could not write results to {}: {e}", out.display());
-                std::process::exit(1);
-            }
-            eprintln!("wrote results to {}", out.display());
-            report_cache(cache.as_ref());
-            if let Ok(t) = std::fs::read_to_string(out.join("table2.txt")) {
-                println!("{t}");
-            }
-        }
-        "indepth" => {
-            let cases = indepth::collect(
-                uu_par::num_jobs(),
-                uu_core::FaultPlan::from_env(),
-                uu_harness::Backend::default(),
-            );
-            if let Err(e) = indepth::report(&cases, &out) {
-                eprintln!("could not write results to {}: {e}", out.display());
-                std::process::exit(1);
-            }
-            if let Ok(t) = std::fs::read_to_string(out.join("indepth.txt")) {
-                println!("{t}");
-            }
+            report(cmd, &benches, fast, &out);
         }
         "serve" => {
             // Long-running compile service. The cache honours the same env
@@ -378,19 +274,105 @@ fn refuse_to_clobber(out: &Path, benches: usize) {
     std::process::exit(2);
 }
 
+/// Regenerate the reports `cmd` names into `out`, then print the caches'
+/// stats and the headline tables. The artifact cache, the daemon, the
+/// fault plan and the worker count are read from the environment here,
+/// once, for every report command.
+fn report(cmd: &str, benches: &[Benchmark], fast: bool, out: &Path) {
+    let cache = uu_serve::CompileCache::from_env();
+    let remote = uu_serve::Remote::from_env();
+    let backend = uu_harness::Backend {
+        cache: cache.as_ref(),
+        remote: remote.as_ref(),
+    };
+    let fault = uu_core::FaultPlan::from_env();
+    let jobs = uu_par::num_jobs();
+    let study = || {
+        eprintln!(
+            "running three-way unmerge/meld study over {} benchmark(s)...",
+            benches.len()
+        );
+        study::run_study_backed(benches, jobs, fault, backend)
+    };
+    let (emitted, shown): (std::io::Result<()>, &[&str]) = match cmd {
+        "indepth" => {
+            let cases = indepth::collect(jobs, fault, backend);
+            (indepth::report(&cases, out), &["indepth.txt"])
+        }
+        // The three-way unmerge/meld study (hot loops only; identical in
+        // fast and full runs, byte-identical at any UU_JOBS).
+        "study" | "fig9" | "table2" => {
+            let st = study();
+            let emitted = figures::fig9(&st, out).and_then(|()| figures::table2(&st, out));
+            (emitted, &["table2.txt"])
+        }
+        _ => {
+            eprintln!(
+                "running sweep over {} benchmark(s){}{}{} ...",
+                benches.len(),
+                if fast { " (fast)" } else { "" },
+                if cache.is_some() { " [cached]" } else { "" },
+                if remote.is_some() { " [daemon]" } else { "" }
+            );
+            let s = sweep::run_sweep_backed(benches, fast, jobs, fault, backend);
+            let emitted = (|| -> std::io::Result<()> {
+                match cmd {
+                    "table1" => figures::table1(&s, out, benches)?,
+                    "fig6" | "fig6a" | "fig6b" | "fig6c" => figures::fig6(&s, out)?,
+                    "fig7" => figures::fig7(&s, out)?,
+                    "fig8" | "fig8a" | "fig8b" => figures::fig8(&s, out)?,
+                    _ => {
+                        figures::table1(&s, out, benches)?;
+                        figures::fig6(&s, out)?;
+                        figures::fig7(&s, out)?;
+                        figures::fig8(&s, out)?;
+                        let cases = indepth::collect(jobs, fault, backend);
+                        indepth::report(&cases, out)?;
+                        let st = study();
+                        figures::fig9(&st, out)?;
+                        figures::table2(&st, out)?;
+                    }
+                }
+                // Every sweep-based command also emits the fault report,
+                // so a faulted run is diagnosable from the results dir.
+                figures::faults(&s, out)
+            })();
+            let shown: &[&str] = match cmd {
+                "all" => &["table1.txt", "fig7.txt"],
+                "table1" => &["table1.txt"],
+                "fig7" => &["fig7.txt"],
+                _ => &[],
+            };
+            (emitted, shown)
+        }
+    };
+    if let Err(e) = emitted {
+        eprintln!("could not write results to {}: {e}", out.display());
+        std::process::exit(1);
+    }
+    eprintln!("wrote results to {}", out.display());
+    report_cache(cache.as_ref(), jobs);
+    // Print the headline tables to stdout for quick inspection.
+    for name in shown {
+        if let Ok(t) = std::fs::read_to_string(out.join(name)) {
+            println!("{t}");
+        }
+    }
+}
+
 /// After a batch run, surface the caches' stats on stderr (reports on
 /// stdout/disk stay byte-identical to cacheless runs): the function-level
 /// compile memo and the pass manager's elisions always, the artifact
 /// cache's versioned stats when one is configured. The memo and both sets
 /// of counters are thread-local, so the line covers the compiles this
-/// thread ran — all of them at `UU_JOBS=1`.
-fn report_cache(cache: Option<&uu_serve::CompileCache>) {
+/// thread ran — all of them when `jobs` is 1.
+fn report_cache(cache: Option<&uu_serve::CompileCache>, jobs: usize) {
     let (hits, misses, bypassed) = uu_core::compile_memo_stats();
     let (elided, invoked) = uu_core::pass_elision_stats();
     eprintln!(
         "compile memo: {hits} function hits / {misses} misses / {bypassed} bypassed; \
          {elided} of {invoked} pass invocations elided{}",
-        match uu_par::num_jobs() {
+        match jobs {
             1 => String::new(),
             n => format!(" on the main thread ({n} workers keep their own; UU_JOBS=1 for totals)"),
         }

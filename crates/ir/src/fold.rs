@@ -41,6 +41,12 @@ pub fn fold_cast(op: CastOp, value: Constant, to: Type) -> Option<Constant> {
     word::cast(op, encode(value), to).map(decode)
 }
 
+/// Evaluate an address computation `base + index * scale` over constants.
+#[inline]
+pub fn fold_gep(base: Constant, index: Constant, scale: u64) -> Option<Constant> {
+    word::gep(encode(base), encode(index), scale as i64).map(decode)
+}
+
 /// Evaluate a pure math intrinsic over constant arguments.
 ///
 /// Returns `None` for non-pure intrinsics (thread geometry, barriers) — those
@@ -76,9 +82,7 @@ pub(crate) fn fold_inst(inst: &Inst) -> Option<Constant> {
         }
         InstKind::Cast { op, value } => fold_cast(*op, value.as_const()?, inst.ty),
         InstKind::Gep { base, index, scale } => {
-            let b = base.as_const()?.as_i64()?;
-            let i = index.as_const()?.as_i64()?;
-            Some(Constant::I64(b.wrapping_add(i.wrapping_mul(*scale as i64))))
+            fold_gep(base.as_const()?, index.as_const()?, *scale)
         }
         InstKind::Intr { which, args } => {
             let consts: Option<Vec<Constant>> = args.iter().map(|a| a.as_const()).collect();

@@ -2,12 +2,13 @@
 //!
 //! A [`Word`] is a [`Constant`] flattened to `(type tag, 64-bit payload)`:
 //! integers are stored sign-extended to `i64` (what [`Constant::as_i64`]
-//! returns), floats as their raw bits. The five cores below — [`bin`],
-//! [`icmp`], [`fcmp`], [`cast`], [`intrinsic`] — are the workspace's only
-//! definition of each arithmetic rule. [`crate::fold`] wraps them as
-//! `encode → core → decode` for the optimizer and the reference
-//! interpreter; the decoded simulator engine keeps its register files as
-//! words and calls the cores directly, with no `Constant` boxing per lane.
+//! returns), floats as their raw bits. The six cores below — [`bin`],
+//! [`icmp`], [`fcmp`], [`cast`], [`gep`], [`intrinsic`] — are the
+//! workspace's only definition of each arithmetic rule. [`crate::fold`]
+//! wraps them as `encode → core → decode` for the optimizer and the
+//! reference interpreter; the decoded simulator engine keeps its register
+//! files as words and calls the cores directly, with no `Constant` boxing
+//! per lane.
 //!
 //! Every core returns `None` when an operand has the wrong kind of type
 //! for the operation (an integer where a float is required, or
@@ -293,6 +294,16 @@ pub fn cast(op: CastOp, value: Word, to: Type) -> Option<Word> {
     }
 }
 
+/// Evaluate an address computation: `base + index * scale`, wrapping, as
+/// an `i64` word. Both operands must be integers (an `i32` index is
+/// already sign-extended in its payload).
+#[inline(always)]
+pub fn gep(base: Word, index: Word, scale: i64) -> Option<Word> {
+    let b = as_i64(base)?;
+    let i = as_i64(index)?;
+    Some((TAG_I64, b.wrapping_add(i.wrapping_mul(scale)) as u64))
+}
+
 /// Evaluate a pure math intrinsic of result type `ty`.
 ///
 /// Returns `None` for the context-dependent intrinsics (thread geometry,
@@ -319,5 +330,39 @@ pub fn intrinsic(which: Intrinsic, args: &[Word], ty: Type) -> Option<Word> {
         | Intrinsic::BlockDimX
         | Intrinsic::GridDimX
         | Intrinsic::Syncthreads => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn gep_scales_the_index_and_adds_the_base() {
+        let i64w = |v: i64| encode(Constant::I64(v));
+        assert_eq!(gep(i64w(100), i64w(3), 8), Some(i64w(124)));
+        // An i32 index is sign-extended before it scales.
+        assert_eq!(gep(i64w(100), encode(Constant::I32(-2)), 4), Some(i64w(92)));
+        assert_eq!(gep(i64w(100), i64w(3), -8), Some(i64w(76)));
+    }
+
+    #[test]
+    fn gep_wraps_on_overflow() {
+        let i64w = |v: i64| encode(Constant::I64(v));
+        assert_eq!(gep(i64w(i64::MAX), i64w(1), 1), Some(i64w(i64::MIN)));
+        assert_eq!(
+            gep(i64w(0), i64w(i64::MAX), 2),
+            Some(i64w(i64::MAX.wrapping_mul(2)))
+        );
+        assert_eq!(gep(i64w(0), i64w(i64::MIN), -1), Some(i64w(i64::MIN)));
+    }
+
+    #[test]
+    fn gep_of_a_non_integer_operand_is_none() {
+        let i64w = encode(Constant::I64(8));
+        let f64w = encode(Constant::f64(1.5));
+        assert_eq!(gep(f64w, i64w, 8), None);
+        assert_eq!(gep(i64w, f64w, 8), None);
+        assert_eq!(gep(i64w, (TAG_UNDEF, 0), 8), None);
     }
 }

@@ -118,22 +118,15 @@ impl CompileCache {
     }
 
     /// Build from the environment: `UU_CACHE_DIR=<path>` → disk-backed,
-    /// `UU_CACHE=mem` → memory-only, otherwise `None` (caching off).
+    /// otherwise `None` (caching off).
     pub fn from_env() -> Option<CompileCache> {
-        if let Ok(dir) = std::env::var("UU_CACHE_DIR") {
-            if !dir.is_empty() {
-                match CompileCache::at_dir(Path::new(&dir)) {
-                    Ok(c) => return Some(c),
-                    Err(e) => {
-                        eprintln!("warning: cannot open cache dir {dir}: {e}; caching disabled");
-                        return None;
-                    }
-                }
+        let dir = std::env::var("UU_CACHE_DIR").ok().filter(|d| !d.is_empty())?;
+        match CompileCache::at_dir(Path::new(&dir)) {
+            Ok(c) => Some(c),
+            Err(e) => {
+                eprintln!("warning: cannot open cache dir {dir}: {e}; caching disabled");
+                None
             }
-        }
-        match std::env::var("UU_CACHE") {
-            Ok(v) if v == "mem" => Some(CompileCache::new_mem()),
-            _ => None,
         }
     }
 

@@ -74,8 +74,8 @@ pub const SERVICE_COMPILE_TIMEOUT: Duration = Duration::from_secs(20);
 /// clean nonzero exit.
 const ACCEPT_RETRIES: u32 = 8;
 
-/// Tunables for the concurrent service. Every knob has a `UU_SERVE_*`
-/// environment variable (see [`ServeOptions::from_env`]).
+/// Tunables for the concurrent service. Every knob but `breaker_k` has a
+/// `UU_SERVE_*` environment variable (see [`ServeOptions::from_env`]).
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Worker threads handling connections (`UU_SERVE_WORKERS`).
@@ -85,7 +85,7 @@ pub struct ServeOptions {
     /// `workers`).
     pub inflight: usize,
     /// Handler panics per module hash before the circuit breaker
-    /// quarantines it (`UU_SERVE_BREAKER`).
+    /// quarantines it.
     pub breaker_k: u32,
     /// Deterministic service fault plan (`UU_SERVE_FAULT`).
     pub fault: Option<ServeFaultPlan>,
@@ -120,16 +120,16 @@ fn env_knob(name: &str, default: u64) -> u64 {
 }
 
 impl ServeOptions {
-    /// Read every knob from the environment, defaulting as documented on
-    /// the fields.
+    /// Read the `UU_SERVE_*` knobs from the environment, defaulting as
+    /// documented on the fields.
     pub fn from_env() -> ServeOptions {
         let d = ServeOptions::default();
         let workers = env_knob("UU_SERVE_WORKERS", d.workers as u64) as usize;
         ServeOptions {
             workers,
             inflight: env_knob("UU_SERVE_INFLIGHT", workers as u64) as usize,
-            breaker_k: env_knob("UU_SERVE_BREAKER", d.breaker_k as u64) as u32,
             fault: ServeFaultPlan::from_env(),
+            ..d
         }
     }
 }

@@ -331,14 +331,9 @@ impl DecodedKernel {
             DOp::Gep(base, index, scale) => {
                 let (sb, si) = (src(*base), src(*index));
                 for lane in lanes(mask) {
-                    // Base is read *and* converted before the index is
-                    // touched (the reference interpreter's error order).
-                    let b = word::as_i64(rd(sb, *base, lane)?).ok_or_else(bad)?;
-                    let i = word::as_i64(rd(si, *index, lane)?).ok_or_else(bad)?;
-                    put(
-                        lane,
-                        (TAG_I64, b.wrapping_add(i.wrapping_mul(*scale)) as u64),
-                    );
+                    let b = rd(sb, *base, lane)?;
+                    let i = rd(si, *index, lane)?;
+                    put(lane, word::gep(b, i, *scale).ok_or_else(bad)?);
                 }
             }
             DOp::Geom(which) => {

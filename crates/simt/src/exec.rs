@@ -513,9 +513,8 @@ impl<'a> Warp<'a> {
                 fold::fold_cast(*op, self.eval(lane, *value)?, ty).ok_or_else(bad)
             }
             InstKind::Gep { base, index, scale } => {
-                let b = self.eval(lane, *base)?.as_i64().ok_or_else(bad)?;
-                let i = self.eval(lane, *index)?.as_i64().ok_or_else(bad)?;
-                Ok(Constant::I64(b.wrapping_add(i.wrapping_mul(*scale as i64))))
+                fold::fold_gep(self.eval(lane, *base)?, self.eval(lane, *index)?, *scale)
+                    .ok_or_else(bad)
             }
             InstKind::Intr { which, args } => match which {
                 Intrinsic::ThreadIdxX => {

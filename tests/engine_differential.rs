@@ -369,38 +369,60 @@ fn decode_cache_reuses_across_corpus_relaunches() {
 /// A trap in a warp-uniform instruction — which the decoded engine
 /// evaluates for one lane through its staging row, not per lane — reports
 /// the reference interpreter's error: an operand whose (scalar) register was
-/// never written, and a select whose condition is not an `i1`.
+/// never written (read by an `add` or as a `gep` index), a select whose
+/// condition is not an `i1`, and a `gep` whose base is not an integer.
 #[test]
 fn uniform_instruction_traps_match_the_reference() {
     use uu_ir::{Function, FunctionBuilder, Param, Type, Value};
     use uu_simt::{ExecError, KernelArg, LaunchConfig};
     let params = || vec![Param::new("out", Type::Ptr), Param::new("n", Type::I64)];
 
-    // `%x` is linked (so it owns a scalar register) but never executed.
-    let mut undefined = Function::new("undefined_operand", params(), Type::Void);
-    let entry = undefined.entry();
-    let mut b = FunctionBuilder::new(&mut undefined);
-    let dead = b.create_block();
-    let tail = b.create_block();
-    b.switch_to(entry);
-    b.br(tail);
-    b.switch_to(dead);
-    let x = b.add(Value::Arg(1), Value::imm(1i64));
-    b.br(tail);
-    b.switch_to(tail);
-    let u = b.add(x, Value::imm(2i64));
-    b.store(Value::Arg(0), u);
-    b.ret(None);
+    // `%x` is linked (so it owns a scalar register) but never executed;
+    // `use_x` builds the instruction that reads it.
+    let undefined = |name: &str, use_x: &dyn Fn(&mut FunctionBuilder, Value) -> Value| {
+        let mut f = Function::new(name, params(), Type::Void);
+        let entry = f.entry();
+        let mut b = FunctionBuilder::new(&mut f);
+        let dead = b.create_block();
+        let tail = b.create_block();
+        b.switch_to(entry);
+        b.br(tail);
+        b.switch_to(dead);
+        let x = b.add(Value::Arg(1), Value::imm(1i64));
+        b.br(tail);
+        b.switch_to(tail);
+        let u = use_x(&mut b, x);
+        b.store(Value::Arg(0), u);
+        b.ret(None);
+        (f, x)
+    };
+    let (undefined_operand, x) = undefined("undefined_operand", &|b, x| b.add(x, Value::imm(2i64)));
+    let (undefined_index, gx) =
+        undefined("undefined_gep_index", &|b, x| b.gep(Value::Arg(0), x, 8));
 
-    let mut mistyped = Function::new("mistyped_select", params(), Type::Void);
-    let entry = mistyped.entry();
-    let mut b = FunctionBuilder::new(&mut mistyped);
-    b.switch_to(entry);
-    let s = b.select(Value::Arg(1), Value::imm(1i64), Value::imm(2i64));
-    b.store(Value::Arg(0), s);
-    b.ret(None);
+    let single = |name: &str, emit: &dyn Fn(&mut FunctionBuilder) -> Value| {
+        let mut f = Function::new(name, params(), Type::Void);
+        let entry = f.entry();
+        let mut b = FunctionBuilder::new(&mut f);
+        b.switch_to(entry);
+        let v = emit(&mut b);
+        b.store(Value::Arg(0), v);
+        b.ret(None);
+        (f, v)
+    };
+    let (mistyped, s) = single("mistyped_select", &|b| {
+        b.select(Value::Arg(1), Value::imm(1i64), Value::imm(2i64))
+    });
+    let (float_base, g) = single("float_gep_base", &|b| {
+        b.gep(Value::imm(1.5f64), Value::Arg(1), 8)
+    });
 
-    for (f, culprit) in [(&undefined, x), (&mistyped, s)] {
+    for (f, culprit) in [
+        (&undefined_operand, x),
+        (&undefined_index, gx),
+        (&mistyped, s),
+        (&float_base, g),
+    ] {
         let trap = |engine: ExecEngine| {
             let mut params = GpuParams::default();
             params.engine = engine;
