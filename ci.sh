@@ -5,10 +5,16 @@
 #
 #   ./ci.sh          # build (warnings are errors), test, fuzz smoke
 #
-# Knobs (see DESIGN.md "Testing & fuzzing"):
+# Knobs (the full table is in DESIGN.md "Environment knobs"; an empty
+# value means unset, a malformed one exits 2 before any work):
 #   UU_CHECK_SEED   replay a whole fuzz run (decimal or 0x-hex)
 #   UU_CHECK_CASES  per-property case budget (ci.sh smoke uses 200)
 #   UU_JOBS         worker count for the parallel sweep/fuzz engine
+#   UU_FAULT        pipeline/simulator fault plan (uu-harness, uu-fuzz)
+#   UU_CRASH_DIR    uu-fuzz crash-report directory
+#   UU_CACHE_DIR, UU_SERVE_SOCKET, UU_SERVE_WORKERS, UU_SERVE_INFLIGHT,
+#   UU_SERVE_FAULT  uu-harness artifact cache, daemon and serve tunables
+#   UU_BENCH_SAMPLES, UU_BENCH_WARMUP_MS  uu-bench sample budget
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -27,6 +33,16 @@ wait_drained() {
 counter() {
   grep -o "\"$2\": [0-9]*" "$1" | grep -o '[0-9]*$'
 }
+
+echo "== lint: libraries read no environment =="
+# Binaries parse their UU_* knobs once in main and hand libraries the
+# values; only the entry points below may read the environment.
+if grep -rnE 'env::(var|var_os|vars)\b' crates/*/src \
+  | grep -vE '^crates/(harness/src/main|check/src/bin/uu-fuzz|check/src/runner|check/src/bench)\.rs:'
+then
+  echo "environment read outside the binaries' entry points (lines above)" >&2
+  exit 1
+fi
 
 echo "== build (release, offline, deny warnings) =="
 RUSTFLAGS="${RUSTFLAGS:-} -Dwarnings" cargo build --release --offline --all-targets

@@ -64,11 +64,12 @@ impl BenchOptions {
     }
 }
 
+/// A `UU_BENCH_*` integer; an empty value means unset.
 fn env_u64(key: &str) -> Option<u64> {
-    let v = std::env::var(key).ok()?;
+    let v = std::env::var(key).ok().filter(|v| !v.trim().is_empty())?;
     match v.trim().parse() {
         Ok(n) => Some(n),
-        Err(_) => panic!("{key} must be an integer, got {v:?}"),
+        Err(_) => panic!("{key}={v}: expected an integer"),
     }
 }
 

@@ -6,31 +6,53 @@
 //! `UU_JOBS` value (ci.sh diffs the `UU_JOBS=1` and `UU_JOBS=4` outputs);
 //! timings go to **stderr** where they cannot perturb the diff.
 //!
-//! Knobs (all environment, matching the rest of the workspace):
+//! Knobs (environment, read once at start; an empty value means unset):
 //!
 //! * `UU_CHECK_CASES` — novel cases to fuzz (default 200);
 //! * `UU_CHECK_SEED`  — master seed (decimal or `0x…` hex);
-//! * `UU_JOBS`        — worker count (default: available parallelism).
+//! * `UU_JOBS`        — worker count (default: available parallelism);
+//! * `UU_FAULT=<kind>@<index>[:<seed>]` — a deterministic fault injected
+//!   into every compile (see `uu_core::recover`), exercising exactly this
+//!   containment and bisection machinery;
+//! * `UU_CRASH_DIR`   — where crash reports go (default `crash-reports/`).
 //!
 //! Exit status: 0 when the corpus and every novel case pass; 1 with the
 //! shrunk counterexample — printed in the corpus `.seed` format, ready to
-//! be checked in — when the oracle finds a miscompilation. A miscompile
-//! is additionally bisected to the first bad pass invocation and a
-//! replayable crash report is written under `crash-reports/`
-//! (`UU_CRASH_DIR` overrides).
-//!
-//! `UU_FAULT=<kind>@<index>[:<seed>]` injects a deterministic fault into
-//! every compile (see `uu_core::recover`), exercising exactly this
-//! containment and bisection machinery.
+//! be checked in — when the oracle finds a miscompilation; 2 on a
+//! malformed knob. A miscompile is additionally bisected to the first bad
+//! pass invocation and a replayable crash report is written.
 
+use std::path::PathBuf;
 use uu_check::rng::Rng;
 use uu_check::{case_seeds, check_result, Config, DiffOracle, Gen, KernelSpec};
 use uu_core::FaultPlan;
 
+/// The knobs this binary reads beyond [`Config::from_env`]'s.
+struct Env {
+    fault: Option<FaultPlan>,
+    crash_dir: PathBuf,
+}
+
+impl Env {
+    fn read() -> Result<Env, String> {
+        let var = |name: &str| std::env::var(name).ok().filter(|v| !v.trim().is_empty());
+        let fault = match var("UU_FAULT") {
+            None => None,
+            Some(v) => Some(FaultPlan::parse(&v).map_err(|e| format!("UU_FAULT={v}: {e}"))?),
+        };
+        let crash_dir = var("UU_CRASH_DIR").unwrap_or_else(|| "crash-reports".to_string());
+        Ok(Env { fault, crash_dir: PathBuf::from(crash_dir) })
+    }
+}
+
 fn main() {
+    let env = Env::read().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     let cfg = Config::from_env(200);
     let oracle = DiffOracle::default();
-    let fault = FaultPlan::from_env();
+    let fault = env.fault;
     if let Some(p) = &fault {
         println!("fault plan: {p}");
     }
@@ -41,7 +63,7 @@ fn main() {
     // results are reported in corpus (file-name) order.
     let corpus = uu_check::corpus::load_corpus();
     let replay =
-        uu_par::par_map_jobs(cfg.jobs, &corpus, |_, (name, spec)| {
+        uu_par::par_map(cfg.jobs, &corpus, |_, (name, spec)| {
             (
                 name.clone(),
                 oracle
@@ -113,7 +135,7 @@ fn main() {
                                 report.recompiles,
                                 report.total_invocations
                             );
-                            match uu_check::write_crash_report(&report) {
+                            match uu_check::write_crash_report(&report, &env.crash_dir) {
                                 Ok(path) => println!("crash report: {}", path.display()),
                                 Err(e) => println!("crash report write failed: {e}"),
                             }

@@ -15,11 +15,12 @@
 //! The resulting [`BisectReport`] carries the offending
 //! [`PassInvocation`], the IR snapshot from *just before* that pass (the
 //! minimized repro), and the spec + configuration needed to replay the
-//! failure; [`write_crash_report`] persists it atomically under
-//! `crash-reports/` (override with `UU_CRASH_DIR`).
+//! failure; [`write_crash_report`] persists it atomically under the
+//! directory its caller names (`uu-fuzz`: `crash-reports/`, or
+//! `UU_CRASH_DIR`).
 
 use crate::oracle::{build_kernel, execute, KernelSpec};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use uu_core::{compile, FaultPlan, LoopFilter, PassInvocation, PipelineOptions, Transform};
 use uu_ir::Module;
 
@@ -160,24 +161,15 @@ pub fn bisect(
     })
 }
 
-/// Directory crash reports are written to: `UU_CRASH_DIR` if set, else
-/// `crash-reports/` under the current directory.
-pub fn crash_dir() -> PathBuf {
-    std::env::var_os("UU_CRASH_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("crash-reports"))
-}
-
-/// Persist a crash report atomically (temp file + rename) under
-/// [`crash_dir`], named by a stable content hash so identical failures
-/// dedupe. Returns the final path.
+/// Persist a crash report atomically (temp file + rename) under `dir`
+/// (created if missing), named by a stable content hash so identical
+/// failures dedupe. Returns the final path.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors (unwritable dir, full disk) as strings.
-pub fn write_crash_report(report: &BisectReport) -> Result<PathBuf, String> {
-    let dir = crash_dir();
-    std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
+pub fn write_crash_report(report: &BisectReport, dir: &Path) -> Result<PathBuf, String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
     let body = report.to_string();
     let identity = format!("{}\n{:?}\n{:?}", report.spec, report.transform, report.fault);
     let name = format!("crash-{:016x}.txt", uu_ir::fnv1a(identity.as_bytes()));
@@ -300,9 +292,7 @@ mod tests {
         }
         let report = report.expect("no observable injection point");
         let dir = std::env::temp_dir().join(format!("uu-crash-test-{}", std::process::id()));
-        std::env::set_var("UU_CRASH_DIR", &dir);
-        let path = write_crash_report(&report).unwrap();
-        std::env::remove_var("UU_CRASH_DIR");
+        let path = write_crash_report(&report, &dir).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         // The artifact replays: the embedded spec parses back to the input.
         let spec_part = text

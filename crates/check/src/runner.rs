@@ -37,11 +37,14 @@
 //!
 //! ## Environment
 //!
+//! [`Config::from_env`] is the test and fuzz binaries' one reader of these;
+//! an empty value means unset:
+//!
 //! * `UU_CHECK_CASES` — overrides the per-property case count (CI smoke
 //!   runs use `UU_CHECK_CASES=200`);
 //! * `UU_CHECK_SEED` — overrides the master seed (decimal or `0x…` hex);
-//! * `UU_JOBS` — worker count for [`Config::from_env`] (default: available
-//!   parallelism; `1` reproduces the serial scan exactly).
+//! * `UU_JOBS` — worker count (default: available parallelism; `1`
+//!   reproduces the serial scan exactly).
 
 use crate::gen::Gen;
 use crate::rng::{Rng, SplitMix64};
@@ -80,27 +83,35 @@ impl Config {
     }
 
     /// Like [`Config::new`], with `UU_CHECK_CASES` / `UU_CHECK_SEED` /
-    /// `UU_JOBS` environment overrides applied; the case scan runs on
-    /// all available cores unless `UU_JOBS` says otherwise.
+    /// `UU_JOBS` environment overrides applied (empty = unset); the case
+    /// scan runs on all available cores unless `UU_JOBS` says otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics with `UU_X=<value>: <reason>` on a malformed value: a typo'd
+    /// knob must never silently fall back.
     pub fn from_env(default_cases: u32) -> Self {
-        let mut cfg = Config::new(default_cases);
-        cfg.jobs = uu_par::num_jobs();
-        if let Ok(v) = std::env::var("UU_CHECK_CASES") {
-            match v.trim().parse::<u32>() {
-                Ok(n) => cfg.cases = n,
-                Err(_) => panic!("UU_CHECK_CASES must be an integer, got {v:?}"),
-            }
+        fn knob<T>(name: &str, parse: impl FnOnce(&str) -> Result<T, String>) -> Option<T> {
+            let v = std::env::var(name).ok().filter(|v| !v.trim().is_empty())?;
+            Some(parse(v.trim()).unwrap_or_else(|e| panic!("{name}={v}: {e}")))
         }
-        if let Ok(v) = std::env::var("UU_CHECK_SEED") {
-            let t = v.trim();
-            let parsed = match t.strip_prefix("0x").or_else(|| t.strip_prefix("0X")) {
+        let mut cfg = Config::new(default_cases);
+        let jobs = std::env::var("UU_JOBS").ok();
+        cfg.jobs = uu_par::parse_jobs(jobs.as_deref())
+            .unwrap_or_else(|e| panic!("UU_JOBS={}: {e}", jobs.unwrap_or_default()));
+        if let Some(n) = knob("UU_CHECK_CASES", |v| {
+            v.parse::<u32>().map_err(|_| "expected an integer".to_string())
+        }) {
+            cfg.cases = n;
+        }
+        if let Some(s) = knob("UU_CHECK_SEED", |v| {
+            match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
                 Some(hex) => u64::from_str_radix(hex, 16),
-                None => t.parse::<u64>(),
-            };
-            match parsed {
-                Ok(s) => cfg.seed = s,
-                Err(_) => panic!("UU_CHECK_SEED must be a u64 (decimal or 0x-hex), got {v:?}"),
+                None => v.parse::<u64>(),
             }
+            .map_err(|_| "expected a u64 (decimal or 0x-hex)".to_string())
+        }) {
+            cfg.seed = s;
         }
         cfg
     }
@@ -205,7 +216,7 @@ where
     // minimum over all reported failures equals the serial scan's first
     // failure regardless of scheduling.
     let earliest = AtomicU32::new(u32::MAX);
-    let failures = uu_par::par_map_jobs(cfg.jobs, &seeds, |i, &case_seed| {
+    let failures = uu_par::par_map(cfg.jobs, &seeds, |i, &case_seed| {
         let case_index = i as u32;
         if case_index > earliest.load(Ordering::Relaxed) {
             return None;

@@ -64,7 +64,7 @@ impl FaultKind {
 
 /// A deterministic fault-injection plan.
 ///
-/// Spec grammar (the `UU_FAULT` environment variable):
+/// Spec grammar (the value of the binaries' `UU_FAULT` knob):
 ///
 /// ```text
 /// <kind>@<index>[:<seed>]
@@ -112,20 +112,6 @@ impl FaultPlan {
             }
         };
         Ok(FaultPlan { kind, at, seed })
-    }
-
-    /// Read the plan from the `UU_FAULT` environment variable.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a malformed spec — a misconfigured injection run should
-    /// fail loudly, not silently measure nothing.
-    pub fn from_env() -> Option<FaultPlan> {
-        let v = std::env::var("UU_FAULT").ok()?;
-        if v.trim().is_empty() {
-            return None;
-        }
-        Some(Self::parse(&v).unwrap_or_else(|e| panic!("UU_FAULT: {e}")))
     }
 
     /// Render the plan back in spec-grammar form.

@@ -112,7 +112,9 @@ fn fingerprint(full: bool) -> Vec<String> {
     let mut spent = PassSeconds::new();
     let mut lines = Vec::new();
     for (bench_lines, bench_spent) in
-        uu_par::par_map(&all_benchmarks(), |_, b| benchmark_lines(b, full))
+        uu_par::par_map(uu_par::parse_jobs(None).unwrap(), &all_benchmarks(), |_, b| {
+            benchmark_lines(b, full)
+        })
     {
         lines.extend(bench_lines);
         for (pass, d) in bench_spent {
@@ -156,7 +158,7 @@ fn optimised_ir_and_outcomes_match_the_blessed_fingerprint() {
     let full = !cfg!(debug_assertions);
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/behaviour.fnv");
     let got = fingerprint(full);
-    if std::env::var_os("UU_UPDATE_GOLDEN").is_some() {
+    if std::env::var_os("UU_UPDATE_GOLDEN").is_some_and(|v| !v.is_empty()) {
         assert!(
             full,
             "bless the fingerprint from a release build: the debug walk is a subset"

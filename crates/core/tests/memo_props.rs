@@ -125,7 +125,7 @@ fn quicksort_hot(factor: u32) -> (Benchmark, PipelineOptions) {
 fn warm_and_cleared_memo_compiles_agree_on_every_kernel_and_config() {
     // One application per task: `uu-par` workers are threads of their own,
     // so each walks its applications against a memo of its own.
-    uu_par::par_map(&all_benchmarks(), |_, b| {
+    uu_par::par_map(uu_par::parse_jobs(None).unwrap(), &all_benchmarks(), |_, b| {
         let matrix = matrix(b);
         let cold: Vec<String> = matrix
             .iter()

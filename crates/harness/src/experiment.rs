@@ -6,7 +6,7 @@ use std::time::Duration;
 use uu_core::{compile, FaultKind, FaultPlan, LoopFilter, PipelineOptions, Rung, Transform};
 use uu_kernels::Benchmark;
 use uu_serve::{CompileCache, CompileMeta, RunRecord};
-use uu_simt::{ExecEngine, ExecError, Gpu, GpuParams, Metrics};
+use uu_simt::{ExecError, Gpu, Metrics};
 
 /// One compiled-and-executed measurement.
 #[derive(Debug, Clone)]
@@ -138,20 +138,17 @@ pub fn measure_baseline(bench: &Benchmark) -> Result<Measurement, MeasureError> 
 
 /// The *run*-side cache-key tag: everything outside the module + pipeline
 /// config that can change simulator output — benchmark identity, workload
-/// version, launch repeats, the simulator engine that runs the launch, and
-/// any memory-fault plan (which is armed on the GPU, not the pipeline).
-pub fn workload_tag(
-    bench: &Benchmark,
-    engine: ExecEngine,
-    mem_fault: Option<&FaultPlan>,
-) -> String {
+/// version, launch repeats and any memory-fault plan (which is armed on the
+/// GPU, not the pipeline). The `||` is an empty reserved slot: stored run
+/// artifacts and the benchmark's own key derivation expect these exact
+/// bytes.
+pub fn workload_tag(bench: &Benchmark, mem_fault: Option<&FaultPlan>) -> String {
     let mem_fault = mem_fault.map(FaultPlan::spec).unwrap_or_default();
     format!(
-        "{}|wl{}|x{}|{}|{mem_fault}",
+        "{}|wl{}|x{}||{mem_fault}",
         bench.info.name,
         uu_kernels::WORKLOAD_VERSION,
         bench.info.launch_repeats.max(1),
-        engine.tag(),
     )
 }
 
@@ -226,8 +223,7 @@ pub fn measure_backed(
     // baseline's run and consume compile metadata alone.
     let executed = skip_run.is_none();
     let run_store = backend.cache.filter(|_| executed).map(|cache| {
-        // `simulate` runs on `Gpu::new()`, i.e. on this same default engine.
-        let tag = workload_tag(bench, GpuParams::default().engine, mem_fault.as_ref());
+        let tag = workload_tag(bench, mem_fault.as_ref());
         (cache, CompileCache::run_key(CompileCache::compile_key(&m, &opts), &tag))
     });
     let (meta, run) = match run_store.and_then(|(cache, key)| cache.lookup_run(key)) {

@@ -573,8 +573,8 @@ mod tests {
             .into_iter()
             .filter(|b| b.info.name == "bezier-surface")
             .collect();
-        let sweep =
-            run_sweep_backed(&benches, true, uu_par::num_jobs(), None, crate::Backend::default());
+        let jobs = uu_par::parse_jobs(None).unwrap();
+        let sweep = run_sweep_backed(&benches, true, jobs, None, crate::Backend::default());
         let dir = std::env::temp_dir().join("uu_fig_test");
         let _ = std::fs::remove_dir_all(&dir);
         table1(&sweep, &dir, &benches).unwrap();

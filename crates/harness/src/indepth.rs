@@ -41,7 +41,7 @@ pub fn collect(jobs: usize, fault: Option<FaultPlan>, backend: Backend<'_>) -> V
         ("rainflow", "rainflow_scan", 4),
         ("complex", "complex_pow", 8),
     ];
-    uu_par::par_map_jobs(jobs, &cases, |_, (app, func, factor)| {
+    uu_par::par_map(jobs, &cases, |_, (app, func, factor)| {
         let b = bench(app);
         let base = match measure_backed(
             &b,

@@ -4,8 +4,8 @@
 //! `indepth`, `decisions`, `dump`) regenerate the paper's reports. The
 //! service commands turn the same pipeline into a long-running daemon:
 //!
-//! * `serve --socket PATH` (or `--stdio`) — compile-service daemon
-//!   answering framed requests (see `uu-serve`);
+//! * `serve --socket PATH` — compile-service daemon answering framed
+//!   requests (see `uu-serve`);
 //! * `client --socket PATH [--config C] [--fault SPEC] [--verb V]
 //!   [--timeout-ms N] [--no-retry]` — one request against a running
 //!   daemon, using `--bench NAME`'s module (or a module read from
@@ -14,18 +14,86 @@
 //!   service-health set (`ping`, `health`, `ready`, `stats`,
 //!   `shutdown`).
 //!
-//! The report commands honour the artifact-cache environment knobs:
-//! `UU_CACHE_DIR=<dir>` enables the persistent content-addressed cache,
-//! and `UU_SERVE_SOCKET=<path>` ships every nameable compile to a running
-//! daemon (sharing its cross-process cache), falling back to local
-//! compiles whenever the daemon can't serve a point. Both leave every
-//! report byte-identical to a cacheless run.
+//! Every environment knob is read once, by [`Env::read`], before anything
+//! runs; a malformed one exits 2 naming the variable. The report commands
+//! honour the artifact-cache knobs: `UU_CACHE_DIR=<dir>` enables the
+//! persistent content-addressed cache, and `UU_SERVE_SOCKET=<path>` ships
+//! every nameable compile to a running daemon (sharing its cross-process
+//! cache), falling back to local compiles whenever the daemon can't serve
+//! a point. Both leave every report byte-identical to a cacheless run.
 
 use std::path::{Path, PathBuf};
+use uu_core::FaultPlan;
 use uu_harness::{figures, indepth, study, sweep};
 use uu_kernels::{all_benchmarks, Benchmark};
+use uu_serve::{CompileCache, Remote, ServeFaultPlan, ServeOptions};
+
+/// Every environment variable `uu-harness` honours, parsed once at the top
+/// of `main`: the libraries take these values and read no environment. An
+/// empty value means unset.
+struct Env {
+    /// `UU_JOBS`: worker count (default: available parallelism).
+    jobs: usize,
+    /// `UU_FAULT`: the fault plan the report commands inject.
+    fault: Option<FaultPlan>,
+    /// `UU_CACHE_DIR`: the persistent artifact cache's directory.
+    cache_dir: Option<PathBuf>,
+    /// `UU_SERVE_SOCKET`: the daemon report commands ship compiles to.
+    serve_socket: Option<PathBuf>,
+    /// `serve`'s tunables: `UU_SERVE_WORKERS` (default 4),
+    /// `UU_SERVE_INFLIGHT` (default: the worker count), `UU_SERVE_FAULT`.
+    serve: ServeOptions,
+}
+
+impl Env {
+    /// Read and validate every knob.
+    ///
+    /// # Errors
+    ///
+    /// `UU_X=<value>: <reason>` for the first malformed knob.
+    fn read() -> Result<Env, String> {
+        fn knob<T>(
+            name: &str,
+            parse: impl FnOnce(&str) -> Result<T, String>,
+        ) -> Result<Option<T>, String> {
+            let Some(v) = std::env::var(name).ok().filter(|v| !v.trim().is_empty()) else {
+                return Ok(None);
+            };
+            parse(v.trim()).map(Some).map_err(|e| format!("{name}={v}: {e}"))
+        }
+        fn count(v: &str) -> Result<usize, String> {
+            match v.parse::<usize>() {
+                Ok(n) if n >= 1 => Ok(n),
+                _ => Err("expected a positive integer".to_string()),
+            }
+        }
+        let path = |v: &str| Ok(PathBuf::from(v));
+        let jobs = match knob("UU_JOBS", |v| uu_par::parse_jobs(Some(v)))? {
+            Some(n) => n,
+            None => uu_par::parse_jobs(None)?,
+        };
+        let workers = knob("UU_SERVE_WORKERS", count)?.unwrap_or(ServeOptions::default().workers);
+        Ok(Env {
+            jobs,
+            fault: knob("UU_FAULT", FaultPlan::parse)?,
+            cache_dir: knob("UU_CACHE_DIR", path)?,
+            serve_socket: knob("UU_SERVE_SOCKET", path)?,
+            serve: ServeOptions {
+                workers,
+                inflight: knob("UU_SERVE_INFLIGHT", count)?.unwrap_or(workers),
+                fault: knob("UU_SERVE_FAULT", ServeFaultPlan::parse)?
+                    .filter(|p| !p.faults.is_empty()),
+                ..ServeOptions::default()
+            },
+        })
+    }
+}
 
 fn main() {
+    let env = Env::read().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     let args: Vec<String> = std::env::args().skip(1).collect();
     let fast = args.iter().any(|a| a == "--fast");
     let flag = |name: &str| -> Option<String> {
@@ -70,23 +138,18 @@ fn main() {
             if only.is_some() && cmd != "indepth" {
                 refuse_to_clobber(&out, benches.len());
             }
-            report(cmd, &benches, fast, &out);
+            report(cmd, &benches, fast, &out, &env);
         }
         "serve" => {
-            // Long-running compile service. The cache honours the same env
-            // knobs as the batch commands; without one, it runs an
+            // Long-running compile service. The cache honours the same
+            // `UU_CACHE_DIR` as the batch commands; without one, it runs an
             // in-memory cache (a daemon without a cache would re-do every
             // repeat compile).
-            let cache = uu_serve::CompileCache::from_env()
-                .unwrap_or_else(uu_serve::CompileCache::new_mem);
-            let r = if args.iter().any(|a| a == "--stdio") {
-                eprintln!("uu-serve: serving on stdio");
-                uu_serve::serve_stdio(&cache)
-            } else {
-                let sock = flag("--socket").unwrap_or_else(|| "uu-serve.sock".to_string());
-                eprintln!("uu-serve: serving on {sock}");
-                uu_serve::serve_unix(Path::new(&sock), &cache)
-            };
+            let cache = env.cache_dir.as_deref().and_then(open_cache);
+            let cache = cache.unwrap_or_else(CompileCache::new_mem);
+            let sock = flag("--socket").unwrap_or_else(|| "uu-serve.sock".to_string());
+            eprintln!("uu-serve: serving on {sock}");
+            let r = uu_serve::serve_unix_with(Path::new(&sock), &cache, env.serve);
             let stats = cache.stats();
             eprintln!(
                 "uu-serve: exiting; {} hits / {} misses ({:.1}% hit rate)",
@@ -147,9 +210,9 @@ fn main() {
             // deterministic capped backoff; --no-retry sends exactly one
             // attempt (probing a saturated daemon's `busy` response).
             let remote = if args.iter().any(|a| a == "--no-retry") {
-                uu_serve::Remote::new(&sock).with_attempts(1)
+                Remote::new(&sock).with_attempts(1)
             } else {
-                uu_serve::Remote::new(&sock)
+                Remote::new(&sock)
             };
             let resp = remote.request(&req);
             match resp {
@@ -184,7 +247,7 @@ fn main() {
                 std::process::exit(2);
             };
             // Compile in parallel; print in benchmark order.
-            let dumps = uu_par::par_map(&benches, |_, b| {
+            let dumps = uu_par::par_map(env.jobs, &benches, |_, b| {
                 let mut m = (b.build)();
                 uu_core::compile(
                     &mut m,
@@ -212,7 +275,7 @@ fn main() {
         "decisions" => {
             // Dump the heuristic's per-loop reasoning (paper §III-C).
             // Compile in parallel; print in benchmark order.
-            let dumps = uu_par::par_map(&benches, |_, b| {
+            let dumps = uu_par::par_map(env.jobs, &benches, |_, b| {
                 let mut m = (b.build)();
                 let outcome = uu_core::compile(
                     &mut m,
@@ -274,19 +337,27 @@ fn refuse_to_clobber(out: &Path, benches: usize) {
     std::process::exit(2);
 }
 
+/// The `UU_CACHE_DIR` artifact cache. A directory that cannot be opened
+/// warns and runs without a disk cache rather than failing the command.
+fn open_cache(dir: &Path) -> Option<CompileCache> {
+    CompileCache::at_dir(dir)
+        .map_err(|e| {
+            eprintln!("warning: cannot open cache dir {}: {e}; caching disabled", dir.display())
+        })
+        .ok()
+}
+
 /// Regenerate the reports `cmd` names into `out`, then print the caches'
-/// stats and the headline tables. The artifact cache, the daemon, the
-/// fault plan and the worker count are read from the environment here,
-/// once, for every report command.
-fn report(cmd: &str, benches: &[Benchmark], fast: bool, out: &Path) {
-    let cache = uu_serve::CompileCache::from_env();
-    let remote = uu_serve::Remote::from_env();
+/// stats and the headline tables. One artifact cache, daemon handle, fault
+/// plan and worker count, built from `env`, serve every report command.
+fn report(cmd: &str, benches: &[Benchmark], fast: bool, out: &Path, env: &Env) {
+    let cache = env.cache_dir.as_deref().and_then(open_cache);
+    let remote = env.serve_socket.as_ref().map(Remote::new);
     let backend = uu_harness::Backend {
         cache: cache.as_ref(),
         remote: remote.as_ref(),
     };
-    let fault = uu_core::FaultPlan::from_env();
-    let jobs = uu_par::num_jobs();
+    let (fault, jobs) = (env.fault, env.jobs);
     let study = || {
         eprintln!(
             "running three-way unmerge/meld study over {} benchmark(s)...",
@@ -366,7 +437,7 @@ fn report(cmd: &str, benches: &[Benchmark], fast: bool, out: &Path) {
 /// cache's versioned stats when one is configured. The memo and both sets
 /// of counters are thread-local, so the line covers the compiles this
 /// thread ran — all of them when `jobs` is 1.
-fn report_cache(cache: Option<&uu_serve::CompileCache>, jobs: usize) {
+fn report_cache(cache: Option<&CompileCache>, jobs: usize) {
     let (hits, misses, bypassed) = uu_core::compile_memo_stats();
     let (elided, invoked) = uu_core::pass_elision_stats();
     eprintln!(

@@ -78,7 +78,7 @@ pub fn run_study_backed(
 ) -> Study {
     // Phase 1: per-application baselines (the denominator of every
     // speedup).
-    let bases = uu_par::par_map_jobs(jobs, benches, |_, bench| {
+    let bases = uu_par::par_map(jobs, benches, |_, bench| {
         eprintln!("  study baseline {}...", bench.info.name);
         baseline_or_sentinel(bench, fault, backend)
     });
@@ -105,7 +105,7 @@ pub fn run_study_backed(
             }
         }
     }
-    let points = uu_par::par_map_jobs(jobs, &tasks, |_, t| loop_point(t));
+    let points = uu_par::par_map(jobs, &tasks, |_, t| loop_point(t));
     Study { points }
 }
 

@@ -199,7 +199,7 @@ pub fn run_sweep_backed(
     // baseline or heuristic degrades to a diagnosed sentinel instead of
     // aborting the sweep.
     let apps_and_bases: Vec<(AppSummary, Measurement)> =
-        uu_par::par_map_jobs(jobs, benches, |_, bench| {
+        uu_par::par_map(jobs, benches, |_, bench| {
             let app = bench.info.name.to_string();
             eprintln!("  sweeping {app} ({} loops)...", bench.info.table_loops);
             let base = baseline_or_sentinel(bench, fault, backend);
@@ -280,7 +280,7 @@ pub fn run_sweep_backed(
             }
         }
     }
-    let points = uu_par::par_map_jobs(jobs, &tasks, |_, t| loop_point(t));
+    let points = uu_par::par_map(jobs, &tasks, |_, t| loop_point(t));
     Sweep { points, apps }
 }
 
@@ -295,7 +295,8 @@ mod tests {
             .into_iter()
             .filter(|b| b.info.name == "bezier-surface" || b.info.name == "mandelbrot")
             .collect();
-        let sweep = run_sweep_backed(&benches, true, uu_par::num_jobs(), None, Backend::default());
+        let jobs = uu_par::parse_jobs(None).unwrap();
+        let sweep = run_sweep_backed(&benches, true, jobs, None, Backend::default());
         assert_eq!(sweep.apps.len(), 2);
         // 7 configs per measured loop.
         assert!(sweep.points.len().is_multiple_of(7));

@@ -4,12 +4,12 @@
 //! struct, so Debug-comparing the structs (which renders f64s at full
 //! round-trip precision) is equivalent to diffing the report bytes.
 
+use uu_core::FaultPlan;
 use uu_harness::experiment::workload_tag;
 use uu_harness::sweep::Sweep;
 use uu_harness::{run_study_backed, run_sweep_backed, Backend};
 use uu_kernels::{all_benchmarks, Benchmark};
 use uu_serve::CompileCache;
-use uu_simt::ExecEngine;
 
 fn benches() -> Vec<Benchmark> {
     all_benchmarks()
@@ -55,17 +55,21 @@ fn cached_sweep_is_identical_to_cacheless_at_any_jobs() {
     );
 }
 
-/// The run key names the engine the simulator actually runs — taken from
-/// `GpuParams`, not from a second read of the environment — and leaves the
-/// slot empty for the default engine, so existing run artifacts keep their
-/// keys.
+/// The run-key tag's exact bytes: on-disk run artifacts and the benchmark
+/// package's own key derivation both depend on them. The `||` slot stays
+/// empty; a memory-fault plan fills the last one.
 #[test]
-fn run_key_tag_names_the_engine_that_runs() {
+fn run_key_tag_bytes_are_pinned() {
     let bench = &benches()[0];
-    let tag = |engine| workload_tag(bench, engine, None);
-    assert!(tag(ExecEngine::Decoded).ends_with("||"));
-    assert!(tag(ExecEngine::Reference).ends_with("|reference|"));
-    assert!(tag(ExecEngine::ReferenceVerifyUniform).ends_with("|verify-uniform|"));
+    let stem = format!(
+        "mandelbrot|wl{}|x{}||",
+        uu_kernels::WORKLOAD_VERSION,
+        bench.info.launch_repeats.max(1)
+    );
+    assert_eq!(workload_tag(bench, None), stem);
+    let mem = FaultPlan::parse("mem@25:9").unwrap();
+    assert_eq!(workload_tag(bench, Some(&mem)), format!("{stem}{}", mem.spec()));
+    assert_eq!(workload_tag(bench, Some(&mem)), format!("{stem}mem@25:0x9"));
 }
 
 #[test]

@@ -1,0 +1,108 @@
+//! `uu-harness` parses every `UU_*` knob once, before any work: a
+//! malformed value exits 2 naming the variable, before a report is written
+//! or a socket bound, and an empty value means unset.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
+
+/// Every knob the binary reads, cleared in each child so the caller's own
+/// environment cannot leak into a case.
+const KNOBS: [&str; 7] = [
+    "UU_JOBS",
+    "UU_FAULT",
+    "UU_CACHE_DIR",
+    "UU_SERVE_SOCKET",
+    "UU_SERVE_WORKERS",
+    "UU_SERVE_INFLIGHT",
+    "UU_SERVE_FAULT",
+];
+
+fn scratch(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("uu-env-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Run the harness with one knob set, killing it after 60 s so a binary
+/// that ignores the bad knob and starts serving fails instead of hanging.
+fn harness(args: &[&str], var: &str, value: &str) -> Output {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_uu-harness"));
+    for k in KNOBS {
+        cmd.env_remove(k);
+    }
+    let mut child = cmd
+        .args(args)
+        .env(var, value)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while child.try_wait().unwrap().is_none() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let _ = child.kill();
+    child.wait_with_output().unwrap()
+}
+
+fn is_empty_dir(dir: &Path) -> bool {
+    std::fs::read_dir(dir).unwrap().next().is_none()
+}
+
+/// The refusal shape: exit 2, the knob and its value named on stderr, and
+/// no sign (`started`) that the command began its work.
+fn assert_refused(run: &Output, var: &str, value: &str, started: &str) {
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    let case = format!("{var}={value}");
+    assert_eq!(run.status.code(), Some(2), "{case}: {stderr}");
+    assert!(stderr.contains(&format!("{case}: ")), "{case}: {stderr}");
+    assert!(!stderr.contains(started), "{case} started: {stderr}");
+}
+
+#[test]
+fn a_malformed_knob_exits_2_before_any_work() {
+    let out = scratch("reports");
+    let out_s = out.to_str().unwrap();
+    let report = ["fig7", "--fast", "--bench", "mandelbrot", "--out", out_s];
+    for (var, value) in [
+        ("UU_JOBS", "0"),
+        ("UU_JOBS", "many"),
+        ("UU_FAULT", "panic@x"),
+        ("UU_FAULT", "gremlin@3"),
+    ] {
+        assert_refused(&harness(&report, var, value), var, value, "running");
+        assert!(is_empty_dir(&out), "{var}={value} wrote into --out");
+    }
+    std::fs::remove_dir_all(&out).unwrap();
+}
+
+#[test]
+fn a_malformed_serve_knob_binds_no_socket() {
+    let dir = scratch("serve");
+    let sock = dir.join("s.sock");
+    let args = ["serve", "--socket", sock.to_str().unwrap()];
+    for (var, value) in [
+        ("UU_SERVE_WORKERS", "zero"),
+        ("UU_SERVE_WORKERS", "0"),
+        ("UU_SERVE_INFLIGHT", "-1"),
+        ("UU_SERVE_FAULT", "torn@"),
+        ("UU_JOBS", "0"),
+    ] {
+        assert_refused(&harness(&args, var, value), var, value, "serving");
+        assert!(!sock.exists(), "{var}={value} bound a socket");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn an_empty_knob_means_unset() {
+    let run = harness(&["decisions", "--bench", "mandelbrot"], "UU_JOBS", "");
+    assert!(
+        run.status.success(),
+        "{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    assert!(String::from_utf8_lossy(&run.stdout).starts_with("== mandelbrot =="));
+}

@@ -34,11 +34,12 @@
 //! panic never cascades into every surviving worker — the remaining tasks
 //! drain and the original panic is then propagated to the caller.
 //!
-//! ## Environment
+//! ## Worker count
 //!
-//! * `UU_JOBS` — worker count for [`num_jobs`]-driven entry points;
-//!   defaults to [`std::thread::available_parallelism`]. `UU_JOBS=1`
-//!   reproduces serial behaviour exactly.
+//! The crate reads no environment: every caller passes `jobs`. Binaries
+//! turn their `UU_JOBS` value into one with [`parse_jobs`] (unset or empty
+//! means [`std::thread::available_parallelism`]); `jobs = 1` reproduces
+//! serial behaviour exactly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,42 +52,23 @@ use std::collections::VecDeque;
 use std::panic::resume_unwind;
 use std::sync::Mutex;
 
-/// Parse a `UU_JOBS`-style value: a positive integer worker count.
+/// The worker count a `UU_JOBS` value asks for: `None` or an empty value
+/// means the machine's available parallelism (1 if that cannot be
+/// determined), anything else must be a positive integer.
 ///
-/// Split out from [`num_jobs`] so the parsing contract is testable without
-/// mutating process environment.
+/// # Errors
 ///
-/// # Panics
-///
-/// Panics on zero or non-integer input, mirroring the other `UU_*` knobs
-/// (`UU_CHECK_CASES`, `UU_BENCH_SAMPLES`): a typo'd knob must never
-/// silently fall back and skew an experiment.
-pub fn parse_jobs(v: &str) -> usize {
-    match v.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => n,
-        _ => panic!("UU_JOBS must be a positive integer, got {v:?}"),
+/// Returns the reason a present value is rejected (zero, negative,
+/// non-integer): a typo'd knob must never silently fall back and skew an
+/// experiment.
+pub fn parse_jobs(v: Option<&str>) -> Result<usize, String> {
+    match v.map(str::trim).filter(|v| !v.is_empty()) {
+        None => Ok(std::thread::available_parallelism().map_or(1, |n| n.get())),
+        Some(t) => match t.parse::<usize>() {
+            Ok(n) if n >= 1 => Ok(n),
+            _ => Err("expected a positive integer".to_string()),
+        },
     }
-}
-
-/// The worker count for parallel drivers: `UU_JOBS` if set, otherwise the
-/// machine's available parallelism (1 if that cannot be determined).
-pub fn num_jobs() -> usize {
-    match std::env::var("UU_JOBS") {
-        Ok(v) => parse_jobs(&v),
-        Err(_) => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    }
-}
-
-/// [`par_map_jobs`] with the worker count taken from [`num_jobs`].
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_jobs(num_jobs(), items, f)
 }
 
 /// Apply `f(index, &item)` to every item across `jobs` workers and return
@@ -103,7 +85,7 @@ where
 ///
 /// A panic inside `f` is propagated to the caller (after the remaining
 /// workers drain), matching the serial loop's behaviour.
-pub fn par_map_jobs<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<R>
+pub fn par_map<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -208,7 +190,7 @@ mod tests {
         let items: Vec<u64> = (0..257).collect();
         let expect: Vec<u64> = items.iter().enumerate().map(|(i, x)| x * 3 + i as u64).collect();
         for jobs in [1, 2, 3, 8, 64, 1000] {
-            let got = par_map_jobs(jobs, &items, |i, x| x * 3 + i as u64);
+            let got = par_map(jobs, &items, |i, x| x * 3 + i as u64);
             assert_eq!(got, expect, "jobs = {jobs}");
         }
     }
@@ -216,8 +198,8 @@ mod tests {
     #[test]
     fn empty_and_singleton_inputs() {
         let none: Vec<u32> = Vec::new();
-        assert!(par_map_jobs(4, &none, |_, x| *x).is_empty());
-        assert_eq!(par_map_jobs(4, &[7u32], |i, x| (i, *x)), vec![(0, 7)]);
+        assert!(par_map(4, &none, |_, x| *x).is_empty());
+        assert_eq!(par_map(4, &[7u32], |i, x| (i, *x)), vec![(0, 7)]);
     }
 
     #[test]
@@ -225,7 +207,7 @@ mod tests {
         // Early items sleep, late items return instantly: thieves finish
         // out of temporal order, but the merge must restore input order.
         let items: Vec<u64> = (0..48).collect();
-        let got = par_map_jobs(8, &items, |_, &x| {
+        let got = par_map(8, &items, |_, &x| {
             if x < 8 {
                 std::thread::sleep(std::time::Duration::from_millis(3));
             }
@@ -237,7 +219,7 @@ mod tests {
     #[test]
     fn every_task_runs_exactly_once() {
         let hits: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
-        par_map_jobs(7, &(0..100usize).collect::<Vec<_>>(), |_, &i| {
+        par_map(7, &(0..100usize).collect::<Vec<_>>(), |_, &i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
@@ -247,7 +229,7 @@ mod tests {
     fn work_is_actually_spread_across_threads() {
         let items: Vec<u32> = (0..64).collect();
         let ids = Mutex::new(HashSet::new());
-        par_map_jobs(4, &items, |_, _| {
+        par_map(4, &items, |_, _| {
             ids.lock().unwrap().insert(std::thread::current().id());
             // Give other workers a chance to start before the pool drains.
             std::thread::sleep(std::time::Duration::from_micros(200));
@@ -261,7 +243,7 @@ mod tests {
     #[test]
     fn serial_path_spawns_no_threads() {
         let main_id = std::thread::current().id();
-        par_map_jobs(1, &[1u8, 2, 3], |_, _| {
+        par_map(1, &[1u8, 2, 3], |_, _| {
             assert_eq!(std::thread::current().id(), main_id);
         });
     }
@@ -301,7 +283,7 @@ mod tests {
         // then propagate the panic (no deadlock, no cascaded poison).
         let done: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            par_map_jobs(4, &(0..64usize).collect::<Vec<_>>(), |_, &i| {
+            par_map(4, &(0..64usize).collect::<Vec<_>>(), |_, &i| {
                 assert!(i != 20, "boom on 20");
                 done[i].fetch_add(1, Ordering::Relaxed);
             })
@@ -315,7 +297,7 @@ mod tests {
     fn panics_propagate_to_the_caller() {
         let items: Vec<u32> = (0..32).collect();
         let r = std::panic::catch_unwind(|| {
-            par_map_jobs(4, &items, |_, &x| {
+            par_map(4, &items, |_, &x| {
                 assert!(x != 17, "boom on 17");
                 x
             })
@@ -342,13 +324,15 @@ mod tests {
 
     #[test]
     fn parse_jobs_accepts_positive_integers_only() {
-        assert_eq!(parse_jobs("1"), 1);
-        assert_eq!(parse_jobs(" 16 "), 16);
-        for bad in ["0", "-2", "many", "", "1.5"] {
-            assert!(
-                std::panic::catch_unwind(|| parse_jobs(bad)).is_err(),
-                "{bad:?} should be rejected"
-            );
+        assert_eq!(parse_jobs(Some("1")), Ok(1));
+        assert_eq!(parse_jobs(Some(" 16 ")), Ok(16));
+        let default = parse_jobs(None).unwrap();
+        assert!(default >= 1);
+        for unset in ["", "  "] {
+            assert_eq!(parse_jobs(Some(unset)), Ok(default), "{unset:?} means unset");
+        }
+        for bad in ["0", "-2", "many", "1.5"] {
+            assert!(parse_jobs(Some(bad)).is_err(), "{bad:?} should be rejected");
         }
     }
 }

@@ -117,19 +117,6 @@ impl CompileCache {
         Ok(c)
     }
 
-    /// Build from the environment: `UU_CACHE_DIR=<path>` → disk-backed,
-    /// otherwise `None` (caching off).
-    pub fn from_env() -> Option<CompileCache> {
-        let dir = std::env::var("UU_CACHE_DIR").ok().filter(|d| !d.is_empty())?;
-        match CompileCache::at_dir(Path::new(&dir)) {
-            Ok(c) => Some(c),
-            Err(e) => {
-                eprintln!("warning: cannot open cache dir {dir}: {e}; caching disabled");
-                None
-            }
-        }
-    }
-
     /// The compile-side cache key for `(module, options)` under the
     /// current pipeline fingerprint.
     ///

@@ -110,14 +110,6 @@ impl Remote {
         }
     }
 
-    /// Build from `UU_SERVE_SOCKET`; `None` when unset or empty (no
-    /// daemon configured — callers compile locally).
-    pub fn from_env() -> Option<Remote> {
-        let v = std::env::var("UU_SERVE_SOCKET").ok()?;
-        let v = v.trim();
-        (!v.is_empty()).then(|| Remote::new(v))
-    }
-
     /// Override the retry budget (1 = single attempt, no retries).
     pub fn with_attempts(mut self, attempts: u32) -> Remote {
         self.max_attempts = attempts.max(1);

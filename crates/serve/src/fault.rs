@@ -88,7 +88,7 @@ impl ServeFault {
 }
 
 /// A deterministic service fault plan: a list of specs, each firing at
-/// its admitted-request index. Parsed from `UU_SERVE_FAULT`.
+/// its admitted-request index (`uu-harness serve` parses `UU_SERVE_FAULT`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServeFaultPlan {
     /// The individual fault specs, in spec order.
@@ -125,22 +125,6 @@ impl ServeFaultPlan {
             faults.push(ServeFault { kind, at, seed });
         }
         Ok(ServeFaultPlan { faults })
-    }
-
-    /// Read the plan from the `UU_SERVE_FAULT` environment variable.
-    /// `None` when unset or empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a malformed spec, mirroring [`uu_core::FaultPlan`]'s
-    /// `from_env`: a misconfigured injection run must fail loudly.
-    pub fn from_env() -> Option<ServeFaultPlan> {
-        let v = std::env::var("UU_SERVE_FAULT").ok()?;
-        if v.trim().is_empty() {
-            return None;
-        }
-        let plan = Self::parse(&v).unwrap_or_else(|e| panic!("UU_SERVE_FAULT: {e}"));
-        (!plan.faults.is_empty()).then_some(plan)
     }
 
     /// The fault armed for admitted-request index `idx`, if any. When two

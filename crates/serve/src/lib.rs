@@ -2,7 +2,7 @@
 //!
 //! The workspace's "millions of users" front end: a long-running daemon
 //! that accepts IR modules + pipeline configurations over a
-//! length-prefixed framed protocol (Unix socket or stdio), compiles them
+//! length-prefixed framed protocol over a Unix socket, compiles them
 //! through the fault-tolerant `uu-core` pipeline, and answers with
 //! optimized IR, the degradation rung and compile metrics. Every compile
 //! is backed by a **content-addressed artifact cache** keyed on
@@ -66,8 +66,5 @@ pub use proto::{
     read_frame, read_frame_lenient, write_frame, FrameDefect, Message, MAX_FRAME, PROTO_VERSION,
     RESYNC_MAX,
 };
-pub use server::{
-    serve_stdio, serve_stream, serve_unix, serve_unix_with, ServeOptions, Service,
-    SERVICE_COMPILE_TIMEOUT,
-};
+pub use server::{serve_unix_with, ServeOptions, Service, SERVICE_COMPILE_TIMEOUT};
 pub use stats::{CacheStats, STATS_VERSION};

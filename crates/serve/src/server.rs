@@ -74,8 +74,8 @@ pub const SERVICE_COMPILE_TIMEOUT: Duration = Duration::from_secs(20);
 /// clean nonzero exit.
 const ACCEPT_RETRIES: u32 = 8;
 
-/// Tunables for the concurrent service. Every knob but `breaker_k` has a
-/// `UU_SERVE_*` environment variable (see [`ServeOptions::from_env`]).
+/// Tunables for the concurrent service. `uu-harness serve` sets every knob
+/// but `breaker_k` from a `UU_SERVE_*` variable.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Worker threads handling connections (`UU_SERVE_WORKERS`).
@@ -98,38 +98,6 @@ impl Default for ServeOptions {
             inflight: 4,
             breaker_k: 3,
             fault: None,
-        }
-    }
-}
-
-/// Parse a `UU_SERVE_*` numeric knob: a positive integer.
-///
-/// # Panics
-///
-/// Panics on zero or non-integer input, mirroring `UU_JOBS` and the
-/// other `UU_*` knobs: a typo'd knob must fail loudly, not silently
-/// fall back and skew a drill.
-fn env_knob(name: &str, default: u64) -> u64 {
-    match std::env::var(name) {
-        Ok(v) if !v.trim().is_empty() => match v.trim().parse::<u64>() {
-            Ok(n) if n >= 1 => n,
-            _ => panic!("{name} must be a positive integer, got {v:?}"),
-        },
-        _ => default,
-    }
-}
-
-impl ServeOptions {
-    /// Read the `UU_SERVE_*` knobs from the environment, defaulting as
-    /// documented on the fields.
-    pub fn from_env() -> ServeOptions {
-        let d = ServeOptions::default();
-        let workers = env_knob("UU_SERVE_WORKERS", d.workers as u64) as usize;
-        ServeOptions {
-            workers,
-            inflight: env_knob("UU_SERVE_INFLIGHT", workers as u64) as usize,
-            fault: ServeFaultPlan::from_env(),
-            ..d
         }
     }
 }
@@ -484,25 +452,8 @@ fn write_torn(w: &mut impl Write, msg: &Message) -> io::Result<()> {
     w.flush()
 }
 
-/// Serve one framed stream until EOF or a `shutdown` request, with
-/// default tunables — the embedded/test entry point. Returns `true` if a
-/// shutdown was requested (callers owning a listener stop accepting).
-pub fn serve_stream(
-    r: &mut impl Read,
-    w: &mut impl Write,
-    cache: &CompileCache,
-) -> io::Result<bool> {
-    Service::new(cache, ServeOptions::default()).serve_conn(r, w)
-}
-
 /// Serve on a Unix socket at `path` (any stale socket file is replaced)
-/// until a client sends `shutdown`, with tunables from the environment —
-/// see [`serve_unix_with`].
-pub fn serve_unix(path: &Path, cache: &CompileCache) -> io::Result<()> {
-    serve_unix_with(path, cache, ServeOptions::from_env())
-}
-
-/// Serve on a Unix socket at `path` with explicit tunables: a crew of
+/// until a client sends `shutdown` — the daemon's one entry point. A crew of
 /// [`ServeOptions::workers`] threads handles connections concurrently
 /// off a shared queue while the calling thread blocks in `accept`.
 ///
@@ -591,17 +542,6 @@ pub fn serve_unix_with(path: &Path, cache: &CompileCache, opts: ServeOptions) ->
     );
     let _ = std::fs::remove_file(path);
     result
-}
-
-/// Serve a single session over stdin/stdout — the socketless transport
-/// for pipes and tests. Tunables (including `UU_SERVE_FAULT`) come from
-/// the environment.
-pub fn serve_stdio(cache: &CompileCache) -> io::Result<()> {
-    let stdin = io::stdin();
-    let stdout = io::stdout();
-    Service::new(cache, ServeOptions::from_env())
-        .serve_conn(&mut stdin.lock(), &mut stdout.lock())?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1175,14 +1115,14 @@ bb6:
     }
 
     #[test]
-    fn serve_stream_round_trips_over_a_socket_pair() {
+    fn serve_conn_round_trips_over_a_socket_pair() {
         use std::os::unix::net::UnixStream;
         let cache = CompileCache::new_mem();
         let (mut client, mut server) = UnixStream::pair().unwrap();
         let handle = std::thread::spawn(move || {
             let cache = cache;
             let mut rd = server.try_clone().unwrap();
-            serve_stream(&mut rd, &mut server, &cache).unwrap()
+            service(&cache).serve_conn(&mut rd, &mut server).unwrap()
         });
         let req = Message::new("compile").header("config", "uu2").with_body(MODULE);
         let resp = crate::client::request_over(&mut client, &req).unwrap();

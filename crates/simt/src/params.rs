@@ -13,12 +13,14 @@
 /// access order (so fault injection hits the same access) — and the
 /// differential tests in `tests/engine_differential.rs` hold them to that.
 /// The decoded engine is the fast path; the reference interpreter is the
-/// semantic baseline it is checked against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// semantic baseline it is checked against. Callers pick one through
+/// [`GpuParams::engine`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ExecEngine {
     /// Decode-once engine: the kernel is lowered per launch into a dense
     /// [`crate::DecodedKernel`] shared by all warps, with warp-uniform
     /// values scalarized to a single register (the default).
+    #[default]
     Decoded,
     /// The straightforward per-`Inst` reference interpreter.
     Reference,
@@ -27,43 +29,6 @@ pub enum ExecEngine {
     /// warp-uniform is asserted identical across all active lanes. Panics
     /// on violation; used by the scalarization property tests.
     ReferenceVerifyUniform,
-}
-
-impl ExecEngine {
-    /// The engine's stable short name: what `UU_SIMT_ENGINE` selects it by
-    /// and what run-artifact keys record. The default engine's name is
-    /// empty (`decoded` is accepted as an alias on input), so a key says
-    /// something only when a non-default engine produced the artifact.
-    pub fn tag(self) -> &'static str {
-        match self {
-            ExecEngine::Decoded => "",
-            ExecEngine::Reference => "reference",
-            ExecEngine::ReferenceVerifyUniform => "verify-uniform",
-        }
-    }
-}
-
-impl Default for ExecEngine {
-    /// The process-wide default engine: `Decoded`, overridable once via the
-    /// `UU_SIMT_ENGINE` environment variable (`decoded`, `reference`, or
-    /// `verify-uniform`), read on first use.
-    fn default() -> Self {
-        static FROM_ENV: std::sync::OnceLock<ExecEngine> = std::sync::OnceLock::new();
-        *FROM_ENV.get_or_init(|| {
-            let v = std::env::var("UU_SIMT_ENGINE").unwrap_or_default();
-            let name = if v == "decoded" { "" } else { v.as_str() };
-            [
-                ExecEngine::Decoded,
-                ExecEngine::Reference,
-                ExecEngine::ReferenceVerifyUniform,
-            ]
-            .into_iter()
-            .find(|e| e.tag() == name)
-            .unwrap_or_else(|| {
-                panic!("UU_SIMT_ENGINE={v:?}: expected decoded | reference | verify-uniform")
-            })
-        })
-    }
 }
 
 /// Simulated GPU parameters.

@@ -35,10 +35,10 @@ fn decoded_matches_reference_on_corpus() {
     let corpus = load_corpus();
     assert!(!corpus.is_empty(), "seed corpus must exist");
     for jobs in [1usize, 4] {
-        let reference = uu_par::par_map_jobs(jobs, &corpus, |_, (_, spec)| {
+        let reference = uu_par::par_map(jobs, &corpus, |_, (_, spec)| {
             run_spec(spec, ExecEngine::Reference)
         });
-        let decoded = uu_par::par_map_jobs(jobs, &corpus, |_, (_, spec)| {
+        let decoded = uu_par::par_map(jobs, &corpus, |_, (_, spec)| {
             run_spec(spec, ExecEngine::Decoded)
         });
         for (((name, _), r), d) in corpus.iter().zip(&reference).zip(&decoded) {
@@ -50,10 +50,10 @@ fn decoded_matches_reference_on_corpus() {
 #[test]
 fn decoded_is_deterministic_across_job_counts() {
     let corpus = load_corpus();
-    let j1 = uu_par::par_map_jobs(1, &corpus, |_, (_, spec)| {
+    let j1 = uu_par::par_map(1, &corpus, |_, (_, spec)| {
         run_spec(spec, ExecEngine::Decoded)
     });
-    let j4 = uu_par::par_map_jobs(4, &corpus, |_, (_, spec)| {
+    let j4 = uu_par::par_map(4, &corpus, |_, (_, spec)| {
         run_spec(spec, ExecEngine::Decoded)
     });
     assert_eq!(j1, j4, "decoded engine must not depend on worker count");
@@ -88,10 +88,10 @@ fn decoded_matches_reference_on_all_16_kernels() {
     let benches = all_benchmarks();
     assert_eq!(benches.len(), 16);
     for jobs in [1usize, 4] {
-        let reference = uu_par::par_map_jobs(jobs, &benches, |_, b| {
+        let reference = uu_par::par_map(jobs, &benches, |_, b| {
             run_benchmark(b, ExecEngine::Reference)
         });
-        let decoded = uu_par::par_map_jobs(jobs, &benches, |_, b| {
+        let decoded = uu_par::par_map(jobs, &benches, |_, b| {
             run_benchmark(b, ExecEngine::Decoded)
         });
         for ((b, r), d) in benches.iter().zip(&reference).zip(&decoded) {
@@ -188,7 +188,7 @@ fn decoded_matches_reference_on_melded_kernel_suite() {
     let benches = all_benchmarks();
     assert_eq!(benches.len(), 16);
     for (label, t) in meld_transforms() {
-        let results = uu_par::par_map(&benches, |_, b| {
+        let results = uu_par::par_map(uu_par::parse_jobs(None).unwrap(), &benches, |_, b| {
             let mut m = (b.build)();
             uu_core::compile(
                 &mut m,

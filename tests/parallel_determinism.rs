@@ -15,7 +15,7 @@ use uu_kernels::all_benchmarks;
 
 fn job_counts() -> Vec<usize> {
     let mut jobs = vec![1, 4];
-    let default = uu_par::num_jobs();
+    let default = uu_par::parse_jobs(None).unwrap();
     if !jobs.contains(&default) {
         jobs.push(default);
     }
@@ -185,7 +185,7 @@ fn corpus_replay_verdicts_match_across_worker_counts() {
     let corpus = uu_check::corpus::load_corpus();
     assert!(corpus.len() >= 2, "regression corpus went missing");
     let render = |jobs: usize| -> String {
-        let verdicts = uu_par::par_map_jobs(jobs, &corpus, |_, (name, spec)| {
+        let verdicts = uu_par::par_map(jobs, &corpus, |_, (name, spec)| {
             match oracle.check_spec(spec) {
                 Ok(()) => format!("corpus {name}: ok\n"),
                 Err(e) => format!("corpus {name}: FAILED\n{e}\n"),
