@@ -122,16 +122,13 @@ echo "meld smoke: golden + study + faulted study identical across UU_JOBS"
 echo "== engine identity: checked-in results-fast/ must reproduce byte-identically =="
 # The decoded execution engine must not change a single reported byte
 # relative to the committed reports (the cycle model is engine-invariant).
-# The sweep launches every kernel config many times, so after the first
-# launch of each function this rung runs almost entirely on the
-# cross-launch decode cache — the byte-identical diff is also the
-# cached-decode identity gate (a stale or mis-keyed cache entry would
-# surface here as a report diff).
-# It is also the compile-memo identity gate: every per-loop point replays
-# its untouched functions from the function memo (DESIGN.md "Function
-# memo"). The memo is thread-local and uu-par's scoped workers start with
-# an empty one per par_map, so one worker exercises one large memo and
-# four exercise several small ones; both must reproduce the same bytes.
+# It is also the identity gate of both content-addressed stores (DESIGN.md
+# "Content-addressed stores"): after the first launch of each kernel the
+# sweep runs on the decode cache, and every per-loop point replays its
+# untouched functions from the compile memo. Both are thread-local and
+# uu-par's scoped workers start with empty ones per par_map, so one worker
+# exercises one large store of each and four exercise several small ones;
+# both must reproduce the same bytes.
 # (The one-worker directory is the cacheless reference later rungs diff
 # against.)
 rm -rf target/ci/results-fast target/ci/results-fast-j4
@@ -156,7 +153,8 @@ echo "== behavioural fingerprint over the whole compile matrix (release) =="
 # 16 kernels x baseline, heuristic and every sweep and study configuration
 # on the hot loops and three cold loops, plus the uu-check corpus. A
 # printed module or a work charge that moves without a PASS_VERSIONS bump
-# fails here (crates/core/tests/golden/behaviour.fnv).
+# fails here (crates/core/tests/golden/behaviour.fnv), and so does a point
+# whose memo-warm compile differs from its memo-cold one.
 cargo test -q --offline --release -p uu-core --test behaviour_fingerprint
 
 echo "== serve smoke: daemon round-trip, cache hit, fault containment, cached-sweep identity =="
@@ -206,11 +204,24 @@ for pass in cold warm; do
   t0=$(date +%s)
   UU_CACHE_DIR=target/ci/sweep-cache \
     ./target/release/uu-harness all --fast --out "target/ci/results-fast-cache-$pass" \
-    > /dev/null 2> /dev/null
+    > /dev/null 2> "target/ci/results-fast-cache-$pass.err"
   eval "t_$pass=$(( $(date +%s) - t0 ))"
   diff -r target/ci/results-fast "target/ci/results-fast-cache-$pass"
 done
-echo "cached fast sweep byte-identical (cold ${t_cold}s, warm ${t_warm}s)"
+# Not vacuous: the warm pass must be served entirely from what the cold
+# pass stored. A miss is a compile or run key that is not stable within one
+# build, and a warm pass that recompiles would make the diff above prove
+# nothing about the cache.
+sed -n '/^cache stats JSON:$/,$p' target/ci/results-fast-cache-warm.err | tail -n +2 \
+  > target/ci/sweep-cache-warm.json
+./target/release/uu-jsonck target/ci/sweep-cache-warm.json
+warm=target/ci/sweep-cache-warm.json
+if [ "$(counter $warm compile_misses)" -ne 0 ] || [ "$(counter $warm run_misses)" -ne 0 ]; then
+  echo "warm cached sweep missed: compile_misses $(counter $warm compile_misses)," \
+    "run_misses $(counter $warm run_misses)" >&2
+  exit 1
+fi
+echo "cached fast sweep byte-identical, warm pass all hits (cold ${t_cold}s, warm ${t_warm}s)"
 
 echo "== serve stress: admission control, service faults, graceful drain =="
 # A deliberately under-provisioned daemon (2 workers, ONE admission slot)

@@ -1,28 +1,22 @@
-//! The function-granular compile memo's store.
+//! The function-granular compile memo.
 //!
 //! A per-loop sweep point differs from its application's baseline in one
 //! function, yet the cleanup fixpoint used to re-run over every function of
 //! the module for every point. The pipeline's per-function stage
 //! (`optimize_function` in [`crate::pipeline`]) is a pure function of the
 //! function it is handed and two option fields, so its result is memoised
-//! here, in the idiom of `uu-simt`'s decode cache: **content-addressed** —
-//! [`function_fingerprint`] picks the bucket, then the *whole* input
-//! function is compared structurally (`Function: PartialEq`), so the key is
-//! complete by construction and nothing rests on 64 bits — and
-//! **thread-local**, so no lock touches the compile path and `uu-par`
-//! workers (scoped threads, one set per `par_map`) each start from an empty
-//! store, which keeps results independent of the worker count.
-//!
-//! The store is bounded by one constant, [`COMPILE_MEMO_SLOT_BUDGET`]
-//! instruction-arena slots summed over the stored inputs and outputs, with
-//! a wholesale clear when an insert would pass it. The pipeline decides
-//! *what* is admitted and *when* the memo may be consulted at all; this
-//! module only stores, finds and counts.
+//! in a [`Store`] keyed by exactly those three: [`function_fingerprint`]
+//! picks the bucket and the whole key is compared, so nothing rests on 64
+//! bits. The store is **thread-local**: no lock touches the compile path,
+//! and `uu-par` workers (scoped threads, one set per `par_map`) each start
+//! from an empty one, which keeps results independent of the worker count.
+//! The pipeline decides *what* is admitted and *when* the memo may be
+//! consulted at all; this module only keys, stores and counts.
 
 use crate::baseline_unroll::BaselineUnrollOptions;
-use std::cell::RefCell;
-use std::collections::HashMap;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
+use uu_ir::store::Store;
 use uu_ir::{function_fingerprint, Function};
 
 /// Instruction-arena slots (inputs plus outputs) the store may hold before
@@ -35,10 +29,6 @@ pub const COMPILE_MEMO_SLOT_BUDGET: usize = 16 * 1024;
 
 /// One memoised run of the per-function stage.
 pub(crate) struct Entry {
-    max_rounds: usize,
-    baseline_unroll: BaselineUnrollOptions,
-    /// The function the stage was handed — the key.
-    pub input: Function,
     /// The function the stage left behind.
     pub output: Function,
     /// `(pass, work)` of every pass invocation of the run, in order.
@@ -47,17 +37,13 @@ pub(crate) struct Entry {
     pub total: u64,
 }
 
-#[derive(Default)]
-struct Memo {
-    map: HashMap<u64, Vec<Rc<Entry>>>,
-    slots: usize,
-    hits: u64,
-    misses: u64,
-    bypassed: u64,
-}
+/// The stage's whole input: the function, `max_rounds`, `baseline_unroll`.
+type Key = (Function, usize, BaselineUnrollOptions);
 
 thread_local! {
-    static MEMO: RefCell<Memo> = RefCell::new(Memo::default());
+    static MEMO: RefCell<Store<Key, Rc<Entry>>> =
+        RefCell::new(Store::new(COMPILE_MEMO_SLOT_BUDGET));
+    static BYPASSED: Cell<u64> = const { Cell::new(0) };
 }
 
 /// The stored run for exactly this input and these options whose replay
@@ -70,24 +56,13 @@ pub(crate) fn lookup(
     baseline_unroll: &BaselineUnrollOptions,
     room: Option<u64>,
 ) -> Option<Rc<Entry>> {
-    let hash = function_fingerprint(f);
-    MEMO.with(|m| {
-        let mut m = m.borrow_mut();
-        let found = m.map.get(&hash).and_then(|bucket| {
-            bucket.iter().find(|e| {
-                e.max_rounds == max_rounds
-                    && e.baseline_unroll == *baseline_unroll
-                    && room.is_none_or(|r| e.total <= r)
-                    && e.input == *f
-            })
-        });
-        let found = found.map(Rc::clone);
-        match found {
-            Some(_) => m.hits += 1,
-            None => m.misses += 1,
-        }
-        found
-    })
+    let is_key = |(input, rounds, unroll): &Key, e: &Rc<Entry>| {
+        *rounds == max_rounds
+            && unroll == baseline_unroll
+            && room.is_none_or(|r| e.total <= r)
+            && input == f
+    };
+    MEMO.with(|m| m.borrow_mut().find(function_fingerprint(f), is_key))
 }
 
 /// Store one run. The caller inserts only after a [`lookup`] miss, so an
@@ -101,41 +76,23 @@ pub(crate) fn insert(
     trace: Vec<(&'static str, u64)>,
 ) {
     let slots = input.num_inst_slots() + output.num_inst_slots();
-    if slots > COMPILE_MEMO_SLOT_BUDGET {
-        return;
-    }
-    let entry = Rc::new(Entry {
-        max_rounds,
-        baseline_unroll,
-        total: trace.iter().map(|(_, w)| w).sum(),
-        input,
-        output,
-        trace,
-    });
-    MEMO.with(|m| {
-        let mut m = m.borrow_mut();
-        if m.slots + slots > COMPILE_MEMO_SLOT_BUDGET {
-            m.map.clear();
-            m.slots = 0;
-        }
-        m.slots += slots;
-        m.map
-            .entry(function_fingerprint(&entry.input))
-            .or_default()
-            .push(entry);
-    });
+    let total = trace.iter().map(|(_, w)| w).sum();
+    let entry = Rc::new(Entry { output, trace, total });
+    let hash = function_fingerprint(&input);
+    MEMO.with(|m| m.borrow_mut().insert(hash, (input, max_rounds, baseline_unroll), entry, slots));
 }
 
 /// Count one function compiled without consulting the memo.
 pub(crate) fn count_bypass() {
-    MEMO.with(|m| m.borrow_mut().bypassed += 1);
+    BYPASSED.with(|b| b.set(b.get() + 1));
 }
 
 /// Drop every memoised function on this thread and zero the counters
 /// (tests and micro-benchmarks that must time the passes themselves;
 /// correctness never requires it).
 pub fn compile_memo_clear() {
-    MEMO.with(|m| *m.borrow_mut() = Memo::default());
+    MEMO.with(|m| m.borrow_mut().clear());
+    BYPASSED.with(|b| b.set(0));
 }
 
 /// This thread's compile-memo `(hits, misses, bypassed)` counters, one
@@ -143,20 +100,12 @@ pub fn compile_memo_clear() {
 /// for real, or run without a lookup (bisected or fault-armed
 /// compile, or a function the transform changed).
 pub fn compile_memo_stats() -> (u64, u64, u64) {
-    MEMO.with(|m| {
-        let m = m.borrow();
-        (m.hits, m.misses, m.bypassed)
-    })
+    let (hits, misses) = MEMO.with(|m| m.borrow().stats());
+    (hits, misses, BYPASSED.with(Cell::get))
 }
 
-/// This thread's store size as `(entries, instruction slots)`, recounted
-/// from the entries themselves (a test hook); the second never exceeds
-/// [`COMPILE_MEMO_SLOT_BUDGET`].
+/// This thread's store size as `(entries, instruction slots)`; the second
+/// never exceeds [`COMPILE_MEMO_SLOT_BUDGET`].
 pub fn compile_memo_footprint() -> (usize, usize) {
-    MEMO.with(|m| {
-        let m = m.borrow();
-        let entries = || m.map.values().flatten();
-        let slots = entries().map(|e| e.input.num_inst_slots() + e.output.num_inst_slots());
-        (entries().count(), slots.sum())
-    })
+    MEMO.with(|m| m.borrow().footprint())
 }

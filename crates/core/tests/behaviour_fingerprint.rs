@@ -17,12 +17,19 @@
 //! unoptimised build checks the factor-2 hot-loop subset against the same
 //! file (the factor-8 points need minutes there); ci.sh runs the whole
 //! matrix in a release build.
+//!
+//! The walk is also the compile memo's transparency check (DESIGN.md
+//! "Content-addressed stores"): each point is compiled on a cleared memo
+//! for its line, then again on the memo that compile left behind, where
+//! every function the transform did not touch is a hit, and the two must
+//! leave the same module and outcome.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Duration;
 use uu_check::{build_kernel, corpus::load_corpus, oracle::default_transforms};
-use uu_core::{compile, HeuristicOptions, LoopFilter, PipelineOptions, Transform};
+use uu_core::{compile, compile_memo_clear, compile_memo_stats};
+use uu_core::{HeuristicOptions, LoopFilter, PipelineOptions, Transform};
 use uu_harness::experiment::{loop_list, sweep_configs, COMPILE_TIMEOUT};
 use uu_harness::study::study_configs;
 use uu_ir::{fnv1a, Module};
@@ -33,15 +40,37 @@ const COLD_LOOPS: usize = 3;
 /// Per-pass wall time of the walk, for `--nocapture` readers.
 type PassSeconds = BTreeMap<&'static str, Duration>;
 
-/// Compile `m` and render the point's line: hash first, label after.
-fn line(label: &str, mut m: Module, opts: &PipelineOptions, spent: &mut PassSeconds) -> String {
+/// Compile a fresh module from `build`: the printed module and the
+/// outcome with its wall-clock fields masked (and added to `spent`).
+fn observe(build: impl Fn() -> Module, opts: &PipelineOptions, spent: &mut PassSeconds) -> String {
+    let mut m = build();
     let mut out = compile(&mut m, opts);
     out.total = Duration::ZERO;
     for t in &mut out.timings {
         *spent.entry(t.name).or_default() += t.elapsed;
         t.elapsed = Duration::ZERO;
     }
-    format!("{:016x} {label}", fnv1a(format!("{m}\n{out:?}").as_bytes()))
+    format!("{m}\n{out:?}")
+}
+
+/// The point's line, hash first, label after, from a memo-cold compile
+/// that a memo-warm one must reproduce; returns the warm compile's hits.
+fn line(
+    label: &str,
+    build: impl Fn() -> Module,
+    opts: &PipelineOptions,
+    spent: &mut PassSeconds,
+) -> (String, u64) {
+    compile_memo_clear();
+    let cold = observe(&build, opts, spent);
+    let (before, _, _) = compile_memo_stats();
+    let warm = observe(&build, opts, &mut PassSeconds::new());
+    assert!(
+        warm == cold,
+        "{label}: memo-warm compile != memo-cold compile\n{warm}\n---\n{cold}"
+    );
+    let line = format!("{:016x} {label}", fnv1a(cold.as_bytes()));
+    (line, compile_memo_stats().0 - before)
 }
 
 fn point(transform: Transform, filter: LoopFilter) -> PipelineOptions {
@@ -69,14 +98,12 @@ fn benchmark_lines(b: &Benchmark, full: bool) -> (Vec<String>, PassSeconds) {
     let name = b.info.name;
     let mut spent = PassSeconds::new();
     let mut out = Vec::new();
+    let mut hits = 0;
     let mut emit = |what: String, transform: Transform, filter: LoopFilter| {
         let label = format!("{name} {what}");
-        out.push(line(
-            &label,
-            (b.build)(),
-            &point(transform, filter),
-            &mut spent,
-        ));
+        let (text, warm_hits) = line(&label, b.build, &point(transform, filter), &mut spent);
+        out.push(text);
+        hits += warm_hits;
     };
     emit("baseline".into(), Transform::Baseline, LoopFilter::All);
     emit(
@@ -105,6 +132,7 @@ fn benchmark_lines(b: &Benchmark, full: bool) -> (Vec<String>, PassSeconds) {
             );
         }
     }
+    assert!(hits > 0, "{name}: no memo-warm compile hit");
     (out, spent)
 }
 
@@ -124,13 +152,16 @@ fn fingerprint(full: bool) -> Vec<String> {
     for (name, spec) in load_corpus() {
         for transform in default_transforms() {
             let label = format!("corpus {name} {transform:?}");
-            let mut m = Module::new("t");
-            m.add_function(build_kernel(&spec));
+            let build = || {
+                let mut m = Module::new("t");
+                m.add_function(build_kernel(&spec));
+                m
+            };
             let opts = PipelineOptions {
                 transform,
                 ..Default::default()
             };
-            lines.push(line(&label, m, &opts, &mut spent));
+            lines.push(line(&label, build, &opts, &mut spent).0);
         }
     }
     let total: Duration = spent.values().sum();

@@ -1,10 +1,12 @@
 //! Properties of the function-granular compile memo (`uu_core::pipeline`,
-//! DESIGN.md "Function memo"): it may change how long a compile takes and
+//! DESIGN.md "Content-addressed stores"): it may change how long a compile takes and
 //! nothing else.
 //!
 //! * **transparency** — a compile on a warm memo and one on a cleared memo
 //!   leave the same printed module and the same [`CompileOutcome`] once
-//!   the wall-clock fields are masked;
+//!   the wall-clock fields are masked (here over every application's
+//!   sweep and study points and over the corpus and generated kernels;
+//!   `behaviour_fingerprint.rs` also checks every point of its walk);
 //! * **bypass** — under a pass-level fault plan or an opt-bisect limit the
 //!   memo is neither read nor written, so invocation indices mean what
 //!   they mean without it;

@@ -64,6 +64,7 @@ mod inst;
 mod module;
 pub mod parser;
 pub mod printer;
+pub mod store;
 pub mod table;
 mod types;
 mod verify;

@@ -20,9 +20,9 @@
 //! Measured runs are cached too (`run` artifacts): simulation dominates
 //! wall time for hot sweep points, so a warm sweep skips both halves.
 //! The run key extends the compile key with a workload tag supplied by
-//! the caller (bench identity, workload version, simulator engine,
-//! memory-fault plan — everything outside the module/config that can
-//! change simulator output).
+//! the caller (bench identity, workload version, launch repeats,
+//! memory-fault plan) and the simulator's model fingerprint — everything
+//! outside the module/config that can change simulator output.
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -153,11 +153,23 @@ impl CompileCache {
     }
 
     /// Extend a compile key into a run key with a workload tag (bench
-    /// identity + workload version + simulator engine + mem-fault spec).
+    /// identity + workload version + launch repeats + mem-fault spec) and
+    /// the simulator every measured point runs on: the
+    /// [`uu_simt::model_fingerprint`] of the default [`GpuParams`], so a
+    /// `SIMT_MODEL_VERSION` bump or a parameter change misses every stored
+    /// run instead of serving it.
+    ///
+    /// [`GpuParams`]: uu_simt::GpuParams
     pub fn run_key(compile: Key, workload: &str) -> Key {
+        let model = uu_simt::model_fingerprint(&uu_simt::GpuParams::default());
+        CompileCache::run_key_under(compile, workload, model)
+    }
+
+    fn run_key_under(compile: Key, workload: &str, model: u64) -> Key {
         let lane = |seed: &[u8], base: u64| {
             let mut h = uu_ir::fnv1a(seed);
             h = uu_ir::fnv1a_continue(h, &base.to_le_bytes());
+            h = uu_ir::fnv1a_continue(h, &model.to_le_bytes());
             h = uu_ir::fnv1a_continue(h, workload.as_bytes());
             h
         };
@@ -376,6 +388,7 @@ impl CompileCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uu_core::baseline_unroll::BaselineUnrollOptions;
     use uu_core::Transform;
 
     fn module() -> Module {
@@ -567,6 +580,96 @@ bb6:
         let base = CompileCache::compile_key(&module(), &opts());
         assert_eq!(base, CompileCache::compile_key(&module(), &with_mem));
         assert_ne!(base, CompileCache::compile_key(&module(), &with_panic));
+    }
+
+    /// Every `PipelineOptions` field reaches the compile key through its
+    /// `Debug` form (a `mem` fault plan excepted, above). The struct
+    /// pattern makes a new field a compile error here until it is listed.
+    #[test]
+    fn every_pipeline_option_moves_the_compile_key() {
+        let PipelineOptions {
+            transform: _,
+            filter: _,
+            position: _,
+            max_rounds: _,
+            baseline_unroll: _,
+            timeout: _,
+            fault: _,
+            bisect_limit: _,
+        } = opts();
+        let unroll = opts().baseline_unroll;
+        let variants = [
+            PipelineOptions { transform: Transform::Unmerge, ..opts() },
+            PipelineOptions::for_loop(opts().transform, "k", 0),
+            PipelineOptions { position: uu_core::PassPosition::Late, ..opts() },
+            PipelineOptions { max_rounds: 7, ..opts() },
+            PipelineOptions {
+                baseline_unroll: BaselineUnrollOptions { full_max_trip: 31, ..unroll },
+                ..opts()
+            },
+            PipelineOptions {
+                baseline_unroll: BaselineUnrollOptions { full_size_budget: 1023, ..unroll },
+                ..opts()
+            },
+            PipelineOptions {
+                baseline_unroll: BaselineUnrollOptions { runtime_factor: 2, ..unroll },
+                ..opts()
+            },
+            PipelineOptions {
+                baseline_unroll: BaselineUnrollOptions { runtime_max_size: 23, ..unroll },
+                ..opts()
+            },
+            PipelineOptions { timeout: Some(std::time::Duration::from_secs(1)), ..opts() },
+            PipelineOptions { fault: uu_core::FaultPlan::parse("panic@3").ok(), ..opts() },
+            PipelineOptions { bisect_limit: Some(3), ..opts() },
+        ];
+        let key = |o: &PipelineOptions| CompileCache::compile_key(&module(), o);
+        let mut keys: Vec<Key> = variants.iter().map(key).collect();
+        keys.push(key(&opts()));
+        let n = keys.len();
+        keys.sort_by_key(Key::hex);
+        keys.dedup();
+        assert_eq!(keys.len(), n, "two option sets share a compile key");
+    }
+
+    /// The run key covers the simulator: every `GpuParams` field moves it
+    /// through `model_fingerprint`, as does any other fingerprint (which is
+    /// what a `SIMT_MODEL_VERSION` bump gives, checked in `uu-simt`), and
+    /// the tag bytes still do.
+    #[test]
+    fn run_key_moves_with_every_simulator_input() {
+        use uu_simt::{ExecEngine, GpuParams};
+        let compile = CompileCache::compile_key(&module(), &opts());
+        let p = GpuParams::default();
+        let run = CompileCache::run_key(compile, "w");
+        let model = uu_simt::model_fingerprint(&p);
+        assert_eq!(run, CompileCache::run_key_under(compile, "w", model));
+        let mut keys = vec![run];
+        keys.extend(
+            [
+                GpuParams { warp_size: 64, ..p },
+                GpuParams { num_sms: 81, ..p },
+                GpuParams { warps_per_sm: 9, ..p },
+                GpuParams { clock_ghz: 1.5, ..p },
+                GpuParams { sector_bytes: 64, ..p },
+                GpuParams { mem_tx_cycles: 3, ..p },
+                GpuParams { mem_latency: 401, ..p },
+                GpuParams { l1_latency: 13, ..p },
+                GpuParams { icache_capacity: 3073, ..p },
+                GpuParams { fetch_penalty_max: 2.5, ..p },
+                GpuParams { launch_overhead: 301, ..p },
+                GpuParams { max_warp_insts: 1, ..p },
+                GpuParams { engine: ExecEngine::Reference, ..p },
+            ]
+            .iter()
+            .map(|q| CompileCache::run_key_under(compile, "w", uu_simt::model_fingerprint(q))),
+        );
+        keys.push(CompileCache::run_key_under(compile, "w", model.wrapping_add(1)));
+        keys.push(CompileCache::run_key(compile, "w2"));
+        let n = keys.len();
+        keys.sort_by_key(Key::hex);
+        keys.dedup();
+        assert_eq!(keys.len(), n, "two simulator inputs share a run key");
     }
 
     #[test]

@@ -1,27 +1,18 @@
 //! Cross-launch decode cache and launch scratch pool.
 //!
 //! Sweeps launch the same compiled kernel hundreds of times across
-//! workload sizes, repeats, and measurement phases, and until this cache
-//! existed every launch re-ran the post-dominator tree, the uniformity
-//! analysis, and [`DecodedKernel::decode`] from scratch. Decoding is a
-//! pure function of the kernel body and the baked-in argument constants,
-//! so the cache is **content-addressed**: the key is the FNV-1a
-//! structural fingerprint of the function ([`function_fingerprint`]:
-//! signature, blocks, instructions, operands — including `InstId` indices,
-//! which error identities reference) plus the encoded constants. That is
-//! the whole invalidation story — a mutated or newly built function
-//! hashes differently and simply misses; there is nothing to invalidate
-//! explicitly. Collisions are guarded by
-//! also keying on the instruction/block counts and the full constant
-//! vector, so a 64-bit hash collision additionally has to agree on all of
-//! those.
-//!
-//! The cache is thread-local (`uu-par` workers each keep their own), so
-//! no locking touches the launch path and parallel determinism is
-//! unaffected — a cached kernel is bit-identical to a fresh decode, which
-//! the differential tests pin. A bounded capacity with wholesale clear
-//! keeps a pathological many-kernel workload from accumulating without
-//! bound.
+//! workload sizes, repeats and measurement phases. Decoding — the
+//! post-dominator tree, the uniformity analysis and
+//! [`DecodedKernel::decode`] — is a pure function of the kernel body and
+//! the baked-in argument constants, so each thread keeps a [`Store`] keyed
+//! by exactly those two: the whole `Function` and the encoded constants.
+//! [`function_fingerprint`] picks the bucket and full equality decides the
+//! hit, so a mutated or newly built function simply misses and nothing is
+//! ever invalidated explicitly. Launch geometry is deliberately not in the
+//! key: one decode serves every grid and block shape. Thread-local, so no
+//! lock touches the launch path, and a hit is bit-identical to a fresh
+//! decode (the differential tests pin it), so parallel determinism is
+//! unaffected.
 //!
 //! The same module pools the per-launch [`Scratch`] and [`SectorSet`] so
 //! steady-state launches allocate nothing before the first warp runs.
@@ -29,34 +20,21 @@
 use crate::decode::{DecodedKernel, Scratch};
 use crate::memory::SectorSet;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 use uu_analysis::{PostDomTree, Uniformity};
+use uu_ir::store::Store;
 use uu_ir::word::encode;
 use uu_ir::{function_fingerprint, Constant, Function};
 
-/// Cached decodes before the cache is wholesale-cleared. Sized well above
-/// the evaluation suite's kernel-variant count; the clear is only a
-/// backstop against unbounded kernel churn.
-const CACHE_CAP: usize = 192;
+/// Instruction-arena slots of the stored kernels — the compile memo's
+/// unit — before the cache is wholesale-cleared. The smallest power of two
+/// that keeps every decode hit of the end-to-end benchmark's workloads:
+/// 16 Ki lost 40–55 % of them.
+const DECODE_SLOT_BUDGET: usize = 32 * 1024;
 
-/// Content-addressed cache key. `hash` covers the function structure;
-/// the remaining fields make accidental collisions require agreement on
-/// the shape and every baked-in constant as well.
-#[derive(PartialEq, Eq, Hash)]
-struct Key {
-    hash: u64,
-    blocks: u32,
-    insts: u32,
-    consts: Vec<(u8, u64)>,
-}
-
-#[derive(Default)]
-struct DecodeCache {
-    map: HashMap<Key, Rc<DecodedKernel>>,
-    hits: u64,
-    misses: u64,
-}
+/// Decoding's whole input, a kernel body and its encoded launch constants,
+/// mapped to the decode.
+type DecodeStore = Store<(Function, Vec<(u8, u64)>), Rc<DecodedKernel>>;
 
 /// Pooled per-launch mutable state.
 pub(crate) struct LaunchScratch {
@@ -65,58 +43,41 @@ pub(crate) struct LaunchScratch {
 }
 
 thread_local! {
-    static CACHE: RefCell<DecodeCache> = RefCell::new(DecodeCache::default());
+    static CACHE: RefCell<DecodeStore> = RefCell::new(Store::new(DECODE_SLOT_BUDGET));
     static POOL: RefCell<Vec<LaunchScratch>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Decode `f` with the launch constants `args`, reusing a cached decode
-/// when an identical (function, constants) pair was launched before on
-/// this thread. A hit returns the exact same lowering a fresh
-/// [`DecodedKernel::decode`] would produce — decoding is deterministic in
-/// the hashed inputs — so cached and fresh launches are observationally
-/// identical.
+/// when an equal (function, constants) pair was launched before on this
+/// thread. A hit returns the exact lowering a fresh
+/// [`DecodedKernel::decode`] would produce, so cached and fresh launches
+/// are observationally identical.
 pub fn decode_cached(f: &Function, args: &[Constant]) -> Rc<DecodedKernel> {
-    let key = Key {
-        hash: function_fingerprint(f),
-        blocks: f.layout().len() as u32,
-        insts: f.num_insts() as u32,
-        consts: args.iter().map(|c| encode(*c)).collect(),
-    };
-    CACHE.with(|c| {
-        let mut c = c.borrow_mut();
-        if let Some(k) = c.map.get(&key).map(Rc::clone) {
-            c.hits += 1;
-            return k;
-        }
-        c.misses += 1;
-        let pdom = PostDomTree::compute(f);
-        let uni = Uniformity::compute(f);
-        let k = Rc::new(DecodedKernel::decode(f, &pdom, &uni, args));
-        if c.map.len() >= CACHE_CAP {
-            c.map.clear();
-        }
-        c.map.insert(key, Rc::clone(&k));
-        k
-    })
+    CACHE.with(|c| decode_in(&mut c.borrow_mut(), function_fingerprint(f), f, args))
 }
 
-/// Drop every cached decode on this thread (mainly for tests and
-/// memory-sensitive embedders; correctness never requires it).
+/// [`decode_cached`] against `store`, with `hash` as the bucket.
+fn decode_in(s: &mut DecodeStore, hash: u64, f: &Function, args: &[Constant]) -> Rc<DecodedKernel> {
+    let consts: Vec<(u8, u64)> = args.iter().map(|c| encode(*c)).collect();
+    if let Some(k) = s.find(hash, |(g, c), _| *c == consts && g == f) {
+        return k;
+    }
+    let (pdom, uni) = (PostDomTree::compute(f), Uniformity::compute(f));
+    let k = Rc::new(DecodedKernel::decode(f, &pdom, &uni, args));
+    s.insert(hash, (f.clone(), consts), Rc::clone(&k), f.num_inst_slots());
+    k
+}
+
+/// Drop every cached decode on this thread and zero the counters (mainly
+/// for tests and memory-sensitive embedders; correctness never requires
+/// it).
 pub fn decode_cache_clear() {
-    CACHE.with(|c| {
-        let mut c = c.borrow_mut();
-        c.map.clear();
-        c.hits = 0;
-        c.misses = 0;
-    });
+    CACHE.with(|c| c.borrow_mut().clear());
 }
 
 /// This thread's decode-cache `(hits, misses)` counters.
 pub fn decode_cache_stats() -> (u64, u64) {
-    CACHE.with(|c| {
-        let c = c.borrow();
-        (c.hits, c.misses)
-    })
+    CACHE.with(|c| c.borrow().stats())
 }
 
 /// Take a pooled launch scratch (or a fresh one on first use).
@@ -175,6 +136,21 @@ mod tests {
         decode_cached(&sample(1), &[Constant::I64(8192)]);
         assert_eq!(decode_cache_stats(), (1, 3));
         decode_cache_clear();
+    }
+
+    #[test]
+    fn a_colliding_fingerprint_still_decides_by_body_and_constants() {
+        // Every launch lands in bucket 0, as under a fingerprint collision.
+        let mut s = DecodeStore::new(DECODE_SLOT_BUDGET);
+        let args = [Constant::I64(4096)];
+        let k1 = decode_in(&mut s, 0, &sample(1), &args);
+        let k2 = decode_in(&mut s, 0, &sample(2), &args);
+        let k3 = decode_in(&mut s, 0, &sample(1), &[Constant::I64(8192)]);
+        assert_eq!(s.stats(), (0, 3), "other body or other constants: a miss each");
+        assert!(Rc::ptr_eq(&decode_in(&mut s, 0, &sample(1), &args), &k1));
+        assert!(Rc::ptr_eq(&decode_in(&mut s, 0, &sample(2), &args), &k2));
+        assert!(Rc::ptr_eq(&decode_in(&mut s, 0, &sample(1), &[Constant::I64(8192)]), &k3));
+        assert_eq!(s.stats(), (3, 3));
     }
 
     #[test]

@@ -65,4 +65,4 @@ pub use exec::{ExecError, Warp, WarpGeometry};
 pub use gpu::{Gpu, KernelArg, LaunchConfig, LaunchReport};
 pub use memory::{Buffer, GlobalMemory, MemError, SectorSet};
 pub use metrics::{InstClass, Metrics};
-pub use params::{ExecEngine, GpuParams};
+pub use params::{model_fingerprint, ExecEngine, GpuParams, SIMT_MODEL_VERSION};

@@ -6,6 +6,15 @@
 //! overflow it (the paper's `stall_inst_fetch` effect on *complex* and
 //! *haccmk*).
 
+use uu_ir::{fnv1a, fnv1a_continue};
+
+/// Version of the timing model. Bump it with any change to how a launch
+/// turns a kernel into simulated time or [`crate::Metrics`]: cached run
+/// artifacts key on it through [`model_fingerprint`], and the root test
+/// `model_fingerprint` fails when `tests/golden/model.fnv` moves without a
+/// bump.
+pub const SIMT_MODEL_VERSION: u32 = 1;
+
 /// Which warp interpreter executes launches.
 ///
 /// The engines are observationally identical on verifier-clean IR — same
@@ -108,6 +117,51 @@ impl GpuParams {
     }
 }
 
+/// Stable FNV-1a fingerprint of the simulator a run is measured on:
+/// [`SIMT_MODEL_VERSION`] and every [`GpuParams`] field. The compile
+/// service's run key includes it, so neither a timing-model change nor a
+/// parameter change can serve a stale measurement.
+pub fn model_fingerprint(p: &GpuParams) -> u64 {
+    fingerprint(SIMT_MODEL_VERSION, p)
+}
+
+fn fingerprint(version: u32, p: &GpuParams) -> u64 {
+    // Destructured, so a new field does not compile until it is hashed.
+    let GpuParams {
+        warp_size,
+        num_sms,
+        warps_per_sm,
+        clock_ghz,
+        sector_bytes,
+        mem_tx_cycles,
+        mem_latency,
+        l1_latency,
+        icache_capacity,
+        fetch_penalty_max,
+        launch_overhead,
+        max_warp_insts,
+        engine,
+    } = *p;
+    let words = [
+        u64::from(version),
+        u64::from(warp_size),
+        u64::from(num_sms),
+        u64::from(warps_per_sm),
+        clock_ghz.to_bits(),
+        sector_bytes,
+        mem_tx_cycles,
+        mem_latency,
+        l1_latency,
+        icache_capacity,
+        fetch_penalty_max.to_bits(),
+        launch_overhead,
+        max_warp_insts,
+        engine as u64,
+    ];
+    let h = fnv1a(b"uu-simt-model");
+    words.iter().fold(h, |h, w| fnv1a_continue(h, &w.to_le_bytes()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,6 +176,15 @@ mod tests {
         assert!(a > 0.0);
         assert!(b > a);
         assert!(b < p.fetch_penalty_max);
+    }
+
+    /// Every field is covered where the run key is: `uu-serve`'s
+    /// `run_key_moves_with_every_simulator_input`.
+    #[test]
+    fn model_fingerprint_sees_the_version() {
+        let p = GpuParams::default();
+        assert_eq!(model_fingerprint(&p), fingerprint(SIMT_MODEL_VERSION, &p));
+        assert_ne!(model_fingerprint(&p), fingerprint(SIMT_MODEL_VERSION + 1, &p));
     }
 
     #[test]
