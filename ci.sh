@@ -156,6 +156,10 @@ echo "== behavioural fingerprint over the whole compile matrix (release) =="
 # fails here (crates/core/tests/golden/behaviour.fnv), and so does a point
 # whose memo-warm compile differs from its memo-cold one.
 cargo test -q --offline --release -p uu-core --test behaviour_fingerprint
+# Batched use rewriting at every factor: GVN and instsimplify against their
+# per-replacement references on every hot loop under uu2, uu4, uu8 and
+# uu8+meld (the debug run above stops at uu4).
+cargo test -q --offline --release -p uu-core --lib rewrite_equivalence > /dev/null
 
 echo "== serve smoke: daemon round-trip, cache hit, fault containment, cached-sweep identity =="
 # Start the compile-service daemon on a Unix socket with a disk cache,

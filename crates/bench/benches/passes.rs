@@ -105,20 +105,25 @@ fn app(name: &str) -> Module {
     (bench.build)()
 }
 
-/// `uu8` on XSBench's hot loop — the sweep's largest module, one function
-/// transformed.
-fn xsbench_uu8() -> PipelineOptions {
+/// `transform` on loop 0 of `func`, one application's hot loop.
+fn hot_loop(func: &str, transform: Transform) -> PipelineOptions {
     PipelineOptions {
-        transform: Transform::Uu {
-            factor: 8,
-            unmerge: Default::default(),
-        },
+        transform,
         filter: LoopFilter::Only {
-            func: "xs_lookup".into(),
+            func: func.into(),
             loop_id: 0,
         },
         ..Default::default()
     }
+}
+
+/// `uu8` on XSBench's hot loop — the sweep's largest module, one function
+/// transformed.
+fn xsbench_uu8() -> PipelineOptions {
+    hot_loop("xs_lookup", Transform::Uu {
+        factor: 8,
+        unmerge: Default::default(),
+    })
 }
 
 /// The `complex` application's hot kernel and the header of its one loop.
@@ -215,10 +220,26 @@ fn bench_codec(h: &mut Harness) {
 
 /// Whole compiles with the function memo cleared before each, so every
 /// function runs through the guarded pass manager: XSBench under `uu8` on
-/// `xs_lookup` (106 functions) and quicksort's baseline (7).
+/// `xs_lookup` (106 functions), quicksort's baseline (7), and the two
+/// largest functions `uu8` leaves for cleanup — mandelbrot's hot loop, and
+/// bezier-surface's under `uu8+meld`, where meld scans every block.
 fn bench_pipeline(h: &mut Harness) {
+    let uu8 = Transform::Uu {
+        factor: 8,
+        unmerge: Default::default(),
+    };
+    let uu8_meld = Transform::UuMeld {
+        factor: 8,
+        unmerge: Default::default(),
+    };
     for (name, m, opts) in [
         ("pipeline/xsbench-uu8", app("XSBench"), xsbench_uu8()),
+        ("pipeline/mandelbrot-uu8", app("mandelbrot"), hot_loop("mandel_escape", uu8)),
+        (
+            "pipeline/bezier-uu8+meld",
+            app("bezier-surface"),
+            hot_loop("bezier_blend", uu8_meld),
+        ),
         ("pipeline/quicksort-baseline", app("quicksort"), PipelineOptions::default()),
     ] {
         h.bench_batched(

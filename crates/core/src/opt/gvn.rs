@@ -17,7 +17,7 @@
 //! body is dominated by the current path, so cross-iteration redundancies
 //! become ordinary dominator-scoped ones.
 
-use super::Pass;
+use super::{Pass, Substitution};
 use std::collections::HashMap;
 use uu_analysis::{AnalysisCache, DomTree};
 use uu_ir::{
@@ -48,16 +48,10 @@ impl Pass for Gvn {
         // One predecessor map for the whole walk: GVN never changes the
         // CFG, so it stays valid across every replacement below.
         let preds = f.predecessors();
-        let mut cse = Cse {
-            exprs: ScopedMap::default(),
-            loads: ScopedMap::default(),
-            gens: vec![0; f.params().len() + 1],
-            all_gen: 0,
-            traversed: EntitySet::new(),
-            changed: false,
-        };
+        let mut cse = Cse::new(f);
         cse.visit(f, &dom, &preds, f.entry());
-        cse.changed
+        // Every replacement in one use-rewrite sweep.
+        cse.subst.apply(f)
     }
 }
 
@@ -74,7 +68,7 @@ enum ExprKey {
     Intr(Intrinsic, Vec<Value>),
 }
 
-fn expr_key(f: &Function, inst: &uu_ir::Inst) -> Option<ExprKey> {
+fn expr_key(f: &Function, subst: &Substitution, inst: &uu_ir::Inst) -> Option<ExprKey> {
     match &inst.kind {
         InstKind::Bin {
             op: op @ BinOp::Add,
@@ -87,7 +81,7 @@ fn expr_key(f: &Function, inst: &uu_ir::Inst) -> Option<ExprKey> {
             // load elimination (`x[i+1]` becoming the next `x[i]`).
             let _ = op;
             let mut leaves = Vec::new();
-            flatten_add_operands(f, *lhs, *rhs, &mut leaves, 0);
+            flatten_add_operands(f, subst, *lhs, *rhs, &mut leaves, 0);
             leaves.sort();
             Some(ExprKey::AddChain(leaves))
         }
@@ -124,8 +118,15 @@ fn expr_key(f: &Function, inst: &uu_ir::Inst) -> Option<ExprKey> {
 }
 
 /// Collect the leaves of an integer-add tree (bounded depth), treating any
-/// non-add value as a leaf.
-fn flatten_add_operands(f: &Function, lhs: Value, rhs: Value, leaves: &mut Vec<Value>, depth: u32) {
+/// non-add value as a leaf. Nested operands are read through `subst`.
+fn flatten_add_operands(
+    f: &Function,
+    subst: &Substitution,
+    lhs: Value,
+    rhs: Value,
+    leaves: &mut Vec<Value>,
+    depth: u32,
+) {
     for v in [lhs, rhs] {
         let mut pushed = false;
         if depth < 4 {
@@ -137,7 +138,8 @@ fn flatten_add_operands(f: &Function, lhs: Value, rhs: Value, leaves: &mut Vec<V
                 } = f.inst(id).kind
                 {
                     if !f.inst(id).ty.is_float() {
-                        flatten_add_operands(f, a, b, leaves, depth + 1);
+                        let (a, b) = (subst.resolve(a), subst.resolve(b));
+                        flatten_add_operands(f, subst, a, b, leaves, depth + 1);
                         pushed = true;
                     }
                 }
@@ -158,8 +160,8 @@ enum Root {
     Other,
 }
 
-/// Trace an address back to its root.
-fn root_of(f: &Function, mut addr: Value) -> Root {
+/// Trace an address back to its root, reading operands through `subst`.
+fn root_of(f: &Function, subst: &Substitution, mut addr: Value) -> Root {
     loop {
         match addr {
             Value::Arg(i) => {
@@ -171,11 +173,11 @@ fn root_of(f: &Function, mut addr: Value) -> Root {
                 };
             }
             Value::Inst(id) => match &f.inst(id).kind {
-                InstKind::Gep { base, .. } => addr = *base,
+                InstKind::Gep { base, .. } => addr = subst.resolve(*base),
                 InstKind::Cast {
                     op: CastOp::IntToPtr | CastOp::PtrToInt,
                     value,
-                } => addr = *value,
+                } => addr = subst.resolve(*value),
                 // Integer pointer arithmetic: `p + k` is based on `p`.
                 InstKind::Bin {
                     op: BinOp::Add | BinOp::Sub,
@@ -185,9 +187,9 @@ fn root_of(f: &Function, mut addr: Value) -> Root {
                     // Follow the operand that leads to a pointer; constants
                     // and plain indices are offsets.
                     if rhs.is_const() {
-                        addr = *lhs;
+                        addr = subst.resolve(*lhs);
                     } else if lhs.is_const() {
-                        addr = *rhs;
+                        addr = subst.resolve(*rhs);
                     } else {
                         return Root::Other;
                     }
@@ -263,10 +265,22 @@ struct Cse {
     gens: Vec<u64>,
     all_gen: u64,
     traversed: EntitySet<BlockId>,
-    changed: bool,
+    /// The replacements made so far, applied when the walk ends.
+    subst: Substitution,
 }
 
 impl Cse {
+    fn new(f: &Function) -> Self {
+        Cse {
+            exprs: ScopedMap::default(),
+            loads: ScopedMap::default(),
+            gens: vec![0; f.params().len() + 1],
+            all_gen: 0,
+            traversed: EntitySet::new(),
+            subst: Substitution::default(),
+        }
+    }
+
     fn slot(&self, r: Root) -> usize {
         match r {
             Root::Restrict(i) => i as usize,
@@ -304,20 +318,19 @@ impl Cse {
         self.exprs.push_scope();
         self.loads.push_scope();
 
-        for id in f.block(b).insts.clone() {
-            if !f.block(b).insts.contains(&id) {
-                continue; // removed by an earlier replacement
-            }
-            let inst = f.inst(id).clone();
+        let insts = f.block(b).insts.clone();
+        let mut kept = Vec::with_capacity(insts.len());
+        for &id in &insts {
+            // Operands as the replacements so far have left them.
+            self.subst.refresh(f, id);
+            let inst = f.inst(id);
             match &inst.kind {
                 InstKind::Phi { .. } => {}
                 InstKind::Load { ptr } => {
-                    let root = root_of(f, *ptr);
+                    let root = root_of(f, &self.subst, *ptr);
                     if let Some(e) = self.loads.get(ptr).copied() {
                         if self.entry_valid(&e) && f.value_type(e.value) == inst.ty {
-                            f.replace_all_uses(Value::Inst(id), e.value);
-                            f.unlink_inst(b, id);
-                            self.changed = true;
+                            self.subst.record(id, e.value);
                             continue;
                         }
                     }
@@ -332,7 +345,7 @@ impl Cse {
                     );
                 }
                 InstKind::Store { ptr, value } => {
-                    let root = root_of(f, *ptr);
+                    let root = root_of(f, &self.subst, *ptr);
                     match root {
                         Root::Restrict(_) => self.bump(root),
                         // A store through a pointer we cannot trace may be
@@ -356,17 +369,20 @@ impl Cse {
                     self.bump_all();
                 }
                 _ => {
-                    if let Some(key) = expr_key(f, &inst) {
+                    if let Some(key) = expr_key(f, &self.subst, inst) {
                         if let Some(&existing) = self.exprs.get(&key) {
-                            f.replace_all_uses(Value::Inst(id), existing);
-                            f.unlink_inst(b, id);
-                            self.changed = true;
-                        } else {
-                            self.exprs.insert(key, Value::Inst(id));
+                            self.subst.record(id, existing);
+                            continue;
                         }
+                        self.exprs.insert(key, Value::Inst(id));
                     }
                 }
             }
+            kept.push(id);
+        }
+        // Replaced instructions leave the block in one pass.
+        if kept.len() != insts.len() {
+            f.block_mut(b).insts = kept;
         }
 
         // Recurse into dominator children; the dominator tree's child
@@ -376,6 +392,97 @@ impl Cse {
         }
         self.exprs.pop_scope();
         self.loads.pop_scope();
+    }
+}
+
+/// GVN as it ran before its replacements were batched: one arena-wide
+/// `replace_all_uses` sweep and one unlink per replacement. The reference
+/// the batched pass must reproduce bit for bit.
+#[cfg(test)]
+pub(crate) fn run_per_replacement(f: &mut Function) -> bool {
+    let dom = DomTree::compute(f);
+    let preds = f.predecessors();
+    Cse::new(f).visit_per_replacement(f, &dom, &preds, f.entry())
+}
+
+#[cfg(test)]
+impl Cse {
+    fn visit_per_replacement(
+        &mut self,
+        f: &mut Function,
+        dom: &DomTree,
+        preds: &[Vec<BlockId>],
+        b: BlockId,
+    ) -> bool {
+        let mut changed = false;
+        self.traversed.insert(b);
+        if preds[b.index()]
+            .iter()
+            .any(|&p| !self.traversed.contains(p))
+        {
+            self.bump_all();
+        }
+        self.exprs.push_scope();
+        self.loads.push_scope();
+        // `self.subst` stays empty: operands are read as the arena holds them.
+        for id in f.block(b).insts.clone() {
+            let inst = f.inst(id).clone();
+            match &inst.kind {
+                InstKind::Phi { .. } => {}
+                InstKind::Load { ptr } => {
+                    let root = root_of(f, &self.subst, *ptr);
+                    if let Some(e) = self.loads.get(ptr).copied() {
+                        if self.entry_valid(&e) && f.value_type(e.value) == inst.ty {
+                            f.replace_all_uses(Value::Inst(id), e.value);
+                            f.unlink_inst(b, id);
+                            changed = true;
+                            continue;
+                        }
+                    }
+                    let entry = LoadEntry {
+                        value: Value::Inst(id),
+                        root,
+                        gen: self.gen_of(root),
+                        all_gen: self.all_gen,
+                    };
+                    self.loads.insert(*ptr, entry);
+                }
+                InstKind::Store { ptr, value } => {
+                    let root = root_of(f, &self.subst, *ptr);
+                    match root {
+                        Root::Restrict(_) => self.bump(root),
+                        Root::Other => self.bump_all(),
+                    }
+                    let entry = LoadEntry {
+                        value: *value,
+                        root,
+                        gen: self.gen_of(root),
+                        all_gen: self.all_gen,
+                    };
+                    self.loads.insert(*ptr, entry);
+                }
+                InstKind::Intr { which, .. } if which.is_convergent() => {
+                    self.bump_all();
+                }
+                _ => {
+                    if let Some(key) = expr_key(f, &self.subst, &inst) {
+                        if let Some(&existing) = self.exprs.get(&key) {
+                            f.replace_all_uses(Value::Inst(id), existing);
+                            f.unlink_inst(b, id);
+                            changed = true;
+                        } else {
+                            self.exprs.insert(key, Value::Inst(id));
+                        }
+                    }
+                }
+            }
+        }
+        for &c in dom.children(b) {
+            changed |= self.visit_per_replacement(f, dom, preds, c);
+        }
+        self.exprs.pop_scope();
+        self.loads.pop_scope();
+        changed
     }
 }
 
@@ -675,6 +782,50 @@ mod tests {
             .map(|(id, _)| id)
             .collect();
         assert_eq!(loads.len(), 2, "header load must survive:\n{f}");
+    }
+
+    #[test]
+    fn one_invocation_is_one_use_sweep() {
+        // Over a hundred redundant adds and loads, in the entry and in a
+        // block it dominates; batched, they cost one arena-wide sweep.
+        let mut f = uu_ir::Function::new(
+            "t",
+            vec![
+                Param::new("x", Type::I64),
+                Param::new("p", Type::Ptr),
+                Param::new("c", Type::I1),
+            ],
+            Type::Void,
+        );
+        let e = f.entry();
+        let mut b = FunctionBuilder::new(&mut f);
+        let (t, j) = (b.create_block(), b.create_block());
+        let redundant = |b: &mut FunctionBuilder, acc: Value| {
+            let mut acc = acc;
+            for _ in 0..20 {
+                let a = b.add(Value::Arg(0), Value::imm(1i64));
+                let l = b.load(Type::I64, Value::Arg(1));
+                let s = b.add(a, l);
+                acc = b.mul(acc, s);
+            }
+            acc
+        };
+        b.switch_to(e);
+        let acc = redundant(&mut b, Value::Arg(0));
+        b.cond_br(Value::Arg(2), t, j);
+        b.switch_to(t);
+        let acc = redundant(&mut b, acc);
+        b.store(Value::Arg(1), acc);
+        b.br(j);
+        b.switch_to(j);
+        b.ret(None);
+        let mut reference = f.clone();
+        let before = uu_ir::use_sweep_count();
+        assert!(Gvn.run(&mut f));
+        assert_eq!(uu_ir::use_sweep_count() - before, 1);
+        uu_ir::verify_function(&f).unwrap();
+        assert!(run_per_replacement(&mut reference));
+        assert!(f == reference);
     }
 
     use uu_ir::ICmpPred;

@@ -1,6 +1,6 @@
 //! Constant folding and algebraic instruction simplification.
 
-use super::Pass;
+use super::{Pass, Substitution};
 use uu_ir::{BinOp, Constant, Function, ICmpPred, InstId, InstKind, SecondaryMap, Type, Value};
 
 /// Folds constants and applies algebraic identities, replacing simplified
@@ -29,6 +29,9 @@ impl Pass for InstSimplify {
                 block_of.set(i, b);
             }
         }
+        // Replacements are recorded and applied in one use-rewrite sweep at
+        // the end; each visit reads its operands as they would be by then.
+        let mut subst = Substitution::default();
         let mut changed = false;
         loop {
             let mut round = false;
@@ -39,6 +42,7 @@ impl Pass for InstSimplify {
                 .flat_map(|b| f.block(*b).insts.clone())
                 .collect();
             for id in work {
+                subst.refresh(f, id);
                 // Canonicalize: constant to the RHS of commutative ops.
                 if let InstKind::Bin { op, lhs, rhs } = f.inst(id).kind {
                     if op.is_commutative() && lhs.is_const() && !rhs.is_const() {
@@ -50,8 +54,8 @@ impl Pass for InstSimplify {
                         round = true;
                     }
                 }
-                if let Some(v) = simplify_inst(f, id) {
-                    f.replace_all_uses(Value::Inst(id), v);
+                if let Some(v) = simplify(f, id, &|v| subst.resolve(v)) {
+                    subst.record(id, v);
                     // Unlink the dead instruction from the block holding it.
                     f.unlink_inst(*block_of.get(id), id);
                     round = true;
@@ -62,19 +66,26 @@ impl Pass for InstSimplify {
             }
             changed = true;
         }
+        subst.apply(f);
         changed
     }
 }
 
 /// Compute the simplified value of `id`, if any. Pure instructions only.
 pub fn simplify_inst(f: &Function, id: InstId) -> Option<Value> {
+    simplify(f, id, &|v| v)
+}
+
+/// [`simplify_inst`] reading the operands of `id`'s operands through
+/// `resolve` (`id`'s own must already be current).
+fn simplify(f: &Function, id: InstId, resolve: &dyn Fn(Value) -> Value) -> Option<Value> {
     let inst = f.inst(id);
     // Full constant fold first.
     if let Some(c) = inst.fold() {
         return Some(Value::Const(c));
     }
     match &inst.kind {
-        InstKind::Bin { op, lhs, rhs } => simplify_bin(f, *op, *lhs, *rhs, inst.ty),
+        InstKind::Bin { op, lhs, rhs } => simplify_bin(f, resolve, *op, *lhs, *rhs, inst.ty),
         InstKind::ICmp { pred, lhs, rhs } => {
             if lhs == rhs {
                 // x == x, x <= x ... decidable without knowing x.
@@ -113,7 +124,7 @@ pub fn simplify_inst(f: &Function, id: InstId) -> Option<Value> {
     }
 }
 
-fn as_add(f: &Function, v: Value) -> Option<(Value, Value)> {
+fn as_add(f: &Function, resolve: &dyn Fn(Value) -> Value, v: Value) -> Option<(Value, Value)> {
     if let Value::Inst(i) = v {
         if let InstKind::Bin {
             op: BinOp::Add,
@@ -121,13 +132,13 @@ fn as_add(f: &Function, v: Value) -> Option<(Value, Value)> {
             rhs,
         } = f.inst(i).kind
         {
-            return Some((lhs, rhs));
+            return Some((resolve(lhs), resolve(rhs)));
         }
     }
     None
 }
 
-fn as_sub(f: &Function, v: Value) -> Option<(Value, Value)> {
+fn as_sub(f: &Function, resolve: &dyn Fn(Value) -> Value, v: Value) -> Option<(Value, Value)> {
     if let Value::Inst(i) = v {
         if let InstKind::Bin {
             op: BinOp::Sub,
@@ -135,13 +146,20 @@ fn as_sub(f: &Function, v: Value) -> Option<(Value, Value)> {
             rhs,
         } = f.inst(i).kind
         {
-            return Some((lhs, rhs));
+            return Some((resolve(lhs), resolve(rhs)));
         }
     }
     None
 }
 
-fn simplify_bin(f: &Function, op: BinOp, lhs: Value, rhs: Value, ty: Type) -> Option<Value> {
+fn simplify_bin(
+    f: &Function,
+    resolve: &dyn Fn(Value) -> Value,
+    op: BinOp,
+    lhs: Value,
+    rhs: Value,
+    ty: Type,
+) -> Option<Value> {
     let zero = || Value::Const(Constant::zero(ty));
     let rc = rhs.as_const();
     let is_rzero = rc.map(|c| c.is_zero()).unwrap_or(false);
@@ -152,12 +170,12 @@ fn simplify_bin(f: &Function, op: BinOp, lhs: Value, rhs: Value, ty: Type) -> Op
                 return Some(lhs);
             }
             // (a - b) + b → a
-            if let Some((a, b)) = as_sub(f, lhs) {
+            if let Some((a, b)) = as_sub(f, resolve, lhs) {
                 if b == rhs {
                     return Some(a);
                 }
             }
-            if let Some((a, b)) = as_sub(f, rhs) {
+            if let Some((a, b)) = as_sub(f, resolve, rhs) {
                 if b == lhs {
                     return Some(a);
                 }
@@ -172,7 +190,7 @@ fn simplify_bin(f: &Function, op: BinOp, lhs: Value, rhs: Value, ty: Type) -> Op
                 return Some(zero());
             }
             // (a + b) - a → b ;  (a + b) - b → a
-            if let Some((a, b)) = as_add(f, lhs) {
+            if let Some((a, b)) = as_add(f, resolve, lhs) {
                 if a == rhs {
                     return Some(b);
                 }
@@ -247,6 +265,52 @@ fn simplify_bin(f: &Function, op: BinOp, lhs: Value, rhs: Value, ty: Type) -> Op
         }
         _ => None,
     }
+}
+
+/// Instsimplify as it ran before its replacements were batched: one
+/// arena-wide `replace_all_uses` sweep per replacement, operands read as
+/// the arena holds them. The reference the batched pass must reproduce bit
+/// for bit.
+#[cfg(test)]
+pub(crate) fn run_per_replacement(f: &mut Function) -> bool {
+    let mut block_of = SecondaryMap::with_default(f.entry());
+    for &b in f.layout() {
+        for &i in &f.block(b).insts {
+            block_of.set(i, b);
+        }
+    }
+    let mut changed = false;
+    loop {
+        let mut round = false;
+        let work: Vec<InstId> = f
+            .layout()
+            .to_vec()
+            .iter()
+            .flat_map(|b| f.block(*b).insts.clone())
+            .collect();
+        for id in work {
+            if let InstKind::Bin { op, lhs, rhs } = f.inst(id).kind {
+                if op.is_commutative() && lhs.is_const() && !rhs.is_const() {
+                    f.inst_mut(id).kind = InstKind::Bin {
+                        op,
+                        lhs: rhs,
+                        rhs: lhs,
+                    };
+                    round = true;
+                }
+            }
+            if let Some(v) = simplify_inst(f, id) {
+                f.replace_all_uses(Value::Inst(id), v);
+                f.unlink_inst(*block_of.get(id), id);
+                round = true;
+            }
+        }
+        if !round {
+            break;
+        }
+        changed = true;
+    }
+    changed
 }
 
 #[cfg(test)]
@@ -391,5 +455,30 @@ mod tests {
         b.store(Value::Arg(1), y);
         b.ret(None);
         assert!(!InstSimplify.run(&mut f));
+    }
+
+    #[test]
+    fn one_invocation_is_one_use_sweep() {
+        // Sixty-four simplifications over several rounds: `(x + i) - x`
+        // folds to `i` only once `i`'s own `0 + k` has been canonicalised
+        // and folded. Batched, they cost one arena-wide sweep in all.
+        let (mut f, e) = with_entry(vec![Param::new("x", Type::I64), Param::new("p", Type::Ptr)]);
+        let mut b = FunctionBuilder::new(&mut f);
+        b.switch_to(e);
+        let mut acc = Value::Arg(0);
+        for k in 0..32i64 {
+            let i = b.add(Value::imm(0i64), acc);
+            let s = b.add(Value::Arg(0), i);
+            acc = b.sub(s, Value::Arg(0));
+            acc = b.add(acc, Value::imm(k));
+        }
+        b.store(Value::Arg(1), acc);
+        b.ret(None);
+        let mut reference = f.clone();
+        let before = uu_ir::use_sweep_count();
+        assert!(InstSimplify.run(&mut f));
+        assert_eq!(uu_ir::use_sweep_count() - before, 1);
+        assert!(run_per_replacement(&mut reference));
+        assert!(f == reference);
     }
 }

@@ -34,7 +34,7 @@
 use super::Pass;
 use std::collections::HashMap;
 use uu_analysis::{Divergence, DomTree, LoopForest};
-use uu_ir::{BlockId, Function, Inst, InstId, InstKind, Value};
+use uu_ir::{BlockId, EntitySet, Function, Inst, InstId, InstKind, Value};
 
 /// Maximum number of non-terminator instructions per arm. DARM bounds
 /// region size for compile time; we bound it because the LCS table is
@@ -84,12 +84,16 @@ fn meld_driver(f: &mut Function, candidates: &dyn Fn(&Function) -> Vec<BlockId>)
     let mut changed = false;
     loop {
         let div = Divergence::compute(f);
+        // One predecessor map and layout set per round: `try_meld` reads
+        // them only before it mutates, and the round ends on the first meld.
+        let preds = f.predecessors();
+        let linked: EntitySet<BlockId> = f.layout().iter().copied().collect();
         let mut round = false;
         for b in candidates(f) {
-            if !f.is_linked(b) {
+            if !linked.contains(b) {
                 continue;
             }
-            if try_meld(f, b, &div) {
+            if try_meld(f, b, &div, &preds) {
                 round = true;
                 changed = true;
                 break; // CFG changed; recompute analyses and rescan
@@ -227,8 +231,9 @@ fn place_before_terminator(f: &mut Function, b: BlockId, id: InstId) {
     f.block_mut(b).insts.insert(pos, id);
 }
 
-/// Try to meld the diamond branching at `b`. Returns whether it melded.
-fn try_meld(f: &mut Function, b: BlockId, div: &Divergence) -> bool {
+/// Try to meld the diamond branching at `b`, given `f`'s predecessor map.
+/// Returns whether it melded.
+fn try_meld(f: &mut Function, b: BlockId, div: &Divergence, preds: &[Vec<BlockId>]) -> bool {
     let Some(t) = f.terminator(b) else {
         return false;
     };
@@ -245,7 +250,6 @@ fn try_meld(f: &mut Function, b: BlockId, div: &Divergence) -> bool {
     }
     // Diamond shape, as in if-conversion: b → {T, F} → J, J having exactly
     // those two predecessors and each arm belonging to this diamond alone.
-    let preds = f.predecessors();
     let ts = f.successors(if_true);
     let fs = f.successors(if_false);
     let diamond = ts.len() == 1

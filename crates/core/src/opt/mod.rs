@@ -35,7 +35,10 @@ pub mod sccp;
 pub mod simplifycfg;
 
 use uu_analysis::AnalysisCache;
-use uu_ir::Function;
+use uu_ir::{Function, InstId, SecondaryMap, Value};
+
+#[cfg(test)]
+mod rewrite_equivalence;
 
 /// A function-level transformation.
 pub trait Pass {
@@ -122,6 +125,65 @@ impl PassScope {
         f.snapshot_commit();
         self.after(pass, reported, changed, uu_analysis::cost::function_size(f));
         reported
+    }
+}
+
+/// The replacements one pass invocation makes, applied in a single
+/// [`Function::replace_uses_with`] sweep when it ends rather than one
+/// arena-wide sweep per replacement. Until then the pass reads operands
+/// through [`Substitution::resolve`] (or brings an instruction's own up to
+/// date with [`Substitution::refresh`]), which yields exactly what the
+/// per-replacement sweeps would have left in the arena: a replacement's
+/// value is always resolved when it is recorded, so chains only run
+/// forward in time.
+#[derive(Default)]
+pub(crate) struct Substitution {
+    /// Written only by `record`, so an allocated slot means a replacement.
+    to: SecondaryMap<InstId, Option<Value>>,
+}
+
+impl Substitution {
+    /// Record that every use of `id` becomes `v`.
+    pub(crate) fn record(&mut self, id: InstId, v: Value) {
+        self.to.set(id, Some(self.resolve(v)));
+    }
+
+    /// `v` with every recorded replacement applied, chains followed.
+    pub(crate) fn resolve(&self, mut v: Value) -> Value {
+        while let Value::Inst(i) = v {
+            match *self.to.get(i) {
+                Some(to) => v = to,
+                None => break,
+            }
+        }
+        v
+    }
+
+    /// Bring the operands of instruction `id` up to date in place.
+    pub(crate) fn refresh(&self, f: &mut Function, id: InstId) {
+        if self.to.is_empty() {
+            return;
+        }
+        let mut stale = false;
+        f.inst(id).kind.for_each_operand(|v| stale |= self.resolve(*v) != *v);
+        if stale {
+            f.inst_mut(id)
+                .kind
+                .for_each_operand_mut(|v| *v = self.resolve(*v));
+        }
+    }
+
+    /// Apply every recorded replacement to the whole arena in one sweep;
+    /// returns whether there was any.
+    pub(crate) fn apply(&self, f: &mut Function) -> bool {
+        let any = !self.to.is_empty();
+        if any {
+            f.replace_uses_with(|v| match v {
+                Value::Inst(i) if self.to.get(i).is_some() => Some(self.resolve(v)),
+                _ => None,
+            });
+        }
+        any
     }
 }
 

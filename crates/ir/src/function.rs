@@ -3,7 +3,21 @@
 use crate::entities::{BlockId, InstId, Value};
 use crate::inst::{Inst, InstKind};
 use crate::types::Type;
+use std::cell::Cell;
 use std::collections::BTreeMap;
+
+thread_local! {
+    /// Arena-wide use sweeps ([`Function::replace_uses_with`]) on this thread.
+    static USE_SWEEPS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many arena-wide use sweeps ([`Function::replace_uses_with`], and
+/// so [`Function::replace_all_uses`]) this thread has run. Each costs time
+/// linear in the whole instruction arena, so a pass should run at most one
+/// per invocation. Diagnostics only: nothing observable depends on it.
+pub fn use_sweep_count() -> u64 {
+    USE_SWEEPS.with(Cell::get)
+}
 
 /// A formal parameter of a function.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -426,6 +440,7 @@ impl Function {
     /// armed, each slot the sweep rewrites has its pre-image journaled
     /// first, exactly as a mutation through [`Function::inst_mut`] would.
     pub fn replace_uses_with(&mut self, subst: impl Fn(Value) -> Option<Value>) {
+        USE_SWEEPS.with(|c| c.set(c.get() + 1));
         for ix in 0..self.insts.len() {
             // Journal the pre-image before the first in-place rewrite.
             if self.journal.active {

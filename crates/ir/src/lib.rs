@@ -73,11 +73,11 @@ pub mod word;
 pub use builder::FunctionBuilder;
 pub use constant::Constant;
 pub use entities::{BlockId, FuncId, InstId, Value};
-pub use function::{Block, Function, LoopPragma, Param};
+pub use function::{use_sweep_count, Block, Function, LoopPragma, Param};
 pub use hash::{fnv1a, fnv1a_continue, function_fingerprint, module_hash};
 pub use inst::{BinOp, CastOp, FCmpPred, ICmpPred, Inst, InstKind, Intrinsic};
 pub use module::Module;
 pub use parser::{parse_function, parse_module, ParseError};
 pub use table::{EntityKey, EntitySet, SecondaryMap};
 pub use types::Type;
-pub use verify::{verify_function, verify_module, VerifyError};
+pub use verify::{verify_function, verify_function_with, verify_module, VerifyError};

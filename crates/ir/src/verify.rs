@@ -19,7 +19,6 @@ use crate::function::Function;
 use crate::inst::{InstKind, Intrinsic};
 use crate::module::Module;
 use crate::types::Type;
-use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 
@@ -62,9 +61,32 @@ pub fn verify_module(m: &Module) -> Result<(), VerifyError> {
 ///
 /// Returns a [`VerifyError`] describing every violated invariant.
 pub fn verify_function(f: &Function) -> Result<(), VerifyError> {
+    verify(f, None)
+}
+
+/// [`verify_function`] with block dominance answered by `block_dominates(def,
+/// user)` — asked only for a linked `def` and `user != def` — instead of
+/// the verifier's dominator tree: the seam through which tests replay a
+/// reference dominance relation and compare verdicts and messages.
+#[doc(hidden)]
+pub fn verify_function_with(
+    f: &Function,
+    block_dominates: &dyn Fn(BlockId, BlockId) -> bool,
+) -> Result<(), VerifyError> {
+    verify(f, Some(block_dominates))
+}
+
+fn verify(
+    f: &Function,
+    block_dominates: Option<&dyn Fn(BlockId, BlockId) -> bool>,
+) -> Result<(), VerifyError> {
     let mut errs = Vec::new();
     let layout: Vec<BlockId> = f.layout().to_vec();
-    let in_layout: HashSet<BlockId> = layout.iter().copied().collect();
+    let mut in_layout = vec![false; layout.iter().map(|b| b.index() + 1).max().unwrap_or(0)];
+    for &b in &layout {
+        in_layout[b.index()] = true;
+    }
+    let linked = |b: BlockId| in_layout.get(b.index()).copied().unwrap_or(false);
 
     // --- block structure ---
     for &b in &layout {
@@ -92,7 +114,7 @@ pub fn verify_function(f: &Function) -> Result<(), VerifyError> {
             }
         }
         for s in f.successors(b) {
-            if !in_layout.contains(&s) {
+            if !linked(s) {
                 errs.push(format!("{b} branches to unlinked block {s}"));
             }
         }
@@ -138,7 +160,15 @@ pub fn verify_function(f: &Function) -> Result<(), VerifyError> {
     }
 
     // --- SSA dominance ---
-    check_dominance(f, &layout, &preds, &mut errs);
+    match block_dominates {
+        Some(dominates) => check_dominance(f, &layout, dominates, &mut errs),
+        None => {
+            // A use point in an unlinked block is dominated by nothing.
+            let dom = Dominance::new(f, &layout, &preds, &linked);
+            let dominates = |def, user| linked(user) && dom.dominates(def, user);
+            check_dominance(f, &layout, &dominates, &mut errs);
+        }
+    }
 
     if errs.is_empty() {
         Ok(())
@@ -278,73 +308,160 @@ fn check_inst_types(f: &Function, id: InstId, errs: &mut Vec<String>) {
     }
 }
 
-/// Iterative dominator computation local to the verifier (the full analysis
-/// lives in `uu-analysis`; the verifier must stay dependency-free).
-fn compute_dominators(
-    f: &Function,
-    layout: &[BlockId],
-    preds: &[Vec<BlockId>],
-) -> HashMap<BlockId, HashSet<BlockId>> {
-    let all: HashSet<BlockId> = layout.iter().copied().collect();
-    let mut dom: HashMap<BlockId, HashSet<BlockId>> = HashMap::new();
-    let entry = f.entry();
-    for &b in layout {
-        if b == entry {
-            dom.insert(b, [b].into_iter().collect());
-        } else {
-            dom.insert(b, all.clone());
-        }
-    }
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &b in layout {
-            if b == entry {
+/// Block dominance for the SSA check: an immediate-dominator tree
+/// (Cooper–Harvey–Kennedy) over the layout blocks, numbered in preorder
+/// with subtree sizes so that each query is O(1). The full analysis lives
+/// in `uu-analysis`; the verifier must stay dependency-free.
+///
+/// The roots are the entry, whose incoming edges are ignored, and every
+/// other layout block without predecessors; a virtual node above them
+/// makes the forest one tree. A block no root reaches is dominated by
+/// every block.
+struct Dominance {
+    /// Per block index: preorder number in the dominator tree, `u32::MAX`
+    /// for a block no root reaches.
+    pre: Vec<u32>,
+    /// Per block index: size of the block's dominator subtree.
+    size: Vec<u32>,
+}
+
+impl Dominance {
+    const UNREACHED: u32 = u32::MAX;
+
+    fn new(
+        f: &Function,
+        layout: &[BlockId],
+        preds: &[Vec<BlockId>],
+        linked: impl Fn(BlockId) -> bool,
+    ) -> Self {
+        let n = preds.len();
+        let entry = f.entry();
+        let is_root = |b: BlockId| b == entry || preds[b.index()].is_empty();
+        // Reverse post-order from the virtual root (number 0) over linked
+        // edges, none into the entry.
+        let mut seen = vec![false; n];
+        let mut post: Vec<BlockId> = Vec::with_capacity(layout.len());
+        let mut stack: Vec<(BlockId, Vec<BlockId>)> = Vec::new();
+        for &r in layout.iter().filter(|&&b| is_root(b)) {
+            if seen[r.index()] {
                 continue;
             }
-            let mut new: Option<HashSet<BlockId>> = None;
-            for &p in &preds[b.index()] {
-                if !all.contains(&p) {
-                    continue;
+            seen[r.index()] = true;
+            stack.push((r, f.successors(r)));
+            while let Some((b, succs)) = stack.last_mut() {
+                match succs.pop() {
+                    Some(s) => {
+                        if linked(s) && s != entry && !seen[s.index()] {
+                            seen[s.index()] = true;
+                            let next = f.successors(s);
+                            stack.push((s, next));
+                        }
+                    }
+                    None => {
+                        post.push(*b);
+                        stack.pop();
+                    }
                 }
-                let pd = &dom[&p];
-                new = Some(match new {
-                    None => pd.clone(),
-                    Some(acc) => acc.intersection(pd).copied().collect(),
-                });
-            }
-            let mut new = new.unwrap_or_default();
-            new.insert(b);
-            if new != dom[&b] {
-                dom.insert(b, new);
-                changed = true;
             }
         }
+        let mut num = vec![Self::UNREACHED; n];
+        for (i, &b) in post.iter().rev().enumerate() {
+            num[b.index()] = i as u32 + 1;
+        }
+        // idom over RPO numbers; the virtual root is its own.
+        let order: Vec<BlockId> = post.iter().rev().copied().collect();
+        let mut idom = vec![Self::UNREACHED; order.len() + 1];
+        idom[0] = 0;
+        let intersect = |idom: &[u32], mut a: u32, mut b: u32| {
+            while a != b {
+                while a > b {
+                    a = idom[a as usize];
+                }
+                while b > a {
+                    b = idom[b as usize];
+                }
+            }
+            a
+        };
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for (i, &b) in order.iter().enumerate() {
+                let new = if is_root(b) {
+                    0
+                } else {
+                    let mut new = Self::UNREACHED;
+                    for p in &preds[b.index()] {
+                        let pn = num[p.index()];
+                        if pn == Self::UNREACHED || idom[pn as usize] == Self::UNREACHED {
+                            continue;
+                        }
+                        new = if new == Self::UNREACHED {
+                            pn
+                        } else {
+                            intersect(&idom, new, pn)
+                        };
+                    }
+                    new
+                };
+                if idom[i + 1] != new {
+                    idom[i + 1] = new;
+                    changed = true;
+                }
+            }
+        }
+        // Subtree sizes bottom-up, then preorder numbers top-down: every
+        // node's immediate dominator precedes it in RPO.
+        let mut sub = vec![1u32; idom.len()];
+        for i in (1..idom.len()).rev() {
+            sub[idom[i] as usize] += sub[i];
+        }
+        let mut pre_of = vec![0u32; idom.len()];
+        let mut next = vec![0u32; idom.len()];
+        next[0] = 1;
+        for i in 1..idom.len() {
+            let p = idom[i] as usize;
+            pre_of[i] = next[p];
+            next[p] += sub[i];
+            next[i] = pre_of[i] + 1;
+        }
+        let mut pre = vec![Self::UNREACHED; n];
+        let mut size = vec![0u32; n];
+        for (i, b) in order.iter().enumerate() {
+            pre[b.index()] = pre_of[i + 1];
+            size[b.index()] = sub[i + 1];
+        }
+        Dominance { pre, size }
     }
-    dom
+
+    /// Whether block `def` dominates block `user`, both linked and
+    /// distinct.
+    fn dominates(&self, def: BlockId, user: BlockId) -> bool {
+        let (d, u) = (self.pre[def.index()], self.pre[user.index()]);
+        u == Self::UNREACHED
+            || (d != Self::UNREACHED && d <= u && u < d + self.size[def.index()])
+    }
 }
 
 fn check_dominance(
     f: &Function,
     layout: &[BlockId],
-    preds: &[Vec<BlockId>],
+    block_dominates: &dyn Fn(BlockId, BlockId) -> bool,
     errs: &mut Vec<String>,
 ) {
-    let dom = compute_dominators(f, layout, preds);
     // Map each linked instruction to (block, position).
-    let mut pos_of: HashMap<InstId, (BlockId, usize)> = HashMap::new();
+    let mut pos_of: Vec<Option<(BlockId, usize)>> = vec![None; f.num_inst_slots()];
     for &b in layout {
         for (pos, &i) in f.block(b).insts.iter().enumerate() {
-            pos_of.insert(i, (b, pos));
+            pos_of[i.index()] = Some((b, pos));
         }
     }
+    let pos_of = |i: &InstId| pos_of.get(i.index()).copied().flatten();
     let dominates = |def: (BlockId, usize), usepoint: (BlockId, usize)| -> bool {
         if def.0 == usepoint.0 {
             def.1 < usepoint.1
         } else {
-            dom.get(&usepoint.0)
-                .map(|d| d.contains(&def.0))
-                .unwrap_or(false)
+            block_dominates(def.0, usepoint.0)
         }
     };
     for &b in layout {
@@ -353,8 +470,8 @@ fn check_dominance(
             if let InstKind::Phi { incomings } = kind {
                 for (pb, v) in incomings {
                     if let Value::Inst(def) = v {
-                        match pos_of.get(def) {
-                            Some(&dp) => {
+                        match pos_of(def) {
+                            Some(dp) => {
                                 // Use point: end of predecessor block.
                                 let endpos = f.block(*pb).insts.len();
                                 if !dominates(dp, (*pb, endpos)) {
@@ -376,8 +493,8 @@ fn check_dominance(
             } else {
                 kind.for_each_operand(|v| {
                     if let Value::Inst(def) = v {
-                        match pos_of.get(def) {
-                            Some(&dp) => {
+                        match pos_of(def) {
+                            Some(dp) => {
                                 if !dominates(dp, (b, pos)) {
                                     errs.push(format!(
                                         "%{} in {b} uses %{} which does not dominate it",

@@ -5,7 +5,12 @@
 //! slip through. This test re-runs the pipeline stages by hand on all 16
 //! paper kernels and runs the IR verifier after the transform, after every
 //! individual cleanup pass, after baseline unrolling and after
-//! if-conversion, so the first corrupting stage is named directly.
+//! if-conversion, so the first corrupting stage is named directly. Each
+//! verdict is also checked against the verifier's reference dominance
+//! relation, the set-based fixpoint its dominator tree replaced.
+
+#[path = "../../ir/tests/support/fixpoint_dominance.rs"]
+mod fixpoint_dominance;
 
 use uu_core::baseline_unroll::{baseline_unroll, BaselineUnrollOptions};
 use uu_core::heuristic::run_heuristic;
@@ -18,6 +23,7 @@ use uu_ir::{verify_function, Function, Module};
 use uu_kernels::all_benchmarks;
 
 fn verify_stage(kernel: &str, f: &Function, stage: &str) {
+    fixpoint_dominance::assert_verifiers_agree(f, &format!("kernel '{kernel}' after {stage}"));
     verify_function(f).unwrap_or_else(|e| {
         panic!("kernel '{kernel}', function '{}': IR invalid after {stage}: {e}\n{f}", f.name())
     });
