@@ -141,11 +141,14 @@ echo "results-fast (cached-decode, memoised-compile sweep) reproduces byte-ident
 echo "== full report identity: checked-in results/ must reproduce byte-identically =="
 # The same gate over the full sweep (every loop of every application, the
 # in-depth counters and the study) — the committed paper artifacts
-# themselves, not a sample of them.
-rm -rf target/ci/results
-UU_JOBS=1 ./target/release/uu-harness all --out target/ci/results > /dev/null
-diff -r results target/ci/results
-echo "results/ reproduces byte-identically at UU_JOBS=1"
+# themselves, not a sample of them — serially and at two workers, where
+# the measurement plan's two par_map barriers split the work.
+for jobs in 1 2; do
+  rm -rf "target/ci/results-j${jobs}"
+  UU_JOBS="$jobs" ./target/release/uu-harness all --out "target/ci/results-j${jobs}" > /dev/null
+  diff -r results "target/ci/results-j${jobs}"
+done
+echo "results/ reproduces byte-identically at UU_JOBS=1 and 2"
 
 echo "== behavioural fingerprint over the whole compile matrix (release) =="
 # `cargo test` above checked the factor-2 hot-loop subset (an unoptimised

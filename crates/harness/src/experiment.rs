@@ -2,6 +2,7 @@
 //! execute it on the simulated GPU, and collect the paper's three metrics
 //! (kernel time, binary size, compile time) plus hardware counters.
 
+use crate::plan::Key;
 use std::time::Duration;
 use uu_core::{compile, FaultKind, FaultPlan, LoopFilter, PipelineOptions, Rung, Transform};
 use uu_kernels::Benchmark;
@@ -44,7 +45,7 @@ impl Measurement {
 }
 
 /// A loop identified by function name + deterministic per-function index.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LoopRef {
     /// Function name.
     pub func: String,
@@ -110,8 +111,8 @@ impl std::fmt::Display for MeasureError {
 /// the baseline's because the workload never launches them).
 ///
 /// The cacheless, daemonless, fault-free convenience over
-/// [`measure_backed`], for tests and examples; the harness binary passes
-/// its own fault plan and backend to [`measure_backed`].
+/// [`measure_backed`], for tests and examples; the reports measure through
+/// [`crate::plan::Plan`].
 ///
 /// # Errors
 ///
@@ -154,8 +155,7 @@ pub fn workload_tag(bench: &Benchmark, mem_fault: Option<&FaultPlan>) -> String 
 
 /// Where a point's compile half comes from: an optional in-process
 /// content-addressed cache, an optional compile daemon, or (both `None`)
-/// the plain local pipeline. Copyable so the sweep can hand one to every
-/// task without lifetime gymnastics.
+/// the plain local pipeline. Copyable, so every measurement can take one.
 ///
 /// The three sources are interchangeable by construction — the daemon
 /// builds the exact [`PipelineOptions`] the harness does, the cache
@@ -348,12 +348,13 @@ fn compile_remote(
     Some(rc.meta)
 }
 
-/// One unit of per-loop sweep work: apply `transform` to exactly
+/// One per-loop point measured on its own: apply `transform` to exactly
 /// `loop_ref` of `bench` and measure it against the precomputed baseline.
 ///
 /// Tasks share nothing mutable — each builds its own module and simulated
-/// GPU — so a batch of them is safe to fan out across a `uu-par` pool; the
-/// sweep driver does exactly that.
+/// GPU — so a batch of them is safe to fan out across a `uu-par` pool.
+/// The reports measure through [`crate::plan::Plan`] instead, which
+/// applies the same [`settle`] policy to its stored results.
 #[derive(Debug, Clone)]
 pub struct PointTask<'a> {
     /// The benchmark to compile and run.
@@ -383,75 +384,75 @@ pub struct PointTask<'a> {
 
 impl PointTask<'_> {
     /// Compile + execute this point (cold loops reuse the baseline run)
-    /// and check semantic equivalence for hot loops.
-    ///
-    /// Never panics: a simulator trap degrades the point to the baseline's
-    /// numbers (ratio 1.0) with the fault recorded in
-    /// [`Measurement::diag`], and a checksum mismatch — a miscompile —
-    /// is recorded the same way instead of aborting the sweep. Every
-    /// failure path is deterministic, so faulted sweeps stay
-    /// byte-identical at any worker count.
+    /// and [`settle`] the outcome.
     pub fn measure(&self) -> Measurement {
-        let what = format!(
-            "{}/{}/{}",
-            self.bench.info.name, self.loop_ref.func, self.config
-        );
-        let filter = LoopFilter::Only {
-            func: self.loop_ref.func.clone(),
-            loop_id: self.loop_ref.loop_id,
+        let key = Key {
+            bench: self.bench,
+            target: Some(self.loop_ref.clone()),
+            config: self.config,
+            transform: self.transform.clone(),
         };
-        let skip = if self.hot { None } else { Some(self.base) };
-        let mut m = match measure_backed(
-            self.bench,
-            self.transform.clone(),
-            filter,
-            skip,
-            self.fault,
-            Backend {
-                cache: self.cache,
-                remote: self.remote,
-            },
-        ) {
-            Ok(m) => m,
-            Err(e) => {
-                let mut degraded = self.base.clone();
-                degraded.compile_ms = e.compile_ms;
-                degraded.code_size = e.code_size;
-                degraded.timed_out = e.timed_out;
-                degraded.rung = e.rung;
-                degraded.diag = format!("{what}: {e}");
-                return degraded;
-            }
+        let backend = Backend {
+            cache: self.cache,
+            remote: self.remote,
         };
-        if self.hot {
-            if let Some(d) = equivalence_diag(self.base, &m, &what) {
-                if m.diag.is_empty() {
-                    m.diag = d;
-                } else {
-                    m.diag = format!("{}; {d}", m.diag);
-                }
-            }
-        }
-        m
+        let raw = key.measure((!self.hot).then_some(self.base), self.fault, backend);
+        settle(self.base, self.hot, &key.what(), raw)
     }
+}
+
+/// The per-loop point policy of the sweep and the study, applied to the
+/// outcome `raw` of the point `what` against its application's `base`.
+///
+/// Never panics: a simulator trap degrades the point to the baseline's
+/// numbers (ratio 1.0) with the fault recorded in [`Measurement::diag`],
+/// and on a hot loop a checksum mismatch — a miscompile — is recorded the
+/// same way. Every failure path is deterministic, so faulted sweeps stay
+/// byte-identical at any worker count.
+pub(crate) fn settle(
+    base: &Measurement,
+    hot: bool,
+    what: &str,
+    raw: Result<Measurement, MeasureError>,
+) -> Measurement {
+    let mut m = match raw {
+        Ok(m) => m,
+        Err(e) => {
+            let mut degraded = base.clone();
+            degraded.compile_ms = e.compile_ms;
+            degraded.code_size = e.code_size;
+            degraded.timed_out = e.timed_out;
+            degraded.rung = e.rung;
+            degraded.diag = format!("{what}: {e}");
+            return degraded;
+        }
+    };
+    if hot {
+        if let Some(d) = equivalence_diag(base, &m, what) {
+            append_diag(&mut m.diag, &d);
+        }
+    }
+    m
+}
+
+/// Append the diagnostic `d`, if any, to `diag`, `; `-separated.
+pub(crate) fn append_diag(diag: &mut String, d: &str) {
+    if !diag.is_empty() && !d.is_empty() {
+        diag.push_str("; ");
+    }
+    diag.push_str(d);
 }
 
 /// The per-loop sweep configurations of the paper's Figures 6–8.
 pub fn sweep_configs() -> Vec<(&'static str, Transform)> {
-    use uu_core::UnmergeOptions;
+    let uu = |factor| Transform::Uu {
+        factor,
+        unmerge: uu_core::UnmergeOptions::default(),
+    };
     vec![
-        ("uu2", Transform::Uu {
-            factor: 2,
-            unmerge: UnmergeOptions::default(),
-        }),
-        ("uu4", Transform::Uu {
-            factor: 4,
-            unmerge: UnmergeOptions::default(),
-        }),
-        ("uu8", Transform::Uu {
-            factor: 8,
-            unmerge: UnmergeOptions::default(),
-        }),
+        ("uu2", uu(2)),
+        ("uu4", uu(4)),
+        ("uu8", uu(8)),
         ("unroll2", Transform::Unroll { factor: 2 }),
         ("unroll4", Transform::Unroll { factor: 4 }),
         ("unroll8", Transform::Unroll { factor: 8 }),

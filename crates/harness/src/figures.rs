@@ -1,5 +1,6 @@
 //! Regeneration of the paper's Table I and Figures 6–8 from a [`Sweep`].
 
+use crate::experiment::LoopRef;
 use crate::report::{ascii_table, bar, write_csv, write_text};
 use crate::stats::{geomean, noisy_runs, rsd_pct};
 use crate::sweep::Sweep;
@@ -203,35 +204,16 @@ pub fn fig7(sweep: &Sweep, out: &Path) -> io::Result<()> {
 pub fn fig8(sweep: &Sweep, out: &Path) -> io::Result<()> {
     let mut a = Vec::new();
     let mut b = Vec::new();
-    // Index once: (app, func, loop, config) → speedup (the sweep has one
-    // point per key; a linear scan per point would be quadratic).
-    let index: std::collections::HashMap<(&str, &str, usize, &str), f64> = sweep
+    // Index once: (app, loop, config) → speedup (the sweep has one point
+    // per key; a linear scan per point would be quadratic).
+    let index: std::collections::HashMap<(&str, &LoopRef, &str), f64> = sweep
         .points
         .iter()
-        .map(|p| {
-            (
-                (
-                    p.app.as_str(),
-                    p.loop_ref.func.as_str(),
-                    p.loop_ref.loop_id,
-                    p.config.as_str(),
-                ),
-                p.speedup,
-            )
-        })
+        .map(|p| ((p.app.as_str(), &p.loop_ref, p.config.as_str()), p.speedup))
         .collect();
     for factor in ["2", "4", "8"] {
         for p in sweep.points.iter().filter(|p| p.config == format!("uu{factor}")) {
-            let partner = |cfg: &str| {
-                index
-                    .get(&(
-                        p.app.as_str(),
-                        p.loop_ref.func.as_str(),
-                        p.loop_ref.loop_id,
-                        cfg,
-                    ))
-                    .copied()
-            };
+            let partner = |cfg: &str| index.get(&(p.app.as_str(), &p.loop_ref, cfg)).copied();
             if let Some(u) = partner(&format!("unroll{factor}")) {
                 a.push(format!(
                     "{},{},{},{},{:.6},{:.6}",

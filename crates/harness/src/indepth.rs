@@ -1,11 +1,12 @@
 //! §V in-depth analysis: hardware-counter deltas for XSBench, rainflow and
 //! complex — the paper's explanation of *why* u&u wins or loses.
 
-use crate::experiment::{equivalence_diag, measure_backed, Backend, Measurement};
+use crate::experiment::{equivalence_diag, sweep_configs, LoopRef, Measurement};
+use crate::plan::{Key, Points};
 use crate::report::{ascii_table, write_text};
 use std::path::Path;
-use uu_core::{FaultPlan, LoopFilter, Transform, UnmergeOptions};
-use uu_kernels::{all_benchmarks, Benchmark};
+use uu_core::Transform;
+use uu_kernels::Benchmark;
 
 /// One counter-comparison case.
 #[derive(Debug, Clone)]
@@ -20,77 +21,63 @@ pub struct CounterCase {
     pub uu: Measurement,
 }
 
-fn bench(name: &str) -> Benchmark {
-    all_benchmarks()
-        .into_iter()
-        .find(|b| b.info.name == name)
-        .unwrap_or_else(|| panic!("unknown benchmark {name}"))
+/// The paper's §V cases: application, hot function and u&u factor.
+const CASES: [(&str, &str, u32); 3] = [
+    ("XSBench", "xs_lookup", 8),
+    ("rainflow", "rainflow_scan", 4),
+    ("complex", "complex_pow", 8),
+];
+
+/// The §V keys: loop 0 of each case's hot function under the sweep's own
+/// `uu<factor>` configuration, so they are sweep keys too. `benches` must
+/// hold XSBench, rainflow and complex.
+///
+/// # Panics
+///
+/// Panics if one of the three applications is missing from `benches`.
+pub fn keys(benches: &[Benchmark]) -> Vec<Key<'_>> {
+    CASES
+        .iter()
+        .map(|&(app, func, factor)| {
+            let bench = benches
+                .iter()
+                .find(|b| b.info.name == app)
+                .unwrap_or_else(|| panic!("§V needs {app}"));
+            let (config, transform) = sweep_configs()
+                .into_iter()
+                .find(|(c, _)| *c == format!("uu{factor}"))
+                .expect("every §V factor is a sweep configuration");
+            let target = Some(LoopRef { func: func.to_string(), loop_id: 0 });
+            Key { bench, target, config, transform }
+        })
+        .collect()
 }
 
-/// Collect the three §V cases: XSBench @8, rainflow @4, complex @8.
-///
-/// The cases are independent (each builds its own module and GPU), so
-/// they fan out across `jobs` workers; `uu-par`'s ordered merge keeps the
-/// report order fixed. Every point is measured under `fault` through
-/// `backend`, like the sweep's. A case whose measurement faults (or whose
-/// checksums diverge — a miscompile) is dropped with a diagnostic on
-/// stderr rather than aborting the run; the report renders the survivors.
-pub fn collect(jobs: usize, fault: Option<FaultPlan>, backend: Backend<'_>) -> Vec<CounterCase> {
-    let cases = [
-        ("XSBench", "xs_lookup", 8u32),
-        ("rainflow", "rainflow_scan", 4),
-        ("complex", "complex_pow", 8),
-    ];
-    uu_par::par_map(jobs, &cases, |_, (app, func, factor)| {
-        let b = bench(app);
-        let base = match measure_backed(
-            &b,
-            Transform::Baseline,
-            LoopFilter::All,
-            None,
-            fault,
-            backend,
-        ) {
-            Ok(m) => m,
-            Err(e) => {
-                eprintln!("indepth: {app} baseline failed: {e}");
-                return None;
-            }
-        };
-        let uu = match measure_backed(
-            &b,
-            Transform::Uu {
-                factor: *factor,
-                unmerge: UnmergeOptions::default(),
-            },
-            LoopFilter::Only {
-                func: (*func).to_string(),
-                loop_id: 0,
-            },
-            None,
-            fault,
-            backend,
-        ) {
-            Ok(m) => m,
-            Err(e) => {
-                eprintln!("indepth: {app} u&u failed: {e}");
-                return None;
-            }
-        };
-        if let Some(d) = equivalence_diag(&base, &uu, app) {
-            eprintln!("indepth: {d}");
-            return None;
+/// The §V cases as a view over measured `points`. A case whose baseline
+/// or u&u point faulted, or whose checksums diverge (a miscompile), is
+/// dropped with a line on stderr; the report renders the survivors.
+pub fn view(points: &Points, keys: &[Key<'_>]) -> Vec<CounterCase> {
+    let case = |k: &Key<'_>| -> Result<CounterCase, String> {
+        let app = k.bench.info.name;
+        let base = points.get(&Key::baseline(k.bench));
+        let base = base.as_ref().map_err(|e| format!("{app} baseline failed: {e}"))?;
+        let uu = points.get(k).as_ref().map_err(|e| format!("{app} u&u failed: {e}"))?;
+        if let Some(d) = equivalence_diag(base, uu, app) {
+            return Err(d);
         }
-        Some(CounterCase {
-            app: (*app).to_string(),
-            factor: *factor,
-            base,
-            uu,
+        let Transform::Uu { factor, .. } = k.transform else {
+            panic!("{app}/{}: §V keys are u&u points", k.config)
+        };
+        Ok(CounterCase {
+            app: app.to_string(),
+            factor,
+            base: base.clone(),
+            uu: uu.clone(),
         })
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    };
+    keys.iter()
+        .filter_map(|k| case(k).map_err(|e| eprintln!("indepth: {e}")).ok())
+        .collect()
 }
 
 /// Emit `indepth.txt`: counter tables in the style of the paper's §V.
@@ -153,10 +140,15 @@ fn row(name: &str, base: f64, uu: f64) -> Vec<String> {
 mod tests {
     use super::*;
     use crate::experiment::{measure, measure_baseline};
+    use uu_core::{LoopFilter, UnmergeOptions};
+    use uu_kernels::all_benchmarks;
 
     #[test]
     fn xsbench_case_shows_misc_reduction_and_divergence() {
-        let b = bench("XSBench");
+        let b = all_benchmarks()
+            .into_iter()
+            .find(|b| b.info.name == "XSBench")
+            .unwrap();
         let base = measure_baseline(&b).unwrap();
         let uu = measure(
             &b,

@@ -16,8 +16,9 @@
 //! * speedup uses the **sum of kernel times**; `%C` weighs kernels against
 //!   a PCIe transfer model;
 //! * every transformed binary's output **checksum must equal the
-//!   baseline's** — a mismatch aborts the run (a speedup from a miscompile
-//!   is not a speedup).
+//!   baseline's** — a mismatch is recorded as a `MISCOMPILE …` diagnostic
+//!   on the point (the sweep's are listed in `faults.txt`, the study's in
+//!   `fig9.csv`, and a §V case is dropped), never reported as a speedup.
 //!
 //! Run `cargo run --release -p uu-harness -- all` to regenerate everything
 //! into `results/`. Beyond the paper's own evaluation, the [`study`]
@@ -30,6 +31,7 @@
 pub mod experiment;
 pub mod figures;
 pub mod indepth;
+pub mod plan;
 pub mod report;
 pub mod stats;
 pub mod study;

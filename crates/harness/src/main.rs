@@ -24,6 +24,7 @@
 
 use std::path::{Path, PathBuf};
 use uu_core::FaultPlan;
+use uu_harness::plan::Plan;
 use uu_harness::{figures, indepth, study, sweep};
 use uu_kernels::{all_benchmarks, Benchmark};
 use uu_serve::{CompileCache, Remote, ServeFaultPlan, ServeOptions};
@@ -349,7 +350,9 @@ fn open_cache(dir: &Path) -> Option<CompileCache> {
 
 /// Regenerate the reports `cmd` names into `out`, then print the caches'
 /// stats and the headline tables. One artifact cache, daemon handle, fault
-/// plan and worker count, built from `env`, serve every report command.
+/// plan and worker count, built from `env`, serve every report command,
+/// and one measurement plan holds every key the command's reports ask for:
+/// `all` measures each point the sweep, the study and §V share once.
 fn report(cmd: &str, benches: &[Benchmark], fast: bool, out: &Path, env: &Env) {
     let cache = env.cache_dir.as_deref().and_then(open_cache);
     let remote = env.serve_socket.as_ref().map(Remote::new);
@@ -357,73 +360,74 @@ fn report(cmd: &str, benches: &[Benchmark], fast: bool, out: &Path, env: &Env) {
         cache: cache.as_ref(),
         remote: remote.as_ref(),
     };
-    let (fault, jobs) = (env.fault, env.jobs);
-    let study = || {
-        eprintln!(
-            "running three-way unmerge/meld study over {} benchmark(s)...",
-            benches.len()
-        );
-        study::run_study_backed(benches, jobs, fault, backend)
+    let sweep_on = !matches!(cmd, "study" | "fig9" | "table2" | "indepth");
+    let study_on = matches!(cmd, "all" | "study" | "fig9" | "table2");
+    let sweep_keys = if sweep_on { sweep::keys(benches, fast) } else { Vec::new() };
+    let study_keys = if study_on { study::keys(benches) } else { Vec::new() };
+    // The in-depth cases are fixed, so `--bench` cannot narrow them.
+    let every = all_benchmarks();
+    let case_keys = match cmd {
+        "all" | "indepth" => indepth::keys(&every),
+        _ => Vec::new(),
     };
-    let (emitted, shown): (std::io::Result<()>, &[&str]) = match cmd {
-        "indepth" => {
-            let cases = indepth::collect(jobs, fault, backend);
-            (indepth::report(&cases, out), &["indepth.txt"])
-        }
-        // The three-way unmerge/meld study (hot loops only; identical in
-        // fast and full runs, byte-identical at any UU_JOBS).
-        "study" | "fig9" | "table2" => {
-            let st = study();
-            let emitted = figures::fig9(&st, out).and_then(|()| figures::table2(&st, out));
-            (emitted, &["table2.txt"])
-        }
-        _ => {
-            eprintln!(
-                "running sweep over {} benchmark(s){}{}{} ...",
-                benches.len(),
-                if fast { " (fast)" } else { "" },
-                if cache.is_some() { " [cached]" } else { "" },
-                if remote.is_some() { " [daemon]" } else { "" }
-            );
-            let s = sweep::run_sweep_backed(benches, fast, jobs, fault, backend);
-            let emitted = (|| -> std::io::Result<()> {
-                match cmd {
-                    "table1" => figures::table1(&s, out, benches)?,
-                    "fig6" | "fig6a" | "fig6b" | "fig6c" => figures::fig6(&s, out)?,
-                    "fig7" => figures::fig7(&s, out)?,
-                    "fig8" | "fig8a" | "fig8b" => figures::fig8(&s, out)?,
-                    _ => {
-                        figures::table1(&s, out, benches)?;
-                        figures::fig6(&s, out)?;
-                        figures::fig7(&s, out)?;
-                        figures::fig8(&s, out)?;
-                        let cases = indepth::collect(jobs, fault, backend);
-                        indepth::report(&cases, out)?;
-                        let st = study();
-                        figures::fig9(&st, out)?;
-                        figures::table2(&st, out)?;
-                    }
+    let mut plan = Plan::new(env.jobs, env.fault, backend);
+    for keys in [&sweep_keys, &study_keys, &case_keys] {
+        plan.add(keys);
+    }
+    eprintln!(
+        "measuring {} points{}{}{} ...",
+        plan.keys().len(),
+        if fast { " (fast)" } else { "" },
+        if cache.is_some() { " [cached]" } else { "" },
+        if remote.is_some() { " [daemon]" } else { "" }
+    );
+    let summary = plan.summary();
+    let points = plan.run();
+    let emitted = (|| -> std::io::Result<()> {
+        if sweep_on {
+            let s = sweep::view(&points, &sweep_keys);
+            match cmd {
+                "table1" => figures::table1(&s, out, benches)?,
+                "fig6" | "fig6a" | "fig6b" | "fig6c" => figures::fig6(&s, out)?,
+                "fig7" => figures::fig7(&s, out)?,
+                "fig8" | "fig8a" | "fig8b" => figures::fig8(&s, out)?,
+                _ => {
+                    figures::table1(&s, out, benches)?;
+                    figures::fig6(&s, out)?;
+                    figures::fig7(&s, out)?;
+                    figures::fig8(&s, out)?;
                 }
-                // Every sweep-based command also emits the fault report,
-                // so a faulted run is diagnosable from the results dir.
-                figures::faults(&s, out)
-            })();
-            let shown: &[&str] = match cmd {
-                "all" => &["table1.txt", "fig7.txt"],
-                "table1" => &["table1.txt"],
-                "fig7" => &["fig7.txt"],
-                _ => &[],
-            };
-            (emitted, shown)
+            }
+            // Every sweep-based command also emits the fault report, so a
+            // faulted run is diagnosable from the results dir.
+            figures::faults(&s, out)?;
         }
-    };
+        if !case_keys.is_empty() {
+            indepth::report(&indepth::view(&points, &case_keys), out)?;
+        }
+        if study_on {
+            let st = study::view(&points, &study_keys);
+            figures::fig9(&st, out)?;
+            figures::table2(&st, out)?;
+        }
+        Ok(())
+    })();
     if let Err(e) = emitted {
         eprintln!("could not write results to {}: {e}", out.display());
         std::process::exit(1);
     }
     eprintln!("wrote results to {}", out.display());
-    report_cache(cache.as_ref(), jobs);
+    eprintln!("{summary}");
+    report_cache(cache.as_ref(), env.jobs);
     // Print the headline tables to stdout for quick inspection.
+    let shown: &[&str] = match cmd {
+        "all" => &["table1.txt", "fig7.txt"],
+        "table1" => &["table1.txt"],
+        "fig7" => &["fig7.txt"],
+        "indepth" => &["indepth.txt"],
+        "study" | "fig9" | "table2" => &["table2.txt"],
+        _ => &[],
+    };
     for name in shown {
         if let Ok(t) = std::fs::read_to_string(out.join(name)) {
             println!("{t}");

@@ -14,47 +14,33 @@
 //! Only hot loops are measured: a cold loop's kernel never launches, so all
 //! three legs provably tie at 1.0 and would only pad the report. Because
 //! hot loops are never subsampled, the study's output is identical in
-//! `--fast` and full runs, and — like the sweep — byte-identical at any
-//! `UU_JOBS` worker count: the task list fixes the output order up front
-//! and every point's noise seed keys on the point, not on scheduling.
+//! `--fast` and full runs.
+//!
+//! The study is a [`view`] over the measurement plan ([`crate::plan`]).
+//! Its `uu<k>` keys are the sweep's own, so `uu-harness all` measures them
+//! once for both reports, with the same numbers in each.
 //!
 //! Rendered as `fig9` (per-point data + per-app summary) and `table2`
 //! (per-loop verdicts) by [`crate::figures`].
 
-use crate::experiment::{loop_list, Backend, LoopRef, PointTask};
-use crate::sweep::{baseline_or_sentinel, loop_point, LoopPoint};
+use crate::experiment::{loop_list, sweep_configs, Backend, LoopRef};
+use crate::plan::{Key, Plan, Points};
+use crate::sweep::{loop_point, LoopPoint};
 use uu_core::{FaultPlan, Transform, UnmergeOptions};
 use uu_kernels::Benchmark;
 
-/// The study's measurement configurations, in report order.
+/// The study's measurement configurations, in report order: the sweep's
+/// own `uu<k>` legs, meld alone, and each `uu<k>` followed by meld.
 pub fn study_configs() -> Vec<(&'static str, Transform)> {
-    vec![
-        ("uu2", Transform::Uu {
-            factor: 2,
-            unmerge: UnmergeOptions::default(),
-        }),
-        ("uu4", Transform::Uu {
-            factor: 4,
-            unmerge: UnmergeOptions::default(),
-        }),
-        ("uu8", Transform::Uu {
-            factor: 8,
-            unmerge: UnmergeOptions::default(),
-        }),
-        ("meld", Transform::Meld),
-        ("uu2+meld", Transform::UuMeld {
-            factor: 2,
-            unmerge: UnmergeOptions::default(),
-        }),
-        ("uu4+meld", Transform::UuMeld {
-            factor: 4,
-            unmerge: UnmergeOptions::default(),
-        }),
-        ("uu8+meld", Transform::UuMeld {
-            factor: 8,
-            unmerge: UnmergeOptions::default(),
-        }),
-    ]
+    let uu_meld = |factor| Transform::UuMeld {
+        factor,
+        unmerge: UnmergeOptions::default(),
+    };
+    let uu = sweep_configs().into_iter().filter(|(c, _)| c.starts_with("uu"));
+    let mut configs: Vec<_> = uu.collect();
+    configs.push(("meld", Transform::Meld));
+    configs.extend([("uu2+meld", uu_meld(2)), ("uu4+meld", uu_meld(4)), ("uu8+meld", uu_meld(8))]);
+    configs
 }
 
 /// The study output: one [`LoopPoint`] per (app, hot loop, configuration).
@@ -64,49 +50,45 @@ pub struct Study {
     pub points: Vec<LoopPoint>,
 }
 
-/// Run the three-way study on `jobs` workers with an explicit fault plan,
-/// through `backend`; see [`crate::sweep::run_sweep_backed`] for the
-/// contract (the backend changes wall time, never report bytes). The
-/// artifact cache is shared with the sweep: the study's `uu2`/`uu4`/`uu8`
-/// legs hit the very artifacts the sweep produced for the same loops, and
-/// warm reruns skip compile and simulation alike.
+/// The study's keys: every hot loop of `benches` under every
+/// [`study_configs`] configuration, in (bench, loop, config) order.
+pub fn keys(benches: &[Benchmark]) -> Vec<Key<'_>> {
+    let mut keys = Vec::new();
+    for bench in benches {
+        for l in loop_list(bench) {
+            if !bench.info.hot_kernels.contains(&l.func.as_str()) {
+                continue;
+            }
+            for (config, transform) in study_configs() {
+                let target = Some(l.clone());
+                keys.push(Key { bench, target, config, transform });
+            }
+        }
+    }
+    keys
+}
+
+/// The study as a view over measured `points`: one [`LoopPoint`] per key.
+pub fn view(points: &Points, keys: &[Key<'_>]) -> Study {
+    Study {
+        points: keys.iter().map(|k| loop_point(points, k)).collect(),
+    }
+}
+
+/// Run the three-way study: a [`view`] over a plan of the study's own
+/// [`keys`], with [`crate::sweep::run_sweep_backed`]'s contract. The
+/// artifact cache is shared with the sweep, so the study's `uu<k>` legs hit
+/// the artifacts the sweep stored for the same loops.
 pub fn run_study_backed(
     benches: &[Benchmark],
     jobs: usize,
     fault: Option<FaultPlan>,
     backend: Backend<'_>,
 ) -> Study {
-    // Phase 1: per-application baselines (the denominator of every
-    // speedup).
-    let bases = uu_par::par_map(jobs, benches, |_, bench| {
-        eprintln!("  study baseline {}...", bench.info.name);
-        baseline_or_sentinel(bench, fault, backend)
-    });
-
-    // Phase 2: flat (bench, hot loop, config) task list, fanned out.
-    let mut tasks: Vec<PointTask<'_>> = Vec::new();
-    for (bench, base) in benches.iter().zip(&bases) {
-        for l in loop_list(bench) {
-            if !bench.info.hot_kernels.contains(&l.func.as_str()) {
-                continue;
-            }
-            for (cname, transform) in study_configs() {
-                tasks.push(PointTask {
-                    bench,
-                    base,
-                    loop_ref: l.clone(),
-                    hot: true,
-                    config: cname,
-                    transform,
-                    fault,
-                    cache: backend.cache,
-                    remote: backend.remote,
-                });
-            }
-        }
-    }
-    let points = uu_par::par_map(jobs, &tasks, |_, t| loop_point(t));
-    Study { points }
+    let keys = keys(benches);
+    let mut plan = Plan::new(jobs, fault, backend);
+    plan.add(&keys);
+    view(&plan.run(), &keys)
 }
 
 /// Per-loop verdict of the three-way comparison.

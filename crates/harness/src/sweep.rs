@@ -6,13 +6,13 @@
 //! baseline median.
 
 use crate::experiment::{
-    equivalence_diag, loop_list, measure_backed, sweep_configs, Backend, LoopRef, Measurement,
-    PointTask,
+    append_diag, equivalence_diag, loop_list, settle, sweep_configs, Backend, LoopRef, Measurement,
 };
+use crate::plan::{Key, Plan, Points};
 use crate::stats::median_of_20;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use uu_core::{FaultPlan, HeuristicOptions, LoopFilter, Rung, Transform};
+use uu_core::{FaultPlan, HeuristicOptions, Rung, Transform};
 use uu_kernels::Benchmark;
 
 /// Stand-in for the frontend + backend compile time that our pipeline does
@@ -105,30 +105,6 @@ pub(crate) fn seed_for(app: &str, l: &LoopRef, config: &str) -> u64 {
     h.finish()
 }
 
-/// The application's baseline, which every other number is ratioed
-/// against and so must exist even when the baseline run itself faults
-/// (e.g. an injected memory fault): a sentinel with unit time keeps every
-/// downstream ratio finite and the report renderable, with the fault
-/// recorded in `diag`.
-pub(crate) fn baseline_or_sentinel(
-    bench: &Benchmark,
-    fault: Option<FaultPlan>,
-    backend: Backend<'_>,
-) -> Measurement {
-    measure_backed(bench, Transform::Baseline, LoopFilter::All, None, fault, backend)
-        .unwrap_or_else(|e| Measurement {
-            time_ms: 1.0,
-            code_size: 1,
-            compile_ms: 0.0,
-            checksum: 0.0,
-            timed_out: false,
-            metrics: Default::default(),
-            transfer_ms: 0.0,
-            rung: Rung::Unoptimized,
-            diag: format!("{}/baseline: {e}", bench.info.name),
-        })
-}
-
 /// Median-of-20 noisy baseline time: the numerator of every speedup of
 /// `bench`, in the sweep and the study alike.
 fn baseline_median(bench: &Benchmark, base: &Measurement) -> f64 {
@@ -140,54 +116,114 @@ fn baseline_median(bench: &Benchmark, base: &Measurement) -> f64 {
     )
 }
 
-/// Measure one per-loop task and ratio it against its baseline. The
-/// noise seed keys on the point, so a configuration the sweep and the
-/// study share (e.g. `uu2`) gets the same numbers in both reports.
-pub(crate) fn loop_point(t: &PointTask<'_>) -> LoopPoint {
-    let m = t.measure();
-    let info = &t.bench.info;
+/// The [`LoopPoint`] of the loop key `k`: its outcome [`settle`]d and
+/// ratioed against the baseline. The noise seed keys on the point, so a
+/// configuration the sweep and the study share (e.g. `uu2`) gets the same
+/// numbers in both reports.
+pub(crate) fn loop_point(points: &Points, k: &Key<'_>) -> LoopPoint {
+    let Some(loop_ref) = &k.target else {
+        panic!("{}: not a loop key", k.what())
+    };
+    let (info, base) = (&k.bench.info, points.base(k.bench));
+    let m = settle(base, k.hot(), &k.what(), points.get(k).clone());
     let med = median_of_20(
         m.time_ms,
         info.paper_rsd_pct,
-        seed_for(info.name, &t.loop_ref, t.config),
+        seed_for(info.name, loop_ref, k.config),
     );
     let rest = info.binary_rest_size as f64;
     LoopPoint {
         app: info.name.to_string(),
-        loop_ref: t.loop_ref.clone(),
-        hot: t.hot,
-        config: t.config.to_string(),
-        speedup: baseline_median(t.bench, t.base) / med,
-        size_ratio: (rest + m.code_size as f64) / (rest + t.base.code_size as f64),
-        compile_ratio: (FRONTEND_MS + m.compile_ms) / (FRONTEND_MS + t.base.compile_ms),
+        loop_ref: loop_ref.clone(),
+        hot: k.hot(),
+        config: k.config.to_string(),
+        speedup: baseline_median(k.bench, base) / med,
+        size_ratio: (rest + m.code_size as f64) / (rest + base.code_size as f64),
+        compile_ratio: (FRONTEND_MS + m.compile_ms) / (FRONTEND_MS + base.compile_ms),
         timed_out: m.timed_out,
         rung: m.rung,
         diag: m.diag,
     }
 }
 
-/// Run the per-loop sweep for `benches` on `jobs` workers, with an
-/// explicit fault-injection plan, through `backend` — cache, compile
-/// daemon, both or neither. With a daemon, every nameable compile is
-/// shipped to it (sharing its cross-process artifact cache); anything the
-/// daemon cannot serve — and every simulation — runs locally. The backend
-/// is a pure wall-time lever: sweep bytes are identical across cacheless,
-/// cached, and daemon-backed runs.
-///
-/// `fast` restricts cold loops to three per application (hot loops are
-/// always measured) — used by tests and `--fast`; the real figures use
-/// the full population.
-///
-/// The product space is embarrassingly parallel and is walked in two
-/// fan-out phases: per-application baselines + heuristic runs first, then
-/// the flat (application, loop, configuration) point list. Every point is
-/// an isolated compile + simulate with its own noise-model seed
-/// ([`seed_for`] keys on the point, not on execution order), and `uu-par`
-/// merges results in input order, so the returned [`Sweep`] — and every
-/// report derived from it — is byte-identical at any worker count;
-/// `jobs = 1` runs the exact serial loop. Fault containment keeps this
-/// property: every degradation decision is a pure function of the point,
-/// never of scheduling.
+/// The sweep's keys, per application: its heuristic, then its (loop,
+/// configuration) product in loop → config order. `fast` keeps three cold
+/// loops per application (hot loops are always measured) — used by tests
+/// and `--fast`; the real figures use the full population.
+pub fn keys(benches: &[Benchmark], fast: bool) -> Vec<Key<'_>> {
+    let mut keys = Vec::new();
+    for bench in benches {
+        let transform = Transform::UuHeuristic(HeuristicOptions::default());
+        keys.push(Key { bench, target: None, config: "heuristic", transform });
+        let mut cold_seen = 0usize;
+        for l in loop_list(bench) {
+            if !bench.info.hot_kernels.contains(&l.func.as_str()) {
+                cold_seen += 1;
+                if fast && cold_seen > 3 {
+                    continue;
+                }
+            }
+            for (config, transform) in sweep_configs() {
+                let target = Some(l.clone());
+                keys.push(Key { bench, target, config, transform });
+            }
+        }
+    }
+    keys
+}
+
+/// The sweep as a view over measured `points`: an [`AppSummary`] per
+/// heuristic key and a [`LoopPoint`] per loop key of `keys`, in order.
+pub fn view(points: &Points, keys: &[Key<'_>]) -> Sweep {
+    let (apps, loops): (Vec<&Key<'_>>, Vec<&Key<'_>>) =
+        keys.iter().partition(|k| k.target.is_none());
+    Sweep {
+        points: loops.into_iter().map(|k| loop_point(points, k)).collect(),
+        apps: apps.into_iter().map(|k| summary(points, k)).collect(),
+    }
+}
+
+/// The heuristic key `k`'s [`AppSummary`]. A faulted heuristic degrades
+/// to a diagnosed copy of the baseline, and a checksum mismatch against
+/// the baseline is recorded, never reported as a speedup.
+fn summary(points: &Points, k: &Key<'_>) -> AppSummary {
+    let (bench, app) = (k.bench, k.bench.info.name);
+    let base = points.base(bench);
+    let mut heur = points.get(k).clone().unwrap_or_else(|e| {
+        let mut h = base.clone();
+        h.rung = e.rung;
+        h.diag = format!("{}: {e}", k.what());
+        h
+    });
+    if let Some(d) = equivalence_diag(base, &heur, &format!("{app} heuristic")) {
+        append_diag(&mut heur.diag, &d);
+    }
+    let heuristic_med = median_of_20(
+        heur.time_ms,
+        bench.info.paper_rsd_pct,
+        seed_for(app, &LoopRef { func: "heuristic".into(), loop_id: 0 }, "heur"),
+    );
+    let mut diag = base.diag.clone();
+    append_diag(&mut diag, &heur.diag);
+    AppSummary {
+        app: app.to_string(),
+        baseline: base.clone(),
+        heuristic: heur,
+        baseline_med: baseline_median(bench, base),
+        heuristic_med,
+        rsd: bench.info.paper_rsd_pct,
+        rest_size: bench.info.binary_rest_size,
+        diag,
+    }
+}
+
+/// Run the per-loop sweep for `benches` on `jobs` workers under `fault`,
+/// through `backend` (cache, compile daemon, both or neither): a [`view`]
+/// over a plan of the sweep's own [`keys`]. The backend changes wall time,
+/// never bytes, and so does `jobs`: every point is an isolated compile +
+/// simulate with its own noise-model seed ([`seed_for`] keys on the point,
+/// not on execution order), and every degradation decision is a pure
+/// function of the point.
 pub fn run_sweep_backed(
     benches: &[Benchmark],
     fast: bool,
@@ -195,93 +231,10 @@ pub fn run_sweep_backed(
     fault: Option<FaultPlan>,
     backend: Backend<'_>,
 ) -> Sweep {
-    // Phase 1: per-application baseline + whole-app heuristic. A faulted
-    // baseline or heuristic degrades to a diagnosed sentinel instead of
-    // aborting the sweep.
-    let apps_and_bases: Vec<(AppSummary, Measurement)> =
-        uu_par::par_map(jobs, benches, |_, bench| {
-            let app = bench.info.name.to_string();
-            eprintln!("  sweeping {app} ({} loops)...", bench.info.table_loops);
-            let base = baseline_or_sentinel(bench, fault, backend);
-            let mut heur = measure_backed(
-                bench,
-                Transform::UuHeuristic(HeuristicOptions::default()),
-                LoopFilter::All,
-                None,
-                fault,
-                backend,
-            )
-            .unwrap_or_else(|e| {
-                let mut h = base.clone();
-                h.rung = e.rung;
-                h.diag = format!("{app}/heuristic: {e}");
-                h
-            });
-            if let Some(d) = equivalence_diag(&base, &heur, &format!("{app} heuristic")) {
-                heur.diag = if heur.diag.is_empty() {
-                    d
-                } else {
-                    format!("{}; {d}", heur.diag)
-                };
-            }
-            let heuristic_med = median_of_20(
-                heur.time_ms,
-                bench.info.paper_rsd_pct,
-                seed_for(&app, &LoopRef { func: "heuristic".into(), loop_id: 0 }, "heur"),
-            );
-            let diag = [&base.diag, &heur.diag]
-                .iter()
-                .filter(|d| !d.is_empty())
-                .map(|d| d.as_str())
-                .collect::<Vec<_>>()
-                .join("; ");
-            let summary = AppSummary {
-                app,
-                baseline: base.clone(),
-                heuristic: heur,
-                baseline_med: baseline_median(bench, &base),
-                heuristic_med,
-                rsd: bench.info.paper_rsd_pct,
-                rest_size: bench.info.binary_rest_size,
-                diag,
-            };
-            (summary, base)
-        });
-
-    // Phase 2: flatten the per-loop product in the serial nested-loop
-    // order (bench → loop → config) and fan the measurements out. The
-    // task list fixes the output order up front; scheduling only decides
-    // who computes what.
-    let (apps, bases): (Vec<AppSummary>, Vec<Measurement>) =
-        apps_and_bases.into_iter().unzip();
-    let mut tasks: Vec<PointTask<'_>> = Vec::new();
-    for (bench, base) in benches.iter().zip(&bases) {
-        let mut cold_seen = 0usize;
-        for l in loop_list(bench) {
-            let hot = bench.info.hot_kernels.contains(&l.func.as_str());
-            if !hot {
-                cold_seen += 1;
-                if fast && cold_seen > 3 {
-                    continue;
-                }
-            }
-            for (cname, transform) in sweep_configs() {
-                tasks.push(PointTask {
-                    bench,
-                    base,
-                    loop_ref: l.clone(),
-                    hot,
-                    config: cname,
-                    transform,
-                    fault,
-                    cache: backend.cache,
-                    remote: backend.remote,
-                });
-            }
-        }
-    }
-    let points = uu_par::par_map(jobs, &tasks, |_, t| loop_point(t));
-    Sweep { points, apps }
+    let keys = keys(benches, fast);
+    let mut plan = Plan::new(jobs, fault, backend);
+    plan.add(&keys);
+    view(&plan.run(), &keys)
 }
 
 #[cfg(test)]

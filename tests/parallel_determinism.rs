@@ -8,9 +8,12 @@
 //! with explicit worker counts (not the env knob, so they cannot race
 //! other tests) and diff the bytes.
 
+use std::collections::HashSet;
 use std::path::Path;
 use uu_check::{check_result, Config, DiffOracle, KernelSpec};
-use uu_harness::{figures, study, sweep, Backend};
+use uu_harness::experiment::LoopRef;
+use uu_harness::plan::{Key, Plan};
+use uu_harness::{figures, indepth, study, sweep, Backend};
 use uu_kernels::all_benchmarks;
 
 fn job_counts() -> Vec<usize> {
@@ -138,6 +141,80 @@ fn study_reports_are_byte_identical_at_any_worker_count() {
                 }
             }
         }
+    }
+}
+
+/// A cacheless, fault-free plan of every key `views` ask for.
+fn plan_for<'a>(jobs: usize, views: &[&[Key<'a>]]) -> Plan<'a> {
+    let mut plan = Plan::new(jobs, None, Backend::default());
+    for keys in views {
+        plan.add(keys);
+    }
+    plan
+}
+
+fn ids<'k>(keys: &'k [Key<'_>]) -> Vec<(&'static str, &'k Option<LoopRef>, &'static str)> {
+    keys.iter().map(|k| (k.bench.info.name, &k.target, k.config)).collect()
+}
+
+#[test]
+fn all_plan_measures_each_key_once_with_the_one_purpose_views() {
+    // `uu-harness all` plans the sweep's, the study's and §V's keys
+    // together. With XSBench in the sweep, its §V case is a sweep key and a
+    // study key too, so the overlap is measured once; every view must still
+    // be exactly what its own one-purpose run reports.
+    let every = all_benchmarks();
+    let benches: Vec<_> = every
+        .iter()
+        .filter(|b| matches!(b.info.name, "mandelbrot" | "XSBench"))
+        .copied()
+        .collect();
+    let sweep_keys = sweep::keys(&benches, true);
+    let study_keys = study::keys(&benches);
+    let case_keys = indepth::keys(&every);
+    let plan = plan_for(1, &[&sweep_keys, &study_keys, &case_keys]);
+
+    let planned = ids(plan.keys());
+    let unique: HashSet<_> = planned.iter().collect();
+    assert_eq!(unique.len(), planned.len(), "a key was planned twice");
+    let apps: HashSet<&str> = planned.iter().map(|k| k.0).collect();
+    let baselines: Vec<&str> =
+        planned.iter().filter(|k| k.2 == "baseline").map(|k| k.0).collect();
+    assert_eq!(baselines.len(), apps.len(), "not one baseline per app: {baselines:?}");
+    let asked: HashSet<_> = [&sweep_keys, &study_keys, &case_keys]
+        .into_iter()
+        .flat_map(|keys| ids(keys))
+        .collect();
+    assert!(asked.iter().all(|k| unique.contains(k)), "a view's key is unplanned");
+    assert_eq!(planned.len(), asked.len() + apps.len(), "the plan holds keys nobody asked for");
+    let xs_case = &ids(&case_keys)[0];
+    assert_eq!(xs_case.0, "XSBench");
+    assert!(ids(&sweep_keys).contains(xs_case) && ids(&study_keys).contains(xs_case));
+
+    // Each view from a plan of its own keys alone, as `fig7`, `study` and
+    // `indepth` build them.
+    let one_purpose = |jobs: usize| {
+        let (local, cases) = (Backend::default(), plan_for(jobs, &[&case_keys]).run());
+        [
+            format!("{:?}", sweep::run_sweep_backed(&benches, true, jobs, None, local)),
+            format!("{:?}", study::run_study_backed(&benches, jobs, None, local)),
+            format!("{:?}", indepth::view(&cases, &case_keys)),
+        ]
+    };
+    let reference = one_purpose(1);
+    assert!(reference[2].contains("XSBench"), "the XSBench §V case was dropped");
+    for jobs in [1, 4] {
+        let points = plan_for(jobs, &[&sweep_keys, &study_keys, &case_keys]).run();
+        let together = [
+            format!("{:?}", sweep::view(&points, &sweep_keys)),
+            format!("{:?}", study::view(&points, &study_keys)),
+            format!("{:?}", indepth::view(&points, &case_keys)),
+        ];
+        let alone = if jobs == 1 { reference.clone() } else { one_purpose(jobs) };
+        for (view, (a, b)) in ["sweep", "study", "§V"].iter().zip(together.iter().zip(&alone)) {
+            assert_eq!(a, b, "{view}: the all plan's view differs from its own run at jobs={jobs}");
+        }
+        assert_eq!(alone, reference, "one-purpose runs differ between jobs=1 and jobs={jobs}");
     }
 }
 
