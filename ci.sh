@@ -164,6 +164,17 @@ cargo test -q --offline --release -p uu-core --test behaviour_fingerprint
 # uu8+meld (the debug run above stops at uu4).
 cargo test -q --offline --release -p uu-core --lib rewrite_equivalence > /dev/null
 
+echo "== uniformity over the whole hot-point matrix (release) =="
+# `cargo test` above checked the heuristic + uu2 subset; this is the full
+# one: the worklist uniformity and divergence analyses against their
+# round-robin references on every function of all 16 kernels x baseline,
+# heuristic and every hot loop under all seven sweep configurations, then
+# the scalarization oracle (ReferenceVerifyUniform) on every hot loop
+# under uu2, uu4 and uu8.
+cargo test -q --offline --release -p uu-tests --test uniformity_oracle
+cargo test -q --offline --release -p uu-tests --test engine_differential \
+  uniform_values_identical_across_lanes_on_kernel_suite
+
 echo "== serve smoke: daemon round-trip, cache hit, fault containment, cached-sweep identity =="
 # Start the compile-service daemon on a Unix socket with a disk cache,
 # round-trip the same kernel compile twice (the second must be a cache

@@ -1,6 +1,6 @@
 //! Control-flow graph traversals and edge classification.
 
-use uu_ir::{BlockId, EntitySet, Function};
+use uu_ir::{BlockId, EntitySet, Function, InstKind};
 
 /// Blocks in reverse post-order from the entry.
 ///
@@ -35,6 +35,69 @@ pub fn post_order(f: &Function) -> Vec<BlockId> {
     let mut rpo = reverse_post_order(f);
     rpo.reverse();
     rpo
+}
+
+/// The terminator targets of `b`, without allocating.
+fn targets(f: &Function, b: BlockId) -> impl Iterator<Item = BlockId> {
+    let (a, c) = match f.terminator(b).map(|t| &f.inst(t).kind) {
+        Some(InstKind::Br { target }) => (Some(*target), None),
+        Some(InstKind::CondBr {
+            if_true, if_false, ..
+        }) => (Some(*if_true), Some(*if_false)),
+        _ => (None, None),
+    };
+    a.into_iter().chain(c)
+}
+
+/// Reachability as bitset rows of `nblocks.div_ceil(64)` words: row `b`
+/// holds every block reachable from `b` along terminator edges, `b`
+/// included, for every block reachable from a linked one (through unlinked
+/// blocks too). Rows are unioned over successors in depth-first post-order
+/// until nothing changes: on a reducible CFG, about one pass per
+/// loop-nesting level, plus the pass that confirms.
+pub(crate) fn reach_rows(f: &Function, nblocks: usize) -> Vec<u64> {
+    let words = nblocks.div_ceil(64);
+    let mut post = Vec::new();
+    let mut seen = vec![false; nblocks];
+    let mut stack: Vec<(BlockId, usize)> = Vec::new();
+    for &root in f.layout() {
+        if std::mem::replace(&mut seen[root.index()], true) {
+            continue;
+        }
+        stack.push((root, 0));
+        while let Some((b, next)) = stack.last_mut() {
+            let succ = targets(f, *b).nth(*next);
+            *next += 1;
+            match succ {
+                Some(s) if !std::mem::replace(&mut seen[s.index()], true) => stack.push((s, 0)),
+                Some(_) => {}
+                None => {
+                    post.push(*b);
+                    stack.pop();
+                }
+            }
+        }
+    }
+    let mut rows = vec![0u64; nblocks * words];
+    for &b in &post {
+        rows[b.index() * words + b.index() / 64] |= 1 << (b.index() % 64);
+    }
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for &b in &post {
+            let row = b.index() * words;
+            for s in targets(f, b) {
+                let from = s.index() * words;
+                for k in 0..words {
+                    let new = rows[from + k] & !rows[row + k];
+                    rows[row + k] |= new;
+                    changed |= new != 0;
+                }
+            }
+        }
+    }
+    rows
 }
 
 /// An edge `from → to` in the CFG.

@@ -13,6 +13,7 @@
 //! (different threads read different cells, so the data is thread-varying).
 //! Kernel arguments are uniform (the same for all threads).
 
+use crate::cfg::reach_rows;
 use crate::dominators::DomTree;
 use crate::loops::{LoopForest, LoopId};
 use uu_ir::{BlockId, EntitySet, Function, InstId, InstKind, Intrinsic, Value};
@@ -27,45 +28,7 @@ pub struct Divergence {
 impl Divergence {
     /// Run the analysis on `f` to a fixed point.
     pub fn compute(f: &Function) -> Self {
-        let mut tainted: EntitySet<InstId> = EntitySet::new();
-        // Seed: threadIdx reads.
-        for (id, inst) in f.iter_insts() {
-            if let InstKind::Intr { which, .. } = &inst.kind {
-                if which.is_thread_id() {
-                    tainted.insert(id);
-                }
-            }
-        }
-        // Propagate to a fixed point (phis make this iterative).
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for (id, inst) in f.iter_insts() {
-                if tainted.contains(id) {
-                    continue;
-                }
-                if matches!(
-                    inst.kind,
-                    InstKind::Store { .. }
-                        | InstKind::Br { .. }
-                        | InstKind::CondBr { .. }
-                        | InstKind::Ret { .. }
-                ) {
-                    continue;
-                }
-                let mut any = false;
-                inst.kind.for_each_operand(|v| {
-                    if let Value::Inst(d) = v {
-                        if tainted.contains(*d) {
-                            any = true;
-                        }
-                    }
-                });
-                if any && tainted.insert(id) {
-                    changed = true;
-                }
-            }
-        }
+        let tainted = propagate(f, |_, _, _| {});
         Divergence { tainted }
     }
 
@@ -82,6 +45,92 @@ impl Divergence {
     pub fn num_divergent(&self) -> usize {
         self.tainted.len()
     }
+}
+
+/// Def→use edges of the linked instructions, one list per definition:
+/// `of(d)` yields every linked instruction reading `d`, once per operand
+/// occurrence.
+struct Uses {
+    /// Per instruction slot, its last edge (`u32::MAX`: none).
+    head: Vec<u32>,
+    /// `(user, the definition's previous edge)`.
+    edges: Vec<(InstId, u32)>,
+}
+
+impl Uses {
+    fn compute(f: &Function) -> Self {
+        let mut head = vec![u32::MAX; f.num_inst_slots()];
+        let mut edges = Vec::with_capacity(2 * f.num_inst_slots());
+        for (u, inst) in f.iter_insts() {
+            inst.kind.for_each_operand(|v| {
+                if let Value::Inst(d) = v {
+                    edges.push((u, head[d.index()]));
+                    head[d.index()] = (edges.len() - 1) as u32;
+                }
+            });
+        }
+        Uses { head, edges }
+    }
+
+    fn of(&self, d: InstId) -> impl Iterator<Item = InstId> + '_ {
+        let mut e = self.head[d.index()];
+        std::iter::from_fn(move || {
+            let &(u, prev) = self.edges.get(e as usize)?;
+            e = prev;
+            Some(u)
+        })
+    }
+}
+
+/// The tainted set and the values tainted but not yet propagated.
+#[derive(Default)]
+struct Worklist {
+    tainted: EntitySet<InstId>,
+    pending: Vec<InstId>,
+}
+
+impl Worklist {
+    fn taint(&mut self, id: InstId) {
+        if self.tainted.insert(id) {
+            self.pending.push(id);
+        }
+    }
+}
+
+/// The data rule's least fixpoint as a worklist: taint seeded at the
+/// `threadIdx` reads and pushed along def→use edges into every
+/// value-producing user. `control` sees each tainted value once, after its
+/// users, and may taint more — [`Uniformity`]'s control rules. Without a
+/// seed nothing is tainted, and the def→use edges are never built.
+fn propagate(
+    f: &Function,
+    mut control: impl FnMut(InstId, &Uses, &mut Worklist),
+) -> EntitySet<InstId> {
+    let mut w = Worklist::default();
+    for (id, inst) in f.iter_insts() {
+        if matches!(&inst.kind, InstKind::Intr { which, .. } if which.is_thread_id()) {
+            w.taint(id);
+        }
+    }
+    if w.pending.is_empty() {
+        return w.tainted;
+    }
+    let uses = Uses::compute(f);
+    while let Some(d) = w.pending.pop() {
+        for u in uses.of(d) {
+            if !matches!(
+                f.inst(u).kind,
+                InstKind::Store { .. }
+                    | InstKind::Br { .. }
+                    | InstKind::CondBr { .. }
+                    | InstKind::Ret { .. }
+            ) {
+                w.taint(u);
+            }
+        }
+        control(d, &uses, &mut w);
+    }
+    w.tainted
 }
 
 /// Sound warp-level uniformity: the query surface behind the simulator's
@@ -101,11 +150,15 @@ impl Divergence {
 ///    different iteration in each lane, so the post-loop use sees
 ///    lane-varying data even though each iteration's value was uniform.
 ///
-/// `Uniformity` closes the data taint under both control rules, iterated to
-/// a fixed point (a tainted phi can make a branch condition tainted, which
-/// re-triggers both rules). The join rule uses plain CFG reachability from
-/// the two branch successors — an overapproximation of the divergent region
-/// that is sound for any reconvergence discipline, including the
+/// `Uniformity` closes the data taint under both control rules (a tainted
+/// phi can make a branch condition tainted, which re-triggers both rules).
+/// All three rules are monotone, so one worklist reaches their least
+/// fixpoint: each branch fires once, when its condition is tainted; the
+/// join rule ANDs two bitset reachability rows with a "≥ 2 predecessors"
+/// mask; the temporal rule's escape test is static, so it runs at most
+/// once per loop. The join rule uses plain CFG reachability from the two
+/// branch successors — an overapproximation of the divergent region that
+/// is sound for any reconvergence discipline, including the
 /// immediate-post-dominator stack the simulator models.
 #[derive(Debug, Clone)]
 pub struct Uniformity {
@@ -115,109 +168,56 @@ pub struct Uniformity {
 impl Uniformity {
     /// Run the analysis on `f` to a fixed point.
     pub fn compute(f: &Function) -> Self {
-        let mut tainted: EntitySet<InstId> = EntitySet::new();
-        for (id, inst) in f.iter_insts() {
-            if let InstKind::Intr { which, .. } = &inst.kind {
-                if which.is_thread_id() {
-                    tainted.insert(id);
-                }
-            }
-        }
-
         let dom = DomTree::compute(f);
         let forest = LoopForest::compute(f, &dom);
         let preds = f.predecessors();
-        let nblocks = preds.len();
-
-        // reach[b] = linked blocks reachable from linked block b (incl. b).
-        let mut reach = vec![vec![false; nblocks]; nblocks];
+        let words = preds.len().div_ceil(64);
+        // Linked blocks; the join-rule candidates (linked, ≥ 2 predecessor
+        // edges, phis not yet tainted) as bitset words; each linked
+        // instruction's block.
+        let (mut linked, mut joins) = (EntitySet::new(), vec![0u64; words]);
+        let mut block_of = vec![BlockId::from_index(0); f.num_inst_slots()];
         for &b in f.layout() {
-            let r = &mut reach[b.index()];
-            let mut stack = vec![b];
-            while let Some(x) = stack.pop() {
-                if std::mem::replace(&mut r[x.index()], true) {
-                    continue;
-                }
-                for s in f.successors(x) {
-                    stack.push(s);
-                }
+            linked.insert(b);
+            if preds[b.index()].len() >= 2 {
+                joins[b.index() / 64] |= 1 << (b.index() % 64);
+            }
+            for &i in &f.block(b).insts {
+                block_of[i.index()] = b;
             }
         }
+        let mut reach: Option<Vec<u64>> = None;
+        let mut exited = vec![false; forest.len()];
 
-        // use_blocks: for each inst slot, the linked blocks that use it as an
-        // operand (for the temporal rule's "used outside the loop" test).
-        let mut use_blocks: Vec<Vec<BlockId>> = vec![Vec::new(); f.num_inst_slots()];
-        for &b in f.layout() {
-            for &uid in &f.block(b).insts {
-                f.inst(uid).kind.for_each_operand(|v| {
-                    if let Value::Inst(d) = v {
-                        use_blocks[d.index()].push(b);
-                    }
-                });
-            }
-        }
-
-        let mut changed = true;
-        while changed {
-            changed = false;
-            // Data rule: identical to `Divergence`.
-            for (id, inst) in f.iter_insts() {
-                if tainted.contains(id) {
-                    continue;
-                }
-                if matches!(
-                    inst.kind,
-                    InstKind::Store { .. }
-                        | InstKind::Br { .. }
-                        | InstKind::CondBr { .. }
-                        | InstKind::Ret { .. }
-                ) {
-                    continue;
-                }
-                let mut any = false;
-                inst.kind.for_each_operand(|v| {
-                    if let Value::Inst(d) = v {
-                        if tainted.contains(*d) {
-                            any = true;
-                        }
-                    }
-                });
-                if any && tainted.insert(id) {
-                    changed = true;
-                }
-            }
-            // Control rules, driven by each thread-divergent branch.
-            for &b in f.layout() {
-                let Some(t) = f.terminator(b) else { continue };
+        let tainted = propagate(f, |d, uses, w| {
+            for u in uses.of(d) {
                 let InstKind::CondBr {
-                    cond,
-                    if_true,
-                    if_false,
-                } = f.inst(t).kind
+                    if_true, if_false, ..
+                } = f.inst(u).kind
                 else {
                     continue;
                 };
+                let b = block_of[u.index()];
                 // A branch with both edges to one target never splits lanes.
-                if if_true == if_false {
-                    continue;
-                }
-                let div_cond = match cond {
-                    Value::Inst(id) => tainted.contains(id),
-                    Value::Arg(_) | Value::Const(_) => false,
-                };
-                if !div_cond {
+                if if_true == if_false || f.terminator(b) != Some(u) {
                     continue;
                 }
                 // Join rule: taint phis of every join reachable from both
-                // successors.
-                for &j in f.layout() {
-                    if preds[j.index()].len() < 2 {
-                        continue;
-                    }
-                    if reach[if_true.index()][j.index()] && reach[if_false.index()][j.index()] {
-                        for phi in f.phis(j) {
-                            if tainted.insert(phi) {
-                                changed = true;
+                // successors (an unlinked successor reaches nothing).
+                if linked.contains(if_true) && linked.contains(if_false) {
+                    let reach = reach.get_or_insert_with(|| reach_rows(f, preds.len()));
+                    let (t, e) = (if_true.index() * words, if_false.index() * words);
+                    for k in 0..words {
+                        let mut hit = reach[t + k] & reach[e + k] & joins[k];
+                        joins[k] &= !hit;
+                        while hit != 0 {
+                            let j = BlockId::from_index(k * 64 + hit.trailing_zeros() as usize);
+                            hit &= hit - 1;
+                            for &phi in &f.block(j).insts {
+                                if !f.inst(phi).kind.is_phi() {
+                                    break;
+                                }
+                                w.taint(phi);
                             }
                         }
                     }
@@ -226,19 +226,15 @@ impl Uniformity {
                 // lanes leave that loop on different iterations, so every
                 // loop-defined value used outside the loop varies per lane.
                 let mut lp = forest.innermost_containing(b);
-                while let Some(lid) = lp {
-                    let l = forest.get(lid);
-                    let exits = !l.contains(if_true) || !l.contains(if_false);
-                    if exits {
+                while let Some(LoopId(i)) = lp {
+                    let l = forest.get(LoopId(i));
+                    if (!l.contains(if_true) || !l.contains(if_false)) && !exited[i] {
+                        exited[i] = true;
+                        let outside = |u: InstId| !l.contains(block_of[u.index()]);
                         for &lb in &l.blocks {
                             for &def in &f.block(lb).insts {
-                                if tainted.contains(def) {
-                                    continue;
-                                }
-                                let escapes =
-                                    use_blocks[def.index()].iter().any(|ub| !l.contains(*ub));
-                                if escapes && tainted.insert(def) {
-                                    changed = true;
+                                if uses.of(def).any(outside) {
+                                    w.taint(def);
                                 }
                             }
                         }
@@ -246,7 +242,7 @@ impl Uniformity {
                     lp = l.parent;
                 }
             }
-        }
+        });
         Uniformity { tainted }
     }
 

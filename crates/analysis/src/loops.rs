@@ -47,6 +47,8 @@ impl Loop {
 #[derive(Debug, Clone)]
 pub struct LoopForest {
     loops: Vec<Loop>,
+    /// Block arena index → innermost loop containing it.
+    innermost: Vec<Option<LoopId>>,
 }
 
 impl LoopForest {
@@ -144,7 +146,18 @@ impl LoopForest {
             }
             loops[a].depth = d;
         }
-        LoopForest { loops }
+        // Innermost loop per block: the deepest containing loop, the later
+        // ID on a tie.
+        let mut innermost: Vec<Option<LoopId>> = vec![None; preds.len()];
+        for (i, l) in loops.iter().enumerate() {
+            for b in &l.blocks {
+                let cur = &mut innermost[b.index()];
+                if cur.is_none_or(|LoopId(c)| loops[c].depth <= l.depth) {
+                    *cur = Some(LoopId(i));
+                }
+            }
+        }
+        LoopForest { loops, innermost }
     }
 
     /// All loops, in deterministic ID order.
@@ -173,12 +186,7 @@ impl LoopForest {
 
     /// The innermost loop containing `b`, if any.
     pub fn innermost_containing(&self, b: BlockId) -> Option<LoopId> {
-        self.loops
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.contains(b))
-            .max_by_key(|(_, l)| l.depth)
-            .map(|(i, _)| LoopId(i))
+        self.innermost.get(b.index()).copied().flatten()
     }
 
     /// Loop IDs ordered innermost-first (deepest depth first, stable within

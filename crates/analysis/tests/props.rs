@@ -1,9 +1,14 @@
 //! Property tests for the analyses: structural invariants of the dominator
-//! tree and the loop forest must hold on every generated kernel, and both
-//! analyses must be deterministic functions of the IR.
+//! tree and the loop forest must hold on every generated kernel, both
+//! analyses must be deterministic functions of the IR, and the worklist
+//! uniformity and divergence analyses must equal their round-robin
+//! references.
+
+mod reference;
 
 use uu_check::{build_kernel, check, Config, KernelSpec};
-use uu_analysis::{DomTree, LoopForest};
+use uu_analysis::{DomTree, LoopForest, Uniformity};
+use uu_ir::{Function, FunctionBuilder, ICmpPred, Param, Type, Value};
 
 #[test]
 fn dominator_tree_invariants() {
@@ -110,4 +115,65 @@ fn analyses_are_deterministic() {
             Ok(())
         },
     );
+}
+
+#[test]
+fn uniformity_matches_round_robin_reference() {
+    check(
+        "uniformity_matches_round_robin_reference",
+        &Config::from_env(64),
+        |spec: &KernelSpec| reference::first_mismatch(&build_kernel(spec)).map_or(Ok(()), Err),
+    );
+}
+
+/// A thread-divergent `break` out of a two-loop nest: the exiting branch
+/// sits in the inner loop but leaves both, so the temporal rule must taint
+/// the outer counter, which is used after the nest and tainted by no other
+/// rule, and the join rule the phi at the nest's exit. The inner counter
+/// never escapes and stays uniform.
+#[test]
+fn uniformity_matches_reference_on_divergent_break_from_nest() {
+    let mut f = Function::new(
+        "brk",
+        vec![Param::new("p", Type::Ptr), Param::new("n", Type::I64)],
+        Type::Void,
+    );
+    let entry = f.entry();
+    let mut b = FunctionBuilder::new(&mut f);
+    let [oh, ih, body, latch, exit] = [(); 5].map(|_| b.create_block());
+    b.switch_to(entry);
+    let gid = b.global_thread_id();
+    b.br(oh);
+    b.switch_to(oh);
+    let i = b.phi(Type::I64);
+    b.add_phi_incoming(i, entry, Value::imm(0i64));
+    let ci = b.icmp(ICmpPred::Slt, i, Value::Arg(1));
+    b.cond_br(ci, ih, exit);
+    b.switch_to(ih);
+    let j = b.phi(Type::I64);
+    b.add_phi_incoming(j, oh, Value::imm(0i64));
+    let cj = b.icmp(ICmpPred::Slt, j, Value::Arg(1));
+    b.cond_br(cj, body, latch);
+    b.switch_to(body);
+    let j1 = b.add(j, Value::imm(1i64));
+    b.add_phi_incoming(j, body, j1);
+    let hit = b.icmp(ICmpPred::Eq, j, gid);
+    b.cond_br(hit, exit, ih);
+    b.switch_to(latch);
+    let i1 = b.add(i, Value::imm(1i64));
+    b.add_phi_incoming(i, latch, i1);
+    b.br(oh);
+    b.switch_to(exit);
+    let last = b.phi(Type::I64);
+    b.add_phi_incoming(last, oh, Value::imm(0i64));
+    b.add_phi_incoming(last, body, Value::imm(1i64));
+    let addr = b.gep(Value::Arg(0), i, 8);
+    b.store(addr, last);
+    b.ret(None);
+    uu_ir::verify_function(&f).unwrap();
+
+    assert_eq!(reference::first_mismatch(&f), None);
+    let uni = Uniformity::compute(&f);
+    assert!(uni.is_divergent(i) && uni.is_divergent(last));
+    assert!(uni.is_uniform(j) && uni.is_uniform(j1));
 }

@@ -4,10 +4,12 @@
 //! Useful for tracking the compile-time behaviour the paper's Figure 6c
 //! aggregates, and for catching a structural pass whose cost grows with
 //! rewrites × function size — the small subject hides that, the large one
-//! does not. The `codec/*` rows time the IR text codec — the print, hash
-//! and parse every daemon round trip and disk artifact pays — on the
-//! largest module the sweep ships. The `pipeline/*` rows time whole
-//! compiles, where what the pass manager itself does (or skips) shows.
+//! does not. `decode/xsbench-uu8` times the simulator's per-kernel
+//! analyses and lowering on a `uu8` kernel. The `codec/*` rows time the IR
+//! text codec — the print, hash and parse every daemon round trip and disk
+//! artifact pays — on the largest module the sweep ships. The `pipeline/*`
+//! rows time whole compiles, where what the pass manager itself does (or
+//! skips) shows.
 
 use uu_check::bench::Harness;
 use uu_core::opt::{
@@ -193,6 +195,28 @@ fn bench_analyses(h: &mut Harness) {
     h.bench("analysis/divergence", || {
         uu_analysis::Divergence::compute(&f)
     });
+    h.bench("analysis/uniformity", || {
+        uu_analysis::Uniformity::compute(&f)
+    });
+}
+
+/// A decode-cache miss on one of the sweep's largest kernels, XSBench's
+/// `xs_lookup` after `uu8`: the post-dominator tree, the uniformity
+/// analysis and the lowering every first launch of a kernel pays.
+fn bench_decode(h: &mut Harness) {
+    let mut m = app("XSBench");
+    compile(&mut m, &xsbench_uu8());
+    let f = m
+        .iter()
+        .map(|(_, f)| f)
+        .find(|f| f.name() == "xs_lookup")
+        .expect("XSBench has an xs_lookup kernel");
+    let args = vec![uu_ir::Constant::I64(0); f.params().len()];
+    h.bench("decode/xsbench-uu8", || {
+        let pdom = uu_analysis::PostDomTree::compute(f);
+        let uni = uu_analysis::Uniformity::compute(f);
+        uu_simt::DecodedKernel::decode(f, &pdom, &uni, &args)
+    });
 }
 
 /// Print, hash and parse XSBench's module (106 functions, 55 530 bytes of
@@ -261,6 +285,7 @@ fn main() {
     bench_transform(&mut h);
     bench_cleanup_passes(&mut h);
     bench_analyses(&mut h);
+    bench_decode(&mut h);
     bench_codec(&mut h);
     bench_pipeline(&mut h);
     h.finish();

@@ -196,9 +196,9 @@ struct DBlock {
     phi_inc: Vec<Option<Operand>>,
     /// Number of CFG predecessors (row stride of `phi_inc`).
     npreds: usize,
-    /// Block arena index → predecessor position, `NO_BLOCK` if the block is
-    /// not a predecessor.
-    pred_pos: Vec<u32>,
+    /// Arena index of the k-th predecessor, for blocks with phis (empty
+    /// otherwise): phi entry searches it for the lane's previous block.
+    preds: Vec<u32>,
     /// Start of this block's instruction stream in [`DecodedKernel::code`].
     /// The stream covers the block's own non-phi instructions plus any
     /// fused straight-line successors (a chain member's stream is a suffix
@@ -322,10 +322,6 @@ impl DecodedKernel {
             let db = &mut blocks[bi];
             let bpreds = &preds[bi];
             db.npreds = bpreds.len();
-            db.pred_pos = vec![NO_BLOCK; nblocks];
-            for (k, p) in bpreds.iter().enumerate() {
-                db.pred_pos[p.index()] = k as u32;
-            }
             db.ipdom = match pdom.ipdom(b) {
                 Some(r) => r.index() as u32,
                 None => NO_BLOCK,
@@ -336,6 +332,9 @@ impl DecodedKernel {
                     // Phis lead the block (verifier-enforced); index their
                     // incomings by predecessor position.
                     debug_assert!(lowered[bi].is_empty());
+                    if db.preds.is_empty() {
+                        db.preds = bpreds.iter().map(|p| p.index() as u32).collect();
+                    }
                     for p in bpreds {
                         let inc = incomings
                             .iter()

@@ -470,15 +470,12 @@ impl DecodedKernel {
                 for (pix, phi) in blk.phis.iter().enumerate() {
                     let row = pix * blk.npreds;
                     let incoming = |prev: u32| -> Result<Operand, ExecError> {
-                        let pos = if prev == NO_BLOCK {
-                            NO_BLOCK
-                        } else {
-                            blk.pred_pos[prev as usize]
-                        };
-                        if pos == NO_BLOCK {
-                            return Err(ExecError::MissingPhiIncoming { phi: phi.id });
-                        }
-                        blk.phi_inc[row + pos as usize]
+                        // The last position of a repeated predecessor, as
+                        // both edges of a two-way branch to one block.
+                        blk.preds
+                            .iter()
+                            .rposition(|&p| p == prev)
+                            .and_then(|pos| blk.phi_inc[row + pos])
                             .ok_or(ExecError::MissingPhiIncoming { phi: phi.id })
                     };
                     match phi.dest {

@@ -8,6 +8,8 @@
 //! scalarization precondition: every value `uu_analysis::Uniformity` calls
 //! warp-uniform holds the same constant in all active lanes.
 
+mod hot_points;
+
 use uu_check::corpus::load_corpus;
 use uu_check::{build_kernel, execute_on, KernelSpec};
 use uu_kernels::all_benchmarks;
@@ -114,14 +116,28 @@ fn uniform_values_identical_across_lanes_on_corpus() {
 
 #[test]
 fn uniform_values_identical_across_lanes_on_kernel_suite() {
-    for b in all_benchmarks() {
-        let got = run_benchmark(&b, ExecEngine::ReferenceVerifyUniform);
-        assert!(
-            got.starts_with("ok "),
-            "{}: verify-uniform run failed: {got}",
-            b.info.name
-        );
-    }
+    // Unoptimised, then the heuristic point and every hot loop under u&u:
+    // the unrolled, unmerged CFGs with hundreds of divergent branches are
+    // where the join and temporal rules matter. An unoptimised build stops
+    // at `uu2`.
+    let configs: &[&str] = if cfg!(debug_assertions) {
+        &["uu2"]
+    } else {
+        &["uu2", "uu4", "uu8"]
+    };
+    let benches = all_benchmarks();
+    let failures = uu_par::par_map(uu_par::parse_jobs(None).unwrap(), &benches, |_, b| {
+        let mut points = vec![("unoptimised".to_string(), (b.build)())];
+        points.extend(hot_points::hot_points(b, false, configs));
+        points
+            .iter()
+            .map(|(label, m)| (label, run_module(b, m, ExecEngine::ReferenceVerifyUniform)))
+            .filter(|(_, got)| !got.starts_with("ok "))
+            .map(|(label, got)| format!("{} {label}: verify-uniform run failed: {got}", b.info.name))
+            .collect::<Vec<_>>()
+    });
+    let failures: Vec<String> = failures.into_iter().flatten().collect();
+    assert!(failures.is_empty(), "{failures:#?}");
 }
 
 /// The two compilation configs that involve control-flow melding, paired
