@@ -159,9 +159,12 @@ echo "== behavioural fingerprint over the whole compile matrix (release) =="
 # fails here (crates/core/tests/golden/behaviour.fnv), and so does a point
 # whose memo-warm compile differs from its memo-cold one.
 cargo test -q --offline --release -p uu-core --test behaviour_fingerprint
-# Batched use rewriting at every factor: GVN and instsimplify against their
-# per-replacement references on every hot loop under uu2, uu4, uu8 and
-# uu8+meld (the debug run above stops at uu4).
+# The passes' cheap forms at every factor, against their references on
+# every hot loop: GVN and instsimplify (batched use rewriting), SCCP
+# (incremental phi meets) and condprop (phi incomings by label) at each
+# cleanup stage under uu2, uu4, uu8 and uu8+meld, and unmerging (per-node
+# indexes) at factors 1-8 in every mode, with and without the block cap
+# stopping it (the debug run above stops at uu4).
 cargo test -q --offline --release -p uu-core --lib rewrite_equivalence > /dev/null
 
 echo "== uniformity over the whole hot-point matrix (release) =="

@@ -6,7 +6,7 @@
 //! point into the copy, while references to anything defined outside the set
 //! are left untouched.
 
-use uu_ir::{BlockId, Function, InstId, InstKind, SecondaryMap, Value};
+use uu_ir::{BlockId, Function, Inst, InstId, InstKind, SecondaryMap, Value};
 
 /// The result of cloning a region: mappings from original blocks and
 /// instructions to their copies. Lookups go through dense tables keyed on
@@ -18,10 +18,10 @@ pub struct CloneMap {
     blocks: SecondaryMap<BlockId, Option<BlockId>>,
     /// Original instruction → cloned instruction.
     insts: SecondaryMap<InstId, Option<InstId>>,
-    /// The cloned blocks, in cloning order.
-    block_copies: Vec<BlockId>,
-    /// The cloned instructions, in cloning order.
-    inst_copies: Vec<InstId>,
+    /// (original, clone) per cloned block, in cloning order.
+    block_copies: Vec<(BlockId, BlockId)>,
+    /// (original, clone) per cloned instruction, in cloning order.
+    inst_copies: Vec<(InstId, InstId)>,
 }
 
 impl CloneMap {
@@ -51,13 +51,27 @@ impl CloneMap {
     /// The cloned blocks, in cloning order (the order of the `blocks`
     /// argument of [`clone_region`]).
     pub fn cloned_blocks(&self) -> impl Iterator<Item = BlockId> + '_ {
-        self.block_copies.iter().copied()
+        self.block_copies.iter().map(|&(_, c)| c)
     }
 
     /// The cloned instructions, in cloning order (block by block, program
     /// order within a block).
     pub fn cloned_insts(&self) -> impl Iterator<Item = InstId> + '_ {
-        self.inst_copies.iter().copied()
+        self.inst_copies.iter().map(|&(_, c)| c)
+    }
+
+    /// Forget every mapping, keeping the tables: a caller cloning many
+    /// times reuses one map instead of growing a fresh one to the arena's
+    /// size per clone.
+    fn clear(&mut self) {
+        for &(b, _) in &self.block_copies {
+            self.blocks.set(b, None);
+        }
+        for &(i, _) in &self.inst_copies {
+            self.insts.set(i, None);
+        }
+        self.block_copies.clear();
+        self.inst_copies.clear();
     }
 }
 
@@ -74,28 +88,44 @@ impl CloneMap {
 /// phis in region successors (see [`add_phi_incomings_for_clone`]).
 pub fn clone_region(f: &mut Function, blocks: &[BlockId]) -> CloneMap {
     let mut map = CloneMap::default();
+    clone_region_with(f, blocks, |f, _, i| f.inst(i).clone(), &mut map);
+    map
+}
+
+/// [`clone_region`] into `map` (cleared first), with each instruction `i`
+/// of block `b` copied as `copy(f, b, i)` returns it, before the
+/// remapping: unmerging builds the phis of a path's entry from the
+/// incomings that path keeps rather than copying all of them and
+/// filtering.
+pub(crate) fn clone_region_with(
+    f: &mut Function,
+    blocks: &[BlockId],
+    mut copy: impl FnMut(&Function, BlockId, InstId) -> Inst,
+    map: &mut CloneMap,
+) {
+    map.clear();
     // Pass 1: create empty clone blocks.
     for &b in blocks {
         let nb = f.add_block();
         map.blocks.set(b, Some(nb));
-        map.block_copies.push(nb);
+        map.block_copies.push((b, nb));
     }
     // Pass 2: clone instructions (operands still original).
     for &b in blocks {
         let nb = map.map_block(b);
-        let insts: Vec<InstId> = f.block(b).insts.clone();
-        for i in insts {
-            let inst = f.inst(i).clone();
+        for ix in 0..f.block(b).insts.len() {
+            let i = f.block(b).insts[ix];
+            let inst = copy(f, b, i);
             let ni = f.append_inst(nb, inst);
             map.insts.set(i, Some(ni));
-            map.inst_copies.push(ni);
+            map.inst_copies.push((i, ni));
         }
     }
     // Pass 3: remap operands, branch targets and phi labels inside clones.
-    for &ni in &map.inst_copies {
-        let mut kind = f.inst(ni).kind.clone();
+    for &(_, ni) in &map.inst_copies {
+        let kind = &mut f.inst_mut(ni).kind;
         kind.for_each_operand_mut(|v| *v = map.map_value(*v));
-        match &mut kind {
+        match kind {
             InstKind::Br { target } => *target = map.map_block(*target),
             InstKind::CondBr {
                 if_true, if_false, ..
@@ -110,9 +140,7 @@ pub fn clone_region(f: &mut Function, blocks: &[BlockId]) -> CloneMap {
             }
             _ => {}
         }
-        f.inst_mut(ni).kind = kind;
     }
-    map
 }
 
 /// For every phi in `succ` with an incoming from `orig_pred` (a block that

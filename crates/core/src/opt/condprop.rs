@@ -12,7 +12,7 @@
 
 use super::Pass;
 use uu_analysis::{AnalysisCache, DomTree};
-use uu_ir::{BlockId, EntitySet, Function, ICmpPred, InstKind, Value};
+use uu_ir::{BlockId, Function, ICmpPred, InstId, InstKind, SecondaryMap, Value};
 
 /// The branch-condition propagation pass.
 #[derive(Debug, Default, Clone, Copy)]
@@ -33,71 +33,84 @@ impl Pass for CondProp {
     }
 
     fn run_with(&mut self, f: &mut Function, cache: &mut AnalysisCache) -> bool {
-        let dom = cache.dominators(f);
-        let preds = f.predecessors();
-        let mut changed = false;
-        for b in f.layout().to_vec() {
-            let Some(t) = f.terminator(b) else { continue };
-            let InstKind::CondBr {
-                cond,
-                if_true,
-                if_false,
-            } = f.inst(t).kind
-            else {
-                continue;
-            };
-            if if_true == if_false {
+        let labelled = PhiIncomings::new(f);
+        propagate(f, cache, |f, dom, from, to, region| {
+            replace_dominated_uses(f, dom, &labelled, from, to, region)
+        })
+    }
+}
+
+/// Derive the facts in layout order and substitute each in the region it
+/// holds in through `replace(f, dom, from, to, region)`.
+fn propagate(
+    f: &mut Function,
+    cache: &mut AnalysisCache,
+    mut replace: impl FnMut(&mut Function, &DomTree, Value, Value, BlockId) -> bool,
+) -> bool {
+    let dom = cache.dominators(f);
+    let preds = f.predecessors();
+    let mut changed = false;
+    for b in f.layout().to_vec() {
+        let Some(t) = f.terminator(b) else { continue };
+        let InstKind::CondBr {
+            cond,
+            if_true,
+            if_false,
+        } = f.inst(t).kind
+        else {
+            continue;
+        };
+        if if_true == if_false {
+            continue;
+        }
+        let Value::Inst(cid) = cond else { continue };
+        for (target, truth) in [(if_true, true), (if_false, false)] {
+            // Edge-domination via single-predecessor check.
+            if preds[target.index()].len() != 1 || preds[target.index()][0] != b {
                 continue;
             }
-            let Value::Inst(cid) = cond else { continue };
-            for (target, truth) in [(if_true, true), (if_false, false)] {
-                // Edge-domination via single-predecessor check.
-                if preds[target.index()].len() != 1 || preds[target.index()][0] != b {
-                    continue;
-                }
-                changed |= replace_dominated_uses(f, &dom, cond, Value::imm(truth), target);
-                // Equality facts: `x == C` true, or `x != C` false ⇒ x = C.
-                if let InstKind::ICmp { pred, lhs, rhs } = f.inst(cid).kind {
-                    let fact = match (pred, truth) {
-                        (ICmpPred::Eq, true) | (ICmpPred::Ne, false) => Some((lhs, rhs)),
-                        _ => None,
-                    };
-                    if let Some((x, y)) = fact {
-                        match (x, y) {
-                            (Value::Inst(_), Value::Const(_)) => {
-                                changed |= replace_dominated_uses(f, &dom, x, y, target);
-                            }
-                            (Value::Const(_), Value::Inst(_)) => {
-                                changed |= replace_dominated_uses(f, &dom, y, x, target);
-                            }
-                            _ => {}
+            changed |= replace(f, &dom, cond, Value::imm(truth), target);
+            // Equality facts: `x == C` true, or `x != C` false ⇒ x = C.
+            if let InstKind::ICmp { pred, lhs, rhs } = f.inst(cid).kind {
+                let fact = match (pred, truth) {
+                    (ICmpPred::Eq, true) | (ICmpPred::Ne, false) => Some((lhs, rhs)),
+                    _ => None,
+                };
+                if let Some((x, y)) = fact {
+                    match (x, y) {
+                        (Value::Inst(_), Value::Const(_)) => {
+                            changed |= replace(f, &dom, x, y, target);
                         }
+                        (Value::Const(_), Value::Inst(_)) => {
+                            changed |= replace(f, &dom, y, x, target);
+                        }
+                        _ => {}
                     }
-                    // Range fact: `x > C` (C ≥ 0) known true ⇒ x is positive
-                    // in the region, so `sdiv x, 2^k` is `lshr x, k` — the
-                    // strength reduction behind the `shr` in the paper's
-                    // XSBench PTX (Listings 4/5).
-                    let positive = match (pred, truth) {
-                        (ICmpPred::Sgt, true) | (ICmpPred::Sge, true) => rhs
-                            .as_const()
-                            .and_then(|c| c.as_i64())
-                            .is_some_and(|c| c >= 0)
-                            .then_some(lhs),
-                        (ICmpPred::Sle, false) | (ICmpPred::Slt, false) => rhs
-                            .as_const()
-                            .and_then(|c| c.as_i64())
-                            .is_some_and(|c| c >= -1)
-                            .then_some(lhs),
-                        _ => None,
-                    };
-                    if let Some(x) = positive {
-                        changed |= strength_reduce_sdiv(f, &dom, x, target);
-                    }
+                }
+                // Range fact: `x > C` (C ≥ 0) known true ⇒ x is positive
+                // in the region, so `sdiv x, 2^k` is `lshr x, k` — the
+                // strength reduction behind the `shr` in the paper's
+                // XSBench PTX (Listings 4/5).
+                let positive = match (pred, truth) {
+                    (ICmpPred::Sgt, true) | (ICmpPred::Sge, true) => rhs
+                        .as_const()
+                        .and_then(|c| c.as_i64())
+                        .is_some_and(|c| c >= 0)
+                        .then_some(lhs),
+                    (ICmpPred::Sle, false) | (ICmpPred::Slt, false) => rhs
+                        .as_const()
+                        .and_then(|c| c.as_i64())
+                        .is_some_and(|c| c >= -1)
+                        .then_some(lhs),
+                    _ => None,
+                };
+                if let Some(x) = positive {
+                    changed |= strength_reduce_sdiv(f, &dom, x, target);
                 }
             }
         }
-        changed
     }
+    changed
 }
 
 /// Rewrite `sdiv x, 2^k` → `lshr x, k` for instructions dominated by
@@ -146,60 +159,79 @@ fn subtree(dom: &DomTree, region: BlockId) -> Vec<BlockId> {
     out
 }
 
+/// The phi incomings of the layout by the predecessor they are labelled
+/// with: (phi, position). The pass rewrites operand values only, so the
+/// index stays valid through an invocation.
+struct PhiIncomings(SecondaryMap<BlockId, Vec<(InstId, u32)>>);
+
+impl PhiIncomings {
+    fn new(f: &Function) -> PhiIncomings {
+        let mut by_pred: SecondaryMap<BlockId, Vec<(InstId, u32)>> = SecondaryMap::new();
+        for &b in f.layout() {
+            for phi in f.phis(b) {
+                if let InstKind::Phi { incomings } = &f.inst(phi).kind {
+                    for (k, (p, _)) in incomings.iter().enumerate() {
+                        by_pred.get_mut(*p).push((phi, k as u32));
+                    }
+                }
+            }
+        }
+        PhiIncomings(by_pred)
+    }
+}
+
 /// Replace uses of `from` with `to` at every use site dominated by `region`.
 /// For phi operands the use site is the incoming predecessor block.
 ///
-/// Only the dominator subtree of `region` (plus its CFG successors, whose
-/// phis may have incomings from dominated predecessors) is scanned, which
-/// keeps the pass near-linear even on heavily unmerged bodies.
+/// The non-phi instructions of the dominator subtree of `region` are
+/// checked, and the phi incomings that subtree's blocks label (found
+/// through `labelled`, wherever the phi lives): a fact costs its region,
+/// not the incoming lists of the merges below it, which unmerging makes
+/// one incoming per path long.
 fn replace_dominated_uses(
     f: &mut Function,
     dom: &DomTree,
+    labelled: &PhiIncomings,
     from: Value,
     to: Value,
     region: BlockId,
 ) -> bool {
-    let dominated = subtree(dom, region);
-    let dom_set: EntitySet<BlockId> = dominated.iter().copied().collect();
-    // Phi-bearing successors of dominated blocks (the phi itself may live
-    // outside the subtree).
-    let mut scan: Vec<BlockId> = dominated.clone();
-    for &b in &dominated {
-        for s in f.successors(b) {
-            if !dom_set.contains(s) && !scan.contains(&s) {
-                scan.push(s);
+    let mut changed = false;
+    for b in subtree(dom, region) {
+        for &(phi, k) in labelled.0.get(b) {
+            if let InstKind::Phi { incomings } = &f.inst(phi).kind {
+                if incomings[k as usize].1 != from {
+                    continue;
+                }
+            }
+            if let InstKind::Phi { incomings } = &mut f.inst_mut(phi).kind {
+                incomings[k as usize].1 = to;
+                changed = true;
             }
         }
-    }
-    let mut changed = false;
-    for ub in scan {
-        let inside = dom_set.contains(ub);
-        for u in f.block(ub).insts.clone() {
-            let mut kind = f.inst(u).kind.clone();
-            let mut touched = false;
-            if let InstKind::Phi { incomings } = &mut kind {
-                for (p, v) in incomings {
-                    if *v == from && dom_set.contains(*p) {
-                        *v = to;
-                        touched = true;
-                    }
-                }
-            } else if inside {
-                kind.for_each_operand_mut(|v| {
+        for ix in 0..f.block(b).insts.len() {
+            let u = f.block(b).insts[ix];
+            let kind = &f.inst(u).kind;
+            if kind.is_phi() {
+                continue;
+            }
+            let mut uses = false;
+            kind.for_each_operand(|v| uses |= *v == from);
+            if uses {
+                f.inst_mut(u).kind.for_each_operand_mut(|v| {
                     if *v == from {
                         *v = to;
-                        touched = true;
                     }
                 });
-            }
-            if touched {
-                f.inst_mut(u).kind = kind;
                 changed = true;
             }
         }
     }
     changed
 }
+
+#[cfg(test)]
+pub(crate) mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -312,6 +344,50 @@ mod tests {
             }
             _ => unreachable!(),
         }
+    }
+
+    #[test]
+    fn phi_incomings_from_the_region_get_the_fact() {
+        // if (x == 4) t else e; j: phi [t: x], [e: x], phi [t: c], [e: c]
+        // → phi [t: 4], [e: x], phi [t: true], [e: false].
+        let mut f = uu_ir::Function::new(
+            "t",
+            vec![Param::new("p", Type::Ptr)],
+            Type::I64,
+        );
+        let e = f.entry();
+        let mut b = FunctionBuilder::new(&mut f);
+        let t = b.create_block();
+        let el = b.create_block();
+        let j = b.create_block();
+        b.switch_to(e);
+        let x = b.load(Type::I64, Value::Arg(0));
+        let c = b.icmp(ICmpPred::Eq, x, Value::imm(4i64));
+        b.cond_br(c, t, el);
+        b.switch_to(t);
+        b.br(j);
+        b.switch_to(el);
+        b.br(j);
+        b.switch_to(j);
+        let px = b.phi(Type::I64);
+        b.add_phi_incoming(px, t, x);
+        b.add_phi_incoming(px, el, x);
+        let pc = b.phi(Type::I1);
+        b.add_phi_incoming(pc, t, c);
+        b.add_phi_incoming(pc, el, c);
+        let z = b.cast(uu_ir::CastOp::Zext, pc, Type::I64);
+        let r = b.add(px, z);
+        b.ret(Some(r));
+        let mut expected = f.clone();
+        assert!(reference::run(&mut expected));
+        assert!(CondProp.run(&mut f));
+        assert!(f == expected);
+        let incomings = |phi: Value| match &f.inst(phi.as_inst().unwrap()).kind {
+            InstKind::Phi { incomings } => incomings.clone(),
+            _ => unreachable!(),
+        };
+        assert_eq!(incomings(px), vec![(t, Value::imm(4i64)), (el, x)]);
+        assert_eq!(incomings(pc), vec![(t, Value::imm(true)), (el, Value::imm(false))]);
     }
 
     #[test]

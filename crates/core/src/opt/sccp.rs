@@ -59,6 +59,13 @@ fn value_lattice(values: &SecondaryMap<InstId, Lattice>, v: Value) -> Lattice {
     }
 }
 
+/// The Wegman–Zadeck fixpoint. A phi is evaluated whole once, when its
+/// block first becomes executable; after that it is met with one incoming
+/// per event — the incoming a newly executable edge labels, or the one
+/// carrying an operand that lowered — so the work a phi costs is linear in
+/// its incomings, however many paths unmerging made merge into it. The
+/// meet is monotone, commutative and idempotent, so this reaches the
+/// fixpoint that re-evaluating the whole phi on every event reaches.
 fn solve(f: &Function) -> Solution {
     let mut values: SecondaryMap<InstId, Lattice> = SecondaryMap::with_default(Lattice::Top);
     // Executable edges as one bitset of successors per source block.
@@ -66,18 +73,34 @@ fn solve(f: &Function) -> Solution {
     let mut exec_blocks: EntitySet<BlockId> = EntitySet::new();
     let mut flow: Vec<(BlockId, BlockId)> = Vec::new();
     let mut ssa: Vec<InstId> = Vec::new();
+    // Phi meets to make: the phi and the incoming value to meet it with.
+    let mut meets: Vec<(InstId, Value)> = Vec::new();
 
-    // Use lists.
+    // Use lists: non-phi users of each value, the phi incomings carrying
+    // it (phi, predecessor), and the phi incomings each predecessor labels
+    // (phi, value).
     let mut users: SecondaryMap<InstId, Vec<InstId>> = SecondaryMap::new();
+    let mut phi_users: SecondaryMap<InstId, Vec<(InstId, BlockId)>> = SecondaryMap::new();
+    let mut labelled: SecondaryMap<BlockId, Vec<(InstId, Value)>> = SecondaryMap::new();
     let mut block_of: SecondaryMap<InstId, BlockId> = SecondaryMap::with_default(f.entry());
     for &b in f.layout() {
         for &i in &f.block(b).insts {
             block_of.set(i, b);
-            f.inst(i).kind.for_each_operand(|v| {
-                if let Value::Inst(d) = v {
-                    users.get_mut(*d).push(i);
+            match &f.inst(i).kind {
+                InstKind::Phi { incomings } => {
+                    for &(p, v) in incomings {
+                        labelled.get_mut(p).push((i, v));
+                        if let Value::Inst(d) = v {
+                            phi_users.get_mut(d).push((i, p));
+                        }
+                    }
                 }
-            });
+                kind => kind.for_each_operand(|v| {
+                    if let Value::Inst(d) = v {
+                        users.get_mut(*d).push(i);
+                    }
+                }),
+            }
         }
     }
 
@@ -161,64 +184,70 @@ fn solve(f: &Function) -> Solution {
                 ssa.push(i);
             }
         }
-        let Some(i) = ssa.pop() else {
+        let (i, new) = if let Some((phi, v)) = meets.pop() {
+            (phi, value_lattice(&values, v))
+        } else if let Some(i) = ssa.pop() {
+            let b = *block_of.get(i);
+            if !exec_blocks.contains(b) {
+                continue;
+            }
+            let inst = f.inst(i);
+            // Terminators contribute flow edges.
+            match &inst.kind {
+                InstKind::Br { target } => {
+                    flow.push((b, *target));
+                    continue;
+                }
+                InstKind::CondBr {
+                    cond,
+                    if_true,
+                    if_false,
+                } => {
+                    match value_lattice(&values, *cond) {
+                        Lattice::Const(c) => {
+                            let t = if c.as_bool() == Some(true) {
+                                *if_true
+                            } else {
+                                *if_false
+                            };
+                            flow.push((b, t));
+                        }
+                        Lattice::Bottom => {
+                            flow.push((b, *if_true));
+                            flow.push((b, *if_false));
+                        }
+                        Lattice::Top => {}
+                    }
+                    continue;
+                }
+                _ => {}
+            }
+            if inst.ty == uu_ir::Type::Void {
+                continue;
+            }
+            (i, eval(&values, &exec_edges, i, b))
+        } else {
             if flow.is_empty() {
                 break;
             }
-            // Process one flow edge.
+            // Process the pending flow edges.
             while let Some((from, to)) = flow.pop() {
                 if exec_edges.get_mut(from).insert(to) {
                     if exec_blocks.insert(to) {
                         newly_exec.push(to);
                     } else {
-                        // Re-evaluate phis of `to` (new incoming edge).
-                        for phi in f.phis(to) {
-                            ssa.push(phi);
+                        // Meet the phis of `to` with their incoming from
+                        // the new edge.
+                        for &(phi, v) in labelled.get(from) {
+                            if *block_of.get(phi) == to {
+                                meets.push((phi, v));
+                            }
                         }
                     }
                 }
             }
             continue;
         };
-        let b = *block_of.get(i);
-        if !exec_blocks.contains(b) {
-            continue;
-        }
-        let inst = f.inst(i);
-        // Terminators contribute flow edges.
-        match &inst.kind {
-            InstKind::Br { target } => {
-                flow.push((b, *target));
-                continue;
-            }
-            InstKind::CondBr {
-                cond,
-                if_true,
-                if_false,
-            } => {
-                match value_lattice(&values, *cond) {
-                    Lattice::Const(c) => {
-                        let t = if c.as_bool() == Some(true) {
-                            *if_true
-                        } else {
-                            *if_false
-                        };
-                        flow.push((b, t));
-                    }
-                    Lattice::Bottom => {
-                        flow.push((b, *if_true));
-                        flow.push((b, *if_false));
-                    }
-                    Lattice::Top => {}
-                }
-                continue;
-            }
-            _ => {}
-        }
-        if inst.ty == uu_ir::Type::Void {
-            continue;
-        }
-        let new = eval(&values, &exec_edges, i, b);
         let old = *values.get(i);
         let merged = old.meet(new);
         if merged != old {
@@ -226,8 +255,13 @@ fn solve(f: &Function) -> Solution {
             for &u in users.get(i) {
                 ssa.push(u);
             }
+            for &(phi, p) in phi_users.get(i) {
+                if exec_edges.get(p).contains(*block_of.get(phi)) {
+                    meets.push((phi, Value::Inst(i)));
+                }
+            }
             // The value may gate a branch in the same block.
-            if let Some(t) = f.terminator(b) {
+            if let Some(t) = f.terminator(*block_of.get(i)) {
                 ssa.push(t);
             }
         }
@@ -315,26 +349,28 @@ fn apply(f: &mut Function, sol: &Solution) -> bool {
         }
     }
     // Unlink blocks SCCP proved unreachable, then prune.
-    let dead: Vec<_> = f
-        .layout()
-        .to_vec()
-        .into_iter()
-        .filter(|b| !sol.exec_blocks.contains(*b))
-        .collect();
-    if !dead.is_empty() {
-        changed = true;
+    let mut dead: EntitySet<BlockId> = EntitySet::new();
+    for &b in f.layout() {
+        if !sol.exec_blocks.contains(b) {
+            dead.insert(b);
+        }
     }
-    for b in dead {
+    for b in dead.iter() {
         // Remove phi references first.
-        let succs = f.successors(b);
-        for s in succs {
+        for s in f.successors(b) {
             crate::clone::remove_phi_incomings_from(f, s, b);
         }
-        f.remove_block(b);
+    }
+    if !dead.is_empty() {
+        changed = true;
+        f.remove_blocks(&dead);
     }
     f.prune_unreachable();
     changed
 }
+
+#[cfg(test)]
+pub(crate) mod reference;
 
 #[cfg(test)]
 mod tests {

@@ -67,6 +67,22 @@ pub struct UuOutcome {
 /// interaction on *coordinates* (including our pass inhibits LLVM's own
 /// unrolling of the loop).
 pub fn uu_loop(f: &mut Function, header: BlockId, opts: &UuOptions) -> UuOutcome {
+    uu_loop_with(f, header, opts, unmerge_loop)
+}
+
+/// The signature of [`unmerge_loop`].
+pub(crate) type UnmergeFn =
+    fn(&mut Function, &LoopForest, BlockId, &[BlockId], UnmergeOptions) -> UnmergeStats;
+
+/// [`uu_loop`] with the unmerge transform passed in (the parameter shadows
+/// [`unmerge_loop`]), so that a reference implementation can run on the
+/// same input.
+pub(crate) fn uu_loop_with(
+    f: &mut Function,
+    header: BlockId,
+    opts: &UuOptions,
+    unmerge_loop: UnmergeFn,
+) -> UuOutcome {
     let mut outcome = UuOutcome::default();
     let dom = DomTree::compute(f);
     let forest = LoopForest::compute(f, &dom);

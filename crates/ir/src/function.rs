@@ -2,6 +2,7 @@
 
 use crate::entities::{BlockId, InstId, Value};
 use crate::inst::{Inst, InstKind};
+use crate::table::EntitySet;
 use crate::types::Type;
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -277,6 +278,12 @@ impl Function {
     /// remain but are no longer part of the function body.
     pub fn remove_block(&mut self, block: BlockId) {
         self.layout.retain(|b| *b != block);
+    }
+
+    /// Unlink every block of `blocks` from the layout in one pass; the
+    /// layout order of the others is kept.
+    pub fn remove_blocks(&mut self, blocks: &EntitySet<BlockId>) {
+        self.layout.retain(|b| !blocks.contains(*b));
     }
 
     /// Restore a previously removed block to the end of the layout.
