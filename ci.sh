@@ -44,6 +44,19 @@ then
   exit 1
 fi
 
+echo "== lint: the harness builds each application's module once =="
+# Every measurement path takes its module from `shared_module` (a clone of
+# one build per thread), so the compile memo finds a point's untouched
+# functions by pointer. A path calling an application's `build` itself
+# would silently fall back to rebuilding, fingerprinting and comparing
+# every function of every point.
+if grep -rnE '\.build\b' crates/harness/src \
+  | grep -vE '^crates/harness/src/experiment\.rs:[0-9]+: +modules\.entry\(bench\.build as usize\)'
+then
+  echo "module built outside experiment::shared_module (lines above)" >&2
+  exit 1
+fi
+
 echo "== build (release, offline, deny warnings) =="
 RUSTFLAGS="${RUSTFLAGS:-} -Dwarnings" cargo build --release --offline --all-targets
 

@@ -30,6 +30,28 @@ impl Lattice {
     }
 }
 
+/// The executable successors of one block. A terminator names at most two
+/// blocks, so two slots hold the set: a dense bitset per block would cost
+/// O(blocks²) bits on the wide functions unmerging creates.
+#[derive(Debug, Clone, Copy, Default)]
+struct Succs([Option<BlockId>; 2]);
+
+impl Succs {
+    fn contains(&self, b: BlockId) -> bool {
+        self.0.contains(&Some(b))
+    }
+
+    /// Insert `b`; returns whether it was newly inserted.
+    fn insert(&mut self, b: BlockId) -> bool {
+        if self.contains(b) {
+            return false;
+        }
+        let free = self.0.iter_mut().find(|s| s.is_none());
+        *free.expect("a terminator has at most two successors") = Some(b);
+        true
+    }
+}
+
 /// The SCCP pass.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Sccp;
@@ -68,8 +90,8 @@ fn value_lattice(values: &SecondaryMap<InstId, Lattice>, v: Value) -> Lattice {
 /// fixpoint that re-evaluating the whole phi on every event reaches.
 fn solve(f: &Function) -> Solution {
     let mut values: SecondaryMap<InstId, Lattice> = SecondaryMap::with_default(Lattice::Top);
-    // Executable edges as one bitset of successors per source block.
-    let mut exec_edges: SecondaryMap<BlockId, EntitySet<BlockId>> = SecondaryMap::new();
+    // Executable edges as the executable successors of each source block.
+    let mut exec_edges: SecondaryMap<BlockId, Succs> = SecondaryMap::new();
     let mut exec_blocks: EntitySet<BlockId> = EntitySet::new();
     let mut flow: Vec<(BlockId, BlockId)> = Vec::new();
     let mut ssa: Vec<InstId> = Vec::new();
@@ -105,7 +127,7 @@ fn solve(f: &Function) -> Solution {
     }
 
     let eval = |values: &SecondaryMap<InstId, Lattice>,
-                exec_edges: &SecondaryMap<BlockId, EntitySet<BlockId>>,
+                exec_edges: &SecondaryMap<BlockId, Succs>,
                 i: InstId,
                 b: BlockId|
      -> Lattice {

@@ -35,11 +35,23 @@
 //! and a per-loop sweep point changes one function of its module. So
 //! `optimize_module` looks every function the transform left alone up in a
 //! thread-local, content-addressed memo (see `memo.rs`) and, on a hit,
-//! replays the stored run's per-invocation charges through the same
-//! counter, log and clock a real run drives — the [`CompileOutcome`] is the
-//! one a memo-less compile returns, wall time aside. Compiles whose
-//! invocation indices are addressed from outside (a pass-level fault plan,
-//! an opt-bisect limit) do not touch the memo.
+//! replays the stored run's log entries and per-pass charges through the
+//! same counter, log and clock a real run drives — the [`CompileOutcome`]
+//! is the one a memo-less compile returns, wall time aside — and shares
+//! the stored output. Compiles whose invocation indices are addressed from
+//! outside (a pass-level fault plan, an opt-bisect limit) do not touch the
+//! memo.
+//!
+//! ## Sharing
+//!
+//! A [`Module`] holds its functions behind `Arc`s. A compile copies a
+//! function only when a pass is about to run on it (the caller's `Arc` is
+//! kept as the function's original), and verifies only the functions
+//! passes ran on since they were last verified: a memo output was verified
+//! before it was stored. A per-loop point on a module cloned from its
+//! application's shared one therefore copies only the function it
+//! transforms, and verifies it unless the memo hands back a stored body
+//! ([`function_sharing_stats`]).
 //!
 //! ## Settled passes
 //!
@@ -362,11 +374,14 @@ struct Ctx {
     /// replay does not execute.
     memo: bool,
     /// Per function: the caller's input, kept from just before the
-    /// function's first mutation — what the `module-verify` last rung
-    /// restores.
-    originals: Vec<Option<Function>>,
+    /// function's first mutation or memo replay — what the `module-verify`
+    /// last rung restores.
+    originals: Vec<Option<Arc<Function>>>,
     /// Per function: whether a transform invocation changed it.
     transformed: Vec<bool>,
+    /// Per function: whether a pass ran on its body since the body was
+    /// last verified (or taken from the memo, which holds verified bodies).
+    dirty: Vec<bool>,
 }
 
 impl Ctx {
@@ -390,18 +405,48 @@ impl Ctx {
                 && opts.fault.is_none_or(|p| p.kind == FaultKind::Mem),
             originals: vec![None; num_functions],
             transformed: vec![false; num_functions],
+            dirty: vec![false; num_functions],
         }
     }
 
-    /// Keep `f` as function `id`'s original unless one is kept already.
-    fn keep_original(&mut self, id: FuncId, f: &Function) {
-        self.originals[id.index()].get_or_insert_with(|| f.clone());
+    /// Function `id` of `m`, about to be handed to a pass: its original is
+    /// kept unless one is kept already, and it is copied first if anyone
+    /// else — the original, another module, the memo — still shares it.
+    fn mutate<'m>(&mut self, m: &'m mut Module, id: FuncId) -> &'m mut Function {
+        let shared = m.function_arc(id);
+        self.originals[id.index()].get_or_insert_with(|| Arc::clone(shared));
+        if Arc::strong_count(shared) > 1 {
+            count_sharing(1, 0);
+        }
+        self.dirty[id.index()] = true;
+        m.function_mut(id)
+    }
+
+    /// Verify `f`, counting it, and mark function `id` clean if it passes.
+    fn verify(&mut self, id: FuncId, f: &Function) -> Result<(), uu_ir::VerifyError> {
+        count_sharing(0, 1);
+        uu_ir::verify_function(f)?;
+        self.dirty[id.index()] = false;
+        Ok(())
+    }
+
+    /// Replay a memoised run of the per-function stage over the function
+    /// named `name`: one counter step and log entry per invocation, one
+    /// clock charge per pass.
+    fn replay(&mut self, hit: &memo::Entry, name: &str) {
+        for &pass in &hit.passes {
+            self.log(self.counter, pass, name);
+            self.counter += 1;
+        }
+        for &(pass, work) in &hit.per_pass {
+            self.record(pass, Duration::ZERO, work);
+        }
     }
 
     /// Append one executed invocation to the opt-bisect log.
-    fn log(&mut self, index: u64, pass: &'static str, f: &Function) {
-        if *self.fn_name != *f.name() {
-            self.fn_name = Arc::from(f.name());
+    fn log(&mut self, index: u64, pass: &'static str, name: &str) {
+        if *self.fn_name != *name {
+            self.fn_name = Arc::from(name);
         }
         self.pass_log.push(PassInvocation {
             index,
@@ -448,7 +493,7 @@ impl Ctx {
                 return false; // opt-bisect: pass skipped, no work charged
             }
         }
-        self.log(index, name, f);
+        self.log(index, name, f.name());
         let fault = self.fault.filter(|p| p.at == index && p.kind != FaultKind::Mem);
         let t0 = Instant::now();
         let settled = scope.settled(name).filter(|_| fault.is_none());
@@ -555,6 +600,26 @@ impl<F: FnMut(&mut Function) -> bool> Pass for Step<F> {
 thread_local! {
     /// `(elided, invoked)` pass invocations on this thread.
     static ELISION: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    /// `(cloned, verified)` functions on this thread.
+    static SHARING: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+fn count_sharing(cloned: u64, verified: u64) {
+    SHARING.with(|c| {
+        let (a, b) = c.get();
+        c.set((a + cloned, b + verified));
+    });
+}
+
+/// This thread's `(cloned, verified)` counters over [`compile`]: functions
+/// copied because a pass was about to run on a shared body, and functions
+/// handed to `verify_function` to check a compile's result (per-invocation
+/// checks of a pass's change are not counted). A per-loop point on a clone
+/// of an already compiled module copies one function and verifies at most
+/// that one. Diagnostics only: kept off [`CompileOutcome`], whose contents
+/// do not depend on sharing.
+pub fn function_sharing_stats() -> (u64, u64) {
+    SHARING.with(Cell::get)
 }
 
 fn count_invocation(elided: bool) {
@@ -592,10 +657,9 @@ pub fn compile(m: &mut Module, opts: &PipelineOptions) -> CompileOutcome {
         apply_transform(m, opts, &mut ctx, &mut decisions);
         // A single cleanup round after — the point of the ablation is that
         // the pipeline does not restart.
-        let funcs: Vec<_> = m.iter().map(|(id, _)| id).collect();
-        for id in funcs {
-            // `optimize_module` ran to the end, so every original is kept.
-            run_timed_cleanup(m.function_mut(id), 1, &mut ctx, &mut PassScope::default());
+        for ix in 0..m.num_functions() {
+            let f = ctx.mutate(m, FuncId::from_index(ix));
+            run_timed_cleanup(f, 1, &mut ctx, &mut PassScope::default());
         }
     }
 
@@ -608,7 +672,11 @@ pub fn compile(m: &mut Module, opts: &PipelineOptions) -> CompileOutcome {
     } else {
         Rung::DroppedPass
     };
-    let mut verify_error = uu_ir::verify_module(m).err().map(|e| e.to_string());
+    // Every other function is the caller's or a verified memo output.
+    let mut verify_error = (0..m.num_functions())
+        .map(FuncId::from_index)
+        .find_map(|id| ctx.dirty[id.index()].then(|| ctx.verify(id, m.function(id)).err())?)
+        .map(|e| e.to_string());
     if let Some(err) = &verify_error {
         // Last rung: the recovered module still does not verify (a pass
         // corrupted a function while reporting no change, slipping past
@@ -623,10 +691,11 @@ pub fn compile(m: &mut Module, opts: &PipelineOptions) -> CompileOutcome {
         });
         for (ix, orig) in std::mem::take(&mut ctx.originals).into_iter().enumerate() {
             if let Some(orig) = orig {
-                *m.function_mut(FuncId::from_index(ix)) = orig;
+                m.set_function(FuncId::from_index(ix), orig);
             }
         }
         rung = Rung::Unoptimized;
+        count_sharing(0, m.num_functions() as u64);
         verify_error = uu_ir::verify_module(m).err().map(|e| e.to_string());
     }
 
@@ -652,12 +721,12 @@ fn apply_transform(
     if matches!(opts.transform, Transform::Baseline) {
         return;
     }
-    let funcs: Vec<_> = m.iter().map(|(id, _)| id).collect();
-    for id in funcs {
+    for ix in 0..m.num_functions() {
+        let id = FuncId::from_index(ix);
         if ctx.timed_out {
             return;
         }
-        let f = m.function_mut(id);
+        let f = m.function(id);
         // The name test comes before the analyses: a per-loop point skips
         // every function but one.
         if matches!(&opts.filter, LoopFilter::Only { func, .. } if func != f.name()) {
@@ -675,7 +744,7 @@ fn apply_transform(
                 vec![forest.loops()[*loop_id].header]
             }
         };
-        ctx.keep_original(id, f);
+        let f = ctx.mutate(m, id);
         let uu = |factor: u32, unmerge: UnmergeOptions| {
             let headers = &headers;
             move |f: &mut Function| {
@@ -768,47 +837,45 @@ fn apply_transform(
 }
 
 fn optimize_module(m: &mut Module, opts: &PipelineOptions, ctx: &mut Ctx) {
-    let funcs: Vec<_> = m.iter().map(|(id, _)| id).collect();
-    for id in funcs {
+    for ix in 0..m.num_functions() {
+        let id = FuncId::from_index(ix);
         if ctx.timed_out {
             return;
         }
-        let f = m.function_mut(id);
         // The memo admits exactly the functions no transform invocation
         // changed in this compile: those recur on every point of the
         // application's sweep, a transformed variant at most once more (in
         // the study), and holding both costs more peak RSS than the
         // end-to-end benchmark allows.
-        if !ctx.memo || ctx.transformed[id.index()] {
+        if !ctx.memo || ctx.transformed[ix] {
             memo::count_bypass();
-            ctx.keep_original(id, f);
-            optimize_function(f, opts, ctx);
+            optimize_function(ctx.mutate(m, id), opts, ctx);
             continue;
         }
         let room = ctx.work_budget.map(|b| b.saturating_sub(ctx.work));
-        if let Some(hit) = memo::lookup(f, opts.max_rounds, &opts.baseline_unroll, room) {
-            // Replay the run's charges — one counter step, log entry and
-            // clock charge per invocation, so the outcome is the one the
-            // real run produces — then swap the stored body in. The input
-            // moves into the snapshot instead of being cloned.
-            for &(pass, work) in &hit.trace {
-                ctx.log(ctx.counter, pass, f);
-                ctx.counter += 1;
-                ctx.record(pass, Duration::ZERO, work);
+        let input = Arc::clone(m.function_arc(id));
+        let hash = match memo::lookup(&input, opts.max_rounds, &opts.baseline_unroll, room) {
+            Ok(hit) => {
+                // The outcome is the one the real run produces; the stored
+                // body replaces the input without being copied.
+                ctx.replay(&hit, input.name());
+                m.set_function(id, Arc::clone(&hit.output));
+                ctx.originals[ix].get_or_insert(input);
+                ctx.dirty[ix] = false;
+                continue;
             }
-            let input = std::mem::replace(f, hit.output.clone());
-            ctx.originals[id.index()].get_or_insert(input);
-            continue;
-        }
-        ctx.keep_original(id, f);
-        let input = f.clone();
+            Err(hash) => hash,
+        };
         let failures = ctx.failures.len();
         ctx.trace = Some(Vec::new());
-        optimize_function(f, opts, ctx);
+        optimize_function(ctx.mutate(m, id), opts, ctx);
         let trace = ctx.trace.take().expect("armed above");
-        // Only a run that finished is a function of its input alone.
-        if !ctx.timed_out && ctx.failures.len() == failures {
-            memo::insert(input, opts.max_rounds, opts.baseline_unroll, f.clone(), trace);
+        // Only a run that finished is a function of its input alone, and
+        // only a verified body may be replayed.
+        if !ctx.timed_out && ctx.failures.len() == failures && ctx.verify(id, m.function(id)).is_ok()
+        {
+            let output = Arc::clone(m.function_arc(id));
+            memo::insert(hash, input, opts.max_rounds, opts.baseline_unroll, output, trace);
         }
     }
 }
@@ -821,25 +888,30 @@ fn optimize_function(f: &mut Function, opts: &PipelineOptions, ctx: &mut Ctx) {
     // Dominators, loops and settled passes survive across the stages as
     // long as the function does not change under them (see `PassScope`).
     let scope = &mut PassScope::default();
-    run_timed_cleanup(f, opts.max_rounds, ctx, scope);
-    if ctx.timed_out {
-        return;
+    'stages: {
+        run_timed_cleanup(f, opts.max_rounds, ctx, scope);
+        if ctx.timed_out {
+            break 'stages;
+        }
+        let bopts = opts.baseline_unroll;
+        ctx.invoke(
+            f,
+            scope,
+            &mut Step("baseline-unroll", |f: &mut Function| {
+                let stats = baseline_unroll(f, &bopts);
+                stats.full + stats.runtime + stats.pragma > 0
+            }),
+        );
+        run_timed_cleanup(f, opts.max_rounds, ctx, scope);
+        if ctx.timed_out {
+            break 'stages;
+        }
+        ctx.invoke(f, scope, &mut IfConvert);
+        run_timed_cleanup(f, opts.max_rounds, ctx, scope);
     }
-    let bopts = opts.baseline_unroll;
-    ctx.invoke(
-        f,
-        scope,
-        &mut Step("baseline-unroll", |f: &mut Function| {
-            let stats = baseline_unroll(f, &bopts);
-            stats.full + stats.runtime + stats.pragma > 0
-        }),
-    );
-    run_timed_cleanup(f, opts.max_rounds, ctx, scope);
-    if ctx.timed_out {
-        return;
-    }
-    ctx.invoke(f, scope, &mut IfConvert);
-    run_timed_cleanup(f, opts.max_rounds, ctx, scope);
+    // The body outlives its guarded invocations, in the module and perhaps
+    // in the memo: it keeps no spare capacity.
+    f.shrink_to_fit();
 }
 
 fn run_timed_cleanup(f: &mut Function, max_rounds: usize, ctx: &mut Ctx, scope: &mut PassScope) {
@@ -1243,26 +1315,32 @@ mod tests {
             .any(|f| matches!(f.reason, FailureReason::Budget(_))));
     }
 
+    /// `bad` returns nothing from an i64 function: no pass changes it, so
+    /// no per-invocation check sees it, and its stage output fails
+    /// `verify_function`.
+    fn unverifiable() -> Function {
+        let mut bad = uu_ir::Function::new("bad", vec![], Type::I64);
+        let entry = bad.entry();
+        let mut b = FunctionBuilder::new(&mut bad);
+        b.switch_to(entry);
+        b.ret(None);
+        bad
+    }
+
     #[test]
     fn unverifiable_module_is_restored_from_the_per_function_originals() {
-        // `bad` returns nothing from an i64 function: no pass changes it, so
-        // no per-invocation check sees it, and the whole-module verdict
-        // lands the compile on the last rung. The restore must undo the
-        // optimisation of `k` too — when its original was cloned (memo
-        // miss) and when it was moved out by a memo hit.
+        // `bad` lands the compile on the last rung. The restore must undo
+        // the optimisation of `k` too — when its original was copied (memo
+        // miss) and when a memo hit replaced it; `bad` itself is never
+        // admitted, so it misses both times.
         let build = || {
             let mut m = branchy_module();
-            let mut bad = uu_ir::Function::new("bad", vec![], Type::I64);
-            let entry = bad.entry();
-            let mut b = FunctionBuilder::new(&mut bad);
-            b.switch_to(entry);
-            b.ret(None);
-            m.add_function(bad);
+            m.add_function(unverifiable());
             m
         };
         let input = build().to_string();
         crate::compile_memo_clear();
-        for (round, hits) in [("miss", 0), ("hit", 2)] {
+        for (round, hits) in [("miss", 0), ("hit", 1)] {
             let mut m = build();
             let out = compile(&mut m, &PipelineOptions::default());
             assert_eq!(crate::compile_memo_stats().0, hits, "{round}");
@@ -1270,6 +1348,19 @@ mod tests {
             assert_eq!(out.failures.last().unwrap().pass, "module-verify", "{round}");
             assert!(out.verify_error.is_some(), "{round}: the input itself is invalid");
             assert_eq!(m.to_string(), input, "{round}: input not restored verbatim");
+        }
+    }
+
+    #[test]
+    fn an_output_that_fails_verification_is_never_admitted() {
+        crate::compile_memo_clear();
+        for round in 1..=2 {
+            let mut m = Module::new("m");
+            m.add_function(unverifiable());
+            let out = compile(&mut m, &PipelineOptions::default());
+            assert_eq!(out.rung, Rung::Unoptimized, "round {round}");
+            assert_eq!(crate::compile_memo_footprint().0, 0, "round {round}: stored");
+            assert_eq!(crate::compile_memo_stats(), (0, round, 0), "round {round}: replayed");
         }
     }
 

@@ -3,6 +3,9 @@
 //! (kernel time, binary size, compile time) plus hardware counters.
 
 use crate::plan::Key;
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Duration;
 use uu_core::{compile, FaultKind, FaultPlan, LoopFilter, PipelineOptions, Rung, Transform};
 use uu_kernels::Benchmark;
@@ -24,8 +27,9 @@ pub struct Measurement {
     pub checksum: f64,
     /// Whether compilation hit the timeout (paper: ccs at factor ≥ 4).
     pub timed_out: bool,
-    /// Aggregated simulator counters.
-    pub metrics: Metrics,
+    /// Aggregated simulator counters; a cold point shares its baseline's,
+    /// as it borrows the baseline's run.
+    pub metrics: Arc<Metrics>,
     /// Host↔device transfer time (for Table I's %C).
     pub transfer_ms: f64,
     /// Which rung of the degradation ladder the compile landed on
@@ -53,9 +57,28 @@ pub struct LoopRef {
     pub loop_id: usize,
 }
 
+thread_local! {
+    /// Each application's module as built, keyed by its build function,
+    /// built at most once per thread.
+    static MODULES: RefCell<HashMap<usize, uu_ir::Module>> = RefCell::new(HashMap::new());
+}
+
+/// `bench`'s module: a clone of the one this thread built first, sharing
+/// every function with it (cloning a module copies one pointer per
+/// function, and a compile copies only the functions it changes). Every
+/// point of an application therefore hands the compile memo the same
+/// function handles, which it recognises by pointer. The harness builds
+/// modules nowhere else.
+pub fn shared_module(bench: &Benchmark) -> uu_ir::Module {
+    MODULES.with(|modules| {
+        let mut modules = modules.borrow_mut();
+        modules.entry(bench.build as usize).or_insert_with(bench.build).clone()
+    })
+}
+
 /// Enumerate every loop of a benchmark's module.
 pub fn loop_list(bench: &Benchmark) -> Vec<LoopRef> {
-    let m = (bench.build)();
+    let m = shared_module(bench);
     let mut out = Vec::new();
     for (_, f) in m.iter() {
         let dom = uu_analysis::DomTree::compute(f);
@@ -209,7 +232,7 @@ pub fn measure_backed(
     fault: Option<FaultPlan>,
     backend: Backend<'_>,
 ) -> Result<Measurement, MeasureError> {
-    let mut m = (bench.build)();
+    let mut m = shared_module(bench);
     let mem_fault = fault.filter(|p| p.kind == FaultKind::Mem);
     let opts = PipelineOptions {
         transform,
@@ -235,7 +258,7 @@ pub fn measure_backed(
                     time_ms: base.time_ms,
                     checksum: base.checksum,
                     transfer_ms: base.transfer_ms,
-                    metrics: base.metrics,
+                    metrics: *base.metrics,
                 },
                 None => {
                     let run = simulate(bench, &m, mem_fault).map_err(|exec| MeasureError {
@@ -261,7 +284,7 @@ pub fn measure_backed(
         compile_ms: meta.work as f64 / uu_core::WORK_PER_MS,
         checksum: run.checksum,
         timed_out: meta.timed_out,
-        metrics: run.metrics,
+        metrics: skip_run.map_or_else(|| Arc::new(run.metrics), |base| Arc::clone(&base.metrics)),
         transfer_ms: run.transfer_ms,
         rung: meta.rung,
         diag: meta.diag,
@@ -351,8 +374,9 @@ fn compile_remote(
 /// One per-loop point measured on its own: apply `transform` to exactly
 /// `loop_ref` of `bench` and measure it against the precomputed baseline.
 ///
-/// Tasks share nothing mutable — each builds its own module and simulated
-/// GPU — so a batch of them is safe to fan out across a `uu-par` pool.
+/// Tasks share nothing mutable — each compiles its own copy of the module
+/// on its own simulated GPU — so a batch of them is safe to fan out across
+/// a `uu-par` pool.
 /// The reports measure through [`crate::plan::Plan`] instead, which
 /// applies the same [`settle`] policy to its stored results.
 #[derive(Debug, Clone)]

@@ -1,4 +1,6 @@
 //! Command-line entry point: `uu-harness <command> [--fast] [--out DIR]`.
+//! `--help` prints the usage line; an unknown option exits 2 before
+//! anything runs.
 //!
 //! Batch commands (`all`, `table1`, `fig6`–`fig9`, `table2`, `study`,
 //! `indepth`, `decisions`, `dump`) regenerate the paper's reports. The
@@ -24,6 +26,7 @@
 
 use std::path::{Path, PathBuf};
 use uu_core::FaultPlan;
+use uu_harness::experiment::shared_module;
 use uu_harness::plan::Plan;
 use uu_harness::{figures, indepth, study, sweep};
 use uu_kernels::{all_benchmarks, Benchmark};
@@ -90,12 +93,49 @@ impl Env {
     }
 }
 
+/// The options that take a value.
+const VALUE_FLAGS: [&str; 7] = [
+    "--out",
+    "--bench",
+    "--config",
+    "--socket",
+    "--fault",
+    "--verb",
+    "--timeout-ms",
+];
+
+/// The options that take none.
+const SWITCHES: [&str; 3] = ["--fast", "--no-retry", "--print-ir"];
+
+const USAGE: &str = "usage: uu-harness [all|table1|fig6[a|b|c]|fig7|fig8[a|b]|study|fig9|\
+table2|indepth|decisions|dump|serve|client] [--fast] [--bench NAME] [--out DIR] [--config C] \
+[--socket PATH] [--fault SPEC] [--verb V] [--timeout-ms N] [--no-retry] [--print-ir]";
+
+/// Answer `--help`/`-h` (usage on stdout, exit 0) and refuse an unknown
+/// option (exit 2), both before anything runs or is written.
+fn check_options(args: &[String]) {
+    let mut rest = args.iter();
+    while let Some(a) = rest.next() {
+        if a == "--help" || a == "-h" {
+            println!("{USAGE}");
+            std::process::exit(0);
+        }
+        if VALUE_FLAGS.contains(&a.as_str()) {
+            rest.next();
+        } else if a.starts_with('-') && !SWITCHES.contains(&a.as_str()) {
+            eprintln!("unknown option `{a}`; {USAGE}");
+            std::process::exit(2);
+        }
+    }
+}
+
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    check_options(&args);
     let env = Env::read().unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(2);
     });
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let fast = args.iter().any(|a| a == "--fast");
     let flag = |name: &str| -> Option<String> {
         args.iter()
@@ -105,18 +145,7 @@ fn main() {
     };
     let out = flag("--out").map(PathBuf::from).unwrap_or_else(|| PathBuf::from("results"));
     let only: Option<String> = flag("--bench");
-    let flag_values: Vec<String> = [
-        "--out",
-        "--bench",
-        "--config",
-        "--socket",
-        "--fault",
-        "--verb",
-        "--timeout-ms",
-    ]
-    .iter()
-    .filter_map(|f| flag(f))
-    .collect();
+    let flag_values: Vec<String> = VALUE_FLAGS.iter().filter_map(|f| flag(f)).collect();
     let cmd = args
         .iter()
         .find(|a| !a.starts_with("--") && !flag_values.contains(a))
@@ -172,7 +201,7 @@ fn main() {
                     // `--bench NAME` sends that benchmark's module; with the
                     // default filter (all benches), read the module from stdin.
                     let module_text = if only.is_some() {
-                        (benches[0].build)().to_string()
+                        shared_module(&benches[0]).to_string()
                     } else {
                         let mut s = String::new();
                         use std::io::Read as _;
@@ -249,7 +278,7 @@ fn main() {
             };
             // Compile in parallel; print in benchmark order.
             let dumps = uu_par::par_map(env.jobs, &benches, |_, b| {
-                let mut m = (b.build)();
+                let mut m = shared_module(b);
                 uu_core::compile(
                     &mut m,
                     &uu_core::PipelineOptions {
@@ -277,7 +306,7 @@ fn main() {
             // Dump the heuristic's per-loop reasoning (paper §III-C).
             // Compile in parallel; print in benchmark order.
             let dumps = uu_par::par_map(env.jobs, &benches, |_, b| {
-                let mut m = (b.build)();
+                let mut m = shared_module(b);
                 let outcome = uu_core::compile(
                     &mut m,
                     &uu_core::PipelineOptions {

@@ -1,0 +1,87 @@
+//! `uu-harness` options: `--help`/`-h` print the usage and exit 0, and an
+//! unknown option exits 2 with a one-line usage message. Neither runs a
+//! report or writes a file (the default `--out` is `results/` under the
+//! working directory, so each run gets an empty one to watch).
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+fn empty_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("uu-cli-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Run the harness in a fresh directory; returns the output and whether
+/// the directory is still empty afterwards.
+fn harness(name: &str, args: &[&str]) -> (Output, bool) {
+    let dir = empty_dir(name);
+    let out = Command::new(env!("CARGO_BIN_EXE_uu-harness"))
+        .args(args)
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    let untouched = std::fs::read_dir(&dir).unwrap().next().is_none();
+    std::fs::remove_dir_all(&dir).unwrap();
+    (out, untouched)
+}
+
+#[test]
+fn help_prints_the_usage_and_runs_nothing() {
+    for (i, help) in ["--help", "-h"].into_iter().enumerate() {
+        // A filtered fast run follows, so a harness that ignored the flag
+        // would write a report quickly instead of running all of `all`.
+        let (out, untouched) = harness(
+            &format!("help{i}"),
+            &[help, "--fast", "--bench", "mandelbrot"],
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{help}: {stdout}");
+        assert!(stdout.starts_with("usage: uu-harness "), "{help}: {stdout}");
+        assert!(
+            stdout.contains("--fast") && stdout.contains("--bench NAME"),
+            "{help}: {stdout}"
+        );
+        assert!(
+            out.stderr.is_empty(),
+            "{help}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(untouched, "{help} wrote into the working directory");
+    }
+}
+
+#[test]
+fn an_unknown_option_exits_2_before_any_work() {
+    for (i, (args, bad)) in [
+        (&["all", "--fats", "--bench", "mandelbrot"][..], "--fats"),
+        (&["table1", "--bench", "mandelbrot", "-x"][..], "-x"),
+        (
+            &["--verbose", "fig7", "--fast", "--bench", "mandelbrot"][..],
+            "--verbose",
+        ),
+        // A value that looks like an option is the value of the option
+        // before it.
+        (
+            &["decisions", "--timeout-ms", "-1", "--bogus"][..],
+            "--bogus",
+        ),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let (out, untouched) = harness(&format!("unknown{i}"), args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        let want = format!("unknown option `{bad}`; usage: uu-harness ");
+        assert!(stderr.starts_with(&want), "{args:?}: {stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+        assert!(untouched, "{args:?} wrote into the working directory");
+    }
+}

@@ -557,6 +557,21 @@ impl Function {
         j.block_bits.resize(self.blocks.len().div_ceil(64), 0);
     }
 
+    /// Release spare capacity: the arenas' and the buffers the snapshot
+    /// journal keeps from one [`Function::snapshot_begin`] to the next. For
+    /// a function whose pass invocations are over but which lives on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a snapshot is armed.
+    pub fn shrink_to_fit(&mut self) {
+        assert!(!self.journal.active, "cannot shrink under an armed Function snapshot");
+        self.journal = Journal::default();
+        self.insts.shrink_to_fit();
+        self.blocks.shrink_to_fit();
+        self.layout.shrink_to_fit();
+    }
+
     /// Whether the function now differs from its state at
     /// [`Function::snapshot_begin`] — exactly `*self != clone_at_arm`, in
     /// time proportional to the slots touched since. The journal records

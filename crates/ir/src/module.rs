@@ -2,11 +2,16 @@
 
 use crate::entities::FuncId;
 use crate::function::Function;
+use std::sync::Arc;
 
 /// A compilation unit holding one or more kernels.
 ///
 /// Kernels in this IR do not call each other (device functions are assumed
 /// inlined, as Clang does for CUDA at `-O3`), so the module is a flat list.
+/// Each function sits behind an [`Arc`]: cloning a module copies one
+/// pointer per function, and [`Module::function_mut`] copies a function
+/// only while another module (or a compile memo) still shares it, so
+/// variants of one module share every function they do not change.
 ///
 /// # Examples
 ///
@@ -20,7 +25,7 @@ use crate::function::Function;
 #[derive(Debug, Clone, Default)]
 pub struct Module {
     name: String,
-    functions: Vec<Function>,
+    functions: Vec<Arc<Function>>,
 }
 
 impl Module {
@@ -40,7 +45,7 @@ impl Module {
     /// Add a function, returning its ID.
     pub fn add_function(&mut self, f: Function) -> FuncId {
         let id = FuncId(self.functions.len() as u32);
-        self.functions.push(f);
+        self.functions.push(Arc::new(f));
         id
     }
 
@@ -53,13 +58,33 @@ impl Module {
         &self.functions[id.index()]
     }
 
-    /// Mutable access to a function.
+    /// Mutable access to a function, copying it first if it is shared
+    /// ([`Arc::make_mut`]).
     ///
     /// # Panics
     ///
     /// Panics if `id` is not a function of this module.
     pub fn function_mut(&mut self, id: FuncId) -> &mut Function {
-        &mut self.functions[id.index()]
+        Arc::make_mut(&mut self.functions[id.index()])
+    }
+
+    /// The shared handle of a function: what a content-addressed store keys
+    /// by pointer identity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a function of this module.
+    pub fn function_arc(&self, id: FuncId) -> &Arc<Function> {
+        &self.functions[id.index()]
+    }
+
+    /// Replace a function by a shared one, copying nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a function of this module.
+    pub fn set_function(&mut self, id: FuncId, f: Arc<Function>) {
+        self.functions[id.index()] = f;
     }
 
     /// Number of functions.
@@ -72,7 +97,7 @@ impl Module {
         self.functions
             .iter()
             .enumerate()
-            .map(|(i, f)| (FuncId(i as u32), f))
+            .map(|(i, f)| (FuncId(i as u32), &**f))
     }
 
     /// Find a function by name.
@@ -115,5 +140,21 @@ mod tests {
         b.switch_to(entry);
         b.ret(None);
         assert_eq!(m.total_insts(), 1);
+    }
+
+    #[test]
+    fn clones_share_functions_until_one_is_mutated() {
+        let mut m = Module::new("m");
+        let a = m.add_function(Function::new("a", vec![], Type::Void));
+        let b = m.add_function(Function::new("b", vec![], Type::Void));
+        let mut copy = m.clone();
+        assert!(Arc::ptr_eq(m.function_arc(a), copy.function_arc(a)));
+        let entry = copy.function(a).entry();
+        copy.function_mut(a).set_loop_pragma(entry, crate::LoopPragma::NoUnroll);
+        assert!(!Arc::ptr_eq(m.function_arc(a), copy.function_arc(a)));
+        assert!(Arc::ptr_eq(m.function_arc(b), copy.function_arc(b)));
+        assert_ne!(m.function(a), copy.function(a), "the original is untouched");
+        copy.set_function(a, Arc::clone(m.function_arc(a)));
+        assert!(Arc::ptr_eq(m.function_arc(a), copy.function_arc(a)));
     }
 }

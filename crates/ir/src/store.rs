@@ -11,6 +11,18 @@
 
 use std::collections::HashMap;
 
+/// What [`Store::insert`] did: a caller that indexes the store's keys by
+/// some other handle must drop that index whenever the store clears.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Inserted {
+    /// Stored beside every earlier entry.
+    Added,
+    /// Stored after clearing every earlier entry to stay in budget.
+    AfterClear,
+    /// Not stored: heavier than the whole budget.
+    Refused,
+}
+
 /// Content-addressed `K → V` entries under a weight budget, with hit and
 /// miss counters.
 pub struct Store<K, V> {
@@ -52,17 +64,23 @@ impl<K, V: Clone> Store<K, V> {
 
     /// Store `value` under `key` in bucket `hash`, clearing every entry
     /// first when `weight` would take the total past the budget.
-    pub fn insert(&mut self, hash: u64, key: K, value: V, weight: usize) {
+    pub fn insert(&mut self, hash: u64, key: K, value: V, weight: usize) -> Inserted {
         if weight > self.budget {
-            return;
+            return Inserted::Refused;
         }
-        if self.weight + weight > self.budget {
+        let cleared = self.weight + weight > self.budget;
+        if cleared {
             self.buckets.clear();
             (self.entries, self.weight) = (0, 0);
         }
         self.entries += 1;
         self.weight += weight;
         self.buckets.entry(hash).or_default().push((key, value));
+        if cleared {
+            Inserted::AfterClear
+        } else {
+            Inserted::Added
+        }
     }
 
     /// Drop every entry and zero the counters.
@@ -136,17 +154,17 @@ mod tests {
     #[test]
     fn the_budget_clears_wholesale_and_refuses_what_cannot_fit() {
         let mut s = Store::new(10);
-        s.insert(1, 1, 'a', 6);
-        s.insert(2, 2, 'b', 4);
+        assert_eq!(s.insert(1, 1, 'a', 6), Inserted::Added);
+        assert_eq!(s.insert(2, 2, 'b', 4), Inserted::Added);
         assert_eq!(s.footprint(), (2, 10));
-        s.insert(3, 3, 'c', 1);
+        assert_eq!(s.insert(3, 3, 'c', 1), Inserted::AfterClear);
         assert_eq!(
             s.footprint(),
             (1, 1),
             "passing the budget cleared the store first"
         );
         assert_eq!(s.find(1, |k, _| *k == 1), None);
-        s.insert(4, 4, 'd', 11);
+        assert_eq!(s.insert(4, 4, 'd', 11), Inserted::Refused);
         assert_eq!(
             s.footprint(),
             (1, 1),
