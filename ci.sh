@@ -57,6 +57,18 @@ then
   exit 1
 fi
 
+echo "== lint: compile results have one codec =="
+# `CompileMeta` and `RunRecord` are spelled as headers in one place, the
+# codec in crates/serve/src/artifact.rs, which the daemon's replies, the
+# client and the disk artifacts all share. A second spelling of a field
+# elsewhere would be a second format that can drift from the first.
+if grep -rnE '"(code-size|timed-out|transfer-ms|time-ms)"' crates/*/src \
+  | grep -vE '^crates/serve/src/artifact\.rs:'
+then
+  echo "compile-result header spelled outside the artifact codec (lines above)" >&2
+  exit 1
+fi
+
 echo "== build (release, offline, deny warnings) =="
 RUSTFLAGS="${RUSTFLAGS:-} -Dwarnings" cargo build --release --offline --all-targets
 

@@ -54,12 +54,6 @@ impl CloneMap {
         self.block_copies.iter().map(|&(_, c)| c)
     }
 
-    /// The cloned instructions, in cloning order (block by block, program
-    /// order within a block).
-    pub fn cloned_insts(&self) -> impl Iterator<Item = InstId> + '_ {
-        self.inst_copies.iter().map(|&(_, c)| c)
-    }
-
     /// Forget every mapping, keeping the tables: a caller cloning many
     /// times reuses one map instead of growing a fresh one to the arena's
     /// size per clone.

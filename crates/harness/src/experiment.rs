@@ -40,14 +40,6 @@ pub struct Measurement {
     pub diag: String,
 }
 
-impl Measurement {
-    /// Whether this point is fully clean (no contained failures, full
-    /// optimization rung).
-    pub fn is_clean(&self) -> bool {
-        self.rung == Rung::Full && self.diag.is_empty()
-    }
-}
-
 /// A loop identified by function name + deterministic per-function index.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LoopRef {

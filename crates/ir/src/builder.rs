@@ -39,11 +39,6 @@ impl<'f> FunctionBuilder<'f> {
         self.func
     }
 
-    /// Mutable access to the function being built.
-    pub fn func_mut(&mut self) -> &mut Function {
-        self.func
-    }
-
     /// Create a new block (does not change the insertion point).
     pub fn create_block(&mut self) -> BlockId {
         self.func.add_block()

@@ -286,13 +286,6 @@ impl Function {
         self.layout.retain(|b| !blocks.contains(*b));
     }
 
-    /// Restore a previously removed block to the end of the layout.
-    pub fn relink_block(&mut self, block: BlockId) {
-        if !self.layout.contains(&block) {
-            self.layout.push(block);
-        }
-    }
-
     /// Whether `block` is currently in the layout.
     pub fn is_linked(&self, block: BlockId) -> bool {
         self.layout.contains(&block)

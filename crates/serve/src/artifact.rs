@@ -1,21 +1,36 @@
-//! On-disk artifact serialization: a small line-oriented text format,
-//! versioned and strictly parsed.
+//! The one text shape of a compile result: [`CompileMeta`] and
+//! [`RunRecord`] as protocol [`Message`] headers, and [`Artifact`], the
+//! stored form, as a sealed message.
 //!
-//! Every field a cached compile must reproduce byte-identically is stored
-//! losslessly: integers in decimal, floats as their IEEE-754 bit patterns
-//! in hex (a `f64 → text → f64` round trip through decimal formatting
-//! would not be exact), strings with `\n`/`\\` escaping. Parsing is
-//! `Option`-based and total — a truncated, corrupted or version-skewed
-//! artifact loads as `None` and the cache treats it as a miss.
+//! Their `to_headers` / `from_headers` are the only code that spells a
+//! field's header or escapes `diag`: the daemon's `ok` reply, the client
+//! and every disk artifact share them. Fields round-trip losslessly:
+//! integers in decimal, floats as IEEE-754 bits in hex, `diag` escaped
+//! onto one line. An artifact is a seal line, then the message — the kind
+//! (`compile` or `run`) as its verb, the meta headers, the run headers of
+//! a `run`, and the optimized IR as the body of a `compile`:
+//!
+//! ```text
+//! uu-artifact v2 <FNV-1a 64 of every byte after this line, 16 hex>
+//! uu-serve/1 compile
+//! work: 4321
+//! ...
+//! ```
+//!
+//! Decoding is total: a version skew, a seal that does not match, or a
+//! missing or malformed header loads as `None`, which the cache treats as
+//! a miss.
 
+use crate::proto::Message;
 use uu_core::Rung;
 use uu_simt::Metrics;
 
 /// Artifact format version; bump on any layout change.
-pub const ARTIFACT_VERSION: u32 = 1;
+pub const ARTIFACT_VERSION: u32 = 2;
 
-/// The compile-side metadata every cached artifact carries — exactly the
-/// fields the harness derives a [`Measurement`]'s compile half from.
+/// The compile-side metadata every cached artifact and compile reply
+/// carries — exactly the fields the harness derives a [`Measurement`]'s
+/// compile half from.
 ///
 /// [`Measurement`]: https://docs.rs/uu-harness
 #[derive(Debug, Clone, PartialEq)]
@@ -44,6 +59,36 @@ impl CompileMeta {
             code_size: uu_analysis::cost::module_size(optimized),
         }
     }
+
+    /// Append the metadata to `msg` as headers; `diag` only when non-empty.
+    pub(crate) fn to_headers(&self, msg: Message) -> Message {
+        let msg = msg
+            .header("work", self.work)
+            .header("timed-out", u8::from(self.timed_out))
+            .header("rung", self.rung.as_str())
+            .header("code-size", self.code_size);
+        if self.diag.is_empty() {
+            msg
+        } else {
+            msg.header("diag", escape(&self.diag))
+        }
+    }
+
+    /// Read [`to_headers`](Self::to_headers)' headers back; `None` when one
+    /// is missing or malformed. A missing `diag` is an empty one.
+    pub(crate) fn from_headers(msg: &Message) -> Option<CompileMeta> {
+        Some(CompileMeta {
+            work: msg.get("work")?.parse().ok()?,
+            timed_out: match msg.get("timed-out")? {
+                "0" => false,
+                "1" => true,
+                _ => return None,
+            },
+            rung: Rung::from_str(msg.get("rung")?)?,
+            diag: msg.get("diag").map_or(Some(String::new()), unescape)?,
+            code_size: msg.get("code-size")?.parse().ok()?,
+        })
+    }
 }
 
 /// The run-side record of a measured execution (hot sweep points): the
@@ -58,6 +103,28 @@ pub struct RunRecord {
     pub transfer_ms: f64,
     /// Aggregated hardware counters.
     pub metrics: Metrics,
+}
+
+impl RunRecord {
+    /// Append the record to `msg` as headers.
+    pub(crate) fn to_headers(&self, msg: Message) -> Message {
+        msg.header("time-ms", format_args!("{:016x}", self.time_ms.to_bits()))
+            .header("checksum", format_args!("{:016x}", self.checksum.to_bits()))
+            .header("transfer-ms", format_args!("{:016x}", self.transfer_ms.to_bits()))
+            .header("metrics", encode_metrics(&self.metrics))
+    }
+
+    /// Read [`to_headers`](Self::to_headers)' headers back; `None` when one
+    /// is missing or malformed.
+    pub(crate) fn from_headers(msg: &Message) -> Option<RunRecord> {
+        let float = |name| u64::from_str_radix(msg.get(name)?, 16).ok().map(f64::from_bits);
+        Some(RunRecord {
+            time_ms: float("time-ms")?,
+            checksum: float("checksum")?,
+            transfer_ms: float("transfer-ms")?,
+            metrics: decode_metrics(msg.get("metrics")?)?,
+        })
+    }
 }
 
 /// A cache artifact: compile metadata plus either the optimized module
@@ -82,117 +149,48 @@ pub enum Artifact {
 }
 
 impl Artifact {
-    /// The compile metadata of either artifact kind.
-    pub fn meta(&self) -> &CompileMeta {
-        match self {
-            Artifact::Compile { meta, .. } | Artifact::Run { meta, .. } => meta,
-        }
-    }
-
-    /// Serialize to the on-disk text format.
+    /// Serialize to the sealed on-disk text.
     pub fn encode(&self) -> String {
-        let mut s = format!("uu-artifact v{ARTIFACT_VERSION}\n");
-        let meta = self.meta();
-        s.push_str(&format!(
-            "kind {}\n",
-            match self {
-                Artifact::Compile { .. } => "compile",
-                Artifact::Run { .. } => "run",
+        let (msg, body) = match self {
+            Artifact::Compile { meta, ir } => {
+                (meta.to_headers(Message::new("compile")), ir.as_str())
             }
-        ));
-        s.push_str(&format!("work {}\n", meta.work));
-        s.push_str(&format!("timed-out {}\n", u8::from(meta.timed_out)));
-        s.push_str(&format!("rung {}\n", meta.rung.as_str()));
-        s.push_str(&format!("code-size {}\n", meta.code_size));
-        s.push_str(&format!("diag {}\n", escape(&meta.diag)));
-        match self {
-            Artifact::Compile { ir, .. } => {
-                s.push_str(&format!("ir-fnv {:016x}\n", uu_ir::fnv1a(ir.as_bytes())));
-                s.push_str("---\n");
-                s.push_str(ir);
+            Artifact::Run { meta, run } => {
+                (run.to_headers(meta.to_headers(Message::new("run"))), "")
             }
-            Artifact::Run { run, .. } => {
-                s.push_str(&format!("time-ms {:016x}\n", run.time_ms.to_bits()));
-                s.push_str(&format!("checksum {:016x}\n", run.checksum.to_bits()));
-                s.push_str(&format!("transfer-ms {:016x}\n", run.transfer_ms.to_bits()));
-                s.push_str(&format!("metrics {}\n", encode_metrics(&run.metrics)));
-            }
-        }
-        s
+        };
+        // The body is appended here rather than copied into the message.
+        let head = msg.encode();
+        let seal = uu_ir::fnv1a_continue(uu_ir::fnv1a(head.as_bytes()), body.as_bytes());
+        format!("uu-artifact v{ARTIFACT_VERSION} {seal:016x}\n{head}{body}")
     }
 
-    /// Parse the on-disk format; `None` on any anomaly (wrong version,
-    /// missing field, bad integer, IR hash mismatch).
+    /// Parse the sealed on-disk text; `None` on any anomaly.
     pub fn decode(text: &str) -> Option<Artifact> {
-        let (head, ir) = match text.split_once("---\n") {
-            Some((h, ir)) => (h, Some(ir)),
-            None => (text, None),
-        };
-        let mut lines = head.lines();
-        if lines.next()? != format!("uu-artifact v{ARTIFACT_VERSION}") {
+        let (seal, text) = text.split_once('\n')?;
+        let fnv = uu_ir::fnv1a(text.as_bytes());
+        if seal != format!("uu-artifact v{ARTIFACT_VERSION} {fnv:016x}") {
             return None;
         }
-        let mut field = |name: &str| -> Option<String> {
-            let l = lines.next()?;
-            Some(l.strip_prefix(name)?.strip_prefix(' ').unwrap_or("").to_string())
-        };
-        let kind = field("kind")?;
-        let work: u64 = field("work")?.parse().ok()?;
-        let timed_out = match field("timed-out")?.as_str() {
-            "0" => false,
-            "1" => true,
-            _ => return None,
-        };
-        let rung = Rung::from_str(&field("rung")?)?;
-        let code_size: u64 = field("code-size")?.parse().ok()?;
-        let diag = unescape(&field("diag")?)?;
-        let meta = CompileMeta {
-            work,
-            timed_out,
-            rung,
-            diag,
-            code_size,
-        };
-        match kind.as_str() {
-            "compile" => {
-                let stored_fnv = u64::from_str_radix(&field("ir-fnv")?, 16).ok()?;
-                let ir = ir?.to_string();
-                if uu_ir::fnv1a(ir.as_bytes()) != stored_fnv {
-                    return None; // truncated or corrupted artifact body
-                }
-                Some(Artifact::Compile { meta, ir })
-            }
-            "run" => {
-                let bits = |s: String| u64::from_str_radix(&s, 16).ok().map(f64::from_bits);
-                let time_ms = bits(field("time-ms")?)?;
-                let checksum = bits(field("checksum")?)?;
-                let transfer_ms = bits(field("transfer-ms")?)?;
-                let metrics = decode_metrics(&field("metrics")?)?;
-                Some(Artifact::Run {
-                    meta,
-                    run: RunRecord {
-                        time_ms,
-                        checksum,
-                        transfer_ms,
-                        metrics,
-                    },
-                })
+        let msg = Message::decode(text)?;
+        let meta = CompileMeta::from_headers(&msg)?;
+        match msg.verb.as_str() {
+            "compile" => Some(Artifact::Compile { meta, ir: msg.body }),
+            "run" if msg.body.is_empty() => {
+                Some(Artifact::Run { run: RunRecord::from_headers(&msg)?, meta })
             }
             _ => None,
         }
     }
 }
 
-/// Escape a string to a single line (`\n`/`\\`), losslessly. Shared by
-/// the artifact format and the wire protocol's `diag` header — both are
-/// line-oriented, and both must round-trip multi-line diagnostics
-/// byte-identically.
-pub(crate) fn escape(s: &str) -> String {
+/// Escape a string to a single line (`\n`/`\\`), losslessly.
+fn escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('\n', "\\n")
 }
 
 /// Invert [`escape`]; `None` on a dangling or unknown escape.
-pub(crate) fn unescape(s: &str) -> Option<String> {
+fn unescape(s: &str) -> Option<String> {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
@@ -295,8 +293,25 @@ mod tests {
             work: 4321,
             timed_out: false,
             rung: Rung::NoTransform,
-            diag: "uu#0@k: panic: boom\nsecond \\ line".to_string(),
+            // Multi-line, a backslash, and a `\r` that must survive being
+            // the last byte of its header line.
+            diag: "uu#0@k: panic: boom\nsecond \\ line\r".to_string(),
             code_size: 99,
+        }
+    }
+
+    fn run() -> RunRecord {
+        let metrics = Metrics {
+            thread_arith: 7,
+            warp_insts: 12,
+            kernel_cycles: u64::MAX,
+            ..Default::default()
+        };
+        RunRecord {
+            time_ms: 0.1 + 0.2, // a value decimal text would mangle
+            checksum: -0.0,
+            transfer_ms: f64::MIN_POSITIVE,
+            metrics,
         }
     }
 
@@ -311,18 +326,7 @@ mod tests {
 
     #[test]
     fn run_artifact_round_trips_floats_exactly() {
-        let mut metrics = Metrics::default();
-        metrics.thread_arith = 7;
-        metrics.kernel_cycles = u64::MAX;
-        let a = Artifact::Run {
-            meta: meta(),
-            run: RunRecord {
-                time_ms: 0.1 + 0.2, // a value decimal text would mangle
-                checksum: -0.0,
-                transfer_ms: f64::MIN_POSITIVE,
-                metrics,
-            },
-        };
+        let a = Artifact::Run { meta: meta(), run: run() };
         let b = Artifact::decode(&a.encode()).unwrap();
         let (Artifact::Run { run: ra, .. }, Artifact::Run { run: rb, .. }) = (&a, &b) else {
             panic!("kind changed in round trip");
@@ -343,9 +347,63 @@ mod tests {
         // Truncation, body corruption, version skew, field damage: all miss.
         assert_eq!(Artifact::decode(&good[..good.len() / 2]), None);
         assert_eq!(Artifact::decode(&good.replace("ret void", "ret vold")), None);
-        assert_eq!(Artifact::decode(&good.replace("uu-artifact v1", "uu-artifact v0")), None);
-        assert_eq!(Artifact::decode(&good.replace("work 4321", "work lots")), None);
-        assert_eq!(Artifact::decode(&good.replace("rung no-transform", "rung r5")), None);
+        assert_eq!(Artifact::decode(&good.replace("uu-artifact v2", "uu-artifact v1")), None);
+        assert_eq!(Artifact::decode(&good.replace("work: 4321", "work: lots")), None);
+        assert_eq!(Artifact::decode(&good.replace("rung: no-transform", "rung: r5")), None);
         assert_eq!(Artifact::decode(""), None);
+    }
+
+    /// The seal covers every byte: no single-byte substitution and no
+    /// truncation of a compile or a run artifact decodes.
+    #[test]
+    fn every_byte_flip_and_truncation_decodes_to_none() {
+        let artifacts = [
+            Artifact::Compile {
+                meta: meta(),
+                ir: "fn @k() -> void {\nbb0:\n  ret void\n}\n".into(),
+            },
+            Artifact::Run { meta: meta(), run: run() },
+        ];
+        for a in artifacts {
+            let good = a.encode();
+            assert_eq!(Artifact::decode(&good).as_ref(), Some(&a));
+            for i in 0..good.len() {
+                let mut bytes = good.clone().into_bytes();
+                bytes[i] ^= 1;
+                if let Ok(flipped) = String::from_utf8(bytes) {
+                    assert_eq!(Artifact::decode(&flipped), None, "byte {i} flipped:\n{flipped}");
+                }
+                if let Some(prefix) = good.get(..i) {
+                    assert_eq!(Artifact::decode(prefix), None, "truncated to {i} bytes");
+                }
+            }
+        }
+    }
+
+    /// Unsealed, as on the wire, the codec itself rejects a damaged field.
+    #[test]
+    fn codec_round_trips_headers_and_rejects_damaged_fields() {
+        let msg = run().to_headers(meta().to_headers(Message::new("ok")));
+        assert_eq!(CompileMeta::from_headers(&msg), Some(meta()));
+        assert_eq!(RunRecord::from_headers(&msg), Some(run()));
+        let clean = CompileMeta { diag: String::new(), ..meta() };
+        let no_diag = clean.to_headers(Message::new("ok"));
+        assert_eq!(no_diag.get("diag"), None);
+        assert_eq!(CompileMeta::from_headers(&no_diag), Some(clean));
+        let wire = msg.encode();
+        for (from, to) in [
+            ("work: 4321", "work: lots"),
+            ("timed-out: 0", "timed-out: no"),
+            ("rung: no-transform", "rung: r5"),
+            ("code-size: 99", "code-size: -1"),
+            ("diag: uu#0", "diag: \\q"),
+            ("metrics: 7 ", "metrics: 7 x"),
+            ("time-ms: ", "time-ms: z"),
+            ("work: 4321\n", ""),
+        ] {
+            let damaged = Message::decode(&wire.replacen(from, to, 1)).unwrap();
+            let decoded = (CompileMeta::from_headers(&damaged), RunRecord::from_headers(&damaged));
+            assert!(decoded.0.is_none() || decoded.1.is_none(), "{from:?} -> {to:?}");
+        }
     }
 }

@@ -8,14 +8,15 @@
 //!   refcount, and a [`Module`] is materialised (parsed) only for a caller
 //!   that asked for one. The compile daemon never does: it forwards the
 //!   stored text as the reply body;
-//! * **disk** (optional): artifacts in the text format of
-//!   [`crate::artifact`], content-addressed under
-//!   `<dir>/<kk>/<32-hex-key>.uuart`, written atomically
-//!   (tmp + rename) and strictly validated on load. A corrupt, truncated
-//!   or version-skewed file is a miss, never a wrong answer. The stored IR
-//!   is the printer's output and the parser reconstructs it exactly
-//!   (`parse(ir).to_string() == ir`, pinned by `wire_fidelity.rs`), so a
-//!   module loaded from disk is the module that was stored, ids included.
+//! * **disk** (optional): [`crate::artifact`]s — a protocol message
+//!   behind a seal line hashing all of it — content-addressed under
+//!   `<dir>/<kk>/<32-hex-key>.uuart` and written atomically (tmp +
+//!   rename). A file whose seal does not match (any damaged byte, a
+//!   truncation) or whose version is not the current one is a miss, never
+//!   a wrong answer. The stored IR is the printer's output and the parser
+//!   reconstructs it exactly (`parse(ir).to_string() == ir`, pinned by
+//!   `wire_fidelity.rs`), so a module loaded from disk is the module that
+//!   was stored, ids included.
 //!
 //! Measured runs are cached too (`run` artifacts): simulation dominates
 //! wall time for hot sweep points, so a warm sweep skips both halves.
@@ -70,9 +71,11 @@ impl Key {
 }
 
 /// Result of a cache-mediated compile: the metadata the harness needs,
-/// plus whether it was served from cache.
+/// the key it was stored under, and whether it was served from cache.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CachedCompile {
+    /// The compile key ([`CompileCache::compile_key`] of the input).
+    pub key: Key,
     /// Compile metadata (work, rung, diag, code size).
     pub meta: CompileMeta,
     /// `true` when served from memory or disk without running the
@@ -189,11 +192,11 @@ impl CompileCache {
         let key = CompileCache::compile_key(m, opts);
 
         // Stored text that does not parse (possible only for a disk
-        // artifact damaged with a matching `ir-fnv`) is a miss.
+        // artifact written with a matching seal) is a miss.
         if let Some((meta, ir, mem)) = self.stored_compile(key) {
             if !want_module || uu_ir::parse_module(&ir).map(|module| *m = module).is_ok() {
                 self.note_compile_hit(key, &meta, ir, mem, t0);
-                return CachedCompile { meta, hit: true };
+                return CachedCompile { key, meta, hit: true };
             }
         }
 
@@ -221,7 +224,7 @@ impl CompileCache {
             st.lookup_micros += lookup.as_micros() as u64;
             st.compile_micros += t1.elapsed().as_micros() as u64;
         }
-        CachedCompile { meta, hit: false }
+        CachedCompile { key, meta, hit: false }
     }
 
     /// Probe with the module's printed text in hand instead of the
@@ -249,7 +252,7 @@ impl CompileCache {
     }
 
     /// The compile artifact stored under `key` and whether it came from
-    /// memory (else from disk, decoded and `ir-fnv`-checked). Counts and
+    /// memory (else from disk, decoded and seal-checked). Counts and
     /// promotes nothing: the caller decides whether it is a hit.
     fn stored_compile(&self, key: Key) -> Option<(CompileMeta, Arc<str>, bool)> {
         if let Some((meta, ir)) = self.mem_compile.lock().unwrap().get(&key) {
@@ -265,31 +268,30 @@ impl CompileCache {
     /// caller is expected to measure and [`store_run`](Self::store_run).
     pub fn lookup_run(&self, key: Key) -> Option<(CompileMeta, RunRecord)> {
         let t0 = Instant::now();
-        if let Some((meta, run)) = self.mem_run.lock().unwrap().get(&key) {
-            let (meta, run) = (meta.clone(), run.clone());
-            let mut st = self.stats.lock().unwrap();
-            st.run_mem_hits += 1;
-            st.work_saved += meta.work;
-            st.count_rung(meta.rung);
-            st.lookup_micros += t0.elapsed().as_micros() as u64;
-            return Some((meta, run));
-        }
-        if let Some(Artifact::Run { meta, run }) = self.load(key) {
-            self.mem_run
-                .lock()
-                .unwrap()
-                .insert(key, (meta.clone(), run.clone()));
-            let mut st = self.stats.lock().unwrap();
-            st.run_disk_hits += 1;
-            st.work_saved += meta.work;
-            st.count_rung(meta.rung);
-            st.lookup_micros += t0.elapsed().as_micros() as u64;
-            return Some((meta, run));
-        }
+        let mem = self.mem_run.lock().unwrap().get(&key).cloned();
+        let from_mem = mem.is_some();
+        let hit = mem.or_else(|| match self.load(key)? {
+            Artifact::Run { meta, run } => {
+                self.mem_run.lock().unwrap().insert(key, (meta.clone(), run.clone()));
+                Some((meta, run))
+            }
+            Artifact::Compile { .. } => None,
+        });
         let mut st = self.stats.lock().unwrap();
-        st.run_misses += 1;
+        match &hit {
+            Some((meta, _)) => {
+                if from_mem {
+                    st.run_mem_hits += 1;
+                } else {
+                    st.run_disk_hits += 1;
+                }
+                st.work_saved += meta.work;
+                st.count_rung(meta.rung);
+            }
+            None => st.run_misses += 1,
+        }
         st.lookup_micros += t0.elapsed().as_micros() as u64;
-        None
+        hit
     }
 
     /// Store a measured run in every layer.
@@ -517,9 +519,10 @@ bb6:
         let dir = std::env::temp_dir().join(format!("uu-cache-nomodule-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let first = CompileCache::at_dir(&dir).unwrap().compile(&mut module(), &opts(), true);
-        // Damage the stored IR *consistently* (matching `ir-fnv`), so only
-        // a parse can notice: a metadata-only caller is served, a caller
-        // that wants the module misses and recompiles over it.
+        // Damage the stored IR *consistently* (re-encoded under a matching
+        // seal), so only a parse can notice: a metadata-only caller is
+        // served, a caller that wants the module misses and recompiles
+        // over it.
         let key = CompileCache::compile_key(&module(), &opts());
         let cache = CompileCache::at_dir(&dir).unwrap();
         let path = cache.path_of(key).unwrap();

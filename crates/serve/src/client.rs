@@ -21,7 +21,6 @@ use std::time::{Duration, Instant};
 use crate::artifact::CompileMeta;
 use crate::backoff::Backoff;
 use crate::proto::{read_frame, write_frame, Message};
-use uu_core::Rung;
 
 /// Connect to the daemon's Unix socket, retrying with jittered
 /// exponential backoff until `patience` runs out — the common pattern is
@@ -116,11 +115,6 @@ impl Remote {
         self
     }
 
-    /// The daemon socket this remote talks to.
-    pub fn socket(&self) -> &Path {
-        &self.socket
-    }
-
     /// Connect, waiting for a daemon that is still binding only until the
     /// first connect on this remote (or a clone of it) has settled.
     fn connect(&self) -> io::Result<UnixStream> {
@@ -211,7 +205,12 @@ impl Remote {
                 format!("daemon answered `{}`: {reason}", resp.verb),
             ));
         }
-        let meta = parse_meta(&resp)?;
+        let meta = CompileMeta::from_headers(&resp).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                "compile response has a missing or malformed metadata header",
+            )
+        })?;
         Ok(RemoteCompile {
             meta,
             hit: resp.get("cached") == Some("hit"),
@@ -220,47 +219,13 @@ impl Remote {
     }
 }
 
-/// Reconstruct [`CompileMeta`] from an `ok` compile response's headers.
-/// All five fields round-trip losslessly: they are integers, a rung
-/// label and a single-line diag string.
-fn parse_meta(resp: &Message) -> io::Result<CompileMeta> {
-    let field = |name: &str| {
-        resp.get(name).ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("compile response is missing the `{name}` header"),
-            )
-        })
-    };
-    let bad = |name: &str, v: &str| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("compile response header `{name}` is malformed: {v:?}"),
-        )
-    };
-    let work = field("work")?;
-    let code_size = field("code-size")?;
-    let rung = field("rung")?;
-    let timed_out = field("timed-out")?;
-    let diag = match resp.get("diag") {
-        None => String::new(),
-        Some(d) => crate::artifact::unescape(d).ok_or_else(|| bad("diag", d))?,
-    };
-    Ok(CompileMeta {
-        work: work.parse().map_err(|_| bad("work", work))?,
-        timed_out: timed_out == "1",
-        rung: Rung::from_str(rung).ok_or_else(|| bad("rung", rung))?,
-        diag,
-        code_size: code_size.parse().map_err(|_| bad("code-size", code_size))?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cache::CompileCache;
     use crate::server::{serve_unix_with, ServeOptions};
     use crate::fault::ServeFaultPlan;
+    use uu_core::Rung;
 
     const MODULE: &str = "\
 ; module t
@@ -419,10 +384,10 @@ bb3:
         // connects whenever somebody is listening.
         with_daemon(ServeOptions::default(), |remote| {
             assert_eq!(remote.request(&Message::new("ping")).unwrap().verb, "ok"); // bound
-            let gone = Remote::new(remote.socket().with_extension("gone"));
+            let gone = Remote::new(remote.socket.with_extension("gone"));
             let gone = Remote { patience: Duration::ZERO, ..gone };
             assert!(gone.request(&Message::new("ping")).is_err());
-            let back = Remote { socket: remote.socket().to_path_buf(), ..gone };
+            let back = Remote { socket: remote.socket.clone(), ..gone };
             assert_eq!(back.request(&Message::new("ping")).unwrap().verb, "ok");
         });
     }

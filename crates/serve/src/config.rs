@@ -35,33 +35,20 @@ pub fn parse_config(name: &str) -> Option<Transform> {
 /// canonical form the cache key uses). The remote compile backend uses
 /// this to ship a sweep point's transform to the daemon as a header.
 pub fn config_name(t: &Transform) -> Option<String> {
-    let is_default = |dbg: String, default_dbg: String| dbg == default_dbg;
+    let default_unmerge = |u: &uu_core::UnmergeOptions| {
+        format!("{u:?}") == format!("{:?}", uu_core::UnmergeOptions::default())
+    };
     Some(match t {
         Transform::Baseline => "baseline".to_string(),
         Transform::Unmerge => "unmerge".to_string(),
         Transform::Meld => "meld".to_string(),
         Transform::Unroll { factor } => format!("unroll{factor}"),
-        Transform::Uu { factor, unmerge }
-            if is_default(
-                format!("{unmerge:?}"),
-                format!("{:?}", uu_core::UnmergeOptions::default()),
-            ) =>
-        {
-            format!("uu{factor}")
-        }
-        Transform::UuMeld { factor, unmerge }
-            if is_default(
-                format!("{unmerge:?}"),
-                format!("{:?}", uu_core::UnmergeOptions::default()),
-            ) =>
-        {
+        Transform::Uu { factor, unmerge } if default_unmerge(unmerge) => format!("uu{factor}"),
+        Transform::UuMeld { factor, unmerge } if default_unmerge(unmerge) => {
             format!("uu{factor}+meld")
         }
         Transform::UuHeuristic(h)
-            if is_default(
-                format!("{h:?}"),
-                format!("{:?}", uu_core::HeuristicOptions::default()),
-            ) =>
+            if format!("{h:?}") == format!("{:?}", uu_core::HeuristicOptions::default()) =>
         {
             "heuristic".to_string()
         }

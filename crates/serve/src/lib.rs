@@ -27,10 +27,14 @@
 //! IR (shared text in memory; a content-addressed file on disk, surviving
 //! process restarts). A warm daemon request is keyed from its wire bytes
 //! and answered with the stored text — nothing parsed, nothing printed.
-//! Disk artifacts are validated on load (format version, field
-//! integrity, IR content hash); anything suspicious degrades to a cache
-//! miss and a fresh compile — the cache can make a request faster, never
-//! wronger.
+//!
+//! The service speaks one text shape, the protocol [`Message`] (status
+//! line, `key: value` headers, body), and compile results have one codec
+//! into it ([`artifact`]): the daemon's `ok` reply, the client reading it
+//! and every disk artifact share it. An artifact is a message behind a
+//! seal line — an FNV-1a hash of all of it — so a damaged, truncated or
+//! version-skewed file degrades to a cache miss and a fresh compile: the
+//! cache can make a request faster, never wronger.
 //!
 //! Batch drivers reuse the same cache in process: `uu-harness` threads a
 //! [`CompileCache`] through the sweep and the three-way study, so

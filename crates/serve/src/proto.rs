@@ -80,7 +80,8 @@ impl Message {
     /// Parse the wire text; `None` on version skew or malformed framing.
     pub fn decode(text: &str) -> Option<Message> {
         let (head, body) = text.split_once("\n\n")?;
-        let mut lines = head.lines();
+        // Split on `\n` alone: `lines()` would eat a value's trailing `\r`.
+        let mut lines = head.split('\n');
         let status = lines.next()?;
         let (proto, verb) = status.split_once(' ')?;
         if proto != format!("uu-serve/{PROTO_VERSION}") || verb.is_empty() {
@@ -114,29 +115,14 @@ pub fn write_frame(w: &mut impl Write, msg: &Message) -> io::Result<()> {
     w.flush()
 }
 
-/// Read one length-prefixed frame. `Ok(None)` on clean EOF before the
-/// length prefix (peer hung up between requests).
+/// Read one length-prefixed frame, a [`FrameDefect`] as an
+/// [`io::ErrorKind::InvalidData`] error — the client-side read path.
+/// `Ok(None)` on clean EOF before the length prefix (peer hung up between
+/// requests).
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Message>> {
-    let mut len_buf = [0u8; 4];
-    match r.read_exact(&mut len_buf) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    let len = u32::from_le_bytes(len_buf);
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds MAX_FRAME"),
-        ));
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    let text = String::from_utf8(payload)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8"))?;
-    let msg = Message::decode(&text)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "malformed message"))?;
-    Ok(Some(msg))
+    read_frame_lenient(r)?
+        .map(|m| m.map_err(|d| io::Error::new(io::ErrorKind::InvalidData, d.to_string())))
+        .transpose()
 }
 
 /// Why a received frame could not be turned into a [`Message`]. Carried
@@ -171,25 +157,21 @@ impl FrameDefect {
     pub fn recoverable(&self) -> bool {
         !matches!(self, FrameDefect::Unrecoverable { .. })
     }
-
-    /// Single-line description, suitable for an error-response header.
-    pub fn describe(&self) -> String {
-        match self {
-            FrameDefect::Oversized { len } => {
-                format!("frame length {len} exceeds MAX_FRAME ({MAX_FRAME})")
-            }
-            FrameDefect::Unrecoverable { len } => {
-                format!("frame length {len} exceeds resync limit ({RESYNC_MAX})")
-            }
-            FrameDefect::NotUtf8 => "frame is not UTF-8".to_string(),
-            FrameDefect::Malformed => "malformed message".to_string(),
-        }
-    }
 }
 
+/// A single-line description, suitable for an error-response header.
 impl std::fmt::Display for FrameDefect {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.describe())
+        match self {
+            FrameDefect::Oversized { len } => {
+                write!(f, "frame length {len} exceeds MAX_FRAME ({MAX_FRAME})")
+            }
+            FrameDefect::Unrecoverable { len } => {
+                write!(f, "frame length {len} exceeds resync limit ({RESYNC_MAX})")
+            }
+            FrameDefect::NotUtf8 => f.write_str("frame is not UTF-8"),
+            FrameDefect::Malformed => f.write_str("malformed message"),
+        }
     }
 }
 

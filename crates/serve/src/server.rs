@@ -11,8 +11,8 @@
 //!   `filter-loop` (optional loop selection, both or neither),
 //!   `timeout-ms: <n>` (optional per-request deadline on the
 //!   deterministic work clock, capped at the service's own limit); body
-//!   = module text. Response `ok` carries `cached: hit|miss`, `rung`,
-//!   `work`, `timed-out`, `code-size`, `key`, `diag` headers and the
+//!   = module text. Response `ok` carries `cached: hit|miss`, `key` and
+//!   the [`CompileMeta`] headers of the [`crate::artifact`] codec, and the
 //!   optimized module as the body.
 //! * `stats` — response body is the cache's [`CacheStats`] JSON.
 //! * `ping` — liveness probe.
@@ -144,11 +144,6 @@ impl<'a> Service<'a> {
         }
     }
 
-    /// The tunables this service runs with.
-    pub fn options(&self) -> &ServeOptions {
-        &self.opts
-    }
-
     /// Whether a `shutdown` has been requested (the accept loop stops
     /// admitting new connections once this is set; in-flight work still
     /// completes — drain, not abort).
@@ -158,14 +153,24 @@ impl<'a> Service<'a> {
 
     /// Serve one framed stream until EOF, a fatal frame defect, an
     /// injected connection fault, or a `shutdown` request. Returns
-    /// `true` if shutdown was requested.
+    /// `true` if shutdown was requested. An I/O error ends the connection
+    /// and is counted in `conn_errors`: a dropped client must not kill
+    /// the daemon, but it must be visible in the stats.
     pub fn serve_conn(&self, r: &mut impl Read, w: &mut impl Write) -> io::Result<bool> {
+        let done = self.converse(r, w);
+        if done.is_err() {
+            self.cache.stats_mut(|s| s.conn_errors += 1);
+        }
+        done
+    }
+
+    fn converse(&self, r: &mut impl Read, w: &mut impl Write) -> io::Result<bool> {
         loop {
             match read_frame_lenient(r)? {
                 None => return Ok(false),
                 Some(Err(defect)) => {
                     self.cache.stats_mut(|s| s.frame_defects += 1);
-                    write_frame(w, &error(&defect.describe()))?;
+                    write_frame(w, &error(&defect.to_string()))?;
                     if !defect.recoverable() {
                         return Ok(false);
                     }
@@ -386,33 +391,21 @@ impl<'a> Service<'a> {
             Ok(m) => m,
             Err(e) => return error(&format!("module does not parse: {e}")),
         };
-        let key = CompileCache::compile_key(&module, &opts);
         let out = self.cache.compile(&mut module, &opts, want_module);
         if out.meta.timed_out && !out.hit {
             self.cache.stats_mut(|s| s.deadline_hits += 1);
         }
-        compile_ok(key, &out.meta, out.hit, want_module.then(|| module.to_string()))
+        compile_ok(out.key, &out.meta, out.hit, want_module.then(|| module.to_string()))
     }
 }
 
-/// The `ok` reply to a compile request.
+/// The `ok` reply to a compile request: the codec's meta headers after
+/// `cached` and `key`, the optimized module (when wanted) as the body.
 fn compile_ok(key: Key, meta: &CompileMeta, hit: bool, body: Option<String>) -> Message {
-    let mut resp = Message::new("ok")
+    let resp = Message::new("ok")
         .header("cached", if hit { "hit" } else { "miss" })
-        .header("key", key.hex())
-        .header("rung", meta.rung.as_str())
-        .header("work", meta.work)
-        .header("timed-out", u8::from(meta.timed_out))
-        .header("code-size", meta.code_size);
-    if !meta.diag.is_empty() {
-        // Lossless single-line escaping: remote clients reconstruct
-        // the diag byte-identically to a local compile's.
-        resp = resp.header("diag", crate::artifact::escape(&meta.diag));
-    }
-    match body {
-        Some(text) => resp.with_body(text),
-        None => resp,
-    }
+        .header("key", key.hex());
+    meta.to_headers(resp).with_body(body.unwrap_or_default())
 }
 
 /// RAII admission slot: acquired when the gauge is under `cap`,
@@ -482,17 +475,17 @@ pub fn serve_unix_with(path: &Path, cache: &CompileCache, opts: ServeOptions) ->
     let queue: &TaskQueue<UnixStream> = &TaskQueue::new();
     let woken = AtomicBool::new(false);
     let result = run_crew(
-        service.options().workers,
+        service.opts.workers,
         queue,
         |mut conn: UnixStream| {
             let done = match conn.try_clone() {
                 Ok(mut rd) => service.serve_conn(&mut rd, &mut conn),
-                Err(e) => Err(e),
+                Err(e) => {
+                    service.cache.stats_mut(|s| s.conn_errors += 1);
+                    Err(e)
+                }
             };
             if let Err(e) = done {
-                // A dropped client must not kill the daemon — but it must
-                // be visible in the stats, not only on stderr.
-                service.cache.stats_mut(|s| s.conn_errors += 1);
                 eprintln!("uu-serve: connection error (continuing): {e}");
             }
             // First connection to end on a draining service (the one that
@@ -647,9 +640,8 @@ bb6:
         let reparsed = roundtrip(&svc, &compile_req(&reformatted));
         for hit in [&forwarded, &reparsed] {
             assert_eq!(hit.get("cached"), Some("hit"));
-            for h in ["work", "code-size", "rung", "key", "timed-out"] {
-                assert_eq!(hit.get(h), first.get(h), "{h}");
-            }
+            assert_eq!(hit.get("key"), first.get("key"));
+            assert_eq!(CompileMeta::from_headers(hit), CompileMeta::from_headers(&first));
             assert_eq!(hit.body, first.body);
         }
         let st = cache.stats();
@@ -717,7 +709,7 @@ bb6:
             let key = CompileCache::key_for_hash(uu_ir::fnv1a(canonical.as_bytes()), &uu4_opts());
             (r.body, cache.path_of(key).unwrap())
         };
-        // Flip one IR byte and leave the recorded `ir-fnv` alone.
+        // Flip one IR byte and leave the seal alone.
         let text = std::fs::read_to_string(&path).unwrap();
         let flipped = text.replacen("  ret i64", "  ret i32", 1);
         assert_ne!(flipped, text);
@@ -818,6 +810,60 @@ bb6:
         );
         assert_eq!(clean.get("cached"), Some("miss"));
         assert_eq!(clean.get("rung"), Some("full"));
+    }
+
+    #[test]
+    fn a_request_deadline_times_the_compile_out_and_counts_once() {
+        let cache = CompileCache::new_mem();
+        let svc = service(&cache);
+        let req = compile_req(MODULE).header("timeout-ms", 1);
+        let miss = roundtrip(&svc, &req);
+        let meta = CompileMeta::from_headers(&miss).unwrap();
+        assert!(meta.timed_out, "{miss:?}");
+        let hit = roundtrip(&svc, &req);
+        assert_eq!(hit.get("cached"), Some("hit"));
+        assert_eq!(CompileMeta::from_headers(&hit), Some(meta));
+        assert_eq!(cache.stats().deadline_hits, 1, "a served hit is not a deadline hit");
+    }
+
+    #[test]
+    fn rung_counts_bucket_every_compile_by_its_rung() {
+        let cache = CompileCache::new_mem();
+        let svc = service(&cache);
+        let faulted = compile_req(MODULE).header("fault", "panic@1");
+        let rung = CompileMeta::from_headers(&roundtrip(&svc, &faulted)).unwrap().rung;
+        assert_ne!(rung, uu_core::Rung::Full);
+        let mut want = [0u64; 4];
+        want[rung.index()] = 1;
+        assert_eq!(cache.stats().rung_counts, want);
+        // A hit counts the rung recorded with it; a clean compile counts full.
+        roundtrip(&svc, &faulted);
+        roundtrip(&svc, &compile_req(MODULE));
+        want[rung.index()] = 2;
+        want[uu_core::Rung::Full.index()] = 1;
+        assert_eq!(cache.stats().rung_counts, want);
+    }
+
+    #[test]
+    fn a_connection_whose_writes_fail_is_counted_and_ends() {
+        struct Broken;
+        impl Write for Broken {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Err(io::ErrorKind::BrokenPipe.into())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let cache = CompileCache::new_mem();
+        let mut frames = Vec::new();
+        for _ in 0..2 {
+            crate::proto::write_frame(&mut frames, &Message::new("ping")).unwrap();
+        }
+        let e = service(&cache).serve_conn(&mut &frames[..], &mut Broken).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::BrokenPipe);
+        let st = cache.stats();
+        assert_eq!((st.conn_errors, st.requests), (1, 1), "the second ping is never read");
     }
 
     #[test]

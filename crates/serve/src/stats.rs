@@ -92,61 +92,39 @@ impl CacheStats {
     /// Render as stable JSON (object key order is fixed; validates under
     /// `uu-jsonck`).
     pub fn to_json(&self) -> String {
+        let fields = [
+            ("stats_version", STATS_VERSION.to_string()),
+            ("compile_mem_hits", self.compile_mem_hits.to_string()),
+            ("compile_disk_hits", self.compile_disk_hits.to_string()),
+            ("compile_misses", self.compile_misses.to_string()),
+            ("run_mem_hits", self.run_mem_hits.to_string()),
+            ("run_disk_hits", self.run_disk_hits.to_string()),
+            ("run_misses", self.run_misses.to_string()),
+            ("hit_rate", format!("{:.4}", self.hit_rate())),
+            ("work_saved", self.work_saved.to_string()),
+            ("lookup_micros", self.lookup_micros.to_string()),
+            ("compile_micros", self.compile_micros.to_string()),
+            ("requests", self.requests.to_string()),
+            ("busy_shed", self.busy_shed.to_string()),
+            ("deadline_hits", self.deadline_hits.to_string()),
+            ("handler_panics", self.handler_panics.to_string()),
+            ("quarantined_modules", self.quarantined_modules.to_string()),
+            ("quarantined_rejects", self.quarantined_rejects.to_string()),
+            ("frame_defects", self.frame_defects.to_string()),
+            ("accept_errors", self.accept_errors.to_string()),
+            ("conn_errors", self.conn_errors.to_string()),
+            ("store_errors", self.store_errors.to_string()),
+        ];
         let rungs = Rung::ALL
             .iter()
             .map(|r| format!("    \"{}\": {}", r.as_str(), self.rung_counts[r.index()]))
             .collect::<Vec<_>>()
             .join(",\n");
-        format!(
-            concat!(
-                "{{\n",
-                "  \"stats_version\": {},\n",
-                "  \"compile_mem_hits\": {},\n",
-                "  \"compile_disk_hits\": {},\n",
-                "  \"compile_misses\": {},\n",
-                "  \"run_mem_hits\": {},\n",
-                "  \"run_disk_hits\": {},\n",
-                "  \"run_misses\": {},\n",
-                "  \"hit_rate\": {:.4},\n",
-                "  \"work_saved\": {},\n",
-                "  \"lookup_micros\": {},\n",
-                "  \"compile_micros\": {},\n",
-                "  \"requests\": {},\n",
-                "  \"busy_shed\": {},\n",
-                "  \"deadline_hits\": {},\n",
-                "  \"handler_panics\": {},\n",
-                "  \"quarantined_modules\": {},\n",
-                "  \"quarantined_rejects\": {},\n",
-                "  \"frame_defects\": {},\n",
-                "  \"accept_errors\": {},\n",
-                "  \"conn_errors\": {},\n",
-                "  \"store_errors\": {},\n",
-                "  \"rung_counts\": {{\n{}\n  }}\n",
-                "}}\n"
-            ),
-            STATS_VERSION,
-            self.compile_mem_hits,
-            self.compile_disk_hits,
-            self.compile_misses,
-            self.run_mem_hits,
-            self.run_disk_hits,
-            self.run_misses,
-            self.hit_rate(),
-            self.work_saved,
-            self.lookup_micros,
-            self.compile_micros,
-            self.requests,
-            self.busy_shed,
-            self.deadline_hits,
-            self.handler_panics,
-            self.quarantined_modules,
-            self.quarantined_rejects,
-            self.frame_defects,
-            self.accept_errors,
-            self.conn_errors,
-            self.store_errors,
-            rungs,
-        )
+        let mut s = String::from("{\n");
+        for (key, value) in fields {
+            s.push_str(&format!("  \"{key}\": {value},\n"));
+        }
+        s + &format!("  \"rung_counts\": {{\n{rungs}\n  }}\n}}\n")
     }
 }
 
@@ -182,5 +160,42 @@ mod tests {
         assert!(j.contains("\"busy_shed\": 3"));
         assert!(j.contains("\"handler_panics\": 1"));
         assert!(j.contains("\"quarantined_modules\": 1"));
+    }
+
+    #[test]
+    fn json_bytes_are_pinned() {
+        let s = CacheStats {
+            compile_mem_hits: 1,
+            compile_disk_hits: 2,
+            compile_misses: 3,
+            run_mem_hits: 4,
+            run_disk_hits: 5,
+            run_misses: 6,
+            work_saved: 7,
+            lookup_micros: 8,
+            compile_micros: 9,
+            rung_counts: [10, 11, 12, 13],
+            requests: 14,
+            busy_shed: 15,
+            deadline_hits: 16,
+            handler_panics: 17,
+            quarantined_modules: 18,
+            quarantined_rejects: 19,
+            frame_defects: 20,
+            accept_errors: 21,
+            conn_errors: 22,
+            store_errors: 23,
+        };
+        let want = "{\n  \"stats_version\": 2,\n  \"compile_mem_hits\": 1,\n  \
+            \"compile_disk_hits\": 2,\n  \"compile_misses\": 3,\n  \"run_mem_hits\": 4,\n  \
+            \"run_disk_hits\": 5,\n  \"run_misses\": 6,\n  \"hit_rate\": 0.5714,\n  \
+            \"work_saved\": 7,\n  \"lookup_micros\": 8,\n  \"compile_micros\": 9,\n  \
+            \"requests\": 14,\n  \"busy_shed\": 15,\n  \"deadline_hits\": 16,\n  \
+            \"handler_panics\": 17,\n  \"quarantined_modules\": 18,\n  \
+            \"quarantined_rejects\": 19,\n  \"frame_defects\": 20,\n  \
+            \"accept_errors\": 21,\n  \"conn_errors\": 22,\n  \"store_errors\": 23,\n  \
+            \"rung_counts\": {\n    \"full\": 10,\n    \"dropped-pass\": 11,\n    \
+            \"no-transform\": 12,\n    \"unoptimized\": 13\n  }\n}\n";
+        assert_eq!(s.to_json(), want);
     }
 }

@@ -529,14 +529,4 @@ impl DecodedKernel {
             vreg_inst,
         }
     }
-
-    /// Number of scalar (warp-uniform) register slots.
-    pub fn num_scalar_regs(&self) -> u32 {
-        self.num_sregs
-    }
-
-    /// Number of vector (per-lane) register slots.
-    pub fn num_vector_regs(&self) -> u32 {
-        self.num_vregs
-    }
 }

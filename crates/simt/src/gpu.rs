@@ -64,11 +64,6 @@ impl LaunchConfig {
             block_dim,
         }
     }
-
-    /// Total threads.
-    pub fn total_threads(&self) -> u64 {
-        self.grid_dim as u64 * self.block_dim as u64
-    }
 }
 
 /// Result of a kernel launch.
