@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point. Fully offline: the workspace has no registry
 # dependencies (uu-check replaces rand/proptest/criterion), so every step
-# must pass with --offline on a clean checkout.
-#
-#   ./ci.sh          # build (warnings are errors), test, fuzz smoke
+# must pass with --offline on a clean checkout. The compile daemon is
+# checked by `cargo test` (crates/harness/tests/serve_cli.rs).
 #
 # Knobs (the full table is in DESIGN.md "Environment knobs"; an empty
 # value means unset, a malformed one exits 2 before any work):
@@ -12,22 +11,10 @@
 #   UU_JOBS         worker count for the parallel sweep/fuzz engine
 #   UU_FAULT        pipeline/simulator fault plan (uu-harness, uu-fuzz)
 #   UU_CRASH_DIR    uu-fuzz crash-report directory
-#   UU_CACHE_DIR, UU_SERVE_SOCKET, UU_SERVE_WORKERS, UU_SERVE_INFLIGHT,
-#   UU_SERVE_FAULT  uu-harness artifact cache, daemon and serve tunables
+#   UU_CACHE_DIR, UU_SERVE_SOCKET, UU_SERVE_WORKERS  uu-harness cache/daemon
 #   UU_BENCH_SAMPLES, UU_BENCH_WARMUP_MS  uu-bench sample budget
 set -euo pipefail
 cd "$(dirname "$0")"
-
-# `wait` cannot be timed out, so poll for the exit first: a daemon that
-# never wakes from `accept` after `shutdown` fails the rung in 10 s instead
-# of hanging CI.
-wait_drained() {
-  if ! timeout 10 tail --pid="$1" -f /dev/null; then
-    echo "daemon (pid $1) did not exit within 10 s of shutdown" >&2
-    exit 1
-  fi
-  wait "$1"
-}
 
 # counter FILE NAME: one integer counter out of a `stats` JSON snapshot.
 counter() {
@@ -68,6 +55,24 @@ then
   echo "compile-result header spelled outside the artifact codec (lines above)" >&2
   exit 1
 fi
+
+echo "== lint: the knob tables name the knobs the code reads =="
+# Every row of the "Environment knobs" tables in README.md and DESIGN.md
+# names a knob that code under crates/ or tests/ spells as a string
+# literal, and every knob uu-harness reads has a row in both tables.
+stale=0
+for doc in README.md DESIGN.md; do
+  rows=$(awk '/^## Environment knobs/ { on = 1; next } /^## / { on = 0 } on' "$doc" \
+    | grep -oE '^\| `UU_[A-Z_]+`' | tr -d '|` ' || true)
+  for k in $rows; do
+    grep -rqF --include='*.rs' "\"$k\"" crates tests \
+      || { echo "$doc: the row for $k names a knob nothing reads" >&2; stale=1; }
+  done
+  for k in $(grep -oE 'knob\("UU_[A-Z_]+"' crates/harness/src/main.rs | grep -oE 'UU_[A-Z_]+'); do
+    grep -qx "$k" <<< "$rows" || { echo "$doc: no row for $k, which uu-harness reads" >&2; stale=1; }
+  done
+done
+[ "$stale" -eq 0 ]
 
 echo "== build (release, offline, deny warnings) =="
 RUSTFLAGS="${RUSTFLAGS:-} -Dwarnings" cargo build --release --offline --all-targets
@@ -203,44 +208,7 @@ cargo test -q --offline --release -p uu-tests --test uniformity_oracle
 cargo test -q --offline --release -p uu-tests --test engine_differential \
   uniform_values_identical_across_lanes_on_kernel_suite
 
-echo "== serve smoke: daemon round-trip, cache hit, fault containment, cached-sweep identity =="
-# Start the compile-service daemon on a Unix socket with a disk cache,
-# round-trip the same kernel compile twice (the second must be a cache
-# hit), inject a pass panic into a request (the daemon must survive and
-# report the degradation rung), and check the stats verb answers with
-# valid versioned JSON.
-rm -rf target/ci/serve-cache target/ci/serve.sock
-UU_CACHE_DIR=target/ci/serve-cache \
-  ./target/release/uu-harness serve --socket target/ci/serve.sock 2> /dev/null &
-serve_pid=$!
-trap 'kill "$serve_pid" 2> /dev/null || true' EXIT
-./target/release/uu-harness client --socket target/ci/serve.sock \
-  --bench mandelbrot --config uu4 > target/ci/serve-first.txt
-grep -q '^cached: miss$' target/ci/serve-first.txt
-./target/release/uu-harness client --socket target/ci/serve.sock \
-  --bench mandelbrot --config uu4 > target/ci/serve-second.txt
-grep -q '^cached: hit$' target/ci/serve-second.txt
-# Identical compile metadata on hit and miss (only the cached header flips).
-diff <(grep -v '^cached:' target/ci/serve-first.txt) \
-     <(grep -v '^cached:' target/ci/serve-second.txt)
-# A faulted request: contained, answered, degraded rung reported.
-./target/release/uu-harness client --socket target/ci/serve.sock \
-  --bench mandelbrot --config uu4 --fault panic@1 > target/ci/serve-fault.txt
-grep -q '^rung: ' target/ci/serve-fault.txt
-if grep -q '^rung: full$' target/ci/serve-fault.txt; then
-  echo "injected fault did not degrade the service compile rung" >&2
-  exit 1
-fi
-# The daemon survived the faulted request: stats still answers, as JSON.
-./target/release/uu-harness client --socket target/ci/serve.sock --verb stats \
-  | tail -n +2 > target/ci/serve-stats.json
-./target/release/uu-jsonck target/ci/serve-stats.json
-grep -q '"stats_version": 2' target/ci/serve-stats.json
-./target/release/uu-harness client --socket target/ci/serve.sock --verb shutdown > /dev/null
-wait_drained "$serve_pid"
-trap - EXIT
-echo "serve smoke: round-trip, hit, fault containment, shutdown all good"
-
+echo "== cached sweep identity: cold and warm disk-cache sweeps match the reference =="
 # Cache-aware sweep identity: the fast sweep through a disk cache (cold,
 # then warm) must be byte-identical to the cacheless reference directory
 # produced by the engine-identity rung above.
@@ -260,7 +228,6 @@ done
 # nothing about the cache.
 sed -n '/^cache stats JSON:$/,$p' target/ci/results-fast-cache-warm.err | tail -n +2 \
   > target/ci/sweep-cache-warm.json
-./target/release/uu-jsonck target/ci/sweep-cache-warm.json
 warm=target/ci/sweep-cache-warm.json
 if [ "$(counter $warm compile_misses)" -ne 0 ] || [ "$(counter $warm run_misses)" -ne 0 ]; then
   echo "warm cached sweep missed: compile_misses $(counter $warm compile_misses)," \
@@ -268,123 +235,6 @@ if [ "$(counter $warm compile_misses)" -ne 0 ] || [ "$(counter $warm run_misses)
   exit 1
 fi
 echo "cached fast sweep byte-identical, warm pass all hits (cold ${t_cold}s, warm ${t_warm}s)"
-
-echo "== serve stress: admission control, service faults, graceful drain =="
-# A deliberately under-provisioned daemon (2 workers, ONE admission slot)
-# with a service-level fault plan: the first admitted compile stalls
-# 1500 ms holding the slot, a later one loses its connection, another
-# panics in the handler. Against it: a no-retry probe that must be shed
-# with a structured `busy` + retry-after-ms, a health check that must
-# answer while the slot is held (control verbs are never shed), and
-# concurrent retrying clients that must ALL land real responses. Then a
-# drain shutdown must complete with exit 0 and extended stats as valid
-# versioned JSON.
-rm -rf target/ci/stress.sock
-UU_SERVE_WORKERS=2 UU_SERVE_INFLIGHT=1 \
-UU_SERVE_FAULT='slow@0:1500,disconnect@2,panic@3' \
-  ./target/release/uu-harness serve --socket target/ci/stress.sock 2> /dev/null &
-stress_pid=$!
-trap 'kill "$stress_pid" 2> /dev/null || true' EXIT
-# Occupy the only admission slot (this request draws the slow fault).
-./target/release/uu-harness client --socket target/ci/stress.sock \
-  --bench mandelbrot --config unroll2 > target/ci/stress-unroll2.txt &
-slow_pid=$!
-sleep 0.5
-# Shed: a single-attempt probe gets the structured overload response.
-if ./target/release/uu-harness client --socket target/ci/stress.sock \
-  --bench mandelbrot --config unroll4 --no-retry > target/ci/stress-busy.txt; then
-  echo "no-retry probe against a saturated daemon must exit nonzero" >&2
-  exit 1
-fi
-grep -q '^busy$' target/ci/stress-busy.txt
-grep -q '^retry-after-ms: ' target/ci/stress-busy.txt
-# Control plane stays responsive while the data plane is saturated.
-./target/release/uu-harness client --socket target/ci/stress.sock --verb health \
-  > target/ci/stress-health.txt
-grep -q '^draining: 0$' target/ci/stress-health.txt
-./target/release/uu-harness client --socket target/ci/stress.sock --verb ready \
-  > target/ci/stress-ready.txt
-grep -q '^ready: 1$' target/ci/stress-ready.txt
-# Concurrent retrying clients ride out the stall, the dropped connection
-# and the handler panic — zero lost responses.
-client_pids=()
-for cfg in unroll8 uu2 uu4 uu8; do
-  ./target/release/uu-harness client --socket target/ci/stress.sock \
-    --bench mandelbrot --config "$cfg" > "target/ci/stress-$cfg.txt" &
-  client_pids+=($!)
-done
-wait "$slow_pid"
-for pid in "${client_pids[@]}"; do wait "$pid"; done
-for cfg in unroll2 unroll8 uu2 uu4 uu8; do
-  grep -q '^ok$' "target/ci/stress-$cfg.txt" || {
-    echo "stress client $cfg lost its response" >&2; exit 1; }
-done
-# Extended stats: versioned JSON, and the overload counters moved.
-./target/release/uu-harness client --socket target/ci/stress.sock --verb stats \
-  | tail -n +2 > target/ci/stress-stats.json
-./target/release/uu-jsonck target/ci/stress-stats.json
-grep -q '"stats_version": 2' target/ci/stress-stats.json
-grep -q '"busy_shed": [1-9]' target/ci/stress-stats.json
-grep -q '"handler_panics": [1-9]' target/ci/stress-stats.json
-# Drain: shutdown is acknowledged and the daemon exits cleanly.
-./target/release/uu-harness client --socket target/ci/stress.sock --verb shutdown \
-  > target/ci/stress-shutdown.txt
-grep -q '^ok$' target/ci/stress-shutdown.txt
-wait_drained "$stress_pid"
-trap - EXIT
-echo "serve stress: shed, contained, drained with zero lost responses"
-
-echo "== remote-backend identity: daemon-backed study must match the local reference =="
-# The same study the meld rung produced locally (target/ci/study-j1),
-# regenerated with every compile shipped through a freshly started daemon
-# (UU_SERVE_SOCKET) at 1 and 4 workers: byte-identical, both times.
-rm -rf target/ci/remote.sock target/ci/remote-cache
-UU_SERVE_WORKERS=2 UU_CACHE_DIR=target/ci/remote-cache \
-  ./target/release/uu-harness serve --socket target/ci/remote.sock 2> /dev/null &
-remote_pid=$!
-trap 'kill "$remote_pid" 2> /dev/null || true' EXIT
-for jobs in 1 4; do
-  rm -rf "target/ci/remote-study-j${jobs}"
-  UU_JOBS="$jobs" UU_SERVE_SOCKET=target/ci/remote.sock \
-    ./target/release/uu-harness study --bench mandelbrot \
-    --out "target/ci/remote-study-j${jobs}" > /dev/null
-  diff -r target/ci/study-j1 "target/ci/remote-study-j${jobs}"
-done
-# Not vacuous: the daemon must actually have served the compiles (a
-# silent local fallback would make the diff above meaningless).
-./target/release/uu-harness client --socket target/ci/remote.sock --verb stats \
-  | tail -n +2 > target/ci/remote-stats.json
-if grep -q '"compile_misses": 0,' target/ci/remote-stats.json; then
-  echo "daemon-backed study compiled nothing remotely" >&2
-  exit 1
-fi
-# The warm served path: the UU_JOBS=1 study again, against the same
-# daemon. Byte-identical once more, and every one of its requests a
-# forwarded hit — nothing recompiled, hits up by exactly the pass's
-# compile count (its requests, less the closing `stats` request itself).
-rm -rf target/ci/remote-study-warm
-UU_JOBS=1 UU_SERVE_SOCKET=target/ci/remote.sock \
-  ./target/release/uu-harness study --bench mandelbrot \
-  --out target/ci/remote-study-warm > /dev/null
-diff -r target/ci/study-j1 target/ci/remote-study-warm
-./target/release/uu-harness client --socket target/ci/remote.sock --verb stats \
-  | tail -n +2 > target/ci/remote-stats-warm.json
-cold=target/ci/remote-stats.json
-warm=target/ci/remote-stats-warm.json
-compiles=$(( $(counter $warm requests) - $(counter $cold requests) - 1 ))
-hits=$(( $(counter $warm compile_mem_hits) + $(counter $warm compile_disk_hits) \
-  - $(counter $cold compile_mem_hits) - $(counter $cold compile_disk_hits) ))
-if [ "$compiles" -le 0 ] || [ "$hits" -ne "$compiles" ] \
-  || [ "$(counter $warm compile_misses)" -ne "$(counter $cold compile_misses)" ]; then
-  echo "warm daemon-backed study: $compiles compiles, $hits hits, misses" \
-    "$(counter $cold compile_misses) -> $(counter $warm compile_misses)" >&2
-  exit 1
-fi
-./target/release/uu-harness client --socket target/ci/remote.sock --verb shutdown > /dev/null
-wait_drained "$remote_pid"
-trap - EXIT
-echo "warm pass: $compiles compiles, all served as hits, byte-identical"
-echo "daemon-backed study byte-identical to the local reference at UU_JOBS=1 and 4"
 
 echo "== bench smoke: every uu-bench row runs once =="
 # `--all-targets` above only compiles the benches; this runs them, so a

@@ -1,5 +1,5 @@
 //! A zero-dependency JSON well-formedness checker (RFC 8259 grammar, no
-//! value tree built), used by CI to assert that generated JSON — the
+//! value tree built), used by the tests to assert that generated JSON — the
 //! compile daemon's `stats` reply — is parseable before anything downstream
 //! consumes it.
 

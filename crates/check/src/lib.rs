@@ -20,8 +20,8 @@
 //!   argument (paper §IV);
 //! * [`corpus`] — a checked-in `.seed` regression corpus replayed before
 //!   novel fuzzing, so historical counterexamples keep running;
-//! * [`json`] — a JSON well-formedness checker behind the `uu-jsonck` bin,
-//!   which CI runs over generated reports;
+//! * [`json`] — a JSON well-formedness checker the tests run over the
+//!   compile daemon's `stats` JSON;
 //! * [`bisect`] — opt-bisect over the pipeline's pass-invocation counter:
 //!   given an oracle-detected miscompile, binary-search to the first bad
 //!   pass and write a replayable crash-report artifact (the native

@@ -781,21 +781,18 @@ fn apply_transform(
                     for &h in &headers {
                         let dom = DomTree::compute(f);
                         let forest = LoopForest::compute(f, &dom);
-                        if let Some(l) = forest.loops().iter().find(|l| l.header == h).cloned() {
-                            if uu_analysis::convergence::loop_has_convergent(
-                                f,
-                                &forest,
-                                uu_analysis::LoopId(
-                                    forest.loops().iter().position(|x| x.header == h).unwrap(),
-                                ),
-                            ) {
-                                continue;
-                            }
-                            if unroll_loop(f, l.header, &l.blocks, &l.latches, factor).is_some() {
-                                // The stock unroller owns this loop now.
-                                f.set_loop_pragma(h, uu_ir::LoopPragma::NoUnroll);
-                                changed = true;
-                            }
+                        let Some(i) = forest.loops().iter().position(|l| l.header == h) else {
+                            continue;
+                        };
+                        let id = uu_analysis::LoopId(i);
+                        if uu_analysis::convergence::loop_has_convergent(f, &forest, id) {
+                            continue;
+                        }
+                        let l = forest.get(id);
+                        if unroll_loop(f, l.header, &l.blocks, &l.latches, factor).is_some() {
+                            // The stock unroller owns this loop now.
+                            f.set_loop_pragma(h, uu_ir::LoopPragma::NoUnroll);
+                            changed = true;
                         }
                     }
                     changed

@@ -127,7 +127,7 @@ impl FaultPlan {
 /// Split one `<kind>@<index>[:<seed>]` fault spec into its kind keyword,
 /// decimal u64 index and u64 seed (decimal or 0x-hex, defaulting to 0).
 /// The one grammar behind [`FaultPlan::parse`] and the service-level
-/// `UU_SERVE_FAULT` plan in `uu-serve`: each parser only maps the keyword
+/// `ServeFaultPlan` in `uu-serve`: each parser only maps the keyword
 /// onto its own kind enum, so the two spec languages cannot drift apart.
 ///
 /// # Errors

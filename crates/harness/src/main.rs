@@ -1,20 +1,18 @@
 //! Command-line entry point: `uu-harness <command> [--fast] [--out DIR]`.
-//! `--help` prints the usage line; an unknown option exits 2 before
-//! anything runs.
+//! `--help` prints the usage line; an unknown option, or a value option
+//! without its value, exits 2 before anything runs.
 //!
 //! Batch commands (`all`, `table1`, `fig6`–`fig9`, `table2`, `study`,
 //! `indepth`, `decisions`, `dump`) regenerate the paper's reports. The
 //! service commands turn the same pipeline into a long-running daemon:
 //!
 //! * `serve --socket PATH` — compile-service daemon answering framed
-//!   requests (see `uu-serve`);
-//! * `client --socket PATH [--config C] [--fault SPEC] [--verb V]
-//!   [--timeout-ms N] [--no-retry]` — one request against a running
-//!   daemon, using `--bench NAME`'s module (or a module read from
-//!   stdin). Requests retry `busy` and transient failures with capped
-//!   exponential backoff unless `--no-retry` is given; verbs include the
-//!   service-health set (`ping`, `health`, `ready`, `stats`,
-//!   `shutdown`).
+//!   requests (see `uu-serve`) with `UU_SERVE_WORKERS` workers;
+//! * `client --socket PATH [--bench NAME] [--config C] [--fault SPEC]
+//!   [--verb V]` — one request against a running daemon: `compile` (the
+//!   default verb) sends `--bench NAME`'s module, and `ping`, `health`,
+//!   `ready`, `stats` and `shutdown` take no module. Requests retry `busy`
+//!   and transient failures with capped exponential backoff.
 //!
 //! Every environment knob is read once, by [`Env::read`], before anything
 //! runs; a malformed one exits 2 naming the variable. The report commands
@@ -30,7 +28,7 @@ use uu_harness::experiment::shared_module;
 use uu_harness::plan::Plan;
 use uu_harness::{figures, indepth, study, sweep};
 use uu_kernels::{all_benchmarks, Benchmark};
-use uu_serve::{CompileCache, Remote, ServeFaultPlan, ServeOptions};
+use uu_serve::{CompileCache, Remote, ServeOptions};
 
 /// Every environment variable `uu-harness` honours, parsed once at the top
 /// of `main`: the libraries take these values and read no environment. An
@@ -44,8 +42,8 @@ struct Env {
     cache_dir: Option<PathBuf>,
     /// `UU_SERVE_SOCKET`: the daemon report commands ship compiles to.
     serve_socket: Option<PathBuf>,
-    /// `serve`'s tunables: `UU_SERVE_WORKERS` (default 4),
-    /// `UU_SERVE_INFLIGHT` (default: the worker count), `UU_SERVE_FAULT`.
+    /// `serve`'s tunables: `UU_SERVE_WORKERS` (default 4) workers, each
+    /// admitting one compile.
     serve: ServeOptions,
 }
 
@@ -82,75 +80,79 @@ impl Env {
             fault: knob("UU_FAULT", FaultPlan::parse)?,
             cache_dir: knob("UU_CACHE_DIR", path)?,
             serve_socket: knob("UU_SERVE_SOCKET", path)?,
-            serve: ServeOptions {
-                workers,
-                inflight: knob("UU_SERVE_INFLIGHT", count)?.unwrap_or(workers),
-                fault: knob("UU_SERVE_FAULT", ServeFaultPlan::parse)?
-                    .filter(|p| !p.faults.is_empty()),
-                ..ServeOptions::default()
-            },
+            serve: ServeOptions { workers, inflight: workers, ..ServeOptions::default() },
         })
     }
 }
 
-/// The options that take a value.
-const VALUE_FLAGS: [&str; 7] = [
-    "--out",
-    "--bench",
-    "--config",
-    "--socket",
-    "--fault",
-    "--verb",
-    "--timeout-ms",
-];
-
-/// The options that take none.
-const SWITCHES: [&str; 3] = ["--fast", "--no-retry", "--print-ir"];
+/// The options that take a value; `--fast` is the one that takes none.
+const VALUE_FLAGS: [&str; 6] = ["--out", "--bench", "--config", "--socket", "--fault", "--verb"];
 
 const USAGE: &str = "usage: uu-harness [all|table1|fig6[a|b|c]|fig7|fig8[a|b]|study|fig9|\
 table2|indepth|decisions|dump|serve|client] [--fast] [--bench NAME] [--out DIR] [--config C] \
-[--socket PATH] [--fault SPEC] [--verb V] [--timeout-ms N] [--no-retry] [--print-ir]";
+[--socket PATH] [--fault SPEC] [--verb V]";
 
-/// Answer `--help`/`-h` (usage on stdout, exit 0) and refuse an unknown
-/// option (exit 2), both before anything runs or is written.
-fn check_options(args: &[String]) {
+/// The command line: the command word, `--fast`, and each value option
+/// given with its value.
+struct Cli {
+    cmd: String,
+    fast: bool,
+    values: Vec<(&'static str, String)>,
+}
+
+impl Cli {
+    /// The value of option `name` (the first, if it is given twice).
+    fn value(&self, name: &str) -> Option<String> {
+        self.values.iter().find(|(n, _)| *n == name).map(|(_, v)| v.clone())
+    }
+}
+
+/// The one walk over the arguments, before anything runs or is written:
+/// answer `--help`/`-h` (usage on stdout, exit 0), refuse an unknown
+/// option or a value option without its value (exit 2), and take the
+/// first word that is neither an option nor an option's value as the
+/// command (default `all`).
+fn check_options(args: &[String]) -> Cli {
+    fn refuse(why: String) -> ! {
+        eprintln!("{why}; {USAGE}");
+        std::process::exit(2);
+    }
+    let (mut cmd, mut fast, mut values) = (None, false, Vec::new());
     let mut rest = args.iter();
     while let Some(a) = rest.next() {
         if a == "--help" || a == "-h" {
             println!("{USAGE}");
             std::process::exit(0);
         }
-        if VALUE_FLAGS.contains(&a.as_str()) {
-            rest.next();
-        } else if a.starts_with('-') && !SWITCHES.contains(&a.as_str()) {
-            eprintln!("unknown option `{a}`; {USAGE}");
-            std::process::exit(2);
+        if let Some(&name) = VALUE_FLAGS.iter().find(|f| **f == a.as_str()) {
+            let Some(v) = rest.next() else {
+                refuse(format!("option `{a}` needs a value"));
+            };
+            values.push((name, v.clone()));
+        } else if a == "--fast" {
+            fast = true;
+        } else if a.starts_with('-') {
+            refuse(format!("unknown option `{a}`"));
+        } else if cmd.is_none() {
+            cmd = Some(a.clone());
         }
     }
+    let cmd = cmd.unwrap_or_else(|| "all".to_string());
+    Cli { cmd, fast, values }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    check_options(&args);
+    let cli = check_options(&args);
     let env = Env::read().unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(2);
     });
-    let fast = args.iter().any(|a| a == "--fast");
-    let flag = |name: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
+    let fast = cli.fast;
+    let flag = |name: &str| cli.value(name);
     let out = flag("--out").map(PathBuf::from).unwrap_or_else(|| PathBuf::from("results"));
     let only: Option<String> = flag("--bench");
-    let flag_values: Vec<String> = VALUE_FLAGS.iter().filter_map(|f| flag(f)).collect();
-    let cmd = args
-        .iter()
-        .find(|a| !a.starts_with("--") && !flag_values.contains(a))
-        .map(String::as_str)
-        .unwrap_or("all");
+    let cmd = cli.cmd.as_str();
 
     let benches: Vec<_> = all_benchmarks()
         .into_iter()
@@ -197,31 +199,17 @@ fn main() {
             let verb = flag("--verb").unwrap_or_else(|| "compile".to_string());
             let req = match verb.as_str() {
                 "compile" => {
+                    if only.is_none() {
+                        eprintln!("client: a compile needs --bench NAME");
+                        std::process::exit(2);
+                    }
                     let config = flag("--config").unwrap_or_else(|| "uu4".to_string());
-                    // `--bench NAME` sends that benchmark's module; with the
-                    // default filter (all benches), read the module from stdin.
-                    let module_text = if only.is_some() {
-                        shared_module(&benches[0]).to_string()
-                    } else {
-                        let mut s = String::new();
-                        use std::io::Read as _;
-                        if std::io::stdin().read_to_string(&mut s).is_err() || s.is_empty() {
-                            eprintln!("client: pass --bench NAME or pipe a module on stdin");
-                            std::process::exit(2);
-                        }
-                        s
-                    };
                     let mut req = uu_serve::Message::new("compile")
                         .header("config", &config)
-                        .with_body(module_text);
+                        .header("want-module", 0)
+                        .with_body(shared_module(&benches[0]).to_string());
                     if let Some(fault) = flag("--fault") {
                         req = req.header("fault", fault);
-                    }
-                    if let Some(t) = flag("--timeout-ms") {
-                        req = req.header("timeout-ms", t);
-                    }
-                    if !args.iter().any(|a| a == "--print-ir") {
-                        req = req.header("want-module", 0);
                     }
                     req
                 }
@@ -237,15 +225,8 @@ fn main() {
                 }
             };
             // Busy shedding and injected transport faults are retried with
-            // deterministic capped backoff; --no-retry sends exactly one
-            // attempt (probing a saturated daemon's `busy` response).
-            let remote = if args.iter().any(|a| a == "--no-retry") {
-                Remote::new(&sock).with_attempts(1)
-            } else {
-                Remote::new(&sock)
-            };
-            let resp = remote.request(&req);
-            match resp {
+            // deterministic capped backoff.
+            match Remote::new(&sock).request(&req) {
                 Ok(resp) => {
                     println!("{}", resp.verb);
                     for (k, v) in &resp.headers {

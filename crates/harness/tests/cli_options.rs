@@ -1,7 +1,9 @@
 //! `uu-harness` options: `--help`/`-h` print the usage and exit 0, and an
-//! unknown option exits 2 with a one-line usage message. Neither runs a
-//! report or writes a file (the default `--out` is `results/` under the
-//! working directory, so each run gets an empty one to watch).
+//! unknown option or a value option without its value exits 2 with a
+//! one-line usage message. None of them runs a report or writes a file
+//! (the default `--out` is `results/` under the working directory, so each
+//! run gets an empty one to watch). The command is the first word that is
+//! neither an option nor an option's value.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -63,10 +65,7 @@ fn an_unknown_option_exits_2_before_any_work() {
         ),
         // A value that looks like an option is the value of the option
         // before it.
-        (
-            &["decisions", "--timeout-ms", "-1", "--bogus"][..],
-            "--bogus",
-        ),
+        (&["decisions", "--config", "-1", "--bogus"][..], "--bogus"),
     ]
     .into_iter()
     .enumerate()
@@ -76,6 +75,51 @@ fn an_unknown_option_exits_2_before_any_work() {
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
         let want = format!("unknown option `{bad}`; usage: uu-harness ");
+        assert!(stderr.starts_with(&want), "{args:?}: {stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+        assert!(untouched, "{args:?} wrote into the working directory");
+    }
+}
+
+#[test]
+fn the_command_word_is_found_by_position() {
+    // `--out table1` names the directory: a value equal to a command must
+    // not make the command (`table1`) look absent and run `all`.
+    let dir = empty_dir("position");
+    let args = ["table1", "--fast", "--bench", "mandelbrot", "--out", "table1"];
+    let out = Command::new(env!("CARGO_BIN_EXE_uu-harness"))
+        .args(args)
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let mut written: Vec<String> = std::fs::read_dir(dir.join("table1"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    written.sort();
+    assert_eq!(written, ["faults.csv", "faults.txt", "table1.csv", "table1.txt"]);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_value_option_without_its_value_exits_2_before_any_work() {
+    for (i, (args, bare)) in [
+        (&["decisions", "--bench"][..], "--bench"),
+        (&["table1", "--fast", "--out"][..], "--out"),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let (out, untouched) = harness(&format!("novalue{i}"), args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        let want = format!("option `{bare}` needs a value; usage: uu-harness ");
         assert!(stderr.starts_with(&want), "{args:?}: {stderr}");
         assert!(
             out.stdout.is_empty(),

@@ -8,14 +8,12 @@ use std::time::{Duration, Instant};
 
 /// Every knob the binary reads, cleared in each child so the caller's own
 /// environment cannot leak into a case.
-const KNOBS: [&str; 7] = [
+const KNOBS: [&str; 5] = [
     "UU_JOBS",
     "UU_FAULT",
     "UU_CACHE_DIR",
     "UU_SERVE_SOCKET",
     "UU_SERVE_WORKERS",
-    "UU_SERVE_INFLIGHT",
-    "UU_SERVE_FAULT",
 ];
 
 fn scratch(name: &str) -> PathBuf {
@@ -86,8 +84,6 @@ fn a_malformed_serve_knob_binds_no_socket() {
     for (var, value) in [
         ("UU_SERVE_WORKERS", "zero"),
         ("UU_SERVE_WORKERS", "0"),
-        ("UU_SERVE_INFLIGHT", "-1"),
-        ("UU_SERVE_FAULT", "torn@"),
         ("UU_JOBS", "0"),
     ] {
         assert_refused(&harness(&args, var, value), var, value, "serving");

@@ -1,5 +1,5 @@
-//! Service-level fault drills (`UU_SERVE_FAULT` grammar) driven end to
-//! end through the harness: a concurrent daemon with injected torn
+//! Service-level fault drills (a [`ServeFaultPlan`] set in
+//! [`ServeOptions`]) driven end to end through the harness: a concurrent daemon with injected torn
 //! frames, disconnects, handler panics, stalls and disk-full stores must
 //! never lose a response — and a sweep or study routed through it must
 //! stay **byte-identical** to the cacheless local reference, at any
@@ -288,13 +288,14 @@ fn mem_fault_traps_identically_through_every_backend_and_is_never_cached() {
 #[test]
 fn busy_shedding_sheds_and_the_retrying_client_still_lands() {
     // One admission slot, two workers: while the first request stalls
-    // (injected slow fault) holding the slot, a concurrent request must
-    // be shed with `busy` + retry-after-ms — and its client-side backoff
-    // must carry it through to a real response once the stall clears.
+    // (injected slow fault) holding the slot, a single-attempt compile is
+    // shed with `busy` + retry-after-ms, the control verbs still answer,
+    // and retrying clients ride out the stall, a dropped connection and a
+    // handler panic: every one of them lands a real response.
     let opts = ServeOptions {
         workers: 2,
         inflight: 1,
-        fault: Some(ServeFaultPlan::parse("slow@0:600").unwrap()),
+        fault: Some(ServeFaultPlan::parse("slow@0:600,disconnect@2,panic@3").unwrap()),
         ..ServeOptions::default()
     };
     let daemon_cache = CompileCache::new_mem();
@@ -304,20 +305,56 @@ fn busy_shedding_sheds_and_the_retrying_client_still_lands() {
                 let r = remote.compile(MODULE, "unroll2", None, None, false).unwrap();
                 assert!(!r.hit);
             });
-            // Give the stalled request time to occupy the slot.
-            std::thread::sleep(Duration::from_millis(120));
+            // Wait for the stalled request to occupy the slot. Control
+            // verbs are never shed, so `health` answers throughout.
+            let once = remote.clone().with_attempts(1);
+            let deadline = Instant::now() + Duration::from_secs(5);
+            let health = loop {
+                let health = once.request(&Message::new("health")).unwrap();
+                if health.get("inflight") == Some("1") {
+                    break health;
+                }
+                assert!(Instant::now() < deadline, "slot never held: {health:?}");
+                std::thread::sleep(Duration::from_millis(5));
+            };
+            assert_eq!(health.verb, "ok", "{health:?}");
+            assert_eq!(health.get("draining"), Some("0"), "{health:?}");
+            let ready = once.request(&Message::new("ready")).unwrap();
+            assert_eq!(ready.get("ready"), Some("1"), "{ready:?}");
+            let probe = Message::new("compile")
+                .header("config", "unroll4")
+                .header("want-module", 0)
+                .with_body(MODULE);
+            let shed = once.request(&probe).unwrap();
+            assert_eq!(shed.verb, "busy", "{shed:?}");
+            assert!(shed.get("retry-after-ms").is_some(), "{shed:?}");
+
             let start = Instant::now();
+            let more: Vec<_> = ["unroll8", "uu2", "uu4", "uu8"]
+                .into_iter()
+                .map(|config| {
+                    s.spawn(move || {
+                        let r = remote.clone().with_attempts(64);
+                        r.compile(MODULE, config, None, None, false).unwrap()
+                    })
+                })
+                .collect();
             let r = remote
                 .clone()
                 .with_attempts(64)
                 .compile(MODULE, "unroll4", None, None, false)
                 .unwrap();
             assert!(!r.hit);
+            let elapsed = start.elapsed();
             slow.join().unwrap();
-            start.elapsed()
+            for h in more {
+                h.join().unwrap();
+            }
+            elapsed
         })
     });
     assert!(stats.busy_shed >= 1, "the concurrent request was never shed: {stats:?}");
+    assert!(stats.handler_panics >= 1, "the injected panic never fired: {stats:?}");
     assert!(
         elapsed >= Duration::from_millis(100),
         "the shed client cannot have landed before the stall cleared: {elapsed:?}"

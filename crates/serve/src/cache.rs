@@ -38,7 +38,7 @@ use uu_core::{FaultKind, PipelineOptions};
 use uu_ir::Module;
 
 thread_local! {
-    // Armed by the service's `disk-full` fault (UU_SERVE_FAULT) for the
+    // Armed by the service's `disk-full` fault (`ServeFaultPlan`) for the
     // duration of one request. Thread-local because each request is
     // handled entirely on one worker thread: arming it cannot leak into
     // a concurrent request on another worker.

@@ -1,4 +1,4 @@
-//! Deterministic service-level fault injection (`UU_SERVE_FAULT`).
+//! Deterministic service-level fault injection ([`ServeOptions::fault`](crate::ServeOptions::fault)).
 //!
 //! PR 4's `UU_FAULT` grammar exercises every *pipeline* recovery path;
 //! this module extends the same discipline one layer up, to the service
@@ -6,7 +6,7 @@
 //! the `UU_FAULT` shape:
 //!
 //! ```text
-//! UU_SERVE_FAULT=<kind>@<index>[:<seed>][,<kind>@<index>[:<seed>]...]
+//! plan  := <kind>@<index>[:<seed>][,<kind>@<index>[:<seed>]...]
 //! kind  := torn | disconnect | slow | panic | disk-full
 //! index := zero-based compile-request index at which the fault fires
 //!          (compile requests are counted in admission order, across all
@@ -88,7 +88,9 @@ impl ServeFault {
 }
 
 /// A deterministic service fault plan: a list of specs, each firing at
-/// its admitted-request index (`uu-harness serve` parses `UU_SERVE_FAULT`).
+/// its admitted-request index. Tests and benchmarks set it in
+/// [`ServeOptions::fault`](crate::ServeOptions::fault); `uu-harness
+/// serve` injects none.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServeFaultPlan {
     /// The individual fault specs, in spec order.

@@ -41,11 +41,11 @@
 //! `error` response and the connection resynchronizes where possible
 //! (see [`crate::proto::read_frame_lenient`]) instead of dying.
 //!
-//! Deterministic service-level faults (`UU_SERVE_FAULT`, see
+//! Deterministic service-level faults ([`ServeOptions::fault`], see
 //! [`crate::fault`]) inject torn response frames, mid-request
 //! disconnects, slow handlers, handler panics and disk-full cache
-//! writes, so every one of those recovery paths is exercised in CI
-//! rather than hoped for.
+//! writes, so every one of those recovery paths is exercised by the
+//! tests (`crates/harness/tests/serve_faults.rs`) rather than hoped for.
 //!
 //! [`CacheStats`]: crate::stats::CacheStats
 
@@ -74,20 +74,20 @@ pub const SERVICE_COMPILE_TIMEOUT: Duration = Duration::from_secs(20);
 /// clean nonzero exit.
 const ACCEPT_RETRIES: u32 = 8;
 
-/// Tunables for the concurrent service. `uu-harness serve` sets every knob
-/// but `breaker_k` from a `UU_SERVE_*` variable.
+/// Tunables for the concurrent service. `uu-harness serve` sets `workers`
+/// from `UU_SERVE_WORKERS` and `inflight` to match it; tests and
+/// benchmarks set the rest.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Worker threads handling connections (`UU_SERVE_WORKERS`).
     pub workers: usize,
     /// Maximum concurrently-running compile requests before admission
-    /// control sheds load with `busy` (`UU_SERVE_INFLIGHT`; defaults to
-    /// `workers`).
+    /// control sheds load with `busy`.
     pub inflight: usize,
     /// Handler panics per module hash before the circuit breaker
     /// quarantines it.
     pub breaker_k: u32,
-    /// Deterministic service fault plan (`UU_SERVE_FAULT`).
+    /// Deterministic service fault plan (none in `uu-harness serve`).
     pub fault: Option<ServeFaultPlan>,
 }
 

@@ -90,7 +90,7 @@ impl CacheStats {
     }
 
     /// Render as stable JSON (object key order is fixed; validates under
-    /// `uu-jsonck`).
+    /// `uu_check::json::validate`).
     pub fn to_json(&self) -> String {
         let fields = [
             ("stats_version", STATS_VERSION.to_string()),
