@@ -1,6 +1,6 @@
 //! Control-flow graph traversals and edge classification.
 
-use uu_ir::{BlockId, EntitySet, Function, InstKind};
+use uu_ir::{BlockId, Function, InstKind};
 
 /// Blocks in reverse post-order from the entry.
 ///
@@ -182,33 +182,6 @@ pub fn split_edge(f: &mut Function, from: BlockId, to: BlockId) -> BlockId {
     mid
 }
 
-/// The set of blocks on any path from `from` to `to` without passing through
-/// `through_exclude` (used for region queries in tests).
-pub fn blocks_between(f: &Function, from: BlockId, to: BlockId) -> EntitySet<BlockId> {
-    // Forward reachability from `from` intersected with backward reachability
-    // from `to`.
-    let mut fwd = EntitySet::new();
-    let mut stack = vec![from];
-    while let Some(b) = stack.pop() {
-        if fwd.insert(b) {
-            for s in f.successors(b) {
-                stack.push(s);
-            }
-        }
-    }
-    let preds = f.predecessors();
-    let mut bwd = EntitySet::new();
-    let mut stack = vec![to];
-    while let Some(b) = stack.pop() {
-        if bwd.insert(b) {
-            for &p in &preds[b.index()] {
-                stack.push(p);
-            }
-        }
-    }
-    fwd.iter().filter(|b| bwd.contains(*b)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,12 +305,5 @@ mod tests {
         uu_ir::verify_function(&f).unwrap();
         assert_eq!(f.successors(t), vec![mid]);
         assert_eq!(f.successors(mid), vec![j]);
-    }
-
-    #[test]
-    fn blocks_between_region() {
-        let f = diamond();
-        let set = blocks_between(&f, f.entry(), BlockId::from_index(3));
-        assert_eq!(set.len(), 4);
     }
 }

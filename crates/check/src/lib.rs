@@ -1,9 +1,9 @@
-//! # uu-check — deterministic fuzzing, differential testing and
-//! micro-benchmarking with zero external dependencies
+//! # uu-check — deterministic fuzzing and differential testing with zero
+//! external dependencies
 //!
 //! The uu workspace builds and tests fully offline; this crate supplies,
-//! in-tree, everything the registry crates `rand`, `proptest` and
-//! `criterion` used to provide:
+//! in-tree, everything the registry crates `rand` and `proptest` used to
+//! provide:
 //!
 //! * [`rng`] — [`SplitMix64`] and xoshiro256++ ([`Rng`]) PRNGs, the
 //!   deterministic randomness source for every test and workload;
@@ -11,8 +11,6 @@
 //!   [`Gen`] trait, seeded case generation ([`check`] / [`Config`]), an
 //!   iteration budget and greedy input shrinking with replayable failure
 //!   reports (`UU_CHECK_SEED`, `UU_CHECK_CASES`);
-//! * [`bench`] — a wall-clock micro-bench harness (warmup calibration,
-//!   median-of-N, JSON output) driving the `crates/bench` targets;
 //! * [`oracle`] — the [`DiffOracle`]: random well-formed loop kernels
 //!   ([`KernelSpec`]) compiled under every pipeline configuration and
 //!   executed on the SIMT simulator, asserting bit-identical outputs and
@@ -30,7 +28,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod bisect;
 pub mod corpus;
 pub mod gen;

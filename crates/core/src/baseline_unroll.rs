@@ -21,29 +21,16 @@ use crate::unroll::unroll_loop;
 use uu_analysis::{convergence, cost, trip_count, DomTree, LoopForest, LoopId};
 use uu_ir::{Function, LoopPragma};
 
-/// Profitability thresholds, loosely modelled on LLVM defaults.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BaselineUnrollOptions {
-    /// Fully unroll counted loops with `trip_count <= full_max_trip`.
-    pub full_max_trip: u64,
-    /// ... as long as `trip_count * body_size <= full_size_budget`.
-    pub full_size_budget: u64,
-    /// Runtime-unroll factor for small innermost loops.
-    pub runtime_factor: u32,
-    /// Max body size eligible for runtime unrolling.
-    pub runtime_max_size: u64,
-}
+// Profitability thresholds, loosely modelled on LLVM defaults.
 
-impl Default for BaselineUnrollOptions {
-    fn default() -> Self {
-        BaselineUnrollOptions {
-            full_max_trip: 32,
-            full_size_budget: 1024,
-            runtime_factor: 4,
-            runtime_max_size: 24,
-        }
-    }
-}
+/// Fully unroll counted loops with `trip_count <= FULL_MAX_TRIP` ...
+const FULL_MAX_TRIP: u64 = 32;
+/// ... as long as `trip_count * body_size <= FULL_SIZE_BUDGET`.
+const FULL_SIZE_BUDGET: u64 = 1024;
+/// Runtime-unroll factor for small innermost loops.
+const RUNTIME_FACTOR: u32 = 4;
+/// Max body size eligible for runtime unrolling.
+const RUNTIME_MAX_SIZE: u64 = 24;
 
 /// What the baseline unroller did to a function.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -60,7 +47,7 @@ pub struct BaselineUnrollStats {
 ///
 /// Loops tagged [`LoopPragma::NoUnroll`] (user pragma or set by a previous
 /// u&u application) are skipped; [`LoopPragma::Unroll`] is honoured.
-pub fn baseline_unroll(f: &mut Function, opts: &BaselineUnrollOptions) -> BaselineUnrollStats {
+pub fn baseline_unroll(f: &mut Function) -> BaselineUnrollStats {
     let mut stats = BaselineUnrollStats::default();
     // Each application invalidates the forest; iterate until no candidate.
     loop {
@@ -86,18 +73,18 @@ pub fn baseline_unroll(f: &mut Function, opts: &BaselineUnrollOptions) -> Baseli
             let size = cost::loop_size(f, &forest, id);
             if let Some(cl) = trip_count(f, &forest, id) {
                 if cl.trip_count >= 1
-                    && cl.trip_count <= opts.full_max_trip
-                    && cl.trip_count.saturating_mul(size) <= opts.full_size_budget
+                    && cl.trip_count <= FULL_MAX_TRIP
+                    && cl.trip_count.saturating_mul(size) <= FULL_SIZE_BUDGET
                 {
                     candidate = Some((id, cl.trip_count as u32 + 1, Which::Full));
                     break;
                 }
             }
             if l.is_innermost()
-                && size <= opts.runtime_max_size
+                && size <= RUNTIME_MAX_SIZE
                 && uu_analysis::count_loop_paths(f, &forest, id) == 1
             {
-                candidate = Some((id, opts.runtime_factor, Which::Runtime));
+                candidate = Some((id, RUNTIME_FACTOR, Which::Runtime));
                 break;
             }
         }
@@ -174,7 +161,7 @@ mod tests {
     #[test]
     fn fully_unrolls_and_folds_counted_loop() {
         let mut f = counted4();
-        let stats = baseline_unroll(&mut f, &BaselineUnrollOptions::default());
+        let stats = baseline_unroll(&mut f);
         assert_eq!(stats.full, 1);
         uu_ir::verify_function(&f).unwrap_or_else(|e| panic!("{e}\n{f}"));
         run_cleanup(&mut f, 8);
@@ -202,7 +189,7 @@ mod tests {
         let mut f = counted4();
         let h = uu_ir::BlockId::from_index(1);
         f.set_loop_pragma(h, LoopPragma::NoUnroll);
-        let stats = baseline_unroll(&mut f, &BaselineUnrollOptions::default());
+        let stats = baseline_unroll(&mut f);
         assert_eq!(stats, BaselineUnrollStats::default());
     }
 
@@ -211,7 +198,7 @@ mod tests {
         let mut f = counted4();
         let h = uu_ir::BlockId::from_index(1);
         f.set_loop_pragma(h, LoopPragma::Unroll(2));
-        let stats = baseline_unroll(&mut f, &BaselineUnrollOptions::default());
+        let stats = baseline_unroll(&mut f);
         assert_eq!(stats.pragma, 1);
         assert_eq!(stats.full, 0);
         uu_ir::verify_function(&f).unwrap();
@@ -240,7 +227,7 @@ mod tests {
         b.switch_to(exit);
         b.ret(Some(i));
         let before = f.num_blocks();
-        let stats = baseline_unroll(&mut f, &BaselineUnrollOptions::default());
+        let stats = baseline_unroll(&mut f);
         assert_eq!(stats.runtime, 1);
         assert!(f.num_blocks() > before);
         uu_ir::verify_function(&f).unwrap_or_else(|e| panic!("{e}\n{f}"));
@@ -276,7 +263,7 @@ mod tests {
         b.br(h);
         b.switch_to(exit);
         b.ret(None);
-        let stats = baseline_unroll(&mut f, &BaselineUnrollOptions::default());
+        let stats = baseline_unroll(&mut f);
         assert_eq!(stats.runtime, 0);
     }
 }

@@ -85,8 +85,8 @@ pub use memo::{
 pub use opt::meld::{meld_function, meld_loop, Meld};
 pub use pipeline::{
     compile, fingerprint_of, function_sharing_stats, pass_elision_stats, pipeline_fingerprint,
-    CompileOutcome, LoopFilter, PassPosition, PipelineOptions, Transform, PASS_VERSIONS,
-    PIPELINE_SCHEMA_VERSION, WORK_PER_MS,
+    CompileOutcome, LoopFilter, PassPosition, PipelineOptions, Transform, COMPILE_TIMEOUT,
+    PASS_VERSIONS, PIPELINE_SCHEMA_VERSION, WORK_PER_MS,
 };
 pub use recover::{
     split_fault_spec, FailureReason, FaultKind, FaultPlan, PassFailure, PassInvocation, Rung,

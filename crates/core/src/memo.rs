@@ -4,20 +4,19 @@
 //! function, yet the cleanup fixpoint used to re-run over every function of
 //! the module for every point. The pipeline's per-function stage
 //! (`optimize_function` in [`crate::pipeline`]) is a pure function of the
-//! function it is handed and two option fields, so its result is memoised
-//! in a [`Store`] keyed by exactly those three: [`function_fingerprint`]
-//! picks the bucket and the whole key is compared, so nothing rests on 64
-//! bits. Inputs and outputs are shared [`Arc<Function>`]s, so a point whose
-//! module is a clone of an earlier point's finds each untouched function
-//! by pointer identity — no fingerprint, no structural compare — and takes
-//! the stored output without copying it. The store is **thread-local**: no
+//! function it is handed, so its result is memoised in a [`Store`] keyed by
+//! that function: [`function_fingerprint`] picks the bucket and the whole
+//! function is compared, so nothing rests on 64 bits. Inputs and outputs
+//! are shared [`Arc<Function>`]s, so a point whose module is a clone of an
+//! earlier point's finds each untouched function by pointer identity — no
+//! fingerprint, no structural compare — and takes the stored output
+//! without copying it. The store is **thread-local**: no
 //! lock touches the compile path, and `uu-par` workers (scoped threads, one
 //! set per `par_map`) each start from an empty one, which keeps results
 //! independent of the worker count.
 //! The pipeline decides *what* is admitted and *when* the memo may be
 //! consulted at all; this module only keys, stores and counts.
 
-use crate::baseline_unroll::BaselineUnrollOptions;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -47,8 +46,8 @@ pub(crate) struct Entry {
     pub total: u64,
 }
 
-/// The stage's whole input: the function, `max_rounds`, `baseline_unroll`.
-type Key = (Arc<Function>, usize, BaselineUnrollOptions);
+/// The stage's whole input: the function.
+type Key = Arc<Function>;
 
 /// The store plus the bucket of every stored input by the input's address.
 /// An address names one function only while the store holds its `Arc`, so
@@ -66,22 +65,14 @@ thread_local! {
     static BYPASSED: Cell<u64> = const { Cell::new(0) };
 }
 
-/// The stored run for exactly this input and these options whose replay
-/// fits in `room` work units (`None`: no budget), counting a hit or a miss;
-/// on a miss, the input's bucket for [`insert`]. An entry that does not
-/// fit is a miss: the caller runs the stage for real and times out where
-/// it would have without a memo.
-pub(crate) fn lookup(
-    f: &Arc<Function>,
-    max_rounds: usize,
-    baseline_unroll: &BaselineUnrollOptions,
-    room: Option<u64>,
-) -> Result<Rc<Entry>, u64> {
-    let is_key = |(input, rounds, unroll): &Key, e: &Rc<Entry>| {
-        *rounds == max_rounds
-            && unroll == baseline_unroll
-            && room.is_none_or(|r| e.total <= r)
-            && (Arc::ptr_eq(input, f) || **input == **f)
+/// The stored run for exactly this input whose replay fits in `room` work
+/// units (`None`: no budget), counting a hit or a miss; on a miss, the
+/// input's bucket for [`insert`]. An entry that does not fit is a miss:
+/// the caller runs the stage for real and times out where it would have
+/// without a memo.
+pub(crate) fn lookup(f: &Arc<Function>, room: Option<u64>) -> Result<Rc<Entry>, u64> {
+    let is_key = |input: &Key, e: &Rc<Entry>| {
+        room.is_none_or(|r| e.total <= r) && (Arc::ptr_eq(input, f) || **input == **f)
     };
     MEMO.with(|m| {
         let m = &mut *m.borrow_mut();
@@ -100,8 +91,6 @@ pub(crate) fn lookup(
 pub(crate) fn insert(
     hash: u64,
     input: Arc<Function>,
-    max_rounds: usize,
-    baseline_unroll: BaselineUnrollOptions,
     output: Arc<Function>,
     trace: Vec<(&'static str, u64)>,
 ) {
@@ -122,7 +111,7 @@ pub(crate) fn insert(
     let ptr = Arc::as_ptr(&input);
     MEMO.with(|m| {
         let m = &mut *m.borrow_mut();
-        match m.store.insert(hash, (input, max_rounds, baseline_unroll), entry, slots) {
+        match m.store.insert(hash, input, entry, slots) {
             Inserted::Added => {}
             Inserted::AfterClear => m.by_ptr.clear(),
             Inserted::Refused => return,

@@ -16,7 +16,7 @@
 //! rewrite_equivalence` runs them all.
 
 use super::{cleanup_round, condprop, gvn, ifconvert::IfConvert, instsimplify, sccp, Pass};
-use crate::baseline_unroll::{baseline_unroll, BaselineUnrollOptions};
+use crate::baseline_unroll::baseline_unroll;
 use crate::opt::meld::meld_loop;
 use crate::{uu_loop, UuOptions};
 use uu_analysis::{DomTree, LoopForest};
@@ -61,14 +61,14 @@ type Rewrites = std::collections::BTreeMap<&'static str, usize>;
 /// the checked invocations that rewrote something.
 fn checked_pipeline(f: &mut Function, point: &str, rewrites: &mut Rewrites) {
     let mut cleanup = |f: &mut Function| {
-        for _ in 0..crate::PipelineOptions::default().max_rounds {
+        for _ in 0..crate::pipeline::CLEANUP_ROUNDS {
             if !cleanup_round(|p| checked(f, p, point, rewrites)) {
                 break;
             }
         }
     };
     cleanup(f);
-    baseline_unroll(f, &BaselineUnrollOptions::default());
+    baseline_unroll(f);
     cleanup(f);
     IfConvert.run(f);
     cleanup(f);

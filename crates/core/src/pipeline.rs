@@ -31,16 +31,15 @@
 //! ## Function memo
 //!
 //! The per-function stage (`optimize_function`) is a pure function of the
-//! function it is handed, `max_rounds` and the baseline-unroll thresholds,
-//! and a per-loop sweep point changes one function of its module. So
-//! `optimize_module` looks every function the transform left alone up in a
-//! thread-local, content-addressed memo (see `memo.rs`) and, on a hit,
-//! replays the stored run's log entries and per-pass charges through the
-//! same counter, log and clock a real run drives — the [`CompileOutcome`]
-//! is the one a memo-less compile returns, wall time aside — and shares
-//! the stored output. Compiles whose invocation indices are addressed from
-//! outside (a pass-level fault plan, an opt-bisect limit) do not touch the
-//! memo.
+//! function it is handed, and a per-loop sweep point changes one function
+//! of its module. So `optimize_module` looks every function the transform
+//! left alone up in a thread-local, content-addressed memo (see
+//! `memo.rs`) and, on a hit, replays the stored run's log entries and
+//! per-pass charges through the same counter, log and clock a real run
+//! drives — the [`CompileOutcome`] is the one a memo-less compile returns,
+//! wall time aside — and shares the stored output. Compiles whose
+//! invocation indices are addressed from outside (a pass-level fault plan,
+//! an opt-bisect limit) do not touch the memo.
 //!
 //! ## Sharing
 //!
@@ -61,7 +60,7 @@
 //! log entry and clock charge and returns `false` — unless a pass-level
 //! fault plan targets it. The outcome is the one an un-elided run returns.
 
-use crate::baseline_unroll::{baseline_unroll, BaselineUnrollOptions};
+use crate::baseline_unroll::baseline_unroll;
 use crate::heuristic::{run_heuristic, HeuristicOptions, LoopDecision};
 use crate::memo;
 use crate::opt::{cleanup_round, ifconvert::IfConvert, Pass, PassScope};
@@ -145,6 +144,9 @@ pub enum PassPosition {
     Late,
 }
 
+/// Maximum cleanup fixpoint rounds per stage of the per-function pipeline.
+pub(crate) const CLEANUP_ROUNDS: usize = 8;
+
 /// Full pipeline options.
 #[derive(Debug, Clone)]
 pub struct PipelineOptions {
@@ -154,10 +156,6 @@ pub struct PipelineOptions {
     pub filter: LoopFilter,
     /// Transform position.
     pub position: PassPosition,
-    /// Maximum cleanup fixpoint rounds per stage.
-    pub max_rounds: usize,
-    /// Baseline unroller thresholds.
-    pub baseline_unroll: BaselineUnrollOptions,
     /// Abort compilation when exceeded (the paper's ccs runs hit a 5-minute
     /// timeout at factor 4+). Interpreted on the deterministic compile
     /// clock (see [`WORK_PER_MS`]), not wall time, so whether a
@@ -180,8 +178,6 @@ impl Default for PipelineOptions {
             transform: Transform::Baseline,
             filter: LoopFilter::All,
             position: PassPosition::Early,
-            max_rounds: 8,
-            baseline_unroll: BaselineUnrollOptions::default(),
             timeout: None,
             fault: None,
             bisect_limit: None,
@@ -237,6 +233,14 @@ pub struct PassTiming {
 /// reports the measured calibration as `core.units_per_ms`; the report
 /// clock stays fixed so the corpus stays comparable.
 pub const WORK_PER_MS: f64 = 100.0;
+
+/// Compile timeout mirroring the paper's 5-minute cap, scaled to simulator
+/// scale. Interpreted on the deterministic compile clock ([`WORK_PER_MS`]),
+/// so whether a configuration times out never depends on machine load or
+/// worker count. The harness and the compile daemon both compile under
+/// it, which is what lets them share cache artifacts for the same
+/// `(module, config)`.
+pub const COMPILE_TIMEOUT: Duration = Duration::from_secs(20);
 
 /// Every pass the pipeline can invoke, with a per-pass version counter.
 /// **Bump a pass's version whenever its behaviour changes**: the list is
@@ -325,15 +329,6 @@ pub struct CompileOutcome {
 }
 
 impl CompileOutcome {
-    /// Time attributed to `name`.
-    pub fn time_of(&self, name: &str) -> Duration {
-        self.timings
-            .iter()
-            .filter(|t| t.name == name)
-            .map(|t| t.elapsed)
-            .sum()
-    }
-
     /// One-line summary of all contained failures (empty when clean) —
     /// the diagnostic string sweep reports carry per data point.
     pub fn failure_summary(&self) -> String {
@@ -652,7 +647,7 @@ pub fn compile(m: &mut Module, opts: &PipelineOptions) -> CompileOutcome {
     if opts.position == PassPosition::Early {
         apply_transform(m, opts, &mut ctx, &mut decisions);
     }
-    optimize_module(m, opts, &mut ctx);
+    optimize_module(m, &mut ctx);
     if opts.position == PassPosition::Late && !ctx.timed_out {
         apply_transform(m, opts, &mut ctx, &mut decisions);
         // A single cleanup round after — the point of the ablation is that
@@ -833,7 +828,7 @@ fn apply_transform(
     }
 }
 
-fn optimize_module(m: &mut Module, opts: &PipelineOptions, ctx: &mut Ctx) {
+fn optimize_module(m: &mut Module, ctx: &mut Ctx) {
     for ix in 0..m.num_functions() {
         let id = FuncId::from_index(ix);
         if ctx.timed_out {
@@ -846,12 +841,12 @@ fn optimize_module(m: &mut Module, opts: &PipelineOptions, ctx: &mut Ctx) {
         // end-to-end benchmark allows.
         if !ctx.memo || ctx.transformed[ix] {
             memo::count_bypass();
-            optimize_function(ctx.mutate(m, id), opts, ctx);
+            optimize_function(ctx.mutate(m, id), ctx);
             continue;
         }
         let room = ctx.work_budget.map(|b| b.saturating_sub(ctx.work));
         let input = Arc::clone(m.function_arc(id));
-        let hash = match memo::lookup(&input, opts.max_rounds, &opts.baseline_unroll, room) {
+        let hash = match memo::lookup(&input, room) {
             Ok(hit) => {
                 // The outcome is the one the real run produces; the stored
                 // body replaces the input without being copied.
@@ -865,46 +860,45 @@ fn optimize_module(m: &mut Module, opts: &PipelineOptions, ctx: &mut Ctx) {
         };
         let failures = ctx.failures.len();
         ctx.trace = Some(Vec::new());
-        optimize_function(ctx.mutate(m, id), opts, ctx);
+        optimize_function(ctx.mutate(m, id), ctx);
         let trace = ctx.trace.take().expect("armed above");
         // Only a run that finished is a function of its input alone, and
         // only a verified body may be replayed.
         if !ctx.timed_out && ctx.failures.len() == failures && ctx.verify(id, m.function(id)).is_ok()
         {
             let output = Arc::clone(m.function_arc(id));
-            memo::insert(hash, input, opts.max_rounds, opts.baseline_unroll, output, trace);
+            memo::insert(hash, input, output, trace);
         }
     }
 }
 
 /// The per-function stage of the pipeline: cleanup, baseline unrolling,
-/// cleanup, if-conversion, cleanup. Reads `f`, `opts.max_rounds` and
-/// `opts.baseline_unroll`, plus — only when a limit, budget or fault plan
-/// cuts it short — the invocation counter and compile clock in `ctx`.
-fn optimize_function(f: &mut Function, opts: &PipelineOptions, ctx: &mut Ctx) {
+/// cleanup, if-conversion, cleanup. Reads `f`, plus — only when a limit,
+/// budget or fault plan cuts it short — the invocation counter and compile
+/// clock in `ctx`.
+fn optimize_function(f: &mut Function, ctx: &mut Ctx) {
     // Dominators, loops and settled passes survive across the stages as
     // long as the function does not change under them (see `PassScope`).
     let scope = &mut PassScope::default();
     'stages: {
-        run_timed_cleanup(f, opts.max_rounds, ctx, scope);
+        run_timed_cleanup(f, CLEANUP_ROUNDS, ctx, scope);
         if ctx.timed_out {
             break 'stages;
         }
-        let bopts = opts.baseline_unroll;
         ctx.invoke(
             f,
             scope,
             &mut Step("baseline-unroll", |f: &mut Function| {
-                let stats = baseline_unroll(f, &bopts);
+                let stats = baseline_unroll(f);
                 stats.full + stats.runtime + stats.pragma > 0
             }),
         );
-        run_timed_cleanup(f, opts.max_rounds, ctx, scope);
+        run_timed_cleanup(f, CLEANUP_ROUNDS, ctx, scope);
         if ctx.timed_out {
             break 'stages;
         }
         ctx.invoke(f, scope, &mut IfConvert);
-        run_timed_cleanup(f, opts.max_rounds, ctx, scope);
+        run_timed_cleanup(f, CLEANUP_ROUNDS, ctx, scope);
     }
     // The body outlives its guarded invocations, in the module and perhaps
     // in the memo: it keeps no spare capacity.
@@ -1092,7 +1086,6 @@ mod tests {
         let out = compile(&mut m, &PipelineOptions::default());
         assert!(out.timings.iter().any(|t| t.name == "sccp"));
         assert!(out.timings.iter().any(|t| t.name == "gvn"));
-        assert!(out.total >= out.time_of("sccp"));
     }
 
     #[test]

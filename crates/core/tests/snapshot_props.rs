@@ -10,7 +10,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use uu_analysis::{DomTree, LoopForest};
 use uu_check::{build_kernel, check, Config, KernelSpec};
-use uu_core::baseline_unroll::{baseline_unroll, BaselineUnrollOptions};
+use uu_core::baseline_unroll::baseline_unroll;
 use uu_core::opt::{
     condprop::CondProp, dce::Dce, gvn::Gvn, ifconvert::IfConvert, instsimplify::InstSimplify,
     sccp::Sccp, simplifycfg::SimplifyCfg, Pass,
@@ -161,7 +161,7 @@ fn guarded_steps() -> Vec<(&'static str, Box<dyn FnMut(&mut Function)>)> {
         (
             "baseline-unroll",
             Box::new(|f| {
-                baseline_unroll(f, &BaselineUnrollOptions::default());
+                baseline_unroll(f);
             }),
         ),
         (

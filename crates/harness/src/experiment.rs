@@ -6,7 +6,6 @@ use crate::plan::Key;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 use uu_core::{compile, FaultKind, FaultPlan, LoopFilter, PipelineOptions, Rung, Transform};
 use uu_kernels::Benchmark;
 use uu_serve::{CompileCache, CompileMeta, RunRecord};
@@ -85,11 +84,7 @@ pub fn loop_list(bench: &Benchmark) -> Vec<LoopRef> {
     out
 }
 
-/// Compile timeout mirroring the paper's 5-minute cap, scaled to simulator
-/// scale. Interpreted on the pipeline's deterministic compile clock
-/// ([`uu_core::WORK_PER_MS`]), so whether a configuration times out never
-/// depends on machine load or worker count.
-pub const COMPILE_TIMEOUT: Duration = Duration::from_secs(20);
+pub use uu_core::COMPILE_TIMEOUT;
 
 /// A failed measurement: the simulator trapped, but the compile-side
 /// context (rung, diagnostics, modeled compile time) survives so callers

@@ -1,6 +1,7 @@
 //! Command-line entry point: `uu-harness <command> [--fast] [--out DIR]`.
-//! `--help` prints the usage line; an unknown option, or a value option
-//! without its value, exits 2 before anything runs.
+//! `--help` prints the usage line; an unknown option, a value option
+//! without its value, a second command word, or an option the command
+//! does not read exits 2 before anything runs.
 //!
 //! Batch commands (`all`, `table1`, `fig6`–`fig9`, `table2`, `study`,
 //! `indepth`, `decisions`, `dump`) regenerate the paper's reports. The
@@ -92,6 +93,19 @@ const USAGE: &str = "usage: uu-harness [all|table1|fig6[a|b|c]|fig7|fig8[a|b]|st
 table2|indepth|decisions|dump|serve|client] [--fast] [--bench NAME] [--out DIR] [--config C] \
 [--socket PATH] [--fault SPEC] [--verb V]";
 
+/// The options command `cmd` reads, or `None` for an unknown command.
+fn options_of(cmd: &str) -> Option<&'static [&'static str]> {
+    Some(match cmd {
+        "all" | "table1" | "fig6" | "fig6a" | "fig6b" | "fig6c" | "fig7" | "fig8" | "fig8a"
+        | "fig8b" | "study" | "fig9" | "table2" | "indepth" => &["--out", "--bench", "--fast"],
+        "dump" => &["--bench", "--config"],
+        "decisions" => &["--bench"],
+        "serve" => &["--socket"],
+        "client" => &["--socket", "--bench", "--config", "--fault", "--verb"],
+        _ => return None,
+    })
+}
+
 /// The command line: the command word, `--fast`, and each value option
 /// given with its value.
 struct Cli {
@@ -108,16 +122,17 @@ impl Cli {
 }
 
 /// The one walk over the arguments, before anything runs or is written:
-/// answer `--help`/`-h` (usage on stdout, exit 0), refuse an unknown
-/// option or a value option without its value (exit 2), and take the
-/// first word that is neither an option nor an option's value as the
-/// command (default `all`).
+/// answer `--help`/`-h` (usage on stdout, exit 0), and refuse (exit 2) an
+/// unknown option, a value option without its value, a second command
+/// word, an unknown command, and an option the command does not read. The
+/// command is the first word that is neither an option nor an option's
+/// value (default `all`).
 fn check_options(args: &[String]) -> Cli {
     fn refuse(why: String) -> ! {
         eprintln!("{why}; {USAGE}");
         std::process::exit(2);
     }
-    let (mut cmd, mut fast, mut values) = (None, false, Vec::new());
+    let (mut words, mut given, mut values) = (Vec::new(), Vec::new(), Vec::new());
     let mut rest = args.iter();
     while let Some(a) = rest.next() {
         if a == "--help" || a == "-h" {
@@ -129,15 +144,26 @@ fn check_options(args: &[String]) -> Cli {
                 refuse(format!("option `{a}` needs a value"));
             };
             values.push((name, v.clone()));
+            given.push(name);
         } else if a == "--fast" {
-            fast = true;
+            given.push("--fast");
         } else if a.starts_with('-') {
             refuse(format!("unknown option `{a}`"));
-        } else if cmd.is_none() {
-            cmd = Some(a.clone());
+        } else {
+            words.push(a.clone());
         }
     }
-    let cmd = cmd.unwrap_or_else(|| "all".to_string());
+    if let [_, second, ..] = &words[..] {
+        refuse(format!("unexpected second command `{second}`"));
+    }
+    let cmd = words.pop().unwrap_or_else(|| "all".to_string());
+    let Some(reads) = options_of(&cmd) else {
+        refuse(format!("unknown command `{cmd}`"));
+    };
+    if let Some(o) = given.iter().find(|o| !reads.contains(o)) {
+        refuse(format!("`{cmd}` does not read option `{o}`"));
+    }
+    let fast = given.contains(&"--fast");
     Cli { cmd, fast, values }
 }
 
@@ -311,12 +337,7 @@ fn main() {
                 print!("{d}");
             }
         }
-        other => {
-            eprintln!(
-                "unknown command `{other}`; expected one of: all, table1, fig6[a|b|c], fig7, fig8[a|b], study, fig9, table2, indepth, decisions, dump, serve, client"
-            );
-            std::process::exit(2);
-        }
+        _ => unreachable!("check_options refuses unknown commands"),
     }
 }
 

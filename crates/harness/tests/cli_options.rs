@@ -1,9 +1,10 @@
 //! `uu-harness` options: `--help`/`-h` print the usage and exit 0, and an
-//! unknown option or a value option without its value exits 2 with a
-//! one-line usage message. None of them runs a report or writes a file
-//! (the default `--out` is `results/` under the working directory, so each
-//! run gets an empty one to watch). The command is the first word that is
-//! neither an option nor an option's value.
+//! unknown option, a value option without its value, a second command word
+//! or an option the command does not read exits 2 with a one-line usage
+//! message. None of them runs a report or writes a file (the default
+//! `--out` is `results/` under the working directory, so each run gets an
+//! empty one to watch). The command is the first word that is neither an
+//! option nor an option's value.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -75,6 +76,48 @@ fn an_unknown_option_exits_2_before_any_work() {
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
         let want = format!("unknown option `{bad}`; usage: uu-harness ");
+        assert!(stderr.starts_with(&want), "{args:?}: {stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+        assert!(untouched, "{args:?} wrote into the working directory");
+    }
+}
+
+#[test]
+fn a_command_refuses_what_it_does_not_read() {
+    for (i, (args, why)) in [
+        (
+            &["decisions", "fig7", "--bench", "mandelbrot"][..],
+            "unexpected second command `fig7`",
+        ),
+        (
+            &["decisions", "--bench", "mandelbrot", "--verb", "stats", "--fault", "panic@1"][..],
+            "`decisions` does not read option `--verb`",
+        ),
+        (
+            &["table1", "--fast", "--bench", "mandelbrot", "--config", "uu4"][..],
+            "`table1` does not read option `--config`",
+        ),
+        (
+            &["dump", "--bench", "mandelbrot", "--fast"][..],
+            "`dump` does not read option `--fast`",
+        ),
+        (
+            &["fig7", "--bench", "mandelbrot", "--fault", "panic@1"][..],
+            "`fig7` does not read option `--fault`",
+        ),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let (out, untouched) = harness(&format!("unread{i}"), args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        let want = format!("{why}; usage: uu-harness ");
         assert!(stderr.starts_with(&want), "{args:?}: {stderr}");
         assert!(
             out.stdout.is_empty(),

@@ -23,7 +23,9 @@ fn harness(args: &[&str], out: &PathBuf) -> std::process::Output {
 
 #[test]
 fn a_filtered_run_refuses_a_directory_holding_a_fuller_report_set() {
-    let out = scratch("full");
+    let dir = scratch("full");
+    let out = dir.join("results");
+    std::fs::create_dir_all(&out).unwrap();
     let table1 = "name,loops\nbezier-surface,3\nbn,11\nmandelbrot,1\n";
     std::fs::write(out.join("table1.csv"), table1).unwrap();
     std::fs::write(out.join("fig7.csv"), "untouched").unwrap();
@@ -46,10 +48,20 @@ fn a_filtered_run_refuses_a_directory_holding_a_fuller_report_set() {
         std::fs::read_to_string(out.join("fig7.csv")).unwrap(),
         "untouched"
     );
-    // Commands that write no reports are not in the way.
-    let decisions = harness(&["decisions", "--bench", "mandelbrot"], &out);
-    assert!(decisions.status.success());
-    std::fs::remove_dir_all(&out).unwrap();
+    // Commands that write no reports are not in the way: `decisions`
+    // reads no `--out`, and the default `results/` of its working
+    // directory is the one holding the fuller set.
+    let decisions = Command::new(env!("CARGO_BIN_EXE_uu-harness"))
+        .args(["decisions", "--bench", "mandelbrot"])
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    assert!(
+        decisions.status.success(),
+        "{}",
+        String::from_utf8_lossy(&decisions.stderr)
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

@@ -12,7 +12,7 @@
 #[path = "../../ir/tests/support/fixpoint_dominance.rs"]
 mod fixpoint_dominance;
 
-use uu_core::baseline_unroll::{baseline_unroll, BaselineUnrollOptions};
+use uu_core::baseline_unroll::baseline_unroll;
 use uu_core::heuristic::run_heuristic;
 use uu_core::opt::{
     condprop::CondProp, dce::Dce, gvn::Gvn, ifconvert::IfConvert, instsimplify::InstSimplify,
@@ -91,7 +91,7 @@ fn pipeline_stages_verify(kernel: &str, m: &mut Module, mode: &Mode) {
         let f = m.function_mut(id);
         apply(kernel, f, mode);
         checked_cleanup(kernel, f, "cleanup-1", 8);
-        baseline_unroll(f, &BaselineUnrollOptions::default());
+        baseline_unroll(f);
         verify_stage(kernel, f, "baseline-unroll");
         checked_cleanup(kernel, f, "cleanup-2", 8);
         IfConvert.run(f);

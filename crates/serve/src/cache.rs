@@ -390,7 +390,6 @@ impl CompileCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use uu_core::baseline_unroll::BaselineUnrollOptions;
     use uu_core::Transform;
 
     fn module() -> Module {
@@ -501,15 +500,15 @@ bb6:
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Computed on the commit before the key was split into
-    /// `key_for_hash` + wrapper and `module_hash` started streaming: cache
-    /// directories written before keep hitting. It moves only with the
-    /// printed text, `PipelineOptions`' `Debug` form or a `PASS_VERSIONS`
-    /// bump (`pipeline_fingerprint`) — re-pin it together with that.
+    /// Last re-pinned when `PipelineOptions` lost its `max_rounds` and
+    /// `baseline_unroll` fields: cache directories written since keep
+    /// hitting. It moves only with the printed text, `PipelineOptions`'
+    /// `Debug` form or a `PASS_VERSIONS` bump (`pipeline_fingerprint`) —
+    /// re-pin it together with that.
     #[test]
     fn compile_key_of_a_fixed_pair_is_pinned() {
         let key = CompileCache::compile_key(&module(), &opts());
-        assert_eq!(key.hex(), "079071b7fb7069ab57b40a838a2d390d");
+        assert_eq!(key.hex(), "a2ff1acf1d66ea08220c0b73c4fb7a26");
         let text = module().to_string();
         assert_eq!(key, CompileCache::key_for_hash(uu_ir::fnv1a(text.as_bytes()), &opts()));
     }
@@ -594,34 +593,14 @@ bb6:
             transform: _,
             filter: _,
             position: _,
-            max_rounds: _,
-            baseline_unroll: _,
             timeout: _,
             fault: _,
             bisect_limit: _,
         } = opts();
-        let unroll = opts().baseline_unroll;
         let variants = [
             PipelineOptions { transform: Transform::Unmerge, ..opts() },
             PipelineOptions::for_loop(opts().transform, "k", 0),
             PipelineOptions { position: uu_core::PassPosition::Late, ..opts() },
-            PipelineOptions { max_rounds: 7, ..opts() },
-            PipelineOptions {
-                baseline_unroll: BaselineUnrollOptions { full_max_trip: 31, ..unroll },
-                ..opts()
-            },
-            PipelineOptions {
-                baseline_unroll: BaselineUnrollOptions { full_size_budget: 1023, ..unroll },
-                ..opts()
-            },
-            PipelineOptions {
-                baseline_unroll: BaselineUnrollOptions { runtime_factor: 2, ..unroll },
-                ..opts()
-            },
-            PipelineOptions {
-                baseline_unroll: BaselineUnrollOptions { runtime_max_size: 23, ..unroll },
-                ..opts()
-            },
             PipelineOptions { timeout: Some(std::time::Duration::from_secs(1)), ..opts() },
             PipelineOptions { fault: uu_core::FaultPlan::parse("panic@3").ok(), ..opts() },
             PipelineOptions { bisect_limit: Some(3), ..opts() },

@@ -70,5 +70,5 @@ pub use proto::{
     read_frame, read_frame_lenient, write_frame, FrameDefect, Message, MAX_FRAME, PROTO_VERSION,
     RESYNC_MAX,
 };
-pub use server::{serve_unix_with, ServeOptions, Service, SERVICE_COMPILE_TIMEOUT};
+pub use server::{serve_unix_with, ServeOptions, Service};
 pub use stats::{CacheStats, STATS_VERSION};

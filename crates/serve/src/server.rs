@@ -62,13 +62,8 @@ use crate::cache::{CompileCache, Key};
 use crate::config::{config_names, parse_config};
 use crate::fault::{ServeFaultKind, ServeFaultPlan};
 use crate::proto::{read_frame_lenient, write_frame, Message};
-use uu_core::{FaultPlan, LoopFilter, PipelineOptions};
+use uu_core::{FaultPlan, LoopFilter, PipelineOptions, COMPILE_TIMEOUT};
 use uu_par::{run_crew, TaskQueue};
-
-/// Work-clock budget for service compiles — the same budget the batch
-/// harness uses, so daemon and sweep share cache artifacts for the same
-/// `(module, config)`.
-pub const SERVICE_COMPILE_TIMEOUT: Duration = Duration::from_secs(20);
 
 /// Consecutive accept failures tolerated before the daemon gives up with a
 /// clean nonzero exit.
@@ -364,9 +359,9 @@ impl<'a> Service<'a> {
         // Per-request deadline on the deterministic work clock: a request
         // may tighten the service deadline, never widen it.
         let timeout = match req.get("timeout-ms") {
-            None => SERVICE_COMPILE_TIMEOUT,
+            None => COMPILE_TIMEOUT,
             Some(t) => match t.parse::<u64>() {
-                Ok(n) if n >= 1 => Duration::from_millis(n).min(SERVICE_COMPILE_TIMEOUT),
+                Ok(n) if n >= 1 => Duration::from_millis(n).min(COMPILE_TIMEOUT),
                 _ => return error(&format!("`timeout-ms` is not a positive u64: {t:?}")),
             },
         };
@@ -611,7 +606,7 @@ bb6:
     fn uu4_opts() -> PipelineOptions {
         PipelineOptions {
             transform: parse_config("uu4").unwrap(),
-            timeout: Some(SERVICE_COMPILE_TIMEOUT),
+            timeout: Some(COMPILE_TIMEOUT),
             ..Default::default()
         }
     }
@@ -964,7 +959,7 @@ bb6:
         let opts = PipelineOptions {
             transform: parse_config("unroll2").unwrap(),
             filter: LoopFilter::Only { func: "k".into(), loop_id: 0 },
-            timeout: Some(SERVICE_COMPILE_TIMEOUT),
+            timeout: Some(COMPILE_TIMEOUT),
             ..Default::default()
         };
         let local = uu_core::compile(&mut m, &opts);
