@@ -55,6 +55,18 @@ then
   exit 1
 fi
 
+echo "== lint: the harness speaks no protocol =="
+# A point's compile and run come from a `uu_serve::Artifacts` store (a
+# cache directory or a daemon): config names, request messages and the
+# parse of a reply live in uu-serve, behind that one interface. Only the
+# `client` command in main.rs builds a request by hand.
+if grep -rnE 'config_name\(|parse_module|Message::new' crates/harness/src \
+  | grep -vE '^crates/harness/src/main\.rs:'
+then
+  echo "protocol code in the harness outside main.rs (lines above)" >&2
+  exit 1
+fi
+
 echo "== lint: the knob tables name the knobs the code reads =="
 # Every row of the "Environment knobs" tables in README.md and DESIGN.md
 # names a knob that code under crates/ or tests/ spells as a string

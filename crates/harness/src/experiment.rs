@@ -1,14 +1,15 @@
 //! Core measurement machinery: compile a benchmark under a configuration,
 //! execute it on the simulated GPU, and collect the paper's three metrics
-//! (kernel time, binary size, compile time) plus hardware counters.
+//! (kernel time, binary size, compile time) plus hardware counters, from
+//! a [`uu_serve::Artifacts`] store when there is one ([`Backend`]).
 
 use crate::plan::Key;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
-use uu_core::{compile, FaultKind, FaultPlan, LoopFilter, PipelineOptions, Rung, Transform};
+use uu_core::{FaultKind, FaultPlan, LoopFilter, PipelineOptions, Rung, Transform};
 use uu_kernels::Benchmark;
-use uu_serve::{CompileCache, CompileMeta, RunRecord};
+use uu_serve::{Artifacts, CompileCache, CompileMeta, RunRecord};
 use uu_simt::{ExecError, Gpu, Metrics};
 
 /// One compiled-and-executed measurement.
@@ -46,6 +47,14 @@ pub struct LoopRef {
     pub func: String,
     /// Loop index in `LoopForest` order.
     pub loop_id: usize,
+}
+
+/// Report rows share their loop ([`crate::sweep::LoopPoint::loop_ref`]),
+/// which equals the loop itself.
+impl PartialEq<LoopRef> for Arc<LoopRef> {
+    fn eq(&self, other: &LoopRef) -> bool {
+        **self == *other
+    }
 }
 
 thread_local! {
@@ -86,31 +95,23 @@ pub fn loop_list(bench: &Benchmark) -> Vec<LoopRef> {
 
 pub use uu_core::COMPILE_TIMEOUT;
 
-/// A failed measurement: the simulator trapped, but the compile-side
-/// context (rung, diagnostics, modeled compile time) survives so callers
-/// can degrade the data point instead of dying.
+/// A failed measurement: the simulator trapped, but the compile's
+/// metadata (rung, diagnostics, modeled work, code size) survives so
+/// callers can degrade the data point instead of dying.
 #[derive(Debug, Clone)]
 pub struct MeasureError {
     /// The simulator fault.
     pub exec: ExecError,
-    /// The compile's degradation rung.
-    pub rung: Rung,
-    /// The compile's contained-failure summary (may be empty — a clean
-    /// compile can still trap on an injected memory fault).
-    pub failures: String,
-    /// Modeled compile time of the failed point.
-    pub compile_ms: f64,
-    /// Code size of the compiled (but trapping) module.
-    pub code_size: u64,
-    /// Whether the compile timed out.
-    pub timed_out: bool,
+    /// The compile of the trapping module. Its `diag` may be empty: a
+    /// clean compile can still trap on an injected memory fault.
+    pub meta: CompileMeta,
 }
 
 impl std::fmt::Display for MeasureError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "exec fault: {}", self.exec)?;
-        if !self.failures.is_empty() {
-            write!(f, " (compile: {})", self.failures)?;
+        if !self.meta.diag.is_empty() {
+            write!(f, " (compile: {})", self.meta.diag)?;
         }
         Ok(())
     }
@@ -163,20 +164,20 @@ pub fn workload_tag(bench: &Benchmark, mem_fault: Option<&FaultPlan>) -> String 
     )
 }
 
-/// Where a point's compile half comes from: an optional in-process
-/// content-addressed cache, an optional compile daemon, or (both `None`)
-/// the plain local pipeline. Copyable, so every measurement can take one.
+/// Where a point's compile and run come from: the store — a compile
+/// daemon if one is set, else a content-addressed cache — or, with
+/// neither, the plain local pipeline and simulator. Copyable, so every
+/// measurement can take one.
 ///
-/// The three sources are interchangeable by construction — the daemon
-/// builds the exact [`PipelineOptions`] the harness does, the cache
-/// round-trips every field losslessly — so the backend only ever changes
-/// wall time, never report bytes.
+/// The sources are interchangeable by construction (see
+/// [`uu_serve::Artifacts`]), so the backend only ever changes wall time,
+/// never report bytes.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Backend<'a> {
     /// Shared content-addressed artifact cache (compile + run artifacts).
     pub cache: Option<&'a uu_serve::CompileCache>,
-    /// Compile daemon handle; compiles with a nameable config are shipped
-    /// to it, anything it cannot serve falls back to the local pipeline.
+    /// Compile daemon handle. When set it serves everything, and the
+    /// `cache` is not consulted: the daemon keeps its own.
     pub remote: Option<&'a uu_serve::Remote>,
 }
 
@@ -188,6 +189,13 @@ impl<'a> Backend<'a> {
             remote: None,
         }
     }
+
+    /// The store that serves every point: the daemon if set, else the
+    /// cache.
+    fn store(self) -> Option<&'a dyn Artifacts> {
+        let remote = self.remote.map(|r| r as &dyn Artifacts);
+        remote.or_else(|| self.cache.map(|c| c as &dyn Artifacts))
+    }
 }
 
 /// The one measurement path: compile `bench` under `transform`/`filter`
@@ -198,15 +206,14 @@ impl<'a> Backend<'a> {
 /// plan arms the simulated GPU's one-shot memory-fault countdown
 /// (`fault.at` counts accesses) instead.
 ///
-/// Lookup order: for an executed point with a cache, the run artifact
-/// (a warm regeneration skips pipeline, daemon and simulator alike);
-/// otherwise the compile comes from the first of daemon, cache and local
-/// pipeline that can serve it and the run from the simulator, and the
-/// pair is stored as a run artifact when there is a cache. Every cached
-/// field round-trips exactly (f64s as bit patterns) and the daemon's
-/// metadata equals a local compile's, so the backend changes wall time
-/// and nothing else. Faulted simulator runs ([`MeasureError`]) are never
-/// cached.
+/// With a store ([`Backend`]), an executed point first looks its run up
+/// (a warm regeneration skips pipeline and simulator alike); on a miss it
+/// compiles through the store, simulates, and stores the run. A cold
+/// point compiles through the store for its metadata alone. Without a
+/// store the point compiles locally. Every stored field round-trips
+/// exactly (f64s as bit patterns) and a store's compile metadata equals a
+/// local compile's, so the backend changes wall time and nothing else.
+/// Faulted simulator runs ([`MeasureError`]) are never stored.
 ///
 /// # Errors
 ///
@@ -229,17 +236,21 @@ pub fn measure_backed(
         ..Default::default()
     };
 
-    // Only executed points have a run artifact; cold ones borrow the
+    // Only executed points have a run record; cold ones borrow the
     // baseline's run and consume compile metadata alone.
     let executed = skip_run.is_none();
-    let run_store = backend.cache.filter(|_| executed).map(|cache| {
+    let store = backend.store();
+    let run_store = store.filter(|_| executed).map(|store| {
         let tag = workload_tag(bench, mem_fault.as_ref());
-        (cache, CompileCache::run_key(CompileCache::compile_key(&m, &opts), &tag))
+        (store, CompileCache::run_key(CompileCache::compile_key(&m, &opts), &tag))
     });
-    let (meta, run) = match run_store.and_then(|(cache, key)| cache.lookup_run(key)) {
+    let (meta, run) = match run_store.and_then(|(store, key)| store.lookup_run(key)) {
         Some(served) => served,
         None => {
-            let meta = compile_point(&mut m, &opts, executed, backend);
+            let meta = match store {
+                Some(store) => store.compile(&mut m, &opts, executed),
+                None => CompileMeta::local(&mut m, &opts),
+            };
             let run = match skip_run {
                 Some(base) => RunRecord {
                     time_ms: base.time_ms,
@@ -250,14 +261,10 @@ pub fn measure_backed(
                 None => {
                     let run = simulate(bench, &m, mem_fault).map_err(|exec| MeasureError {
                         exec,
-                        rung: meta.rung,
-                        failures: meta.diag.clone(),
-                        compile_ms: meta.work as f64 / uu_core::WORK_PER_MS,
-                        code_size: meta.code_size,
-                        timed_out: meta.timed_out,
+                        meta: meta.clone(),
                     })?;
-                    if let Some((cache, key)) = run_store {
-                        cache.store_run(key, &meta, &run);
+                    if let Some((store, key)) = run_store {
+                        store.store_run(key, &meta, &run);
                     }
                     run
                 }
@@ -302,62 +309,6 @@ fn simulate(
     })
 }
 
-/// The compile seam: optimise `m` in place under `opts` and return the
-/// compile's metadata, from the first source that can serve it — daemon,
-/// then cache, then the local pipeline. With `want_module` unset (cold
-/// points only consume the metadata) a daemon or cache hit may leave `m`
-/// untouched.
-fn compile_point(
-    m: &mut uu_ir::Module,
-    opts: &PipelineOptions,
-    want_module: bool,
-    backend: Backend<'_>,
-) -> CompileMeta {
-    if let Some(meta) = backend.remote.and_then(|r| compile_remote(r, m, opts, want_module)) {
-        return meta;
-    }
-    match backend.cache {
-        Some(cache) => cache.compile(m, opts, want_module).meta,
-        None => {
-            let outcome = compile(m, opts);
-            debug_assert!(outcome.verify_error.is_none(), "guarded compile must emit valid IR");
-            CompileMeta::of(&outcome, m)
-        }
-    }
-}
-
-/// The daemon arm of [`compile_point`]. `None` means the daemon could not
-/// serve this compile — the transform has no config name, the request
-/// failed outright (unreachable, retry budget exhausted, quarantined
-/// module), or the module text it returned does not parse — and the next
-/// source takes over, so a flaky or saturated daemon degrades batch
-/// throughput, never batch output. `Some` metadata is identical to a
-/// local compile's by the remote/local parity contract: the daemon builds
-/// the same [`PipelineOptions`] from the headers, diag/rung/work
-/// round-trip losslessly through the response, and printed IR
-/// round-trips exactly (`module_hash` is print-stable), so simulating the
-/// returned module is the simulation a local compile would have run.
-fn compile_remote(
-    remote: &uu_serve::Remote,
-    m: &mut uu_ir::Module,
-    opts: &PipelineOptions,
-    want_module: bool,
-) -> Option<CompileMeta> {
-    let config = uu_serve::config_name(&opts.transform)?;
-    let filter = match &opts.filter {
-        LoopFilter::All => None,
-        LoopFilter::Only { func, loop_id } => Some((func.as_str(), *loop_id)),
-    };
-    let fault_spec = opts.fault.as_ref().map(FaultPlan::spec);
-    let rc = remote
-        .compile(m.to_string(), &config, filter, fault_spec.as_deref(), want_module)
-        .ok()?;
-    if want_module {
-        *m = uu_ir::parse_module(rc.module_text.as_deref()?).ok()?;
-    }
-    Some(rc.meta)
-}
-
 /// One per-loop point measured on its own: apply `transform` to exactly
 /// `loop_ref` of `bench` and measure it against the precomputed baseline.
 ///
@@ -389,7 +340,8 @@ pub struct PointTask<'a> {
     /// identical by construction, so this only changes wall time.
     pub cache: Option<&'a uu_serve::CompileCache>,
     /// Optional compile daemon; like the cache, it changes wall time
-    /// only — any point the daemon cannot serve compiles locally.
+    /// only — any point the daemon cannot serve compiles locally. When
+    /// set, it serves the point and `cache` is not consulted.
     pub remote: Option<&'a uu_serve::Remote>,
 }
 
@@ -399,7 +351,7 @@ impl PointTask<'_> {
     pub fn measure(&self) -> Measurement {
         let key = Key {
             bench: self.bench,
-            target: Some(self.loop_ref.clone()),
+            target: Some(Arc::new(self.loop_ref.clone())),
             config: self.config,
             transform: self.transform.clone(),
         };
@@ -430,10 +382,10 @@ pub(crate) fn settle(
         Ok(m) => m,
         Err(e) => {
             let mut degraded = base.clone();
-            degraded.compile_ms = e.compile_ms;
-            degraded.code_size = e.code_size;
-            degraded.timed_out = e.timed_out;
-            degraded.rung = e.rung;
+            degraded.compile_ms = e.meta.work as f64 / uu_core::WORK_PER_MS;
+            degraded.code_size = e.meta.code_size;
+            degraded.timed_out = e.meta.timed_out;
+            degraded.rung = e.meta.rung;
             degraded.diag = format!("{what}: {e}");
             return degraded;
         }

@@ -209,11 +209,11 @@ pub fn fig8(sweep: &Sweep, out: &Path) -> io::Result<()> {
     let index: std::collections::HashMap<(&str, &LoopRef, &str), f64> = sweep
         .points
         .iter()
-        .map(|p| ((p.app.as_str(), &p.loop_ref, p.config.as_str()), p.speedup))
+        .map(|p| ((p.app, &*p.loop_ref, p.config), p.speedup))
         .collect();
     for factor in ["2", "4", "8"] {
         for p in sweep.points.iter().filter(|p| p.config == format!("uu{factor}")) {
-            let partner = |cfg: &str| index.get(&(p.app.as_str(), &p.loop_ref, cfg)).copied();
+            let partner = |cfg: &str| index.get(&(p.app, &*p.loop_ref, cfg)).copied();
             if let Some(u) = partner(&format!("unroll{factor}")) {
                 a.push(format!(
                     "{},{},{},{},{:.6},{:.6}",
@@ -340,9 +340,9 @@ pub fn faults(sweep: &Sweep, out: &Path) -> io::Result<()> {
             quote(&p.diag)
         ));
         rows.push(vec![
-            p.app.clone(),
+            p.app.to_string(),
             format!("{}#{}", p.loop_ref.func, p.loop_ref.loop_id),
-            p.config.clone(),
+            p.config.to_string(),
             p.rung.as_str().to_string(),
             truncate(&p.diag, 80),
         ]);
@@ -395,8 +395,8 @@ pub fn fig9(study: &crate::study::Study, out: &Path) -> io::Result<()> {
     // ASCII: per-app best of each leg, plus geomeans across apps.
     let mut apps: Vec<&str> = Vec::new();
     for p in &study.points {
-        if !apps.contains(&p.app.as_str()) {
-            apps.push(&p.app);
+        if !apps.contains(&p.app) {
+            apps.push(p.app);
         }
     }
     let best = |app: &str, pred: &dyn Fn(&str) -> bool| -> f64 {
@@ -447,7 +447,7 @@ pub fn table2(study: &crate::study::Study, out: &Path) -> io::Result<()> {
     let mut csv = Vec::new();
     for v in &verdicts {
         rows.push(vec![
-            v.app.clone(),
+            v.app.to_string(),
             format!("{}#{}", v.loop_ref.func, v.loop_ref.loop_id),
             format!("{} ({})", fmt3(v.best_uu.1), v.best_uu.0),
             fmt3(v.meld),

@@ -47,7 +47,7 @@ pub fn keys(benches: &[Benchmark]) -> Vec<Key<'_>> {
                 .into_iter()
                 .find(|(c, _)| *c == format!("uu{factor}"))
                 .expect("every §V factor is a sweep configuration");
-            let target = Some(LoopRef { func: func.to_string(), loop_id: 0 });
+            let target = Some(std::sync::Arc::new(LoopRef { func: func.to_string(), loop_id: 0 }));
             Key { bench, target, config, transform }
         })
         .collect()

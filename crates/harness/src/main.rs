@@ -17,11 +17,11 @@
 //!
 //! Every environment knob is read once, by [`Env::read`], before anything
 //! runs; a malformed one exits 2 naming the variable. The report commands
-//! honour the artifact-cache knobs: `UU_CACHE_DIR=<dir>` enables the
-//! persistent content-addressed cache, and `UU_SERVE_SOCKET=<path>` ships
-//! every nameable compile to a running daemon (sharing its cross-process
-//! cache), falling back to local compiles whenever the daemon can't serve
-//! a point. Both leave every report byte-identical to a cacheless run.
+//! take their store from one knob: `UU_CACHE_DIR=<dir>`, a persistent
+//! content-addressed cache, or `UU_SERVE_SOCKET=<path>`, a running daemon
+//! (which owns its cache) serving every compile and run record it can.
+//! Either leaves every report byte-identical to a cacheless run; both
+//! together exit 2.
 
 use std::path::{Path, PathBuf};
 use uu_core::FaultPlan;
@@ -97,7 +97,10 @@ table2|indepth|decisions|dump|serve|client] [--fast] [--bench NAME] [--out DIR] 
 fn options_of(cmd: &str) -> Option<&'static [&'static str]> {
     Some(match cmd {
         "all" | "table1" | "fig6" | "fig6a" | "fig6b" | "fig6c" | "fig7" | "fig8" | "fig8a"
-        | "fig8b" | "study" | "fig9" | "table2" | "indepth" => &["--out", "--bench", "--fast"],
+        | "fig8b" => &["--out", "--bench", "--fast"],
+        // The study has no fast sample, and the in-depth cases are fixed.
+        "study" | "fig9" | "table2" => &["--out", "--bench"],
+        "indepth" => &["--out"],
         "dump" => &["--bench", "--config"],
         "decisions" => &["--bench"],
         "serve" => &["--socket"],
@@ -192,8 +195,11 @@ fn main() {
     match cmd {
         "table1" | "fig6a" | "fig6b" | "fig6c" | "fig6" | "fig7" | "fig8a" | "fig8b"
         | "fig8" | "all" | "study" | "fig9" | "table2" | "indepth" => {
-            // The in-depth cases are fixed, so `--bench` cannot narrow them.
-            if only.is_some() && cmd != "indepth" {
+            if env.cache_dir.is_some() && env.serve_socket.is_some() {
+                eprintln!("UU_CACHE_DIR and UU_SERVE_SOCKET: set one, the daemon owns its cache");
+                std::process::exit(2);
+            }
+            if only.is_some() {
                 refuse_to_clobber(&out, benches.len());
             }
             report(cmd, &benches, fast, &out, &env);
@@ -395,7 +401,7 @@ fn report(cmd: &str, benches: &[Benchmark], fast: bool, out: &Path, env: &Env) {
     let study_on = matches!(cmd, "all" | "study" | "fig9" | "table2");
     let sweep_keys = if sweep_on { sweep::keys(benches, fast) } else { Vec::new() };
     let study_keys = if study_on { study::keys(benches) } else { Vec::new() };
-    // The in-depth cases are fixed, so `--bench` cannot narrow them.
+    // The in-depth cases are fixed (`indepth` refuses `--bench`).
     let every = all_benchmarks();
     let case_keys = match cmd {
         "all" | "indepth" => indepth::keys(&every),

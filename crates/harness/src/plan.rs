@@ -23,7 +23,7 @@ pub struct Key<'a> {
     pub bench: &'a Benchmark,
     /// The one loop transformed; `None` is the whole application (the
     /// baseline, the heuristic).
-    pub target: Option<LoopRef>,
+    pub target: Option<std::sync::Arc<LoopRef>>,
     /// Configuration name (`baseline`, `heuristic`, `uu2`, `meld`, …).
     pub config: &'static str,
     /// The transform behind `config`.
@@ -31,7 +31,7 @@ pub struct Key<'a> {
 }
 
 /// A key's identity: two keys with the same one are the same measurement.
-type Id = (&'static str, Option<LoopRef>, &'static str);
+type Id = (&'static str, Option<std::sync::Arc<LoopRef>>, &'static str);
 
 impl<'a> Key<'a> {
     /// The baseline of `bench`, the denominator of all its ratios.

@@ -26,6 +26,7 @@
 use crate::experiment::{loop_list, sweep_configs, Backend, LoopRef};
 use crate::plan::{Key, Plan, Points};
 use crate::sweep::{loop_point, LoopPoint};
+use std::sync::Arc;
 use uu_core::{FaultPlan, Transform, UnmergeOptions};
 use uu_kernels::Benchmark;
 
@@ -59,9 +60,9 @@ pub fn keys(benches: &[Benchmark]) -> Vec<Key<'_>> {
             if !bench.info.hot_kernels.contains(&l.func.as_str()) {
                 continue;
             }
+            let l = Arc::new(l);
             for (config, transform) in study_configs() {
-                let target = Some(l.clone());
-                keys.push(Key { bench, target, config, transform });
+                keys.push(Key { bench, target: Some(Arc::clone(&l)), config, transform });
             }
         }
     }
@@ -95,15 +96,15 @@ pub fn run_study_backed(
 #[derive(Debug, Clone)]
 pub struct Verdict {
     /// Application name.
-    pub app: String,
+    pub app: &'static str,
     /// The compared loop.
-    pub loop_ref: LoopRef,
+    pub loop_ref: Arc<LoopRef>,
     /// Best u&u speedup and the factor configuration that achieved it.
-    pub best_uu: (String, f64),
+    pub best_uu: (&'static str, f64),
     /// Meld-only speedup.
     pub meld: f64,
     /// Best u&u+meld speedup and its configuration.
-    pub best_both: (String, f64),
+    pub best_both: (&'static str, f64),
     /// Which leg wins: `u&u`, `meld`, `both`, or `tie` (within ±2%).
     pub winner: &'static str,
 }
@@ -118,19 +119,13 @@ pub fn verdicts(study: &Study) -> Vec<Verdict> {
         {
             continue;
         }
-        let of = |pred: &dyn Fn(&str) -> bool| -> (String, f64) {
+        let of = |pred: &dyn Fn(&str) -> bool| -> (&'static str, f64) {
             study
                 .points
                 .iter()
-                .filter(|q| q.app == p.app && q.loop_ref == p.loop_ref && pred(&q.config))
-                .map(|q| (q.config.clone(), q.speedup))
-                .fold((String::new(), f64::MIN), |acc, x| {
-                    if x.1 > acc.1 {
-                        x
-                    } else {
-                        acc
-                    }
-                })
+                .filter(|q| q.app == p.app && q.loop_ref == p.loop_ref && pred(q.config))
+                .map(|q| (q.config, q.speedup))
+                .fold(("", f64::MIN), |acc, x| if x.1 > acc.1 { x } else { acc })
         };
         let best_uu = of(&|c| c.starts_with("uu") && !c.ends_with("+meld"));
         let meld = of(&|c| c == "meld").1;
@@ -147,8 +142,8 @@ pub fn verdicts(study: &Study) -> Vec<Verdict> {
             }
         };
         out.push(Verdict {
-            app: p.app.clone(),
-            loop_ref: p.loop_ref.clone(),
+            app: p.app,
+            loop_ref: Arc::clone(&p.loop_ref),
             best_uu,
             meld,
             best_both,

@@ -12,6 +12,7 @@ use crate::plan::{Key, Plan, Points};
 use crate::stats::median_of_20;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 use uu_core::{FaultPlan, HeuristicOptions, Rung, Transform};
 use uu_kernels::Benchmark;
 
@@ -22,17 +23,19 @@ use uu_kernels::Benchmark;
 /// scale.
 pub const FRONTEND_MS: f64 = 3000.0;
 
-/// One (application, loop, configuration) data point.
+/// One (application, loop, configuration) data point. A clean one owns no
+/// allocation: its names are static and its loop is shared with the loop's
+/// other configurations.
 #[derive(Debug, Clone)]
 pub struct LoopPoint {
     /// Application name.
-    pub app: String,
+    pub app: &'static str,
     /// The targeted loop.
-    pub loop_ref: LoopRef,
+    pub loop_ref: Arc<LoopRef>,
     /// Whether the loop lives in a launched (hot) kernel.
     pub hot: bool,
     /// Configuration name (`uu2`, `unroll4`, `unmerge`, …).
-    pub config: String,
+    pub config: &'static str,
     /// Median-of-20 speedup over the baseline median.
     pub speedup: f64,
     /// Code size relative to baseline.
@@ -46,7 +49,7 @@ pub struct LoopPoint {
     pub rung: Rung,
     /// Contained-failure diagnostics (pass failures, runtime faults,
     /// equivalence violations); empty when clean.
-    pub diag: String,
+    pub diag: Box<str>,
 }
 
 /// Per-application summary of the heuristic configuration.
@@ -133,16 +136,16 @@ pub(crate) fn loop_point(points: &Points, k: &Key<'_>) -> LoopPoint {
     );
     let rest = info.binary_rest_size as f64;
     LoopPoint {
-        app: info.name.to_string(),
-        loop_ref: loop_ref.clone(),
+        app: info.name,
+        loop_ref: Arc::clone(loop_ref),
         hot: k.hot(),
-        config: k.config.to_string(),
+        config: k.config,
         speedup: baseline_median(k.bench, base) / med,
         size_ratio: (rest + m.code_size as f64) / (rest + base.code_size as f64),
         compile_ratio: (FRONTEND_MS + m.compile_ms) / (FRONTEND_MS + base.compile_ms),
         timed_out: m.timed_out,
         rung: m.rung,
-        diag: m.diag,
+        diag: m.diag.into_boxed_str(),
     }
 }
 
@@ -163,9 +166,9 @@ pub fn keys(benches: &[Benchmark], fast: bool) -> Vec<Key<'_>> {
                     continue;
                 }
             }
+            let l = Arc::new(l);
             for (config, transform) in sweep_configs() {
-                let target = Some(l.clone());
-                keys.push(Key { bench, target, config, transform });
+                keys.push(Key { bench, target: Some(Arc::clone(&l)), config, transform });
             }
         }
     }
@@ -191,7 +194,7 @@ fn summary(points: &Points, k: &Key<'_>) -> AppSummary {
     let base = points.base(bench);
     let mut heur = points.get(k).clone().unwrap_or_else(|e| {
         let mut h = base.clone();
-        h.rung = e.rung;
+        h.rung = e.meta.rung;
         h.diag = format!("{}: {e}", k.what());
         h
     });

@@ -109,6 +109,15 @@ fn a_command_refuses_what_it_does_not_read() {
             &["fig7", "--bench", "mandelbrot", "--fault", "panic@1"][..],
             "`fig7` does not read option `--fault`",
         ),
+        // The in-depth cases are fixed and the study has no fast sample.
+        (
+            &["indepth", "--bench", "mandelbrot"][..],
+            "`indepth` does not read option `--bench`",
+        ),
+        (
+            &["study", "--fast", "--bench", "mandelbrot"][..],
+            "`study` does not read option `--fast`",
+        ),
     ]
     .into_iter()
     .enumerate()

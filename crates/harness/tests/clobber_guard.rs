@@ -29,8 +29,15 @@ fn a_filtered_run_refuses_a_directory_holding_a_fuller_report_set() {
     let table1 = "name,loops\nbezier-surface,3\nbn,11\nmandelbrot,1\n";
     std::fs::write(out.join("table1.csv"), table1).unwrap();
     std::fs::write(out.join("fig7.csv"), "untouched").unwrap();
-    for cmd in ["all", "table1", "fig7", "study"] {
-        let run = harness(&[cmd, "--fast", "--bench", "mandelbrot"], &out);
+    for args in [
+        &["all", "--fast", "--bench", "mandelbrot"][..],
+        &["table1", "--fast", "--bench", "mandelbrot"],
+        &["fig7", "--fast", "--bench", "mandelbrot"],
+        // `study` has no fast sample and refuses `--fast`.
+        &["study", "--bench", "mandelbrot"],
+    ] {
+        let cmd = args[0];
+        let run = harness(args, &out);
         let stderr = String::from_utf8_lossy(&run.stderr);
         assert_eq!(run.status.code(), Some(2), "{cmd}: {stderr}");
         assert!(stderr.contains("3 applications"), "{cmd}: {stderr}");

@@ -1,6 +1,7 @@
 //! `uu-harness` parses every `UU_*` knob once, before any work: a
 //! malformed value exits 2 naming the variable, before a report is written
-//! or a socket bound, and an empty value means unset.
+//! or a socket bound, and an empty value means unset. A report command
+//! refuses `UU_CACHE_DIR` together with `UU_SERVE_SOCKET` the same way.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -23,16 +24,17 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-/// Run the harness with one knob set, killing it after 60 s so a binary
-/// that ignores the bad knob and starts serving fails instead of hanging.
-fn harness(args: &[&str], var: &str, value: &str) -> Output {
+/// Run the harness with the knobs `vars` set, killing it after 60 s so a
+/// binary that ignores a bad knob and starts serving fails instead of
+/// hanging.
+fn harness(args: &[&str], vars: &[(&str, &str)]) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_uu-harness"));
     for k in KNOBS {
         cmd.env_remove(k);
     }
     let mut child = cmd
         .args(args)
-        .env(var, value)
+        .envs(vars.iter().copied())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
@@ -70,7 +72,7 @@ fn a_malformed_knob_exits_2_before_any_work() {
         ("UU_FAULT", "panic@x"),
         ("UU_FAULT", "gremlin@3"),
     ] {
-        assert_refused(&harness(&report, var, value), var, value, "running");
+        assert_refused(&harness(&report, &[(var, value)]), var, value, "running");
         assert!(is_empty_dir(&out), "{var}={value} wrote into --out");
     }
     std::fs::remove_dir_all(&out).unwrap();
@@ -86,15 +88,33 @@ fn a_malformed_serve_knob_binds_no_socket() {
         ("UU_SERVE_WORKERS", "0"),
         ("UU_JOBS", "0"),
     ] {
-        assert_refused(&harness(&args, var, value), var, value, "serving");
+        assert_refused(&harness(&args, &[(var, value)]), var, value, "serving");
         assert!(!sock.exists(), "{var}={value} bound a socket");
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
+fn a_cache_dir_and_a_daemon_socket_together_exit_2_before_any_work() {
+    let dir = scratch("both");
+    let (cache, sock, out) = (dir.join("cache"), dir.join("d.sock"), dir.join("out"));
+    let report = ["table1", "--fast", "--bench", "mandelbrot", "--out", out.to_str().unwrap()];
+    let vars = [
+        ("UU_CACHE_DIR", cache.to_str().unwrap()),
+        ("UU_SERVE_SOCKET", sock.to_str().unwrap()),
+    ];
+    let run = harness(&report, &vars);
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("UU_CACHE_DIR") && stderr.contains("UU_SERVE_SOCKET"), "{stderr}");
+    assert!(!stderr.contains("measuring"), "started: {stderr}");
+    assert!(is_empty_dir(&dir), "wrote a cache or a report");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn an_empty_knob_means_unset() {
-    let run = harness(&["decisions", "--bench", "mandelbrot"], "UU_JOBS", "");
+    let run = harness(&["decisions", "--bench", "mandelbrot"], &[("UU_JOBS", "")]);
     assert!(
         run.status.success(),
         "{}",

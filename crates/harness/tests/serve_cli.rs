@@ -206,18 +206,24 @@ fn a_daemon_backed_study_is_byte_identical_and_a_warm_pass_only_hits() {
     let cold = daemon.stats();
     assert!(counter(&cold, "compile_misses") > 0, "{cold}");
 
-    // The warm pass is identical again and every compile it sends is a
-    // hit: its requests, less the closing `stats` request itself.
+    // The warm pass is identical again and every request it sends — a run
+    // lookup per executed point, a compile per cold one — is a hit: its
+    // requests, less the closing `stats` request itself.
     let warm_run = study("remote-warm", "1", Some(&daemon.sock));
     assert!(
         warm_run == local,
         "warm daemon-backed study differs from local"
     );
     let warm = daemon.stats();
-    let compiles = counter(&warm, "requests") - counter(&cold, "requests") - 1;
-    let hits = |j: &str| counter(j, "compile_mem_hits") + counter(j, "compile_disk_hits");
-    assert!(compiles > 0, "{warm}");
-    assert_eq!(hits(&warm) - hits(&cold), compiles, "{cold}\n{warm}");
+    let requests = counter(&warm, "requests") - counter(&cold, "requests") - 1;
+    let hits = |j: &str| {
+        ["compile_mem_hits", "compile_disk_hits", "run_mem_hits", "run_disk_hits"]
+            .iter()
+            .map(|c| counter(j, c))
+            .sum::<u64>()
+    };
+    assert!(requests > 0, "{warm}");
+    assert_eq!(hits(&warm) - hits(&cold), requests, "{cold}\n{warm}");
     assert_eq!(
         counter(&warm, "compile_misses"),
         counter(&cold, "compile_misses")

@@ -3,7 +3,9 @@
 //! frames, disconnects, handler panics, stalls and disk-full stores must
 //! never lose a response — and a sweep or study routed through it must
 //! stay **byte-identical** to the cacheless local reference, at any
-//! worker count. The daemon, like the cache, is a wall-time lever only.
+//! worker count. The daemon, like the cache, is a wall-time lever only,
+//! and a warm one serves a sweep what a cache directory would: one
+//! request per point, nothing compiled or simulated again.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -78,6 +80,11 @@ fn stats_sanity(st: CacheStats) -> CacheStats {
     st
 }
 
+/// The backend of a daemon-backed run: the daemon serves every point.
+fn served_by(remote: &Remote) -> Backend<'_> {
+    Backend { cache: None, remote: Some(remote) }
+}
+
 /// A tiny module for raw-protocol drills (the sweep tests use real
 /// benchmark modules).
 const MODULE: &str = "\
@@ -115,22 +122,8 @@ fn faulted_daemon_sweep_is_byte_identical_at_jobs_1_and_4() {
     };
     let daemon_cache = CompileCache::new_mem();
     let ((j1, j4), stats) = with_daemon(opts, &daemon_cache, |remote| {
-        let c1 = CompileCache::new_mem();
-        let j1 = run_sweep_backed(
-            &benches,
-            true,
-            1,
-            None,
-            Backend { cache: Some(&c1), remote: Some(remote) },
-        );
-        let c4 = CompileCache::new_mem();
-        let j4 = run_sweep_backed(
-            &benches,
-            true,
-            4,
-            None,
-            Backend { cache: Some(&c4), remote: Some(remote) },
-        );
+        let j1 = run_sweep_backed(&benches, true, 1, None, served_by(remote));
+        let j4 = run_sweep_backed(&benches, true, 4, None, served_by(remote));
         (j1, j4)
     });
     assert_eq!(
@@ -150,6 +143,31 @@ fn faulted_daemon_sweep_is_byte_identical_at_jobs_1_and_4() {
 }
 
 #[test]
+fn a_primed_daemon_serves_a_sweep_with_one_request_per_point() {
+    let benches = benches();
+    let plain = run_sweep_backed(&benches, true, 1, None, Backend::default());
+    let daemon_cache = CompileCache::new_mem();
+    let ((cold, warm, before, after), _) =
+        with_daemon(ServeOptions::default(), &daemon_cache, |remote| {
+            let cold = run_sweep_backed(&benches, true, 1, None, served_by(remote));
+            let before = daemon_cache.stats();
+            let warm = run_sweep_backed(&benches, true, 1, None, served_by(remote));
+            (cold, warm, before, daemon_cache.stats())
+        });
+    assert_eq!(sweep_repr(&plain), sweep_repr(&cold), "priming pass diverged");
+    assert_eq!(sweep_repr(&plain), sweep_repr(&warm), "warm pass diverged");
+    // Warm: every executed point (baseline, heuristic, each hot point) is
+    // one `lookup-run` hit, every cold point one `compile` hit, and
+    // nothing is compiled again.
+    let points = 2 * warm.apps.len() + warm.points.len();
+    let executed = 2 * warm.apps.len() + warm.points.iter().filter(|p| p.hot).count();
+    let run_hits = |st: &CacheStats| st.run_mem_hits + st.run_disk_hits;
+    assert_eq!(run_hits(&after) - run_hits(&before), executed as u64, "{before:?}\n{after:?}");
+    assert_eq!(after.compile_misses, before.compile_misses, "{before:?}\n{after:?}");
+    assert_eq!(after.requests - before.requests, points as u64, "{before:?}\n{after:?}");
+}
+
+#[test]
 fn faulted_daemon_study_is_byte_identical_at_jobs_1_and_4() {
     let benches = benches();
     let plain = run_study_backed(&benches, 1, None, Backend::default());
@@ -161,20 +179,8 @@ fn faulted_daemon_study_is_byte_identical_at_jobs_1_and_4() {
     };
     let daemon_cache = CompileCache::new_mem();
     let ((j1, j4), stats) = with_daemon(opts, &daemon_cache, |remote| {
-        let c1 = CompileCache::new_mem();
-        let j1 = run_study_backed(
-            &benches,
-            1,
-            None,
-            Backend { cache: Some(&c1), remote: Some(remote) },
-        );
-        let c4 = CompileCache::new_mem();
-        let j4 = run_study_backed(
-            &benches,
-            4,
-            None,
-            Backend { cache: Some(&c4), remote: Some(remote) },
-        );
+        let j1 = run_study_backed(&benches, 1, None, served_by(remote));
+        let j4 = run_study_backed(&benches, 4, None, served_by(remote));
         (j1, j4)
     });
     assert_eq!(study_repr(&plain), study_repr(&j1), "daemon-backed study (j1) diverged");
@@ -184,41 +190,32 @@ fn faulted_daemon_study_is_byte_identical_at_jobs_1_and_4() {
 
 #[test]
 fn quarantined_module_falls_back_to_local_compiles_byte_identically() {
-    // breaker_k = 1: the first injected panic quarantines the benchmark
-    // module outright. Every later compile of it is refused with a
+    // The first compile request panics on its first three attempts, which
+    // quarantines the benchmark module. Every later compile of it is refused with a
     // non-transient `quarantined` error — and the harness backend must
     // absorb that by compiling locally, with zero effect on the report.
     let benches = benches();
     let plain = run_sweep_backed(&benches, true, 1, None, Backend::default());
     let opts = ServeOptions {
         workers: 2,
-        breaker_k: 1,
-        fault: Some(ServeFaultPlan::parse("panic@0").unwrap()),
+        fault: Some(ServeFaultPlan::parse("panic@0,panic@1,panic@2").unwrap()),
         ..ServeOptions::default()
     };
     let daemon_cache = CompileCache::new_mem();
-    let ((swept, client_stats), stats) = with_daemon(opts, &daemon_cache, |remote| {
-        let cache = CompileCache::new_mem();
-        let swept = run_sweep_backed(
-            &benches,
-            true,
-            1,
-            None,
-            Backend { cache: Some(&cache), remote: Some(remote) },
-        );
-        (swept, cache.stats())
+    let (swept, stats) = with_daemon(opts, &daemon_cache, |remote| {
+        run_sweep_backed(&benches, true, 1, None, served_by(remote))
     });
     assert_eq!(
         sweep_repr(&plain),
         sweep_repr(&swept),
         "quarantine fallback changed sweep bytes"
     );
-    // A refused daemon compile falls through to the cache without looking
-    // the run artifact up a second time: on this cold cache every executed
-    // measurement (baseline, heuristic, each hot point) misses exactly once.
+    // A refused daemon compile falls back locally without looking the run
+    // up a second time: on this cold daemon every executed measurement
+    // (baseline, heuristic, each hot point) misses exactly once.
     let executed = 2 * swept.apps.len() + swept.points.iter().filter(|p| p.hot).count();
-    assert_eq!(client_stats.run_misses, executed as u64, "{client_stats:?}");
-    assert_eq!(stats.handler_panics, 1, "{stats:?}");
+    assert_eq!(stats.run_misses, executed as u64, "{stats:?}");
+    assert_eq!(stats.handler_panics, 3, "{stats:?}");
     assert_eq!(stats.quarantined_modules, 1, "{stats:?}");
     assert!(
         stats.quarantined_rejects >= 5,
@@ -267,19 +264,16 @@ fn mem_fault_traps_identically_through_every_backend_and_is_never_cached() {
     let local = drill(Backend::default());
     let mem_cache = CompileCache::new_mem();
     let cached = drill(Backend::local(Some(&mem_cache)));
-    let client_cache = CompileCache::new_mem();
     let daemon_cache = CompileCache::new_mem();
-    let (served, daemon_stats) = with_daemon(ServeOptions::default(), &daemon_cache, |remote| {
-        drill(Backend { cache: Some(&client_cache), remote: Some(remote) })
-    });
+    let (served, daemon_stats) =
+        with_daemon(ServeOptions::default(), &daemon_cache, |remote| drill(served_by(remote)));
     assert!(daemon_stats.compile_misses >= 1, "daemon compiled nothing: {daemon_stats:?}");
 
-    for (name, got, cache) in [
-        ("mem-cache", &cached, &mem_cache),
-        ("daemon+cache", &served, &client_cache),
+    for (name, got, st) in [
+        ("mem-cache", &cached, mem_cache.stats()),
+        ("daemon", &served, daemon_stats),
     ] {
         assert_eq!(&local, got, "{name} backend reported the mem fault differently");
-        let st = cache.stats();
         assert_eq!(st.run_mem_hits + st.run_disk_hits, 0, "{name} cached a faulted run: {st:?}");
         assert_eq!(st.run_misses, 4, "{name}: one lookup per measurement: {st:?}");
     }

@@ -60,6 +60,14 @@ impl CompileMeta {
         }
     }
 
+    /// Optimise `m` in place under `opts` on the local pipeline and return
+    /// the compile's metadata: what a store does when it has nothing stored.
+    pub fn local(m: &mut uu_ir::Module, opts: &uu_core::PipelineOptions) -> CompileMeta {
+        let outcome = uu_core::compile(m, opts);
+        debug_assert!(outcome.verify_error.is_none(), "guarded compile must emit valid IR");
+        CompileMeta::of(&outcome, m)
+    }
+
     /// Append the metadata to `msg` as headers; `diag` only when non-empty.
     pub(crate) fn to_headers(&self, msg: Message) -> Message {
         let msg = msg

@@ -50,11 +50,6 @@ impl Backoff {
         }
     }
 
-    /// Attempts drawn so far.
-    pub fn attempts(&self) -> u32 {
-        self.attempt
-    }
-
     /// The next delay in the schedule (advances the attempt counter).
     pub fn next_delay(&mut self) -> Duration {
         let exp = self
@@ -121,7 +116,7 @@ mod tests {
                 exp / 2
             );
         }
-        assert_eq!(b.attempts(), 12);
+        assert_eq!(b.attempt, 12);
     }
 
     #[test]

@@ -68,6 +68,42 @@ impl Key {
     pub fn hex(&self) -> String {
         format!("{:016x}{:016x}", self.hi, self.lo)
     }
+
+    /// Read [`hex`](Self::hex)'s rendering back; `None` unless 32 hex digits.
+    pub fn parse(hex: &str) -> Option<Key> {
+        let digits = hex.len() == 32 && hex.bytes().all(|b| b.is_ascii_hexdigit());
+        let v = u128::from_str_radix(hex, 16).ok().filter(|_| digits)?;
+        Some(Key { hi: (v >> 64) as u64, lo: v as u64 })
+    }
+}
+
+/// The three calls a batch driver makes of a store: [`CompileCache`]
+/// answers from memory and its directory, [`Remote`](crate::Remote) from
+/// a daemon's cache. Either changes wall time, never a result.
+pub trait Artifacts {
+    /// Optimise `m` in place under `opts` and return the compile's
+    /// metadata; with `want_module` unset a hit may leave `m` as it was.
+    fn compile(&self, m: &mut Module, opts: &PipelineOptions, want_module: bool) -> CompileMeta;
+    /// The run stored under the run key `key`, with its compile's metadata.
+    fn lookup_run(&self, key: Key) -> Option<(CompileMeta, RunRecord)>;
+    /// Store a measured run under `key`; a failed store is not an error.
+    fn store_run(&self, key: Key, meta: &CompileMeta, run: &RunRecord);
+}
+
+impl Artifacts for CompileCache {
+    fn compile(&self, m: &mut Module, opts: &PipelineOptions, want_module: bool) -> CompileMeta {
+        CompileCache::compile(self, m, opts, want_module).meta
+    }
+
+    fn lookup_run(&self, key: Key) -> Option<(CompileMeta, RunRecord)> {
+        CompileCache::lookup_run(self, key)
+    }
+
+    /// Store a measured run in every layer.
+    fn store_run(&self, key: Key, meta: &CompileMeta, run: &RunRecord) {
+        self.mem_run.lock().unwrap().insert(key, (meta.clone(), run.clone()));
+        self.store(key, &Artifact::Run { meta: meta.clone(), run: run.clone() });
+    }
 }
 
 /// Result of a cache-mediated compile: the metadata the harness needs,
@@ -203,8 +239,7 @@ impl CompileCache {
         // Miss: run the real pipeline and populate both layers.
         let lookup = t0.elapsed();
         let t1 = Instant::now();
-        let outcome = uu_core::compile(m, opts);
-        let meta = CompileMeta::of(&outcome, m);
+        let meta = CompileMeta::local(m, opts);
         let ir = m.to_string();
         self.mem_compile
             .lock()
@@ -265,7 +300,7 @@ impl CompileCache {
     }
 
     /// Look up a cached measured run. `None` counts as a run miss — the
-    /// caller is expected to measure and [`store_run`](Self::store_run).
+    /// caller is expected to measure and [`store_run`](Artifacts::store_run).
     pub fn lookup_run(&self, key: Key) -> Option<(CompileMeta, RunRecord)> {
         let t0 = Instant::now();
         let mem = self.mem_run.lock().unwrap().get(&key).cloned();
@@ -292,21 +327,6 @@ impl CompileCache {
         }
         st.lookup_micros += t0.elapsed().as_micros() as u64;
         hit
-    }
-
-    /// Store a measured run in every layer.
-    pub fn store_run(&self, key: Key, meta: &CompileMeta, run: &RunRecord) {
-        self.mem_run
-            .lock()
-            .unwrap()
-            .insert(key, (meta.clone(), run.clone()));
-        self.store(
-            key,
-            &Artifact::Run {
-                meta: meta.clone(),
-                run: run.clone(),
-            },
-        );
     }
 
     /// Snapshot of the cumulative stats.
@@ -509,6 +529,7 @@ bb6:
     fn compile_key_of_a_fixed_pair_is_pinned() {
         let key = CompileCache::compile_key(&module(), &opts());
         assert_eq!(key.hex(), "a2ff1acf1d66ea08220c0b73c4fb7a26");
+        assert_eq!(Key::parse(&key.hex()), Some(key));
         let text = module().to_string();
         assert_eq!(key, CompileCache::key_for_hash(uu_ir::fnv1a(text.as_bytes()), &opts()));
     }

@@ -2,14 +2,14 @@
 //! deterministic backoff and automatic retry of `busy`/transient
 //! failures — the client half of the service's overload contract.
 //!
-//! [`Remote`] is the batch-harness compile backend: one fresh connection
-//! per request (HTTP/1.0 style, so a saturated daemon's worker pool is
-//! never starved by idle persistent connections), `busy` responses
-//! honored via their `retry-after-ms` hint, torn frames and mid-request
-//! disconnects retried with capped exponential backoff. All sleeping is
-//! wall-clock only — no retry decision feeds into report bytes, which is
-//! why cached sweeps through a saturated daemon stay byte-identical to
-//! cacheless runs.
+//! [`Remote`] is the batch harness's [`Artifacts`] store over a daemon:
+//! one fresh connection per request (HTTP/1.0 style, so a saturated
+//! daemon's worker pool is never starved by idle persistent connections),
+//! `busy` responses honored via their `retry-after-ms` hint, torn frames
+//! and mid-request disconnects retried with capped exponential backoff.
+//! All sleeping is wall-clock only — no retry decision feeds into report
+//! bytes, which is why sweeps through a saturated daemon stay
+//! byte-identical to cacheless runs.
 
 use std::io::{self, Read, Write};
 use std::os::unix::net::UnixStream;
@@ -18,9 +18,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::artifact::CompileMeta;
+use crate::artifact::{CompileMeta, RunRecord};
 use crate::backoff::Backoff;
+use crate::cache::{Artifacts, Key};
+use crate::config::config_name;
 use crate::proto::{read_frame, write_frame, Message};
+use uu_core::{FaultPlan, LoopFilter, PipelineOptions};
+use uu_ir::Module;
 
 /// Connect to the daemon's Unix socket, retrying with jittered
 /// exponential backoff until `patience` runs out — the common pattern is
@@ -219,6 +223,44 @@ impl Remote {
     }
 }
 
+/// A daemon as a store, where every failure is a fallback: a compile it
+/// cannot serve (no config name, a failed request, a reply that does not
+/// parse) runs locally, a failed `lookup-run` is a miss, and a failed
+/// `store-run` is ignored. The daemon builds the harness's options from
+/// the headers (under [`uu_core::COMPILE_TIMEOUT`]) and its replies
+/// round-trip losslessly, so it serves what a local compile gives.
+impl Artifacts for Remote {
+    fn compile(&self, m: &mut Module, opts: &PipelineOptions, want_module: bool) -> CompileMeta {
+        let mut served = || -> Option<CompileMeta> {
+            let config = config_name(&opts.transform)?;
+            let filter = match &opts.filter {
+                LoopFilter::All => None,
+                LoopFilter::Only { func, loop_id } => Some((func.as_str(), *loop_id)),
+            };
+            let fault = opts.fault.as_ref().map(FaultPlan::spec);
+            let text = m.to_string();
+            let rc = Remote::compile(self, text, &config, filter, fault.as_deref(), want_module)
+                .ok()?;
+            if want_module {
+                *m = uu_ir::parse_module(rc.module_text.as_deref()?).ok()?;
+            }
+            Some(rc.meta)
+        };
+        served().unwrap_or_else(|| CompileMeta::local(m, opts))
+    }
+
+    fn lookup_run(&self, key: Key) -> Option<(CompileMeta, RunRecord)> {
+        let req = Message::new("lookup-run").header("key", key.hex());
+        let resp = self.request(&req).ok().filter(|r| r.verb == "ok")?;
+        Some((CompileMeta::from_headers(&resp)?, RunRecord::from_headers(&resp)?))
+    }
+
+    fn store_run(&self, key: Key, meta: &CompileMeta, run: &RunRecord) {
+        let req = Message::new("store-run").header("key", key.hex());
+        let _ = self.request(&run.to_headers(meta.to_headers(req)));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,19 +371,18 @@ bb3:
     fn remote_retries_transient_panics_but_returns_quarantine_as_error() {
         let stats = with_daemon(
             ServeOptions {
-                breaker_k: 2,
-                fault: Some(ServeFaultPlan::parse("panic@0,panic@1").unwrap()),
+                fault: Some(ServeFaultPlan::parse("panic@0,panic@1,panic@2").unwrap()),
                 ..ServeOptions::default()
             },
             |remote| {
-                // Two injected panics trip the K=2 breaker while the client
-                // is retrying; the third attempt is refused as quarantined,
+                // Three injected panics trip the breaker while the client
+                // is retrying; the fourth attempt is refused as quarantined,
                 // which is NOT retried — compile() surfaces it as an error.
                 let e = remote.compile(MODULE, "uu2", None, None, true).unwrap_err();
                 assert!(e.to_string().contains("quarantined"), "{e}");
             },
         );
-        assert_eq!(stats.handler_panics, 2);
+        assert_eq!(stats.handler_panics, 3);
         assert_eq!(stats.quarantined_rejects, 1);
     }
 

@@ -10,7 +10,7 @@
 //! kind  := torn | disconnect | slow | panic | disk-full
 //! index := zero-based compile-request index at which the fault fires
 //!          (compile requests are counted in admission order, across all
-//!          connections; control verbs don't advance the counter)
+//!          connections; control and run verbs don't advance it)
 //! seed  := u64 (decimal or 0x-hex); for `slow` it is the injected stall
 //!          in milliseconds (default 100)
 //! ```
@@ -52,19 +52,6 @@ pub enum ServeFaultKind {
     DiskFull,
 }
 
-impl ServeFaultKind {
-    /// The spec-grammar keyword.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            ServeFaultKind::Torn => "torn",
-            ServeFaultKind::Disconnect => "disconnect",
-            ServeFaultKind::Slow => "slow",
-            ServeFaultKind::Panic => "panic",
-            ServeFaultKind::DiskFull => "disk-full",
-        }
-    }
-}
-
 /// One `<kind>@<index>[:<seed>]` spec.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeFault {
@@ -74,17 +61,6 @@ pub struct ServeFault {
     pub at: u64,
     /// Seed (stall milliseconds for `slow`; reserved otherwise).
     pub seed: u64,
-}
-
-impl ServeFault {
-    /// Render the spec back in grammar form.
-    pub fn spec(&self) -> String {
-        if self.seed == 0 {
-            format!("{}@{}", self.kind.as_str(), self.at)
-        } else {
-            format!("{}@{}:{}", self.kind.as_str(), self.at, self.seed)
-        }
-    }
 }
 
 /// A deterministic service fault plan: a list of specs, each firing at
@@ -134,15 +110,6 @@ impl ServeFaultPlan {
     pub fn at(&self, idx: u64) -> Option<ServeFault> {
         self.faults.iter().copied().find(|f| f.at == idx)
     }
-
-    /// Render the plan back in grammar form.
-    pub fn spec(&self) -> String {
-        self.faults
-            .iter()
-            .map(ServeFault::spec)
-            .collect::<Vec<_>>()
-            .join(",")
-    }
 }
 
 #[cfg(test)]
@@ -151,10 +118,16 @@ mod tests {
 
     #[test]
     fn single_specs_round_trip() {
-        for s in ["torn@0", "disconnect@3", "slow@1:250", "panic@7", "disk-full@2:0x10"] {
+        use ServeFaultKind::*;
+        for (s, kind, at, seed) in [
+            ("torn@0", Torn, 0, 0),
+            ("disconnect@3", Disconnect, 3, 0),
+            ("slow@1:250", Slow, 1, 250),
+            ("panic@7", Panic, 7, 0),
+            ("disk-full@2:0x10", DiskFull, 2, 16),
+        ] {
             let p = ServeFaultPlan::parse(s).unwrap();
-            assert_eq!(p.faults.len(), 1, "{s}");
-            assert_eq!(ServeFaultPlan::parse(&p.spec()).unwrap(), p, "{s}");
+            assert_eq!(p.faults, [ServeFault { kind, at, seed }], "{s}");
         }
     }
 
@@ -167,7 +140,8 @@ mod tests {
         assert_eq!(p.at(2).unwrap().kind, ServeFaultKind::Disconnect);
         assert_eq!(p.at(3).unwrap().kind, ServeFaultKind::Panic);
         assert_eq!(p.at(1), None);
-        assert_eq!(p.spec(), "slow@0:1500,disconnect@2,panic@3");
+        let indexes: Vec<u64> = p.faults.iter().map(|f| f.at).collect();
+        assert_eq!(indexes, [0, 2, 3]);
     }
 
     #[test]

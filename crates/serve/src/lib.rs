@@ -36,12 +36,12 @@
 //! version-skewed file degrades to a cache miss and a fresh compile: the
 //! cache can make a request faster, never wronger.
 //!
-//! Batch drivers reuse the same cache in process: `uu-harness` threads a
-//! [`CompileCache`] through the sweep and the three-way study, so
-//! fig6/fig8/fig9 points share compiles across (kernel, loop, config)
-//! triples and a warm `results/` regeneration skips both the compile and
-//! the simulation of every previously measured point — byte-identically,
-//! at any `UU_JOBS`.
+//! Batch drivers reach a store through one interface, [`Artifacts`]
+//! (compile, look a run up, store one): a [`CompileCache`] in process, or
+//! a [`Remote`] over the daemon's `compile`, `lookup-run` and `store-run`
+//! verbs, which serves what the daemon's directory would. A warm
+//! `results/` regeneration skips both the compile and the simulation of
+//! every previously measured point — byte-identically, at any `UU_JOBS`.
 //!
 //! Observability follows the typed-stats idiom: [`CacheStats`] is a
 //! versioned struct with hit/miss/latency/rung counters, rendered as
@@ -62,7 +62,7 @@ pub mod stats;
 
 pub use artifact::{Artifact, CompileMeta, RunRecord, ARTIFACT_VERSION};
 pub use backoff::Backoff;
-pub use cache::{inject_store_fault, CachedCompile, CompileCache, Key};
+pub use cache::{inject_store_fault, Artifacts, CachedCompile, CompileCache, Key};
 pub use client::{connect_unix, request_over, Remote, RemoteCompile};
 pub use config::{config_name, config_names, parse_config};
 pub use fault::{ServeFault, ServeFaultKind, ServeFaultPlan};

@@ -8,12 +8,16 @@
 //! * `compile` — headers `config: <name>` (required, see
 //!   [`crate::config`]), `fault: <spec>` (optional [`FaultPlan`] for
 //!   drills), `want-module: 0|1` (default 1), `filter-func` +
-//!   `filter-loop` (optional loop selection, both or neither),
-//!   `timeout-ms: <n>` (optional per-request deadline on the
-//!   deterministic work clock, capped at the service's own limit); body
-//!   = module text. Response `ok` carries `cached: hit|miss`, `key` and
-//!   the [`CompileMeta`] headers of the [`crate::artifact`] codec, and the
-//!   optimized module as the body.
+//!   `filter-loop` (optional loop selection, both or neither); body =
+//!   module text, compiled under [`COMPILE_TIMEOUT`]. Response `ok`
+//!   carries `cached: hit|miss`, `key` and the [`CompileMeta`] headers of
+//!   the [`crate::artifact`] codec, and the optimized module as the body.
+//! * `lookup-run` — header `key` (a run key, 32 hex). Response `ok` with
+//!   the stored [`CompileMeta`] and [`RunRecord`] headers, or `miss`.
+//! * `store-run` — `key` plus those headers, stored in the cache. With the
+//!   two run verbs the daemon serves what its directory would
+//!   ([`Artifacts`]); a client that reaches the socket can write a run
+//!   record, the trust a shared `UU_CACHE_DIR` already asks for.
 //! * `stats` — response body is the cache's [`CacheStats`] JSON.
 //! * `ping` — liveness probe.
 //! * `health` — liveness plus gauges (`workers`, `inflight`, `draining`).
@@ -27,15 +31,16 @@
 //! Admission control: at most [`ServeOptions::inflight`] compile
 //! requests run at once; excess requests are shed immediately with a
 //! `busy` response carrying a `retry-after-ms` hint (clients back off
-//! and retry — see [`crate::backoff`]). Control verbs are never shed.
+//! and retry — see [`crate::backoff`]). Control and run verbs are never
+//! shed and do not advance the fault plan's request index.
 //!
 //! Every compile runs under `catch_unwind` *in addition to* the
 //! pipeline's own pass guards: a panic that escapes anywhere in request
 //! handling produces an `error` response (marked `transient: 1` so
 //! clients may retry) and the daemon keeps serving. A module whose
-//! requests panic [`ServeOptions::breaker_k`] times is quarantined by
-//! the crash-loop circuit breaker: further requests for it are refused
-//! with a `quarantined: 1` error instead of a fourth recompile.
+//! requests panic three times (`BREAKER_K`) is quarantined by the
+//! crash-loop circuit breaker: further requests for it are refused with a
+//! `quarantined: 1` error instead of a fourth recompile.
 //!
 //! Damaged frames (oversized, non-UTF-8, malformed) get a structured
 //! `error` response and the connection resynchronizes where possible
@@ -57,8 +62,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use crate::artifact::CompileMeta;
-use crate::cache::{CompileCache, Key};
+use crate::artifact::{CompileMeta, RunRecord};
+use crate::cache::{Artifacts, CompileCache, Key};
 use crate::config::{config_names, parse_config};
 use crate::fault::{ServeFaultKind, ServeFaultPlan};
 use crate::proto::{read_frame_lenient, write_frame, Message};
@@ -68,6 +73,9 @@ use uu_par::{run_crew, TaskQueue};
 /// Consecutive accept failures tolerated before the daemon gives up with a
 /// clean nonzero exit.
 const ACCEPT_RETRIES: u32 = 8;
+
+/// Handler panics per module before the circuit breaker quarantines it.
+const BREAKER_K: u32 = 3;
 
 /// Tunables for the concurrent service. `uu-harness serve` sets `workers`
 /// from `UU_SERVE_WORKERS` and `inflight` to match it; tests and
@@ -79,9 +87,6 @@ pub struct ServeOptions {
     /// Maximum concurrently-running compile requests before admission
     /// control sheds load with `busy`.
     pub inflight: usize,
-    /// Handler panics per module hash before the circuit breaker
-    /// quarantines it.
-    pub breaker_k: u32,
     /// Deterministic service fault plan (none in `uu-harness serve`).
     pub fault: Option<ServeFaultPlan>,
 }
@@ -91,7 +96,6 @@ impl Default for ServeOptions {
         ServeOptions {
             workers: 4,
             inflight: 4,
-            breaker_k: 3,
             fault: None,
         }
     }
@@ -122,7 +126,7 @@ pub struct Service<'a> {
     admitted: AtomicU64,
     draining: AtomicBool,
     /// Handler-panic counts per module hash (FNV-1a over the request
-    /// body). A count reaching `breaker_k` quarantines the module.
+    /// body). A count reaching [`BREAKER_K`] quarantines the module.
     breaker: Mutex<std::collections::BTreeMap<u64, u32>>,
 }
 
@@ -202,7 +206,8 @@ impl<'a> Service<'a> {
         Reply::Send(resp)
     }
 
-    /// Control-plane verbs — never shed by admission control.
+    /// Control-plane and run-record verbs — never shed by admission
+    /// control.
     fn control(&self, req: &Message) -> Message {
         match req.verb.as_str() {
             "ping" => Message::new("ok").header("service", "uu-serve"),
@@ -213,6 +218,23 @@ impl<'a> Service<'a> {
                 .header("draining", u8::from(self.is_draining())),
             "ready" => Message::new("ok").header("ready", u8::from(!self.is_draining())),
             "stats" => Message::new("ok").with_body(self.cache.stats().to_json()),
+            "lookup-run" => match req.get("key").and_then(Key::parse) {
+                None => error("missing or malformed `key` header"),
+                Some(key) => match self.cache.lookup_run(key) {
+                    Some((meta, run)) => run.to_headers(meta.to_headers(Message::new("ok"))),
+                    None => Message::new("miss"),
+                },
+            },
+            "store-run" => {
+                let key = req.get("key").and_then(Key::parse);
+                match (key, CompileMeta::from_headers(req), RunRecord::from_headers(req)) {
+                    (Some(key), Some(meta), Some(run)) => {
+                        self.cache.store_run(key, &meta, &run);
+                        Message::new("ok")
+                    }
+                    _ => error("missing or malformed `key` or run-record header"),
+                }
+            }
             "shutdown" => {
                 self.draining.store(true, Ordering::SeqCst);
                 Message::new("ok").header("service", "uu-serve").header("draining", 1)
@@ -299,17 +321,15 @@ impl<'a> Service<'a> {
     }
 
     fn is_quarantined(&self, module_key: u64) -> bool {
-        let k = self.opts.breaker_k.max(1);
-        self.lock_breaker().get(&module_key).is_some_and(|&c| c >= k)
+        self.lock_breaker().get(&module_key).is_some_and(|&c| c >= BREAKER_K)
     }
 
     fn note_panic(&self, module_key: u64) {
-        let k = self.opts.breaker_k.max(1);
         let newly_quarantined = {
             let mut b = self.lock_breaker();
             let c = b.entry(module_key).or_insert(0);
             *c += 1;
-            *c == k
+            *c == BREAKER_K
         };
         self.cache.stats_mut(|s| {
             s.handler_panics += 1;
@@ -356,20 +376,11 @@ impl<'a> Service<'a> {
             },
             _ => return error("`filter-func` and `filter-loop` must be given together"),
         };
-        // Per-request deadline on the deterministic work clock: a request
-        // may tighten the service deadline, never widen it.
-        let timeout = match req.get("timeout-ms") {
-            None => COMPILE_TIMEOUT,
-            Some(t) => match t.parse::<u64>() {
-                Ok(n) if n >= 1 => Duration::from_millis(n).min(COMPILE_TIMEOUT),
-                _ => return error(&format!("`timeout-ms` is not a positive u64: {t:?}")),
-            },
-        };
         let want_module = req.get("want-module") != Some("0");
         let opts = PipelineOptions {
             transform,
             filter,
-            timeout: Some(timeout),
+            timeout: Some(COMPILE_TIMEOUT),
             fault,
             ..Default::default()
         };
@@ -723,9 +734,9 @@ bb6:
         let req = compile_req(&canonical());
         assert_eq!(roundtrip(&service(&cache), &req).get("cached"), Some("miss"));
         let opts = ServeOptions {
-            breaker_k: 2,
             fault: Some(
-                ServeFaultPlan::parse("torn@0,disconnect@1,panic@2,slow@3:60,panic@4").unwrap(),
+                ServeFaultPlan::parse("torn@0,disconnect@1,panic@2,slow@3:60,panic@4,panic@5")
+                    .unwrap(),
             ),
             ..ServeOptions::default()
         };
@@ -740,11 +751,13 @@ bb6:
         let slow = roundtrip(&svc, &req);
         assert_eq!(slow.get("cached"), Some("hit"));
         assert!(t0.elapsed() >= Duration::from_millis(60), "slow fault must stall a hit");
-        assert_eq!(roundtrip(&svc, &req).get("transient"), Some("1"));
+        for _ in 0..2 {
+            assert_eq!(roundtrip(&svc, &req).get("transient"), Some("1"));
+        }
         let refused = roundtrip(&svc, &req);
         assert_eq!(refused.get("quarantined"), Some("1"), "{refused:?}");
         let st = cache.stats();
-        assert_eq!((st.handler_panics, st.quarantined_rejects), (2, 1));
+        assert_eq!((st.handler_panics, st.quarantined_rejects), (3, 1));
         assert_eq!(st.compile_misses, 1, "nothing recompiled");
     }
 
@@ -811,7 +824,9 @@ bb6:
     fn a_request_deadline_times_the_compile_out_and_counts_once() {
         let cache = CompileCache::new_mem();
         let svc = service(&cache);
-        let req = compile_req(MODULE).header("timeout-ms", 1);
+        // `exhaust` spends the compile's whole work budget: the service
+        // deadline fires on the first pass.
+        let req = compile_req(MODULE).header("fault", "exhaust@0");
         let miss = roundtrip(&svc, &req);
         let meta = CompileMeta::from_headers(&miss).unwrap();
         assert!(meta.timed_out, "{miss:?}");
@@ -887,14 +902,6 @@ bb6:
                 .with_body(MODULE),
         );
         assert_eq!(bad_fault.verb, "error");
-        let bad_timeout = roundtrip(
-            &svc,
-            &Message::new("compile")
-                .header("config", "uu4")
-                .header("timeout-ms", "soon")
-                .with_body(MODULE),
-        );
-        assert_eq!(bad_timeout.verb, "error");
         let half_filter = roundtrip(
             &svc,
             &Message::new("compile")
@@ -920,6 +927,65 @@ bb6:
         uu_check::json::validate(&stats.body).expect("stats body is JSON");
         assert!(stats.body.contains("\"compile_misses\": 1"));
         assert!(stats.body.contains("\"stats_version\": 2"));
+    }
+
+    #[test]
+    fn stored_runs_are_served_bit_exactly_and_bad_ones_store_nothing() {
+        let cache = CompileCache::new_mem();
+        let svc = service(&cache);
+        let key = CompileCache::run_key(CompileCache::key_for_hash(7, &uu4_opts()), "w");
+        let lookup = |key: &str| Message::new("lookup-run").header("key", key);
+        assert_eq!(roundtrip(&svc, &lookup(&key.hex())).verb, "miss");
+        let meta = CompileMeta {
+            work: 12,
+            timed_out: true,
+            rung: uu_core::Rung::NoTransform,
+            diag: "uu#0@k: panic\nboom".to_string(),
+            code_size: 34,
+        };
+        let run = RunRecord {
+            time_ms: 0.1 + 0.2,
+            checksum: -0.0,
+            transfer_ms: 1.5,
+            metrics: uu_simt::Metrics {
+                warp_insts: 5,
+                kernel_cycles: u64::MAX,
+                ..Default::default()
+            },
+        };
+        let store = |key: &str| {
+            run.to_headers(meta.to_headers(Message::new("store-run").header("key", key)))
+        };
+        assert_eq!(roundtrip(&svc, &store(&key.hex())).verb, "ok");
+        let hit = roundtrip(&svc, &lookup(&key.hex()));
+        assert_eq!(hit.verb, "ok", "{hit:?}");
+        assert_eq!(CompileMeta::from_headers(&hit), Some(meta.clone()));
+        let served = RunRecord::from_headers(&hit).unwrap();
+        assert_eq!(served.time_ms.to_bits(), run.time_ms.to_bits());
+        assert_eq!(served.checksum.to_bits(), run.checksum.to_bits());
+        assert_eq!(served, run);
+
+        // A malformed key or record is a non-transient error that stores
+        // nothing: every later lookup of those keys misses.
+        let other = CompileCache::run_key(key, "other");
+        let damaged = Message::decode(&store(&other.hex()).encode().replace("work: 12", "work: x"))
+            .unwrap();
+        let mut no_key = store(&other.hex());
+        no_key.headers.retain(|(k, _)| k != "key");
+        for bad in [store("0123"), store(&format!("{}g", &other.hex()[1..])), damaged, no_key] {
+            let r = roundtrip(&svc, &bad);
+            assert_eq!((r.verb.as_str(), r.get("transient")), ("error", None), "{bad:?}");
+        }
+        for bad in ["", "0123", "+0000000000000000000000000000000"] {
+            assert_eq!(roundtrip(&svc, &lookup(bad)).verb, "error", "{bad:?}");
+        }
+        let misses = cache.stats().run_misses;
+        assert_eq!(roundtrip(&svc, &lookup(&other.hex())).verb, "miss");
+        assert_eq!(cache.stats().run_misses, misses + 1);
+        let st = cache.stats();
+        assert_eq!((st.run_mem_hits, st.run_misses), (1, 2), "{st:?}");
+        assert_eq!(st.requests, 11, "every run request counts, none is admitted as a compile");
+        assert_eq!(svc.admitted.load(Ordering::SeqCst), 0);
     }
 
     #[test]
@@ -996,7 +1062,6 @@ bb6:
     fn breaker_quarantines_after_k_panics_and_only_that_module() {
         let cache = CompileCache::new_mem();
         let opts = ServeOptions {
-            breaker_k: 3,
             fault: Some(ServeFaultPlan::parse("panic@0,panic@1,panic@2").unwrap()),
             ..ServeOptions::default()
         };

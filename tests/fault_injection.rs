@@ -90,7 +90,7 @@ fn every_injected_fault_is_contained_and_diagnosed() {
         let touched = s
             .points
             .iter()
-            .map(|p| (p.rung, p.diag.as_str()))
+            .map(|p| (p.rung, &*p.diag))
             .chain(s.apps.iter().map(|a| (a.heuristic.rung, a.diag.as_str())))
             .chain(s.apps.iter().map(|a| (a.baseline.rung, a.baseline.diag.as_str())))
             .any(|(rung, diag)| rung != Rung::Full || !diag.is_empty());

@@ -10,6 +10,7 @@
 
 use std::collections::HashSet;
 use std::path::Path;
+use std::sync::Arc;
 use uu_check::{check_result, Config, DiffOracle, KernelSpec};
 use uu_harness::experiment::LoopRef;
 use uu_harness::plan::{Key, Plan};
@@ -153,7 +154,7 @@ fn plan_for<'a>(jobs: usize, views: &[&[Key<'a>]]) -> Plan<'a> {
     plan
 }
 
-fn ids<'k>(keys: &'k [Key<'_>]) -> Vec<(&'static str, &'k Option<LoopRef>, &'static str)> {
+fn ids<'k>(keys: &'k [Key<'_>]) -> Vec<(&'static str, &'k Option<Arc<LoopRef>>, &'static str)> {
     keys.iter().map(|k| (k.bench.info.name, &k.target, k.config)).collect()
 }
 
