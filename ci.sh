@@ -91,6 +91,11 @@ RUSTFLAGS="${RUSTFLAGS:-} -Dwarnings" cargo build --release --offline --all-targ
 echo "== test =="
 cargo test -q --offline
 
+echo "== docs build clean (rustdoc, deny warnings) =="
+# A public doc that links a private item, or a name that is both a module
+# and a function, is a rustdoc warning nothing else would show.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "== fuzz smoke (200 cases per property) =="
 UU_CHECK_CASES=200 cargo test -q --offline --release -p uu-tests
 

@@ -303,7 +303,7 @@ mod tests {
         let j = BlockId::from_index(3);
         let mid = split_edge(&mut f, t, j);
         uu_ir::verify_function(&f).unwrap();
-        assert_eq!(f.successors(t), vec![mid]);
-        assert_eq!(f.successors(mid), vec![j]);
+        assert_eq!(*f.successors(t), [mid]);
+        assert_eq!(*f.successors(mid), [j]);
     }
 }

@@ -1,7 +1,7 @@
 //! Dominator and post-dominator trees (Cooper–Harvey–Kennedy).
 
 use crate::cfg::reverse_post_order;
-use uu_ir::{BlockId, Function};
+use uu_ir::{BlockId, Function, Succs};
 
 /// The dominator tree of a function's CFG.
 ///
@@ -50,7 +50,7 @@ impl DomTree {
     pub fn compute(f: &Function) -> Self {
         let rpo = reverse_post_order(f);
         let preds = f.predecessors();
-        Self::compute_from(f.entry(), &rpo, |b| preds[b.index()].as_slice())
+        Self::compute_from(f.entry(), &rpo, |b| &preds[b.index()])
     }
 
     /// Shared worklist core, parameterized over the predecessor function so
@@ -259,16 +259,16 @@ impl PostDomTree {
         let rpo = post;
         // Predecessors in the reversed graph = successors in the real graph,
         // plus vexit as a "predecessor" of every ret block; precomputed once
-        // (vexit's slot stays empty).
-        let mut rpreds: Vec<Vec<BlockId>> = vec![Vec::new(); max_ix + 1];
+        // (vexit's slot stays empty, and only it and unlinked slots, which
+        // the reversed RPO never reaches, are empty besides the rets).
+        let mut rpreds = vec![Succs::NONE; max_ix + 1];
         for &b in &layout {
-            let mut out = f.successors(b);
-            if out.is_empty() {
-                out.push(vexit);
-            }
-            rpreds[b.index()] = out;
+            rpreds[b.index()] = f.successors(b);
         }
-        let tree = DomTree::compute_from(vexit, &rpo, |b| rpreds[b.index()].as_slice());
+        let tree = DomTree::compute_from(vexit, &rpo, |b| match &*rpreds[b.index()] {
+            [] => std::slice::from_ref(&vexit),
+            out => out,
+        });
         let mut ipdom = vec![None; max_ix];
         for &b in &layout {
             if let Some(d) = tree.idom(b) {

@@ -222,7 +222,7 @@ impl LoopForest {
             .filter(|p| !l.contains(*p))
             .collect();
         match outside.as_slice() {
-            [p] if f.successors(*p) == vec![l.header] => Some(*p),
+            [p] if *f.successors(*p) == [l.header] => Some(*p),
             _ => None,
         }
     }

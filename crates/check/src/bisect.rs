@@ -99,7 +99,7 @@ fn probe(
             Ok(_) => None,
         }
     };
-    (diag, m, out.pass_log)
+    (diag, m, out.pass_log.to_vec())
 }
 
 /// Bisect an oracle-detected failure of `transform` on `spec` down to the

@@ -20,7 +20,7 @@
 //!   novel fuzzing, so historical counterexamples keep running;
 //! * [`json`] — a JSON well-formedness checker the tests run over the
 //!   compile daemon's `stats` JSON;
-//! * [`bisect`] — opt-bisect over the pipeline's pass-invocation counter:
+//! * [`bisect`](mod@bisect) — opt-bisect over the pipeline's pass-invocation counter:
 //!   given an oracle-detected miscompile, binary-search to the first bad
 //!   pass and write a replayable crash-report artifact (the native
 //!   `-opt-bisect-limit` + `CrashRecoveryContext` workflow).

@@ -296,7 +296,7 @@ mod tests {
         assert!(succs.contains(&nbody));
         assert!(succs.contains(&BlockId::from_index(3)));
         // Cloned body's backedge points at the cloned header.
-        assert_eq!(f.successors(nbody), vec![nh]);
+        assert_eq!(*f.successors(nbody), [nh]);
     }
 
     #[test]

@@ -89,7 +89,8 @@ pub use pipeline::{
     PASS_VERSIONS, PIPELINE_SCHEMA_VERSION, WORK_PER_MS,
 };
 pub use recover::{
-    split_fault_spec, FailureReason, FaultKind, FaultPlan, PassFailure, PassInvocation, Rung,
+    split_fault_spec, FailureReason, FaultKind, FaultPlan, PassFailure, PassInvocation, PassLog,
+    Rung,
 };
 pub use unmerge::{UnmergeMode, UnmergeOptions};
 pub use uu::{uu_loop, UuOptions};

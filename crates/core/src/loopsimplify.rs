@@ -12,7 +12,6 @@
 //!   a phi in an exit block, so that cloning iterations only ever needs to
 //!   patch exit phis.
 
-use crate::clone::remove_phi_incomings_from;
 use std::collections::HashSet;
 use uu_ir::{BlockId, Function, Inst, InstId, InstKind, Type, Value};
 use uu_analysis::DomTree;
@@ -50,6 +49,18 @@ pub fn canonicalize_loop(
     blocks: &[BlockId],
     latches: &[BlockId],
 ) -> Option<CanonicalLoop> {
+    let cl = canonical_shape(f, header, blocks, latches);
+    rewrite_lcssa(f, &cl).then_some(cl)
+}
+
+/// Steps 1-3 of [`canonicalize_loop`]: preheader, single latch, dedicated
+/// exits.
+fn canonical_shape(
+    f: &mut Function,
+    header: BlockId,
+    blocks: &[BlockId],
+    latches: &[BlockId],
+) -> CanonicalLoop {
     let mut loop_blocks: HashSet<BlockId> = blocks.iter().copied().collect();
 
     // --- 1. preheader ---
@@ -59,7 +70,7 @@ pub fn canonicalize_loop(
         .copied()
         .filter(|p| !loop_blocks.contains(p))
         .collect();
-    let preheader = if outside_preds.len() == 1 && f.successors(outside_preds[0]) == vec![header] {
+    let preheader = if outside_preds.len() == 1 && *f.successors(outside_preds[0]) == [header] {
         outside_preds[0]
     } else {
         insert_merging_pred(f, header, &outside_preds)
@@ -114,20 +125,15 @@ pub fn canonicalize_loop(
         }
     }
 
-    // --- 4. LCSSA ---
     let mut sorted_blocks: Vec<BlockId> = loop_blocks.iter().copied().collect();
     sorted_blocks.sort();
-    let cl = CanonicalLoop {
+    CanonicalLoop {
         header,
         preheader,
         latch,
         exits,
         blocks: sorted_blocks,
-    };
-    if !rewrite_lcssa(f, &cl) {
-        return None;
     }
-    Some(cl)
 }
 
 /// Insert a new block `m` between `preds` and `target`: all edges
@@ -171,51 +177,61 @@ fn insert_merging_pred(f: &mut Function, target: BlockId, preds: &[BlockId]) -> 
     m
 }
 
+/// Outside uses of one loop definition: `(user inst, block where the use
+/// "happens", the phi incoming's label for a phi use)`, in layout order.
+type OutsideUses = Vec<(InstId, BlockId, Option<BlockId>)>;
+
 /// Rewrite the function into LCSSA form for loop `cl`. Returns `false` when
 /// an outside use cannot be assigned a unique dominating exit phi.
 fn rewrite_lcssa(f: &mut Function, cl: &CanonicalLoop) -> bool {
     let dom = DomTree::compute(f);
     let loop_set: HashSet<BlockId> = cl.blocks.iter().copied().collect();
-    // Collect values defined inside the loop.
+    // Collect values defined inside the loop, and each one's place in `defs`.
     let mut defs: Vec<(InstId, BlockId)> = Vec::new();
+    let mut def_at = vec![usize::MAX; f.num_inst_slots()];
     for &b in &cl.blocks {
         for &i in &f.block(b).insts {
             if f.inst(i).ty != Type::Void {
+                def_at[i.index()] = defs.len();
                 defs.push((i, b));
             }
         }
     }
-    let preds = f.predecessors();
-    for (def, def_block) in defs {
-        // Find outside uses: (user inst, block where the use "happens").
-        let mut outside_uses: Vec<(InstId, BlockId, Option<BlockId>)> = Vec::new();
-        for &ub in f.layout() {
-            if loop_set.contains(&ub) {
-                continue;
-            }
-            for &u in &f.block(ub).insts {
-                match &f.inst(u).kind {
-                    InstKind::Phi { incomings } => {
-                        for (p, v) in incomings {
-                            if *v == Value::Inst(def) && !loop_set.contains(p) {
-                                outside_uses.push((u, *p, Some(*p)));
-                            }
-                        }
-                    }
-                    k => {
-                        let mut used = false;
-                        k.for_each_operand(|v| {
-                            if *v == Value::Inst(def) {
-                                used = true;
-                            }
-                        });
-                        if used {
-                            outside_uses.push((u, ub, None));
+    let def_of = |v: &Value| match v {
+        Value::Inst(i) if def_at[i.index()] != usize::MAX => Some(def_at[i.index()]),
+        _ => None,
+    };
+    // Every definition's outside uses, in one scan of the layout. Rewriting
+    // one definition's uses below adds exit phis that use only that
+    // definition and moves no use to another block, so each bucket is what
+    // a scan at its definition's turn would find.
+    let mut outside_uses: Vec<OutsideUses> = vec![Vec::new(); defs.len()];
+    for &ub in f.layout() {
+        if loop_set.contains(&ub) {
+            continue;
+        }
+        for &u in &f.block(ub).insts {
+            match &f.inst(u).kind {
+                InstKind::Phi { incomings } => {
+                    for (p, v) in incomings {
+                        if let Some(d) = def_of(v).filter(|_| !loop_set.contains(p)) {
+                            outside_uses[d].push((u, *p, Some(*p)));
                         }
                     }
                 }
+                k => k.for_each_operand(|v| {
+                    if let Some(d) = def_of(v) {
+                        // One entry per user, however many operands it uses.
+                        if outside_uses[d].last().is_none_or(|&(user, _, _)| user != u) {
+                            outside_uses[d].push((u, ub, None));
+                        }
+                    }
+                }),
             }
         }
+    }
+    let preds = f.predecessors();
+    for ((def, def_block), outside_uses) in defs.into_iter().zip(outside_uses) {
         if outside_uses.is_empty() {
             continue;
         }
@@ -297,9 +313,6 @@ fn rewrite_lcssa(f: &mut Function, cl: &CanonicalLoop) -> bool {
             }
         }
     }
-    // Suppress unused-import warning path: remove_phi_incomings_from is used
-    // by sibling modules; keep the import local to the crate.
-    let _ = remove_phi_incomings_from;
     true
 }
 
@@ -366,12 +379,12 @@ mod tests {
         .expect("canonicalizable");
         uu_ir::verify_function(&f).unwrap_or_else(|e| panic!("{e}\n{f}"));
         // Preheader exists, has single successor = header.
-        assert_eq!(f.successors(cl.preheader), vec![cl.header]);
+        assert_eq!(*f.successors(cl.preheader), [cl.header]);
         // Single latch whose only successor is the header.
-        assert_eq!(f.successors(cl.latch), vec![cl.header]);
+        assert_eq!(*f.successors(cl.latch), [cl.header]);
         // Header now has exactly two preds: preheader + latch.
         let preds = f.predecessors();
-        let mut hp = preds[cl.header.index()].clone();
+        let mut hp = preds[cl.header.index()].to_vec();
         hp.sort();
         let mut expect = vec![cl.preheader, cl.latch];
         expect.sort();
@@ -504,6 +517,187 @@ mod tests {
         let l = forest.get(LoopId(0)).clone();
         let got = canonicalize_loop(&mut f, l.header, &l.blocks, &l.latches);
         assert!(got.is_none(), "ambiguous live-out must decline");
+    }
+
+    /// The reference [`rewrite_lcssa`] must agree with: one scan of the
+    /// layout per loop definition, at the definition's turn.
+    fn rewrite_lcssa_per_def(f: &mut Function, cl: &CanonicalLoop) -> bool {
+        let dom = DomTree::compute(f);
+        let loop_set: HashSet<BlockId> = cl.blocks.iter().copied().collect();
+        // Collect values defined inside the loop.
+        let mut defs: Vec<(InstId, BlockId)> = Vec::new();
+        for &b in &cl.blocks {
+            for &i in &f.block(b).insts {
+                if f.inst(i).ty != Type::Void {
+                    defs.push((i, b));
+                }
+            }
+        }
+        let preds = f.predecessors();
+        for (def, def_block) in defs {
+            // Find outside uses: (user inst, block where the use "happens").
+            let mut outside_uses: Vec<(InstId, BlockId, Option<BlockId>)> = Vec::new();
+            for &ub in f.layout() {
+                if loop_set.contains(&ub) {
+                    continue;
+                }
+                for &u in &f.block(ub).insts {
+                    match &f.inst(u).kind {
+                        InstKind::Phi { incomings } => {
+                            for (p, v) in incomings {
+                                if *v == Value::Inst(def) && !loop_set.contains(p) {
+                                    outside_uses.push((u, *p, Some(*p)));
+                                }
+                            }
+                        }
+                        k => {
+                            let mut used = false;
+                            k.for_each_operand(|v| {
+                                if *v == Value::Inst(def) {
+                                    used = true;
+                                }
+                            });
+                            if used {
+                                outside_uses.push((u, ub, None));
+                            }
+                        }
+                    }
+                }
+            }
+            if outside_uses.is_empty() {
+                continue;
+            }
+            // Insert exit phis where the def is available.
+            let ty = f.inst(def).ty;
+            let mut exit_phis: Vec<(BlockId, InstId)> = Vec::new();
+            for &x in &cl.exits {
+                let in_preds: Vec<BlockId> = preds[x.index()]
+                    .iter()
+                    .copied()
+                    .filter(|p| loop_set.contains(p))
+                    .collect();
+                if in_preds.is_empty() {
+                    continue;
+                }
+                if !in_preds.iter().all(|p| dom.dominates(def_block, *p)) {
+                    continue;
+                }
+                // Reuse an existing LCSSA phi for this def if present.
+                let existing = f.phis(x).into_iter().find(|&p| {
+                    matches!(&f.inst(p).kind, InstKind::Phi { incomings }
+                        if incomings.iter().all(|(_, v)| *v == Value::Inst(def)))
+                });
+                let phi = match existing {
+                    Some(p) => p,
+                    None => {
+                        let incomings = in_preds.iter().map(|p| (*p, Value::Inst(def))).collect();
+                        f.prepend_inst(x, Inst::new(InstKind::Phi { incomings }, ty))
+                    }
+                };
+                exit_phis.push((x, phi));
+            }
+            // Rewrite each outside use to the deepest dominating exit phi.
+            for (user, use_block, phi_pred) in outside_uses {
+                // Skip the exit phis we just created.
+                if exit_phis.iter().any(|(_, p)| *p == user) {
+                    continue;
+                }
+                let mut candidates: Vec<BlockId> = exit_phis
+                    .iter()
+                    .map(|(x, _)| *x)
+                    .filter(|x| dom.dominates(*x, use_block))
+                    .collect();
+                if candidates.is_empty() {
+                    return false;
+                }
+                // Deepest = dominated by all the others.
+                candidates.sort_by(|a, b| {
+                    if dom.dominates(*a, *b) {
+                        std::cmp::Ordering::Less
+                    } else {
+                        std::cmp::Ordering::Greater
+                    }
+                });
+                let chosen = *candidates.last().unwrap();
+                if !candidates.iter().all(|c| dom.dominates(*c, chosen)) {
+                    return false;
+                }
+                let phi = exit_phis.iter().find(|(x, _)| *x == chosen).unwrap().1;
+                match phi_pred {
+                    Some(pp) => {
+                        if let InstKind::Phi { incomings } = &mut f.inst_mut(user).kind {
+                            for (p, v) in incomings {
+                                if *p == pp && *v == Value::Inst(def) {
+                                    *v = Value::Inst(phi);
+                                }
+                            }
+                        }
+                    }
+                    None => {
+                        let mut kind = f.inst(user).kind.clone();
+                        kind.for_each_operand_mut(|v| {
+                            if *v == Value::Inst(def) {
+                                *v = Value::Inst(phi);
+                            }
+                        });
+                        f.inst_mut(user).kind = kind;
+                    }
+                }
+            }
+        }
+        true
+    }
+
+    /// Canonicalise each loop of `f`, each on its own copy, once with
+    /// [`canonicalize_loop`] and once with the reference LCSSA rewrite:
+    /// the whole functions, unlinked arena slots included, and the verdicts
+    /// must be equal. Returns how many loops the rewrite changed.
+    fn assert_lcssa_agrees(f: &Function, label: &str) -> usize {
+        let dom = DomTree::compute(f);
+        let forest = LoopForest::compute(f, &dom);
+        let mut rewritten = 0;
+        for l in forest.loops() {
+            let mut got = f.clone();
+            let cl = canonicalize_loop(&mut got, l.header, &l.blocks, &l.latches);
+            let mut want = f.clone();
+            let shape = canonical_shape(&mut want, l.header, &l.blocks, &l.latches);
+            let shaped = want.clone();
+            let ok = rewrite_lcssa_per_def(&mut want, &shape);
+            assert!(
+                got == want && cl.is_some() == ok,
+                "{label}, loop at {}: one scan and one scan per definition differ\n\
+                 one scan:\n{got}\nper definition:\n{want}",
+                l.header
+            );
+            rewritten += (want != shaped) as usize;
+        }
+        rewritten
+    }
+
+    #[test]
+    fn one_scan_lcssa_matches_the_per_definition_scan() {
+        use uu_check::{build_kernel, check, corpus::load_corpus, Config, KernelSpec};
+        let mut rewritten = 0;
+        for (name, spec) in load_corpus() {
+            rewritten += assert_lcssa_agrees(&build_kernel(&spec), &name);
+        }
+        for bench in uu_kernels::all_benchmarks() {
+            for (_, f) in (bench.build)().iter() {
+                rewritten += assert_lcssa_agrees(f, bench.info.name);
+            }
+        }
+        let generated = std::sync::atomic::AtomicUsize::new(0);
+        check(
+            "one_scan_lcssa_matches_the_per_definition_scan",
+            &Config::from_env(64),
+            |spec: &KernelSpec| {
+                let n = assert_lcssa_agrees(&build_kernel(spec), "generated kernel");
+                generated.fetch_add(n, std::sync::atomic::Ordering::Relaxed);
+                Ok(())
+            },
+        );
+        assert!(rewritten > 0, "no bundled or corpus loop had a live-out to rewrite");
+        assert!(generated.into_inner() > 0, "no generated loop had a live-out to rewrite");
     }
 
     use uu_ir::Value;

@@ -37,8 +37,10 @@ pub(crate) struct Entry {
     /// The function the stage left behind, verified before it was stored.
     pub output: Arc<Function>,
     /// The pass of every invocation of the run, in order: the opt-bisect
-    /// log a replay appends.
-    pub passes: Vec<&'static str>,
+    /// log run a replay appends, shared with every log it is replayed into.
+    pub passes: Arc<[&'static str]>,
+    /// The function's name, which the replayed log run carries.
+    pub function: Arc<str>,
     /// Work per pass, summed over the run's invocations, in the order of
     /// each pass's first invocation: what a replay charges.
     pub per_pass: Vec<(&'static str, u64)>,
@@ -105,6 +107,7 @@ pub(crate) fn insert(
     let entry = Rc::new(Entry {
         output,
         passes: trace.into_iter().map(|(pass, _)| pass).collect(),
+        function: Arc::from(input.name()),
         total: per_pass.iter().map(|(_, w)| w).sum(),
         per_pass,
     });

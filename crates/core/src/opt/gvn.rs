@@ -21,8 +21,8 @@ use super::{Pass, Substitution};
 use std::collections::HashMap;
 use uu_analysis::{AnalysisCache, DomTree};
 use uu_ir::{
-    BinOp, BlockId, CastOp, EntitySet, FCmpPred, Function, ICmpPred, InstKind, Intrinsic, Type,
-    Value,
+    BinOp, BlockId, CastOp, EntitySet, FCmpPred, Function, ICmpPred, InstKind, Intrinsic, Preds,
+    Type, Value,
 };
 
 /// The GVN / load-elimination pass.
@@ -305,7 +305,7 @@ impl Cse {
         e.gen == self.gen_of(e.root) && e.all_gen == self.all_gen
     }
 
-    fn visit(&mut self, f: &mut Function, dom: &DomTree, preds: &[Vec<BlockId>], b: BlockId) {
+    fn visit(&mut self, f: &mut Function, dom: &DomTree, preds: &Preds, b: BlockId) {
         self.traversed.insert(b);
         // Memory facts cannot flow across untraversed predecessors (loop
         // latches, out-of-order joins).
@@ -411,7 +411,7 @@ impl Cse {
         &mut self,
         f: &mut Function,
         dom: &DomTree,
-        preds: &[Vec<BlockId>],
+        preds: &Preds,
         b: BlockId,
     ) -> bool {
         let mut changed = false;

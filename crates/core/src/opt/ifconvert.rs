@@ -8,7 +8,7 @@
 //! body — branches replace `selp`, exactly the PTX difference in §V.
 
 use super::Pass;
-use uu_ir::{BlockId, Function, Inst, InstId, InstKind, Value};
+use uu_ir::{BlockId, Function, Inst, InstId, InstKind, Preds, Value};
 
 /// Maximum number of speculated instructions per side block.
 const MAX_SPECULATED: usize = 6;
@@ -68,11 +68,11 @@ fn speculatable(f: &Function, b: BlockId) -> Option<Vec<InstId>> {
     Some(body)
 }
 
-fn single_pred(_f: &Function, preds: &[Vec<BlockId>], b: BlockId, p: BlockId) -> bool {
-    preds[b.index()] == vec![p]
+fn single_pred(_f: &Function, preds: &Preds, b: BlockId, p: BlockId) -> bool {
+    preds[b.index()] == [p]
 }
 
-fn try_convert(f: &mut Function, preds: &[Vec<BlockId>], b: BlockId) -> bool {
+fn try_convert(f: &mut Function, preds: &Preds, b: BlockId) -> bool {
     let Some(t) = f.terminator(b) else {
         return false;
     };

@@ -34,7 +34,7 @@
 use super::Pass;
 use std::collections::HashMap;
 use uu_analysis::{Divergence, DomTree, LoopForest};
-use uu_ir::{BlockId, EntitySet, Function, Inst, InstId, InstKind, Value};
+use uu_ir::{BlockId, EntitySet, Function, Inst, InstId, InstKind, Preds, Value};
 
 /// Maximum number of non-terminator instructions per arm. DARM bounds
 /// region size for compile time; we bound it because the LCS table is
@@ -233,7 +233,7 @@ fn place_before_terminator(f: &mut Function, b: BlockId, id: InstId) {
 
 /// Try to meld the diamond branching at `b`, given `f`'s predecessor map.
 /// Returns whether it melded.
-fn try_meld(f: &mut Function, b: BlockId, div: &Divergence, preds: &[Vec<BlockId>]) -> bool {
+fn try_meld(f: &mut Function, b: BlockId, div: &Divergence, preds: &Preds) -> bool {
     let Some(t) = f.terminator(b) else {
         return false;
     };
@@ -256,8 +256,8 @@ fn try_meld(f: &mut Function, b: BlockId, div: &Divergence, preds: &[Vec<BlockId
         && fs.len() == 1
         && ts[0] == fs[0]
         && ts[0] != b
-        && preds[if_true.index()] == vec![b]
-        && preds[if_false.index()] == vec![b]
+        && preds[if_true.index()] == [b]
+        && preds[if_false.index()] == [b]
         && preds[ts[0].index()].len() == 2;
     if !diamond {
         return false;

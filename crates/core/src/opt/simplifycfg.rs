@@ -80,7 +80,7 @@ fn thread_empty_blocks(f: &mut Function) -> bool {
     // away moves `E`'s predecessors onto `T` and touches no other list.
     // Each list stays in layout order of the predecessors, as a recompute
     // would build it — the order `T`'s phis gain their incomings in.
-    let mut preds = f.predecessors();
+    let mut preds = f.predecessors().into_lists();
     let layout = f.layout().to_vec();
     let mut position: SecondaryMap<BlockId, usize> = SecondaryMap::new();
     for (at, &b) in layout.iter().enumerate() {
@@ -156,7 +156,7 @@ fn merge_straightline_pairs(f: &mut Function) -> bool {
     // trade `S` for `B`), so a block that could not merge before still
     // cannot: only `B` itself is worth another look, which is the block a
     // scan restarted from the top would stop at next.
-    let mut preds = f.predecessors();
+    let mut preds = f.predecessors().into_lists();
     let mut gone: EntitySet<BlockId> = EntitySet::new();
     for b in f.layout().to_vec() {
         if gone.contains(b) {

@@ -66,7 +66,7 @@ use crate::memo;
 use crate::opt::{cleanup_round, ifconvert::IfConvert, Pass, PassScope};
 use crate::recover::{
     corrupt_function, miscompile_function, panic_message, FailureReason, FaultKind, FaultPlan,
-    PassFailure, PassInvocation, Rung,
+    PassFailure, PassLog, Rung,
 };
 use crate::unmerge::UnmergeOptions;
 use crate::unroll::unroll_loop;
@@ -315,9 +315,9 @@ pub struct CompileOutcome {
     /// Which rung of the degradation ladder the compile landed on.
     pub rung: Rung,
     /// The executed pass invocations (the opt-bisect log). Skipped
-    /// invocations — past [`PipelineOptions::bisect_limit`] — are absent;
-    /// entries carry their stable index.
-    pub pass_log: Vec<PassInvocation>,
+    /// invocations — past [`PipelineOptions::bisect_limit`] — are absent,
+    /// so entry `i` is invocation `i`.
+    pub pass_log: PassLog,
     /// The final whole-module verification result, surfaced instead of
     /// panicked: `None` means the emitted module verifies. With guarding
     /// on this is always `None` — an unverifiable module degrades to
@@ -357,10 +357,8 @@ struct Ctx {
     fault: Option<FaultPlan>,
     bisect_limit: Option<u64>,
     counter: u64,
-    pass_log: Vec<PassInvocation>,
+    pass_log: PassLog,
     failures: Vec<PassFailure>,
-    /// Name of the function last logged, shared by its log entries.
-    fn_name: Arc<str>,
     /// `(pass, work)` of the invocations since a memo miss armed it.
     trace: Option<Vec<(&'static str, u64)>>,
     /// Whether this compile may consult the function memo at all. Off
@@ -392,9 +390,8 @@ impl Ctx {
             fault: opts.fault,
             bisect_limit: opts.bisect_limit,
             counter: 0,
-            pass_log: Vec::new(),
+            pass_log: PassLog::default(),
             failures: Vec::new(),
-            fn_name: Arc::from(""),
             trace: None,
             memo: opts.bisect_limit.is_none()
                 && opts.fault.is_none_or(|p| p.kind == FaultKind::Mem),
@@ -425,29 +422,14 @@ impl Ctx {
         Ok(())
     }
 
-    /// Replay a memoised run of the per-function stage over the function
-    /// named `name`: one counter step and log entry per invocation, one
-    /// clock charge per pass.
-    fn replay(&mut self, hit: &memo::Entry, name: &str) {
-        for &pass in &hit.passes {
-            self.log(self.counter, pass, name);
-            self.counter += 1;
-        }
+    /// Replay a memoised run of the per-function stage: one counter step
+    /// per invocation and one shared log run, one clock charge per pass.
+    fn replay(&mut self, hit: &memo::Entry) {
+        self.pass_log.push_shared(self.counter, &hit.function, &hit.passes);
+        self.counter += hit.passes.len() as u64;
         for &(pass, work) in &hit.per_pass {
             self.record(pass, Duration::ZERO, work);
         }
-    }
-
-    /// Append one executed invocation to the opt-bisect log.
-    fn log(&mut self, index: u64, pass: &'static str, name: &str) {
-        if *self.fn_name != *name {
-            self.fn_name = Arc::from(name);
-        }
-        self.pass_log.push(PassInvocation {
-            index,
-            pass,
-            function: Arc::clone(&self.fn_name),
-        });
     }
 
     /// Record one pass invocation: wall time for the diagnostic breakdown,
@@ -488,7 +470,7 @@ impl Ctx {
                 return false; // opt-bisect: pass skipped, no work charged
             }
         }
-        self.log(index, name, f.name());
+        self.pass_log.push(index, name, f.name());
         let fault = self.fault.filter(|p| p.at == index && p.kind != FaultKind::Mem);
         let t0 = Instant::now();
         let settled = scope.settled(name).filter(|_| fault.is_none());
@@ -850,7 +832,7 @@ fn optimize_module(m: &mut Module, ctx: &mut Ctx) {
             Ok(hit) => {
                 // The outcome is the one the real run produces; the stored
                 // body replaces the input without being copied.
-                ctx.replay(&hit, input.name());
+                ctx.replay(&hit);
                 m.set_function(id, Arc::clone(&hit.output));
                 ctx.originals[ix].get_or_insert(input);
                 ctx.dirty[ix] = false;
@@ -1381,6 +1363,48 @@ mod tests {
     }
 
     #[test]
+    fn a_memo_warm_cold_point_logs_what_a_memo_cold_one_logs() {
+        let xs = uu_kernels::all_benchmarks()
+            .into_iter()
+            .find(|b| b.info.name == "XSBench")
+            .unwrap();
+        let module = (xs.build)();
+        // The first loop of a function no kernel launch runs: a cold point.
+        let (_, cold_fn) = module
+            .iter()
+            .find(|(_, f)| {
+                !xs.info.hot_kernels.contains(&f.name())
+                    && !LoopForest::compute(f, &DomTree::compute(f)).is_empty()
+            })
+            .unwrap();
+        let opts = PipelineOptions::for_loop(
+            Transform::Uu {
+                factor: 4,
+                unmerge: UnmergeOptions::default(),
+            },
+            cold_fn.name(),
+            0,
+        );
+        let point = || compile(&mut module.clone(), &opts);
+        crate::compile_memo_clear();
+        let cold = point();
+        let warm = point();
+        let functions = module.num_functions();
+        assert_eq!(
+            crate::compile_memo_stats().0 as usize,
+            functions - 1,
+            "every untouched function was replayed"
+        );
+        assert_eq!(warm.pass_log.to_vec(), cold.pass_log.to_vec());
+        assert_eq!(warm.pass_log.len(), cold.pass_log.to_vec().len());
+        assert!(
+            warm.pass_log.num_runs() <= functions + 1,
+            "{} log runs for {functions} functions",
+            warm.pass_log.num_runs()
+        );
+    }
+
+    #[test]
     fn bisect_limit_prefixes_are_stable() {
         // Invocation i must behave identically under every limit > i: the
         // pass log under limit k is exactly the first k entries of the
@@ -1398,6 +1422,7 @@ mod tests {
                 },
             )
             .pass_log
+            .to_vec()
         };
         assert!(full.len() > 4, "expected a multi-pass pipeline");
         for k in [0usize, 1, 3, full.len() - 1] {
@@ -1414,7 +1439,7 @@ mod tests {
                 },
             );
             assert_eq!(out.verify_error, None, "limit {k}");
-            assert_eq!(&out.pass_log[..], &full[..k], "limit {k}");
+            assert_eq!(out.pass_log.to_vec(), &full[..k], "limit {k}");
         }
     }
 

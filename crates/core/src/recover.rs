@@ -25,6 +25,7 @@
 //! sweep reports stay byte-identical under `UU_JOBS=1` and `UU_JOBS=4`
 //! even while faults are being injected.
 
+use std::sync::Arc;
 use uu_ir::{BinOp, Function, ICmpPred, Inst, InstKind, Type};
 
 /// Which fault a [`FaultPlan`] injects.
@@ -225,14 +226,120 @@ pub struct PassInvocation {
     pub index: u64,
     /// Pass name.
     pub pass: &'static str,
-    /// Function processed (one allocation shared by all of the function's
-    /// entries in a compile's log).
-    pub function: std::sync::Arc<str>,
+    /// Function processed: its log run's name, shared by every entry the
+    /// run yields (see [`PassLog`]).
+    pub function: Arc<str>,
 }
 
 impl std::fmt::Display for PassInvocation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}#{}@{}", self.pass, self.index, self.function)
+    }
+}
+
+/// A compile's opt-bisect log: its executed pass invocations, in order.
+///
+/// A bisect limit cuts the invocations off and never thins them, so entry
+/// `i` is invocation `i` and the log stores no index. It holds one run per
+/// stretch of invocations over one function; a memo replay appends the
+/// memo entry's run, shared rather than copied, so replaying a function
+/// costs one push whatever its number of invocations. [`PassLog::iter`]
+/// yields the entries as [`PassInvocation`]s, and `Debug` prints the list
+/// a `Vec<PassInvocation>` of them prints.
+#[derive(Clone, Default)]
+pub struct PassLog {
+    runs: Vec<(Arc<str>, Passes)>,
+    len: usize,
+}
+
+/// The passes of one run of a [`PassLog`].
+#[derive(Clone)]
+enum Passes {
+    /// Invocations executed by this compile.
+    Own(Vec<&'static str>),
+    /// A memoised run, shared with the memo entry it was replayed from.
+    Shared(Arc<[&'static str]>),
+}
+
+impl Passes {
+    fn as_slice(&self) -> &[&'static str] {
+        match self {
+            Passes::Own(passes) => passes,
+            Passes::Shared(passes) => passes,
+        }
+    }
+}
+
+impl PassLog {
+    /// The number of logged invocations.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no invocation was logged.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The logged invocations, in order.
+    pub fn iter(&self) -> impl Iterator<Item = PassInvocation> + '_ {
+        self.runs
+            .iter()
+            .flat_map(|(function, passes)| {
+                passes.as_slice().iter().map(move |&pass| (function, pass))
+            })
+            .enumerate()
+            .map(|(index, (function, pass))| PassInvocation {
+                index: index as u64,
+                pass,
+                function: Arc::clone(function),
+            })
+    }
+
+    /// The number of runs the log holds.
+    #[cfg(test)]
+    pub(crate) fn num_runs(&self) -> usize {
+        self.runs.len()
+    }
+
+    /// The logged invocations as a list.
+    pub fn to_vec(&self) -> Vec<PassInvocation> {
+        self.iter().collect()
+    }
+
+    /// Log invocation `index` of `pass` over the function named `function`.
+    pub(crate) fn push(&mut self, index: u64, pass: &'static str, function: &str) {
+        debug_assert_eq!(index, self.len as u64, "the log is a prefix of the invocations");
+        self.len += 1;
+        match self.runs.last_mut() {
+            Some((name, Passes::Own(passes))) if **name == *function => passes.push(pass),
+            last => {
+                let name = match last {
+                    Some((name, _)) if **name == *function => Arc::clone(name),
+                    _ => Arc::from(function),
+                };
+                self.runs.push((name, Passes::Own(vec![pass])));
+            }
+        }
+    }
+
+    /// Log a memoised run over the function named `function`, starting at
+    /// invocation `index`.
+    pub(crate) fn push_shared(
+        &mut self,
+        index: u64,
+        function: &Arc<str>,
+        passes: &Arc<[&'static str]>,
+    ) {
+        debug_assert_eq!(index, self.len as u64, "the log is a prefix of the invocations");
+        self.len += passes.len();
+        self.runs.push((Arc::clone(function), Passes::Shared(Arc::clone(passes))));
+    }
+}
+
+impl std::fmt::Debug for PassLog {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 

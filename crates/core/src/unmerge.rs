@@ -308,7 +308,7 @@ struct Defs {
 impl Walk {
     fn new(f: &Function, loop_set: &EntitySet<BlockId>) -> Walk {
         let mut walk = Walk {
-            preds: f.predecessors(),
+            preds: f.predecessors().into_lists(),
             uses: SecondaryMap::new(),
             block_of: SecondaryMap::new(),
             rank: SecondaryMap::new(),

@@ -5,7 +5,7 @@
 use super::{supernodes, topo_supernodes, UnmergeMode, UnmergeOptions, UnmergeStats};
 use crate::clone::{add_phi_incomings_for_clone, clone_region, resolve_trivial_phis_in};
 use uu_analysis::LoopForest;
-use uu_ir::{BlockId, EntitySet, Function, InstKind, SecondaryMap};
+use uu_ir::{BlockId, EntitySet, Function, InstKind, Preds, SecondaryMap};
 
 /// [`super::unmerge_loop`] as it was before its per-node indexes: every
 /// clone copies and filters all of the entry's phi incomings, scans the
@@ -145,7 +145,7 @@ pub(crate) fn unmerge_loop(
 /// not "merging" predecessors. Blocks created by earlier duplications are
 /// not in `group_of` and count as ordinary in-loop predecessors.
 fn in_loop_preds(
-    preds: &[Vec<BlockId>],
+    preds: &Preds,
     node: BlockId,
     group_of: &SecondaryMap<BlockId, Option<BlockId>>,
 ) -> Vec<BlockId> {
@@ -240,7 +240,7 @@ fn repair_ssa_after_clone(
     // Value available at the end of `b` (SSA-updater walk).
     fn value_at_end(
         f: &mut Function,
-        preds: &[Vec<BlockId>],
+        preds: &Preds,
         defs: &SecondaryMap<BlockId, Option<Value>>,
         memo: &mut SecondaryMap<BlockId, Option<Value>>,
         ty: uu_ir::Type,

@@ -316,7 +316,9 @@ fn simulate(
 /// on its own simulated GPU — so a batch of them is safe to fan out across
 /// a `uu-par` pool.
 /// The reports measure through [`crate::plan::Plan`] instead, which
-/// applies the same [`settle`] policy to its stored results.
+/// applies the same per-point policy to its stored results: a trap or a
+/// hot loop's checksum mismatch degrades the point to its baseline's
+/// numbers, with the fault in [`Measurement::diag`].
 #[derive(Debug, Clone)]
 pub struct PointTask<'a> {
     /// The benchmark to compile and run.
@@ -347,7 +349,8 @@ pub struct PointTask<'a> {
 
 impl PointTask<'_> {
     /// Compile + execute this point (cold loops reuse the baseline run)
-    /// and [`settle`] the outcome.
+    /// and settle the outcome under the per-point policy (see
+    /// [`PointTask`]).
     pub fn measure(&self) -> Measurement {
         let key = Key {
             bench: self.bench,

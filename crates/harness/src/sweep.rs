@@ -224,8 +224,8 @@ fn summary(points: &Points, k: &Key<'_>) -> AppSummary {
 /// through `backend` (cache, compile daemon, both or neither): a [`view`]
 /// over a plan of the sweep's own [`keys`]. The backend changes wall time,
 /// never bytes, and so does `jobs`: every point is an isolated compile +
-/// simulate with its own noise-model seed ([`seed_for`] keys on the point,
-/// not on execution order), and every degradation decision is a pure
+/// simulate with its own noise-model seed (keyed on the point, not on
+/// execution order), and every degradation decision is a pure
 /// function of the point.
 pub fn run_sweep_backed(
     benches: &[Benchmark],

@@ -1,7 +1,7 @@
 //! Functions (kernels): instruction and block arenas plus block layout.
 
 use crate::entities::{BlockId, InstId, Value};
-use crate::inst::{Inst, InstKind};
+use crate::inst::{Inst, InstKind, Succs};
 use crate::table::EntitySet;
 use crate::types::Type;
 use std::cell::Cell;
@@ -18,6 +18,43 @@ thread_local! {
 /// per invocation. Diagnostics only: nothing observable depends on it.
 pub fn use_sweep_count() -> u64 {
     USE_SWEEPS.with(Cell::get)
+}
+
+/// The predecessor map [`Function::predecessors`] returns, in compressed
+/// rows: one list of every slot's predecessors, back to back, plus where
+/// each slot's run starts. `preds[b.index()]` is `b`'s slice in layout
+/// order; a `condbr` with both edges to `b` lists its block twice.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Preds {
+    /// `offsets[b]..offsets[b + 1]` is block slot `b`'s run in `list`.
+    offsets: Vec<u32>,
+    list: Vec<BlockId>,
+}
+
+impl Preds {
+    /// The number of block slots (linked or not) the map covers.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Whether the function has no block slots at all.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// One owned list per block slot, for a pass that edits the map as it
+    /// rewrites the CFG.
+    pub fn into_lists(self) -> Vec<Vec<BlockId>> {
+        (0..self.len()).map(|b| self[b].to_vec()).collect()
+    }
+}
+
+impl std::ops::Index<usize> for Preds {
+    type Output = [BlockId];
+
+    fn index(&self, block: usize) -> &[BlockId] {
+        &self.list[self.offsets[block] as usize..self.offsets[block + 1] as usize]
+    }
 }
 
 /// A formal parameter of a function.
@@ -225,6 +262,11 @@ impl Function {
         self.layout.len()
     }
 
+    /// Total number of block arena slots (including unlinked ones).
+    pub fn num_block_slots(&self) -> usize {
+        self.blocks.len()
+    }
+
     /// Total number of instruction arena slots (including unlinked ones).
     pub fn num_inst_slots(&self) -> usize {
         self.insts.len()
@@ -381,23 +423,40 @@ impl Function {
     }
 
     /// Successor blocks of `block` (empty if it lacks a terminator).
-    pub fn successors(&self, block: BlockId) -> Vec<BlockId> {
+    pub fn successors(&self, block: BlockId) -> Succs {
         match self.terminator(block) {
             Some(t) => self.inst(t).kind.successors(),
-            None => Vec::new(),
+            None => Succs::NONE,
         }
     }
 
     /// Predecessor map over the current layout: `preds[b.index()]` lists the
-    /// layout blocks whose terminator targets `b`. Recomputed on demand.
-    pub fn predecessors(&self) -> Vec<Vec<BlockId>> {
-        let mut preds = vec![Vec::new(); self.blocks.len()];
+    /// layout blocks whose terminator targets `b`, in layout order, once per
+    /// edge. Recomputed on demand, in two passes over the layout.
+    pub fn predecessors(&self) -> Preds {
+        // Count each slot's edges one slot up, so the prefix sums leave
+        // `offsets[b]` at the start of `b`'s list; filling then advances
+        // `offsets[b]` to its end, and one shift restores the starts.
+        let mut offsets = vec![0u32; self.blocks.len() + 1];
         for &b in &self.layout {
             for s in self.successors(b) {
-                preds[s.index()].push(b);
+                offsets[s.index() + 1] += 1;
             }
         }
-        preds
+        for ix in 1..offsets.len() {
+            offsets[ix] += offsets[ix - 1];
+        }
+        let mut list = vec![BlockId(0); *offsets.last().expect("one more than the slots") as usize];
+        for &b in &self.layout {
+            for s in self.successors(b) {
+                let at = &mut offsets[s.index()];
+                list[*at as usize] = b;
+                *at += 1;
+            }
+        }
+        offsets.copy_within(..self.blocks.len(), 1);
+        offsets[0] = 0;
+        Preds { offsets, list }
     }
 
     /// IDs of the phi instructions at the head of `block`.

@@ -551,13 +551,13 @@ impl InstKind {
     }
 
     /// Successor blocks if this is a terminator (empty otherwise).
-    pub fn successors(&self) -> Vec<BlockId> {
+    pub fn successors(&self) -> Succs {
         match self {
-            InstKind::Br { target } => vec![*target],
+            InstKind::Br { target } => Succs::one(*target),
             InstKind::CondBr {
                 if_true, if_false, ..
-            } => vec![*if_true, *if_false],
-            _ => Vec::new(),
+            } => Succs::two(*if_true, *if_false),
+            _ => Succs::NONE,
         }
     }
 
@@ -588,6 +588,62 @@ impl InstKind {
             }
             _ => {}
         }
+    }
+}
+
+/// The successors of a terminator, in operand order: none, a `br`'s
+/// target, or a `condbr`'s two targets (the same block twice when both
+/// edges go there). A `Copy` value, so a CFG query allocates nothing; it
+/// derefs to `[BlockId]` and iterates by value.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Succs {
+    /// Unused slots hold block 0, so the derived equality is the slices'.
+    targets: [BlockId; 2],
+    len: u8,
+}
+
+impl Succs {
+    /// No successors: a `ret`, a non-terminator or a block without one.
+    pub const NONE: Succs = Succs {
+        targets: [BlockId(0), BlockId(0)],
+        len: 0,
+    };
+
+    fn one(target: BlockId) -> Succs {
+        Succs {
+            targets: [target, BlockId(0)],
+            len: 1,
+        }
+    }
+
+    fn two(if_true: BlockId, if_false: BlockId) -> Succs {
+        Succs {
+            targets: [if_true, if_false],
+            len: 2,
+        }
+    }
+}
+
+impl std::ops::Deref for Succs {
+    type Target = [BlockId];
+
+    fn deref(&self) -> &[BlockId] {
+        &self.targets[..self.len as usize]
+    }
+}
+
+impl IntoIterator for Succs {
+    type Item = BlockId;
+    type IntoIter = std::iter::Take<std::array::IntoIter<BlockId, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.targets.into_iter().take(self.len as usize)
+    }
+}
+
+impl fmt::Debug for Succs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -705,9 +761,12 @@ mod tests {
             if_true: b0,
             if_false: b1,
         };
-        assert_eq!(cb.successors(), vec![b0, b1]);
+        assert_eq!(*cb.successors(), [b0, b1]);
         cb.replace_block(b1, b2);
-        assert_eq!(cb.successors(), vec![b0, b2]);
+        assert_eq!(*cb.successors(), [b0, b2]);
+        let br = InstKind::Br { target: b2 };
+        assert_eq!(br.successors().into_iter().collect::<Vec<_>>(), [b2]);
+        assert!(InstKind::Ret { value: None }.successors().is_empty());
 
         let mut phi = InstKind::Phi {
             incomings: vec![(b0, Value::Arg(0)), (b1, Value::Arg(1))],

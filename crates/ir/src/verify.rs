@@ -15,8 +15,8 @@
 //! 6. argument indices are in range.
 
 use crate::entities::{BlockId, InstId, Value};
-use crate::function::Function;
-use crate::inst::{InstKind, Intrinsic};
+use crate::function::{Function, Preds};
+use crate::inst::{InstKind, Intrinsic, Succs};
 use crate::module::Module;
 use crate::types::Type;
 use std::error::Error;
@@ -131,7 +131,7 @@ fn verify(
 
     // --- phi incomings match predecessors ---
     for &b in &layout {
-        let mut pred_set: Vec<BlockId> = preds[b.index()].clone();
+        let mut pred_set: Vec<BlockId> = preds[b.index()].to_vec();
         pred_set.sort();
         for phi in f.phis(b) {
             if let InstKind::Phi { incomings } = &f.inst(phi).kind {
@@ -325,13 +325,16 @@ struct Dominance {
     size: Vec<u32>,
 }
 
+/// The successors a DFS frame has yet to visit, taken from the back.
+type SuccsIter = <Succs as IntoIterator>::IntoIter;
+
 impl Dominance {
     const UNREACHED: u32 = u32::MAX;
 
     fn new(
         f: &Function,
         layout: &[BlockId],
-        preds: &[Vec<BlockId>],
+        preds: &Preds,
         linked: impl Fn(BlockId) -> bool,
     ) -> Self {
         let n = preds.len();
@@ -341,19 +344,19 @@ impl Dominance {
         // edges, none into the entry.
         let mut seen = vec![false; n];
         let mut post: Vec<BlockId> = Vec::with_capacity(layout.len());
-        let mut stack: Vec<(BlockId, Vec<BlockId>)> = Vec::new();
+        let mut stack: Vec<(BlockId, SuccsIter)> = Vec::new();
         for &r in layout.iter().filter(|&&b| is_root(b)) {
             if seen[r.index()] {
                 continue;
             }
             seen[r.index()] = true;
-            stack.push((r, f.successors(r)));
+            stack.push((r, f.successors(r).into_iter()));
             while let Some((b, succs)) = stack.last_mut() {
-                match succs.pop() {
+                match succs.next_back() {
                     Some(s) => {
                         if linked(s) && s != entry && !seen[s.index()] {
                             seen[s.index()] = true;
-                            let next = f.successors(s);
+                            let next = f.successors(s).into_iter();
                             stack.push((s, next));
                         }
                     }

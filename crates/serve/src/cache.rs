@@ -119,11 +119,15 @@ pub struct CachedCompile {
     pub hit: bool,
 }
 
+/// A compile artifact in memory: the metadata, plus the optimised text
+/// once a caller has parsed it (a metadata-only hit keeps no text).
+type MemCompile = (CompileMeta, Option<Arc<str>>);
+
 /// The two-layer content-addressed cache. All methods take `&self`; the
 /// cache is shared across worker threads by reference.
 pub struct CompileCache {
     dir: Option<PathBuf>,
-    mem_compile: Mutex<HashMap<Key, (CompileMeta, Arc<str>)>>,
+    mem_compile: Mutex<HashMap<Key, MemCompile>>,
     mem_run: Mutex<HashMap<Key, (CompileMeta, RunRecord)>>,
     stats: Mutex<CacheStats>,
 }
@@ -229,8 +233,9 @@ impl CompileCache {
 
         // Stored text that does not parse (possible only for a disk
         // artifact written with a matching seal) is a miss.
-        if let Some((meta, ir, mem)) = self.stored_compile(key) {
-            if !want_module || uu_ir::parse_module(&ir).map(|module| *m = module).is_ok() {
+        if let Some((meta, ir, mem)) = self.stored_compile(key, want_module) {
+            let parsed = |ir: &str| uu_ir::parse_module(ir).map(|module| *m = module).is_ok();
+            if ir.as_deref().is_none_or(parsed) {
                 self.note_compile_hit(key, &meta, ir, mem, t0);
                 return CachedCompile { key, meta, hit: true };
             }
@@ -244,7 +249,7 @@ impl CompileCache {
         self.mem_compile
             .lock()
             .unwrap()
-            .insert(key, (meta.clone(), Arc::from(ir.as_str())));
+            .insert(key, (meta.clone(), Some(Arc::from(ir.as_str()))));
         self.store(
             key,
             &Artifact::Compile {
@@ -278,23 +283,32 @@ impl CompileCache {
     ) -> Option<(Key, CompileMeta, Arc<str>)> {
         let t0 = Instant::now();
         let key = CompileCache::key_for_hash(uu_ir::fnv1a(module_text.as_bytes()), opts);
-        let (meta, ir, mem) = self.stored_compile(key)?;
+        let (meta, ir, mem) = self.stored_compile(key, true)?;
+        let ir = ir.expect("the text was asked for");
         if !mem {
             uu_ir::parse_module(&ir).ok()?;
         }
-        self.note_compile_hit(key, &meta, Arc::clone(&ir), mem, t0);
+        self.note_compile_hit(key, &meta, Some(Arc::clone(&ir)), mem, t0);
         Some((key, meta, ir))
     }
 
-    /// The compile artifact stored under `key` and whether it came from
-    /// memory (else from disk, decoded and seal-checked). Counts and
-    /// promotes nothing: the caller decides whether it is a hit.
-    fn stored_compile(&self, key: Key) -> Option<(CompileMeta, Arc<str>, bool)> {
+    /// The compile artifact stored under `key`, with its text when
+    /// `want_text`, and whether it came from memory (else from disk,
+    /// decoded and seal-checked). A memory entry without text serves only
+    /// a caller that does not want it. Counts and promotes nothing: the
+    /// caller decides whether it is a hit.
+    fn stored_compile(
+        &self,
+        key: Key,
+        want_text: bool,
+    ) -> Option<(CompileMeta, Option<Arc<str>>, bool)> {
         if let Some((meta, ir)) = self.mem_compile.lock().unwrap().get(&key) {
-            return Some((meta.clone(), Arc::clone(ir), true));
+            if ir.is_some() || !want_text {
+                return Some((meta.clone(), ir.clone().filter(|_| want_text), true));
+            }
         }
         match self.load(key)? {
-            Artifact::Compile { meta, ir } => Some((meta, ir.into(), false)),
+            Artifact::Compile { meta, ir } => Some((meta, want_text.then(|| ir.into()), false)),
             Artifact::Run { .. } => None,
         }
     }
@@ -341,8 +355,17 @@ impl CompileCache {
         f(&mut self.stats.lock().unwrap())
     }
 
-    /// Account a compile hit, promoting a disk artifact to memory.
-    fn note_compile_hit(&self, key: Key, meta: &CompileMeta, ir: Arc<str>, mem: bool, t0: Instant) {
+    /// Account a compile hit, promoting a disk artifact to memory: its
+    /// metadata, and its text `ir` when the caller parsed it. A
+    /// metadata-only caller reads no text, and text in memory must parse.
+    fn note_compile_hit(
+        &self,
+        key: Key,
+        meta: &CompileMeta,
+        ir: Option<Arc<str>>,
+        mem: bool,
+        t0: Instant,
+    ) {
         if !mem {
             self.mem_compile
                 .lock()
@@ -572,6 +595,32 @@ bb6:
         assert_eq!(&*ir, m.to_string());
         let st = cache.stats();
         assert_eq!((st.compile_disk_hits, st.compile_mem_hits, st.compile_misses), (1, 1, 1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn metadata_only_disk_hits_promote_no_text() {
+        let dir = std::env::temp_dir().join(format!("uu-cache-metaonly-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let first = CompileCache::at_dir(&dir).unwrap().compile(&mut module(), &opts(), true);
+        let key = CompileCache::compile_key(&module(), &opts());
+        let cache = CompileCache::at_dir(&dir).unwrap();
+        let text_in_memory = || cache.mem_compile.lock().unwrap()[&key].1.clone();
+        // The first metadata-only hit comes from disk, the second from
+        // memory, and neither leaves the text there.
+        for _ in 0..2 {
+            let r = cache.compile(&mut module(), &opts(), false);
+            assert!(r.hit && r.meta == first.meta);
+            assert_eq!(text_in_memory(), None, "no text was promoted");
+        }
+        // A module caller reads the text from disk and parses it, so it is
+        // promoted, and a daemon probe is then served from memory.
+        let mut m = module();
+        assert!(cache.compile(&mut m, &opts(), true).hit);
+        assert_eq!(text_in_memory().as_deref(), Some(m.to_string().as_str()));
+        assert!(cache.lookup_compile(&module().to_string(), &opts()).is_some());
+        let st = cache.stats();
+        assert_eq!((st.compile_disk_hits, st.compile_mem_hits), (2, 2));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

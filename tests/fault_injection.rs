@@ -215,7 +215,7 @@ fn every_invocation_index_stays_addressable() {
         };
         uu_core::compile_memo_clear();
         let (elided, _) = uu_core::pass_elision_stats();
-        let log = run(None, None).1.pass_log;
+        let log = run(None, None).1.pass_log.to_vec();
         assert!(
             uu_core::pass_elision_stats().0 > elided,
             "{label}: the clean compile elided nothing, so no elided index is tested"
@@ -224,14 +224,14 @@ fn every_invocation_index_stays_addressable() {
         for (i, inv) in (0u64..).zip(&log) {
             let cut = Some(i + 1);
             let (prefix, out) = run(None, cut);
-            assert_eq!(out.pass_log, log[..=i as usize], "{label}: limit {}", i + 1);
+            assert_eq!(out.pass_log.to_vec(), log[..=i as usize], "{label}: limit {}", i + 1);
 
             let (_, out) = run(Some((FaultKind::Panic, i)), cut);
             let failed: Vec<_> = out.failures.iter().map(|f| (f.index, f.pass)).collect();
             assert_eq!(failed, [(i, inv.pass)], "{label}: panic@{i}");
 
             let (got, out) = run(Some((FaultKind::Miscompile, i)), cut);
-            assert_eq!(out.pass_log, log[..=i as usize], "{label}: miscompile@{i}");
+            assert_eq!(out.pass_log.to_vec(), log[..=i as usize], "{label}: miscompile@{i}");
             let mut want = prefix;
             let (victim, _) = want.iter().find(|(_, f)| *f.name() == *inv.function).unwrap();
             mutated += miscompile_function(want.function_mut(victim), i) as usize;
