@@ -88,6 +88,22 @@ done
 echo "== build (release, offline, deny warnings) =="
 RUSTFLAGS="${RUSTFLAGS:-} -Dwarnings" cargo build --release --offline --all-targets
 
+echo "== lint: the docs name only commands that exist =="
+# Every uu-harness command word README.md and DESIGN.md name, as
+# `uu-harness <word>`, `uu-harness -- <word>` or the per-experiment
+# index's `-- <word>`, is one the usage line of `uu-harness --help` lists.
+# It needs the binary, so it runs after the build.
+commands=$(./target/release/uu-harness --help \
+  | sed -n 's/^usage: uu-harness \[\([^]]*\)\].*/\1/p' | tr '|' '\n')
+[ -n "$commands" ] || { echo "no command list in uu-harness --help" >&2; exit 1; }
+stale=0
+while IFS=: read -r doc line named; do
+  word=$(grep -oE '[a-z][a-z0-9]*`?$' <<< "$named" | tr -d '`')
+  grep -qx "$word" <<< "$commands" \
+    || { echo "$doc:$line: '$word' is no command in uu-harness --help" >&2; stale=1; }
+done < <(grep -noE 'uu-harness (-- )?[a-z][a-z0-9]*|`-- [a-z][a-z0-9]*`' README.md DESIGN.md)
+[ "$stale" -eq 0 ]
+
 echo "== test =="
 cargo test -q --offline
 
@@ -209,8 +225,8 @@ cargo test -q --offline --release -p uu-core --test behaviour_fingerprint
 # every hot loop: GVN and instsimplify (batched use rewriting), SCCP
 # (incremental phi meets) and condprop (phi incomings by label) at each
 # cleanup stage under uu2, uu4, uu8 and uu8+meld, and unmerging (per-node
-# indexes) at factors 1-8 in every mode, with and without the block cap
-# stopping it (the debug run above stops at uu4).
+# indexes) at factors 1-8 in both cascade modes, with and without the
+# block cap stopping it (the debug run above stops at uu4).
 cargo test -q --offline --release -p uu-core --lib rewrite_equivalence > /dev/null
 
 echo "== uniformity over the whole hot-point matrix (release) =="

@@ -2,42 +2,40 @@
 //!
 //! For each loop, estimate the post-transform size with
 //! `f(p, s, u) = Σ_{i=0}^{u-1} p^i · s` (paths `p`, size `s`, factor `u`)
-//! and transform with the **largest** `u ≤ u_max` satisfying
-//! `f(p, s, u) < c`. Nests are visited innermost first; an outer loop is
-//! only transformed when no loop nested inside it was. Loops with explicit
-//! unroll pragmas or convergent operations are skipped. The optional
+//! and transform with the **largest** `u ≤` [`U_MAX`] satisfying
+//! `f(p, s, u) < c`, unmerging with the default [`UnmergeOptions`]. Nests
+//! are visited innermost first; an outer loop is only transformed when no
+//! loop nested inside it was. Loops with explicit unroll pragmas or
+//! convergent operations are skipped. The optional
 //! *divergence guard* (the paper's proposed future work, §V) additionally
 //! skips loops with thread-dependent branches.
 
 use crate::unmerge::UnmergeOptions;
-use crate::uu::{uu_loop, UuOptions};
+use crate::uu::uu_loop;
 use uu_analysis::{
     convergence, cost, count_loop_paths, loop_has_divergent_branch, uu_size_estimate, Divergence,
     DomTree, LoopForest, LoopId,
 };
 use uu_ir::{BlockId, Function};
 
-/// Heuristic parameters. The paper's evaluation uses `c = 1024`,
+/// The largest unroll factor the heuristic considers, the paper's
 /// `u_max = 8`.
+pub const U_MAX: u32 = 8;
+
+/// Heuristic parameters. The paper's evaluation uses `c = 1024`.
 #[derive(Debug, Clone, Copy)]
 pub struct HeuristicOptions {
     /// Upper bound on the estimated post-transform loop size.
     pub c: u64,
-    /// Maximum unroll factor considered.
-    pub u_max: u32,
     /// Skip loops whose branches depend on the thread id (§V extension).
     pub divergence_guard: bool,
-    /// Unmerge options forwarded to the transform.
-    pub unmerge: UnmergeOptions,
 }
 
 impl Default for HeuristicOptions {
     fn default() -> Self {
         HeuristicOptions {
             c: 1024,
-            u_max: 8,
             divergence_guard: false,
-            unmerge: UnmergeOptions::default(),
         }
     }
 }
@@ -122,22 +120,14 @@ pub fn run_heuristic(f: &mut Function, opts: &HeuristicOptions) -> Vec<LoopDecis
                 continue;
             }
         }
-        // Largest factor u in [2, u_max] with f(p, s, u) < c.
-        let factor = (2..=opts.u_max)
+        // Largest factor u in [2, U_MAX] with f(p, s, u) < c.
+        let factor = (2..=U_MAX)
             .rev()
             .find(|&u| uu_size_estimate(paths, size, u) < opts.c);
         match factor {
             None => decisions.push(record(Decision::TooLarge)),
             Some(u) => {
-                let out = uu_loop(
-                    f,
-                    l.header,
-                    &UuOptions {
-                        factor: u,
-                        unmerge: opts.unmerge,
-                        ..Default::default()
-                    },
-                );
+                let out = uu_loop(f, l.header, u, UnmergeOptions::default());
                 if out.applied {
                     transformed.push(l.header);
                     decisions.push(record(Decision::Applied(u)));

@@ -11,7 +11,7 @@
 //! * [`uu`] — the combined transformation, with the paper's loop-nest
 //!   policy;
 //! * [`heuristic`] — the size heuristic `f(p, s, u) = Σ p^i·s < c` with
-//!   `u_max`, pragma/convergence skipping and the optional divergence guard;
+//!   `u ≤ 8`, pragma/convergence skipping and the optional divergence guard;
 //! * [`opt`] — the *subsequent optimizations* that u&u enables: SCCP, GVN
 //!   with alias-aware load elimination, branch-condition propagation,
 //!   if-conversion (the baseline's predication), CFG simplification and DCE
@@ -24,7 +24,7 @@
 //!
 //! ```
 //! use uu_ir::{Function, FunctionBuilder, ICmpPred, Param, Type, Value};
-//! use uu_core::uu::{uu_loop, UuOptions};
+//! use uu_core::{uu_loop, UnmergeOptions};
 //!
 //! // while (i < n) { if (c) x = i + 10; i += x }
 //! let mut f = Function::new(
@@ -57,7 +57,7 @@
 //! b.switch_to(exit);
 //! b.ret(Some(i));
 //!
-//! let out = uu_loop(&mut f, h, &UuOptions { factor: 2, ..Default::default() });
+//! let out = uu_loop(&mut f, h, 2, UnmergeOptions::default());
 //! assert!(out.applied);
 //! uu_ir::verify_function(&f).unwrap();
 //! ```
@@ -93,4 +93,4 @@ pub use recover::{
     Rung,
 };
 pub use unmerge::{UnmergeMode, UnmergeOptions};
-pub use uu::{uu_loop, UuOptions};
+pub use uu::uu_loop;

@@ -8,8 +8,8 @@
 //! the pipeline and must leave equal functions (arena included), the same
 //! reported change bit and the same exact change bit. Unmerging with its
 //! per-node indexes must leave what its reference leaves, on the same
-//! loops, at factors 1 to 8, in every mode, with and without the block cap
-//! stopping it.
+//! loops, at factors 1 to 8, in both cascade modes, with and without the
+//! block cap stopping it.
 //!
 //! The factor-8 points take minutes in an unoptimised build, which checks
 //! up to factor 4; `cargo test --release -p uu-core --lib
@@ -18,7 +18,7 @@
 use super::{cleanup_round, condprop, gvn, ifconvert::IfConvert, instsimplify, sccp, Pass};
 use crate::baseline_unroll::baseline_unroll;
 use crate::opt::meld::meld_loop;
-use crate::{uu_loop, UuOptions};
+use crate::{uu_loop, UnmergeOptions};
 use uu_analysis::{DomTree, LoopForest};
 use uu_ir::Function;
 use uu_kernels::all_benchmarks;
@@ -90,11 +90,7 @@ fn batched_rewrites_match_the_per_replacement_references_on_hot_loops() {
                 }
                 let point = format!("{point} uu{factor}{}", if meld { "+meld" } else { "" });
                 let mut g = f.clone();
-                let opts = UuOptions {
-                    factor,
-                    ..Default::default()
-                };
-                uu_loop(&mut g, header, &opts);
+                uu_loop(&mut g, header, factor, UnmergeOptions::default());
                 if meld {
                     meld_loop(&mut g, header);
                 }
@@ -132,10 +128,11 @@ fn hot_loops() -> Vec<(String, Function, uu_ir::BlockId)> {
 
 /// Unmerging with per-node indexes leaves what the reference leaves —
 /// every arena slot, and the same statistics — on every hot loop, at every
-/// factor and in every mode, also when the block cap stops it halfway.
+/// factor and in both cascade modes, also when the block cap stops it
+/// halfway.
 #[test]
 fn unmerge_matches_its_reference_on_hot_loops() {
-    use crate::unmerge::{reference, unmerge_loop, UnmergeMode, UnmergeOptions};
+    use crate::unmerge::{reference, unmerge_loop, UnmergeMode};
     use crate::uu::uu_loop_with;
     let factors: &[u32] = if cfg!(debug_assertions) {
         &[1, 2, 4]
@@ -145,27 +142,20 @@ fn unmerge_matches_its_reference_on_hot_loops() {
     let (mut points, mut stopped) = (0, 0);
     for (point, f, header) in hot_loops() {
         for &factor in factors {
-            for mode in [
-                UnmergeMode::WholePath,
-                UnmergeMode::DirectSuccessor,
-                UnmergeMode::Selective,
-            ] {
-                let mut opts = UuOptions {
-                    factor,
-                    unmerge: UnmergeOptions {
-                        mode,
-                        ..Default::default()
-                    },
+            for mode in [UnmergeMode::WholePath, UnmergeMode::DirectSuccessor] {
+                let mut opts = UnmergeOptions {
+                    mode,
                     ..Default::default()
                 };
-                let mut caps = vec![opts.unmerge.max_blocks];
+                let mut caps = vec![opts.max_blocks];
                 let mut i = 0;
                 while i < caps.len() {
-                    opts.unmerge.max_blocks = caps[i];
+                    opts.max_blocks = caps[i];
                     let mut expected = f.clone();
-                    let want = uu_loop_with(&mut expected, header, &opts, reference::unmerge_loop);
+                    let want =
+                        uu_loop_with(&mut expected, header, factor, opts, reference::unmerge_loop);
                     let mut g = f.clone();
-                    let got = uu_loop_with(&mut g, header, &opts, unmerge_loop);
+                    let got = uu_loop_with(&mut g, header, factor, opts, unmerge_loop);
                     let at = format!("{point} uu{factor} {mode:?} max_blocks {}", caps[i]);
                     assert!(g == expected, "{at}: unmerge differs from its reference");
                     assert_eq!(got.unmerge, want.unmerge, "{at}");
@@ -206,14 +196,11 @@ fn references_agree_on_generated_kernels_after_uu4() {
         |spec: &KernelSpec| {
             let kernel = build_kernel(spec);
             let header = kernel.layout()[1];
-            let opts = UuOptions {
-                factor: 4,
-                ..Default::default()
-            };
+            let opts = UnmergeOptions::default();
             let mut expected = kernel.clone();
-            let want = uu_loop_with(&mut expected, header, &opts, reference::unmerge_loop);
+            let want = uu_loop_with(&mut expected, header, 4, opts, reference::unmerge_loop);
             let mut g = kernel.clone();
-            let got = uu_loop_with(&mut g, header, &opts, unmerge_loop);
+            let got = uu_loop_with(&mut g, header, 4, opts, unmerge_loop);
             if g != expected || got.unmerge != want.unmerge {
                 return Err("unmerge differs from its reference".into());
             }

@@ -70,7 +70,7 @@ use crate::recover::{
 };
 use crate::unmerge::UnmergeOptions;
 use crate::unroll::unroll_loop;
-use crate::uu::{uu_loop, UuOptions};
+use crate::uu::uu_loop;
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -727,16 +727,7 @@ fn apply_transform(
             move |f: &mut Function| {
                 let mut changed = false;
                 for &h in headers {
-                    changed |= uu_loop(
-                        f,
-                        h,
-                        &UuOptions {
-                            factor,
-                            unmerge,
-                            ..Default::default()
-                        },
-                    )
-                    .applied;
+                    changed |= uu_loop(f, h, factor, unmerge).applied;
                 }
                 changed
             }

@@ -36,12 +36,6 @@ pub enum UnmergeMode {
     /// DBDS-style: duplicate each originally-merging block once; merges
     /// created downstream by the duplication itself are left alone.
     DirectSuccessor,
-    /// *Partial unmerging* (the paper's §VI future work): duplicate only
-    /// merges that carry phis — the provenance-bearing ones whose
-    /// duplication can enable downstream optimization — and cascade from
-    /// there; phi-free forwarding merges are left alone, containing code
-    /// growth.
-    Selective,
 }
 
 /// Tuning knobs for [`unmerge_loop`].
@@ -131,13 +125,6 @@ pub fn unmerge_loop(
             walk.upstream.insert(g);
         }
         if options.mode == UnmergeMode::DirectSuccessor && !original_merges.contains(node) {
-            continue;
-        }
-        if options.mode == UnmergeMode::Selective
-            && original_merges.contains(node)
-            && f.phis(node).is_empty()
-        {
-            // A merge with no phis carries no value provenance to recover.
             continue;
         }
         let mut incoming: Vec<BlockId> = in_loop_preds(&walk.preds, node, &group_of);
@@ -1075,15 +1062,17 @@ mod tests {
         uu_ir::verify_function(&f).unwrap();
         let header = LF::compute(&f, &DT::compute(&f)).loops()[0].header;
         for factor in [1, 2] {
-            let opts = crate::UuOptions {
-                factor,
-                ..Default::default()
-            };
+            let opts = UnmergeOptions::default();
             let mut expected = f.clone();
-            let want =
-                crate::uu::uu_loop_with(&mut expected, header, &opts, reference::unmerge_loop);
+            let want = crate::uu::uu_loop_with(
+                &mut expected,
+                header,
+                factor,
+                opts,
+                reference::unmerge_loop,
+            );
             let mut g = f.clone();
-            let got = crate::uu::uu_loop_with(&mut g, header, &opts, unmerge_loop);
+            let got = crate::uu::uu_loop_with(&mut g, header, factor, opts, unmerge_loop);
             uu_ir::verify_function(&g).unwrap_or_else(|e| panic!("uu{factor}: {e}\n{g}"));
             assert!(
                 g == expected,

@@ -62,13 +62,6 @@ pub(crate) fn unmerge_loop(
         if options.mode == UnmergeMode::DirectSuccessor && !original_merges.contains(node) {
             continue;
         }
-        if options.mode == UnmergeMode::Selective
-            && original_merges.contains(node)
-            && f.phis(node).is_empty()
-        {
-            // A merge with no phis carries no value provenance to recover.
-            continue;
-        }
         let preds = f.predecessors();
         let mut incoming: Vec<BlockId> = in_loop_preds(&preds, node, &group_of);
         if options.mode == UnmergeMode::DirectSuccessor {

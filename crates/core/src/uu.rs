@@ -7,44 +7,13 @@
 //! way (Figure 4 / Figure 5 of the paper).
 //!
 //! Loop-nest policy (paper §III-C): when applied to an outer loop, inner
-//! loops are *unmerged but not unrolled* by default; they are duplicated
-//! wholesale when they sit on an unmerged path. Setting
-//! [`UuOptions::unroll_nested_inner`] unrolls them too (the paper's
-//! configuration option).
+//! loops are *unmerged but never unrolled*; they are duplicated wholesale
+//! when they sit on an unmerged path.
 
 use crate::unmerge::{unmerge_loop, UnmergeOptions, UnmergeStats};
 use crate::unroll::unroll_loop;
 use uu_analysis::{convergence, DomTree, LoopForest, LoopId};
 use uu_ir::{BlockId, Function, LoopPragma};
-
-/// Options for one u&u application.
-#[derive(Debug, Clone, Copy)]
-pub struct UuOptions {
-    /// Unroll factor; `1` means unmerge-only (the paper's *unmerge*
-    /// configuration).
-    pub factor: u32,
-    /// Unmerge cascade options.
-    pub unmerge: UnmergeOptions,
-    /// Unroll inner loops of a nest too (off by default, as in the paper).
-    pub unroll_nested_inner: bool,
-    /// *Runtime-unrolled u&u* (the paper's §VI future work): when the loop
-    /// is a recognizable affine loop, use runtime unrolling (checkless main
-    /// loop + epilogue) instead of while-style unrolling before unmerging,
-    /// so the transformed loop keeps one exit check per `factor`
-    /// iterations. Falls back to while-style unrolling otherwise.
-    pub runtime_main: bool,
-}
-
-impl Default for UuOptions {
-    fn default() -> Self {
-        UuOptions {
-            factor: 2,
-            unmerge: UnmergeOptions::default(),
-            unroll_nested_inner: false,
-            runtime_main: false,
-        }
-    }
-}
 
 /// What one u&u application did.
 #[derive(Debug, Clone, Copy, Default)]
@@ -58,7 +27,9 @@ pub struct UuOutcome {
     pub unmerge: UnmergeStats,
 }
 
-/// Apply u&u to the loop headed at `header`.
+/// Apply u&u to the loop headed at `header`: unroll by `factor` (`1`
+/// means unmerge-only, the paper's *unmerge* configuration), then unmerge
+/// with `unmerge`.
 ///
 /// Returns a default (non-applied) outcome when the loop does not exist,
 /// contains convergent operations, or cannot be canonicalized. On success
@@ -66,8 +37,13 @@ pub struct UuOutcome {
 /// leaves the transformed loop alone — reproducing the paper's observed
 /// interaction on *coordinates* (including our pass inhibits LLVM's own
 /// unrolling of the loop).
-pub fn uu_loop(f: &mut Function, header: BlockId, opts: &UuOptions) -> UuOutcome {
-    uu_loop_with(f, header, opts, unmerge_loop)
+pub fn uu_loop(
+    f: &mut Function,
+    header: BlockId,
+    factor: u32,
+    unmerge: UnmergeOptions,
+) -> UuOutcome {
+    uu_loop_with(f, header, factor, unmerge, unmerge_loop)
 }
 
 /// The signature of [`unmerge_loop`].
@@ -80,7 +56,8 @@ pub(crate) type UnmergeFn =
 pub(crate) fn uu_loop_with(
     f: &mut Function,
     header: BlockId,
-    opts: &UuOptions,
+    factor: u32,
+    unmerge: UnmergeOptions,
     unmerge_loop: UnmergeFn,
 ) -> UuOutcome {
     let mut outcome = UuOutcome::default();
@@ -93,7 +70,7 @@ pub(crate) fn uu_loop_with(
         return outcome;
     }
 
-    // 1. Handle descendants innermost-first: unmerge (and optionally unroll).
+    // 1. Unmerge descendants innermost-first.
     let mut inner_headers: Vec<(BlockId, u32)> = forest
         .loops()
         .iter()
@@ -112,38 +89,18 @@ pub(crate) fn uu_loop_with(
         if convergence::loop_has_convergent(f, &forest, ilid) {
             continue;
         }
-        let il = forest.get(ilid).clone();
-        if opts.unroll_nested_inner && opts.factor >= 2
-            && unroll_loop(f, il.header, &il.blocks, &il.latches, opts.factor).is_some() {
-                outcome.unrolled = true;
-            }
-        let dom = DomTree::compute(f);
-        let forest = LoopForest::compute(f, &dom);
-        if let Some(ilid) = find_loop(&forest, ih) {
-            let il = forest.get(ilid).clone();
-            let st = unmerge_loop(f, &forest, il.header, &il.blocks, opts.unmerge);
-            merge_stats(&mut outcome.unmerge, st);
-        }
+        let il = forest.get(ilid);
+        let st = unmerge_loop(f, &forest, il.header, &il.blocks, unmerge);
+        merge_stats(&mut outcome.unmerge, st);
     }
 
-    // 2. Unroll the target loop (runtime-unrolled when requested and the
-    // loop shape allows; while-style otherwise).
-    if opts.factor >= 2 {
+    // 2. Unroll the target loop.
+    if factor >= 2 {
         let dom = DomTree::compute(f);
         let forest = LoopForest::compute(f, &dom);
         if let Some(lid) = find_loop(&forest, header) {
-            let l = forest.get(lid).clone();
-            let mut done = false;
-            if opts.runtime_main {
-                done = crate::runtime_unroll::runtime_unroll(
-                    f, l.header, &l.blocks, &l.latches, opts.factor,
-                );
-            }
-            if done {
-                outcome.unrolled = true;
-            } else if unroll_loop(f, l.header, &l.blocks, &l.latches, opts.factor).is_some() {
-                outcome.unrolled = true;
-            }
+            let l = forest.get(lid);
+            outcome.unrolled = unroll_loop(f, l.header, &l.blocks, &l.latches, factor).is_some();
         }
     }
 
@@ -151,8 +108,8 @@ pub(crate) fn uu_loop_with(
     let dom = DomTree::compute(f);
     let forest = LoopForest::compute(f, &dom);
     if let Some(lid) = find_loop(&forest, header) {
-        let l = forest.get(lid).clone();
-        let st = unmerge_loop(f, &forest, l.header, &l.blocks, opts.unmerge);
+        let l = forest.get(lid);
+        let st = unmerge_loop(f, &forest, l.header, &l.blocks, unmerge);
         merge_stats(&mut outcome.unmerge, st);
     }
 
@@ -247,7 +204,7 @@ mod tests {
         let (mut f, h) = bezier_like();
         uu_ir::verify_function(&f).unwrap();
         let before = f.num_blocks();
-        let out = uu_loop(&mut f, h, &UuOptions::default());
+        let out = uu_loop(&mut f, h, 2, UnmergeOptions::default());
         uu_ir::verify_function(&f).unwrap_or_else(|e| panic!("{e}\n{f}"));
         assert!(out.applied);
         assert!(out.unrolled);
@@ -260,14 +217,7 @@ mod tests {
     #[test]
     fn factor1_is_unmerge_only() {
         let (mut f, h) = bezier_like();
-        let out = uu_loop(
-            &mut f,
-            h,
-            &UuOptions {
-                factor: 1,
-                ..Default::default()
-            },
-        );
+        let out = uu_loop(&mut f, h, 1, UnmergeOptions::default());
         uu_ir::verify_function(&f).unwrap_or_else(|e| panic!("{e}\n{f}"));
         assert!(out.applied);
         assert!(!out.unrolled);
@@ -280,12 +230,9 @@ mod tests {
         uu_loop(
             &mut f,
             h,
-            &UuOptions {
-                factor: 2,
-                unmerge: UnmergeOptions {
-                    mode: UnmergeMode::WholePath,
-                    ..Default::default()
-                },
+            2,
+            UnmergeOptions {
+                mode: UnmergeMode::WholePath,
                 ..Default::default()
             },
         );
@@ -330,62 +277,12 @@ mod tests {
         b.br(h);
         b.switch_to(exit);
         b.ret(None);
-        let out = uu_loop(&mut f, h, &UuOptions::default());
+        let out = uu_loop(&mut f, h, 2, UnmergeOptions::default());
         assert!(!out.applied);
         assert_eq!(f.loop_pragma(h), None);
     }
 
-    /// Runtime-unrolled u&u (future-work extension): the affine loop gets a
-    /// checkless main body that is then unmerged.
-    #[test]
-    fn runtime_main_uses_checkless_unroll() {
-        let (mut f, h) = bezier_like();
-        let out = uu_loop(
-            &mut f,
-            h,
-            &UuOptions {
-                factor: 4,
-                runtime_main: true,
-                ..Default::default()
-            },
-        );
-        uu_ir::verify_function(&f).unwrap_or_else(|e| panic!("{e}\n{f}"));
-        assert!(out.applied);
-        assert!(out.unrolled);
-        // Two loops now exist: the unmerged main and the epilogue.
-        let dom = DomTree::compute(&f);
-        let forest = LoopForest::compute(&f, &dom);
-        assert_eq!(forest.len(), 2, "{f}");
-    }
-
-    /// Selective unmerging skips phi-free merges, keeping duplication lower
-    /// than whole-path mode.
-    #[test]
-    fn selective_unmerge_contains_duplication() {
-        let run = |mode| {
-            let (mut f, h) = bezier_like();
-            let o = uu_loop(
-                &mut f,
-                h,
-                &UuOptions {
-                    factor: 2,
-                    unmerge: UnmergeOptions {
-                        mode,
-                        ..Default::default()
-                    },
-                    ..Default::default()
-                },
-            );
-            uu_ir::verify_function(&f).unwrap_or_else(|e| panic!("{e}\n{f}"));
-            o.unmerge.blocks_cloned
-        };
-        let whole = run(UnmergeMode::WholePath);
-        let selective = run(UnmergeMode::Selective);
-        assert!(selective <= whole, "selective {selective} vs whole {whole}");
-        assert!(selective > 0, "phi-bearing merges must still duplicate");
-    }
-
-    /// Nested loops: the inner loop is unmerged but NOT unrolled by default.
+    /// Nested loops: the inner loop is unmerged but never unrolled.
     #[test]
     fn nest_policy_unmerges_inner_without_unrolling() {
         let mut f = uu_ir::Function::new(
@@ -426,7 +323,7 @@ mod tests {
         b.switch_to(exit);
         b.ret(None);
         uu_ir::verify_function(&f).unwrap();
-        let out = uu_loop(&mut f, oh, &UuOptions::default());
+        let out = uu_loop(&mut f, oh, 2, UnmergeOptions::default());
         uu_ir::verify_function(&f).unwrap_or_else(|e| panic!("{e}\n{f}"));
         assert!(out.applied);
         // The outer loop was unrolled: it now has two inner-loop headers

@@ -19,7 +19,7 @@ use uu_core::opt::{
     condprop::CondProp, dce::Dce, gvn::Gvn, ifconvert::IfConvert, instsimplify::InstSimplify,
     meld::Meld, sccp::Sccp, simplifycfg::SimplifyCfg, Pass,
 };
-use uu_core::{meld_function, uu_loop, UuOptions};
+use uu_core::{meld_function, uu_loop, UnmergeOptions};
 use uu_ir::{CastOp, Function, FunctionBuilder, ICmpPred, Param, Type, Value};
 
 /// The standard subject: a loop with a two-condition body (4 paths).
@@ -88,14 +88,7 @@ fn subject() -> Function {
 fn transformed() -> Function {
     let mut f = subject();
     let h = f.layout()[1];
-    uu_loop(
-        &mut f,
-        h,
-        &UuOptions {
-            factor: 2,
-            ..Default::default()
-        },
-    );
+    uu_loop(&mut f, h, 2, UnmergeOptions::default());
     f
 }
 
@@ -234,14 +227,7 @@ fn golden_unmerge_supernode() {
     uu_ir::verify_function(&f).unwrap();
     let h = f.layout()[1];
     let blocks = f.num_blocks();
-    let out = uu_loop(
-        &mut f,
-        h,
-        &UuOptions {
-            factor: 1,
-            ..Default::default()
-        },
-    );
+    let out = uu_loop(&mut f, h, 1, UnmergeOptions::default());
     uu_ir::verify_function(&f).unwrap_or_else(|e| panic!("{e}\n{f}"));
     // The inner latch once inside the inner loop, then the whole inner loop
     // (five blocks by then) once for the diamond's second arm, and the

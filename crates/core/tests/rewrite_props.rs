@@ -5,7 +5,7 @@
 
 use uu_check::{build_kernel, check, Config, KernelSpec};
 use uu_core::clone::resolve_trivial_phis_in;
-use uu_core::{uu_loop, UuOptions};
+use uu_core::{uu_loop, UnmergeOptions};
 use uu_ir::{BlockId, Function, FunctionBuilder, InstKind, Param, Type, Value};
 
 /// One `replace_all_uses` per single-incoming phi, in `blocks` order.
@@ -158,11 +158,7 @@ fn batched_and_one_at_a_time_agree_on_generated_kernels_after_uu4() {
             let kernel = build_kernel(spec);
             let mut transformed = kernel.clone();
             let header = transformed.layout()[1];
-            let opts = UuOptions {
-                factor: 4,
-                ..Default::default()
-            };
-            uu_loop(&mut transformed, header, &opts);
+            uu_loop(&mut transformed, header, 4, UnmergeOptions::default());
             for f in [kernel, transformed] {
                 for last in [false, true] {
                     let mut f = f.clone();

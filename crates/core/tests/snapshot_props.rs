@@ -15,7 +15,7 @@ use uu_core::opt::{
     condprop::CondProp, dce::Dce, gvn::Gvn, ifconvert::IfConvert, instsimplify::InstSimplify,
     sccp::Sccp, simplifycfg::SimplifyCfg, Pass,
 };
-use uu_core::{meld_function, uu_loop, UuOptions};
+use uu_core::{meld_function, uu_loop, UnmergeOptions};
 use uu_ir::{BinOp, Function, FunctionBuilder, Inst, InstKind, LoopPragma, Type, Value};
 
 /// Run every cleanup pass over a snapshot-armed copy of the kernel and roll
@@ -171,7 +171,7 @@ fn guarded_steps() -> Vec<(&'static str, Box<dyn FnMut(&mut Function)>)> {
                 let headers: Vec<_> =
                     LoopForest::compute(f, &dom).loops().iter().map(|l| l.header).collect();
                 for h in headers {
-                    uu_loop(f, h, &UuOptions { factor: 2, ..Default::default() });
+                    uu_loop(f, h, 2, UnmergeOptions::default());
                 }
             }),
         ),

@@ -1,9 +1,9 @@
 //! Regeneration of the paper's Table I and Figures 6–8 from a [`Sweep`].
 
-use crate::experiment::LoopRef;
+use crate::experiment::{sweep_configs, LoopRef};
 use crate::report::{ascii_table, bar, write_csv, write_text};
 use crate::stats::{geomean, noisy_runs, rsd_pct};
-use crate::sweep::Sweep;
+use crate::sweep::{LoopPoint, Sweep};
 use std::io;
 use std::path::Path;
 
@@ -86,7 +86,7 @@ pub fn fig6(sweep: &Sweep, out: &Path) -> io::Result<()> {
         for p in sweep
             .points
             .iter()
-            .filter(|p| p.config.starts_with("uu") && p.config != "unmerge")
+            .filter(|p| p.config.starts_with("uu"))
         {
             let v = [p.speedup, p.size_ratio, p.compile_ratio][field];
             csv.push(format!(
@@ -160,13 +160,13 @@ pub fn fig6(sweep: &Sweep, out: &Path) -> io::Result<()> {
 ///
 /// Propagates report-write I/O failures.
 pub fn fig7(sweep: &Sweep, out: &Path) -> io::Result<()> {
-    let configs = ["uu2", "uu4", "uu8", "unroll2", "unroll4", "unroll8", "unmerge"];
+    let configs: Vec<&str> = sweep_configs().into_iter().map(|(name, _)| name).collect();
     let mut rows = Vec::new();
     let mut csv = Vec::new();
     for s in &sweep.apps {
         let mut row = vec![s.app.clone()];
         let mut line = s.app.clone();
-        for c in configs {
+        for &c in &configs {
             let best = sweep
                 .points
                 .iter()
@@ -179,19 +179,13 @@ pub fn fig7(sweep: &Sweep, out: &Path) -> io::Result<()> {
         rows.push(row);
         csv.push(line);
     }
+    let header: Vec<&str> = std::iter::once("app").chain(configs).collect();
     let text = format!(
         "Figure 7 — best per-loop speedup per application and configuration\n{}",
-        ascii_table(
-            &["app", "uu2", "uu4", "uu8", "unroll2", "unroll4", "unroll8", "unmerge"],
-            &rows
-        )
+        ascii_table(&header, &rows)
     );
     write_text(&out.join("fig7.txt"), &text)?;
-    write_csv(
-        &out.join("fig7.csv"),
-        "app,uu2,uu4,uu8,unroll2,unroll4,unroll8,unmerge",
-        &csv,
-    )?;
+    write_csv(&out.join("fig7.csv"), &header.join(","), &csv)?;
     Ok(())
 }
 
@@ -202,7 +196,8 @@ pub fn fig7(sweep: &Sweep, out: &Path) -> io::Result<()> {
 ///
 /// Propagates report-write I/O failures.
 pub fn fig8(sweep: &Sweep, out: &Path) -> io::Result<()> {
-    let mut a = Vec::new();
+    // Per scatter: each u&u point, its factor and its partner's speedup.
+    let mut a: Vec<(&LoopPoint, &str, f64)> = Vec::new();
     let mut b = Vec::new();
     // Index once: (app, loop, config) → speedup (the sweep has one point
     // per key; a linear scan per point would be quadratic).
@@ -215,68 +210,50 @@ pub fn fig8(sweep: &Sweep, out: &Path) -> io::Result<()> {
         for p in sweep.points.iter().filter(|p| p.config == format!("uu{factor}")) {
             let partner = |cfg: &str| index.get(&(p.app, &*p.loop_ref, cfg)).copied();
             if let Some(u) = partner(&format!("unroll{factor}")) {
-                a.push(format!(
-                    "{},{},{},{},{:.6},{:.6}",
-                    p.app, p.loop_ref.func, p.loop_ref.loop_id, factor, p.speedup, u
-                ));
+                a.push((p, factor, u));
             }
             if let Some(um) = partner("unmerge") {
-                b.push(format!(
-                    "{},{},{},{},{:.6},{:.6}",
-                    p.app, p.loop_ref.func, p.loop_ref.loop_id, factor, p.speedup, um
-                ));
+                b.push((p, factor, um));
             }
         }
     }
+    let csv = |rows: &[(&LoopPoint, &str, f64)]| -> Vec<String> {
+        rows.iter()
+            .map(|(p, factor, other)| {
+                let (func, id) = (&p.loop_ref.func, p.loop_ref.loop_id);
+                format!("{},{func},{id},{factor},{:.6},{other:.6}", p.app, p.speedup)
+            })
+            .collect()
+    };
+    let pairs = |rows: &[(&LoopPoint, &str, f64)]| -> Vec<(f64, f64)> {
+        rows.iter().map(|(p, _, other)| (p.speedup, *other)).collect()
+    };
     write_csv(
         &out.join("fig8a.csv"),
         "app,func,loop,factor,uu_speedup,unroll_speedup",
-        &a,
+        &csv(&a),
     )?;
     write_csv(
         &out.join("fig8b.csv"),
         "app,func,loop,factor,uu_speedup,unmerge_speedup",
-        &b,
+        &csv(&b),
     )?;
     write_text(
         &out.join("fig8.txt"),
         &format!(
             "Figure 8a (u&u vs unroll, per loop & factor)\n{}\nFigure 8b (u&u vs unmerge)\n{}",
-            scatter_summary(&a, "unroll")?,
-            scatter_summary(&b, "unmerge")?
+            scatter_summary(&pairs(&a), "unroll"),
+            scatter_summary(&pairs(&b), "unmerge")
         ),
     )?;
     Ok(())
 }
 
-/// ASCII summary of fig8 scatter rows: counts by region relative to the
-/// diagonal. Row parsing follows the Result-based figure I/O idiom — a
-/// malformed or short row is an [`io::ErrorKind::InvalidData`] error
-/// naming the offending row, never a panic: in a long-running report
-/// service one bad row must fail the one report, not the process.
-///
-/// # Errors
-///
-/// Returns `InvalidData` when a row has fewer than 6 columns or a
-/// non-numeric speedup column.
-fn scatter_summary(rows: &[String], other: &str) -> io::Result<String> {
-    let col = |row: &str, cols: &[&str], i: usize| -> io::Result<f64> {
-        cols.get(i)
-            .and_then(|c| c.parse::<f64>().ok())
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("malformed fig8 row (column {i}): {row:?}"),
-                )
-            })
-    };
-    let mut below = 0;
-    let mut near = 0;
-    let mut above = 0;
-    for r in rows {
-        let cols: Vec<&str> = r.split(',').collect();
-        let uu = col(r, &cols, 4)?;
-        let ot = col(r, &cols, 5)?;
+/// ASCII summary of fig8 scatter `(u&u, other)` speedup pairs: counts by
+/// region relative to the diagonal, a ±2% band counting as a tie.
+fn scatter_summary(pairs: &[(f64, f64)], other: &str) -> String {
+    let (mut below, mut near, mut above) = (0, 0, 0);
+    for &(uu, ot) in pairs {
         if uu > ot * 1.02 {
             below += 1;
         } else if ot > uu * 1.02 {
@@ -285,10 +262,10 @@ fn scatter_summary(rows: &[String], other: &str) -> io::Result<String> {
             near += 1;
         }
     }
-    Ok(format!(
+    format!(
         "u&u wins: {below}   ties (±2%): {near}   {other} wins: {above}   (n = {})\n",
-        rows.len()
-    ))
+        pairs.len()
+    )
 }
 
 /// Emit `faults.csv` / `faults.txt`: the fault-tolerance report listing
@@ -515,38 +492,13 @@ mod tests {
 
     #[test]
     fn scatter_summary_counts_regions() {
-        let rows = vec![
-            "app,f,0,2,2.000000,1.000000".to_string(), // u&u wins
-            "app,f,1,2,1.000000,2.000000".to_string(), // other wins
-            "app,f,2,2,1.000000,1.010000".to_string(), // tie within 2%
+        let pairs = [
+            (2.0, 1.0),  // u&u wins
+            (1.0, 2.0),  // other wins
+            (1.0, 1.01), // tie within 2%
         ];
-        let s = scatter_summary(&rows, "unroll").unwrap();
+        let s = scatter_summary(&pairs, "unroll");
         assert_eq!(s, "u&u wins: 1   ties (±2%): 1   unroll wins: 1   (n = 3)\n");
-    }
-
-    #[test]
-    fn scatter_summary_rejects_malformed_rows_without_panicking() {
-        // Regression: these rows used to `unwrap()` inside the summarize
-        // closure and panic the whole report pass.
-        for bad in [
-            "short,row",                        // too few columns
-            "app,f,0,2,not-a-number,1.0",       // non-numeric uu column
-            "app,f,0,2,1.0,NaN?",               // non-numeric partner column
-            "",                                 // empty row
-        ] {
-            let rows = vec![bad.to_string()];
-            let e = scatter_summary(&rows, "unroll")
-                .expect_err(&format!("row {bad:?} must be rejected"));
-            assert_eq!(e.kind(), io::ErrorKind::InvalidData);
-            assert!(e.to_string().contains("malformed fig8 row"), "{e}");
-        }
-        // And a malformed row among good ones still fails the summary
-        // (reports never silently drop data points).
-        let rows = vec![
-            "app,f,0,2,2.0,1.0".to_string(),
-            "oops".to_string(),
-        ];
-        assert!(scatter_summary(&rows, "unroll").is_err());
     }
 
     #[test]

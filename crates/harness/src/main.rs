@@ -3,7 +3,7 @@
 //! without its value, a second command word, or an option the command
 //! does not read exits 2 before anything runs.
 //!
-//! Batch commands (`all`, `table1`, `fig6`–`fig9`, `table2`, `study`,
+//! Batch commands (`all`, `table1`, `fig6`, `fig7`, `fig8`, `study`,
 //! `indepth`, `decisions`, `dump`) regenerate the paper's reports. The
 //! service commands turn the same pipeline into a long-running daemon:
 //!
@@ -89,17 +89,16 @@ impl Env {
 /// The options that take a value; `--fast` is the one that takes none.
 const VALUE_FLAGS: [&str; 6] = ["--out", "--bench", "--config", "--socket", "--fault", "--verb"];
 
-const USAGE: &str = "usage: uu-harness [all|table1|fig6[a|b|c]|fig7|fig8[a|b]|study|fig9|\
-table2|indepth|decisions|dump|serve|client] [--fast] [--bench NAME] [--out DIR] [--config C] \
-[--socket PATH] [--fault SPEC] [--verb V]";
+const USAGE: &str = "usage: uu-harness [all|table1|fig6|fig7|fig8|study|indepth|decisions|dump|\
+serve|client] [--fast] [--bench NAME] [--out DIR] [--config C] [--socket PATH] [--fault SPEC] \
+[--verb V]";
 
 /// The options command `cmd` reads, or `None` for an unknown command.
 fn options_of(cmd: &str) -> Option<&'static [&'static str]> {
     Some(match cmd {
-        "all" | "table1" | "fig6" | "fig6a" | "fig6b" | "fig6c" | "fig7" | "fig8" | "fig8a"
-        | "fig8b" => &["--out", "--bench", "--fast"],
+        "all" | "table1" | "fig6" | "fig7" | "fig8" => &["--out", "--bench", "--fast"],
         // The study has no fast sample, and the in-depth cases are fixed.
-        "study" | "fig9" | "table2" => &["--out", "--bench"],
+        "study" => &["--out", "--bench"],
         "indepth" => &["--out"],
         "dump" => &["--bench", "--config"],
         "decisions" => &["--bench"],
@@ -193,8 +192,7 @@ fn main() {
     }
 
     match cmd {
-        "table1" | "fig6a" | "fig6b" | "fig6c" | "fig6" | "fig7" | "fig8a" | "fig8b"
-        | "fig8" | "all" | "study" | "fig9" | "table2" | "indepth" => {
+        "all" | "table1" | "fig6" | "fig7" | "fig8" | "study" | "indepth" => {
             if env.cache_dir.is_some() && env.serve_socket.is_some() {
                 eprintln!("UU_CACHE_DIR and UU_SERVE_SOCKET: set one, the daemon owns its cache");
                 std::process::exit(2);
@@ -397,8 +395,8 @@ fn report(cmd: &str, benches: &[Benchmark], fast: bool, out: &Path, env: &Env) {
         cache: cache.as_ref(),
         remote: remote.as_ref(),
     };
-    let sweep_on = !matches!(cmd, "study" | "fig9" | "table2" | "indepth");
-    let study_on = matches!(cmd, "all" | "study" | "fig9" | "table2");
+    let sweep_on = !matches!(cmd, "study" | "indepth");
+    let study_on = matches!(cmd, "all" | "study");
     let sweep_keys = if sweep_on { sweep::keys(benches, fast) } else { Vec::new() };
     let study_keys = if study_on { study::keys(benches) } else { Vec::new() };
     // The in-depth cases are fixed (`indepth` refuses `--bench`).
@@ -425,9 +423,9 @@ fn report(cmd: &str, benches: &[Benchmark], fast: bool, out: &Path, env: &Env) {
             let s = sweep::view(&points, &sweep_keys);
             match cmd {
                 "table1" => figures::table1(&s, out, benches)?,
-                "fig6" | "fig6a" | "fig6b" | "fig6c" => figures::fig6(&s, out)?,
+                "fig6" => figures::fig6(&s, out)?,
                 "fig7" => figures::fig7(&s, out)?,
-                "fig8" | "fig8a" | "fig8b" => figures::fig8(&s, out)?,
+                "fig8" => figures::fig8(&s, out)?,
                 _ => {
                     figures::table1(&s, out, benches)?;
                     figures::fig6(&s, out)?;
@@ -462,7 +460,7 @@ fn report(cmd: &str, benches: &[Benchmark], fast: bool, out: &Path, env: &Env) {
         "table1" => &["table1.txt"],
         "fig7" => &["fig7.txt"],
         "indepth" => &["indepth.txt"],
-        "study" | "fig9" | "table2" => &["table2.txt"],
+        "study" => &["table2.txt"],
         _ => &[],
     };
     for name in shown {

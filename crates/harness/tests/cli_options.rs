@@ -137,6 +137,22 @@ fn a_command_refuses_what_it_does_not_read() {
     }
 }
 
+/// The report commands have one word each: `fig6` writes all three
+/// panels, `fig8` both scatters and `study` the figure and the table.
+#[test]
+fn a_panel_or_table_name_is_no_command() {
+    for word in ["fig6a", "fig6b", "fig6c", "fig8a", "fig8b", "fig9", "table2"] {
+        let (out, untouched) = harness(&format!("word-{word}"), &[word, "--bench", "mandelbrot"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{word}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{word}: {stderr}");
+        let want = format!("unknown command `{word}`; usage: uu-harness ");
+        assert!(stderr.starts_with(&want), "{word}: {stderr}");
+        assert!(out.stdout.is_empty(), "{word}: {}", String::from_utf8_lossy(&out.stdout));
+        assert!(untouched, "{word} wrote into the working directory");
+    }
+}
+
 #[test]
 fn the_command_word_is_found_by_position() {
     // `--out table1` names the directory: a value equal to a command must

@@ -224,13 +224,13 @@ mod tests {
 
     #[test]
     fn aux_kernels_are_transformable() {
-        use uu_core::{uu_loop, UuOptions};
+        use uu_core::{uu_loop, UnmergeOptions};
         for f in &mut aux_kernels(5, 6) {
             let dom = uu_analysis::DomTree::compute(f);
             let forest = uu_analysis::LoopForest::compute(f, &dom);
             let headers: Vec<_> = forest.loops().iter().map(|l| l.header).collect();
             for h in headers {
-                uu_loop(f, h, &UuOptions::default());
+                uu_loop(f, h, 2, UnmergeOptions::default());
             }
             uu_ir::verify_function(f).unwrap_or_else(|e| panic!("{e}\n{f}"));
         }

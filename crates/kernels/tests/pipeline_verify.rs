@@ -18,7 +18,7 @@ use uu_core::opt::{
     condprop::CondProp, dce::Dce, gvn::Gvn, ifconvert::IfConvert, instsimplify::InstSimplify,
     sccp::Sccp, simplifycfg::SimplifyCfg, Pass,
 };
-use uu_core::{uu_loop, HeuristicOptions, UuOptions};
+use uu_core::{uu_loop, HeuristicOptions, UnmergeOptions};
 use uu_ir::{verify_function, Function, Module};
 use uu_kernels::all_benchmarks;
 
@@ -67,14 +67,7 @@ fn apply(kernel: &str, f: &mut Function, mode: &Mode) {
             let forest = uu_analysis::LoopForest::compute(f, &dom);
             let headers: Vec<_> = forest.loops().iter().map(|l| l.header).collect();
             for h in headers {
-                uu_loop(
-                    f,
-                    h,
-                    &UuOptions {
-                        factor: *factor,
-                        ..Default::default()
-                    },
-                );
+                uu_loop(f, h, *factor, UnmergeOptions::default());
                 verify_stage(kernel, f, &format!("uu factor {factor} on a loop"));
             }
         }

@@ -226,7 +226,9 @@ impl CompileCache {
     /// replaced with the cached optimized module when `want_module` is
     /// set (skip-run callers that only consume the metadata pass `false`,
     /// keep their input module untouched and pay for no parse). On a
-    /// miss, the pipeline runs and the result is stored in every layer.
+    /// miss, the pipeline runs and the result is stored on disk; memory
+    /// keeps its text only when `want_module` is set, so a memory-only
+    /// cache recompiles a later module request for a metadata-only key.
     pub fn compile(&self, m: &mut Module, opts: &PipelineOptions, want_module: bool) -> CachedCompile {
         let t0 = Instant::now();
         let key = CompileCache::compile_key(m, opts);
@@ -249,7 +251,7 @@ impl CompileCache {
         self.mem_compile
             .lock()
             .unwrap()
-            .insert(key, (meta.clone(), Some(Arc::from(ir.as_str()))));
+            .insert(key, (meta.clone(), want_module.then(|| Arc::from(ir.as_str()))));
         self.store(
             key,
             &Artifact::Compile {
@@ -269,26 +271,28 @@ impl CompileCache {
 
     /// Probe with the module's printed text in hand instead of the
     /// module: key it as `fnv1a(text)` ([`key_for_hash`](Self::key_for_hash))
-    /// and return that key with the stored metadata and optimized IR
-    /// text, counted as a hit (`compile_mem_hits`/`compile_disk_hits`,
-    /// `work_saved`, `lookup_micros` — keying included). `None` counts
-    /// nothing. This is the daemon's hit path: nothing is parsed or
-    /// printed, the stored text goes out as the reply body untouched. A
-    /// disk artifact is parsed once, when it is promoted to memory, so
-    /// text served from memory always parses.
+    /// and return that key with the stored metadata and, when
+    /// `want_module`, the optimized IR text, counted as a hit
+    /// (`compile_mem_hits`/`compile_disk_hits`, `work_saved`,
+    /// `lookup_micros` — keying included). `None` counts nothing. This is
+    /// the daemon's hit path: nothing is parsed or printed, the stored text
+    /// goes out as the reply body untouched. A disk artifact's text is
+    /// parsed once, when it is promoted to memory, so text served from
+    /// memory always parses; a metadata-only probe reads and promotes no
+    /// text.
     pub fn lookup_compile(
         &self,
         module_text: &str,
         opts: &PipelineOptions,
-    ) -> Option<(Key, CompileMeta, Arc<str>)> {
+        want_module: bool,
+    ) -> Option<(Key, CompileMeta, Option<Arc<str>>)> {
         let t0 = Instant::now();
         let key = CompileCache::key_for_hash(uu_ir::fnv1a(module_text.as_bytes()), opts);
-        let (meta, ir, mem) = self.stored_compile(key, true)?;
-        let ir = ir.expect("the text was asked for");
-        if !mem {
-            uu_ir::parse_module(&ir).ok()?;
+        let (meta, ir, mem) = self.stored_compile(key, want_module)?;
+        if let Some(ir) = ir.as_deref().filter(|_| !mem) {
+            uu_ir::parse_module(ir).ok()?;
         }
-        self.note_compile_hit(key, &meta, Some(Arc::clone(&ir)), mem, t0);
+        self.note_compile_hit(key, &meta, ir.clone(), mem, t0);
         Some((key, meta, ir))
     }
 
@@ -583,16 +587,16 @@ bb6:
         assert_eq!(input.to_string(), module().to_string(), "the input module is left alone");
         let text = module().to_string();
         assert!(
-            CompileCache::at_dir(&dir).unwrap().lookup_compile(&text, &opts()).is_none(),
+            CompileCache::at_dir(&dir).unwrap().lookup_compile(&text, &opts(), true).is_none(),
             "a text probe validates what it promotes from disk"
         );
         let mut m = module();
         let r = cache.compile(&mut m, &opts(), true);
         assert!(!r.hit, "unparsable stored text is a miss for a module caller");
         // ... and the recompile replaced it, in memory and on disk.
-        let (probe_key, meta, ir) = cache.lookup_compile(&text, &opts()).unwrap();
+        let (probe_key, meta, ir) = cache.lookup_compile(&text, &opts(), true).unwrap();
         assert_eq!((probe_key, &meta), (key, &first.meta));
-        assert_eq!(&*ir, m.to_string());
+        assert_eq!(ir.as_deref(), Some(m.to_string().as_str()));
         let st = cache.stats();
         assert_eq!((st.compile_disk_hits, st.compile_mem_hits, st.compile_misses), (1, 1, 1));
         let _ = std::fs::remove_dir_all(&dir);
@@ -618,9 +622,60 @@ bb6:
         let mut m = module();
         assert!(cache.compile(&mut m, &opts(), true).hit);
         assert_eq!(text_in_memory().as_deref(), Some(m.to_string().as_str()));
-        assert!(cache.lookup_compile(&module().to_string(), &opts()).is_some());
+        assert!(cache.lookup_compile(&module().to_string(), &opts(), true).is_some());
         let st = cache.stats();
         assert_eq!((st.compile_disk_hits, st.compile_mem_hits), (2, 2));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_metadata_only_miss_keeps_no_text_and_a_module_caller_reads_the_disk() {
+        let dir = std::env::temp_dir().join(format!("uu-cache-metamiss-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let key = CompileCache::compile_key(&module(), &opts());
+        let cache = CompileCache::at_dir(&dir).unwrap();
+        let text_in_memory = || cache.mem_compile.lock().unwrap()[&key].1.clone();
+        let first = cache.compile(&mut module(), &opts(), false);
+        assert!(!first.hit);
+        assert_eq!(text_in_memory(), None, "a metadata-only miss keeps no text");
+        // A module caller is served from disk, parsing the stored text.
+        let mut m = module();
+        let r = cache.compile(&mut m, &opts(), true);
+        assert!(r.hit && r.meta == first.meta);
+        let mut fresh = module();
+        CompileCache::new_mem().compile(&mut fresh, &opts(), true);
+        assert_eq!(m.to_string(), fresh.to_string());
+        assert_eq!(text_in_memory().as_deref(), Some(fresh.to_string().as_str()));
+        let st = cache.stats();
+        assert_eq!((st.compile_misses, st.compile_disk_hits, st.compile_mem_hits), (1, 1, 0));
+        // Without a disk to fall back on, that module request recompiles.
+        let mem = CompileCache::new_mem();
+        assert!(!mem.compile(&mut module(), &opts(), false).hit);
+        assert!(!mem.compile(&mut module(), &opts(), true).hit);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_metadata_only_probe_of_a_disk_artifact_promotes_no_text() {
+        let dir = std::env::temp_dir().join(format!("uu-cache-metaprobe-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let first = CompileCache::at_dir(&dir).unwrap().compile(&mut module(), &opts(), true);
+        let key = CompileCache::compile_key(&module(), &opts());
+        let cache = CompileCache::at_dir(&dir).unwrap();
+        let text_in_memory = || cache.mem_compile.lock().unwrap()[&key].1.clone();
+        let text = module().to_string();
+        // From disk, then from memory: metadata only, and no text kept.
+        for _ in 0..2 {
+            let (k, meta, ir) = cache.lookup_compile(&text, &opts(), false).unwrap();
+            assert_eq!((k, &meta, ir), (key, &first.meta, None));
+            assert_eq!(text_in_memory(), None, "no text was promoted");
+        }
+        // A module probe reads the text from disk and promotes it.
+        let (_, _, ir) = cache.lookup_compile(&text, &opts(), true).unwrap();
+        assert!(ir.is_some());
+        assert_eq!(text_in_memory(), ir);
+        let st = cache.stats();
+        assert_eq!((st.compile_disk_hits, st.compile_mem_hits), (2, 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

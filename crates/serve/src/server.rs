@@ -390,8 +390,8 @@ impl<'a> Service<'a> {
         // for a printer-produced body this *is* the canonical key. Any
         // other body (hand-written, reformatted) misses here and is keyed
         // again below from its parse: slower, never wrong.
-        if let Some((key, meta, ir)) = self.cache.lookup_compile(&req.body, &opts) {
-            return compile_ok(key, &meta, true, want_module.then(|| ir.to_string()));
+        if let Some((key, meta, ir)) = self.cache.lookup_compile(&req.body, &opts, want_module) {
+            return compile_ok(key, &meta, true, ir.map(|ir| ir.to_string()));
         }
         let mut module = match uu_ir::parse_module(&req.body) {
             Ok(m) => m,

@@ -5,7 +5,7 @@
 //! cargo run --release -p uu-harness --example quickstart
 //! ```
 
-use uu_core::{uu_loop, UuOptions};
+use uu_core::{uu_loop, UnmergeOptions};
 use uu_ir::{Function, FunctionBuilder, ICmpPred, Param, Type, Value};
 use uu_simt::{Gpu, KernelArg, LaunchConfig};
 
@@ -95,7 +95,7 @@ fn main() {
     // The transformation, standalone.
     let mut transformed = original.clone();
     let header = transformed.layout()[1];
-    let outcome = uu_loop(&mut transformed, header, &UuOptions { factor: 2, ..Default::default() });
+    let outcome = uu_loop(&mut transformed, header, 2, UnmergeOptions::default());
     println!(
         "u&u applied: unrolled={}, merge nodes duplicated={}, blocks cloned={}",
         outcome.unrolled, outcome.unmerge.nodes_duplicated, outcome.unmerge.blocks_cloned

@@ -94,10 +94,8 @@ fn raw_uu_preserves_semantics() {
                 uu_core::uu_loop(
                     &mut transformed,
                     l.header,
-                    &uu_core::UuOptions {
-                        factor: sf.factor,
-                        ..Default::default()
-                    },
+                    sf.factor,
+                    uu_core::UnmergeOptions::default(),
                 );
                 uu_ir::verify_function(&transformed)
                     .map_err(|e| format!("invalid IR after raw u&u: {e}"))?;
