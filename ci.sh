@@ -88,7 +88,7 @@ done
 echo "== build (release, offline, deny warnings) =="
 RUSTFLAGS="${RUSTFLAGS:-} -Dwarnings" cargo build --release --offline --all-targets
 
-echo "== lint: the docs name only commands that exist =="
+echo "== lint: the docs name only commands and client verbs that exist =="
 # Every uu-harness command word README.md and DESIGN.md name, as
 # `uu-harness <word>`, `uu-harness -- <word>` or the per-experiment
 # index's `-- <word>`, is one the usage line of `uu-harness --help` lists.
@@ -102,6 +102,19 @@ while IFS=: read -r doc line named; do
   grep -qx "$word" <<< "$commands" \
     || { echo "$doc:$line: '$word' is no command in uu-harness --help" >&2; stale=1; }
 done < <(grep -noE 'uu-harness (-- )?[a-z][a-z0-9]*|`-- [a-z][a-z0-9]*`' README.md DESIGN.md)
+# Every `--verb <word>` (or `--verb a|b|c`) they name is a verb
+# `uu-harness client` accepts: the list its unknown-verb message prints
+# (exit 2 before any connect).
+msg=$(./target/release/uu-harness client --verb '?' 2>&1) && st=0 || st=$?
+[ "$st" -eq 2 ] || { echo "client --verb '?' exited $st, not 2: $msg" >&2; exit 1; }
+verbs=$(sed -n 's/.*(\([a-z|-]*\))$/\1/p' <<< "$msg" | tr '|' '\n')
+[ -n "$verbs" ] || { echo "no verb list in: $msg" >&2; exit 1; }
+while IFS=: read -r doc line named; do
+  for word in $(tr '|' ' ' <<< "${named#--verb }"); do
+    grep -qx -- "$word" <<< "$verbs" \
+      || { echo "$doc:$line: '$word' is no verb of uu-harness client" >&2; stale=1; }
+  done
+done < <(grep -noE -- '--verb [a-z][a-z|-]*' README.md DESIGN.md)
 [ "$stale" -eq 0 ]
 
 echo "== test =="

@@ -24,11 +24,6 @@ pub fn loop_has_convergent(f: &Function, forest: &LoopForest, id: LoopId) -> boo
         .any(|b| block_has_convergent(f, *b))
 }
 
-/// Whether the function contains any convergent instruction at all.
-pub fn function_has_convergent(f: &Function) -> bool {
-    f.layout().iter().any(|b| block_has_convergent(f, *b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,7 +62,6 @@ mod tests {
         let dom = DomTree::compute(&f);
         let forest = LoopForest::compute(&f, &dom);
         assert!(loop_has_convergent(&f, &forest, crate::LoopId(0)));
-        assert!(function_has_convergent(&f));
     }
 
     #[test]
@@ -76,6 +70,5 @@ mod tests {
         let dom = DomTree::compute(&f);
         let forest = LoopForest::compute(&f, &dom);
         assert!(!loop_has_convergent(&f, &forest, crate::LoopId(0)));
-        assert!(!function_has_convergent(&f));
     }
 }

@@ -1,12 +1,9 @@
-//! TTI-style cost model.
-//!
-//! Two costs are distinguished, mirroring LLVM's `TargetTransformInfo`:
-//!
-//! * **code size** — what the unrolling heuristics bound (`f(p,s,u) < c`);
-//! * **latency** — what the SIMT simulator charges per issued instruction.
+//! TTI-style cost model: code size, what the unrolling heuristics bound
+//! (`f(p,s,u) < c`), mirroring LLVM's `TargetTransformInfo`. Latency is the
+//! SIMT simulator's timing model, not this one.
 
 use crate::loops::{LoopForest, LoopId};
-use uu_ir::{BinOp, Function, InstId, InstKind, Intrinsic};
+use uu_ir::{Function, InstId, InstKind, Intrinsic};
 
 /// Code-size cost of one instruction, in abstract units (roughly: lowered
 /// machine instructions). Phis are free (they lower to moves in predecessors
@@ -21,35 +18,6 @@ pub fn inst_size(f: &Function, id: InstId) -> u64 {
             _ => 1,
         },
         _ => 1,
-    }
-}
-
-/// Issue latency of one instruction in cycles, loosely modelled after a
-/// Volta SM: most ALU ops are 4 cycles, double-precision and transcendental
-/// ops are longer, memory issue cost is separate (the simulator adds DRAM
-/// latency on top).
-pub fn inst_latency(f: &Function, id: InstId) -> u64 {
-    match &f.inst(id).kind {
-        InstKind::Phi { .. } => 0,
-        InstKind::Bin { op, .. } => match op {
-            BinOp::SDiv | BinOp::UDiv | BinOp::SRem | BinOp::URem => 20,
-            BinOp::FDiv => 16,
-            BinOp::FAdd | BinOp::FSub | BinOp::FMul => 4,
-            _ => 4,
-        },
-        InstKind::ICmp { .. } | InstKind::FCmp { .. } => 4,
-        InstKind::Select { .. } => 4,
-        InstKind::Cast { .. } => 4,
-        InstKind::Gep { .. } => 4,
-        InstKind::Load { .. } => 4,  // issue cost; memory latency added by simulator
-        InstKind::Store { .. } => 4,
-        InstKind::Intr { which, .. } => match which {
-            Intrinsic::Exp | Intrinsic::Log | Intrinsic::Sin | Intrinsic::Cos => 32,
-            Intrinsic::Sqrt => 16,
-            Intrinsic::Syncthreads => 8,
-            _ => 4,
-        },
-        InstKind::Br { .. } | InstKind::CondBr { .. } | InstKind::Ret { .. } => 4,
     }
 }
 
@@ -100,10 +68,6 @@ mod tests {
         b.ret(None);
         // load, fdiv, sqrt(2), store, ret = 1+1+2+1+1 = 6
         assert_eq!(function_size(&f), 6);
-        let insts: Vec<_> = f.block(entry).insts.clone();
-        assert_eq!(inst_latency(&f, insts[1]), 16); // fdiv
-        assert_eq!(inst_latency(&f, insts[2]), 16); // sqrt
-        assert_eq!(inst_latency(&f, insts[0]), 4); // load issue
     }
 
     #[test]

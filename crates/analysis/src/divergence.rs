@@ -16,7 +16,7 @@
 use crate::cfg::reach_rows;
 use crate::dominators::DomTree;
 use crate::loops::{LoopForest, LoopId};
-use uu_ir::{BlockId, EntitySet, Function, InstId, InstKind, Intrinsic, Value};
+use uu_ir::{BlockId, EntitySet, Function, InstId, InstKind, Value};
 
 /// Result of the taint analysis: the set of thread-dependent (divergent)
 /// instruction results.
@@ -285,13 +285,6 @@ pub fn loop_has_divergent_branch(
     false
 }
 
-/// Convenience: does the function read the thread id at all?
-pub fn uses_thread_id(f: &Function) -> bool {
-    f.iter_insts().any(|(_, i)| {
-        matches!(&i.kind, InstKind::Intr { which, .. } if *which == Intrinsic::ThreadIdxX)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,7 +334,6 @@ mod tests {
         let forest = LoopForest::compute(&f, &dom);
         assert!(div.num_divergent() > 0);
         assert!(loop_has_divergent_branch(&f, &forest, LoopId(0), &div));
-        assert!(uses_thread_id(&f));
     }
 
     #[test]
@@ -352,7 +344,6 @@ mod tests {
         let forest = LoopForest::compute(&f, &dom);
         assert_eq!(div.num_divergent(), 0);
         assert!(!loop_has_divergent_branch(&f, &forest, LoopId(0), &div));
-        assert!(!uses_thread_id(&f));
     }
 
     #[test]

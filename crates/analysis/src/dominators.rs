@@ -207,7 +207,6 @@ pub struct PostDomTree {
     /// `ipdom[b.index()]`: immediate post-dominator within the real blocks;
     /// `None` when the only post-dominator is the virtual exit.
     ipdom: Vec<Option<BlockId>>,
-    max_ix: usize,
 }
 
 impl PostDomTree {
@@ -277,7 +276,7 @@ impl PostDomTree {
                 }
             }
         }
-        PostDomTree { ipdom, max_ix }
+        PostDomTree { ipdom }
     }
 
     /// Immediate post-dominator of `b`, or `None` if it is the virtual exit
@@ -286,22 +285,6 @@ impl PostDomTree {
         self.ipdom.get(b.index()).copied().flatten()
     }
 
-    /// Whether `a` post-dominates `b` (reflexive).
-    pub fn post_dominates(&self, a: BlockId, b: BlockId) -> bool {
-        if a.index() >= self.max_ix || b.index() >= self.max_ix {
-            return false;
-        }
-        let mut cur = b;
-        loop {
-            if cur == a {
-                return true;
-            }
-            match self.ipdom(cur) {
-                Some(d) => cur = d,
-                None => return false,
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -391,9 +374,6 @@ mod tests {
         // header's ipdom is exit (the loop always terminates through it).
         assert_eq!(pdom.ipdom(header), Some(exit));
         assert_eq!(pdom.ipdom(exit), None);
-        assert!(pdom.post_dominates(exit, header));
-        assert!(pdom.post_dominates(latch, bodyf));
-        assert!(!pdom.post_dominates(bodyf, bodyt));
     }
 
     #[test]

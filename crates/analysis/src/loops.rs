@@ -197,20 +197,6 @@ impl LoopForest {
         ids
     }
 
-    /// Exit edges of a loop: `(from_inside, to_outside)` pairs.
-    pub fn exit_edges(&self, f: &Function, id: LoopId) -> Vec<(BlockId, BlockId)> {
-        let l = self.get(id);
-        let mut out = Vec::new();
-        for &b in &l.blocks {
-            for s in f.successors(b) {
-                if !l.contains(s) {
-                    out.push((b, s));
-                }
-            }
-        }
-        out
-    }
-
     /// The unique preheader of a loop: the single predecessor of the header
     /// from outside the loop whose only successor is the header.
     pub fn preheader(&self, f: &Function, id: LoopId) -> Option<BlockId> {
@@ -322,10 +308,6 @@ mod tests {
         let forest = LoopForest::compute(&f, &dom);
         let outer = LoopId(0);
         let inner = LoopId(1);
-        let oe = forest.exit_edges(&f, outer);
-        assert_eq!(oe, vec![(BlockId::from_index(1), BlockId::from_index(5))]);
-        let ie = forest.exit_edges(&f, inner);
-        assert_eq!(ie, vec![(BlockId::from_index(2), BlockId::from_index(4))]);
         // entry is the outer preheader.
         assert_eq!(forest.preheader(&f, outer), Some(f.entry()));
         // Inner header's outside pred is the outer header, whose successors

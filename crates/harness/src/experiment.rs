@@ -438,20 +438,6 @@ pub fn equivalence_diag(base: &Measurement, got: &Measurement, what: &str) -> Op
     })
 }
 
-/// Assert that a transformed measurement preserved semantics.
-///
-/// Test helper; production sweeps record [`equivalence_diag`] instead of
-/// panicking.
-///
-/// # Panics
-///
-/// Panics on checksum mismatch.
-pub fn assert_equivalent(base: &Measurement, got: &Measurement, what: &str) {
-    if let Some(d) = equivalence_diag(base, got, what) {
-        panic!("{d}");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -497,7 +483,7 @@ mod tests {
             None,
         )
         .unwrap();
-        assert_equivalent(&base, &got, "uu2 bezier");
+        assert_eq!(equivalence_diag(&base, &got, "uu2 bezier"), None);
         assert!(
             got.time_ms < base.time_ms,
             "u&u should speed up the bezier hot loop: {} vs {}",

@@ -40,3 +40,9 @@ pub mod sweep;
 pub use experiment::{measure, measure_backed, measure_baseline, Backend, Measurement};
 pub use study::{run_study_backed, Study};
 pub use sweep::{run_sweep_backed, Sweep};
+
+/// The README's library snippets, compiled and run as doctests so they
+/// break with the API they show.
+#[cfg(doctest)]
+#[doc = include_str!("../../../README.md")]
+struct ReadmeDoctests;

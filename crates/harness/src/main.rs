@@ -12,7 +12,7 @@
 //! * `client --socket PATH [--bench NAME] [--config C] [--fault SPEC]
 //!   [--verb V]` — one request against a running daemon: `compile` (the
 //!   default verb) sends `--bench NAME`'s module, and `ping`, `health`,
-//!   `ready`, `stats` and `shutdown` take no module. Requests retry `busy`
+//!   `stats` and `shutdown` take no module. Requests retry `busy`
 //!   and transient failures with capped exponential backoff.
 //!
 //! Every environment knob is read once, by [`Env::read`], before anything
@@ -243,13 +243,13 @@ fn main() {
                     }
                     req
                 }
-                v @ ("stats" | "ping" | "health" | "ready" | "shutdown") => {
+                v @ ("stats" | "ping" | "health" | "shutdown") => {
                     uu_serve::Message::new(v)
                 }
                 other => {
                     eprintln!(
                         "client: unknown --verb `{other}` \
-                         (compile|stats|ping|health|ready|shutdown)"
+                         (compile|stats|ping|health|shutdown)"
                     );
                     std::process::exit(2);
                 }

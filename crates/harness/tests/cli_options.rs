@@ -197,3 +197,18 @@ fn a_value_option_without_its_value_exits_2_before_any_work() {
         assert!(untouched, "{args:?} wrote into the working directory");
     }
 }
+
+/// `health` carries the drain flag, so there is no `ready` verb: the
+/// client refuses it, and every other unknown verb, before it connects.
+#[test]
+fn an_unknown_client_verb_exits_2_naming_it() {
+    for verb in ["ready", "?"] {
+        let (out, untouched) =
+            harness(&format!("verb-{verb}"), &["client", "--socket", "s.sock", "--verb", verb]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{verb}: {stderr}");
+        assert!(stderr.starts_with(&format!("client: unknown --verb `{verb}`")), "{stderr}");
+        assert!(out.stdout.is_empty(), "{verb}: {}", String::from_utf8_lossy(&out.stdout));
+        assert!(untouched, "{verb} wrote into the working directory");
+    }
+}

@@ -313,8 +313,6 @@ fn busy_shedding_sheds_and_the_retrying_client_still_lands() {
             };
             assert_eq!(health.verb, "ok", "{health:?}");
             assert_eq!(health.get("draining"), Some("0"), "{health:?}");
-            let ready = once.request(&Message::new("ready")).unwrap();
-            assert_eq!(ready.get("ready"), Some("1"), "{ready:?}");
             let probe = Message::new("compile")
                 .header("config", "unroll4")
                 .header("want-module", 0)

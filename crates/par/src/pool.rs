@@ -97,16 +97,6 @@ impl<T> TaskQueue<T> {
         self.lock().closed = true;
         self.ready.notify_all();
     }
-
-    /// Number of items currently queued (racy snapshot, for observability).
-    pub fn len(&self) -> usize {
-        self.lock().items.len()
-    }
-
-    /// Whether the queue is currently empty (racy snapshot).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// Run `feeder` on the calling thread while `workers` scoped threads drain

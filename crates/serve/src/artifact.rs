@@ -26,7 +26,7 @@ use uu_core::Rung;
 use uu_simt::Metrics;
 
 /// Artifact format version; bump on any layout change.
-pub const ARTIFACT_VERSION: u32 = 2;
+pub(crate) const ARTIFACT_VERSION: u32 = 2;
 
 /// The compile-side metadata every cached artifact and compile reply
 /// carries — exactly the fields the harness derives a [`Measurement`]'s

@@ -20,7 +20,7 @@ use uu_check::Rng;
 /// keeps at least half of each exponential step (so retries genuinely
 /// spread out) while bounding the worst-case wait.
 #[derive(Debug)]
-pub struct Backoff {
+pub(crate) struct Backoff {
     rng: Rng,
     base_ms: u64,
     cap_ms: u64,

@@ -49,7 +49,7 @@ thread_local! {
 /// *this thread*: while armed, every artifact write fails as a full disk
 /// would — counted in [`CacheStats::store_errors`], degraded to "not
 /// cached", never a broken artifact.
-pub fn inject_store_fault(on: bool) {
+pub(crate) fn inject_store_fault(on: bool) {
     STORE_FAULT.with(|f| f.set(on));
 }
 

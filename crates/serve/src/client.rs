@@ -3,8 +3,8 @@
 //! failures — the client half of the service's overload contract.
 //!
 //! [`Remote`] is the batch harness's [`Artifacts`] store over a daemon:
-//! one fresh connection per request (HTTP/1.0 style, so a saturated
-//! daemon's worker pool is never starved by idle persistent connections),
+//! one fresh connection per request (HTTP/1.0 style — the only shape the
+//! daemon serves, so its worker pool is never held by idle connections),
 //! `busy` responses honored via their `retry-after-ms` hint, torn frames
 //! and mid-request disconnects retried with capped exponential backoff.
 //! All sleeping is wall-clock only — no retry decision feeds into report
@@ -33,7 +33,7 @@ use uu_ir::Module;
 /// re-polled `Instant::now` on a fixed 20 ms cadence; backoff both
 /// reacts faster when the socket appears quickly and wastes less when it
 /// doesn't.)
-pub fn connect_unix(path: &Path, patience: Duration) -> io::Result<UnixStream> {
+pub(crate) fn connect_unix(path: &Path, patience: Duration) -> io::Result<UnixStream> {
     let deadline = Instant::now() + patience;
     // Seeded from the socket path: deterministic per target, decorrelated
     // across daemons.
@@ -53,7 +53,7 @@ pub fn connect_unix(path: &Path, patience: Duration) -> io::Result<UnixStream> {
 
 /// One request/response exchange over any framed stream. A clean EOF in
 /// place of a response is an error (the server died mid-request).
-pub fn request_over(stream: &mut (impl Read + Write), req: &Message) -> io::Result<Message> {
+pub(crate) fn request_over(stream: &mut (impl Read + Write), req: &Message) -> io::Result<Message> {
     write_frame(stream, req)?;
     read_frame(stream)?.ok_or_else(|| {
         io::Error::new(

@@ -29,10 +29,12 @@
 //! and answered with the stored text — nothing parsed, nothing printed.
 //!
 //! The service speaks one text shape, the protocol [`Message`] (status
-//! line, `key: value` headers, body), and compile results have one codec
-//! into it ([`artifact`]): the daemon's `ok` reply, the client reading it
-//! and every disk artifact share it. An artifact is a message behind a
-//! seal line — an FNV-1a hash of all of it — so a damaged, truncated or
+//! line, `key: value` headers, body), one length-prefixed frame each way
+//! per connection: a client opens a connection, sends one request, reads
+//! one response. Compile results have one codec into the message shape
+//! ([`Artifact`]): the daemon's `ok` reply, the client reading it and
+//! every disk artifact share it. An artifact is a message behind a seal
+//! line — an FNV-1a hash of all of it — so a damaged, truncated or
 //! version-skewed file degrades to a cache miss and a fresh compile: the
 //! cache can make a request faster, never wronger.
 //!
@@ -50,25 +52,21 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod artifact;
-pub mod backoff;
-pub mod cache;
-pub mod client;
-pub mod config;
-pub mod fault;
-pub mod proto;
-pub mod server;
-pub mod stats;
+mod artifact;
+mod backoff;
+mod cache;
+mod client;
+mod config;
+mod fault;
+mod proto;
+mod server;
+mod stats;
 
-pub use artifact::{Artifact, CompileMeta, RunRecord, ARTIFACT_VERSION};
-pub use backoff::Backoff;
-pub use cache::{inject_store_fault, Artifacts, CachedCompile, CompileCache, Key};
-pub use client::{connect_unix, request_over, Remote, RemoteCompile};
+pub use artifact::{Artifact, CompileMeta, RunRecord};
+pub use cache::{Artifacts, CachedCompile, CompileCache, Key};
+pub use client::{Remote, RemoteCompile};
 pub use config::{config_name, config_names, parse_config};
 pub use fault::{ServeFault, ServeFaultKind, ServeFaultPlan};
-pub use proto::{
-    read_frame, read_frame_lenient, write_frame, FrameDefect, Message, MAX_FRAME, PROTO_VERSION,
-    RESYNC_MAX,
-};
-pub use server::{serve_unix_with, ServeOptions, Service};
-pub use stats::{CacheStats, STATS_VERSION};
+pub use proto::Message;
+pub use server::{serve_unix_with, ServeOptions};
+pub use stats::CacheStats;

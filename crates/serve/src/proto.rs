@@ -12,17 +12,10 @@
 use std::io::{self, Read, Write};
 
 /// Protocol version carried in every status line.
-pub const PROTO_VERSION: u32 = 1;
+pub(crate) const PROTO_VERSION: u32 = 1;
 
 /// Maximum frame payload size (16 MiB — far above any module we print).
-pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
-
-/// Largest declared length [`read_frame_lenient`] will drain to
-/// resynchronize after an oversized frame (4 × [`MAX_FRAME`]). Beyond
-/// this the stream position is declared unrecoverable: draining, say, a
-/// `u32::MAX` prefix would stall the connection for gigabytes on the
-/// word of a peer that has already proven itself confused.
-pub const RESYNC_MAX: u32 = 4 * MAX_FRAME;
+pub(crate) const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
 /// A parsed protocol message: verb, headers, body.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,7 +94,7 @@ impl Message {
 }
 
 /// Write one length-prefixed frame.
-pub fn write_frame(w: &mut impl Write, msg: &Message) -> io::Result<()> {
+pub(crate) fn write_frame(w: &mut impl Write, msg: &Message) -> io::Result<()> {
     let payload = msg.encode();
     let len = payload.len();
     if len > MAX_FRAME as usize {
@@ -115,83 +108,13 @@ pub fn write_frame(w: &mut impl Write, msg: &Message) -> io::Result<()> {
     w.flush()
 }
 
-/// Read one length-prefixed frame, a [`FrameDefect`] as an
-/// [`io::ErrorKind::InvalidData`] error — the client-side read path.
-/// `Ok(None)` on clean EOF before the length prefix (peer hung up between
-/// requests).
-pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Message>> {
-    read_frame_lenient(r)?
-        .map(|m| m.map_err(|d| io::Error::new(io::ErrorKind::InvalidData, d.to_string())))
-        .transpose()
-}
-
-/// Why a received frame could not be turned into a [`Message`]. Carried
-/// by [`read_frame_lenient`] so a server can answer with a structured
-/// `error` response instead of killing the connection.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FrameDefect {
-    /// Declared length exceeds [`MAX_FRAME`]; the payload was drained, so
-    /// the stream is back at a frame boundary and the connection can
-    /// continue.
-    Oversized {
-        /// The declared payload length.
-        len: u32,
-    },
-    /// Declared length exceeds even [`RESYNC_MAX`]; nothing was drained
-    /// and the connection must be closed after the error response.
-    Unrecoverable {
-        /// The declared payload length.
-        len: u32,
-    },
-    /// The payload was not valid UTF-8.
-    NotUtf8,
-    /// The payload was UTF-8 but not a valid message (version skew, bad
-    /// status line, malformed header, missing blank line).
-    Malformed,
-}
-
-impl FrameDefect {
-    /// Whether the stream is positioned at a frame boundary afterwards —
-    /// i.e. whether the connection can keep serving requests once the
-    /// error response is sent.
-    pub fn recoverable(&self) -> bool {
-        !matches!(self, FrameDefect::Unrecoverable { .. })
-    }
-}
-
-/// A single-line description, suitable for an error-response header.
-impl std::fmt::Display for FrameDefect {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FrameDefect::Oversized { len } => {
-                write!(f, "frame length {len} exceeds MAX_FRAME ({MAX_FRAME})")
-            }
-            FrameDefect::Unrecoverable { len } => {
-                write!(f, "frame length {len} exceeds resync limit ({RESYNC_MAX})")
-            }
-            FrameDefect::NotUtf8 => f.write_str("frame is not UTF-8"),
-            FrameDefect::Malformed => f.write_str("malformed message"),
-        }
-    }
-}
-
-/// Read one frame, degrading malformed input to a [`FrameDefect`]
-/// instead of an error — the server-side read path.
-///
-/// Returns:
-///
-/// * `Ok(None)` — clean EOF before the length prefix;
-/// * `Ok(Some(Ok(msg)))` — a well-formed frame;
-/// * `Ok(Some(Err(defect)))` — a damaged frame the caller should answer
-///   with a structured `error` response; check
-///   [`recoverable`](FrameDefect::recoverable) to decide whether the
-///   connection survives. Oversized-but-drainable payloads (up to
-///   [`RESYNC_MAX`]) are consumed in fixed-size chunks so the stream is
-///   left at the next frame boundary without ever allocating the
-///   declared length;
-/// * `Err(e)` — a genuine transport failure (including a peer that lied
-///   about its length and hung up mid-payload).
-pub fn read_frame_lenient(r: &mut impl Read) -> io::Result<Option<Result<Message, FrameDefect>>> {
+/// Read one length-prefixed frame. `Ok(None)` on clean EOF before the
+/// length prefix (the peer hung up without a request). A bad frame — a
+/// declared length over [`MAX_FRAME`] (refused before anything is read or
+/// allocated), a payload that is not UTF-8, or one that is no [`Message`]
+/// — is an [`io::ErrorKind::InvalidData`] error carrying the reason; a
+/// payload cut short is [`io::ErrorKind::UnexpectedEof`].
+pub(crate) fn read_frame(r: &mut impl Read) -> io::Result<Option<Message>> {
     let mut len_buf = [0u8; 4];
     match r.read_exact(&mut len_buf) {
         Ok(()) => {}
@@ -199,29 +122,21 @@ pub fn read_frame_lenient(r: &mut impl Read) -> io::Result<Option<Result<Message
         Err(e) => return Err(e),
     }
     let len = u32::from_le_bytes(len_buf);
-    if len > RESYNC_MAX {
-        return Ok(Some(Err(FrameDefect::Unrecoverable { len })));
-    }
     if len > MAX_FRAME {
-        // Drain the oversized payload in bounded chunks to resynchronize.
-        let mut chunk = [0u8; 64 * 1024];
-        let mut left = len as usize;
-        while left > 0 {
-            let take = left.min(chunk.len());
-            r.read_exact(&mut chunk[..take])?;
-            left -= take;
-        }
-        return Ok(Some(Err(FrameDefect::Oversized { len })));
+        return Err(bad_frame(format!(
+            "frame length {len} exceeds MAX_FRAME ({MAX_FRAME})"
+        )));
     }
     let mut payload = vec![0u8; len as usize];
     r.read_exact(&mut payload)?;
-    let Ok(text) = String::from_utf8(payload) else {
-        return Ok(Some(Err(FrameDefect::NotUtf8)));
-    };
-    Ok(Some(match Message::decode(&text) {
-        Some(msg) => Ok(msg),
-        None => Err(FrameDefect::Malformed),
-    }))
+    let text = String::from_utf8(payload).map_err(|_| bad_frame("frame is not UTF-8"))?;
+    Message::decode(&text)
+        .map(Some)
+        .ok_or_else(|| bad_frame("malformed message"))
+}
+
+fn bad_frame(reason: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, reason.into())
 }
 
 #[cfg(test)]
@@ -265,9 +180,12 @@ mod tests {
 
     #[test]
     fn oversized_length_prefix_fails_without_allocating() {
-        let mut r: &[u8] = &u32::MAX.to_le_bytes();
-        let e = read_frame(&mut r).unwrap_err();
-        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        // No payload follows: the length alone is refused, nothing is read.
+        for len in [MAX_FRAME + 1, u32::MAX] {
+            let mut r: &[u8] = &len.to_le_bytes();
+            let e = read_frame(&mut r).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{len}");
+        }
     }
 
     #[test]
@@ -279,79 +197,25 @@ mod tests {
         assert!(read_frame(&mut r).is_err());
     }
 
-    // --- lenient read path: every malformed-frame shape must yield a
-    // --- defect (answerable with a structured error), not a dead stream.
-
     #[test]
-    fn lenient_oversized_frame_is_drained_and_the_stream_survives() {
-        let len = MAX_FRAME + 3;
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&len.to_le_bytes());
-        buf.resize(buf.len() + len as usize, b'x');
-        write_frame(&mut buf, &Message::new("ping")).unwrap();
-        let mut r = &buf[..];
-        let defect = read_frame_lenient(&mut r).unwrap().unwrap().unwrap_err();
-        assert_eq!(defect, FrameDefect::Oversized { len });
-        assert!(defect.recoverable());
-        // Resynchronized: the next frame parses cleanly.
-        assert_eq!(
-            read_frame_lenient(&mut r).unwrap().unwrap().unwrap(),
-            Message::new("ping")
-        );
-    }
-
-    #[test]
-    fn lenient_hostile_length_prefix_is_unrecoverable_without_allocating() {
-        let mut r: &[u8] = &u32::MAX.to_le_bytes();
-        let defect = read_frame_lenient(&mut r).unwrap().unwrap().unwrap_err();
-        assert_eq!(defect, FrameDefect::Unrecoverable { len: u32::MAX });
-        assert!(!defect.recoverable());
-    }
-
-    #[test]
-    fn lenient_non_utf8_payload_is_a_defect_not_an_error() {
-        let payload = [0xffu8, 0xfe, 0x00, 0x80];
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&payload);
-        write_frame(&mut buf, &Message::new("ping")).unwrap();
-        let mut r = &buf[..];
-        let defect = read_frame_lenient(&mut r).unwrap().unwrap().unwrap_err();
-        assert_eq!(defect, FrameDefect::NotUtf8);
-        assert!(defect.recoverable());
-        assert_eq!(
-            read_frame_lenient(&mut r).unwrap().unwrap().unwrap(),
-            Message::new("ping")
-        );
-    }
-
-    #[test]
-    fn lenient_malformed_payloads_are_defects_per_shape() {
-        // Version skew, empty verb, headerless garbage, missing blank line.
+    fn damaged_payloads_are_invalid_data_per_shape() {
+        // Not UTF-8, version skew, empty verb, headerless garbage, missing
+        // blank line.
+        let mut shapes: Vec<&[u8]> = vec![&[0xff, 0xfe, 0x00, 0x80]];
         for bad in [
             "uu-serve/2 ping\n\n",
             "uu-serve/1 \n\n",
             "uu-serve/1 ping\nbad header\n\n",
             "no blank line",
         ] {
+            shapes.push(bad.as_bytes());
+        }
+        for bad in shapes {
             let mut buf = Vec::new();
             buf.extend_from_slice(&(bad.len() as u32).to_le_bytes());
-            buf.extend_from_slice(bad.as_bytes());
-            let mut r = &buf[..];
-            let defect = read_frame_lenient(&mut r).unwrap().unwrap().unwrap_err();
-            assert_eq!(defect, FrameDefect::Malformed, "{bad:?}");
-            assert!(defect.recoverable());
+            buf.extend_from_slice(bad);
+            let e = read_frame(&mut &buf[..]).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{bad:?}");
         }
-    }
-
-    #[test]
-    fn lenient_clean_eof_and_truncation_mirror_the_strict_reader() {
-        let mut r: &[u8] = &[];
-        assert!(read_frame_lenient(&mut r).unwrap().is_none());
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&100u32.to_le_bytes());
-        buf.extend_from_slice(b"short");
-        let mut t = &buf[..];
-        assert!(read_frame_lenient(&mut t).is_err());
     }
 }

@@ -3,6 +3,9 @@
 //! cache, answering with optimized IR + rung + metrics — and degrading
 //! gracefully under overload, damage and injected faults.
 //!
+//! A connection carries one request, as every client sends
+//! ([`crate::client::Remote`]): one frame in, one response out, closed.
+//!
 //! Request verbs:
 //!
 //! * `compile` — headers `config: <name>` (required, see
@@ -21,8 +24,6 @@
 //! * `stats` — response body is the cache's [`CacheStats`] JSON.
 //! * `ping` — liveness probe.
 //! * `health` — liveness plus gauges (`workers`, `inflight`, `draining`).
-//! * `ready` — readiness probe: `ready: 1` while accepting, `0` once
-//!   draining.
 //! * `shutdown` — acknowledge, stop accepting, finish in-flight
 //!   requests, then exit (graceful drain).
 //!
@@ -42,9 +43,9 @@
 //! crash-loop circuit breaker: further requests for it are refused with a
 //! `quarantined: 1` error instead of a fourth recompile.
 //!
-//! Damaged frames (oversized, non-UTF-8, malformed) get a structured
-//! `error` response and the connection resynchronizes where possible
-//! (see [`crate::proto::read_frame_lenient`]) instead of dying.
+//! A damaged frame (oversized, non-UTF-8, malformed) is counted in
+//! `frame_defects` and answered with an `error` carrying the reason; then
+//! the connection closes like any other.
 //!
 //! Deterministic service-level faults ([`ServeOptions::fault`], see
 //! [`crate::fault`]) inject torn response frames, mid-request
@@ -66,7 +67,7 @@ use crate::artifact::{CompileMeta, RunRecord};
 use crate::cache::{Artifacts, CompileCache, Key};
 use crate::config::{config_names, parse_config};
 use crate::fault::{ServeFaultKind, ServeFaultPlan};
-use crate::proto::{read_frame_lenient, write_frame, Message};
+use crate::proto::{read_frame, write_frame, Message};
 use uu_core::{FaultPlan, LoopFilter, PipelineOptions, COMPILE_TIMEOUT};
 use uu_par::{run_crew, TaskQueue};
 
@@ -103,10 +104,9 @@ impl Default for ServeOptions {
 
 /// How a worker should answer one request.
 enum Reply {
-    /// Write the response frame and keep the connection.
+    /// Write the response frame.
     Send(Message),
-    /// Write a deliberately truncated response frame, then close the
-    /// connection (the `torn` fault).
+    /// Write a deliberately truncated response frame (the `torn` fault).
     Torn(Message),
     /// Close the connection without any response (the `disconnect`
     /// fault).
@@ -116,7 +116,7 @@ enum Reply {
 /// The shared state of one daemon: cache, tunables, admission gauge,
 /// fault clock, drain flag and the crash-loop breaker. All methods take
 /// `&self`; one `Service` is shared by every worker thread.
-pub struct Service<'a> {
+pub(crate) struct Service<'a> {
     cache: &'a CompileCache,
     opts: ServeOptions,
     /// Compile requests currently being handled (the admission gauge).
@@ -132,7 +132,7 @@ pub struct Service<'a> {
 
 impl<'a> Service<'a> {
     /// A service over `cache` with the given tunables.
-    pub fn new(cache: &'a CompileCache, opts: ServeOptions) -> Service<'a> {
+    pub(crate) fn new(cache: &'a CompileCache, opts: ServeOptions) -> Service<'a> {
         Service {
             cache,
             opts,
@@ -146,52 +146,34 @@ impl<'a> Service<'a> {
     /// Whether a `shutdown` has been requested (the accept loop stops
     /// admitting new connections once this is set; in-flight work still
     /// completes — drain, not abort).
-    pub fn is_draining(&self) -> bool {
+    pub(crate) fn is_draining(&self) -> bool {
         self.draining.load(Ordering::SeqCst)
     }
 
-    /// Serve one framed stream until EOF, a fatal frame defect, an
-    /// injected connection fault, or a `shutdown` request. Returns
-    /// `true` if shutdown was requested. An I/O error ends the connection
-    /// and is counted in `conn_errors`: a dropped client must not kill
-    /// the daemon, but it must be visible in the stats.
-    pub fn serve_conn(&self, r: &mut impl Read, w: &mut impl Write) -> io::Result<bool> {
-        let done = self.converse(r, w);
+    /// Answer the one request a connection carries: read a frame, write
+    /// its response. A connection that closes before a frame is answered
+    /// by nothing; a bad frame (`InvalidData`) is counted in
+    /// `frame_defects` and answered with an `error`. Any other I/O error
+    /// is counted in `conn_errors`: a dropped client must not kill the
+    /// daemon, but it must be visible in the stats.
+    pub(crate) fn serve_conn(&self, r: &mut impl Read, w: &mut impl Write) -> io::Result<()> {
+        let done = match read_frame(r) {
+            Ok(Some(req)) => match self.respond(&req) {
+                Reply::Send(resp) => write_frame(w, &resp),
+                Reply::Torn(resp) => write_torn(w, &resp),
+                Reply::Hangup => Ok(()),
+            },
+            Ok(None) => Ok(()),
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                self.cache.stats_mut(|s| s.frame_defects += 1);
+                write_frame(w, &error(&e.to_string()))
+            }
+            Err(e) => Err(e),
+        };
         if done.is_err() {
             self.cache.stats_mut(|s| s.conn_errors += 1);
         }
         done
-    }
-
-    fn converse(&self, r: &mut impl Read, w: &mut impl Write) -> io::Result<bool> {
-        loop {
-            match read_frame_lenient(r)? {
-                None => return Ok(false),
-                Some(Err(defect)) => {
-                    self.cache.stats_mut(|s| s.frame_defects += 1);
-                    write_frame(w, &error(&defect.to_string()))?;
-                    if !defect.recoverable() {
-                        return Ok(false);
-                    }
-                }
-                Some(Ok(req)) => {
-                    let shutdown = req.verb == "shutdown";
-                    match self.respond(&req) {
-                        Reply::Send(resp) => {
-                            write_frame(w, &resp)?;
-                            if shutdown {
-                                return Ok(true);
-                            }
-                        }
-                        Reply::Torn(resp) => {
-                            write_torn(w, &resp)?;
-                            return Ok(false);
-                        }
-                        Reply::Hangup => return Ok(false),
-                    }
-                }
-            }
-        }
     }
 
     fn respond(&self, req: &Message) -> Reply {
@@ -216,7 +198,6 @@ impl<'a> Service<'a> {
                 .header("workers", self.opts.workers)
                 .header("inflight", self.inflight.load(Ordering::SeqCst))
                 .header("draining", u8::from(self.is_draining())),
-            "ready" => Message::new("ok").header("ready", u8::from(!self.is_draining())),
             "stats" => Message::new("ok").with_body(self.cache.stats().to_json()),
             "lookup-run" => match req.get("key").and_then(Key::parse) {
                 None => error("missing or malformed `key` header"),
@@ -451,8 +432,11 @@ fn write_torn(w: &mut impl Write, msg: &Message) -> io::Result<()> {
     w.flush()
 }
 
-/// Serve on a Unix socket at `path` (any stale socket file is replaced)
-/// until a client sends `shutdown` — the daemon's one entry point. A crew of
+/// Serve on a Unix socket at `path` until a client sends `shutdown` — the
+/// daemon's one entry point. A socket at `path` that answers a connect
+/// belongs to a live daemon: that is an [`io::ErrorKind::AddrInUse`]
+/// error and the file is left alone; one nobody answers is stale and
+/// replaced. A crew of
 /// [`ServeOptions::workers`] threads handles connections concurrently
 /// off a shared queue while the calling thread blocks in `accept`.
 ///
@@ -475,6 +459,12 @@ fn write_torn(w: &mut impl Write, msg: &Message) -> io::Result<()> {
 ///
 /// [`CacheStats::accept_errors`]: crate::stats::CacheStats::accept_errors
 pub fn serve_unix_with(path: &Path, cache: &CompileCache, opts: ServeOptions) -> io::Result<()> {
+    if UnixStream::connect(path).is_ok() {
+        return Err(io::Error::new(
+            io::ErrorKind::AddrInUse,
+            format!("{}: a daemon is already serving on this socket", path.display()),
+        ));
+    }
     let _ = std::fs::remove_file(path);
     let listener = UnixListener::bind(path)?;
     let service = &Service::new(cache, opts);
@@ -483,15 +473,8 @@ pub fn serve_unix_with(path: &Path, cache: &CompileCache, opts: ServeOptions) ->
     let result = run_crew(
         service.opts.workers,
         queue,
-        |mut conn: UnixStream| {
-            let done = match conn.try_clone() {
-                Ok(mut rd) => service.serve_conn(&mut rd, &mut conn),
-                Err(e) => {
-                    service.cache.stats_mut(|s| s.conn_errors += 1);
-                    Err(e)
-                }
-            };
-            if let Err(e) = done {
+        |conn: UnixStream| {
+            if let Err(e) = service.serve_conn(&mut &conn, &mut &conn) {
                 eprintln!("uu-serve: connection error (continuing): {e}");
             }
             // First connection to end on a draining service (the one that
@@ -997,11 +980,9 @@ bb6:
         assert_eq!(health.get("workers"), Some("4"));
         assert_eq!(health.get("inflight"), Some("0"));
         assert_eq!(health.get("draining"), Some("0"));
-        assert_eq!(roundtrip(&svc, &Message::new("ready")).get("ready"), Some("1"));
         let bye = roundtrip(&svc, &Message::new("shutdown"));
         assert_eq!(bye.verb, "ok");
         assert!(svc.is_draining());
-        assert_eq!(roundtrip(&svc, &Message::new("ready")).get("ready"), Some("0"));
         assert_eq!(
             roundtrip(&svc, &Message::new("health")).get("draining"),
             Some("1")
@@ -1162,27 +1143,20 @@ bb6:
         let req = Message::new("compile").header("config", "baseline").with_body(MODULE);
         // Torn: the client sees a frame that dies mid-payload.
         {
-            let (mut client, mut server) = UnixStream::pair().unwrap();
+            let (mut client, server) = UnixStream::pair().unwrap();
             let svc = &svc;
             std::thread::scope(|s| {
-                s.spawn(move || {
-                    let mut rd = server.try_clone().unwrap();
-                    let done = svc.serve_conn(&mut rd, &mut server).unwrap();
-                    assert!(!done);
-                });
+                s.spawn(move || svc.serve_conn(&mut &server, &mut &server).unwrap());
                 let e = crate::client::request_over(&mut client, &req).unwrap_err();
                 assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof);
             });
         }
         // Disconnect: the client sees EOF with no bytes at all.
         {
-            let (mut client, mut server) = UnixStream::pair().unwrap();
+            let (mut client, server) = UnixStream::pair().unwrap();
             let svc = &svc;
             std::thread::scope(|s| {
-                s.spawn(move || {
-                    let mut rd = server.try_clone().unwrap();
-                    svc.serve_conn(&mut rd, &mut server).unwrap();
-                });
+                s.spawn(move || svc.serve_conn(&mut &server, &mut &server).unwrap());
                 let e = crate::client::request_over(&mut client, &req).unwrap_err();
                 assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof);
             });
@@ -1192,54 +1166,110 @@ bb6:
         assert_eq!(ok.verb, "ok");
     }
 
-    #[test]
-    fn damaged_frames_get_structured_errors_and_the_connection_survives() {
-        use std::os::unix::net::UnixStream;
-        let cache = CompileCache::new_mem();
-        let svc = service(&cache);
-        let (mut client, mut server) = UnixStream::pair().unwrap();
-        let svc_ref = &svc;
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                let mut rd = server.try_clone().unwrap();
-                svc_ref.serve_conn(&mut rd, &mut server).unwrap();
-            });
-            // A malformed payload first...
-            let garbage = b"not a message";
-            client
-                .write_all(&(garbage.len() as u32).to_le_bytes())
-                .unwrap();
-            client.write_all(garbage).unwrap();
-            let resp = crate::proto::read_frame(&mut client).unwrap().unwrap();
-            assert_eq!(resp.verb, "error");
-            // ...then a well-formed request on the SAME connection.
-            let pong = crate::client::request_over(&mut client, &Message::new("ping")).unwrap();
-            assert_eq!(pong.verb, "ok");
-            drop(client);
-        });
-        assert_eq!(cache.stats().frame_defects, 1);
+    /// A client end of a socket pair whose other end `svc` serves on a
+    /// scoped thread; reads time out, so a server that keeps the
+    /// connection open fails the test instead of hanging it. Drop the
+    /// client before the scope joins.
+    fn served_pair<'s>(
+        s: &'s std::thread::Scope<'s, '_>,
+        svc: &'s Service<'_>,
+    ) -> UnixStream {
+        let (client, server) = UnixStream::pair().unwrap();
+        client.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        s.spawn(move || svc.serve_conn(&mut &server, &mut &server));
+        client
     }
 
     #[test]
-    fn serve_conn_round_trips_over_a_socket_pair() {
-        use std::os::unix::net::UnixStream;
+    fn a_connection_carries_one_request() {
         let cache = CompileCache::new_mem();
-        let (mut client, mut server) = UnixStream::pair().unwrap();
-        let handle = std::thread::spawn(move || {
-            let cache = cache;
-            let mut rd = server.try_clone().unwrap();
-            service(&cache).serve_conn(&mut rd, &mut server).unwrap()
+        let svc = service(&cache);
+        std::thread::scope(|s| {
+            let mut client = served_pair(s, &svc);
+            // A second frame before reading the first response: the
+            // server answers the compile and closes with the `ping` unread.
+            let mut two = Vec::new();
+            write_frame(&mut two, &compile_req(MODULE)).unwrap();
+            write_frame(&mut two, &Message::new("ping")).unwrap();
+            client.write_all(&two).unwrap();
+            let resp = read_frame(&mut client).unwrap().unwrap();
+            assert_eq!((resp.verb.as_str(), resp.get("cached")), ("ok", Some("miss")));
+            // Closing with a frame still queued is a reset on Linux.
+            match read_frame(&mut client) {
+                Ok(None) => {}
+                Err(e) if e.kind() == io::ErrorKind::ConnectionReset => {}
+                other => panic!("a second response or no end: {other:?}"),
+            }
         });
-        let req = Message::new("compile").header("config", "uu2").with_body(MODULE);
-        let resp = crate::client::request_over(&mut client, &req).unwrap();
-        assert_eq!(resp.verb, "ok");
-        assert_eq!(resp.get("cached"), Some("miss"));
-        let again = crate::client::request_over(&mut client, &req).unwrap();
-        assert_eq!(again.get("cached"), Some("hit"));
-        assert_eq!(resp.body, again.body);
-        let bye = crate::client::request_over(&mut client, &Message::new("shutdown")).unwrap();
-        assert_eq!(bye.verb, "ok");
-        assert!(handle.join().unwrap(), "shutdown must end the session");
+        assert_eq!(cache.stats().requests, 1);
+    }
+
+    #[test]
+    fn a_bad_frame_gets_an_error_then_the_end_of_the_connection() {
+        let cache = CompileCache::new_mem();
+        let svc = service(&cache);
+        let garbage = b"not a message";
+        let mut malformed = (garbage.len() as u32).to_le_bytes().to_vec();
+        malformed.extend_from_slice(garbage);
+        // An oversized length alone: refused before any payload is read.
+        let oversized = (crate::proto::MAX_FRAME + 1).to_le_bytes().to_vec();
+        for (i, (bad, reason)) in
+            [(malformed, "malformed message"), (oversized, "exceeds MAX_FRAME")]
+                .into_iter()
+                .enumerate()
+        {
+            std::thread::scope(|s| {
+                let mut client = served_pair(s, &svc);
+                client.write_all(&bad).unwrap();
+                let resp = read_frame(&mut client).unwrap().unwrap();
+                assert_eq!(resp.verb, "error");
+                assert!(resp.get("reason").unwrap().contains(reason), "{resp:?}");
+                assert!(read_frame(&mut client).unwrap().is_none(), "the connection ends");
+            });
+            assert_eq!(cache.stats().frame_defects, i as u64 + 1);
+        }
+        assert_eq!(cache.stats().requests, 0);
+    }
+
+    #[test]
+    fn a_second_daemon_on_a_live_socket_is_refused_and_the_first_keeps_serving() {
+        let dir = scratch_dir("twice");
+        std::fs::create_dir_all(&dir).unwrap();
+        let sock = dir.join("d.sock");
+        let patience = Duration::from_secs(10);
+        // Plain threads, not a scope: a second daemon that took the socket
+        // over would leave the first unreachable, and the test must fail
+        // rather than wait for it.
+        let (done_tx, done) = std::sync::mpsc::channel();
+        let start = |name: &'static str, cache: std::sync::Arc<CompileCache>| {
+            let (sock, done_tx) = (sock.clone(), done_tx.clone());
+            std::thread::spawn(move || {
+                let _ = done_tx.send((name, serve_unix_with(&sock, &cache, ServeOptions::default())));
+            })
+        };
+        let first_cache = std::sync::Arc::new(CompileCache::new_mem());
+        let first = start("first", first_cache.clone());
+        drop(crate::client::connect_unix(&sock, patience).unwrap()); // bound
+        let second = start("second", std::sync::Arc::new(CompileCache::new_mem()));
+        let (name, r) = done.recv_timeout(patience).expect("the second daemon must not serve");
+        assert_eq!(name, "second");
+        assert_eq!(r.unwrap_err().kind(), io::ErrorKind::AddrInUse);
+        second.join().unwrap();
+        assert!(sock.exists(), "the live daemon's socket is left alone");
+        let ask = |verb: &str| {
+            let mut conn = crate::client::connect_unix(&sock, patience).unwrap();
+            conn.set_read_timeout(Some(patience)).unwrap();
+            crate::client::request_over(&mut conn, &Message::new(verb)).unwrap()
+        };
+        let before = first_cache.stats().requests;
+        assert_eq!(ask("ping").verb, "ok");
+        assert_eq!(first_cache.stats().requests, before + 1);
+        assert_eq!(ask("shutdown").verb, "ok");
+        let (name, r) = done.recv_timeout(patience).expect("the first daemon drains");
+        assert_eq!(name, "first");
+        r.unwrap();
+        first.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1325,8 +1355,9 @@ bb6:
     #[test]
     fn shutdown_wakes_a_blocked_accept_with_four_workers() {
         let took = drain_after(4, "wake4", |sock| {
-            // Idle keep-alive connections parked on other workers must
-            // neither block the wake nor be cut short: they close first.
+            // Idle connections that never send a request, parked on other
+            // workers, must neither block the wake nor be cut short: they
+            // close first.
             let idle: Vec<_> = (0..3).map(|_| UnixStream::connect(sock).unwrap()).collect();
             let mut conn = UnixStream::connect(sock).unwrap();
             let pong = crate::client::request_over(&mut conn, &Message::new("ping")).unwrap();

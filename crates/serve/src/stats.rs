@@ -8,7 +8,7 @@ use uu_core::Rung;
 /// skew instead of misreading counters. Version 2 added the service
 /// counters (admission, deadlines, panics, quarantine, frame defects,
 /// accept/connection/store errors).
-pub const STATS_VERSION: u32 = 2;
+pub(crate) const STATS_VERSION: u32 = 2;
 
 /// Counters for one cache (and the service wrapped around it).
 ///

@@ -211,21 +211,6 @@ impl GlobalMemory {
         Ok(b)
     }
 
-    /// Allocate and initialize from `i32` host data.
-    pub fn alloc_i32(&mut self, data: &[i32]) -> Result<Buffer, MemError> {
-        let b = self.alloc(data.len() as u64 * 4)?;
-        if let Some(w) = self.write_window(b.addr, data.len() as u64 * 4) {
-            for (dst, v) in w.chunks_exact_mut(4).zip(data) {
-                dst.copy_from_slice(&v.to_le_bytes());
-            }
-            return Ok(b);
-        }
-        for (i, v) in data.iter().enumerate() {
-            self.write_scalar(b.addr + i as u64 * 4, Constant::I32(*v))?;
-        }
-        Ok(b)
-    }
-
     /// Borrow `len` bytes at `addr` for reading, bounds-checked once.
     ///
     /// Returns `None` whenever the per-access slow path must run instead:
@@ -362,26 +347,6 @@ impl GlobalMemory {
             .collect()
     }
 
-    /// Read back a buffer as `i32`s.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::OutOfBounds`] for dangling/foreign buffers.
-    pub fn read_i32(&self, b: Buffer) -> Result<Vec<i32>, MemError> {
-        if let Some(w) = self.read_window(b.addr, b.len / 4 * 4) {
-            return Ok(w
-                .chunks_exact(4)
-                .map(|c| i32::from_le_bytes(c.try_into().unwrap()))
-                .collect());
-        }
-        (0..b.len / 4)
-            .map(|i| {
-                self.read_scalar(b.addr + i * 4, Type::I32)
-                    .map(|c| c.as_i64().unwrap() as i32)
-            })
-            .collect()
-    }
-
     /// Read back a buffer as `f32`s.
     ///
     /// # Errors
@@ -415,8 +380,6 @@ mod tests {
         let c = m.alloc_i64(&[7, -9]).unwrap();
         assert_eq!(m.read_i64(c).unwrap(), vec![7, -9]);
         assert_ne!(b.addr, c.addr);
-        let d = m.alloc_i32(&[1, 2, 3]).unwrap();
-        assert_eq!(m.read_i32(d).unwrap(), vec![1, 2, 3]);
         let e = m.alloc_f32(&[0.5]).unwrap();
         assert_eq!(m.read_f32(e).unwrap(), vec![0.5]);
     }
@@ -435,7 +398,6 @@ mod tests {
             Err(MemError::OutOfBounds { .. })
         ));
         assert!(m.read_f64(foreign).is_err());
-        assert!(m.read_i32(foreign).is_err());
         assert!(m.read_f32(foreign).is_err());
         // A buffer overhanging the end of the heap faults too.
         let b = m.alloc(16).unwrap();
