@@ -206,12 +206,20 @@ echo "== engine identity: checked-in results-fast/ must reproduce byte-identical
 # both must reproduce the same bytes.
 # (The one-worker directory is the cacheless reference later rungs diff
 # against.)
-rm -rf target/ci/results-fast target/ci/results-fast-j4
+rm -rf target/ci/results-fast target/ci/results-fast-j4 target/ci/results-fast-profile
 UU_JOBS=1 ./target/release/uu-harness all --fast --out target/ci/results-fast > /dev/null
 diff -r results-fast target/ci/results-fast
 UU_JOBS=4 ./target/release/uu-harness all --fast --out target/ci/results-fast-j4 > /dev/null
 diff -r results-fast target/ci/results-fast-j4
-echo "results-fast (cached-decode, memoised-compile sweep) reproduces byte-identically at UU_JOBS=1 and 4"
+# `--profile` prints its span table on stderr and moves no report byte.
+UU_JOBS=1 ./target/release/uu-harness all --fast --profile --out target/ci/results-fast-profile \
+  > /dev/null 2> target/ci/results-fast-profile.err
+diff -r results-fast target/ci/results-fast-profile
+for span in 'cold-point compile' 'executed-point compile' simulate render; do
+  grep -q "^  $span " target/ci/results-fast-profile.err \
+    || { echo "--profile printed no '$span' span" >&2; exit 1; }
+done
+echo "results-fast (cached-decode, memoised-compile sweep) reproduces byte-identically at UU_JOBS=1 and 4, and with --profile"
 
 echo "== full report identity: checked-in results/ must reproduce byte-identically =="
 # The same gate over the full sweep (every loop of every application, the

@@ -7,10 +7,12 @@ use uu_ir::{BlockId, Function, InstKind};
 /// Reverse post-order visits every block before its successors except along
 /// back edges, the canonical iteration order for forward dataflow.
 pub fn reverse_post_order(f: &Function) -> Vec<BlockId> {
-    let mut post = Vec::new();
+    // Both buffers hold at most the layout's blocks: sized once.
+    let mut post = Vec::with_capacity(f.num_blocks());
     let mut state = vec![0u8; f.layout().iter().map(|b| b.index() + 1).max().unwrap_or(0)];
     // Iterative DFS with an explicit stack of (block, next-successor-index).
-    let mut stack: Vec<(BlockId, usize)> = vec![(f.entry(), 0)];
+    let mut stack: Vec<(BlockId, usize)> = Vec::with_capacity(f.num_blocks());
+    stack.push((f.entry(), 0));
     state[f.entry().index()] = 1;
     while let Some(&mut (b, ref mut next)) = stack.last_mut() {
         let succs = f.successors(b);
@@ -170,7 +172,8 @@ pub fn split_edge(f: &mut Function, from: BlockId, to: BlockId) -> BlockId {
         uu_ir::Inst::new(uu_ir::InstKind::Br { target: to }, uu_ir::Type::Void),
     );
     // Phis in `to` now flow through `mid`.
-    for phi in f.phis(to) {
+    for k in 0..f.phis(to).len() {
+        let phi = f.block(to).insts[k];
         if let uu_ir::InstKind::Phi { incomings } = &mut f.inst_mut(phi).kind {
             for (p, _) in incomings.iter_mut() {
                 if *p == from {

@@ -59,33 +59,32 @@ impl LoopForest {
         for (i, b) in rpo.iter().enumerate() {
             order[b.index()] = i;
         }
-        // Group back edges per header.
+        // Headers in the order their first back edge is met.
+        let edges = back_edges(f, dom);
         let mut headers: Vec<BlockId> = Vec::new();
-        let mut latches_of: Vec<Vec<BlockId>> = Vec::new();
-        for e in back_edges(f, dom) {
-            match headers.iter().position(|h| *h == e.to) {
-                Some(i) => latches_of[i].push(e.from),
-                None => {
-                    headers.push(e.to);
-                    latches_of.push(vec![e.from]);
-                }
+        for e in &edges {
+            if !headers.contains(&e.to) {
+                headers.push(e.to);
             }
         }
         // Deterministic order: by RPO index of header (outer loops first in
         // RPO; ties impossible since headers are unique).
-        let mut idx: Vec<usize> = (0..headers.len()).collect();
-        idx.sort_by_key(|&i| order[headers[i].index()]);
+        headers.sort_by_key(|h| order[h.index()]);
 
         let preds = f.predecessors();
-        let mut loops: Vec<Loop> = Vec::new();
-        for &i in &idx {
-            let header = headers[i];
-            let mut latches = latches_of[i].clone();
+        let mut loops: Vec<Loop> = Vec::with_capacity(headers.len());
+        // One body set and one walk stack, reused by every loop.
+        let mut set: EntitySet<BlockId> = EntitySet::with_capacity(preds.len());
+        let mut stack: Vec<BlockId> = Vec::new();
+        for header in headers {
+            let mut latches: Vec<BlockId> =
+                edges.iter().filter(|e| e.to == header).map(|e| e.from).collect();
             latches.sort();
             // Natural loop body: header + backwards reachability from the
             // latches without crossing the header.
-            let mut set: EntitySet<BlockId> = [header].into_iter().collect();
-            let mut stack: Vec<BlockId> = latches.clone();
+            set.clear();
+            set.insert(header);
+            stack.extend_from_slice(&latches);
             while let Some(b) = stack.pop() {
                 set.insert(b);
                 if b == header {
@@ -98,7 +97,8 @@ impl LoopForest {
                 }
             }
             // EntitySet iterates in index order, so this is already sorted.
-            let blocks: Vec<BlockId> = set.iter().collect();
+            let mut blocks: Vec<BlockId> = Vec::with_capacity(set.len());
+            blocks.extend(set.iter());
             loops.push(Loop {
                 header,
                 latches,

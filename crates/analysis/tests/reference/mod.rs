@@ -84,7 +84,7 @@ pub fn uniformity(f: &Function) -> EntitySet<InstId> {
                     continue;
                 }
                 if reach[if_true.index()][j.index()] && reach[if_false.index()][j.index()] {
-                    for phi in f.phis(j) {
+                    for &phi in f.phis(j) {
                         if tainted.insert(phi) {
                             changed = true;
                         }

@@ -81,7 +81,13 @@ impl CloneMap {
 /// Callers are responsible for making the clone reachable and for updating
 /// phis in region successors (see [`add_phi_incomings_for_clone`]).
 pub fn clone_region(f: &mut Function, blocks: &[BlockId]) -> CloneMap {
-    let mut map = CloneMap::default();
+    // Sized for the arenas as they are: every key the clone maps is a slot
+    // that exists before it.
+    let mut map = CloneMap {
+        blocks: SecondaryMap::with_capacity(f.num_block_slots()),
+        insts: SecondaryMap::with_capacity(f.num_inst_slots()),
+        ..CloneMap::default()
+    };
     clone_region_with(f, blocks, |f, _, i| f.inst(i).clone(), &mut map);
     map
 }
@@ -101,6 +107,8 @@ pub(crate) fn clone_region_with(
     // Pass 1: create empty clone blocks.
     for &b in blocks {
         let nb = f.add_block();
+        let len = f.block(b).insts.len();
+        f.block_mut(nb).insts.reserve_exact(len);
         map.blocks.set(b, Some(nb));
         map.block_copies.push((b, nb));
     }
@@ -154,7 +162,8 @@ pub fn add_phi_incomings_for_clone(
     if new_pred == orig_pred {
         return;
     }
-    for phi in f.phis(succ) {
+    for k in 0..f.phis(succ).len() {
+        let phi = f.block(succ).insts[k];
         let mut addition = None;
         if let InstKind::Phi { incomings } = &f.inst(phi).kind {
             for (b, v) in incomings {
@@ -173,7 +182,8 @@ pub fn add_phi_incomings_for_clone(
 
 /// Remove the phi incomings in `succ` coming from `pred`.
 pub fn remove_phi_incomings_from(f: &mut Function, succ: BlockId, pred: BlockId) {
-    for phi in f.phis(succ) {
+    for k in 0..f.phis(succ).len() {
+        let phi = f.block(succ).insts[k];
         if let InstKind::Phi { incomings } = &mut f.inst_mut(phi).kind {
             incomings.retain(|(b, _)| *b != pred);
         }

@@ -148,7 +148,9 @@ fn insert_merging_pred(f: &mut Function, target: BlockId, preds: &[BlockId]) -> 
         f.inst_mut(t).kind.replace_block(target, m);
     }
     // Merge phi incomings.
-    for phi in f.phis(target) {
+    // `m` is new, so prepending its phis leaves `target`'s run in place.
+    for k in 0..f.phis(target).len() {
+        let phi = f.block(target).insts[k];
         let ty = f.inst(phi).ty;
         let mut moved: Vec<(BlockId, Value)> = Vec::new();
         if let InstKind::Phi { incomings } = &f.inst(phi).kind {
@@ -251,7 +253,7 @@ fn rewrite_lcssa(f: &mut Function, cl: &CanonicalLoop) -> bool {
                 continue;
             }
             // Reuse an existing LCSSA phi for this def if present.
-            let existing = f.phis(x).into_iter().find(|&p| {
+            let existing = f.phis(x).iter().copied().find(|&p| {
                 matches!(&f.inst(p).kind, InstKind::Phi { incomings }
                     if incomings.iter().all(|(_, v)| *v == Value::Inst(def)))
             });
@@ -583,7 +585,7 @@ mod tests {
                     continue;
                 }
                 // Reuse an existing LCSSA phi for this def if present.
-                let existing = f.phis(x).into_iter().find(|&p| {
+                let existing = f.phis(x).iter().copied().find(|&p| {
                     matches!(&f.inst(p).kind, InstKind::Phi { incomings }
                         if incomings.iter().all(|(_, v)| *v == Value::Inst(def)))
                 });

@@ -10,9 +10,9 @@
 //! re-evaluating conditions exactly because the re-evaluation (unified with
 //! the original condition by GVN) is dominated by a conditional edge.
 
-use super::Pass;
+use super::{Pass, Rows};
 use uu_analysis::{AnalysisCache, DomTree};
-use uu_ir::{BlockId, Function, ICmpPred, InstId, InstKind, SecondaryMap, Value};
+use uu_ir::{BlockId, Function, ICmpPred, InstId, InstKind, Value};
 
 /// The branch-condition propagation pass.
 #[derive(Debug, Default, Clone, Copy)]
@@ -34,8 +34,10 @@ impl Pass for CondProp {
 
     fn run_with(&mut self, f: &mut Function, cache: &mut AnalysisCache) -> bool {
         let labelled = PhiIncomings::new(f);
+        let mut subtree = Subtree::default();
         propagate(f, cache, |f, dom, from, to, region| {
-            replace_dominated_uses(f, dom, &labelled, from, to, region)
+            let region = subtree.of(dom, region);
+            replace_dominated_uses(f, &labelled, from, to, region)
         })
     }
 }
@@ -49,6 +51,7 @@ fn propagate(
 ) -> bool {
     let dom = cache.dominators(f);
     let preds = f.predecessors();
+    let mut subtree = Subtree::default();
     let mut changed = false;
     for b in f.layout().to_vec() {
         let Some(t) = f.terminator(b) else { continue };
@@ -105,7 +108,7 @@ fn propagate(
                     _ => None,
                 };
                 if let Some(x) = positive {
-                    changed |= strength_reduce_sdiv(f, &dom, x, target);
+                    changed |= strength_reduce_sdiv(f, x, subtree.of(&dom, target));
                 }
             }
         }
@@ -113,13 +116,14 @@ fn propagate(
     changed
 }
 
-/// Rewrite `sdiv x, 2^k` → `lshr x, k` for instructions dominated by
-/// `region`, where `x` is known positive there.
-fn strength_reduce_sdiv(f: &mut Function, dom: &DomTree, x: Value, region: BlockId) -> bool {
+/// Rewrite `sdiv x, 2^k` → `lshr x, k` for instructions in `region`, the
+/// blocks a fact dominates, where `x` is known positive.
+fn strength_reduce_sdiv(f: &mut Function, x: Value, region: &[BlockId]) -> bool {
     use uu_ir::BinOp;
     let mut changed = false;
-    for b in subtree(dom, region) {
-        for i in f.block(b).insts.clone() {
+    for &b in region {
+        for ix in 0..f.block(b).insts.len() {
+            let i = f.block(b).insts[ix];
             if let InstKind::Bin {
                 op: BinOp::SDiv,
                 lhs,
@@ -147,58 +151,74 @@ fn strength_reduce_sdiv(f: &mut Function, dom: &DomTree, x: Value, region: Block
     changed
 }
 
-/// All blocks in the dominator subtree rooted at `region` (the dominator
-/// tree's precomputed child adjacency makes this linear in the subtree).
-fn subtree(dom: &DomTree, region: BlockId) -> Vec<BlockId> {
-    let mut out = Vec::new();
-    let mut stack = vec![region];
-    while let Some(b) = stack.pop() {
-        out.push(b);
-        stack.extend(dom.children(b).iter().copied());
+/// The blocks of dominator subtrees, walked into buffers that every fact
+/// of an invocation reuses (the dominator tree's precomputed child
+/// adjacency makes a walk linear in the subtree).
+#[derive(Default)]
+struct Subtree {
+    blocks: Vec<BlockId>,
+    stack: Vec<BlockId>,
+}
+
+impl Subtree {
+    /// All blocks in the dominator subtree rooted at `region`, in preorder.
+    fn of(&mut self, dom: &DomTree, region: BlockId) -> &[BlockId] {
+        self.blocks.clear();
+        self.stack.clear();
+        self.stack.push(region);
+        while let Some(b) = self.stack.pop() {
+            self.blocks.push(b);
+            self.stack.extend_from_slice(dom.children(b));
+        }
+        &self.blocks
     }
-    out
 }
 
 /// The phi incomings of the layout by the predecessor they are labelled
-/// with: (phi, position). The pass rewrites operand values only, so the
-/// index stays valid through an invocation.
-struct PhiIncomings(SecondaryMap<BlockId, Vec<(InstId, u32)>>);
+/// with: (phi, position), in compressed rows. The pass rewrites operand
+/// values only, so the index stays valid through an invocation.
+struct PhiIncomings(Rows<(InstId, u32)>);
 
 impl PhiIncomings {
     fn new(f: &Function) -> PhiIncomings {
-        let mut by_pred: SecondaryMap<BlockId, Vec<(InstId, u32)>> = SecondaryMap::new();
-        for &b in f.layout() {
-            for phi in f.phis(b) {
-                if let InstKind::Phi { incomings } = &f.inst(phi).kind {
-                    for (k, (p, _)) in incomings.iter().enumerate() {
-                        by_pred.get_mut(*p).push((phi, k as u32));
+        let walk = |each: &mut dyn FnMut(BlockId, InstId, u32)| {
+            for &b in f.layout() {
+                for &phi in f.phis(b) {
+                    if let InstKind::Phi { incomings } = &f.inst(phi).kind {
+                        for (k, (p, _)) in incomings.iter().enumerate() {
+                            each(*p, phi, k as u32);
+                        }
                     }
                 }
             }
-        }
+        };
+        let mut by_pred = Rows::counting(f.num_block_slots());
+        walk(&mut |p, _, _| by_pred.count(p.index()));
+        by_pred.start_filling((InstId::from_index(0), 0));
+        walk(&mut |p, phi, k| by_pred.push(p.index(), (phi, k)));
+        by_pred.finish();
         PhiIncomings(by_pred)
     }
 }
 
-/// Replace uses of `from` with `to` at every use site dominated by `region`.
-/// For phi operands the use site is the incoming predecessor block.
+/// Replace uses of `from` with `to` at every use site in `region`, the
+/// blocks of a dominator subtree. For phi operands the use site is the
+/// incoming predecessor block.
 ///
-/// The non-phi instructions of the dominator subtree of `region` are
-/// checked, and the phi incomings that subtree's blocks label (found
-/// through `labelled`, wherever the phi lives): a fact costs its region,
-/// not the incoming lists of the merges below it, which unmerging makes
-/// one incoming per path long.
+/// The non-phi instructions of the region's blocks are checked, and the
+/// phi incomings those blocks label (found through `labelled`, wherever
+/// the phi lives): a fact costs its region, not the incoming lists of the
+/// merges below it, which unmerging makes one incoming per path long.
 fn replace_dominated_uses(
     f: &mut Function,
-    dom: &DomTree,
     labelled: &PhiIncomings,
     from: Value,
     to: Value,
-    region: BlockId,
+    region: &[BlockId],
 ) -> bool {
     let mut changed = false;
-    for b in subtree(dom, region) {
-        for &(phi, k) in labelled.0.get(b) {
+    for &b in region {
+        for &(phi, k) in labelled.0.get(b.index()) {
             if let InstKind::Phi { incomings } = &f.inst(phi).kind {
                 if incomings[k as usize].1 != from {
                     continue;

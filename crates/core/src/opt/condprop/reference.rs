@@ -2,7 +2,7 @@
 //! the pass must match bit for bit (arena included); see
 //! `opt::rewrite_equivalence`.
 
-use super::{propagate, subtree};
+use super::{propagate, Subtree};
 use uu_analysis::{AnalysisCache, DomTree};
 use uu_ir::{BlockId, EntitySet, Function, InstKind, Value};
 
@@ -25,7 +25,7 @@ fn replace_dominated_uses(
     to: Value,
     region: BlockId,
 ) -> bool {
-    let dominated = subtree(dom, region);
+    let dominated = Subtree::default().of(dom, region).to_vec();
     let dom_set: EntitySet<BlockId> = dominated.iter().copied().collect();
     // Phi-bearing successors of dominated blocks (the phi itself may live
     // outside the subtree).

@@ -318,9 +318,11 @@ impl Cse {
         self.exprs.push_scope();
         self.loads.push_scope();
 
-        let insts = f.block(b).insts.clone();
-        let mut kept = Vec::with_capacity(insts.len());
-        for &id in &insts {
+        // Replacing rewrites operands only, so the block's list holds still
+        // while it is walked by index.
+        let mut replaced = false;
+        for ix in 0..f.block(b).insts.len() {
+            let id = f.block(b).insts[ix];
             // Operands as the replacements so far have left them.
             self.subst.refresh(f, id);
             let inst = f.inst(id);
@@ -331,6 +333,7 @@ impl Cse {
                     if let Some(e) = self.loads.get(ptr).copied() {
                         if self.entry_valid(&e) && f.value_type(e.value) == inst.ty {
                             self.subst.record(id, e.value);
+                            replaced = true;
                             continue;
                         }
                     }
@@ -372,17 +375,18 @@ impl Cse {
                     if let Some(key) = expr_key(f, &self.subst, inst) {
                         if let Some(&existing) = self.exprs.get(&key) {
                             self.subst.record(id, existing);
+                            replaced = true;
                             continue;
                         }
                         self.exprs.insert(key, Value::Inst(id));
                     }
                 }
             }
-            kept.push(id);
         }
         // Replaced instructions leave the block in one pass.
-        if kept.len() != insts.len() {
-            f.block_mut(b).insts = kept;
+        if replaced {
+            let subst = &self.subst;
+            f.block_mut(b).insts.retain(|&i| !subst.replaces(i));
         }
 
         // Recurse into dominator children; the dominator tree's child

@@ -110,8 +110,10 @@ fn try_convert(f: &mut Function, preds: &Preds, b: BlockId) -> bool {
         // Hoist both sides into b, before the terminator.
         hoist(f, b, if_true, &tb);
         hoist(f, b, if_false, &fb);
-        // Replace join phis with selects in b.
-        for phi in f.phis(join) {
+        // Replace join phis with selects in b (not the join, which is not
+        // b, so its phi run stays in place).
+        for k in 0..f.phis(join).len() {
+            let phi = f.block(join).insts[k];
             let (mut tv, mut fv) = (None, None);
             if let InstKind::Phi { incomings } = &f.inst(phi).kind {
                 for (p, v) in incomings {
@@ -167,7 +169,8 @@ fn try_convert(f: &mut Function, preds: &Preds, b: BlockId) -> bool {
             continue;
         };
         hoist(f, b, side, &body);
-        for phi in f.phis(join) {
+        for k in 0..f.phis(join).len() {
+            let phi = f.block(join).insts[k];
             let (mut sv, mut bv) = (None, None);
             if let InstKind::Phi { incomings } = &f.inst(phi).kind {
                 for (p, v) in incomings {

@@ -23,7 +23,7 @@ impl Pass for InstSimplify {
         // Instructions never move between blocks here, so one block-of map
         // serves every round (simplified instructions just drop out of the
         // next round's work list).
-        let mut block_of = SecondaryMap::with_default(f.entry());
+        let mut block_of = SecondaryMap::with_default_and_capacity(f.entry(), f.num_inst_slots());
         for &b in f.layout() {
             for &i in &f.block(b).insts {
                 block_of.set(i, b);
@@ -33,15 +33,16 @@ impl Pass for InstSimplify {
         // the end; each visit reads its operands as they would be by then.
         let mut subst = Substitution::default();
         let mut changed = false;
+        // Each round's work list: the layout's instructions as the round
+        // starts, in one buffer every round reuses.
+        let mut work: Vec<InstId> = Vec::with_capacity(f.num_insts());
         loop {
             let mut round = false;
-            let work: Vec<InstId> = f
-                .layout()
-                .to_vec()
-                .iter()
-                .flat_map(|b| f.block(*b).insts.clone())
-                .collect();
-            for id in work {
+            work.clear();
+            for &b in f.layout() {
+                work.extend_from_slice(&f.block(b).insts);
+            }
+            for &id in &work {
                 subst.refresh(f, id);
                 // Canonicalize: constant to the RHS of commutative ops.
                 if let InstKind::Bin { op, lhs, rhs } = f.inst(id).kind {

@@ -331,7 +331,7 @@ fn try_meld(f: &mut Function, b: BlockId, div: &Divergence, preds: &Preds) -> bo
 
     // Join phis collapse to selects (or to the shared value when both arms
     // agree after renaming).
-    for phi in f.phis(join) {
+    for phi in f.phis(join).to_vec() {
         let (mut tv, mut fv) = (None, None);
         if let InstKind::Phi { incomings } = &f.inst(phi).kind {
             for (p, v) in incomings {

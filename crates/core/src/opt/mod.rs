@@ -148,6 +148,11 @@ impl Substitution {
         self.to.set(id, Some(self.resolve(v)));
     }
 
+    /// Whether a replacement for `id` was recorded.
+    pub(crate) fn replaces(&self, id: InstId) -> bool {
+        self.to.get(id).is_some()
+    }
+
     /// `v` with every recorded replacement applied, chains followed.
     pub(crate) fn resolve(&self, mut v: Value) -> Value {
         while let Value::Inst(i) = v {
@@ -184,6 +189,57 @@ impl Substitution {
             });
         }
         any
+    }
+}
+
+/// Lists keyed by row index, in compressed rows: every row's items back
+/// to back in one buffer, in the order they were pushed. Built in two
+/// walks that see the same items: one that counts each row's items, then
+/// (after [`Rows::start_filling`]) one that pushes them, then
+/// [`Rows::finish`].
+pub(crate) struct Rows<T> {
+    /// While counting, `offsets[r + 1]` is row `r`'s count; while filling,
+    /// `offsets[r]` is where row `r`'s next item goes; when finished,
+    /// `offsets[r]..offsets[r + 1]` is row `r`.
+    offsets: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T: Copy> Rows<T> {
+    pub(crate) fn counting(rows: usize) -> Rows<T> {
+        Rows {
+            offsets: vec![0; rows + 1],
+            items: Vec::new(),
+        }
+    }
+
+    pub(crate) fn count(&mut self, row: usize) {
+        self.offsets[row + 1] += 1;
+    }
+
+    pub(crate) fn start_filling(&mut self, placeholder: T) {
+        for r in 1..self.offsets.len() {
+            self.offsets[r] += self.offsets[r - 1];
+        }
+        let total = *self.offsets.last().expect("one more offset than rows");
+        self.items = vec![placeholder; total as usize];
+    }
+
+    pub(crate) fn push(&mut self, row: usize, item: T) {
+        let at = &mut self.offsets[row];
+        self.items[*at as usize] = item;
+        *at += 1;
+    }
+
+    /// Filling left each row's start at the next row's; shift them back.
+    pub(crate) fn finish(&mut self) {
+        let rows = self.offsets.len() - 1;
+        self.offsets.copy_within(..rows, 1);
+        self.offsets[0] = 0;
+    }
+
+    pub(crate) fn get(&self, row: usize) -> &[T] {
+        &self.items[self.offsets[row] as usize..self.offsets[row + 1] as usize]
     }
 }
 

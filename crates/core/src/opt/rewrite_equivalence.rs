@@ -2,7 +2,8 @@
 //! their replacements and apply them in one sweep per invocation; their
 //! per-replacement references sweep once per replacement. SCCP meets a phi
 //! one incoming per event and condprop finds phi incomings by label; their
-//! references re-evaluate and rescan whole phis. On every bundled kernel's
+//! references re-evaluate and rescan whole phis. simplifycfg keeps its
+//! predecessor lists in one pool; its reference keeps a `Vec` per block. On every bundled kernel's
 //! hot loops, transformed as the study's `uu2`, `uu4`, `uu8` and
 //! `uu8+meld` points are, both run on the function at each cleanup stage of
 //! the pipeline and must leave equal functions (arena included), the same
@@ -15,7 +16,9 @@
 //! up to factor 4; `cargo test --release -p uu-core --lib
 //! rewrite_equivalence` runs them all.
 
-use super::{cleanup_round, condprop, gvn, ifconvert::IfConvert, instsimplify, sccp, Pass};
+use super::{
+    cleanup_round, condprop, gvn, ifconvert::IfConvert, instsimplify, sccp, simplifycfg, Pass,
+};
 use crate::baseline_unroll::baseline_unroll;
 use crate::opt::meld::meld_loop;
 use crate::{uu_loop, UnmergeOptions};
@@ -32,6 +35,7 @@ fn checked(f: &mut Function, pass: &mut dyn Pass, point: &str, rewrites: &mut Re
         "instsimplify" => instsimplify::run_per_replacement,
         "sccp" => sccp::reference::run,
         "condprop" => condprop::reference::run,
+        "simplifycfg" => simplifycfg::reference::run,
         _ => return pass.run(f),
     };
     let mut expected = f.clone();
@@ -99,7 +103,7 @@ fn batched_rewrites_match_the_per_replacement_references_on_hot_loops() {
             }
         }
     }
-    for pass in ["gvn", "instsimplify", "sccp", "condprop"] {
+    for pass in ["gvn", "instsimplify", "sccp", "condprop", "simplifycfg"] {
         assert!(
             rewrites.get(pass).is_some_and(|&n| n > 0),
             "{points} points, and no checked {pass} invocation rewrote anything"
@@ -214,7 +218,7 @@ fn references_agree_on_generated_kernels_after_uu4() {
         },
     );
     let rewrites = rewrites.into_inner().unwrap();
-    for pass in ["sccp", "condprop"] {
+    for pass in ["sccp", "condprop", "simplifycfg"] {
         assert!(
             rewrites.get(pass).is_some_and(|&n| n > 0),
             "no checked {pass} invocation rewrote anything"

@@ -7,7 +7,7 @@
 //! last copy's exit condition folds), after which every induction value is a
 //! constant and the loop structure evaporates.
 
-use super::Pass;
+use super::{Pass, Rows};
 use uu_ir::{fold, BlockId, Constant, EntitySet, Function, InstId, InstKind, SecondaryMap, Value};
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -89,9 +89,11 @@ fn value_lattice(values: &SecondaryMap<InstId, Lattice>, v: Value) -> Lattice {
 /// meet is monotone, commutative and idempotent, so this reaches the
 /// fixpoint that re-evaluating the whole phi on every event reaches.
 fn solve(f: &Function) -> Solution {
-    let mut values: SecondaryMap<InstId, Lattice> = SecondaryMap::with_default(Lattice::Top);
+    let (insts, blocks) = (f.num_inst_slots(), f.num_block_slots());
+    let mut values: SecondaryMap<InstId, Lattice> =
+        SecondaryMap::with_default_and_capacity(Lattice::Top, insts);
     // Executable edges as the executable successors of each source block.
-    let mut exec_edges: SecondaryMap<BlockId, Succs> = SecondaryMap::new();
+    let mut exec_edges: SecondaryMap<BlockId, Succs> = SecondaryMap::with_capacity(blocks);
     let mut exec_blocks: EntitySet<BlockId> = EntitySet::new();
     let mut flow: Vec<(BlockId, BlockId)> = Vec::new();
     let mut ssa: Vec<InstId> = Vec::new();
@@ -100,29 +102,39 @@ fn solve(f: &Function) -> Solution {
 
     // Use lists: non-phi users of each value, the phi incomings carrying
     // it (phi, predecessor), and the phi incomings each predecessor labels
-    // (phi, value).
-    let mut users: SecondaryMap<InstId, Vec<InstId>> = SecondaryMap::new();
-    let mut phi_users: SecondaryMap<InstId, Vec<(InstId, BlockId)>> = SecondaryMap::new();
-    let mut labelled: SecondaryMap<BlockId, Vec<(InstId, Value)>> = SecondaryMap::new();
-    let mut block_of: SecondaryMap<InstId, BlockId> = SecondaryMap::with_default(f.entry());
+    // (phi, value), each in compressed rows filled in layout order.
+    let mut block_of: SecondaryMap<InstId, BlockId> =
+        SecondaryMap::with_default_and_capacity(f.entry(), insts);
+    let mut users: Rows<InstId> = Rows::counting(insts);
+    let mut phi_users: Rows<(InstId, BlockId)> = Rows::counting(insts);
+    let mut labelled: Rows<(InstId, Value)> = Rows::counting(blocks);
+    for_each_use(f, |u| match u {
+        Use::Operand { def, .. } => users.count(def.index()),
+        Use::Incoming { pred, value, .. } => {
+            labelled.count(pred.index());
+            if let Value::Inst(d) = value {
+                phi_users.count(d.index());
+            }
+        }
+    });
+    users.start_filling(InstId::from_index(0));
+    phi_users.start_filling((InstId::from_index(0), f.entry()));
+    labelled.start_filling((InstId::from_index(0), Value::Arg(0)));
+    for_each_use(f, |u| match u {
+        Use::Operand { def, user } => users.push(def.index(), user),
+        Use::Incoming { phi, pred, value } => {
+            labelled.push(pred.index(), (phi, value));
+            if let Value::Inst(d) = value {
+                phi_users.push(d.index(), (phi, pred));
+            }
+        }
+    });
+    users.finish();
+    phi_users.finish();
+    labelled.finish();
     for &b in f.layout() {
         for &i in &f.block(b).insts {
             block_of.set(i, b);
-            match &f.inst(i).kind {
-                InstKind::Phi { incomings } => {
-                    for &(p, v) in incomings {
-                        labelled.get_mut(p).push((i, v));
-                        if let Value::Inst(d) = v {
-                            phi_users.get_mut(d).push((i, p));
-                        }
-                    }
-                }
-                kind => kind.for_each_operand(|v| {
-                    if let Value::Inst(d) = v {
-                        users.get_mut(*d).push(i);
-                    }
-                }),
-            }
         }
     }
 
@@ -260,7 +272,7 @@ fn solve(f: &Function) -> Solution {
                     } else {
                         // Meet the phis of `to` with their incoming from
                         // the new edge.
-                        for &(phi, v) in labelled.get(from) {
+                        for &(phi, v) in labelled.get(from.index()) {
                             if *block_of.get(phi) == to {
                                 meets.push((phi, v));
                             }
@@ -274,10 +286,10 @@ fn solve(f: &Function) -> Solution {
         let merged = old.meet(new);
         if merged != old {
             values.set(i, merged);
-            for &u in users.get(i) {
+            for &u in users.get(i.index()) {
                 ssa.push(u);
             }
-            for &(phi, p) in phi_users.get(i) {
+            for &(phi, p) in phi_users.get(i.index()) {
                 if exec_edges.get(p).contains(*block_of.get(phi)) {
                     meets.push((phi, Value::Inst(i)));
                 }
@@ -292,6 +304,37 @@ fn solve(f: &Function) -> Solution {
         values,
         exec_blocks,
         block_of,
+    }
+}
+
+/// One use the solver indexes: an operand of a non-phi instruction, or a
+/// phi incoming.
+enum Use {
+    Operand { def: InstId, user: InstId },
+    Incoming { phi: InstId, pred: BlockId, value: Value },
+}
+
+/// Every use in the layout, in layout and program order.
+fn for_each_use(f: &Function, mut each: impl FnMut(Use)) {
+    for &b in f.layout() {
+        for &i in &f.block(b).insts {
+            match &f.inst(i).kind {
+                InstKind::Phi { incomings } => {
+                    for &(pred, value) in incomings {
+                        each(Use::Incoming {
+                            phi: i,
+                            pred,
+                            value,
+                        });
+                    }
+                }
+                kind => kind.for_each_operand(|v| {
+                    if let Value::Inst(def) = v {
+                        each(Use::Operand { def: *def, user: i });
+                    }
+                }),
+            }
+        }
     }
 }
 

@@ -125,7 +125,7 @@ fn solve(f: &Function) -> Solution {
                         newly_exec.push(to);
                     } else {
                         // Re-evaluate phis of `to` (new incoming edge).
-                        for phi in f.phis(to) {
+                        for &phi in f.phis(to) {
                             ssa.push(phi);
                         }
                     }

@@ -80,9 +80,9 @@ fn thread_empty_blocks(f: &mut Function) -> bool {
     // away moves `E`'s predecessors onto `T` and touches no other list.
     // Each list stays in layout order of the predecessors, as a recompute
     // would build it — the order `T`'s phis gain their incomings in.
-    let mut preds = f.predecessors().into_lists();
+    let mut preds = PredRuns::new(f);
     let layout = f.layout().to_vec();
-    let mut position: SecondaryMap<BlockId, usize> = SecondaryMap::new();
+    let mut position: SecondaryMap<BlockId, usize> = SecondaryMap::with_capacity(f.num_block_slots());
     for (at, &b) in layout.iter().enumerate() {
         position.set(b, at);
     }
@@ -100,26 +100,26 @@ fn thread_empty_blocks(f: &mut Function) -> bool {
         if target == e {
             continue; // self loop
         }
-        let e_preds = preds[e.index()].clone();
+        let e_preds = preds.run(e);
         if e_preds.is_empty() {
             continue; // unreachable; prune will take it
         }
         // Guard: if T has phis and some pred of E is already a pred of T,
         // threading would create conflicting duplicate incomings.
-        let t_has_phis = !f.phis(target).is_empty();
-        if t_has_phis {
-            let t_preds = &preds[target.index()];
-            if e_preds.iter().any(|p| t_preds.contains(p)) {
+        if !f.phis(target).is_empty() {
+            let t_preds = preds.get(target);
+            if preds.pool[e_preds.clone()].iter().any(|p| t_preds.contains(p)) {
                 continue;
             }
         }
         // Retarget every pred of E.
-        for &p in &e_preds {
+        for &p in &preds.pool[e_preds.clone()] {
             let pt = f.terminator(p).expect("pred terminator");
             f.inst_mut(pt).kind.replace_block(e, target);
         }
         // Phi incomings in T: the entry from E becomes one entry per pred.
-        for phi in f.phis(target) {
+        for k in 0..f.phis(target).len() {
+            let phi = f.block(target).insts[k];
             let mut from_e = None;
             if let InstKind::Phi { incomings } = &f.inst(phi).kind {
                 for (b, v) in incomings {
@@ -131,20 +131,62 @@ fn thread_empty_blocks(f: &mut Function) -> bool {
             if let Some(v) = from_e {
                 if let InstKind::Phi { incomings } = &mut f.inst_mut(phi).kind {
                     incomings.retain(|(b, _)| *b != e);
-                    for &p in &e_preds {
-                        incomings.push((p, v));
-                    }
+                    incomings.extend(preds.pool[e_preds.clone()].iter().map(|&p| (p, v)));
                 }
             }
         }
         f.remove_block(e);
         changed = true;
-        let t_preds = &mut preds[target.index()];
-        t_preds.retain(|p| *p != e);
-        t_preds.extend(e_preds);
-        t_preds.sort_by_key(|p| *position.get(*p));
+        preds.thread(e, target, |p| *position.get(p));
     }
     changed
+}
+
+/// Predecessor lists that a scan edits as it rewrites the CFG: each block
+/// slot's list is a run of one shared pool, and a rewritten list is
+/// appended to the pool as a new run, so no list is a `Vec` of its own.
+struct PredRuns {
+    /// Block slot → its run in `pool`.
+    runs: Vec<std::ops::Range<usize>>,
+    pool: Vec<BlockId>,
+}
+
+impl PredRuns {
+    fn new(f: &Function) -> PredRuns {
+        let preds = f.predecessors();
+        let mut pool = Vec::with_capacity(2 * preds.len());
+        let runs = (0..preds.len())
+            .map(|b| {
+                let start = pool.len();
+                pool.extend_from_slice(&preds[b]);
+                start..pool.len()
+            })
+            .collect();
+        PredRuns { runs, pool }
+    }
+
+    fn run(&self, b: BlockId) -> std::ops::Range<usize> {
+        self.runs[b.index()].clone()
+    }
+
+    fn get(&self, b: BlockId) -> &[BlockId] {
+        &self.pool[self.run(b)]
+    }
+
+    /// `e` was threaded away: `t`'s list loses `e` and gains `e`'s
+    /// predecessors, sorted by `position`. Equal positions are the same
+    /// block, so an unstable sort leaves what a stable one would.
+    fn thread(&mut self, e: BlockId, t: BlockId, position: impl Fn(BlockId) -> usize) {
+        let start = self.pool.len();
+        for ix in self.run(t) {
+            if self.pool[ix] != e {
+                self.pool.push(self.pool[ix]);
+            }
+        }
+        self.pool.extend_from_within(self.run(e));
+        self.pool[start..].sort_unstable_by_key(|&p| position(p));
+        self.runs[t.index()] = start..self.pool.len();
+    }
 }
 
 /// Merge `B → S` when `S` is `B`'s only successor and `B` is `S`'s only
@@ -155,8 +197,9 @@ fn merge_straightline_pairs(f: &mut Function) -> bool {
     // successor count and no block's predecessor count (`S`'s successors
     // trade `S` for `B`), so a block that could not merge before still
     // cannot: only `B` itself is worth another look, which is the block a
-    // scan restarted from the top would stop at next.
-    let mut preds = f.predecessors().into_lists();
+    // scan restarted from the top would stop at next. For the same reason
+    // the counts of the map taken before the scan stay exact throughout.
+    let preds = f.predecessors();
     let mut gone: EntitySet<BlockId> = EntitySet::new();
     for b in f.layout().to_vec() {
         if gone.contains(b) {
@@ -188,13 +231,9 @@ fn merge_straightline_pairs(f: &mut Function) -> bool {
             f.block_mut(b).insts.extend(s_insts);
             // S's successors' phis now come from B.
             for succ in f.successors(b) {
-                for phi in f.phis(succ) {
+                for k in 0..f.phis(succ).len() {
+                    let phi = f.block(succ).insts[k];
                     f.inst_mut(phi).kind.replace_block(s, b);
-                }
-                for p in &mut preds[succ.index()] {
-                    if *p == s {
-                        *p = b;
-                    }
                 }
             }
             f.remove_block(s);
@@ -204,6 +243,9 @@ fn merge_straightline_pairs(f: &mut Function) -> bool {
     }
     changed
 }
+
+#[cfg(test)]
+pub(crate) mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -318,7 +360,7 @@ mod tests {
             let s_insts = std::mem::take(&mut f.block_mut(s).insts);
             f.block_mut(b).insts.extend(s_insts);
             for succ in f.successors(b) {
-                for phi in f.phis(succ) {
+                for phi in f.phis(succ).to_vec() {
                     f.inst_mut(phi).kind.replace_block(s, b);
                 }
             }

@@ -58,7 +58,7 @@ pub fn runtime_unroll(
     // Live-outs must be header phis, constants or outside definitions: the
     // epilogue re-establishes them from its own phis.
     let header_phis = f.phis(cl.header);
-    for phi in f.phis(exit) {
+    for &phi in f.phis(exit) {
         if let InstKind::Phi { incomings } = &f.inst(phi).kind {
             for (p, v) in incomings {
                 debug_assert_eq!(*p, cl.header);
@@ -80,7 +80,7 @@ pub fn runtime_unroll(
     add_phi_incomings_for_clone(f, exit, cl.header, &epi);
 
     // --- c. unroll the original (main) loop ---
-    let header_phi_ids = f.phis(cl.header);
+    let header_phi_ids = f.phis(cl.header).to_vec();
     let r = unroll_canonical(f, cl.clone(), factor);
 
     // --- d. kill the inner copies' exit checks ---

@@ -568,7 +568,7 @@ struct EntryPhis {
 
 impl EntryPhis {
     fn new(f: &Function, node: BlockId, group_set: &EntitySet<BlockId>) -> EntryPhis {
-        let phis = f.phis(node);
+        let phis = f.phis(node).to_vec();
         let mut in_group = vec![Vec::new(); phis.len()];
         let mut by_label = Vec::new();
         for (j, &phi) in phis.iter().enumerate() {
@@ -627,7 +627,8 @@ impl EntryPhis {
         if moved.is_empty() {
             return;
         }
-        for phi in f.phis(self.node) {
+        for k in 0..f.phis(self.node).len() {
+            let phi = f.block(self.node).insts[k];
             if let InstKind::Phi { incomings } = &mut f.inst_mut(phi).kind {
                 incomings.retain(|(b, _)| !moved.contains(*b));
             }
@@ -663,8 +664,8 @@ impl SuccPhis {
                     None => {
                         let phis = f
                             .phis(s)
-                            .into_iter()
-                            .filter_map(|phi| Some((phi, from_pred(f, phi, g)?)))
+                            .iter()
+                            .filter_map(|&phi| Some((phi, from_pred(f, phi, g)?)))
                             .collect();
                         succ.received.push((g, s, phis));
                         succ.received.len() - 1

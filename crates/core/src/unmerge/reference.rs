@@ -97,7 +97,7 @@ pub(crate) fn unmerge_loop(
             let centry = map.map_block(node);
             entries.push(centry);
             let clone_blocks: EntitySet<BlockId> = map.cloned_blocks().collect();
-            for phi in f.phis(centry) {
+            for phi in f.phis(centry).to_vec() {
                 if let InstKind::Phi { incomings } = &mut f.inst_mut(phi).kind {
                     incomings.retain(|(b, _)| *b == p || clone_blocks.contains(*b));
                 }

@@ -62,7 +62,7 @@ pub fn unroll_canonical(f: &mut Function, cl: CanonicalLoop, factor: u32) -> Unr
     let header = cl.header;
 
     // Record the original header phis' latch incomings before mutation.
-    let header_phis = f.phis(header);
+    let header_phis = f.phis(header).to_vec();
     let latch_incoming: Vec<Value> = header_phis
         .iter()
         .map(|&p| match &f.inst(p).kind {
@@ -126,7 +126,7 @@ pub fn unroll_canonical(f: &mut Function, cl: CanonicalLoop, factor: u32) -> Unr
     };
     for k in 1..u {
         let hk = map_block(&copies, k, header);
-        let phis_k = f.phis(hk);
+        let phis_k = f.phis(hk).to_vec();
         for (pi, &phi) in phis_k.iter().enumerate() {
             let prev_latch = map_block(&copies, k - 1, latch);
             let prev_value = map_value(&copies, k - 1, latch_incoming[pi]);

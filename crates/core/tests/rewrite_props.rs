@@ -12,7 +12,7 @@ use uu_ir::{BlockId, Function, FunctionBuilder, InstKind, Param, Type, Value};
 fn one_at_a_time(f: &mut Function, blocks: &[BlockId]) -> usize {
     let mut resolved = 0;
     for &block in blocks {
-        for phi in f.phis(block) {
+        for phi in f.phis(block).to_vec() {
             let InstKind::Phi { incomings } = &f.inst(phi).kind else {
                 unreachable!()
             };
@@ -139,7 +139,7 @@ fn self_references_and_cycles_terminate_and_collapse_onto_the_last_member_met() 
 /// chains that run with the layout and against it.
 fn keep_one_incoming(f: &mut Function, last: bool) {
     for b in f.layout().to_vec() {
-        for phi in f.phis(b) {
+        for phi in f.phis(b).to_vec() {
             if let InstKind::Phi { incomings } = &mut f.inst_mut(phi).kind {
                 let keep = if last { incomings.len() - 1 } else { 0 };
                 *incomings = vec![incomings[keep]];

@@ -270,6 +270,25 @@ fn rewriting_a_slot_to_its_own_value_is_no_change() {
         let id = ret(f);
         f.inst_mut(id).kind = InstKind::Ret { value: Some(Value::imm(3i64)) };
     }));
+    // A phi's incomings and a block's list are compared by content, not
+    // length: rewritten to themselves they are no change, and one value or
+    // an order moved within the same length is one.
+    let phi = |f: &Function| f.phis(*f.layout().last().unwrap())[0];
+    assert!(!changed_by(|f| {
+        let id = phi(f);
+        let same = f.inst(id).clone();
+        *f.inst_mut(id) = same;
+    }));
+    assert!(changed_by(|f| {
+        let id = phi(f);
+        if let InstKind::Phi { incomings } = &mut f.inst_mut(id).kind {
+            incomings[1].1 = Value::imm(7i64);
+        }
+    }));
+    assert!(changed_by(|f| {
+        let join = *f.layout().last().unwrap();
+        f.block_mut(join).insts.reverse();
+    }));
 }
 
 #[test]

@@ -4,6 +4,7 @@
 //! a [`uu_serve::Artifacts`] store when there is one ([`Backend`]).
 
 use crate::plan::Key;
+use crate::profile::{self, Span};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -244,12 +245,26 @@ pub fn measure_backed(
         let tag = workload_tag(bench, mem_fault.as_ref());
         (store, CompileCache::run_key(CompileCache::compile_key(&m, &opts), &tag))
     });
-    let (meta, run) = match run_store.and_then(|(store, key)| store.lookup_run(key)) {
+    let prof = profile::on();
+    let looked_up = run_store.and_then(|(store, key)| {
+        profile::timed(prof, Span::StoreLookup, || store.lookup_run(key))
+    });
+    let (meta, run) = match looked_up {
         Some(served) => served,
         None => {
             let meta = match store {
-                Some(store) => store.compile(&mut m, &opts, executed),
-                None => CompileMeta::local(&mut m, &opts),
+                Some(store) => profile::timed(prof, Span::StoreLookup, || {
+                    store.compile(&mut m, &opts, executed)
+                }),
+                None => {
+                    let span = if executed { Span::ExecutedCompile } else { Span::ColdCompile };
+                    let outcome = profile::timed(prof, span, || uu_core::compile(&mut m, &opts));
+                    debug_assert!(outcome.verify_error.is_none(), "guarded compile must emit valid IR");
+                    if prof {
+                        profile::passes(span, &outcome.timings);
+                    }
+                    CompileMeta::of(&outcome, &m)
+                }
             };
             let run = match skip_run {
                 Some(base) => RunRecord {
@@ -259,12 +274,15 @@ pub fn measure_backed(
                     metrics: *base.metrics,
                 },
                 None => {
-                    let run = simulate(bench, &m, mem_fault).map_err(|exec| MeasureError {
+                    let run = profile::timed(prof, Span::Simulate, || {
+                        simulate(bench, &m, mem_fault)
+                    })
+                    .map_err(|exec| MeasureError {
                         exec,
                         meta: meta.clone(),
                     })?;
                     if let Some((store, key)) = run_store {
-                        store.store_run(key, &meta, &run);
+                        profile::timed(prof, Span::Store, || store.store_run(key, &meta, &run));
                     }
                     run
                 }

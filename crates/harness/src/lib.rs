@@ -32,6 +32,7 @@ pub mod experiment;
 pub mod figures;
 pub mod indepth;
 pub mod plan;
+pub mod profile;
 pub mod report;
 pub mod stats;
 pub mod study;

@@ -1,4 +1,6 @@
 //! Command-line entry point: `uu-harness <command> [--fast] [--out DIR]`.
+//! A report command given `--profile` prints where its time went (see
+//! [`uu_harness::profile`]) on stderr at exit.
 //! `--help` prints the usage line; an unknown option, a value option
 //! without its value, a second command word, or an option the command
 //! does not read exits 2 before anything runs.
@@ -27,6 +29,7 @@ use std::path::{Path, PathBuf};
 use uu_core::FaultPlan;
 use uu_harness::experiment::shared_module;
 use uu_harness::plan::Plan;
+use uu_harness::profile;
 use uu_harness::{figures, indepth, study, sweep};
 use uu_kernels::{all_benchmarks, Benchmark};
 use uu_serve::{CompileCache, Remote, ServeOptions};
@@ -86,20 +89,20 @@ impl Env {
     }
 }
 
-/// The options that take a value; `--fast` is the one that takes none.
+/// The options that take a value; `--fast` and `--profile` take none.
 const VALUE_FLAGS: [&str; 6] = ["--out", "--bench", "--config", "--socket", "--fault", "--verb"];
 
 const USAGE: &str = "usage: uu-harness [all|table1|fig6|fig7|fig8|study|indepth|decisions|dump|\
-serve|client] [--fast] [--bench NAME] [--out DIR] [--config C] [--socket PATH] [--fault SPEC] \
-[--verb V]";
+serve|client] [--fast] [--profile] [--bench NAME] [--out DIR] [--config C] [--socket PATH] \
+[--fault SPEC] [--verb V]";
 
 /// The options command `cmd` reads, or `None` for an unknown command.
 fn options_of(cmd: &str) -> Option<&'static [&'static str]> {
     Some(match cmd {
-        "all" | "table1" | "fig6" | "fig7" | "fig8" => &["--out", "--bench", "--fast"],
+        "all" | "table1" | "fig6" | "fig7" | "fig8" => &["--out", "--bench", "--fast", "--profile"],
         // The study has no fast sample, and the in-depth cases are fixed.
-        "study" => &["--out", "--bench"],
-        "indepth" => &["--out"],
+        "study" => &["--out", "--bench", "--profile"],
+        "indepth" => &["--out", "--profile"],
         "dump" => &["--bench", "--config"],
         "decisions" => &["--bench"],
         "serve" => &["--socket"],
@@ -108,11 +111,12 @@ fn options_of(cmd: &str) -> Option<&'static [&'static str]> {
     })
 }
 
-/// The command line: the command word, `--fast`, and each value option
-/// given with its value.
+/// The command line: the command word, `--fast`, `--profile`, and each
+/// value option given with its value.
 struct Cli {
     cmd: String,
     fast: bool,
+    profile: bool,
     values: Vec<(&'static str, String)>,
 }
 
@@ -147,8 +151,8 @@ fn check_options(args: &[String]) -> Cli {
             };
             values.push((name, v.clone()));
             given.push(name);
-        } else if a == "--fast" {
-            given.push("--fast");
+        } else if let Some(&name) = ["--fast", "--profile"].iter().find(|f| **f == a.as_str()) {
+            given.push(name);
         } else if a.starts_with('-') {
             refuse(format!("unknown option `{a}`"));
         } else {
@@ -166,7 +170,13 @@ fn check_options(args: &[String]) -> Cli {
         refuse(format!("`{cmd}` does not read option `{o}`"));
     }
     let fast = given.contains(&"--fast");
-    Cli { cmd, fast, values }
+    let profile = given.contains(&"--profile");
+    Cli {
+        cmd,
+        fast,
+        profile,
+        values,
+    }
 }
 
 fn main() {
@@ -200,7 +210,13 @@ fn main() {
             if only.is_some() {
                 refuse_to_clobber(&out, benches.len());
             }
+            if cli.profile {
+                profile::enable();
+            }
             report(cmd, &benches, fast, &out, &env);
+            if cli.profile {
+                eprint!("{}", profile::table());
+            }
         }
         "serve" => {
             // Long-running compile service. The cache honours the same
@@ -210,8 +226,12 @@ fn main() {
             let cache = env.cache_dir.as_deref().and_then(open_cache);
             let cache = cache.unwrap_or_else(CompileCache::new_mem);
             let sock = flag("--socket").unwrap_or_else(|| "uu-serve.sock".to_string());
-            eprintln!("uu-serve: serving on {sock}");
-            let r = uu_serve::serve_unix_with(Path::new(&sock), &cache, env.serve);
+            // The library logs "serving on" once the socket is bound; a
+            // refused or failed serve prints its error alone.
+            if let Err(e) = uu_serve::serve_unix_with(Path::new(&sock), &cache, env.serve) {
+                eprintln!("uu-serve: {e}");
+                std::process::exit(1);
+            }
             let stats = cache.stats();
             eprintln!(
                 "uu-serve: exiting; {} hits / {} misses ({:.1}% hit rate)",
@@ -219,10 +239,6 @@ fn main() {
                 stats.misses(),
                 stats.hit_rate() * 100.0
             );
-            if let Err(e) = r {
-                eprintln!("uu-serve: {e}");
-                std::process::exit(1);
-            }
         }
         "client" => {
             let sock = flag("--socket").unwrap_or_else(|| "uu-serve.sock".to_string());
@@ -418,7 +434,7 @@ fn report(cmd: &str, benches: &[Benchmark], fast: bool, out: &Path, env: &Env) {
     );
     let summary = plan.summary();
     let points = plan.run();
-    let emitted = (|| -> std::io::Result<()> {
+    let emitted = profile::timed(profile::on(), profile::Span::Render, || -> std::io::Result<()> {
         if sweep_on {
             let s = sweep::view(&points, &sweep_keys);
             match cmd {
@@ -446,7 +462,7 @@ fn report(cmd: &str, benches: &[Benchmark], fast: bool, out: &Path, env: &Env) {
             figures::table2(&st, out)?;
         }
         Ok(())
-    })();
+    });
     if let Err(e) = emitted {
         eprintln!("could not write results to {}: {e}", out.display());
         std::process::exit(1);

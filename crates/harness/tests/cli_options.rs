@@ -106,6 +106,10 @@ fn a_command_refuses_what_it_does_not_read() {
             "`dump` does not read option `--fast`",
         ),
         (
+            &["decisions", "--bench", "mandelbrot", "--profile"][..],
+            "`decisions` does not read option `--profile`",
+        ),
+        (
             &["fig7", "--bench", "mandelbrot", "--fault", "panic@1"][..],
             "`fig7` does not read option `--fault`",
         ),
@@ -157,14 +161,17 @@ fn a_panel_or_table_name_is_no_command() {
 fn the_command_word_is_found_by_position() {
     // `--out table1` names the directory: a value equal to a command must
     // not make the command (`table1`) look absent and run `all`.
+    // `--profile` adds its span table to stderr and no file.
     let dir = empty_dir("position");
-    let args = ["table1", "--fast", "--bench", "mandelbrot", "--out", "table1"];
+    let args = ["table1", "--fast", "--profile", "--bench", "mandelbrot", "--out", "table1"];
     let out = Command::new(env!("CARGO_BIN_EXE_uu-harness"))
         .args(args)
         .current_dir(&dir)
         .output()
         .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(stderr.contains("\n  render "), "{stderr}");
     let mut written: Vec<String> = std::fs::read_dir(dir.join("table1"))
         .unwrap()
         .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())

@@ -169,6 +169,23 @@ fn the_client_drives_a_serve_daemon_through_hit_fault_stats_and_drain() {
         "{health}"
     );
 
+    // A second `serve` on the live socket is refused: exit 1 with the
+    // error alone, no claim that it served, and the daemon answers on.
+    let refused = harness(&dir)
+        .args(["serve", "--socket", daemon.sock.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert_eq!(refused.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("already serving")
+            && !stderr.contains("uu-serve: serving on")
+            && !stderr.contains("exiting"),
+        "{stderr}"
+    );
+    let (ok, pong) = daemon.client(&["--verb", "ping"]);
+    assert!(ok, "{pong}");
+
     daemon.shutdown();
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -6,6 +6,7 @@ use crate::table::EntitySet;
 use crate::types::Type;
 use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 thread_local! {
     /// Arena-wide use sweeps ([`Function::replace_uses_with`]) on this thread.
@@ -147,9 +148,11 @@ pub struct Function {
 /// slot's pre-image once (a bit per slot marks "already saved"); arena
 /// *growth* needs no recording because rollback truncates to the high-water
 /// marks captured at arm time. The layout and pragma map are tiny and
-/// change shape freely, so they are saved eagerly. All buffers are retained
-/// across arm/commit cycles: a pass pipeline arming per invocation reuses
-/// one allocation set per function.
+/// change shape freely, so they are saved eagerly. Pre-images keep their
+/// lists (a block's instructions, a phi's incomings, an intrinsic's
+/// arguments) in shared pools, not in `Vec`s of their own, and all buffers
+/// are retained across arm/commit cycles: a pass pipeline arming per
+/// invocation reuses one allocation set per function.
 #[derive(Debug, Clone, Default)]
 struct Journal {
     active: bool,
@@ -157,10 +160,25 @@ struct Journal {
     blocks_len: usize,
     layout: Vec<BlockId>,
     pragmas: BTreeMap<BlockId, LoopPragma>,
-    saved_insts: Vec<(u32, Inst)>,
-    saved_blocks: Vec<(u32, Block)>,
+    saved_insts: Vec<SavedInst>,
+    /// Per saved block: its slot and its instruction list's run in
+    /// `block_insts`.
+    saved_blocks: Vec<(u32, Range<usize>)>,
+    block_insts: Vec<InstId>,
+    incomings: Vec<(BlockId, Value)>,
+    args: Vec<Value>,
     inst_bits: Vec<u64>,
     block_bits: Vec<u64>,
+}
+
+/// The pre-image of one instruction slot: the instruction with its phi
+/// incomings or intrinsic arguments left empty (so copying it allocates
+/// nothing), and where that list went in the journal's pool.
+#[derive(Debug, Clone)]
+struct SavedInst {
+    ix: u32,
+    inst: Inst,
+    list: Range<usize>,
 }
 
 impl Journal {
@@ -176,7 +194,33 @@ impl Journal {
     /// snapshot and has not been saved yet.
     fn save_inst(&mut self, ix: usize, insts: &[Inst]) {
         if ix < self.insts_len && Self::mark(&mut self.inst_bits, ix) {
-            self.saved_insts.push((ix as u32, insts[ix].clone()));
+            let Inst { kind, ty } = &insts[ix];
+            let (kind, list) = match kind {
+                InstKind::Phi { incomings } => {
+                    let start = self.incomings.len();
+                    self.incomings.extend_from_slice(incomings);
+                    let kind = InstKind::Phi {
+                        incomings: Vec::new(),
+                    };
+                    (kind, start..self.incomings.len())
+                }
+                InstKind::Intr { which, args } => {
+                    let start = self.args.len();
+                    self.args.extend_from_slice(args);
+                    let kind = InstKind::Intr {
+                        which: *which,
+                        args: Vec::new(),
+                    };
+                    (kind, start..self.args.len())
+                }
+                other => (other.clone(), 0..0),
+            };
+            let inst = Inst::new(kind, *ty);
+            self.saved_insts.push(SavedInst {
+                ix: ix as u32,
+                inst,
+                list,
+            });
         }
     }
 
@@ -184,8 +228,48 @@ impl Journal {
     /// and has not been saved yet.
     fn save_block(&mut self, ix: usize, blocks: &[Block]) {
         if ix < self.blocks_len && Self::mark(&mut self.block_bits, ix) {
-            self.saved_blocks.push((ix as u32, blocks[ix].clone()));
+            let Block { insts } = &blocks[ix];
+            let start = self.block_insts.len();
+            self.block_insts.extend_from_slice(insts);
+            self.saved_blocks
+                .push((ix as u32, start..self.block_insts.len()));
         }
+    }
+
+    /// Whether `inst` equals the pre-image `saved`.
+    fn is_unchanged(&self, saved: &SavedInst, inst: &Inst) -> bool {
+        inst.ty == saved.inst.ty
+            && match (&inst.kind, &saved.inst.kind) {
+                (InstKind::Phi { incomings }, InstKind::Phi { .. }) => {
+                    incomings[..] == self.incomings[saved.list.clone()]
+                }
+                (InstKind::Intr { which, args }, InstKind::Intr { which: was, .. }) => {
+                    which == was && args[..] == self.args[saved.list.clone()]
+                }
+                (kind, was) => kind == was,
+            }
+    }
+
+    /// The instruction `saved` preserves, its list put back.
+    fn restore(&self, saved: &SavedInst) -> Inst {
+        let mut inst = saved.inst.clone();
+        match &mut inst.kind {
+            InstKind::Phi { incomings } => {
+                incomings.extend_from_slice(&self.incomings[saved.list.clone()])
+            }
+            InstKind::Intr { args, .. } => args.extend_from_slice(&self.args[saved.list.clone()]),
+            _ => {}
+        }
+        inst
+    }
+
+    /// Drop every pre-image, keeping the buffers.
+    fn clear_saved(&mut self) {
+        self.saved_insts.clear();
+        self.saved_blocks.clear();
+        self.block_insts.clear();
+        self.incomings.clear();
+        self.args.clear();
     }
 }
 
@@ -459,14 +543,16 @@ impl Function {
         Preds { offsets, list }
     }
 
-    /// IDs of the phi instructions at the head of `block`.
-    pub fn phis(&self, block: BlockId) -> Vec<InstId> {
-        self.block(block)
-            .insts
+    /// IDs of the phi instructions at the head of `block`: the leading run
+    /// of its instruction list. A caller that mutates the function while it
+    /// walks them takes the run's length and indexes `block(b).insts`.
+    pub fn phis(&self, block: BlockId) -> &[InstId] {
+        let insts = &self.block(block).insts;
+        let n = insts
             .iter()
-            .copied()
-            .take_while(|i| self.inst(*i).kind.is_phi())
-            .collect()
+            .take_while(|i| self.inst(**i).kind.is_phi())
+            .count();
+        &insts[..n]
     }
 
     /// The type of any [`Value`] in the context of this function.
@@ -560,17 +646,30 @@ impl Function {
     /// Drop unreachable blocks from the layout and remove phi incomings that
     /// refer to unlinked predecessors. Returns the number of removed blocks.
     pub fn prune_unreachable(&mut self) -> usize {
-        let reach = self.reachable_blocks();
         let mut keep = vec![false; self.blocks.len()];
-        for b in &reach {
-            keep[b.index()] = true;
+        let mut stack = vec![self.entry()];
+        keep[self.entry().index()] = true;
+        while let Some(b) = stack.pop() {
+            for s in self.successors(b) {
+                if !std::mem::replace(&mut keep[s.index()], true) {
+                    stack.push(s);
+                }
+            }
         }
         let before = self.layout.len();
         self.layout.retain(|b| keep[b.index()]);
-        // Remove phi incomings from now-dead predecessors.
-        let layout = self.layout.clone();
-        for b in layout {
-            for phi in self.phis(b) {
+        // Remove phi incomings from dead predecessors, touching (and so
+        // journaling) only the phis that have one.
+        for at in 0..self.layout.len() {
+            let b = self.layout[at];
+            for k in 0..self.phis(b).len() {
+                let phi = self.blocks[b.index()].insts[k];
+                let InstKind::Phi { incomings } = &self.inst(phi).kind else {
+                    unreachable!("a block's leading run is phis")
+                };
+                if incomings.iter().all(|(p, _)| keep[p.index()]) {
+                    continue;
+                }
                 if let InstKind::Phi { incomings } = &mut self.inst_mut(phi).kind {
                     incomings.retain(|(p, _)| keep[p.index()]);
                 }
@@ -601,8 +700,7 @@ impl Function {
         j.layout.clear();
         j.layout.extend_from_slice(&self.layout);
         j.pragmas.clone_from(&self.loop_pragmas);
-        j.saved_insts.clear();
-        j.saved_blocks.clear();
+        j.clear_saved();
         j.inst_bits.clear();
         j.inst_bits.resize(self.insts.len().div_ceil(64), 0);
         j.block_bits.clear();
@@ -641,8 +739,13 @@ impl Function {
             || self.blocks.len() != j.blocks_len
             || self.layout != j.layout
             || self.loop_pragmas != j.pragmas
-            || j.saved_insts.iter().any(|(ix, pre)| self.insts[*ix as usize] != *pre)
-            || j.saved_blocks.iter().any(|(ix, pre)| self.blocks[*ix as usize] != *pre)
+            || j
+                .saved_insts
+                .iter()
+                .any(|pre| !j.is_unchanged(pre, &self.insts[pre.ix as usize]))
+            || j.saved_blocks
+                .iter()
+                .any(|(ix, run)| self.blocks[*ix as usize].insts[..] != j.block_insts[run.clone()])
     }
 
     /// Accept all mutations since [`Function::snapshot_begin`] and disarm
@@ -655,8 +758,7 @@ impl Function {
         assert!(self.journal.active, "no Function snapshot armed");
         let j = &mut self.journal;
         j.active = false;
-        j.saved_insts.clear();
-        j.saved_blocks.clear();
+        j.clear_saved();
         j.pragmas.clear();
     }
 
@@ -670,14 +772,18 @@ impl Function {
     /// Panics if no snapshot is armed.
     pub fn snapshot_rollback(&mut self) {
         assert!(self.journal.active, "no Function snapshot armed");
-        for (ix, inst) in self.journal.saved_insts.drain(..) {
-            self.insts[ix as usize] = inst;
+        let j = &mut self.journal;
+        for pre in &j.saved_insts {
+            self.insts[pre.ix as usize] = j.restore(pre);
         }
-        self.insts.truncate(self.journal.insts_len);
-        for (ix, block) in self.journal.saved_blocks.drain(..) {
-            self.blocks[ix as usize] = block;
+        self.insts.truncate(j.insts_len);
+        for (ix, run) in &j.saved_blocks {
+            let insts = &mut self.blocks[*ix as usize].insts;
+            insts.clear();
+            insts.extend_from_slice(&j.block_insts[run.clone()]);
         }
-        self.blocks.truncate(self.journal.blocks_len);
+        self.blocks.truncate(j.blocks_len);
+        j.clear_saved();
         self.layout.clear();
         self.layout.extend_from_slice(&self.journal.layout);
         self.loop_pragmas = std::mem::take(&mut self.journal.pragmas);

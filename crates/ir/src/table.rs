@@ -73,9 +73,7 @@ impl<K: EntityKey, V: Clone + Default> SecondaryMap<K, V> {
 
     /// An empty map pre-sized for `cap` entities.
     pub fn with_capacity(cap: usize) -> Self {
-        let mut m = Self::new();
-        m.vals.reserve(cap);
-        m
+        Self::with_default_and_capacity(V::default(), cap)
     }
 }
 
@@ -88,8 +86,15 @@ impl<K: EntityKey, V: Clone + Default> Default for SecondaryMap<K, V> {
 impl<K: EntityKey, V: Clone> SecondaryMap<K, V> {
     /// An empty map whose missing keys read as `default`.
     pub fn with_default(default: V) -> Self {
+        Self::with_default_and_capacity(default, 0)
+    }
+
+    /// An empty map whose missing keys read as `default`, pre-sized for
+    /// `cap` entities: a pass that keys a map by an arena's slots grows it
+    /// once, not once per doubling.
+    pub fn with_default_and_capacity(default: V, cap: usize) -> Self {
         SecondaryMap {
-            vals: Vec::new(),
+            vals: Vec::with_capacity(cap),
             default,
             _key: PhantomData,
         }

@@ -130,16 +130,23 @@ fn verify(
     }
 
     // --- phi incomings match predecessors ---
+    // Both sides sorted into two buffers reused across blocks; a sorted
+    // list has a duplicate exactly where two neighbours are equal.
+    let (mut pred_set, mut inc): (Vec<BlockId>, Vec<BlockId>) = (Vec::new(), Vec::new());
     for &b in &layout {
-        let mut pred_set: Vec<BlockId> = preds[b.index()].to_vec();
-        pred_set.sort();
-        for phi in f.phis(b) {
+        let phis = f.phis(b);
+        if phis.is_empty() {
+            continue;
+        }
+        pred_set.clear();
+        pred_set.extend_from_slice(&preds[b.index()]);
+        pred_set.sort_unstable();
+        for &phi in phis {
             if let InstKind::Phi { incomings } = &f.inst(phi).kind {
-                let mut inc: Vec<BlockId> = incomings.iter().map(|(p, _)| *p).collect();
-                inc.sort();
-                let mut dedup = inc.clone();
-                dedup.dedup();
-                if dedup.len() != inc.len() {
+                inc.clear();
+                inc.extend(incomings.iter().map(|(p, _)| *p));
+                inc.sort_unstable();
+                if inc.windows(2).any(|w| w[0] == w[1]) {
                     errs.push(format!("phi %{} in {b} has duplicate incomings", phi.index()));
                 }
                 if inc != pred_set {

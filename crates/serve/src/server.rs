@@ -436,7 +436,8 @@ fn write_torn(w: &mut impl Write, msg: &Message) -> io::Result<()> {
 /// daemon's one entry point. A socket at `path` that answers a connect
 /// belongs to a live daemon: that is an [`io::ErrorKind::AddrInUse`]
 /// error and the file is left alone; one nobody answers is stale and
-/// replaced. A crew of
+/// replaced. Once the socket is bound, `uu-serve: serving on <path>` goes
+/// to stderr. A crew of
 /// [`ServeOptions::workers`] threads handles connections concurrently
 /// off a shared queue while the calling thread blocks in `accept`.
 ///
@@ -467,6 +468,7 @@ pub fn serve_unix_with(path: &Path, cache: &CompileCache, opts: ServeOptions) ->
     }
     let _ = std::fs::remove_file(path);
     let listener = UnixListener::bind(path)?;
+    eprintln!("uu-serve: serving on {}", path.display());
     let service = &Service::new(cache, opts);
     let queue: &TaskQueue<UnixStream> = &TaskQueue::new();
     let woken = AtomicBool::new(false);
