@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point. Fully offline: the workspace has no registry
 # dependencies (uu-check replaces rand/proptest), so every step
-# must pass with --offline on a clean checkout. The compile daemon is
-# checked by `cargo test` (crates/harness/tests/serve_cli.rs).
+# must pass with --offline on a clean checkout.
 #
 # Knobs (the full table is in DESIGN.md "Environment knobs"; an empty
 # value means unset, a malformed one exits 2 before any work):
@@ -11,11 +10,11 @@
 #   UU_JOBS         worker count for the parallel sweep/fuzz engine
 #   UU_FAULT        pipeline/simulator fault plan (uu-harness, uu-fuzz)
 #   UU_CRASH_DIR    uu-fuzz crash-report directory
-#   UU_CACHE_DIR, UU_SERVE_SOCKET, UU_SERVE_WORKERS  uu-harness cache/daemon
+#   UU_CACHE_DIR    uu-harness report commands' artifact-cache directory
 set -euo pipefail
 cd "$(dirname "$0")"
 
-# counter FILE NAME: one integer counter out of a `stats` JSON snapshot.
+# counter FILE NAME: one integer counter out of a cache stats JSON snapshot.
 counter() {
   grep -o "\"$2\": [0-9]*" "$1" | grep -o '[0-9]*$'
 }
@@ -56,14 +55,11 @@ then
 fi
 
 echo "== lint: the harness speaks no protocol =="
-# A point's compile and run come from a `uu_serve::Artifacts` store (a
-# cache directory or a daemon): config names, request messages and the
-# parse of a reply live in uu-serve, behind that one interface. Only the
-# `client` command in main.rs builds a request by hand.
-if grep -rnE 'config_name\(|parse_module|Message::new' crates/harness/src \
-  | grep -vE '^crates/harness/src/main\.rs:'
-then
-  echo "protocol code in the harness outside main.rs (lines above)" >&2
+# A point's compile and run come from a `uu_serve::Artifacts` store:
+# config names, request messages and the parse of a reply live in
+# uu-serve, behind that one interface.
+if grep -rnE 'config_name\(|parse_module|Message::new' crates/harness/src; then
+  echo "protocol code in the harness (lines above)" >&2
   exit 1
 fi
 
@@ -88,7 +84,7 @@ done
 echo "== build (release, offline, deny warnings) =="
 RUSTFLAGS="${RUSTFLAGS:-} -Dwarnings" cargo build --release --offline --all-targets
 
-echo "== lint: the docs name only commands and client verbs that exist =="
+echo "== lint: the docs name only commands that exist =="
 # Every uu-harness command word README.md and DESIGN.md name, as
 # `uu-harness <word>`, `uu-harness -- <word>` or the per-experiment
 # index's `-- <word>`, is one the usage line of `uu-harness --help` lists.
@@ -102,19 +98,6 @@ while IFS=: read -r doc line named; do
   grep -qx "$word" <<< "$commands" \
     || { echo "$doc:$line: '$word' is no command in uu-harness --help" >&2; stale=1; }
 done < <(grep -noE 'uu-harness (-- )?[a-z][a-z0-9]*|`-- [a-z][a-z0-9]*`' README.md DESIGN.md)
-# Every `--verb <word>` (or `--verb a|b|c`) they name is a verb
-# `uu-harness client` accepts: the list its unknown-verb message prints
-# (exit 2 before any connect).
-msg=$(./target/release/uu-harness client --verb '?' 2>&1) && st=0 || st=$?
-[ "$st" -eq 2 ] || { echo "client --verb '?' exited $st, not 2: $msg" >&2; exit 1; }
-verbs=$(sed -n 's/.*(\([a-z|-]*\))$/\1/p' <<< "$msg" | tr '|' '\n')
-[ -n "$verbs" ] || { echo "no verb list in: $msg" >&2; exit 1; }
-while IFS=: read -r doc line named; do
-  for word in $(tr '|' ' ' <<< "${named#--verb }"); do
-    grep -qx -- "$word" <<< "$verbs" \
-      || { echo "$doc:$line: '$word' is no verb of uu-harness client" >&2; stale=1; }
-  done
-done < <(grep -noE -- '--verb [a-z][a-z|-]*' README.md DESIGN.md)
 [ "$stale" -eq 0 ]
 
 echo "== test =="

@@ -1,6 +1,6 @@
 //! A zero-dependency JSON well-formedness checker (RFC 8259 grammar, no
 //! value tree built), used by the tests to assert that generated JSON — the
-//! compile daemon's `stats` reply — is parseable before anything downstream
+//! artifact cache's `CacheStats` — is parseable before anything downstream
 //! consumes it.
 
 /// Validate that `text` is exactly one well-formed JSON value (with

@@ -19,7 +19,7 @@
 //! * [`corpus`] — a checked-in `.seed` regression corpus replayed before
 //!   novel fuzzing, so historical counterexamples keep running;
 //! * [`json`] — a JSON well-formedness checker the tests run over the
-//!   compile daemon's `stats` JSON;
+//!   artifact cache's stats JSON;
 //! * [`bisect`](mod@bisect) — opt-bisect over the pipeline's pass-invocation counter:
 //!   given an oracle-detected miscompile, binary-search to the first bad
 //!   pass and write a replayable crash-report artifact (the native

@@ -178,7 +178,9 @@ pub struct Backend<'a> {
     /// Shared content-addressed artifact cache (compile + run artifacts).
     pub cache: Option<&'a uu_serve::CompileCache>,
     /// Compile daemon handle. When set it serves everything, and the
-    /// `cache` is not consulted: the daemon keeps its own.
+    /// `cache` is not consulted: the daemon keeps its own. No command sets
+    /// it: it stays for e2ebench's `served-warm` until ROADMAP item 2
+    /// replaces that workload, and item 1 then deletes the daemon path.
     pub remote: Option<&'a uu_serve::Remote>,
 }
 

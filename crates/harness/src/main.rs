@@ -5,25 +5,15 @@
 //! without its value, a second command word, or an option the command
 //! does not read exits 2 before anything runs.
 //!
-//! Batch commands (`all`, `table1`, `fig6`, `fig7`, `fig8`, `study`,
-//! `indepth`, `decisions`, `dump`) regenerate the paper's reports. The
-//! service commands turn the same pipeline into a long-running daemon:
-//!
-//! * `serve --socket PATH` — compile-service daemon answering framed
-//!   requests (see `uu-serve`) with `UU_SERVE_WORKERS` workers;
-//! * `client --socket PATH [--bench NAME] [--config C] [--fault SPEC]
-//!   [--verb V]` — one request against a running daemon: `compile` (the
-//!   default verb) sends `--bench NAME`'s module, and `ping`, `health`,
-//!   `stats` and `shutdown` take no module. Requests retry `busy`
-//!   and transient failures with capped exponential backoff.
+//! The report commands (`all`, `table1`, `fig6`, `fig7`, `fig8`, `study`,
+//! `indepth`) regenerate the paper's reports; `decisions` and `dump` print
+//! the heuristic's reasoning and optimized IR.
 //!
 //! Every environment knob is read once, by [`Env::read`], before anything
 //! runs; a malformed one exits 2 naming the variable. The report commands
-//! take their store from one knob: `UU_CACHE_DIR=<dir>`, a persistent
-//! content-addressed cache, or `UU_SERVE_SOCKET=<path>`, a running daemon
-//! (which owns its cache) serving every compile and run record it can.
-//! Either leaves every report byte-identical to a cacheless run; both
-//! together exit 2.
+//! take their store from `UU_CACHE_DIR=<dir>`, a persistent
+//! content-addressed cache, which leaves every report byte-identical to a
+//! cacheless run.
 
 use std::path::{Path, PathBuf};
 use uu_core::FaultPlan;
@@ -32,7 +22,7 @@ use uu_harness::plan::Plan;
 use uu_harness::profile;
 use uu_harness::{figures, indepth, study, sweep};
 use uu_kernels::{all_benchmarks, Benchmark};
-use uu_serve::{CompileCache, Remote, ServeOptions};
+use uu_serve::CompileCache;
 
 /// Every environment variable `uu-harness` honours, parsed once at the top
 /// of `main`: the libraries take these values and read no environment. An
@@ -44,11 +34,6 @@ struct Env {
     fault: Option<FaultPlan>,
     /// `UU_CACHE_DIR`: the persistent artifact cache's directory.
     cache_dir: Option<PathBuf>,
-    /// `UU_SERVE_SOCKET`: the daemon report commands ship compiles to.
-    serve_socket: Option<PathBuf>,
-    /// `serve`'s tunables: `UU_SERVE_WORKERS` (default 4) workers, each
-    /// admitting one compile.
-    serve: ServeOptions,
 }
 
 impl Env {
@@ -67,34 +52,23 @@ impl Env {
             };
             parse(v.trim()).map(Some).map_err(|e| format!("{name}={v}: {e}"))
         }
-        fn count(v: &str) -> Result<usize, String> {
-            match v.parse::<usize>() {
-                Ok(n) if n >= 1 => Ok(n),
-                _ => Err("expected a positive integer".to_string()),
-            }
-        }
-        let path = |v: &str| Ok(PathBuf::from(v));
         let jobs = match knob("UU_JOBS", |v| uu_par::parse_jobs(Some(v)))? {
             Some(n) => n,
             None => uu_par::parse_jobs(None)?,
         };
-        let workers = knob("UU_SERVE_WORKERS", count)?.unwrap_or(ServeOptions::default().workers);
         Ok(Env {
             jobs,
             fault: knob("UU_FAULT", FaultPlan::parse)?,
-            cache_dir: knob("UU_CACHE_DIR", path)?,
-            serve_socket: knob("UU_SERVE_SOCKET", path)?,
-            serve: ServeOptions { workers, inflight: workers, ..ServeOptions::default() },
+            cache_dir: knob("UU_CACHE_DIR", |v| Ok(PathBuf::from(v)))?,
         })
     }
 }
 
 /// The options that take a value; `--fast` and `--profile` take none.
-const VALUE_FLAGS: [&str; 6] = ["--out", "--bench", "--config", "--socket", "--fault", "--verb"];
+const VALUE_FLAGS: [&str; 3] = ["--out", "--bench", "--config"];
 
-const USAGE: &str = "usage: uu-harness [all|table1|fig6|fig7|fig8|study|indepth|decisions|dump|\
-serve|client] [--fast] [--profile] [--bench NAME] [--out DIR] [--config C] [--socket PATH] \
-[--fault SPEC] [--verb V]";
+const USAGE: &str = "usage: uu-harness [all|table1|fig6|fig7|fig8|study|indepth|decisions|dump] \
+[--fast] [--profile] [--bench NAME] [--out DIR] [--config C]";
 
 /// The options command `cmd` reads, or `None` for an unknown command.
 fn options_of(cmd: &str) -> Option<&'static [&'static str]> {
@@ -105,8 +79,6 @@ fn options_of(cmd: &str) -> Option<&'static [&'static str]> {
         "indepth" => &["--out", "--profile"],
         "dump" => &["--bench", "--config"],
         "decisions" => &["--bench"],
-        "serve" => &["--socket"],
-        "client" => &["--socket", "--bench", "--config", "--fault", "--verb"],
         _ => return None,
     })
 }
@@ -203,10 +175,6 @@ fn main() {
 
     match cmd {
         "all" | "table1" | "fig6" | "fig7" | "fig8" | "study" | "indepth" => {
-            if env.cache_dir.is_some() && env.serve_socket.is_some() {
-                eprintln!("UU_CACHE_DIR and UU_SERVE_SOCKET: set one, the daemon owns its cache");
-                std::process::exit(2);
-            }
             if only.is_some() {
                 refuse_to_clobber(&out, benches.len());
             }
@@ -216,80 +184,6 @@ fn main() {
             report(cmd, &benches, fast, &out, &env);
             if cli.profile {
                 eprint!("{}", profile::table());
-            }
-        }
-        "serve" => {
-            // Long-running compile service. The cache honours the same
-            // `UU_CACHE_DIR` as the batch commands; without one, it runs an
-            // in-memory cache (a daemon without a cache would re-do every
-            // repeat compile).
-            let cache = env.cache_dir.as_deref().and_then(open_cache);
-            let cache = cache.unwrap_or_else(CompileCache::new_mem);
-            let sock = flag("--socket").unwrap_or_else(|| "uu-serve.sock".to_string());
-            // The library logs "serving on" once the socket is bound; a
-            // refused or failed serve prints its error alone.
-            if let Err(e) = uu_serve::serve_unix_with(Path::new(&sock), &cache, env.serve) {
-                eprintln!("uu-serve: {e}");
-                std::process::exit(1);
-            }
-            let stats = cache.stats();
-            eprintln!(
-                "uu-serve: exiting; {} hits / {} misses ({:.1}% hit rate)",
-                stats.hits(),
-                stats.misses(),
-                stats.hit_rate() * 100.0
-            );
-        }
-        "client" => {
-            let sock = flag("--socket").unwrap_or_else(|| "uu-serve.sock".to_string());
-            let verb = flag("--verb").unwrap_or_else(|| "compile".to_string());
-            let req = match verb.as_str() {
-                "compile" => {
-                    if only.is_none() {
-                        eprintln!("client: a compile needs --bench NAME");
-                        std::process::exit(2);
-                    }
-                    let config = flag("--config").unwrap_or_else(|| "uu4".to_string());
-                    let mut req = uu_serve::Message::new("compile")
-                        .header("config", &config)
-                        .header("want-module", 0)
-                        .with_body(shared_module(&benches[0]).to_string());
-                    if let Some(fault) = flag("--fault") {
-                        req = req.header("fault", fault);
-                    }
-                    req
-                }
-                v @ ("stats" | "ping" | "health" | "shutdown") => {
-                    uu_serve::Message::new(v)
-                }
-                other => {
-                    eprintln!(
-                        "client: unknown --verb `{other}` \
-                         (compile|stats|ping|health|shutdown)"
-                    );
-                    std::process::exit(2);
-                }
-            };
-            // Busy shedding and injected transport faults are retried with
-            // deterministic capped backoff.
-            match Remote::new(&sock).request(&req) {
-                Ok(resp) => {
-                    println!("{}", resp.verb);
-                    for (k, v) in &resp.headers {
-                        println!("{k}: {v}");
-                    }
-                    if !resp.body.is_empty() {
-                        println!();
-                        print!("{}", resp.body);
-                    }
-                    if resp.verb != "ok" {
-                        std::process::exit(1);
-                    }
-                }
-                Err(e) => {
-                    eprintln!("client: {e}");
-                    std::process::exit(1);
-                }
             }
         }
         "dump" => {
@@ -400,17 +294,13 @@ fn open_cache(dir: &Path) -> Option<CompileCache> {
 }
 
 /// Regenerate the reports `cmd` names into `out`, then print the caches'
-/// stats and the headline tables. One artifact cache, daemon handle, fault
-/// plan and worker count, built from `env`, serve every report command,
-/// and one measurement plan holds every key the command's reports ask for:
-/// `all` measures each point the sweep, the study and §V share once.
+/// stats and the headline tables. One artifact cache, fault plan and
+/// worker count, built from `env`, serve every report command, and one
+/// measurement plan holds every key the command's reports ask for: `all`
+/// measures each point the sweep, the study and §V share once.
 fn report(cmd: &str, benches: &[Benchmark], fast: bool, out: &Path, env: &Env) {
     let cache = env.cache_dir.as_deref().and_then(open_cache);
-    let remote = env.serve_socket.as_ref().map(Remote::new);
-    let backend = uu_harness::Backend {
-        cache: cache.as_ref(),
-        remote: remote.as_ref(),
-    };
+    let backend = uu_harness::Backend::local(cache.as_ref());
     let sweep_on = !matches!(cmd, "study" | "indepth");
     let study_on = matches!(cmd, "all" | "study");
     let sweep_keys = if sweep_on { sweep::keys(benches, fast) } else { Vec::new() };
@@ -426,11 +316,10 @@ fn report(cmd: &str, benches: &[Benchmark], fast: bool, out: &Path, env: &Env) {
         plan.add(keys);
     }
     eprintln!(
-        "measuring {} points{}{}{} ...",
+        "measuring {} points{}{} ...",
         plan.keys().len(),
         if fast { " (fast)" } else { "" },
-        if cache.is_some() { " [cached]" } else { "" },
-        if remote.is_some() { " [daemon]" } else { "" }
+        if cache.is_some() { " [cached]" } else { "" }
     );
     let summary = plan.summary();
     let points = plan.run();

@@ -46,6 +46,11 @@ fn help_prints_the_usage_and_runs_nothing() {
             stdout.contains("--fast") && stdout.contains("--bench NAME"),
             "{help}: {stdout}"
         );
+        // The daemon's commands are retired.
+        assert!(
+            !stdout.contains("serve") && !stdout.contains("client"),
+            "{help}: {stdout}"
+        );
         assert!(
             out.stderr.is_empty(),
             "{help}: {}",
@@ -67,6 +72,10 @@ fn an_unknown_option_exits_2_before_any_work() {
         // A value that looks like an option is the value of the option
         // before it.
         (&["decisions", "--config", "-1", "--bogus"][..], "--bogus"),
+        // The daemon's options are retired with its commands.
+        (&["table1", "--socket", "s.sock", "--bench", "mandelbrot"][..], "--socket"),
+        (&["decisions", "--bench", "mandelbrot", "--fault", "panic@1"][..], "--fault"),
+        (&["dump", "--bench", "mandelbrot", "--verb", "stats"][..], "--verb"),
     ]
     .into_iter()
     .enumerate()
@@ -94,8 +103,8 @@ fn a_command_refuses_what_it_does_not_read() {
             "unexpected second command `fig7`",
         ),
         (
-            &["decisions", "--bench", "mandelbrot", "--verb", "stats", "--fault", "panic@1"][..],
-            "`decisions` does not read option `--verb`",
+            &["decisions", "--bench", "mandelbrot", "--out", "x", "--config", "uu4"][..],
+            "`decisions` does not read option `--out`",
         ),
         (
             &["table1", "--fast", "--bench", "mandelbrot", "--config", "uu4"][..],
@@ -110,8 +119,8 @@ fn a_command_refuses_what_it_does_not_read() {
             "`decisions` does not read option `--profile`",
         ),
         (
-            &["fig7", "--bench", "mandelbrot", "--fault", "panic@1"][..],
-            "`fig7` does not read option `--fault`",
+            &["fig7", "--bench", "mandelbrot", "--config", "uu4"][..],
+            "`fig7` does not read option `--config`",
         ),
         // The in-depth cases are fixed and the study has no fast sample.
         (
@@ -142,10 +151,12 @@ fn a_command_refuses_what_it_does_not_read() {
 }
 
 /// The report commands have one word each: `fig6` writes all three
-/// panels, `fig8` both scatters and `study` the figure and the table.
+/// panels, `fig8` both scatters and `study` the figure and the table. The
+/// daemon's `serve` and `client` commands are retired.
 #[test]
-fn a_panel_or_table_name_is_no_command() {
-    for word in ["fig6a", "fig6b", "fig6c", "fig8a", "fig8b", "fig9", "table2"] {
+fn a_panel_table_or_daemon_name_is_no_command() {
+    let words = ["fig6a", "fig6b", "fig6c", "fig8a", "fig8b", "fig9", "table2", "serve", "client"];
+    for word in words {
         let (out, untouched) = harness(&format!("word-{word}"), &[word, "--bench", "mandelbrot"]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{word}: {stderr}");
@@ -205,17 +216,18 @@ fn a_value_option_without_its_value_exits_2_before_any_work() {
     }
 }
 
-/// `health` carries the drain flag, so there is no `ready` verb: the
-/// client refuses it, and every other unknown verb, before it connects.
+/// A config name that does not parse, a malformed factor suffix
+/// included, is refused with the grammar before anything compiles.
 #[test]
-fn an_unknown_client_verb_exits_2_naming_it() {
-    for verb in ["ready", "?"] {
-        let (out, untouched) =
-            harness(&format!("verb-{verb}"), &["client", "--socket", "s.sock", "--verb", verb]);
+fn dump_refuses_a_config_it_cannot_parse() {
+    for config in ["uu8x", "uu", "unroll0", "warp9"] {
+        let args = ["dump", "--bench", "mandelbrot", "--config", config];
+        let (out, untouched) = harness(&format!("config-{config}"), &args);
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{verb}: {stderr}");
-        assert!(stderr.starts_with(&format!("client: unknown --verb `{verb}`")), "{stderr}");
-        assert!(out.stdout.is_empty(), "{verb}: {}", String::from_utf8_lossy(&out.stdout));
-        assert!(untouched, "{verb} wrote into the working directory");
+        assert_eq!(out.status.code(), Some(2), "{config}: {stderr}");
+        let want = format!("unknown --config `{config}`; expected {}\n", uu_serve::config_names());
+        assert_eq!(stderr, want, "{config}");
+        assert!(out.stdout.is_empty(), "{config}: {}", String::from_utf8_lossy(&out.stdout));
+        assert!(untouched, "{config} wrote into the working directory");
     }
 }

@@ -1,7 +1,7 @@
 //! `uu-harness` parses every `UU_*` knob once, before any work: a
-//! malformed value exits 2 naming the variable, before a report is written
-//! or a socket bound, and an empty value means unset. A report command
-//! refuses `UU_CACHE_DIR` together with `UU_SERVE_SOCKET` the same way.
+//! malformed value exits 2 naming the variable, before a report is
+//! written, and an empty value means unset. The daemon's knobs are
+//! retired: a report command takes its store from `UU_CACHE_DIR` alone.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -9,13 +9,7 @@ use std::time::{Duration, Instant};
 
 /// Every knob the binary reads, cleared in each child so the caller's own
 /// environment cannot leak into a case.
-const KNOBS: [&str; 5] = [
-    "UU_JOBS",
-    "UU_FAULT",
-    "UU_CACHE_DIR",
-    "UU_SERVE_SOCKET",
-    "UU_SERVE_WORKERS",
-];
+const KNOBS: [&str; 3] = ["UU_JOBS", "UU_FAULT", "UU_CACHE_DIR"];
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("uu-env-{}-{name}", std::process::id()));
@@ -25,7 +19,7 @@ fn scratch(name: &str) -> PathBuf {
 }
 
 /// Run the harness with the knobs `vars` set, killing it after 60 s so a
-/// binary that ignores a bad knob and starts serving fails instead of
+/// binary that ignores a bad knob and runs a long report fails instead of
 /// hanging.
 fn harness(args: &[&str], vars: &[(&str, &str)]) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_uu-harness"));
@@ -78,37 +72,25 @@ fn a_malformed_knob_exits_2_before_any_work() {
     std::fs::remove_dir_all(&out).unwrap();
 }
 
+/// `UU_SERVE_SOCKET` and `UU_SERVE_WORKERS` name nothing any more: beside
+/// `UU_CACHE_DIR`, even malformed, they neither stop a report command nor
+/// route it anywhere but the cache directory.
 #[test]
-fn a_malformed_serve_knob_binds_no_socket() {
-    let dir = scratch("serve");
-    let sock = dir.join("s.sock");
-    let args = ["serve", "--socket", sock.to_str().unwrap()];
-    for (var, value) in [
-        ("UU_SERVE_WORKERS", "zero"),
-        ("UU_SERVE_WORKERS", "0"),
-        ("UU_JOBS", "0"),
-    ] {
-        assert_refused(&harness(&args, &[(var, value)]), var, value, "serving");
-        assert!(!sock.exists(), "{var}={value} bound a socket");
-    }
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn a_cache_dir_and_a_daemon_socket_together_exit_2_before_any_work() {
-    let dir = scratch("both");
+fn the_retired_daemon_knobs_are_ignored() {
+    let dir = scratch("retired");
     let (cache, sock, out) = (dir.join("cache"), dir.join("d.sock"), dir.join("out"));
     let report = ["table1", "--fast", "--bench", "mandelbrot", "--out", out.to_str().unwrap()];
     let vars = [
         ("UU_CACHE_DIR", cache.to_str().unwrap()),
         ("UU_SERVE_SOCKET", sock.to_str().unwrap()),
+        ("UU_SERVE_WORKERS", "zero"),
     ];
     let run = harness(&report, &vars);
     let stderr = String::from_utf8_lossy(&run.stderr);
-    assert_eq!(run.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("UU_CACHE_DIR") && stderr.contains("UU_SERVE_SOCKET"), "{stderr}");
-    assert!(!stderr.contains("measuring"), "started: {stderr}");
-    assert!(is_empty_dir(&dir), "wrote a cache or a report");
+    assert!(run.status.success(), "{stderr}");
+    assert!(stderr.contains(" [cached] ...") && !stderr.contains("[daemon]"), "{stderr}");
+    assert!(out.join("table1.csv").is_file() && cache.is_dir(), "{stderr}");
+    assert!(!sock.exists(), "something bound the retired socket");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

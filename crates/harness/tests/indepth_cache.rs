@@ -19,8 +19,7 @@ fn indepth(out: &Path, cache: Option<&Path>) -> (String, String) {
     cmd.arg("indepth")
         .arg("--out")
         .arg(out)
-        .env_remove("UU_CACHE_DIR")
-        .env_remove("UU_SERVE_SOCKET");
+        .env_remove("UU_CACHE_DIR");
     if let Some(dir) = cache {
         cmd.env("UU_CACHE_DIR", dir);
     }

@@ -189,6 +189,39 @@ fn faulted_daemon_study_is_byte_identical_at_jobs_1_and_4() {
 }
 
 #[test]
+fn a_daemon_backed_study_is_byte_identical_and_a_warm_pass_only_hits() {
+    let benches = benches();
+    let plain = run_study_backed(&benches, 1, None, Backend::default());
+    let dir = std::env::temp_dir().join(format!("uu-serve-study-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let daemon_cache = CompileCache::at_dir(&dir).unwrap();
+    let opts = ServeOptions { workers: 2, inflight: 2, ..ServeOptions::default() };
+    let ((cold, warm), _) = with_daemon(opts, &daemon_cache, |remote| {
+        for jobs in [1, 4] {
+            let served = run_study_backed(&benches, jobs, None, served_by(remote));
+            assert_eq!(study_repr(&plain), study_repr(&served), "daemon-backed study (j{jobs})");
+        }
+        let cold = daemon_cache.stats();
+        let served = run_study_backed(&benches, 1, None, served_by(remote));
+        assert_eq!(study_repr(&plain), study_repr(&served), "warm daemon-backed study");
+        (cold, daemon_cache.stats())
+    });
+    // Not vacuous: the daemon compiled, rather than the harness falling
+    // back to local compiles.
+    assert!(cold.compile_misses > 0, "{cold:?}");
+    // Warm, every request — a run lookup per executed point, a compile per
+    // cold one — is a hit, and nothing is compiled again.
+    let hits = |st: &CacheStats| {
+        st.compile_mem_hits + st.compile_disk_hits + st.run_mem_hits + st.run_disk_hits
+    };
+    let requests = warm.requests - cold.requests;
+    assert!(requests > 0, "{warm:?}");
+    assert_eq!(hits(&warm) - hits(&cold), requests, "{cold:?}\n{warm:?}");
+    assert_eq!(warm.compile_misses, cold.compile_misses, "{cold:?}\n{warm:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn quarantined_module_falls_back_to_local_compiles_byte_identically() {
     // The first compile request panics on its first three attempts, which
     // quarantines the benchmark module. Every later compile of it is refused with a

@@ -6,23 +6,29 @@ use uu_core::Transform;
 
 /// Parse a config name into a [`Transform`]; `None` if unrecognized.
 ///
-/// Factor suffixes default to 4 when absent or malformed (`uu` ≡ `uu4`),
-/// matching the harness's historical `dump --config` behavior.
+/// A factor suffix must be a positive decimal integer: `uu`, `uu0`,
+/// `uu8x` and `unroll+4` are `None`, never some default factor.
 pub fn parse_config(name: &str) -> Option<Transform> {
+    fn factor(digits: &str) -> Option<u32> {
+        if !digits.bytes().all(|b| b.is_ascii_digit()) {
+            return None;
+        }
+        digits.parse().ok().filter(|&k| k > 0)
+    }
     Some(match name {
         "baseline" => Transform::Baseline,
         "unmerge" => Transform::Unmerge,
         "heuristic" => Transform::UuHeuristic(Default::default()),
         "meld" => Transform::Meld,
         c if c.starts_with("unroll") => Transform::Unroll {
-            factor: c[6..].parse().unwrap_or(4),
+            factor: factor(&c[6..])?,
         },
         c if c.starts_with("uu") && c.ends_with("+meld") => Transform::UuMeld {
-            factor: c[2..c.len() - 5].parse().unwrap_or(4),
+            factor: factor(&c[2..c.len() - 5])?,
             unmerge: Default::default(),
         },
         c if c.starts_with("uu") => Transform::Uu {
-            factor: c[2..].parse().unwrap_or(4),
+            factor: factor(&c[2..])?,
             unmerge: Default::default(),
         },
         _ => return None,
@@ -109,14 +115,13 @@ mod tests {
     }
 
     #[test]
-    fn malformed_factors_default_to_four() {
-        assert!(matches!(
-            parse_config("uu"),
-            Some(Transform::Uu { factor: 4, .. })
-        ));
-        assert!(matches!(
-            parse_config("unrollx"),
-            Some(Transform::Unroll { factor: 4 })
-        ));
+    fn malformed_factors_are_refused() {
+        for name in [
+            "uu", "uu0", "uu8x", "uux", "uu-4", "uu+4", "uu 4", "uu+meld", "uu0+meld",
+            "uu2x+meld", "unroll", "unrollx", "unroll0", "unroll+4", "unroll4.0",
+            "uu99999999999",
+        ] {
+            assert!(parse_config(name).is_none(), "{name}");
+        }
     }
 }

@@ -1,11 +1,7 @@
-//! # uu-serve — compile-service daemon with a content-addressed cache
+//! # uu-serve — content-addressed artifact cache (and a daemon fixture)
 //!
-//! The workspace's "millions of users" front end: a long-running daemon
-//! that accepts IR modules + pipeline configurations over a
-//! length-prefixed framed protocol over a Unix socket, compiles them
-//! through the fault-tolerant `uu-core` pipeline, and answers with
-//! optimized IR, the degradation rung and compile metrics. Every compile
-//! is backed by a **content-addressed artifact cache** keyed on
+//! The store behind `UU_CACHE_DIR`: a **content-addressed artifact cache**
+//! ([`CompileCache`]) for compiles and measured runs, keyed on
 //!
 //! ```text
 //! (module hash, canonical pipeline config, pipeline-version fingerprint)
@@ -24,30 +20,27 @@
 //!
 //! The cache has an in-memory layer and an optional on-disk layer
 //! holding the same thing: metadata plus the optimized module's printed
-//! IR (shared text in memory; a content-addressed file on disk, surviving
-//! process restarts). A warm daemon request is keyed from its wire bytes
-//! and answered with the stored text — nothing parsed, nothing printed.
+//! IR (shared text in memory; a content-addressed file on disk, written
+//! tmp + rename, surviving process restarts). Compile and run results
+//! have one codec ([`Artifact`]): an artifact is a [`Message`] (status
+//! line, `key: value` headers, body) behind a seal line — an FNV-1a hash
+//! of all of it — so a damaged, truncated or version-skewed file degrades
+//! to a cache miss and a fresh compile: the cache can make a run faster,
+//! never wronger.
 //!
-//! The service speaks one text shape, the protocol [`Message`] (status
-//! line, `key: value` headers, body), one length-prefixed frame each way
-//! per connection: a client opens a connection, sends one request, reads
-//! one response. Compile results have one codec into the message shape
-//! ([`Artifact`]): the daemon's `ok` reply, the client reading it and
-//! every disk artifact share it. An artifact is a message behind a seal
-//! line — an FNV-1a hash of all of it — so a damaged, truncated or
-//! version-skewed file degrades to a cache miss and a fresh compile: the
-//! cache can make a request faster, never wronger.
-//!
-//! Batch drivers reach a store through one interface, [`Artifacts`]
-//! (compile, look a run up, store one): a [`CompileCache`] in process, or
-//! a [`Remote`] over the daemon's `compile`, `lookup-run` and `store-run`
-//! verbs, which serves what the daemon's directory would. A warm
-//! `results/` regeneration skips both the compile and the simulation of
-//! every previously measured point — byte-identically, at any `UU_JOBS`.
-//!
-//! Observability follows the typed-stats idiom: [`CacheStats`] is a
+//! Batch drivers reach the store through one interface, [`Artifacts`]
+//! (compile, look a run up, store one). A warm `results/` regeneration
+//! skips both the compile and the simulation of every previously measured
+//! point — byte-identically, at any `UU_JOBS`. [`CacheStats`] is a
 //! versioned struct with hit/miss/latency/rung counters, rendered as
-//! stable JSON (`stats` protocol verb).
+//! stable JSON after a cached run.
+//!
+//! A socket daemon in front of the same cache ([`serve_unix_with`], and
+//! [`Remote`], a second [`Artifacts`] over its `compile`, `lookup-run`
+//! and `store-run` verbs) is no longer reachable from any command. It
+//! stays only as the fixture of e2ebench's `served-warm` workload, with
+//! its tests, until that workload is replaced and the daemon deleted
+//! (ROADMAP items 2 and 1).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

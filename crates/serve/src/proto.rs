@@ -20,8 +20,8 @@ pub(crate) const MAX_FRAME: u32 = 16 * 1024 * 1024;
 /// A parsed protocol message: verb, headers, body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {
-    /// Request or response verb (`compile`, `stats`, `ping`, `shutdown`,
-    /// `ok`, `error`).
+    /// Request or response verb (`compile`, `ping`, `shutdown`, `ok`,
+    /// `error`, ...).
     pub verb: String,
     /// Ordered `key: value` headers.
     pub headers: Vec<(String, String)>,

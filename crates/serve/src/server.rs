@@ -1,7 +1,8 @@
 //! The compile-service daemon: a bounded worker pool accepting framed
 //! requests concurrently, compiling through the guarded pipeline via the
 //! cache, answering with optimized IR + rung + metrics — and degrading
-//! gracefully under overload, damage and injected faults.
+//! gracefully under overload, damage and injected faults. No command
+//! runs it: it is the fixture of e2ebench's `served-warm` workload.
 //!
 //! A connection carries one request, as every client sends
 //! ([`crate::client::Remote`]): one frame in, one response out, closed.
@@ -21,7 +22,6 @@
 //!   two run verbs the daemon serves what its directory would
 //!   ([`Artifacts`]); a client that reaches the socket can write a run
 //!   record, the trust a shared `UU_CACHE_DIR` already asks for.
-//! * `stats` — response body is the cache's [`CacheStats`] JSON.
 //! * `ping` — liveness probe.
 //! * `health` — liveness plus gauges (`workers`, `inflight`, `draining`).
 //! * `shutdown` — acknowledge, stop accepting, finish in-flight
@@ -52,8 +52,6 @@
 //! disconnects, slow handlers, handler panics and disk-full cache
 //! writes, so every one of those recovery paths is exercised by the
 //! tests (`crates/harness/tests/serve_faults.rs`) rather than hoped for.
-//!
-//! [`CacheStats`]: crate::stats::CacheStats
 
 use std::io::{self, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -78,17 +76,16 @@ const ACCEPT_RETRIES: u32 = 8;
 /// Handler panics per module before the circuit breaker quarantines it.
 const BREAKER_K: u32 = 3;
 
-/// Tunables for the concurrent service. `uu-harness serve` sets `workers`
-/// from `UU_SERVE_WORKERS` and `inflight` to match it; tests and
-/// benchmarks set the rest.
+/// Tunables for the concurrent service, set by the tests and by
+/// e2ebench's `served-warm` workload.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Worker threads handling connections (`UU_SERVE_WORKERS`).
+    /// Worker threads handling connections.
     pub workers: usize,
     /// Maximum concurrently-running compile requests before admission
     /// control sheds load with `busy`.
     pub inflight: usize,
-    /// Deterministic service fault plan (none in `uu-harness serve`).
+    /// Deterministic service fault plan (none by default).
     pub fault: Option<ServeFaultPlan>,
 }
 
@@ -198,7 +195,6 @@ impl<'a> Service<'a> {
                 .header("workers", self.opts.workers)
                 .header("inflight", self.inflight.load(Ordering::SeqCst))
                 .header("draining", u8::from(self.is_draining())),
-            "stats" => Message::new("ok").with_body(self.cache.stats().to_json()),
             "lookup-run" => match req.get("key").and_then(Key::parse) {
                 None => error("missing or malformed `key` header"),
                 Some(key) => match self.cache.lookup_run(key) {
@@ -895,23 +891,10 @@ bb6:
                 .with_body(MODULE),
         );
         assert_eq!(half_filter.verb, "error");
-        let bad_verb = roundtrip(&svc, &Message::new("frobnicate"));
-        assert_eq!(bad_verb.verb, "error");
-    }
-
-    #[test]
-    fn stats_verb_returns_valid_versioned_json() {
-        let cache = CompileCache::new_mem();
-        let svc = service(&cache);
-        roundtrip(
-            &svc,
-            &Message::new("compile").header("config", "baseline").with_body(MODULE),
-        );
-        let stats = roundtrip(&svc, &Message::new("stats"));
-        assert_eq!(stats.verb, "ok");
-        uu_check::json::validate(&stats.body).expect("stats body is JSON");
-        assert!(stats.body.contains("\"compile_misses\": 1"));
-        assert!(stats.body.contains("\"stats_version\": 2"));
+        // `stats` is retired: the cache's counters are read in process.
+        for verb in ["frobnicate", "stats"] {
+            assert_eq!(roundtrip(&svc, &Message::new(verb)).verb, "error", "{verb}");
+        }
     }
 
     #[test]
