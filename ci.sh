@@ -54,6 +54,18 @@ then
   exit 1
 fi
 
+echo "== lint: one fault grammar =="
+# `<kind>@<index>[:<seed>]` is parsed in one place, `FaultPlan::parse` in
+# crates/core/src/recover.rs, over its private `split_fault_spec`. A second
+# plan type or a second caller of the splitter would be a second fault
+# language beside UU_FAULT.
+if grep -rnE '(struct|enum|type|trait) +[A-Za-z0-9_]*FaultPlan\b|\bsplit_fault_spec\b' crates/*/src \
+  | grep -vE '^crates/core/src/recover\.rs:'
+then
+  echo "fault-plan type or fault-spec splitting outside recover.rs (lines above)" >&2
+  exit 1
+fi
+
 echo "== lint: the harness speaks no protocol =="
 # A point's compile and run come from a `uu_serve::Artifacts` store:
 # config names, request messages and the parse of a reply live in

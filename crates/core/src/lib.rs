@@ -89,8 +89,7 @@ pub use pipeline::{
     PASS_VERSIONS, PIPELINE_SCHEMA_VERSION, WORK_PER_MS,
 };
 pub use recover::{
-    split_fault_spec, FailureReason, FaultKind, FaultPlan, PassFailure, PassInvocation, PassLog,
-    Rung,
+    FailureReason, FaultKind, FaultPlan, PassFailure, PassInvocation, PassLog, Rung,
 };
 pub use unmerge::{UnmergeMode, UnmergeOptions};
 pub use uu::uu_loop;

@@ -126,15 +126,10 @@ impl FaultPlan {
 }
 
 /// Split one `<kind>@<index>[:<seed>]` fault spec into its kind keyword,
-/// decimal u64 index and u64 seed (decimal or 0x-hex, defaulting to 0).
-/// The one grammar behind [`FaultPlan::parse`] and the service-level
-/// `ServeFaultPlan` in `uu-serve`: each parser only maps the keyword
-/// onto its own kind enum, so the two spec languages cannot drift apart.
-///
-/// # Errors
-///
-/// Returns a description of the malformed component.
-pub fn split_fault_spec(spec: &str) -> Result<(&str, u64, u64), String> {
+/// decimal u64 index and u64 seed (decimal or 0x-hex, defaulting to 0):
+/// the grammar of [`FaultPlan::parse`], which maps the keyword onto
+/// [`FaultKind`].
+fn split_fault_spec(spec: &str) -> Result<(&str, u64, u64), String> {
     let s = spec.trim();
     let (kind, rest) = s
         .split_once('@')
@@ -520,7 +515,7 @@ mod tests {
     fn at_seed_tail_parses_decimal_and_hex() {
         assert_eq!(split_fault_spec("k@3").unwrap(), ("k", 3, 0));
         assert_eq!(split_fault_spec(" k@3:17 ").unwrap(), ("k", 3, 17));
-        assert_eq!(split_fault_spec("disk-full@0:0x5eed").unwrap(), ("disk-full", 0, 0x5eed));
+        assert_eq!(split_fault_spec("k-2@0:0x5eed").unwrap(), ("k-2", 0, 0x5eed));
         for bad in ["k", "k@", "k@x", "k@3:", "k@3:zz", "k@-1"] {
             assert!(split_fault_spec(bad).is_err(), "{bad:?} should be rejected");
         }

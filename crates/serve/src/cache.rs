@@ -25,7 +25,6 @@
 //! memory-fault plan) and the simulator's model fingerprint — everything
 //! outside the module/config that can change simulator output.
 
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -36,22 +35,6 @@ use crate::artifact::{Artifact, CompileMeta, RunRecord};
 use crate::stats::CacheStats;
 use uu_core::{FaultKind, PipelineOptions};
 use uu_ir::Module;
-
-thread_local! {
-    // Armed by the service's `disk-full` fault (`ServeFaultPlan`) for the
-    // duration of one request. Thread-local because each request is
-    // handled entirely on one worker thread: arming it cannot leak into
-    // a concurrent request on another worker.
-    static STORE_FAULT: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Arm (or disarm) the synthetic disk-full fault for cache stores on
-/// *this thread*: while armed, every artifact write fails as a full disk
-/// would — counted in [`CacheStats::store_errors`], degraded to "not
-/// cached", never a broken artifact.
-pub(crate) fn inject_store_fault(on: bool) {
-    STORE_FAULT.with(|f| f.set(on));
-}
 
 /// A 128-bit content-address (two FNV-1a lanes over the same key
 /// material with distinct domain prefixes).
@@ -353,8 +336,8 @@ impl CompileCache {
     }
 
     /// Mutate the stats under the lock — the hook the service layer uses
-    /// to account admission, deadline, panic, quarantine and connection
-    /// events in the same versioned structure as the cache counters.
+    /// to account admission, deadline, panic and connection events in
+    /// the same versioned structure as the cache counters.
     pub fn stats_mut<R>(&self, f: impl FnOnce(&mut CacheStats) -> R) -> R {
         f(&mut self.stats.lock().unwrap())
     }
@@ -401,16 +384,12 @@ impl CompileCache {
 
     /// Best-effort atomic write; a full disk or permission error degrades
     /// to "not cached", never to a broken artifact (readers validate) —
-    /// but every such degradation is now counted in
+    /// but every such degradation is counted in
     /// [`CacheStats::store_errors`] instead of vanishing silently.
     fn store(&self, key: Key, artifact: &Artifact) {
         let Some(path) = self.path_of(key) else {
             return;
         };
-        if STORE_FAULT.with(|f| f.get()) {
-            self.note_store_error();
-            return;
-        }
         let Some(parent) = path.parent() else {
             return;
         };
@@ -781,24 +760,30 @@ bb6:
 
     #[test]
     fn injected_store_fault_degrades_to_uncached_and_is_counted() {
-        let dir = std::env::temp_dir().join(format!("uu-cache-enospc-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("uu-cache-blocked-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        {
-            let cache = CompileCache::at_dir(&dir).unwrap();
-            inject_store_fault(true);
-            let mut m = module();
-            let r = cache.compile(&mut m, &opts(), true);
-            inject_store_fault(false);
-            assert!(!r.hit);
-            assert_eq!(cache.stats().store_errors, 1, "failed store must be counted");
-        }
-        // Nothing reached disk: a fresh cache instance misses and
-        // recompiles (counting a fresh miss, not serving a torn artifact).
+        let key = CompileCache::compile_key(&module(), &opts());
         let cache = CompileCache::at_dir(&dir).unwrap();
-        let mut m = module();
-        let r = cache.compile(&mut m, &opts(), true);
-        assert!(!r.hit, "a faulted store must not leave an artifact behind");
-        assert_eq!(cache.stats().store_errors, 0);
+        // A regular file where the artifact's shard directory goes: the
+        // store's `create_dir_all` fails, even for root.
+        let shard = cache.path_of(key).unwrap().parent().unwrap().to_path_buf();
+        std::fs::write(&shard, "not a directory").unwrap();
+        let r = cache.compile(&mut module(), &opts(), true);
+        assert!(!r.hit);
+        assert_eq!(cache.stats().store_errors, 1, "failed store must be counted");
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path()).collect();
+        assert_eq!(left, [shard.clone()], "no artifact or tmp file is left behind");
+        assert_eq!(std::fs::read_to_string(&shard).unwrap(), "not a directory");
+        // With the way cleared, a fresh cache over the directory finds
+        // nothing: it misses, recompiles, and this time the store lands.
+        std::fs::remove_file(&shard).unwrap();
+        let fresh = CompileCache::at_dir(&dir).unwrap();
+        let again = fresh.compile(&mut module(), &opts(), true);
+        assert!(!again.hit);
+        assert_eq!(again.meta, r.meta);
+        let st = fresh.stats();
+        assert_eq!((st.compile_misses, st.store_errors), (1, 0), "{st:?}");
+        assert!(fresh.path_of(key).unwrap().is_file());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

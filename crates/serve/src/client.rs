@@ -1,15 +1,13 @@
-//! Client side: connect to a daemon and exchange framed messages, with
-//! deterministic backoff and automatic retry of `busy`/transient
-//! failures — the client half of the service's overload contract.
+//! Client side: connect to a daemon and exchange one framed message.
 //!
 //! [`Remote`] is the batch harness's [`Artifacts`] store over a daemon:
 //! one fresh connection per request (HTTP/1.0 style — the only shape the
 //! daemon serves, so its worker pool is never held by idle connections),
-//! `busy` responses honored via their `retry-after-ms` hint, torn frames
-//! and mid-request disconnects retried with capped exponential backoff.
-//! All sleeping is wall-clock only — no retry decision feeds into report
-//! bytes, which is why sweeps through a saturated daemon stay
-//! byte-identical to cacheless runs.
+//! one exchange on it, and no retry. A failed connect or exchange, a
+//! `busy` or an `error` reply goes back to the caller, and the store
+//! turns it into a local compile, a miss or a skipped store — so a
+//! saturated, damaged or absent daemon costs wall time, never report
+//! bytes.
 
 use std::io::{self, Read, Write};
 use std::os::unix::net::UnixStream;
@@ -19,34 +17,26 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::artifact::{CompileMeta, RunRecord};
-use crate::backoff::Backoff;
 use crate::cache::{Artifacts, Key};
 use crate::config::config_name;
 use crate::proto::{read_frame, write_frame, Message};
 use uu_core::{FaultPlan, LoopFilter, PipelineOptions};
 use uu_ir::Module;
 
-/// Connect to the daemon's Unix socket, retrying with jittered
-/// exponential backoff until `patience` runs out — the common pattern is
-/// "start daemon in background, then connect", and the bind may land a
-/// few milliseconds after the client starts. (The old implementation
-/// re-polled `Instant::now` on a fixed 20 ms cadence; backoff both
-/// reacts faster when the socket appears quickly and wastes less when it
-/// doesn't.)
+/// Pause between connects while a daemon may still be binding.
+const CONNECT_POLL: Duration = Duration::from_millis(2);
+
+/// Connect to the daemon's Unix socket, polling every `CONNECT_POLL`
+/// until `patience` runs out — the common pattern is "start daemon in
+/// background, then connect", and the bind may land a few milliseconds
+/// after the client starts.
 pub(crate) fn connect_unix(path: &Path, patience: Duration) -> io::Result<UnixStream> {
     let deadline = Instant::now() + patience;
-    // Seeded from the socket path: deterministic per target, decorrelated
-    // across daemons.
-    let mut backoff = Backoff::with_limits(uu_ir::fnv1a(path.as_os_str().as_encoded_bytes()), 2, 100);
     loop {
         match UnixStream::connect(path) {
             Ok(s) => return Ok(s),
-            Err(e) => {
-                if Instant::now() >= deadline {
-                    return Err(e);
-                }
-                std::thread::sleep(backoff.next_delay());
-            }
+            Err(e) if Instant::now() >= deadline => return Err(e),
+            Err(_) => std::thread::sleep(CONNECT_POLL),
         }
     }
 }
@@ -74,49 +64,29 @@ pub struct RemoteCompile {
     pub module_text: Option<String>,
 }
 
-/// A handle to a compile daemon: socket path + retry policy. Cloneable
-/// and cheap; each request opens its own connection.
+/// A handle to a compile daemon: its socket path and connect patience.
+/// Cloneable and cheap; each request opens its own connection.
 #[derive(Debug, Clone)]
 pub struct Remote {
     socket: PathBuf,
-    /// Maximum request attempts (first try + retries).
-    max_attempts: u32,
     /// Patience for the first connects: the daemon may still be binding.
     patience: Duration,
     /// Set once a connect has succeeded or run out of patience — shared
     /// by every clone, so the patience is spent once per daemon, not once
-    /// per attempt of every request. From then on a connect is a single
-    /// immediate try: a daemon that was reached and died, or a socket
-    /// nobody ever listened on, fails each later request in microseconds.
+    /// per request. From then on a connect is a single immediate try: a
+    /// daemon that was reached and died, or a socket nobody ever listened
+    /// on, fails each later request in microseconds.
     settled: Arc<AtomicBool>,
-    /// Base seed for the per-request backoff jitter.
-    seed: u64,
 }
 
 impl Remote {
-    /// Default request attempts (first try + retries). Sized so that a
-    /// client bouncing off a saturated daemon outlasts multi-second
-    /// stalls: with the default backoff the cumulative hinted wait
-    /// exceeds 2.5 s well before the budget runs out.
-    pub const DEFAULT_ATTEMPTS: u32 = 16;
-
     /// A remote over the daemon socket at `socket`.
     pub fn new(socket: impl Into<PathBuf>) -> Remote {
-        let socket = socket.into();
-        let seed = uu_ir::fnv1a(socket.as_os_str().as_encoded_bytes());
         Remote {
-            socket,
-            max_attempts: Self::DEFAULT_ATTEMPTS,
+            socket: socket.into(),
             patience: Duration::from_secs(5),
             settled: Arc::new(AtomicBool::new(false)),
-            seed,
         }
-    }
-
-    /// Override the retry budget (1 = single attempt, no retries).
-    pub fn with_attempts(mut self, attempts: u32) -> Remote {
-        self.max_attempts = attempts.max(1);
-        self
     }
 
     /// Connect, waiting for a daemon that is still binding only until the
@@ -132,57 +102,18 @@ impl Remote {
         conn
     }
 
-    /// Send `req` on a fresh connection, retrying `busy` responses
-    /// (honoring their `retry-after-ms` hint), `error` responses marked
-    /// `transient: 1`, and transport failures after the connect (torn
-    /// frames, disconnects), with capped exponential backoff jittered
-    /// deterministically from the request body. Non-transient `error`
-    /// responses (bad request, quarantined module) are returned as-is —
-    /// retrying them is pointless by construction — and so is a failed
-    /// connect: nobody is listening, and the connect patience (spent once
-    /// per remote) was the wait for that to change.
+    /// Send `req` on a fresh connection and return the reply, whatever
+    /// its verb (`busy` and `error` included). A failed connect or
+    /// exchange is an `io::Error`; nothing is retried.
     pub fn request(&self, req: &Message) -> io::Result<Message> {
-        let mut backoff = Backoff::new(self.seed ^ uu_ir::fnv1a(req.body.as_bytes()));
-        let mut last_io: Option<io::Error> = None;
-        let mut last_resp: Option<Message> = None;
-        for _ in 0..self.max_attempts.max(1) {
-            let mut conn = self.connect()?;
-            match request_over(&mut conn, req) {
-                Ok(resp) => {
-                    if resp.verb == "busy" {
-                        let hint = resp.get("retry-after-ms").and_then(|v| v.parse::<u64>().ok());
-                        last_resp = Some(resp);
-                        backoff.sleep(hint);
-                    } else if resp.verb == "error" && resp.get("transient") == Some("1") {
-                        last_resp = Some(resp);
-                        backoff.sleep(None);
-                    } else {
-                        return Ok(resp);
-                    }
-                }
-                Err(e) => {
-                    last_io = Some(e);
-                    backoff.sleep(None);
-                }
-            }
-        }
-        // Retry budget exhausted: surface the last structured response if
-        // there was one (the caller sees `busy`/`error` rather than a
-        // synthetic I/O error), else the last transport failure.
-        match last_resp {
-            Some(resp) => Ok(resp),
-            None => Err(last_io.unwrap_or_else(|| {
-                io::Error::new(io::ErrorKind::TimedOut, "request retries exhausted")
-            })),
-        }
+        request_over(&mut self.connect()?, req)
     }
 
     /// Compile `module_text` under the named config through the daemon.
     /// `filter` selects one loop (function name + deterministic loop id);
     /// `fault` forwards a pipeline fault spec for drills. Any non-`ok`
-    /// outcome (including a still-`busy` daemon after the retry budget)
-    /// becomes an `io::Error`, which batch callers treat as "daemon
-    /// unavailable — compile locally".
+    /// outcome (a `busy` daemon included) becomes an `io::Error`, which
+    /// batch callers treat as "daemon unavailable — compile locally".
     pub fn compile(
         &self,
         module_text: impl Into<String>,
@@ -266,7 +197,6 @@ mod tests {
     use super::*;
     use crate::cache::CompileCache;
     use crate::server::{serve_unix_with, ServeOptions};
-    use crate::fault::ServeFaultPlan;
     use uu_core::Rung;
 
     const MODULE: &str = "\
@@ -286,10 +216,7 @@ bb3:
 }
 ";
 
-    fn with_daemon(
-        opts: ServeOptions,
-        f: impl FnOnce(&Remote),
-    ) -> crate::stats::CacheStats {
+    fn with_daemon(f: impl FnOnce(&Remote)) -> crate::stats::CacheStats {
         use std::sync::atomic::{AtomicUsize, Ordering};
         static NEXT: AtomicUsize = AtomicUsize::new(0);
         let dir = std::env::temp_dir().join(format!(
@@ -305,7 +232,7 @@ bb3:
             let daemon = {
                 let sock = sock.clone();
                 let cache = &cache;
-                s.spawn(move || serve_unix_with(&sock, cache, opts))
+                s.spawn(move || serve_unix_with(&sock, cache, ServeOptions::default()))
             };
             let remote = Remote::new(&sock);
             // Contain assertion failures so the daemon still gets its
@@ -326,7 +253,7 @@ bb3:
 
     #[test]
     fn remote_compile_round_trips_meta_and_module() {
-        with_daemon(ServeOptions::default(), |remote| {
+        with_daemon(|remote| {
             let a = remote.compile(MODULE, "unroll2", None, None, true).unwrap();
             assert!(!a.hit);
             assert_eq!(a.meta.rung, Rung::Full);
@@ -348,60 +275,21 @@ bb3:
     }
 
     #[test]
-    fn remote_retries_through_torn_frames_and_disconnects() {
-        let stats = with_daemon(
-            ServeOptions {
-                fault: Some(ServeFaultPlan::parse("torn@0,disconnect@1").unwrap()),
-                ..ServeOptions::default()
-            },
-            |remote| {
-                // Request 0 is torn, its retry (request 1) is disconnected,
-                // the second retry (request 2) succeeds — transparently.
-                // The torn request's compile landed in the cache before its
-                // response was damaged, so the winning retry is a hit.
-                let r = remote.compile(MODULE, "uu2", None, None, true).unwrap();
-                assert_eq!(r.meta.rung, Rung::Full);
-                assert!(r.hit);
-            },
-        );
-        assert_eq!(stats.requests, 4, "3 compile attempts + shutdown");
-    }
-
-    #[test]
-    fn remote_retries_transient_panics_but_returns_quarantine_as_error() {
-        let stats = with_daemon(
-            ServeOptions {
-                fault: Some(ServeFaultPlan::parse("panic@0,panic@1,panic@2").unwrap()),
-                ..ServeOptions::default()
-            },
-            |remote| {
-                // Three injected panics trip the breaker while the client
-                // is retrying; the fourth attempt is refused as quarantined,
-                // which is NOT retried — compile() surfaces it as an error.
-                let e = remote.compile(MODULE, "uu2", None, None, true).unwrap_err();
-                assert!(e.to_string().contains("quarantined"), "{e}");
-            },
-        );
-        assert_eq!(stats.handler_panics, 3);
-        assert_eq!(stats.quarantined_rejects, 1);
-    }
-
-    #[test]
     fn remote_bad_requests_fail_without_retry_burn() {
-        let stats = with_daemon(ServeOptions::default(), |remote| {
+        let stats = with_daemon(|remote| {
             let e = remote.compile(MODULE, "warp9", None, None, true).unwrap_err();
             assert!(e.to_string().contains("unknown config"), "{e}");
         });
-        // One compile attempt only: a non-transient error is not retried.
+        // One compile request only: an `error` reply is not retried.
         assert_eq!(stats.requests, 2, "1 compile + shutdown");
     }
 
     #[test]
     fn connect_patience_is_spent_once_per_remote_then_requests_fail_fast() {
         // Nobody ever listens here. The first request waits out the
-        // patience (a daemon may still be binding) — once, not once per
-        // attempt — and every later one, on this handle or a clone, is a
-        // single immediate connect.
+        // patience (a daemon may still be binding) — once per remote —
+        // and every later one, on this handle or a clone, is a single
+        // immediate connect.
         let sock = std::env::temp_dir().join(format!("uu-no-daemon-{}.sock", std::process::id()));
         let _ = std::fs::remove_file(&sock);
         let remote = Remote { patience: Duration::from_millis(300), ..Remote::new(&sock) };
@@ -410,9 +298,9 @@ bb3:
         let first = t0.elapsed();
         assert_eq!(e.kind(), io::ErrorKind::NotFound);
         assert!(first >= Duration::from_millis(300), "{first:?}");
-        assert!(first < Duration::from_millis(300 * 4), "one window, not 16: {first:?}");
+        assert!(first < Duration::from_millis(300 * 4), "one window: {first:?}");
         let t1 = Instant::now();
-        for r in [remote.clone(), remote.clone().with_attempts(64), remote] {
+        for r in [remote.clone(), remote] {
             assert!(r.compile(MODULE, "uu2", None, None, true).is_err());
         }
         let later = t1.elapsed();
@@ -423,7 +311,7 @@ bb3:
     fn a_daemon_that_appears_later_is_reached_again() {
         // The latch only removes the waiting: a settled remote still
         // connects whenever somebody is listening.
-        with_daemon(ServeOptions::default(), |remote| {
+        with_daemon(|remote| {
             assert_eq!(remote.request(&Message::new("ping")).unwrap().verb, "ok"); // bound
             let gone = Remote::new(remote.socket.with_extension("gone"));
             let gone = Remote { patience: Duration::ZERO, ..gone };

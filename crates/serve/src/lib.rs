@@ -40,17 +40,19 @@
 //! and `store-run` verbs) is no longer reachable from any command. It
 //! stays only as the fixture of e2ebench's `served-warm` workload, with
 //! its tests, until that workload is replaced and the daemon deleted
-//! (ROADMAP items 2 and 1).
+//! (ROADMAP items 2 and 1). It keeps only what that workload drives: a
+//! worker pool with an admission gauge, a contained handler and a
+//! graceful drain. A [`Remote`] sends one request per connection and
+//! gives any failure back to its caller; as a store it then compiles
+//! locally, misses or skips the store.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod artifact;
-mod backoff;
 mod cache;
 mod client;
 mod config;
-mod fault;
 mod proto;
 mod server;
 mod stats;
@@ -59,7 +61,6 @@ pub use artifact::{Artifact, CompileMeta, RunRecord};
 pub use cache::{Artifacts, CachedCompile, CompileCache, Key};
 pub use client::{Remote, RemoteCompile};
 pub use config::{config_name, config_names, parse_config};
-pub use fault::{ServeFault, ServeFaultKind, ServeFaultPlan};
 pub use proto::Message;
 pub use server::{serve_unix_with, ServeOptions};
 pub use stats::CacheStats;

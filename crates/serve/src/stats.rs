@@ -6,9 +6,10 @@ use uu_core::Rung;
 
 /// Stats schema version; bump on any field change so dashboards detect
 /// skew instead of misreading counters. Version 2 added the service
-/// counters (admission, deadlines, panics, quarantine, frame defects,
-/// accept/connection/store errors).
-pub(crate) const STATS_VERSION: u32 = 2;
+/// counters (admission, deadlines, panics, frame defects,
+/// accept/connection/store errors); version 3 dropped the two counters of
+/// the retired crash-loop breaker.
+pub(crate) const STATS_VERSION: u32 = 3;
 
 /// Counters for one cache (and the service wrapped around it).
 ///
@@ -47,10 +48,6 @@ pub struct CacheStats {
     pub deadline_hits: u64,
     /// Handler panics contained by the per-request guard.
     pub handler_panics: u64,
-    /// Module hashes currently quarantined by the crash-loop breaker.
-    pub quarantined_modules: u64,
-    /// Requests rejected because their module hash was quarantined.
-    pub quarantined_rejects: u64,
     /// Damaged frames answered with a structured error (oversized,
     /// non-UTF-8, malformed).
     pub frame_defects: u64,
@@ -108,8 +105,6 @@ impl CacheStats {
             ("busy_shed", self.busy_shed.to_string()),
             ("deadline_hits", self.deadline_hits.to_string()),
             ("handler_panics", self.handler_panics.to_string()),
-            ("quarantined_modules", self.quarantined_modules.to_string()),
-            ("quarantined_rejects", self.quarantined_rejects.to_string()),
             ("frame_defects", self.frame_defects.to_string()),
             ("accept_errors", self.accept_errors.to_string()),
             ("conn_errors", self.conn_errors.to_string()),
@@ -151,15 +146,13 @@ mod tests {
         s.count_rung(Rung::DroppedPass);
         s.busy_shed = 3;
         s.handler_panics = 1;
-        s.quarantined_modules = 1;
         let j = s.to_json();
         uu_check::json::validate(&j).expect("stats JSON must parse");
-        assert!(j.contains("\"stats_version\": 2"));
+        assert!(j.contains("\"stats_version\": 3"));
         assert!(j.contains("\"dropped-pass\": 1"));
         assert!(j.contains("\"hit_rate\": 0.0000"));
         assert!(j.contains("\"busy_shed\": 3"));
         assert!(j.contains("\"handler_panics\": 1"));
-        assert!(j.contains("\"quarantined_modules\": 1"));
     }
 
     #[test]
@@ -179,21 +172,18 @@ mod tests {
             busy_shed: 15,
             deadline_hits: 16,
             handler_panics: 17,
-            quarantined_modules: 18,
-            quarantined_rejects: 19,
-            frame_defects: 20,
-            accept_errors: 21,
-            conn_errors: 22,
-            store_errors: 23,
+            frame_defects: 18,
+            accept_errors: 19,
+            conn_errors: 20,
+            store_errors: 21,
         };
-        let want = "{\n  \"stats_version\": 2,\n  \"compile_mem_hits\": 1,\n  \
+        let want = "{\n  \"stats_version\": 3,\n  \"compile_mem_hits\": 1,\n  \
             \"compile_disk_hits\": 2,\n  \"compile_misses\": 3,\n  \"run_mem_hits\": 4,\n  \
             \"run_disk_hits\": 5,\n  \"run_misses\": 6,\n  \"hit_rate\": 0.5714,\n  \
             \"work_saved\": 7,\n  \"lookup_micros\": 8,\n  \"compile_micros\": 9,\n  \
             \"requests\": 14,\n  \"busy_shed\": 15,\n  \"deadline_hits\": 16,\n  \
-            \"handler_panics\": 17,\n  \"quarantined_modules\": 18,\n  \
-            \"quarantined_rejects\": 19,\n  \"frame_defects\": 20,\n  \
-            \"accept_errors\": 21,\n  \"conn_errors\": 22,\n  \"store_errors\": 23,\n  \
+            \"handler_panics\": 17,\n  \"frame_defects\": 18,\n  \
+            \"accept_errors\": 19,\n  \"conn_errors\": 20,\n  \"store_errors\": 21,\n  \
             \"rung_counts\": {\n    \"full\": 10,\n    \"dropped-pass\": 11,\n    \
             \"no-transform\": 12,\n    \"unoptimized\": 13\n  }\n}\n";
         assert_eq!(s.to_json(), want);
